@@ -3,6 +3,8 @@
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_experiments::{admission_rejects, evaluation_budget, evaluation_registry, Approach};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
+use msmr_sched::{Dcmp, SolveCtx, Solver};
+use msmr_sim::{PriorityMap, Simulator};
 
 use crate::report::BenchReport;
 use crate::{generate_case, paper_config, small_config, BENCH_SEED};
@@ -83,6 +85,21 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
             },
         );
     }
+
+    // --- simulation engine and the DCMP baseline built on it ------------
+    // `jobs` is the paper-scale n = 100 case in a full run.
+    let simulator = Simulator::new(&jobs);
+    let priorities = PriorityMap::from_global_order(&jobs, &order);
+    let sim_iters = if fast { 5 } else { 200 };
+    report.time_ns("sim/run_ns", samples, sim_iters, || {
+        simulator.run(&priorities)
+    });
+    report.time_ns("sim/completions_ns", samples, sim_iters, || {
+        simulator.completions(&priorities)
+    });
+    report.time_ns("dcmp/solve_ns", samples, sim_iters, || {
+        Dcmp::new().solve(&SolveCtx::new(&jobs))
+    });
 
     // --- OPT branch-and-bound -------------------------------------------
     use msmr_sched::{OptPairwise, PairwiseSearchConfig};

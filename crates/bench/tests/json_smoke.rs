@@ -17,6 +17,9 @@ fn fast_kernel_report_is_complete_and_parseable() {
         "delay_bound_incremental/eq6",
         "delay_bound_naive/eq10",
         "delay_bound_incremental/eq10",
+        "sim/run_ns",
+        "sim/completions_ns",
+        "dcmp/solve_ns",
         "opt_search/observation_v1",
         "admission/OPDCA",
         "admission/DMR",

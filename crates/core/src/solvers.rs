@@ -224,18 +224,20 @@ impl Solver for Dcmp {
     }
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
-        let (outcome, elapsed) = timed(|| self.evaluate(ctx.jobs()));
-        let kind = if outcome.accepted {
+        let ((accepted, unschedulable), elapsed) = timed(|| self.decide(ctx.jobs()));
+        let kind = if accepted {
             VerdictKind::Accepted
         } else {
             VerdictKind::Rejected
         };
+        // `unschedulable` lists end-to-end misses while acceptance is
+        // decided on virtual deadlines: see `DcmpOutcome::accepted`.
         let verdict = Verdict {
             solver: DCMP.to_string(),
             kind,
             witness: None,
             delays: None,
-            unschedulable: outcome.deadline_misses(),
+            unschedulable,
             stats: SolverStats::default(),
         };
         with_elapsed(verdict, elapsed)

@@ -1,8 +1,11 @@
-//! The discrete-event simulation engine.
+//! The event-driven simulation engine.
 
-use msmr_model::{JobId, JobSet, PreemptionPolicy, ResourceRef, StageId, Time};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::{ExecutionSlice, PriorityMap, SimulationOutcome};
+use msmr_model::{JobId, JobSet, PreemptionPolicy, ResourceId, ResourceRef, StageId, Time};
+
+use crate::{CompletionTable, ExecutionSlice, PriorityMap, SimulationOutcome};
 
 /// Discrete-event simulator for one [`JobSet`].
 ///
@@ -15,23 +18,6 @@ use crate::{ExecutionSlice, PriorityMap, SimulationOutcome};
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     jobs: &'a JobSet,
-}
-
-/// Per-job mutable simulation state.
-#[derive(Debug, Clone)]
-struct JobState {
-    /// Index of the stage currently being served (`== stage_count` when the
-    /// job has left the pipeline).
-    stage: usize,
-    /// Remaining demand at the current stage.
-    remaining: u64,
-    /// Time the job became ready at the current stage.
-    ready_at: u64,
-    /// Absolute completion time of each finished stage.
-    stage_completions: Vec<u64>,
-    /// Absolute pipeline-exit time (valid once `done`).
-    completion: u64,
-    done: bool,
 }
 
 impl<'a> Simulator<'a> {
@@ -48,7 +34,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Runs the simulation to completion under the given priorities and
-    /// returns the outcome.
+    /// returns the outcome, execution trace included (see the crate docs
+    /// for the trace contract).
     ///
     /// # Panics
     ///
@@ -56,323 +43,286 @@ impl<'a> Simulator<'a> {
     /// set.
     #[must_use]
     pub fn run(&self, priorities: &PriorityMap) -> SimulationOutcome {
-        let n = self.jobs.len();
-        let n_stages = self.jobs.stage_count();
+        let mut trace: Vec<ExecutionSlice> = Vec::new();
+        let completions = Engine::new(self.jobs, priorities, &mut trace).simulate();
+        // Slices are recorded when they end; the contract orders them by
+        // start.
+        trace.sort_unstable_by_key(|slice| (slice.start, slice.resource));
+        SimulationOutcome::new(self.jobs, completions, trace)
+    }
+
+    /// Runs the same simulation as [`run`](Self::run) without recording a
+    /// trace: only the completion time of every job at every stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `priorities` does not cover every job and stage of the job
+    /// set.
+    #[must_use]
+    pub fn completions(&self, priorities: &PriorityMap) -> CompletionTable {
+        Engine::new(self.jobs, priorities, &mut NoTrace).simulate()
+    }
+}
+
+/// Where the engine reports each maximal contiguous run of a job on a
+/// resource, at the instant the run ends.
+trait SliceSink {
+    fn record(&mut self, slice: ExecutionSlice);
+}
+
+impl SliceSink for Vec<ExecutionSlice> {
+    fn record(&mut self, slice: ExecutionSlice) {
+        self.push(slice);
+    }
+}
+
+/// The sink of the trace-free path.
+struct NoTrace;
+
+impl SliceSink for NoTrace {
+    #[inline]
+    fn record(&mut self, _slice: ExecutionSlice) {}
+}
+
+/// "No job": end of a waiting list, or an idle resource.
+const NIL: u32 = u32::MAX;
+
+/// One simulation in flight. Resources are indexed densely, stage by
+/// stage; jobs by their id.
+struct Engine<'a, S> {
+    jobs: &'a JobSet,
+    priorities: &'a PriorityMap,
+    sink: &'a mut S,
+    n_stages: usize,
+    /// Dense index of the first resource of each stage.
+    stage_base: Vec<usize>,
+    /// Stage of each resource.
+    stage_of: Vec<usize>,
+    /// Per stage: whether a higher-priority arrival displaces the
+    /// executing job.
+    preemptive: Vec<bool>,
+    /// Per resource: the executing job, or `NIL`.
+    running: Vec<u32>,
+    /// Per resource: when the executing job was (re)started.
+    started_at: Vec<u64>,
+    /// Per resource: when the executing job completes its stage unless it
+    /// is preempted first; `u64::MAX` when idle.
+    finish_at: Vec<u64>,
+    /// Per resource: head of the list of jobs ready here but not
+    /// executing, linked through `next`.
+    waiting: Vec<u32>,
+    /// Per job: the next job of the waiting list it is on.
+    next: Vec<u32>,
+    /// Per job: demand left at its current stage as of the last time it was
+    /// started; charged only when it is preempted.
+    remaining: Vec<u64>,
+    /// Resources whose ready set changed at the current instant, and the
+    /// membership flags that keep the list duplicate-free.
+    touched: Vec<usize>,
+    is_touched: Vec<bool>,
+    /// Pending stage completions `(finish_at, resource)`. A preemption
+    /// leaves its entry behind; an entry is live iff it still equals the
+    /// resource's `finish_at`.
+    events: BinaryHeap<Reverse<(u64, usize)>>,
+    /// `[job][stage]` completion times, filled in as stages complete.
+    completed: Vec<Time>,
+}
+
+impl<'a, S: SliceSink> Engine<'a, S> {
+    fn new(jobs: &'a JobSet, priorities: &'a PriorityMap, sink: &'a mut S) -> Self {
+        let n = jobs.len();
+        let n_stages = jobs.stage_count();
         assert_eq!(
             priorities.stage_count(),
             n_stages,
             "priority map stage count mismatch"
         );
         assert_eq!(priorities.job_count(), n, "priority map job count mismatch");
+        assert!(n < NIL as usize, "job ids must fit the engine's u32 links");
 
-        // Dense resource indexing: `index_map[stage][resource] -> r_idx`.
-        let resources: Vec<ResourceRef> = self.jobs.pipeline().resource_refs().collect();
-        let mut index_map: Vec<Vec<usize>> = vec![Vec::new(); n_stages];
-        for (r_idx, r) in resources.iter().enumerate() {
-            let row = &mut index_map[r.stage.index()];
-            if row.len() <= r.resource.index() {
-                row.resize(r.resource.index() + 1, usize::MAX);
-            }
-            row[r.resource.index()] = r_idx;
+        let mut stage_base = Vec::with_capacity(n_stages);
+        let mut stage_of = Vec::new();
+        let mut preemptive = Vec::with_capacity(n_stages);
+        for (stage_id, stage) in jobs.pipeline().stages() {
+            stage_base.push(stage_of.len());
+            stage_of.resize(stage_of.len() + stage.resource_count(), stage_id.index());
+            preemptive.push(stage.preemption() == PreemptionPolicy::Preemptive);
         }
-        // How many jobs map to each resource — used only to pre-size the
-        // ready lists below.
-        let mut jobs_at: Vec<usize> = vec![0; resources.len()];
-        for job in self.jobs.jobs() {
-            for j in 0..n_stages {
-                let stage = StageId::new(j);
-                jobs_at[index_map[j][job.resource(stage).index()]] += 1;
-            }
+        let resources = stage_of.len();
+        Engine {
+            jobs,
+            priorities,
+            sink,
+            n_stages,
+            stage_base,
+            stage_of,
+            preemptive,
+            running: vec![NIL; resources],
+            started_at: vec![0; resources],
+            finish_at: vec![u64::MAX; resources],
+            waiting: vec![NIL; resources],
+            next: vec![NIL; n],
+            remaining: vec![0; n],
+            touched: Vec::new(),
+            is_touched: vec![false; resources],
+            events: BinaryHeap::with_capacity(resources),
+            completed: vec![Time::ZERO; n * n_stages],
         }
-        let policies: Vec<PreemptionPolicy> = resources
-            .iter()
-            .map(|r| self.jobs.pipeline().preemption(r.stage))
-            .collect();
-        // Zero-demand stages are rare; skip the fixed-point pass entirely
-        // when no job has one.
-        let has_zero_work = self
+    }
+
+    /// Runs to completion: one iteration per instant at which a job
+    /// arrives or a stage completes.
+    fn simulate(mut self) -> CompletionTable {
+        let mut arrivals: Vec<(u64, u32)> = self
             .jobs
             .jobs()
-            .any(|job| job.processing_times().iter().any(|p| p.is_zero()));
-        // Future arrivals, sorted: a job's `ready_at` can only exceed the
-        // current time while it waits for its initial arrival, so the next
-        // arrival event is a monotone pointer into this list.
-        let mut arrival_queue: Vec<(u64, JobId)> = self
-            .jobs
-            .jobs()
-            .map(|j| (j.arrival().as_ticks(), j.id()))
+            .map(|job| (job.arrival().as_ticks(), job.id().index() as u32))
             .collect();
-        arrival_queue.sort_unstable_by_key(|&(arrival, id)| (arrival, id.index()));
-        let mut next_arrival = 0usize;
+        arrivals.sort_unstable();
+        let mut arrivals = arrivals.into_iter().peekable();
 
-        let mut states: Vec<JobState> = self
-            .jobs
-            .jobs()
-            .map(|job| JobState {
-                stage: 0,
-                remaining: job.processing(StageId::new(0)).as_ticks(),
-                ready_at: job.arrival().as_ticks(),
-                stage_completions: Vec::with_capacity(n_stages),
-                completion: 0,
-                done: false,
-            })
-            .collect();
-        // For non-preemptive resources: the job currently holding the
-        // resource, if any.
-        let mut occupied: Vec<Option<JobId>> = vec![None; resources.len()];
-        let mut trace: Vec<ExecutionSlice> = Vec::new();
-
-        let mut time = self
-            .jobs
-            .jobs()
-            .map(|j| j.arrival().as_ticks())
-            .min()
-            .unwrap_or(0);
-
-        if n == 0 {
-            return SimulationOutcome::new(self.jobs, Vec::new(), Vec::new(), Vec::new());
-        }
-
-        // Per-resource ready lists, maintained incrementally: a live job
-        // appears in exactly one list (the resource of its current stage)
-        // from the moment it becomes ready there. Dispatch then scans only
-        // genuinely ready jobs instead of every job mapped to a resource.
-        let mut ready: Vec<Vec<JobId>> = jobs_at
-            .iter()
-            .map(|&count| Vec::with_capacity(count))
-            .collect();
-        while next_arrival < arrival_queue.len() && arrival_queue[next_arrival].0 <= time {
-            let (_, job) = arrival_queue[next_arrival];
-            ready[index_map[0][self.jobs.job(job).resource(StageId::new(0)).index()]].push(job);
-            next_arrival += 1;
-        }
-        let mut done_count = 0usize;
-
-        let mut running: Vec<Option<JobId>> = vec![None; resources.len()];
         loop {
-            if has_zero_work {
-                done_count += self.advance_zero_work(
-                    &mut states,
-                    &mut occupied,
-                    &mut ready,
-                    time,
-                    &index_map,
-                );
-            }
-            if done_count == n {
-                break;
-            }
-
-            // Select the running job of every resource.
-            running.fill(None);
-            for (r_idx, ready_here) in ready.iter().enumerate() {
-                let policy = policies[r_idx];
-                if policy == PreemptionPolicy::NonPreemptive {
-                    if let Some(holder) = occupied[r_idx] {
-                        let st = &states[holder.index()];
-                        if !st.done
-                            && st.stage == resources[r_idx].stage.index()
-                            && st.remaining > 0
-                        {
-                            running[r_idx] = Some(holder);
-                            continue;
-                        }
-                        occupied[r_idx] = None;
-                    }
-                }
-                if ready_here.is_empty() {
-                    continue;
-                }
-                // Highest-priority ready job of this resource (ties to the
-                // lower id); an inline scan, so dispatch allocates nothing.
-                let stage = resources[r_idx].stage;
-                let mut candidate: Option<(u64, JobId)> = None;
-                for &id in ready_here {
-                    debug_assert!({
-                        let st = &states[id.index()];
-                        !st.done
-                            && st.ready_at <= time
-                            && st.remaining > 0
-                            && st.stage == stage.index()
-                    });
-                    let priority = priorities.priority(stage, id);
-                    if candidate.is_none_or(|(best, best_id)| {
-                        (priority, id.index()) < (best, best_id.index())
-                    }) {
-                        candidate = Some((priority, id));
-                    }
-                }
-                let candidate = candidate.map(|(_, id)| id);
-                running[r_idx] = candidate;
-                if policy == PreemptionPolicy::NonPreemptive {
-                    occupied[r_idx] = candidate;
-                }
-            }
-
-            // Next event: earliest running-job completion or future arrival.
-            let mut next: Option<u64> = None;
-            for slot in running.iter().flatten() {
-                let finish = time + states[slot.index()].remaining;
-                next = Some(next.map_or(finish, |n: u64| n.min(finish)));
-            }
-            if let Some(&(arrival, _)) = arrival_queue.get(next_arrival) {
-                next = Some(next.map_or(arrival, |n: u64| n.min(arrival)));
-            }
-            let Some(next_time) = next else {
-                // No runnable work and no future events: everything left is
-                // done (or the loop would have found a candidate).
-                break;
+            let arrival = arrivals.peek().map(|&(at, _)| at);
+            let now = match (self.next_completion(), arrival) {
+                (Some(completion), Some(arrival)) => completion.min(arrival),
+                (Some(instant), None) | (None, Some(instant)) => instant,
+                (None, None) => break,
             };
-
-            // Execute the selected jobs until the next event.
-            let delta = next_time - time;
-            if delta > 0 {
-                for (r_idx, slot) in running.iter().enumerate() {
-                    let Some(job) = *slot else { continue };
-                    let st = &mut states[job.index()];
-                    st.remaining -= delta;
-                    push_slice(
-                        &mut trace,
-                        ExecutionSlice {
-                            resource: resources[r_idx],
-                            job,
-                            stage: StageId::new(st.stage),
-                            start: Time::new(time),
-                            end: Time::new(next_time),
-                        },
-                    );
-                }
+            // Every completion and arrival of this instant first, so that
+            // dispatch sees the final ready sets.
+            while self.next_completion() == Some(now) {
+                let Reverse((_, resource)) = self.events.pop().expect("peeked above");
+                self.complete(resource, now);
             }
-
-            // Handle completions at the new time.
-            for (r_idx, slot) in running.iter().enumerate() {
-                let Some(job) = *slot else { continue };
-                if states[job.index()].remaining == 0 {
-                    occupied[r_idx] = None;
-                    if complete_stage(
-                        self.jobs,
-                        &mut states,
-                        &mut ready,
-                        &index_map,
-                        job,
-                        next_time,
-                    ) {
-                        done_count += 1;
-                    }
-                }
+            while let Some(&(_, job)) = arrivals.peek().filter(|&&(at, _)| at == now) {
+                arrivals.next();
+                self.enter(job, 0, now);
             }
-
-            time = next_time;
-            // Admit jobs whose arrival has been reached.
-            while next_arrival < arrival_queue.len() && arrival_queue[next_arrival].0 <= time {
-                let (_, job) = arrival_queue[next_arrival];
-                ready[index_map[0][self.jobs.job(job).resource(StageId::new(0)).index()]].push(job);
-                next_arrival += 1;
-            }
-            if done_count == n {
-                break;
+            while let Some(resource) = self.touched.pop() {
+                self.is_touched[resource] = false;
+                self.dispatch(resource, now);
             }
         }
-
-        let completions = states.iter().map(|s| Time::new(s.completion)).collect();
-        let stage_completions = states
-            .iter()
-            .map(|s| s.stage_completions.iter().map(|&t| Time::new(t)).collect())
-            .collect();
-        SimulationOutcome::new(self.jobs, completions, stage_completions, trace)
+        CompletionTable::new(self.n_stages, self.completed)
     }
 
-    /// Moves jobs through stages whose demand is zero (they complete
-    /// instantly once ready). Returns how many jobs left the pipeline.
-    fn advance_zero_work(
-        &self,
-        states: &mut [JobState],
-        occupied: &mut [Option<JobId>],
-        ready: &mut [Vec<JobId>],
-        time: u64,
-        index_map: &[Vec<usize>],
-    ) -> usize {
-        let mut finished = 0;
-        loop {
-            let mut progressed = false;
-            for i in 0..states.len() {
-                let job = JobId::new(i);
-                if !states[i].done && states[i].ready_at <= time && states[i].remaining == 0 {
-                    // Release the resource if this zero-work job was holding
-                    // it (possible on non-preemptive stages).
-                    let stage = StageId::new(states[i].stage);
-                    let resource = self.jobs.job(job).resource(stage);
-                    let r_idx = index_map[stage.index()][resource.index()];
-                    if occupied[r_idx] == Some(job) {
-                        occupied[r_idx] = None;
-                    }
-                    if complete_stage(self.jobs, states, ready, index_map, job, time) {
-                        finished += 1;
-                    }
-                    progressed = true;
-                }
+    /// The earliest pending stage completion, dropping the entries that
+    /// preemptions left behind.
+    fn next_completion(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at, resource))) = self.events.peek() {
+            if self.finish_at[resource] == at {
+                return Some(at);
             }
-            if !progressed {
-                break;
-            }
+            self.events.pop();
         }
-        finished
+        None
     }
-}
 
-/// Records the completion of the current stage of `job` at `time`,
-/// maintains the per-resource ready lists and advances the job to the next
-/// stage (or out of the pipeline). Returns `true` when the job left the
-/// pipeline.
-fn complete_stage(
-    jobs: &JobSet,
-    states: &mut [JobState],
-    ready: &mut [Vec<JobId>],
-    index_map: &[Vec<usize>],
-    job: JobId,
-    time: u64,
-) -> bool {
-    let state = &mut states[job.index()];
-    let stage = StageId::new(state.stage);
-    let r_idx = index_map[state.stage][jobs.job(job).resource(stage).index()];
-    if let Some(pos) = ready[r_idx].iter().position(|&x| x == job) {
-        ready[r_idx].swap_remove(pos);
+    fn touch(&mut self, resource: usize) {
+        if !self.is_touched[resource] {
+            self.is_touched[resource] = true;
+            self.touched.push(resource);
+        }
     }
-    state.stage_completions.push(time);
-    state.stage += 1;
-    if state.stage == jobs.stage_count() {
-        state.done = true;
-        state.completion = time;
-        true
-    } else {
-        state.ready_at = time;
-        let next_stage = StageId::new(state.stage);
-        state.remaining = jobs.job(job).processing(next_stage).as_ticks();
-        ready[index_map[state.stage][jobs.job(job).resource(next_stage).index()]].push(job);
-        false
-    }
-}
 
-/// Appends a slice to the trace, merging it with the previous slice when it
-/// seamlessly continues the same job on the same resource.
-fn push_slice(trace: &mut Vec<ExecutionSlice>, slice: ExecutionSlice) {
-    if let Some(last) = trace.last_mut() {
-        if last.resource == slice.resource
-            && last.job == slice.job
-            && last.stage == slice.stage
-            && last.end == slice.start
-        {
-            last.end = slice.end;
+    /// `job` becomes ready at `stage` (or leaves the pipeline) at `now`.
+    /// Zero-demand stages complete on the spot, whatever their resource is
+    /// doing.
+    fn enter(&mut self, job: u32, mut stage: usize, now: u64) {
+        let spec = self.jobs.job(JobId::new(job as usize));
+        while stage < self.n_stages {
+            let demand = spec.processing(StageId::new(stage)).as_ticks();
+            if demand > 0 {
+                let resource = self.stage_base[stage] + spec.resource(StageId::new(stage)).index();
+                self.remaining[job as usize] = demand;
+                self.next[job as usize] = self.waiting[resource];
+                self.waiting[resource] = job;
+                self.touch(resource);
+                return;
+            }
+            self.completed[job as usize * self.n_stages + stage] = Time::new(now);
+            stage += 1;
+        }
+    }
+
+    /// The job executing on `resource` completes its stage at `now`.
+    fn complete(&mut self, resource: usize, now: u64) {
+        let job = self.running[resource];
+        let stage = self.stage_of[resource];
+        self.record(resource, job, now);
+        self.running[resource] = NIL;
+        self.finish_at[resource] = u64::MAX;
+        self.touch(resource);
+        self.completed[job as usize * self.n_stages + stage] = Time::new(now);
+        self.enter(job, stage + 1, now);
+    }
+
+    /// Re-evaluates who executes on `resource` from `now` on: the
+    /// highest-priority ready job (ties to the lower id), except that a
+    /// non-preemptive resource keeps a job it has started.
+    fn dispatch(&mut self, resource: usize, now: u64) {
+        let current = self.running[resource];
+        let stage = self.stage_of[resource];
+        if current != NIL && !self.preemptive[stage] {
             return;
         }
+        let priority = self.priorities.stage_values(stage);
+        let key = |job: u32| (priority[job as usize], job);
+
+        // Best waiting job and its predecessor in the list.
+        let (mut best, mut before_best) = (NIL, NIL);
+        let (mut job, mut before) = (self.waiting[resource], NIL);
+        while job != NIL {
+            if best == NIL || key(job) < key(best) {
+                (best, before_best) = (job, before);
+            }
+            (before, job) = (job, self.next[job as usize]);
+        }
+        if best == NIL || (current != NIL && key(current) < key(best)) {
+            return;
+        }
+
+        // `best` leaves the waiting list; a preempted job takes its place.
+        let mut after_best = self.next[best as usize];
+        if current != NIL {
+            self.remaining[current as usize] -= now - self.started_at[resource];
+            self.record(resource, current, now);
+            self.next[current as usize] = after_best;
+            after_best = current;
+        }
+        if before_best == NIL {
+            self.waiting[resource] = after_best;
+        } else {
+            self.next[before_best as usize] = after_best;
+        }
+
+        let finish = now + self.remaining[best as usize];
+        self.running[resource] = best;
+        self.started_at[resource] = now;
+        self.finish_at[resource] = finish;
+        self.events.push(Reverse((finish, resource)));
     }
-    trace.push(slice);
+
+    /// Reports the run of `job` on `resource` that ends at `now`.
+    fn record(&mut self, resource: usize, job: u32, now: u64) {
+        let stage = StageId::new(self.stage_of[resource]);
+        self.sink.record(ExecutionSlice {
+            resource: ResourceRef::new(
+                stage,
+                ResourceId::new(resource - self.stage_base[stage.index()]),
+            ),
+            job: JobId::new(job as usize),
+            stage,
+            start: Time::new(self.started_at[resource]),
+            end: Time::new(now),
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msmr_model::{JobSetBuilder, PreemptionPolicy};
+    use msmr_model::JobSetBuilder;
 
     fn jid(i: usize) -> JobId {
         JobId::new(i)

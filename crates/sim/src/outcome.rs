@@ -32,30 +32,20 @@ impl ExecutionSlice {
     }
 }
 
-/// The result of simulating a job set under a fixed-priority assignment.
+/// The absolute completion time of every job at every stage: what a
+/// simulation computes when no trace is asked for
+/// ([`Simulator::completions`](crate::Simulator::completions)).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimulationOutcome {
-    arrivals: Vec<Time>,
-    deadlines: Vec<Time>,
-    completions: Vec<Time>,
-    stage_completions: Vec<Vec<Time>>,
-    trace: Vec<ExecutionSlice>,
+pub struct CompletionTable {
+    stage_count: usize,
+    /// `times[job · stage_count + stage]`.
+    times: Vec<Time>,
 }
 
-impl SimulationOutcome {
-    pub(crate) fn new(
-        jobs: &JobSet,
-        completions: Vec<Time>,
-        stage_completions: Vec<Vec<Time>>,
-        trace: Vec<ExecutionSlice>,
-    ) -> Self {
-        SimulationOutcome {
-            arrivals: jobs.jobs().map(|j| j.arrival()).collect(),
-            deadlines: jobs.jobs().map(|j| j.deadline()).collect(),
-            completions,
-            stage_completions,
-            trace,
-        }
+impl CompletionTable {
+    pub(crate) fn new(stage_count: usize, times: Vec<Time>) -> Self {
+        debug_assert_eq!(times.len() % stage_count, 0);
+        CompletionTable { stage_count, times }
     }
 
     /// Absolute completion time of a job (exit from the last stage).
@@ -65,7 +55,7 @@ impl SimulationOutcome {
     /// Panics if the job id is out of range.
     #[must_use]
     pub fn completion(&self, job: JobId) -> Time {
-        self.completions[job.index()]
+        self.times[(job.index() + 1) * self.stage_count - 1]
     }
 
     /// Absolute completion time of a job at one stage.
@@ -75,7 +65,64 @@ impl SimulationOutcome {
     /// Panics if either id is out of range.
     #[must_use]
     pub fn stage_completion(&self, job: JobId, stage: StageId) -> Time {
-        self.stage_completions[job.index()][stage.index()]
+        assert!(stage.index() < self.stage_count, "{stage} out of range");
+        self.times[job.index() * self.stage_count + stage.index()]
+    }
+
+    /// Number of jobs in the simulated set.
+    #[must_use]
+    pub fn job_count(&self) -> usize {
+        self.times.len() / self.stage_count
+    }
+}
+
+/// The result of simulating a job set under a fixed-priority assignment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SimulationOutcome {
+    arrivals: Vec<Time>,
+    deadlines: Vec<Time>,
+    completions: CompletionTable,
+    trace: Vec<ExecutionSlice>,
+}
+
+impl SimulationOutcome {
+    pub(crate) fn new(
+        jobs: &JobSet,
+        completions: CompletionTable,
+        trace: Vec<ExecutionSlice>,
+    ) -> Self {
+        SimulationOutcome {
+            arrivals: jobs.jobs().map(|j| j.arrival()).collect(),
+            deadlines: jobs.jobs().map(|j| j.deadline()).collect(),
+            completions,
+            trace,
+        }
+    }
+
+    /// The completion time of every job at every stage.
+    #[must_use]
+    pub fn completions(&self) -> &CompletionTable {
+        &self.completions
+    }
+
+    /// Absolute completion time of a job (exit from the last stage).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job id is out of range.
+    #[must_use]
+    pub fn completion(&self, job: JobId) -> Time {
+        self.completions.completion(job)
+    }
+
+    /// Absolute completion time of a job at one stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
+    #[must_use]
+    pub fn stage_completion(&self, job: JobId, stage: StageId) -> Time {
+        self.completions.stage_completion(job, stage)
     }
 
     /// End-to-end delay `Δ_i` of a job: completion time minus arrival time.
@@ -85,7 +132,8 @@ impl SimulationOutcome {
     /// Panics if the job id is out of range.
     #[must_use]
     pub fn delay(&self, job: JobId) -> Time {
-        self.completions[job.index()].saturating_sub(self.arrivals[job.index()])
+        self.completion(job)
+            .saturating_sub(self.arrivals[job.index()])
     }
 
     /// Returns `true` if the job met its end-to-end deadline
@@ -102,13 +150,13 @@ impl SimulationOutcome {
     /// Returns `true` if every job met its end-to-end deadline.
     #[must_use]
     pub fn all_deadlines_met(&self) -> bool {
-        (0..self.completions.len()).all(|i| self.meets_deadline(JobId::new(i)))
+        (0..self.job_count()).all(|i| self.meets_deadline(JobId::new(i)))
     }
 
     /// Jobs that missed their deadline, in id order.
     #[must_use]
     pub fn deadline_misses(&self) -> Vec<JobId> {
-        (0..self.completions.len())
+        (0..self.job_count())
             .map(JobId::new)
             .filter(|&i| !self.meets_deadline(i))
             .collect()
@@ -117,11 +165,14 @@ impl SimulationOutcome {
     /// The latest completion time over all jobs (makespan).
     #[must_use]
     pub fn makespan(&self) -> Time {
-        self.completions.iter().copied().max().unwrap_or(Time::ZERO)
+        (0..self.job_count())
+            .map(|i| self.completion(JobId::new(i)))
+            .max()
+            .unwrap_or(Time::ZERO)
     }
 
-    /// The full execution trace: every (resource, job, stage, interval)
-    /// slice, in chronological order of interval start.
+    /// The full execution trace: one slice per maximal contiguous run of a
+    /// job on a resource, ordered by interval start, then by resource.
     #[must_use]
     pub fn trace(&self) -> &[ExecutionSlice] {
         &self.trace
@@ -141,7 +192,7 @@ impl SimulationOutcome {
     /// Number of jobs in the simulated set.
     #[must_use]
     pub fn job_count(&self) -> usize {
-        self.completions.len()
+        self.completions.job_count()
     }
 }
 

@@ -96,6 +96,11 @@ impl PriorityMap {
         self.values[stage.index()][job.index()]
     }
 
+    /// The priorities of every job at one stage, indexed by job.
+    pub(crate) fn stage_values(&self, stage: usize) -> &[u64] {
+        &self.values[stage]
+    }
+
     /// Returns `true` if `a` has strictly higher priority than `b` at
     /// `stage` (ties are broken by job id, mirroring the simulator).
     #[must_use]

@@ -211,24 +211,42 @@ proptest! {
         }
     }
 
-    /// Work conservation and resource exclusivity in the simulator: every
-    /// job executes exactly its demand and no two slices overlap on one
-    /// resource.
+    /// The simulator's trace contract, on a fully non-preemptive and a
+    /// fully preemptive system: every job executes exactly its demand, no
+    /// two slices overlap on one resource, slices are maximal and ordered
+    /// by start then resource, a non-preemptive holder is never displaced,
+    /// and the trace-free path computes the same completion times.
     #[test]
     fn simulator_trace_invariants(
-        (jobs, order) in jobset_and_order(PreemptionPolicy::NonPreemptive, (0, 8))
+        non_preemptive in jobset_and_order(PreemptionPolicy::NonPreemptive, (0, 8)),
+        preemptive in jobset_and_order(PreemptionPolicy::Preemptive, (0, 8))
     ) {
-        let priorities = PriorityMap::from_global_order(&jobs, &order);
-        let outcome = Simulator::new(&jobs).run(&priorities);
-        for job in jobs.jobs() {
-            prop_assert_eq!(outcome.executed_time(job.id()), job.total_processing());
-            prop_assert!(outcome.completion(job.id()) >= job.arrival());
-        }
-        let trace = outcome.trace();
-        for (i, a) in trace.iter().enumerate() {
-            for b in &trace[i + 1..] {
-                if a.resource == b.resource {
-                    prop_assert!(!a.overlaps(b));
+        for (jobs, order) in [non_preemptive, preemptive] {
+            let priorities = PriorityMap::from_global_order(&jobs, &order);
+            let simulator = Simulator::new(&jobs);
+            let outcome = simulator.run(&priorities);
+            prop_assert_eq!(&simulator.completions(&priorities), outcome.completions());
+            for job in jobs.jobs() {
+                prop_assert_eq!(outcome.executed_time(job.id()), job.total_processing());
+                prop_assert!(outcome.completion(job.id()) >= job.arrival());
+            }
+            let trace = outcome.trace();
+            for (i, a) in trace.iter().enumerate() {
+                for b in &trace[i + 1..] {
+                    prop_assert!((a.start, a.resource) <= (b.start, b.resource));
+                    if a.resource == b.resource {
+                        prop_assert!(!a.overlaps(b));
+                        // Maximality: two runs of one job at one stage are
+                        // separated by a preemption, never adjacent.
+                        prop_assert!(
+                            (a.job, a.stage) != (b.job, b.stage) || a.end != b.start,
+                            "{} runs {}..{} and {}..{} as two slices",
+                            a.job, a.start, a.end, b.start, b.end
+                        );
+                    }
+                }
+                if jobs.pipeline().preemption(a.stage) == PreemptionPolicy::NonPreemptive {
+                    prop_assert_eq!(a.duration(), jobs.job(a.job).processing(a.stage));
                 }
             }
         }
