@@ -172,9 +172,6 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
     // --- online solver seam -------------------------------------------------
     append_online_benchmarks(&mut report, fast, samples);
 
-    // --- admission service ------------------------------------------------
-    crate::append_service_benchmarks(&mut report, fast);
-
     report
 }
 

@@ -13,7 +13,6 @@
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 mod kernels;
-mod service;
 
 /// Re-export of the `msmr-report` reporting schema (this crate's
 /// historical home for it), so existing `msmr_bench::report::…` paths
@@ -25,7 +24,6 @@ pub use msmr_report::{
     check_trend, default_report_path, BenchHistory, BenchRecord, BenchReport, BenchRun, Regression,
     TrendConfig, TrendReport,
 };
-pub use service::append_service_benchmarks;
 
 /// Number of test cases used for the data tables printed by the figure
 /// benches (the standalone `fig4*` binaries default to the paper's 100).

@@ -11,25 +11,31 @@
 //! At least one of `--tcp` / `--uds` is required. The daemon prints one
 //! `listening on ...` line per bound endpoint and runs until a client
 //! sends the `shutdown` op or the process receives `SIGTERM` — the
-//! signal triggers the same graceful path (cluster sessions are
+//! signal triggers the same graceful path (named sessions are
 //! snapshotted first when a snapshot directory is configured), so
 //! scripts can kill-and-wait deterministically. `--pidfile PATH` writes
 //! the daemon's pid after the endpoints are bound and removes the file
 //! on clean shutdown, giving scripts both the pid to signal and a
 //! ready/down marker to poll.
 //!
-//! By default each connection owns a private session (the classic
-//! `msmr-serve` mode). With `--cluster`, sessions are *named and
-//! shared*: clients `attach` to a session by name, solve work runs on a
-//! fixed worker pool behind a bounded queue (saturation is answered
-//! with the typed overload frame), and `--snapshot-dir` enables
-//! snapshot/restore persistence — sessions found there are restored,
-//! warm tables included, at startup. `--session-ttl SECS` evicts
-//! (snapshot-then-drop) named sessions that have no attached connection
-//! and have been idle past the TTL, so the session store stops growing
-//! without bound.
+//! One engine serves every connection, and every daemon answers every
+//! op. A connection starts bound to a **private session** of its own —
+//! nameless, solved on the connection's thread, gone with the
+//! connection — so `submit`/`admit`/`withdraw` work from the first
+//! line. Sending `attach` rebinds it to a *named shared* session:
+//! any number of connections attach to the same name, solve work on it
+//! runs on a fixed worker pool behind a bounded queue (saturation is
+//! answered with the typed overload frame), and `--snapshot-dir`
+//! enables snapshot/restore persistence — sessions found there are
+//! restored, warm tables included, at startup. `--session-ttl SECS`
+//! evicts (snapshot-then-drop) named sessions that have no attached
+//! connection and have been idle past the TTL, so the session store
+//! stops growing without bound. `--cluster` changes one thing:
+//! connections start *unbound* (session ops answer `not attached` until
+//! the client attaches), which is what a multi-tenant deployment and
+//! the router tier want.
 //!
-//! Observability (both modes): the daemon always answers the protocol's
+//! Observability: the daemon always answers the protocol's
 //! v4 `stats` op with a live [`msmr_stats::StatsSnapshot`].
 //! `--stats-addr ADDR` additionally binds a side-channel listener that
 //! writes one JSON snapshot line per connection (what `msmr-top`
@@ -54,17 +60,15 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use msmr_cluster::{ClusterConfig, ClusterEngine};
-use msmr_serve::{parse_bound, Listen, ServeOptions, Server, SessionConfig};
+use msmr_serve::{parse_bound, Listen};
 use msmr_stats::{serve_stats_channel, FlightProvider, StatsRegistry, StatsSnapshot, TraceWriter};
 
 fn usage() -> &'static str {
-    "usage: msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]\n                   [--opt-nodes N] [--reserve N] [--threads N]\n                   [--cluster] [--shards N] [--workers N] [--queue N] [--snapshot-dir DIR]\n                   [--session-ttl SECS] [--stats-addr ADDR] [--trace-out PATH]\n\n  --tcp ADDR         listen on a TCP address (e.g. 127.0.0.1:7471)\n  --uds PATH         listen on a unix-domain socket path\n  --bound NAME       delay bound (eq1..eq6, eq10; default eq10)\n  --decider NAME     solver deciding admissions (default OPDCA)\n  --opt-nodes N      node budget of the exact engines (default 200000)\n  --reserve N        pre-size session tables for N jobs (default 0)\n  --threads N        worker threads for parallel submits (default 0 = all)\n\ncluster mode (named shared sessions):\n  --cluster          serve named shared sessions instead of per-connection ones\n  --shards N         session-store shards (default 8)\n  --workers N        solve worker threads (default 0 = all cores)\n  --queue N          bounded solve queue; full => typed overload response (default 64)\n  --snapshot-dir DIR enable snapshot/restore persistence in DIR\n  --session-ttl SECS evict detached sessions idle past SECS (snapshot first)\n\nobservability:\n  --stats-addr ADDR  serve one-line JSON stats snapshots on a TCP side channel\n                     (plus the `stream` delta mode and `flight` dump command)\n  --trace-out PATH   write one Chrome trace-event span per solver verdict to PATH\n  --flight-out PATH  write the flight-recorder event dump to PATH on shutdown,\n                     SIGTERM and panic\n\nlifecycle:\n  --pidfile PATH     write the daemon pid to PATH once bound; SIGTERM shuts the\n                     daemon down gracefully (snapshots first in cluster mode)\n                     and removes the file"
+    "usage: msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]\n                   [--opt-nodes N] [--reserve N] [--threads N]\n                   [--cluster] [--shards N] [--workers N] [--queue N] [--snapshot-dir DIR]\n                   [--session-ttl SECS] [--stats-addr ADDR] [--trace-out PATH]\n                   [--flight-out PATH] [--pidfile PATH]\n\n  --tcp ADDR         listen on a TCP address (e.g. 127.0.0.1:7471)\n  --uds PATH         listen on a unix-domain socket path\n  --bound NAME       delay bound (eq1..eq6, eq10; default eq10)\n  --decider NAME     solver deciding admissions (default OPDCA)\n  --opt-nodes N      node budget of the exact engines (default 200000)\n  --reserve N        pre-size session tables for N jobs (default 0)\n  --threads N        worker threads for parallel submits (default 0 = all)\n\nsessions (a connection starts on a private session; `attach` binds a named shared one):\n  --cluster          start connections unbound instead: no private session,\n                     session ops need an `attach` first\n  --shards N         session-store shards (default 8)\n  --workers N        solve worker threads for named sessions (default 0 = all cores)\n  --queue N          bounded solve queue; full => typed overload response (default 64)\n  --snapshot-dir DIR enable snapshot/restore persistence of named sessions in DIR\n  --session-ttl SECS evict detached named sessions idle past SECS (snapshot first)\n\nobservability:\n  --stats-addr ADDR  serve one-line JSON stats snapshots on a TCP side channel\n                     (plus the `stream` delta mode and `flight` dump command)\n  --trace-out PATH   write one Chrome trace-event span per solver verdict to PATH\n  --flight-out PATH  write the flight-recorder event dump to PATH on shutdown,\n                     SIGTERM and panic\n\nlifecycle:\n  --pidfile PATH     write the daemon pid to PATH once bound; SIGTERM shuts the\n                     daemon down gracefully (named sessions are snapshotted\n                     first) and removes the file"
 }
 
 struct Options {
     listen: Listen,
-    session: SessionConfig,
-    cluster: bool,
     config: ClusterConfig,
     stats_addr: Option<String>,
     trace_out: Option<PathBuf>,
@@ -113,9 +117,10 @@ fn install_sigterm_handler() {}
 fn parse_options() -> Result<Options, String> {
     let mut options = Options {
         listen: Listen::default(),
-        session: SessionConfig::default(),
-        cluster: false,
-        config: ClusterConfig::default(),
+        config: ClusterConfig {
+            start_private: true,
+            ..ClusterConfig::default()
+        },
         stats_addr: None,
         trace_out: None,
         flight_out: None,
@@ -132,28 +137,28 @@ fn parse_options() -> Result<Options, String> {
             "--uds" => options.listen.uds = Some(PathBuf::from(value("--uds")?)),
             "--bound" => {
                 let name = value("--bound")?;
-                options.session.bound =
+                options.config.session.bound =
                     parse_bound(&name).ok_or_else(|| format!("unknown bound `{name}`"))?;
             }
-            "--decider" => options.session.decider = value("--decider")?,
+            "--decider" => options.config.session.decider = value("--decider")?,
             "--opt-nodes" => {
-                options.session.node_limit = Some(
+                options.config.session.node_limit = Some(
                     value("--opt-nodes")?
                         .parse()
                         .map_err(|_| "invalid --opt-nodes value".to_string())?,
                 );
             }
             "--reserve" => {
-                options.session.reserve = value("--reserve")?
+                options.config.session.reserve = value("--reserve")?
                     .parse()
                     .map_err(|_| "invalid --reserve value".to_string())?;
             }
             "--threads" => {
-                options.session.threads = value("--threads")?
+                options.config.session.threads = value("--threads")?
                     .parse()
                     .map_err(|_| "invalid --threads value".to_string())?;
             }
-            "--cluster" => options.cluster = true,
+            "--cluster" => options.config.start_private = false,
             "--shards" => {
                 options.config.shards = value("--shards")?
                     .parse()
@@ -203,9 +208,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // One daemon-wide registry: every session — classic per-connection
-    // or cluster-shared — feeds it, the v4 `stats` op and the side
-    // channel read it, and the trace writer hangs off it.
+    // One daemon-wide registry: every session — private or named —
+    // feeds it, the v4 `stats` op and the side channel read it, and the
+    // trace writer hangs off it.
     let stats = Arc::new(StatsRegistry::new());
     if let Some(path) = &options.trace_out {
         match TraceWriter::create(path) {
@@ -222,7 +227,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    options.session.stats = Some(Arc::clone(&stats));
+    options.config.session.stats = Some(Arc::clone(&stats));
     if let Some(path) = options.flight_out.clone() {
         // A panicking daemon still leaves its flight record behind: the
         // hook runs before the default one unwinds/aborts the process.
@@ -233,34 +238,17 @@ fn main() -> ExitCode {
             default_hook(info);
         }));
     }
-    let (server, engine) = if options.cluster {
-        options.config.session = options.session.clone();
-        match ClusterEngine::start(options.listen, options.config) {
-            Ok((server, engine)) => {
-                let restored = engine.store().len();
-                if restored > 0 {
-                    println!("msmr-served: restored {restored} session(s) from snapshots");
-                }
-                (server, Some(engine))
-            }
-            Err(e) => {
-                eprintln!("msmr-served: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match Server::start(ServeOptions {
-            tcp: options.listen.tcp,
-            uds: options.listen.uds,
-            session: options.session,
-        }) {
-            Ok(server) => (server, None),
-            Err(e) => {
-                eprintln!("msmr-served: {e}");
-                return ExitCode::FAILURE;
-            }
+    let (server, engine) = match ClusterEngine::start(options.listen, options.config) {
+        Ok(started) => started,
+        Err(e) => {
+            eprintln!("msmr-served: {e}");
+            return ExitCode::FAILURE;
         }
     };
+    let restored = engine.store().len();
+    if restored > 0 {
+        println!("msmr-served: restored {restored} session(s) from snapshots");
+    }
     if let Some(addr) = server.tcp_addr() {
         println!("msmr-served listening on tcp://{addr}");
     }
@@ -282,16 +270,14 @@ fn main() -> ExitCode {
     }
     {
         let shutdown = server.shutdown_handle();
-        let engine = engine.clone();
+        let engine = Arc::clone(&engine);
         std::thread::spawn(move || {
             use std::sync::atomic::Ordering;
             while !shutdown.load(Ordering::SeqCst) {
                 if SIGTERM_RECEIVED.load(Ordering::SeqCst) {
                     eprintln!("msmr-served: SIGTERM received, shutting down");
-                    if let Some(engine) = &engine {
-                        if let Err(e) = engine.snapshot_all() {
-                            eprintln!("msmr-served: shutdown snapshot failed: {e}");
-                        }
+                    if let Err(e) = engine.snapshot_all() {
+                        eprintln!("msmr-served: shutdown snapshot failed: {e}");
                     }
                     shutdown.store(true, Ordering::SeqCst);
                     break;
@@ -300,19 +286,10 @@ fn main() -> ExitCode {
             }
         });
     }
-    // Cluster snapshots carry the engine gauges (queue depth, shards,
-    // session rows); classic mode serves the registry's counters and
-    // rings directly.
-    let provider: Arc<dyn Fn() -> StatsSnapshot + Send + Sync> = match &engine {
-        Some(engine) => {
-            let engine = Arc::clone(engine);
-            Arc::new(move || engine.stats_snapshot())
-        }
-        None => {
-            let stats = Arc::clone(&stats);
-            Arc::new(move || stats.snapshot())
-        }
-    };
+    // Snapshots carry the engine gauges (queue depth, shards, session
+    // rows) on top of the registry's counters and latency views.
+    let provider: Arc<dyn Fn() -> StatsSnapshot + Send + Sync> =
+        Arc::new(move || engine.stats_snapshot());
     if options.trace_out.is_some() {
         // Periodic gauge samples into the trace: Perfetto renders each
         // as its own counter track next to the solver lanes, so load

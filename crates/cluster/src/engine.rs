@@ -1,8 +1,14 @@
-//! The cluster engine: request routing from thin connection loops onto
-//! the worker pool, plus the snapshot/restore surface.
+//! The cluster engine: the daemon's one request interpreter (`execute`)
+//! and the one connection loop around it, plus the snapshot/restore
+//! surface.
 //!
-//! Connections do no solve work. Each solve request (`submit`, `admit`,
-//! `withdraw`) becomes one task on the bounded [`WorkerPool`]; the
+//! A connection addresses the session it is bound to: a **private** one
+//! of its own from the first byte (the daemon's default), or a *named
+//! shared* one after `attach` (where a `--cluster` daemon's connections
+//! start: unbound). The binding also picks the executor. Nobody else can
+//! hold a private session's lock, so its solve requests (`submit`,
+//! `admit`, `withdraw`) run on the connection thread. A solve request on
+//! a named session becomes one task on the bounded [`WorkerPool`]; the
 //! worker streams frames back over an in-process channel and the
 //! connection thread forwards them to the socket in order, so verdict
 //! streaming survives the hop. When the pool's queue is full the
@@ -17,15 +23,18 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use msmr_par::{SubmitError, WorkerPool};
+use msmr_sched::Verdict;
 use msmr_serve::protocol::{
     AttachFrame, DetachFrame, ErrorFrame, Frame, Op, OverloadFrame, Request, RestoreFrame,
     RestoredSession, SessionStatsFrame, SnapshotFrame, StatsFrame, VerdictFrame, WithdrawFrame,
     PROTOCOL_VERSION,
 };
-use msmr_serve::{AdmissionSession, ConnHandler, FrameSink, Listen, Server, SessionConfig};
+use msmr_serve::{
+    read_request, AdmissionSession, ConnHandler, FrameSink, Listen, Server, SessionConfig,
+};
 use msmr_stats::{SessionRow, StatsRegistry, StatsSnapshot};
 
-use crate::snapshot::SnapshotStore;
+use crate::snapshot::{SessionSnapshot, SnapshotStore};
 use crate::store::{SessionStore, SharedSession};
 
 /// Configuration of a [`ClusterEngine`].
@@ -45,7 +54,11 @@ pub struct ClusterConfig {
     /// forever (the store then only grows). The daemon's reaper thread
     /// checks at a quarter of the TTL.
     pub session_ttl: Option<Duration>,
-    /// Configuration of every named session.
+    /// Where a connection starts: `true` binds it to a fresh private
+    /// session of its own (`msmr-served`'s default), `false` leaves it
+    /// unbound until it attaches to a named one (`--cluster`).
+    pub start_private: bool,
+    /// Configuration of every session, named or private.
     pub session: SessionConfig,
 }
 
@@ -57,6 +70,7 @@ impl Default for ClusterConfig {
             queue: 64,
             snapshot_dir: None,
             session_ttl: None,
+            start_private: false,
             session: SessionConfig::default(),
         }
     }
@@ -86,14 +100,50 @@ impl RestoreIfNewer {
     }
 }
 
+/// What the request loop does once a request is answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// Read the next request.
+    Continue,
+    /// The request was `shutdown`: raise the daemon's flag and stop.
+    Shutdown,
+}
+
+/// One client connection's state: the session its requests address.
+/// Dropping it releases what the connection held — the bound session's
+/// attach count (a leaked one pins a named session against TTL eviction
+/// forever) and the daemon's attached-clients gauge — on every exit
+/// path of the loop that drives it.
+struct Connection {
+    bound: Option<Arc<SharedSession>>,
+    stats: Arc<StatsRegistry>,
+}
+
+impl Connection {
+    /// The bound session, or the error a session op answers without one.
+    fn session(&self) -> Result<&Arc<SharedSession>, &'static str> {
+        self.bound.as_ref().ok_or("not attached: send attach first")
+    }
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        if let Some(session) = &self.bound {
+            session.client_detached();
+        }
+        self.stats.client_detached();
+    }
+}
+
 /// The shared multi-tenant engine: the sharded session store, the
 /// worker pool and the snapshot store. One engine serves every
-/// connection of a cluster daemon.
+/// connection of a daemon.
 pub struct ClusterEngine {
     store: SessionStore,
     pool: WorkerPool,
     snapshots: Option<SnapshotStore>,
     session_ttl: Option<Duration>,
+    start_private: bool,
     /// The daemon-wide stats registry. Every named session's config
     /// carries a handle to it, so session ops and solver verdicts from
     /// any shard land in one aggregate.
@@ -151,6 +201,7 @@ impl ClusterEngine {
             pool: WorkerPool::new(workers, config.queue),
             snapshots,
             session_ttl: config.session_ttl,
+            start_private: config.start_private,
             stats,
         });
         engine.restore_all()?;
@@ -291,6 +342,16 @@ impl ClusterEngine {
         }))
     }
 
+    /// The snapshot store, or the error of a daemon running without one.
+    fn snapshots(&self) -> io::Result<&SnapshotStore> {
+        self.snapshots.as_ref().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshots disabled: daemon started without --snapshot-dir",
+            )
+        })
+    }
+
     /// Persists one named session.
     ///
     /// # Errors
@@ -299,12 +360,7 @@ impl ClusterEngine {
     /// session has no state yet, `NotFound` for unknown sessions, and
     /// file I/O errors.
     pub fn snapshot(&self, name: &str) -> io::Result<SnapshotFrame> {
-        let snapshots = self.snapshots.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "snapshots disabled: daemon started without --snapshot-dir",
-            )
-        })?;
+        let snapshots = self.snapshots()?;
         let session = self.store.get(name).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("unknown session `{name}`"))
         })?;
@@ -346,32 +402,30 @@ impl ClusterEngine {
         Ok(frames)
     }
 
-    /// Restores one session from its snapshot, replaying the job set
+    /// Installs a loaded snapshot into the store, replaying the job set
     /// through `Analysis::new` so the tables arrive warm.
+    fn install_snapshot(&self, snapshot: SessionSnapshot) -> io::Result<RestoredSession> {
+        let jobs = snapshot.image.jobs.len() as u64;
+        let session = AdmissionSession::from_image(self.store.template().clone(), snapshot.image)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.store
+            .install(&snapshot.session, session, snapshot.version)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        Ok(RestoredSession {
+            session: snapshot.session,
+            version: snapshot.version,
+            jobs,
+        })
+    }
+
+    /// Restores one session from its snapshot, warm tables included.
     ///
     /// # Errors
     ///
     /// `InvalidInput` without a snapshot directory, `NotFound` without
     /// a snapshot file, `InvalidData` for corrupt snapshots.
     pub fn restore(&self, name: &str) -> io::Result<RestoredSession> {
-        let snapshots = self.snapshots.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "snapshots disabled: daemon started without --snapshot-dir",
-            )
-        })?;
-        let snapshot = snapshots.load(name)?;
-        let jobs = snapshot.image.jobs.len() as u64;
-        let session = AdmissionSession::from_image(self.store.template().clone(), snapshot.image)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.store
-            .install(name, session, snapshot.version)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(RestoredSession {
-            session: name.to_string(),
-            version: snapshot.version,
-            jobs,
-        })
+        self.install_snapshot(self.snapshots()?.load(name)?)
     }
 
     /// Restores one session from its snapshot **unless the live session
@@ -387,13 +441,7 @@ impl ClusterEngine {
     ///
     /// As [`ClusterEngine::restore`].
     pub fn restore_if_newer(&self, name: &str) -> io::Result<RestoreIfNewer> {
-        let snapshots = self.snapshots.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "snapshots disabled: daemon started without --snapshot-dir",
-            )
-        })?;
-        let snapshot = snapshots.load(name)?;
+        let snapshot = self.snapshots()?.load(name)?;
         if let Some(live) = self.store.get(name) {
             let live_version = live.version();
             if live_version >= snapshot.version {
@@ -404,17 +452,8 @@ impl ClusterEngine {
                 }));
             }
         }
-        let jobs = snapshot.image.jobs.len() as u64;
-        let session = AdmissionSession::from_image(self.store.template().clone(), snapshot.image)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.store
-            .install(name, session, snapshot.version)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(RestoreIfNewer::Restored(RestoredSession {
-            session: name.to_string(),
-            version: snapshot.version,
-            jobs,
-        }))
+        self.install_snapshot(snapshot)
+            .map(RestoreIfNewer::Restored)
     }
 
     /// Restores every snapshot in the directory (daemon startup, or the
@@ -494,7 +533,7 @@ impl ClusterEngine {
         }
     }
 
-    /// Boots a cluster daemon: binds `listen` and serves every accepted
+    /// Boots a daemon: binds `listen` and serves every accepted
     /// connection through this engine.
     ///
     /// # Errors
@@ -541,234 +580,200 @@ impl ClusterEngine {
         Ok((server, engine))
     }
 
-    /// The per-connection request loop of cluster mode, generic over the
-    /// transport so tests can drive it with in-memory buffers. The
-    /// connection is a thin framing loop: it parses requests, forwards
-    /// solve work to the pool and relays the streamed frames. Returns
-    /// when the client closes the connection or a `shutdown` op is
-    /// processed (which also snapshots every session when a snapshot
-    /// directory is configured).
+    /// The per-connection request loop — the only daemon code that
+    /// reads and parses bytes — generic over the transport so tests can
+    /// drive it with in-memory buffers. Returns when the client closes
+    /// the connection or a `shutdown` op is processed.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the transport.
     pub fn serve_connection(
-        self: &Arc<Self>,
+        &self,
         mut reader: impl BufRead,
         mut writer: impl Write + Send,
         shutdown: &AtomicBool,
     ) -> io::Result<()> {
-        let mut attached: Option<Arc<SharedSession>> = None;
-        let mut result = Ok(());
-        self.stats.client_attached();
-        // Decrement on every exit path (early `?` included).
-        struct ConnGuard(Arc<StatsRegistry>);
-        impl Drop for ConnGuard {
-            fn drop(&mut self) {
-                self.0.client_detached();
-            }
-        }
-        let _conn = ConnGuard(Arc::clone(&self.stats));
-        // Reads raw bytes, not `lines()`: a line of binary junk must
-        // degrade to the malformed-request error frame, whereas
-        // `lines()` would surface invalid UTF-8 as an `InvalidData`
-        // I/O error and tear the connection down.
+        let mut conn = self.connect();
         let mut buffer = Vec::new();
-        loop {
-            buffer.clear();
-            if reader.read_until(b'\n', &mut buffer)? == 0 {
-                break;
-            }
-            let line = String::from_utf8_lossy(&buffer);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let request: Request = match serde_json::from_str(line) {
-                Ok(request) => request,
-                Err(e) => {
-                    let mut sink = FrameSink::new(&mut writer, 0);
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: format!("malformed request: {e}"),
-                    }));
-                    sink.finish()?;
-                    continue;
-                }
-            };
+        while let Some(request) = read_request(&mut reader, &mut buffer, &mut writer)? {
             let mut sink = FrameSink::new(&mut writer, request.id);
-            let mut stop = false;
-            match request.op {
-                Op::Attach(op) => {
-                    let create = op.create.unwrap_or(true);
-                    match self.attach_session(&op.session, create) {
-                        Ok(outcome) => {
-                            if let Some(previous) = attached.take() {
-                                previous.client_detached();
-                            }
-                            sink.send(Frame::Attach(AttachFrame {
-                                session: outcome.session.name().to_string(),
-                                created: outcome.created,
-                                version: outcome.session.version(),
-                                attached: outcome.session.attached(),
-                                jobs: outcome.session.jobs(),
-                                protocol: PROTOCOL_VERSION,
-                                decisions: Some(outcome.session.decisions()),
-                            }));
-                            attached = Some(outcome.session);
+            if self.execute(&mut conn, request, &mut sink) == Flow::Shutdown {
+                shutdown.store(true, Ordering::SeqCst);
+                return sink.finish();
+            }
+            sink.finish()?;
+        }
+        Ok(())
+    }
+
+    /// The state of a freshly accepted connection: bound to a private
+    /// session of its own, or unbound, as configured.
+    fn connect(&self) -> Connection {
+        self.stats.client_attached();
+        Connection {
+            bound: self.start_private.then(|| self.store.private_session()),
+            stats: Arc::clone(&self.stats),
+        }
+    }
+
+    /// Interprets one request against the connection's state, streaming
+    /// its frames into `sink` (the caller terminates the stream). No
+    /// transport and no clock in here: everything a request does is a
+    /// function of the engine, the connection state and the request.
+    /// `shutdown` snapshots every named session when a snapshot
+    /// directory is configured and tells the loop to stop.
+    fn execute<W: Write + Send>(
+        &self,
+        conn: &mut Connection,
+        request: Request,
+        sink: &mut FrameSink<'_, W>,
+    ) -> Flow {
+        match request.op {
+            Op::Attach(op) => {
+                let create = op.create.unwrap_or(true);
+                match self.attach_session(&op.session, create) {
+                    Ok(outcome) => {
+                        let session = outcome.session;
+                        if let Some(previous) = conn.bound.replace(Arc::clone(&session)) {
+                            previous.client_detached();
                         }
-                        Err(e) => sink.send(error_frame(&e.to_string())),
-                    }
-                }
-                Op::Detach(_) => match attached.take() {
-                    Some(session) => {
-                        let remaining = session.client_detached();
-                        sink.send(Frame::Detach(DetachFrame {
+                        sink.send(Frame::Attach(AttachFrame {
                             session: session.name().to_string(),
-                            attached: remaining,
+                            created: outcome.created,
+                            version: session.version(),
+                            attached: session.attached(),
+                            jobs: session.jobs(),
+                            protocol: PROTOCOL_VERSION,
+                            decisions: Some(session.decisions()),
                         }));
                     }
-                    None => sink.send(error_frame("not attached to a session")),
-                },
-                Op::Submit(op) => match &attached {
-                    Some(session) => {
-                        self.pooled(Some(session.name()), &mut sink, {
-                            let session = Arc::clone(session);
-                            move |tx| {
-                                // serde bypasses the JobSet builder
-                                // invariants, so wire payloads are
-                                // re-validated before analysis.
-                                match op.jobs.sanitized() {
-                                    Ok(jobs) => {
-                                        let parallel = op.parallel.unwrap_or(false);
-                                        session.submit(jobs, parallel, |verdict| {
-                                            let _ = tx.send(Frame::Verdict(VerdictFrame {
-                                                verdict: verdict.clone(),
-                                            }));
-                                        });
-                                    }
-                                    Err(e) => {
-                                        let _ =
-                                            tx.send(error_frame(&format!("invalid job set: {e}")));
-                                    }
-                                }
-                            }
-                        });
-                    }
-                    None => sink.send(error_frame("not attached: send attach first")),
-                },
-                Op::Admit(op) => match &attached {
-                    Some(session) => {
-                        let decider = self.store.template().decider.clone();
-                        self.pooled(Some(session.name()), &mut sink, {
-                            let session = Arc::clone(session);
-                            move |tx| {
-                                let evaluate = op.evaluate.unwrap_or(true);
-                                let outcome = session.admit(&op.job, evaluate, op.seq, |verdict| {
-                                    let _ = tx.send(Frame::Verdict(VerdictFrame {
-                                        verdict: verdict.clone(),
-                                    }));
-                                });
-                                let frame = match outcome {
-                                    Ok((outcome, seq, deduped)) => {
-                                        Frame::Admit(outcome.to_frame(&decider, Some(seq), deduped))
-                                    }
-                                    Err(e) => error_frame(&e.to_string()),
-                                };
-                                let _ = tx.send(frame);
-                            }
-                        });
-                    }
-                    None => sink.send(error_frame("not attached: send attach first")),
-                },
-                Op::Withdraw(op) => match &attached {
-                    Some(session) => {
-                        self.pooled(Some(session.name()), &mut sink, {
-                            let session = Arc::clone(session);
-                            move |tx| {
-                                let evaluate = op.evaluate.unwrap_or(false);
-                                let outcome =
-                                    session.withdraw(op.job, evaluate, op.seq, |verdict| {
-                                        let _ = tx.send(Frame::Verdict(VerdictFrame {
-                                            verdict: verdict.clone(),
-                                        }));
-                                    });
-                                let frame = match outcome {
-                                    Ok((outcome, seq, deduped)) => Frame::Withdraw(WithdrawFrame {
-                                        job: op.job,
-                                        jobs: outcome.jobs as u64,
-                                        seq: Some(seq),
-                                        deduped: deduped.then_some(true),
-                                    }),
-                                    Err(e) => error_frame(&e.to_string()),
-                                };
-                                let _ = tx.send(frame);
-                            }
-                        });
-                    }
-                    None => sink.send(error_frame("not attached: send attach first")),
-                },
-                Op::Status(_) => match &attached {
-                    Some(session) => {
-                        sink.send(Frame::Status(session.status().to_frame()));
-                    }
-                    None => sink.send(error_frame("not attached: send attach first")),
-                },
-                Op::Snapshot(op) => {
-                    let name = op
-                        .session
-                        .or_else(|| attached.as_ref().map(|s| s.name().to_string()));
-                    match name {
-                        Some(name) => match self.snapshot(&name) {
-                            Ok(frame) => sink.send(Frame::Snapshot(frame)),
-                            Err(e) => sink.send(error_frame(&e.to_string())),
-                        },
-                        None => sink.send(error_frame(
-                            "snapshot needs a session name or an attached session",
-                        )),
-                    }
+                    Err(e) => sink.send(error_frame(&e)),
                 }
-                Op::Restore(op) => {
-                    // The named wire restore is the failover/migration
-                    // path (a router restoring a session onto this
-                    // daemon), so it takes the version guard: a live
-                    // session at least as new as the snapshot wins.
-                    let restored = match op.session {
-                        Some(name) => self
-                            .restore_if_newer(&name)
-                            .map(|outcome| vec![outcome.into_frame()]),
-                        None => self.restore_all(),
-                    };
-                    match restored {
-                        Ok(sessions) => sink.send(Frame::Restore(RestoreFrame { sessions })),
+            }
+            Op::Detach(_) => match conn.bound.take() {
+                Some(session) => sink.send(Frame::Detach(DetachFrame {
+                    session: session.name().to_string(),
+                    attached: session.client_detached(),
+                })),
+                None => sink.send(error_frame("not attached to a session")),
+            },
+            Op::Submit(op) => self.solve(conn, sink, move |session, emit| {
+                // serde bypasses the JobSet builder invariants, so wire
+                // payloads are re-validated (and their ids re-numbered)
+                // before any analysis touches them.
+                match op.jobs.sanitized() {
+                    Ok(jobs) => {
+                        let parallel = op.parallel.unwrap_or(false);
+                        session.submit(jobs, parallel, |verdict| emit(verdict_frame(verdict)));
+                    }
+                    Err(e) => emit(error_frame(&format!("invalid job set: {e}"))),
+                }
+            }),
+            Op::Admit(op) => {
+                let decider = self.store.template().decider.clone();
+                self.solve(conn, sink, move |session, emit| {
+                    let evaluate = op.evaluate.unwrap_or(true);
+                    let outcome = session.admit(&op.job, evaluate, op.seq, |verdict| {
+                        emit(verdict_frame(verdict));
+                    });
+                    emit(match outcome {
+                        Ok((outcome, seq, deduped)) => {
+                            Frame::Admit(outcome.to_frame(&decider, Some(seq), deduped))
+                        }
+                        Err(e) => error_frame(&e.to_string()),
+                    });
+                });
+            }
+            Op::Withdraw(op) => self.solve(conn, sink, move |session, emit| {
+                let evaluate = op.evaluate.unwrap_or(false);
+                let outcome = session.withdraw(op.job, evaluate, op.seq, |verdict| {
+                    emit(verdict_frame(verdict));
+                });
+                emit(match outcome {
+                    Ok((outcome, seq, deduped)) => Frame::Withdraw(WithdrawFrame {
+                        job: op.job,
+                        jobs: outcome.jobs as u64,
+                        seq: Some(seq),
+                        deduped: deduped.then_some(true),
+                    }),
+                    Err(e) => error_frame(&e.to_string()),
+                });
+            }),
+            Op::Status(_) => sink.send(match conn.session() {
+                Ok(session) => Frame::Status(session.status().to_frame()),
+                Err(message) => error_frame(message),
+            }),
+            Op::Snapshot(op) => {
+                let bound = conn.bound.as_ref().filter(|s| !s.is_private());
+                match op.session.or_else(|| bound.map(|s| s.name().to_string())) {
+                    Some(name) => match self.snapshot(&name) {
+                        Ok(frame) => sink.send(Frame::Snapshot(frame)),
                         Err(e) => sink.send(error_frame(&e.to_string())),
-                    }
-                }
-                Op::Stats(op) => match op.session {
-                    None => sink.send(Frame::Stats(StatsFrame {
-                        stats: self.stats_snapshot(),
-                    })),
-                    Some(name) => match self.session_stats(&name) {
-                        Some(frame) => sink.send(Frame::SessionStats(frame)),
-                        None => sink.send(error_frame(&format!("unknown session `{name}`"))),
                     },
-                },
-                Op::Shutdown(_) => {
-                    if let Err(e) = self.snapshot_all() {
-                        sink.send(error_frame(&format!("shutdown snapshot failed: {e}")));
-                    }
-                    shutdown.store(true, Ordering::SeqCst);
-                    stop = true;
+                    None => sink.send(error_frame(
+                        "snapshot needs a session name or an attached session",
+                    )),
                 }
             }
-            result = sink.finish();
-            if stop || result.is_err() {
-                break;
+            Op::Restore(op) => {
+                // The named wire restore is the failover/migration
+                // path (a router restoring a session onto this
+                // daemon), so it takes the version guard: a live
+                // session at least as new as the snapshot wins.
+                let restored = match op.session {
+                    Some(name) => self
+                        .restore_if_newer(&name)
+                        .map(|outcome| vec![outcome.into_frame()]),
+                    None => self.restore_all(),
+                };
+                match restored {
+                    Ok(sessions) => sink.send(Frame::Restore(RestoreFrame { sessions })),
+                    Err(e) => sink.send(error_frame(&e.to_string())),
+                }
+            }
+            Op::Stats(op) => match op.session {
+                None => sink.send(Frame::Stats(StatsFrame {
+                    stats: self.stats_snapshot(),
+                })),
+                Some(name) => match self.session_stats(&name) {
+                    Some(frame) => sink.send(Frame::SessionStats(frame)),
+                    None => sink.send(error_frame(&format!("unknown session `{name}`"))),
+                },
+            },
+            Op::Shutdown(_) => {
+                if let Err(e) = self.snapshot_all() {
+                    sink.send(error_frame(&format!("shutdown snapshot failed: {e}")));
+                }
+                return Flow::Shutdown;
             }
         }
-        if let Some(session) = attached {
-            session.client_detached();
+        Flow::Continue
+    }
+
+    /// Runs one solve op (`submit`, `admit`, `withdraw`) against the
+    /// connection's bound session, on the executor the binding implies:
+    /// a private session's lock has no other taker, so its op runs right
+    /// here on the connection thread; a named session is shared, so its
+    /// op queues on the worker pool (`pooled`).
+    fn solve<W: Write + Send>(
+        &self,
+        conn: &Connection,
+        sink: &mut FrameSink<'_, W>,
+        task: impl FnOnce(&SharedSession, &mut (dyn FnMut(Frame) + Send)) + Send + 'static,
+    ) {
+        match conn.session() {
+            Err(message) => sink.send(error_frame(message)),
+            Ok(session) if session.is_private() => task(session, &mut |frame| sink.send(frame)),
+            Ok(session) => {
+                let shared = Arc::clone(session);
+                self.pooled(session.name(), sink, move |tx| {
+                    task(&shared, &mut |frame| {
+                        let _ = tx.send(frame);
+                    });
+                });
+            }
         }
-        result
     }
 
     /// Runs `task` on the worker pool, relaying its streamed frames into
@@ -778,7 +783,7 @@ impl ClusterEngine {
     /// worker survives, and the request must still terminate cleanly).
     fn pooled<W: Write>(
         &self,
-        session: Option<&str>,
+        session: &str,
         sink: &mut FrameSink<'_, W>,
         task: impl FnOnce(mpsc::Sender<Frame>) + Send + 'static,
     ) {
@@ -796,7 +801,7 @@ impl ClusterEngine {
                 }
             }
             Err(SubmitError::Saturated { queued, capacity }) => {
-                self.stats.record_overload_for(session);
+                self.stats.record_overload_for(Some(session));
                 sink.send(Frame::Overload(OverloadFrame {
                     queued: queued as u64,
                     capacity: capacity as u64,
@@ -807,6 +812,12 @@ impl ClusterEngine {
             }
         }
     }
+}
+
+fn verdict_frame(verdict: &Verdict) -> Frame {
+    Frame::Verdict(VerdictFrame {
+        verdict: verdict.clone(),
+    })
 }
 
 fn error_frame(message: &str) -> Frame {
@@ -820,8 +831,8 @@ mod tests {
     use super::*;
     use msmr_model::{JobSetBuilder, PreemptionPolicy};
     use msmr_serve::protocol::{
-        read_response, write_request, AdmitOp, AttachOp, DetachOp, JobSpec, Response, StageDemand,
-        StatusOp, SubmitOp,
+        read_response, write_request, AdmitOp, AttachOp, DetachOp, DoneFrame, JobSpec, Response,
+        StageDemand, StatusOp, SubmitOp,
     };
 
     fn pipeline_only() -> msmr_model::JobSet {
@@ -831,22 +842,124 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn drive(engine: &Arc<ClusterEngine>, requests: &[Request]) -> Vec<Response> {
+    fn lines(requests: &[Request]) -> Vec<u8> {
         let mut input = Vec::new();
         for request in requests {
             write_request(&mut input, request).unwrap();
         }
+        input
+    }
+
+    fn responses(output: &[u8]) -> Vec<Response> {
+        let mut reader = output;
+        std::iter::from_fn(|| read_response(&mut reader).unwrap()).collect()
+    }
+
+    fn drive(engine: &Arc<ClusterEngine>, requests: &[Request]) -> Vec<Response> {
         let mut output = Vec::new();
         let shutdown = AtomicBool::new(false);
         engine
-            .serve_connection(input.as_slice(), &mut output, &shutdown)
+            .serve_connection(lines(requests).as_slice(), &mut output, &shutdown)
             .unwrap();
-        let mut reader = std::io::BufReader::new(output.as_slice());
-        let mut responses = Vec::new();
-        while let Some(response) = read_response(&mut reader).unwrap() {
-            responses.push(response);
+        responses(&output)
+    }
+
+    /// The two states a connection can start in.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Start {
+        /// Bound to a private session (the daemon's default).
+        Private,
+        /// Unbound (`--cluster`); the run attaches to `"named"` first.
+        Named,
+    }
+
+    /// One run of the loop from a [`Start`]: what it answered and left.
+    struct Run {
+        start: Start,
+        engine: Arc<ClusterEngine>,
+        /// Responses to the driven lines (not to the run's own attach).
+        responses: Vec<Response>,
+        shutdown: bool,
+    }
+
+    impl Run {
+        fn frames(&self, id: u64) -> Vec<&Frame> {
+            let of_id = self.responses.iter().filter(|r| r.id == id);
+            of_id.map(|r| &r.frame).collect()
         }
-        responses
+    }
+
+    /// Drives the same request `lines` through a fresh engine's loop
+    /// once per start state — as they are from a private start, behind
+    /// an `attach` from an unbound one — and hands each run to `check`.
+    /// Whatever the lines did, the loop must return `Ok` and leave
+    /// nothing attached behind.
+    fn from_both_starts(lines: &[u8], check: impl Fn(&Run)) {
+        const ATTACH_ID: u64 = 1_000_000;
+        for start in [Start::Private, Start::Named] {
+            let engine = ClusterEngine::new(ClusterConfig {
+                start_private: start == Start::Private,
+                workers: 1,
+                ..ClusterConfig::default()
+            })
+            .unwrap();
+            let mut input = Vec::new();
+            if start == Start::Named {
+                let op = Op::Attach(AttachOp {
+                    session: "named".to_string(),
+                    create: None,
+                });
+                write_request(&mut input, &Request { id: ATTACH_ID, op }).unwrap();
+            }
+            input.extend_from_slice(lines);
+            let mut output = Vec::new();
+            let shutdown = AtomicBool::new(false);
+            engine
+                .serve_connection(input.as_slice(), &mut output, &shutdown)
+                .unwrap_or_else(|e| panic!("{start:?}: the loop failed: {e}"));
+            let mut responses = responses(&output);
+            responses.retain(|r| r.id != ATTACH_ID);
+            let gauges = engine.stats().snapshot().gauges;
+            assert_eq!(gauges.attached_clients, 0, "{start:?}: gauge leaked");
+            if let Some(session) = engine.store().get("named") {
+                assert_eq!(session.attached(), 0, "{start:?}: attach count leaked");
+            }
+            assert_eq!(engine.store().len(), usize::from(start == Start::Named));
+            check(&Run {
+                start,
+                engine,
+                responses,
+                shutdown: shutdown.load(Ordering::SeqCst),
+            });
+        }
+    }
+
+    fn submit(id: u64) -> Request {
+        Request {
+            id,
+            op: Op::Submit(SubmitOp {
+                jobs: pipeline_only(),
+                parallel: None,
+            }),
+        }
+    }
+
+    fn admit(id: u64, job: JobSpec, evaluate: bool, seq: Option<u64>) -> Request {
+        Request {
+            id,
+            op: Op::Admit(AdmitOp {
+                job,
+                evaluate: Some(evaluate),
+                seq,
+            }),
+        }
+    }
+
+    fn status(id: u64) -> Request {
+        Request {
+            id,
+            op: Op::Status(StatusOp {}),
+        }
     }
 
     fn spec(time: u64, deadline: u64) -> JobSpec {
@@ -1516,8 +1629,6 @@ mod tests {
 
     #[test]
     fn garbage_and_truncated_frames_never_kill_the_cluster_connection() {
-        let engine = ClusterEngine::new(ClusterConfig::default()).unwrap();
-        let mut input: Vec<u8> = Vec::new();
         let garbage: [&[u8]; 5] = [
             b"this is not json",
             b"{\"id\":7,\"op\":{\"Attach\":{\"session\":\"x\"", // truncated mid-frame
@@ -1525,43 +1636,360 @@ mod tests {
             b"{\"id\":8}",
             b"[1,2,3]",
         ];
+        let mut input: Vec<u8> = Vec::new();
         for line in garbage {
             input.extend_from_slice(line);
             input.push(b'\n');
         }
-        write_request(
-            &mut input,
-            &Request {
-                id: 99,
-                op: Op::Attach(AttachOp {
-                    session: "survivor".to_string(),
-                    create: None,
-                }),
+        input.extend(lines(&[status(99)]));
+        from_both_starts(&input, |run| {
+            let errors = run.frames(0);
+            let errors = errors.iter().filter(|f| matches!(f, Frame::Error(_)));
+            assert_eq!(
+                errors.count(),
+                garbage.len(),
+                "one typed error per bad line"
+            );
+            // The connection survived all of it and still serves requests.
+            assert!(matches!(run.frames(99)[0], Frame::Status(_)));
+            assert_eq!(run.responses.len(), 2 * garbage.len() + 2);
+        });
+    }
+
+    #[test]
+    fn invariant_violating_wire_job_sets_are_an_error_frame_not_a_panic() {
+        // serde lets a wire payload describe jobs whose per-stage arrays
+        // are shorter than the pipeline — something the builder can never
+        // produce. The connection must answer with an Error frame, not
+        // die inside the analysis.
+        let mut b = JobSetBuilder::new();
+        b.stage("a", 1, PreemptionPolicy::Preemptive)
+            .stage("b", 1, PreemptionPolicy::Preemptive);
+        b.job()
+            .deadline(msmr_model::Time::new(50))
+            .stage_time(msmr_model::Time::new(3), 0)
+            .stage_time(msmr_model::Time::new(4), 0)
+            .add()
+            .unwrap();
+        let valid = Request {
+            id: 21,
+            op: Op::Submit(SubmitOp {
+                jobs: b.build().unwrap(),
+                parallel: None,
+            }),
+        };
+        let line = String::from_utf8(lines(&[valid])).unwrap();
+        // Truncate the job's processing array from two stages to one.
+        let broken = line.replace("\"processing\":[3,4]", "\"processing\":[3]");
+        assert_ne!(line, broken, "payload surgery must hit the job arrays");
+        from_both_starts(broken.as_bytes(), |run| {
+            let frames = run.frames(21);
+            let Frame::Error(error) = frames[0] else {
+                panic!("{:?}: expected error frame, got {:?}", run.start, frames[0]);
+            };
+            assert!(
+                error.message.contains("invalid job set"),
+                "{}",
+                error.message
+            );
+            assert!(matches!(frames[1], Frame::Done(_)));
+        });
+    }
+
+    #[test]
+    fn errors_are_frames_not_disconnects() {
+        // An admit before any submit: the session exists but is not open.
+        let input = lines(&[admit(7, spec(1, 10), false, None), status(8)]);
+        from_both_starts(&input, |run| {
+            let frames = run.frames(7);
+            assert_eq!(frames.len(), 2);
+            let Frame::Error(error) = frames[0] else {
+                panic!("{:?}: expected error frame, got {:?}", run.start, frames[0]);
+            };
+            assert!(error.message.contains("no session"), "{}", error.message);
+            assert!(matches!(frames[1], Frame::Done(_)));
+            assert!(matches!(run.frames(8)[0], Frame::Status(_)));
+        });
+    }
+
+    #[test]
+    fn shutdown_raises_the_flag_and_ends_the_connection() {
+        let shutdown = Request {
+            id: 1,
+            op: Op::Shutdown(msmr_serve::protocol::ShutdownOp {}),
+        };
+        from_both_starts(&lines(&[shutdown, status(2)]), |run| {
+            assert!(run.shutdown, "{:?}", run.start);
+            assert!(matches!(run.frames(1)[..], [Frame::Done(_)]));
+            // The status request after shutdown was never processed.
+            assert_eq!(run.responses.len(), 1);
+        });
+    }
+
+    #[test]
+    fn submit_admit_status_stream_correlated_frames() {
+        let input = lines(&[submit(11), admit(12, spec(3, 100), true, None), status(13)]);
+        from_both_starts(&input, |run| {
+            // Submit on an empty set: just Done.
+            assert!(matches!(
+                run.frames(11)[..],
+                [Frame::Done(DoneFrame { frames: 0 })]
+            ));
+            // Admit: five verdicts, the admit frame, then Done(6).
+            let frames = run.frames(12);
+            assert_eq!(frames.len(), 7, "{:?}", run.start);
+            assert!(frames[..5].iter().all(|f| matches!(f, Frame::Verdict(_))));
+            let Frame::Admit(frame) = frames[5] else {
+                panic!("expected admit frame, got {:?}", frames[5]);
+            };
+            assert!(frame.admitted);
+            assert_eq!(frame.jobs, 1);
+            assert_eq!(frame.seq, Some(1));
+            assert!(matches!(frames[6], Frame::Done(DoneFrame { frames: 6 })));
+            let Frame::Status(frame) = run.frames(13)[0] else {
+                panic!("expected status frame");
+            };
+            assert_eq!(frame.jobs, 1);
+            assert_eq!(frame.admits, 1);
+            assert_eq!(frame.solvers.len(), 5);
+        });
+    }
+
+    #[test]
+    fn stats_op_snapshots_the_shared_registry_and_tracks_attachment() {
+        let stats = Request {
+            id: 3,
+            op: Op::Stats(msmr_serve::protocol::StatsOp { session: None }),
+        };
+        let input = lines(&[submit(1), admit(2, spec(3, 100), true, None), stats]);
+        from_both_starts(&input, |run| {
+            let Frame::Stats(frame) = run.frames(3)[0] else {
+                panic!("{:?}: the stats op must answer a stats frame", run.start);
+            };
+            let snapshot = &frame.stats;
+            assert_eq!(snapshot.counters.admits, 1);
+            assert_eq!(snapshot.ops["admit"].samples, 1);
+            // Five paper-suite solvers each produced one verdict, each
+            // classified as exactly one of warm / cold / implied.
+            let counters = &snapshot.counters;
+            let decides = counters.warm_decides + counters.cold_decides + counters.implied_decides;
+            assert_eq!(decides, 5);
+            // Engine gauges are filled in from either start; only named
+            // sessions are rows of the store.
+            assert_eq!(snapshot.gauges.workers, 1);
+            assert_eq!(snapshot.sessions.len(), run.engine.store().len());
+            // The in-flight snapshot saw this connection attached; that
+            // the loop's return detached it is `from_both_starts`' check.
+            assert_eq!(snapshot.gauges.attached_clients, 1);
+        });
+    }
+
+    #[test]
+    fn a_private_start_connection_can_rebind_to_named_sessions() {
+        let dir = std::env::temp_dir().join(format!(
+            "msmr-cluster-rebind-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let dir = PathBuf::from(dir.to_string_lossy().replace(['(', ')'], ""));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ClusterEngine::new(ClusterConfig {
+            start_private: true,
+            snapshot_dir: Some(dir.clone()),
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let snapshot = |id: u64| Request {
+            id,
+            op: Op::Snapshot(msmr_serve::protocol::SnapshotOp { session: None }),
+        };
+        let attach = Op::Attach(AttachOp {
+            session: "kept".to_string(),
+            create: None,
+        });
+        let responses = drive(
+            &engine,
+            &[
+                // On the private session: it has state but no name.
+                submit(1),
+                admit(2, spec(3, 100), false, None),
+                snapshot(3),
+                // Attach drops the private session for a named one.
+                Request { id: 4, op: attach },
+                status(5),
+                submit(6),
+                snapshot(7),
+                // Detach leaves the connection unbound.
+                Request {
+                    id: 8,
+                    op: Op::Detach(DetachOp {}),
+                },
+                status(9),
+            ],
+        );
+        let first = |id: u64| &responses.iter().find(|r| r.id == id).unwrap().frame;
+        let Frame::Error(error) = first(3) else {
+            panic!("a private session is not snapshottable: {:?}", first(3));
+        };
+        assert!(error.message.contains("needs a session name"));
+        let Frame::Status(named) = first(5) else {
+            panic!("expected status frame, got {:?}", first(5));
+        };
+        assert_eq!(named.jobs, 0, "the named session is not the private one");
+        let Frame::Snapshot(frame) = first(7) else {
+            panic!("expected snapshot frame, got {:?}", first(7));
+        };
+        assert_eq!(frame.session, "kept");
+        assert!(dir.join("kept.json").exists());
+        let Frame::Detach(frame) = first(8) else {
+            panic!("expected detach frame, got {:?}", first(8));
+        };
+        assert_eq!((frame.session.as_str(), frame.attached), ("kept", 0));
+        assert!(matches!(first(9), Frame::Error(_)), "unbound after detach");
+        assert_eq!(engine.store().names(), vec!["kept"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seq_stamped_history_is_identical_on_private_and_named_sessions() {
+        // A resuming client's history: every decision stamped with the
+        // seq it expects, two of them replayed after a "lost ack", one
+        // skipping ahead. What a session answers must not depend on
+        // whether it is private or named.
+        let withdraw = |id: u64, seq: u64| Request {
+            id,
+            op: Op::Withdraw(msmr_serve::protocol::WithdrawOp {
+                job: 1,
+                evaluate: None,
+                seq: Some(seq),
+            }),
+        };
+        let input = lines(&[
+            submit(1),
+            admit(2, spec(3, 100), false, Some(1)),
+            admit(3, spec(3, 100), false, Some(1)),
+            admit(4, spec(2, 100), false, Some(2)),
+            withdraw(5, 3),
+            withdraw(6, 3),
+            admit(7, spec(2, 100), false, Some(9)),
+            status(8),
+        ]);
+        let histories = std::sync::Mutex::new(Vec::new());
+        from_both_starts(&input, |run| {
+            let history: Vec<String> = run
+                .responses
+                .iter()
+                .filter_map(|r| match &r.frame {
+                    Frame::Admit(f) => Some(format!(
+                        "{} admit {} job {:?} jobs {} seq {:?} deduped {:?}",
+                        r.id, f.admitted, f.job, f.jobs, f.seq, f.deduped
+                    )),
+                    Frame::Withdraw(f) => Some(format!(
+                        "{} withdraw jobs {} seq {:?} deduped {:?}",
+                        r.id, f.jobs, f.seq, f.deduped
+                    )),
+                    Frame::Error(e) => Some(format!("{} error {}", r.id, e.message)),
+                    Frame::Status(f) => Some(format!("{} status jobs {}", r.id, f.jobs)),
+                    _ => None,
+                })
+                .collect();
+            histories.lock().unwrap().push(history);
+        });
+        let histories = histories.into_inner().unwrap();
+        assert_eq!(histories[0], histories[1], "private vs named");
+        let expected = [
+            "2 admit true job Some(1) jobs 1 seq Some(1) deduped None",
+            "3 admit true job Some(1) jobs 1 seq Some(1) deduped Some(true)",
+            "4 admit true job Some(2) jobs 2 seq Some(2) deduped None",
+            "5 withdraw jobs 1 seq Some(3) deduped None",
+            "6 withdraw jobs 1 seq Some(3) deduped Some(true)",
+        ];
+        assert_eq!(histories[0][..5], expected);
+        assert!(
+            histories[0][5].starts_with("7 error "),
+            "{}",
+            histories[0][5]
+        );
+        assert_eq!(histories[0][6], "8 status jobs 1");
+    }
+
+    /// A transport that yields its bytes and then fails like a killed
+    /// client's socket, instead of closing cleanly.
+    struct ThenReset(std::io::Cursor<Vec<u8>>);
+
+    impl std::io::Read for ThenReset {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(io::ErrorKind::ConnectionReset.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    /// A transport that takes `lines_left` response lines and then fails
+    /// like a socket whose peer is gone.
+    struct ClosedAfter {
+        lines_left: usize,
+    }
+
+    impl Write for ClosedAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.lines_left == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            if buf == b"\n" {
+                self.lines_left -= 1;
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_connection_torn_by_a_transport_error_still_detaches_its_session() {
+        let clock = Arc::new(FakeClock(std::sync::atomic::AtomicU64::new(0)));
+        let engine = ClusterEngine::with_store_clock(
+            ClusterConfig {
+                session_ttl: Some(Duration::from_secs(5)),
+                ..ClusterConfig::default()
             },
+            Some(Arc::clone(&clock) as Arc<dyn crate::Clock>),
         )
         .unwrap();
-
-        let mut output = Vec::new();
+        let attach = |name: &str| Request {
+            id: 1,
+            op: Op::Attach(AttachOp {
+                session: name.to_string(),
+                create: None,
+            }),
+        };
         let shutdown = AtomicBool::new(false);
-        engine
-            .serve_connection(input.as_slice(), &mut output, &shutdown)
-            .expect("garbage must not become a transport error");
-        let mut reader = std::io::BufReader::new(output.as_slice());
-        let mut responses = Vec::new();
-        while let Some(response) = read_response(&mut reader).unwrap() {
-            responses.push(response);
+
+        // The read side dies (ECONNRESET from a killed client) …
+        let reader = ThenReset(std::io::Cursor::new(lines(&[attach("reset")])));
+        let torn = engine.serve_connection(std::io::BufReader::new(reader), Vec::new(), &shutdown);
+        assert_eq!(torn.unwrap_err().kind(), io::ErrorKind::ConnectionReset);
+
+        // … or the write side does, while a malformed line is answered
+        // (the attach's two lines still went out).
+        let mut input = lines(&[attach("pipe")]);
+        input.extend_from_slice(b"not json\n");
+        let writer = ClosedAfter { lines_left: 2 };
+        let torn = engine.serve_connection(input.as_slice(), writer, &shutdown);
+        assert_eq!(torn.unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+
+        // Neither exit may keep its session attached: a leaked count
+        // pins the session against TTL eviction forever.
+        for name in ["reset", "pipe"] {
+            assert_eq!(engine.store().get(name).unwrap().attached(), 0, "{name}");
         }
-        let errors: Vec<_> = responses
-            .iter()
-            .filter(|r| matches!(r.frame, Frame::Error(_)))
-            .collect();
-        assert_eq!(errors.len(), garbage.len(), "one typed error per bad line");
-        assert!(
-            errors.iter().all(|r| r.id == 0),
-            "unparsable lines lack ids"
-        );
-        // The connection survived all of it and still serves requests.
-        let attach = responses.iter().find(|r| r.id == 99).unwrap();
-        assert!(matches!(attach.frame, Frame::Attach(_)));
+        assert_eq!(engine.stats().snapshot().gauges.attached_clients, 0);
+        clock.0.store(10_000, Ordering::SeqCst);
+        let (evicted, error) = engine.evict_idle();
+        assert!(error.is_none());
+        assert_eq!(evicted, vec!["pipe", "reset"]);
     }
 }

@@ -1,11 +1,17 @@
-//! `msmr-cluster` — a sharded multi-tenant session engine for the MSMR
-//! admission service: **named shared sessions**, worker-pool execution
-//! with typed backpressure, and snapshot/restore.
+//! `msmr-cluster` — the admission daemon's engine: the one request path
+//! of `msmr-served`, with **named shared sessions**, worker-pool
+//! execution with typed backpressure, and snapshot/restore.
 //!
-//! The `msmr-serve` crate pins one [`msmr_serve::AdmissionSession`] to
-//! one connection and one OS thread — fine for a single operator, a
-//! dead end for many clients watching one admitted job set. This crate
-//! decouples the two:
+//! [`ClusterEngine`] interprets every request of every connection. A
+//! connection addresses the session it is *bound* to, and where it
+//! starts is the daemon's one mode switch: by default on a **private**
+//! session of its own — nameless, solved on the connection's thread,
+//! gone with the connection, which is all a single operator needs — and
+//! under `--cluster` unbound, until it `attach`es to a named session
+//! many clients can watch. Either kind of connection can attach, detach
+//! and re-attach at will; both kinds of session are the same
+//! [`SharedSession`] over one [`msmr_serve::AdmissionSession`]. The
+//! pieces:
 //!
 //! * [`SessionStore`] — sessions are *named* and hashed (stable FNV-1a)
 //!   onto `N` shards, each shard a mutex-guarded slab of sessions. Any
@@ -16,9 +22,10 @@
 //!   history is always equivalent to a serialized replay — the admit
 //!   frames carry a per-session decision sequence number (`seq`) that
 //!   makes the serialization order observable and verifiable.
-//! * [`msmr_par::WorkerPool`] — connections are thin framing loops;
-//!   every solve (`submit`, `admit`, `withdraw`) runs as one task on a
-//!   fixed-size worker pool behind a **bounded** queue. A full queue is
+//! * [`msmr_par::WorkerPool`] — every solve (`submit`, `admit`,
+//!   `withdraw`) on a named session runs as one task on a fixed-size
+//!   worker pool behind a **bounded** queue (a private session has one
+//!   client, so its solves skip the hand-off). A full queue is
 //!   answered with the typed
 //!   [`Frame::Overload`](msmr_serve::protocol::Frame::Overload)
 //!   backpressure frame (the request has no effect; `msmr-admit` maps
@@ -39,9 +46,9 @@
 //!   re-acked with `deduped: true` instead of being applied twice. See
 //!   the seq-idempotency rule in [`msmr_serve::protocol`].
 //!
-//! Two binaries ship with the crate: `msmr-served` (the daemon; classic
-//! per-connection mode by default, `--cluster` enables this engine with
-//! `--shards`/`--workers`/`--queue`/`--snapshot-dir`) and
+//! Two binaries ship with the crate: `msmr-served` (the daemon:
+//! `--shards`/`--workers`/`--queue`/`--snapshot-dir`/`--session-ttl`
+//! size this engine, `--cluster` starts connections unbound) and
 //! `msmr-loadgen` (drives M concurrent clients over K named sessions
 //! from seeded workload traces and reports aggregate req/sec and
 //! p50/p99 admit latency into the `BENCH_kernels.json` run history).
@@ -87,9 +94,9 @@
 //!
 //! # Determinism
 //!
-//! Replaying a seeded arrival trace through the cluster — any shard or
-//! worker count — produces verdicts byte-identical to the
-//! single-connection `msmr-serve` daemon and to offline
+//! Replaying a seeded arrival trace through a named session — any shard
+//! or worker count — produces verdicts and decision seqs byte-identical
+//! to a private session's and to offline
 //! [`msmr_sched::SolverRegistry::evaluate`] (wall-clock fields zeroed):
 //! the pool only moves *where* a solve runs, the session mutex fixes the
 //! order, and the table extension path is the same

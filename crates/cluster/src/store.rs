@@ -129,7 +129,9 @@ struct SessionInner {
     version: u64,
 }
 
-/// One named session, shared by any number of attached connections.
+/// One named session, shared by any number of attached connections —
+/// or one **private** session: the same type outside any store, held by
+/// the single connection that owns it ([`SessionStore::private_session`]).
 ///
 /// All session operations lock the inner mutex for their full duration,
 /// so concurrent clients serialize per session and the observable
@@ -150,7 +152,9 @@ impl SharedSession {
         let mut session = AdmissionSession::new(config);
         // Label the session's stats flight events with its name, so the
         // recorder attributes admits/withdraws/dedups per tenant.
-        session.set_stats_label(&name);
+        if !name.is_empty() {
+            session.set_stats_label(&name);
+        }
         SharedSession {
             name,
             attached: AtomicU64::new(0),
@@ -175,10 +179,19 @@ impl SharedSession {
         now.saturating_sub(self.touched.load(Ordering::SeqCst))
     }
 
-    /// The session's name.
+    /// The session's name (empty for a private session).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// `true` for a session no store knows: it has no name (store names
+    /// are validated non-empty), exactly one connection holds it, and it
+    /// is dropped with that connection — never shared, snapshotted or
+    /// evicted.
+    #[must_use]
+    pub fn is_private(&self) -> bool {
+        self.name.is_empty()
     }
 
     /// Connections currently attached.
@@ -534,17 +547,29 @@ impl SessionStore {
         if !create {
             return Err(StoreError::UnknownSession(name.to_string()));
         }
-        let session = Arc::new(SharedSession::new(
-            name.to_string(),
-            self.template.clone(),
-            Arc::clone(&self.clock),
-        ));
+        let session = self.new_session(name);
         session.client_attached();
         shard.insert(Arc::clone(&session));
         Ok(AttachOutcome {
             session,
             created: true,
         })
+    }
+
+    /// A fresh **private** session from the store's template and clock,
+    /// attached once (to the connection asking) and *not* inserted: see
+    /// [`SharedSession::is_private`].
+    #[must_use]
+    pub fn private_session(&self) -> Arc<SharedSession> {
+        let session = self.new_session("");
+        session.client_attached();
+        session
+    }
+
+    /// A session on the store's template and clock, in no shard yet.
+    fn new_session(&self, name: &str) -> Arc<SharedSession> {
+        let (config, clock) = (self.template.clone(), Arc::clone(&self.clock));
+        Arc::new(SharedSession::new(name.to_string(), config, clock))
     }
 
     /// Inserts (or replaces) a session rebuilt from a snapshot.
@@ -564,11 +589,7 @@ impl SessionStore {
             existing.install(session, version);
             return Ok(existing);
         }
-        let shared = Arc::new(SharedSession::new(
-            name.to_string(),
-            self.template.clone(),
-            Arc::clone(&self.clock),
-        ));
+        let shared = self.new_session(name);
         shared.install(session, version);
         shard.insert(Arc::clone(&shared));
         Ok(shared)

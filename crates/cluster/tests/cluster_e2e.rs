@@ -1,8 +1,9 @@
 //! End-to-end cluster suite over real Unix sockets:
 //!
-//! * replaying a seeded arrival trace through the cluster daemon (shards
-//!   and workers active) yields verdicts **byte-identical** to the
-//!   single-connection classic daemon and to offline
+//! * replaying a seeded arrival trace through a named session (shards
+//!   and workers active, solved on the pool) yields verdicts and
+//!   decision seqs **byte-identical** to a default-mode connection's
+//!   private session (solved on its own thread) and to offline
 //!   `SolverRegistry::evaluate` on every arrival;
 //! * two clients interleaving admits on one named session produce a
 //!   decision history whose verdicts are byte-identical to a serialized
@@ -23,8 +24,7 @@ use msmr_serve::protocol::{
     AdmitOp, Frame, JobSpec, Op, ShutdownOp, SnapshotOp, StatusOp, SubmitOp,
 };
 use msmr_serve::{
-    normalized_verdict_json, AdmissionSession, Client, Endpoint, Listen, ServeOptions, Server,
-    SessionConfig,
+    normalized_verdict_json, AdmissionSession, Client, Endpoint, Listen, Server, SessionConfig,
 };
 use msmr_workload::{arrival_order, EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
@@ -72,27 +72,43 @@ fn trace(jobs: usize, seed: u64) -> JobSet {
         .generate_seeded(seed)
 }
 
-/// Per-arrival observation of one replay: the admit decision plus the
-/// normalized verdict stream.
+/// A default-mode daemon: every connection starts on a private session
+/// and solves on its own thread.
+fn start_private(tag: &str) -> (Server, PathBuf) {
+    start_cluster(
+        tag,
+        ClusterConfig {
+            start_private: true,
+            session: session_config(),
+            ..ClusterConfig::default()
+        },
+    )
+}
+
+/// Per-arrival observation of one replay: the admit decision and its
+/// seq plus the normalized verdict stream.
 #[derive(Debug, Clone, PartialEq)]
 struct Observation {
     admitted: bool,
+    seq: Option<u64>,
     verdicts: Vec<String>,
 }
 
 fn observe(frames: &[msmr_serve::protocol::Response]) -> Observation {
-    let mut admitted = None;
+    let mut admit = None;
     let mut verdicts = Vec::new();
     for frame in frames {
         match &frame.frame {
             Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-            Frame::Admit(a) => admitted = Some(a.admitted),
+            Frame::Admit(a) => admit = Some(a),
             Frame::Error(e) => panic!("daemon error: {}", e.message),
             _ => {}
         }
     }
+    let admit = admit.expect("admit frame present");
     Observation {
-        admitted: admitted.expect("admit frame present"),
+        admitted: admit.admitted,
+        seq: admit.seq,
         verdicts,
     }
 }
@@ -124,26 +140,21 @@ fn cluster_replay_is_byte_identical_to_classic_serve_and_offline() {
         })
         .expect("cluster replay");
 
-    // Classic daemon: the same trace through a per-connection session.
-    let classic_path = socket_path("replay-classic");
-    let classic_server = Server::start(ServeOptions {
-        tcp: None,
-        uds: Some(classic_path.clone()),
-        session: session_config(),
-    })
-    .expect("classic daemon binds");
-    let mut classic_client = Client::connect(&Endpoint::Uds(classic_path)).expect("connect");
-    let mut classic_observations = Vec::new();
-    classic_client
+    // Default-mode daemon: the same trace through a connection's private
+    // session, solved inline instead of on the pool.
+    let (private_server, private_path) = start_private("replay-private");
+    let mut private_client = Client::connect(&Endpoint::Uds(private_path)).expect("connect");
+    let mut private_observations = Vec::new();
+    private_client
         .replay_trace(&trace, true, |_, _, frames| {
-            classic_observations.push(observe(frames));
+            private_observations.push(observe(frames));
             Ok(())
         })
-        .expect("classic replay");
+        .expect("private-session replay");
 
     assert_eq!(
-        cluster_observations, classic_observations,
-        "cluster and single-connection verdict streams must be byte-identical"
+        cluster_observations, private_observations,
+        "named/pooled and private/inline verdict streams and seqs must be byte-identical"
     );
 
     // Offline mirror: SolverRegistry::evaluate on every candidate set.
@@ -162,6 +173,11 @@ fn cluster_replay_is_byte_identical_to_classic_serve_and_offline() {
             cluster_observations[arrival].verdicts, offline,
             "arrival {arrival}: cluster verdicts differ from offline evaluate"
         );
+        assert_eq!(
+            cluster_observations[arrival].seq,
+            Some(arrival as u64 + 1),
+            "every arrival is one decision, accepted or not"
+        );
         if cluster_observations[arrival].admitted {
             mirror = candidate;
         }
@@ -175,19 +191,19 @@ fn cluster_replay_is_byte_identical_to_classic_serve_and_offline() {
         .request(Op::Shutdown(ShutdownOp {}))
         .expect("shutdown");
     cluster_server.join();
-    classic_client
+    private_client
         .request(Op::Shutdown(ShutdownOp {}))
         .expect("shutdown");
-    classic_server.join();
+    private_server.join();
 }
 
 /// Frozen-oracle conformance for the online withdraw seam: a mixed
-/// admit/withdraw/re-admit history through the cluster daemon must
-/// reproduce the exact verdict sequence of (a) the same history through
-/// the classic per-connection daemon and (b) a cold offline replay that
-/// rebuilds nothing incrementally — `SolverRegistry::evaluate` on every
-/// candidate/reduced set, with the mirror applying the same swap-removal
-/// the sessions use.
+/// admit/withdraw/re-admit history through a named session must
+/// reproduce the exact verdict and seq sequence of (a) the same history
+/// through a default-mode connection's private session and (b) a cold
+/// offline replay that rebuilds nothing incrementally —
+/// `SolverRegistry::evaluate` on every candidate/reduced set, with the
+/// mirror applying the same swap-removal the sessions use.
 #[test]
 fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
     use msmr_serve::ReplayedOp;
@@ -200,6 +216,7 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
         op: ReplayedOp,
         admitted: Option<bool>,
         handle: Option<u64>,
+        seq: Option<u64>,
         verdicts: Vec<String>,
     }
 
@@ -209,6 +226,7 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
             .replay_trace_mixed(&trace, true, RATIO, MIX_SEED, |op, frames| {
                 let mut admitted = None;
                 let mut handle = None;
+                let mut seq = None;
                 let mut verdicts = Vec::new();
                 for frame in frames {
                     match &frame.frame {
@@ -216,7 +234,9 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
                         Frame::Admit(a) => {
                             admitted = Some(a.admitted);
                             handle = a.job;
+                            seq = a.seq;
                         }
+                        Frame::Withdraw(w) => seq = w.seq,
                         Frame::Error(e) => panic!("daemon error: {}", e.message),
                         _ => {}
                     }
@@ -225,6 +245,7 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
                     op,
                     admitted,
                     handle,
+                    seq,
                     verdicts,
                 });
                 Ok(())
@@ -247,19 +268,13 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
     cluster_client.attach("mixed", true).expect("attach");
     let cluster_events = run(cluster_client);
 
-    let classic_path = socket_path("mixed-classic");
-    let classic_server = Server::start(ServeOptions {
-        tcp: None,
-        uds: Some(classic_path.clone()),
-        session: session_config(),
-    })
-    .expect("classic daemon binds");
-    let classic_events =
-        run(Client::connect(&Endpoint::Uds(classic_path.clone())).expect("connect"));
+    let (private_server, private_path) = start_private("mixed-private");
+    let private_events =
+        run(Client::connect(&Endpoint::Uds(private_path.clone())).expect("connect"));
 
     assert_eq!(
-        cluster_events, classic_events,
-        "cluster and classic mixed replays must be byte-identical"
+        cluster_events, private_events,
+        "named/pooled and private/inline mixed replays must be byte-identical, seqs included"
     );
     let withdraws = cluster_events
         .iter()
@@ -275,6 +290,11 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
     let (mut mirror, _) = trace.restrict_to(&[]).expect("pipeline-only set");
     let mut mirror_handles: Vec<u64> = Vec::new();
     for (step, event) in cluster_events.iter().enumerate() {
+        assert_eq!(
+            event.seq,
+            Some(step as u64 + 1),
+            "step {step}: decision seq"
+        );
         match event.op {
             ReplayedOp::Admit { id, .. } => {
                 let spec = JobSpec::from_job(trace.job(id));
@@ -317,11 +337,11 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
         .request(Op::Shutdown(ShutdownOp {}))
         .expect("shutdown");
     cluster_server.join();
-    let mut shutdown_client = Client::connect(&Endpoint::Uds(classic_path)).expect("connect");
+    let mut shutdown_client = Client::connect(&Endpoint::Uds(private_path)).expect("connect");
     shutdown_client
         .request(Op::Shutdown(ShutdownOp {}))
         .expect("shutdown");
-    classic_server.join();
+    private_server.join();
 }
 
 #[test]

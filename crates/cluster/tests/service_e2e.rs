@@ -1,6 +1,7 @@
-//! End-to-end suite: boots the daemon on a Unix socket, replays a
-//! 100-job arrival trace against the paper suite and asserts the
-//! streamed verdicts are byte-identical to offline
+//! End-to-end suite of the daemon's default mode — every connection on
+//! a private session of its own, no `attach` anywhere: boots the engine
+//! on a Unix socket, replays a 100-job arrival trace against the paper
+//! suite and asserts the streamed verdicts are byte-identical to offline
 //! `SolverRegistry::evaluate` on every arrival (serialized JSON compared
 //! with the wall-clock `elapsed_micros` field zeroed on both sides —
 //! node counts, `S_DCA` counters, witnesses and delays must match
@@ -10,12 +11,13 @@
 
 use std::path::PathBuf;
 
+use msmr_cluster::{ClusterConfig, ClusterEngine};
 use msmr_dca::DelayBoundKind;
 use msmr_sched::{Budget, SolverRegistry, Verdict};
 use msmr_serve::protocol::{
     AdmitOp, Frame, JobSpec, Op, ShutdownOp, StatusOp, SubmitOp, WithdrawOp,
 };
-use msmr_serve::{Client, Endpoint, ServeOptions, Server, SessionConfig};
+use msmr_serve::{normalized_verdict_json, Client, Endpoint, Listen, Server, SessionConfig};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 const BOUND: DelayBoundKind = DelayBoundKind::EdgeHybrid;
@@ -32,24 +34,22 @@ fn socket_path(tag: &str) -> PathBuf {
 
 fn start_server(tag: &str) -> (Server, PathBuf) {
     let path = socket_path(tag);
-    let server = Server::start(ServeOptions {
+    let listen = Listen {
         tcp: None,
         uds: Some(path.clone()),
+    };
+    let config = ClusterConfig {
+        start_private: true,
+        workers: 1,
         session: SessionConfig {
             bound: BOUND,
             node_limit: Some(OPT_NODES),
             ..SessionConfig::default()
         },
-    })
-    .expect("daemon binds the socket");
+        ..ClusterConfig::default()
+    };
+    let (server, _engine) = ClusterEngine::start(listen, config).expect("daemon binds the socket");
     (server, path)
-}
-
-fn normalized_json(verdict: &Verdict) -> String {
-    let mut verdict = verdict.clone();
-    verdict.stats.elapsed_micros = 0;
-    verdict.stats.cold_fallback = None;
-    serde_json::to_string(&verdict).expect("verdicts serialize")
 }
 
 #[test]
@@ -81,7 +81,10 @@ fn replayed_trace_verdicts_are_byte_identical_to_offline_evaluate() {
             for frame in frames {
                 match &frame.frame {
                     Frame::Verdict(v) => streamed.push(v.verdict.clone()),
-                    Frame::Admit(a) => decision = Some(a.admitted),
+                    Frame::Admit(a) => {
+                        decision = Some(a.admitted);
+                        assert_eq!(a.seq, Some(arrival as u64 + 1), "accepts and rejects count");
+                    }
                     Frame::Error(e) => panic!("arrival {arrival}: daemon error: {}", e.message),
                     Frame::Done(done) => assert_eq!(done.frames as usize, frames.len() - 1),
                     other => panic!("arrival {arrival}: unexpected frame {other:?}"),
@@ -92,8 +95,8 @@ fn replayed_trace_verdicts_are_byte_identical_to_offline_evaluate() {
             // Offline reference on an independently grown mirror set.
             let (candidate, _) = mirror.with_job(spec.to_builder()).expect("valid job");
             let offline = registry.evaluate(&candidate, budget);
-            let streamed_json: Vec<String> = streamed.iter().map(normalized_json).collect();
-            let offline_json: Vec<String> = offline.iter().map(normalized_json).collect();
+            let streamed_json: Vec<String> = streamed.iter().map(normalized_verdict_json).collect();
+            let offline_json: Vec<String> = offline.iter().map(normalized_verdict_json).collect();
             assert_eq!(
                 streamed_json, offline_json,
                 "arrival {arrival}: streamed verdicts differ from offline evaluate"
@@ -194,7 +197,12 @@ fn withdraw_reopens_capacity_over_the_wire() {
         .expect("withdraw frame present");
     assert_eq!(withdraw.job, victim);
     assert_eq!(withdraw.jobs as usize, handles.len() - 1);
-    assert_eq!(withdraw.seq, None, "classic mode carries no decision seq");
+    let decisions = trace.len() as u64 + 1;
+    assert_eq!(
+        withdraw.seq,
+        Some(decisions),
+        "every admit decision and this withdrawal count"
+    );
 
     // Withdrawing the same handle again is a frame-level error, not a
     // disconnect.

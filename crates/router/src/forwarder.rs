@@ -7,9 +7,10 @@
 //! frames a routed replay observes are the backend daemon's exact
 //! bytes. The router only *reads* relayed lines (to spot the
 //! terminating `Done` and attach/detach transitions); the only frames
-//! it authors are its own local answers — aggregated `Stats(None)`,
-//! routing errors, and the malformed-request error — all built with
-//! the same [`FrameSink`] the daemons use.
+//! it authors are its own local answers — aggregated `Stats(None)` and
+//! routing errors, built with the same [`FrameSink`] the daemons use —
+//! and request lines come off the socket through the daemons' own
+//! [`read_request`], malformed-request answer included.
 //!
 //! Re-routing is re-checked per request under the session's forwarding
 //! lock: when migration (or failover) moves the attached session, the
@@ -22,9 +23,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use msmr_serve::protocol::{
-    AttachOp, DetachOp, ErrorFrame, Frame, Op, Request, Response, ShutdownOp, StatsFrame,
+    AttachOp, DetachOp, Frame, Op, Request, Response, ShutdownOp, StatsFrame,
 };
-use msmr_serve::FrameSink;
+use msmr_serve::{read_request, FrameSink};
 
 use crate::pool::{BackendConn, CONTROL_ID};
 use crate::{stats_agg, RouterState};
@@ -111,37 +112,16 @@ pub fn handle_connection<R: BufRead, W: Write>(
     let mut conn: Option<BackendConn> = None;
     let mut buffer = Vec::new();
     let result = loop {
-        buffer.clear();
-        if reader.read_until(b'\n', &mut buffer)? == 0 {
+        let Some(request) = read_request(&mut reader, &mut buffer, &mut writer)? else {
             break Ok(());
-        }
+        };
+        // `buffer` is relayed as the backend's request line.
         if !buffer.ends_with(b"\n") {
             buffer.push(b'\n');
         }
-        let line = String::from_utf8_lossy(&buffer);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let request: Request = match serde_json::from_str(line) {
-            Ok(request) => request,
-            Err(e) => {
-                // Same shape (and, with the shared serde, same bytes)
-                // as a daemon's malformed-request answer.
-                let mut sink = FrameSink::new(&mut writer, 0);
-                sink.send(Frame::Error(ErrorFrame {
-                    message: format!("malformed request: {e}"),
-                }));
-                sink.finish()?;
-                continue;
-            }
-        };
         if request.id == CONTROL_ID {
-            let mut sink = FrameSink::new(&mut writer, request.id);
-            sink.send(Frame::Error(ErrorFrame {
-                message: format!("request id {CONTROL_ID} is reserved by the router"),
-            }));
-            sink.finish()?;
+            let message = format!("request id {CONTROL_ID} is reserved by the router");
+            FrameSink::reply_error(&mut writer, request.id, message)?;
             continue;
         }
         match &request.op {
@@ -168,166 +148,13 @@ pub fn handle_connection<R: BufRead, W: Write>(
                 conn = None;
                 break Ok(());
             }
-            Op::Attach(op) => {
-                let Some(backend) = state.route(&op.session) else {
-                    let mut sink = FrameSink::new(&mut writer, request.id);
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: format!("no alive backend to place session `{}`", op.session),
-                    }));
-                    sink.finish()?;
-                    continue;
-                };
-                let session = op.session.clone();
-                if conn.as_ref().is_some_and(|c| c.backend == backend) {
-                    let existing = conn.as_mut().expect("checked above");
-                    match relay_request(existing, &buffer, request.id, &mut writer) {
-                        Ok(outcome) => {
-                            if outcome.saw_attach {
-                                existing.attached = Some(session.clone());
-                                state.note_placement(&session, &backend);
-                            }
-                        }
-                        Err(e) => break Err(e),
-                    }
-                } else {
-                    // Attach on the new backend first; the old
-                    // attachment is only released once the new one
-                    // succeeded (a failed attach leaves the client
-                    // attached where it was, like on a daemon).
-                    let mut fresh = match state.pool().checkout(&backend) {
-                        Ok(fresh) => fresh,
-                        Err(e) => {
-                            let mut sink = FrameSink::new(&mut writer, request.id);
-                            sink.send(Frame::Error(ErrorFrame {
-                                message: format!("backend {backend} unreachable: {e}"),
-                            }));
-                            sink.finish()?;
-                            continue;
-                        }
-                    };
-                    match relay_request(&mut fresh, &buffer, request.id, &mut writer) {
-                        Ok(outcome) => {
-                            if outcome.saw_attach {
-                                fresh.attached = Some(session.clone());
-                                state.note_placement(&session, &backend);
-                                if let Some(old) = conn.replace(fresh) {
-                                    release(state, old);
-                                }
-                            } else {
-                                state.pool().checkin(fresh);
-                            }
-                        }
-                        Err(e) => break Err(e),
-                    }
+            _ => match forward(state, &mut conn, &request, &buffer, &mut writer) {
+                Ok(()) => {}
+                Err(Refusal::Reply(message)) => {
+                    FrameSink::reply_error(&mut writer, request.id, message)?;
                 }
-            }
-            // Ops naming a session explicitly route by that name, on a
-            // pooled connection when the owner is not the currently
-            // attached backend. `Restore(None)` is refused: restoring a
-            // whole snapshot directory onto one backend would pull
-            // sessions owned by its peers.
-            Op::Restore(op) if op.session.is_none() => {
-                let mut sink = FrameSink::new(&mut writer, request.id);
-                sink.send(Frame::Error(ErrorFrame {
-                    message: "restore without a session name is ambiguous behind the router; \
-                              name the session"
-                        .to_string(),
-                }));
-                sink.finish()?;
-            }
-            op if explicit_session(op).is_some() => {
-                let name = explicit_session(op).expect("guard").to_string();
-                let Some(backend) = state.route(&name) else {
-                    let mut sink = FrameSink::new(&mut writer, request.id);
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: format!("no alive backend owns session `{name}`"),
-                    }));
-                    sink.finish()?;
-                    continue;
-                };
-                if conn.as_ref().is_some_and(|c| c.backend == backend) {
-                    let existing = conn.as_mut().expect("checked above");
-                    if let Err(e) = relay_request(existing, &buffer, request.id, &mut writer) {
-                        break Err(e);
-                    }
-                } else {
-                    let mut temp = match state.pool().checkout(&backend) {
-                        Ok(temp) => temp,
-                        Err(e) => {
-                            let mut sink = FrameSink::new(&mut writer, request.id);
-                            sink.send(Frame::Error(ErrorFrame {
-                                message: format!("backend {backend} unreachable: {e}"),
-                            }));
-                            sink.finish()?;
-                            continue;
-                        }
-                    };
-                    match relay_request(&mut temp, &buffer, request.id, &mut writer) {
-                        Ok(_) => state.pool().checkin(temp),
-                        Err(e) => break Err(e),
-                    }
-                }
-            }
-            // Everything else rides the attached session's connection.
-            _ => {
-                let Some(session) = conn.as_ref().and_then(|c| c.attached.clone()) else {
-                    let mut sink = FrameSink::new(&mut writer, request.id);
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: "not attached: send attach first".to_string(),
-                    }));
-                    sink.finish()?;
-                    continue;
-                };
-                // The session's forwarding lock serializes this request
-                // against migration: route re-checks happen inside it,
-                // and a migrating session's in-flight request drains
-                // before the routing entry flips.
-                let lock = state.session_lock(&session);
-                let guard = lock.lock().expect("session forwarding lock");
-                let Some(backend) = state.route(&session) else {
-                    drop(guard);
-                    let mut sink = FrameSink::new(&mut writer, request.id);
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: format!("no alive backend owns session `{session}`"),
-                    }));
-                    sink.finish()?;
-                    continue;
-                };
-                if conn.as_ref().is_some_and(|c| c.backend != backend) {
-                    // The session moved (migration, or failover off a
-                    // dead backend): follow it with an absorbed attach.
-                    match follow_session(state, &session, &backend) {
-                        Ok(fresh) => {
-                            let old = conn.replace(fresh).expect("attached conn exists");
-                            if state.backend(&old.backend).is_some_and(|b| b.is_alive()) {
-                                release(state, old);
-                            }
-                        }
-                        Err(FollowError::Io(e)) => break Err(e),
-                        Err(FollowError::Backend(message)) => {
-                            drop(guard);
-                            let mut sink = FrameSink::new(&mut writer, request.id);
-                            sink.send(Frame::Error(ErrorFrame { message }));
-                            sink.finish()?;
-                            continue;
-                        }
-                    }
-                }
-                let existing = conn.as_mut().expect("attached conn exists");
-                let outcome = relay_request(existing, &buffer, request.id, &mut writer);
-                drop(guard);
-                match outcome {
-                    Ok(outcome) => {
-                        if outcome.saw_detach {
-                            existing.attached = None;
-                            if let Some(clean) = conn.take() {
-                                state.pool().checkin(clean);
-                            }
-                        }
-                    }
-                    Err(e) => break Err(e),
-                }
-            }
+                Err(Refusal::Fatal(e)) => break Err(e),
+            },
         }
     };
     if let Some(conn) = conn.take() {
@@ -336,14 +163,128 @@ pub fn handle_connection<R: BufRead, W: Write>(
     result
 }
 
-/// Why following a migrated/failed-over session to its new backend
-/// failed.
-enum FollowError {
-    /// Transport failure talking to the new backend.
-    Io(io::Error),
-    /// The new backend answered the synthesized attach with a typed
-    /// error (e.g. the restore behind it failed).
-    Backend(String),
+/// Why a request was not relayed to the end.
+enum Refusal {
+    /// Nothing was relayed: the router answers the request itself with
+    /// this error (no backend, not attached, a typed error behind a
+    /// synthesized attach) and the client connection goes on.
+    Reply(String),
+    /// The client transport or a backend failed mid-exchange: the
+    /// client connection is torn down.
+    Fatal(io::Error),
+}
+
+impl From<io::Error> for Refusal {
+    fn from(e: io::Error) -> Self {
+        Refusal::Fatal(e)
+    }
+}
+
+/// A pooled connection to `backend`, or the refusal naming it unreachable.
+fn checkout(state: &RouterState, backend: &str) -> Result<BackendConn, Refusal> {
+    let refused = |e| Refusal::Reply(format!("backend {backend} unreachable: {e}"));
+    state.pool().checkout(backend).map_err(refused)
+}
+
+/// Routes one session-addressed request to the backend that owns the
+/// session and relays the answer; `conn` is the client's dedicated
+/// backend connection, which attaches move and detaches release.
+fn forward<W: Write>(
+    state: &RouterState,
+    conn: &mut Option<BackendConn>,
+    request: &Request,
+    raw_line: &[u8],
+    writer: &mut W,
+) -> Result<(), Refusal> {
+    let id = request.id;
+    match &request.op {
+        Op::Attach(op) => {
+            let session = &op.session;
+            let backend = state.route(session).ok_or_else(|| {
+                Refusal::Reply(format!("no alive backend to place session `{session}`"))
+            })?;
+            if let Some(existing) = conn.as_mut().filter(|c| c.backend == backend) {
+                if relay_request(existing, raw_line, id, writer)?.saw_attach {
+                    existing.attached = Some(session.clone());
+                    state.note_placement(session, &backend);
+                }
+            } else {
+                // Attach on the new backend first; the old attachment
+                // is only released once the new one succeeded (a failed
+                // attach leaves the client attached where it was, like
+                // on a daemon).
+                let mut fresh = checkout(state, &backend)?;
+                if relay_request(&mut fresh, raw_line, id, writer)?.saw_attach {
+                    fresh.attached = Some(session.clone());
+                    state.note_placement(session, &backend);
+                    if let Some(old) = conn.replace(fresh) {
+                        release(state, old);
+                    }
+                } else {
+                    state.pool().checkin(fresh);
+                }
+            }
+        }
+        // Ops naming a session explicitly route by that name, on a
+        // pooled connection when the owner is not the currently
+        // attached backend. `Restore(None)` is refused: restoring a
+        // whole snapshot directory onto one backend would pull
+        // sessions owned by its peers.
+        Op::Restore(op) if op.session.is_none() => {
+            let message = "restore without a session name is ambiguous behind the router; \
+                           name the session";
+            return Err(Refusal::Reply(message.to_string()));
+        }
+        op if explicit_session(op).is_some() => {
+            let name = explicit_session(op).expect("guard");
+            let backend = state
+                .route(name)
+                .ok_or_else(|| Refusal::Reply(format!("no alive backend owns session `{name}`")))?;
+            if let Some(existing) = conn.as_mut().filter(|c| c.backend == backend) {
+                relay_request(existing, raw_line, id, writer)?;
+            } else {
+                let mut temp = checkout(state, &backend)?;
+                relay_request(&mut temp, raw_line, id, writer)?;
+                state.pool().checkin(temp);
+            }
+        }
+        // Everything else rides the attached session's connection.
+        _ => {
+            let session = conn
+                .as_ref()
+                .and_then(|c| c.attached.clone())
+                .ok_or_else(|| Refusal::Reply("not attached: send attach first".to_string()))?;
+            // The session's forwarding lock serializes this request
+            // against migration: route re-checks happen inside it, and
+            // a migrating session's in-flight request drains before the
+            // routing entry flips. A refusal leaves with the lock
+            // released, before the caller writes to the client.
+            let lock = state.session_lock(&session);
+            let guard = lock.lock().expect("session forwarding lock");
+            let backend = state.route(&session).ok_or_else(|| {
+                Refusal::Reply(format!("no alive backend owns session `{session}`"))
+            })?;
+            if conn.as_ref().is_some_and(|c| c.backend != backend) {
+                // The session moved (migration, or failover off a dead
+                // backend): follow it with an absorbed attach.
+                let fresh = follow_session(state, &session, &backend)?;
+                let old = conn.replace(fresh).expect("attached conn exists");
+                if state.backend(&old.backend).is_some_and(|b| b.is_alive()) {
+                    release(state, old);
+                }
+            }
+            let existing = conn.as_mut().expect("attached conn exists");
+            let outcome = relay_request(existing, raw_line, id, writer);
+            drop(guard);
+            if outcome?.saw_detach {
+                existing.attached = None;
+                if let Some(clean) = conn.take() {
+                    state.pool().checkin(clean);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Opens a connection to `backend` and attaches it to `session` with an
@@ -355,18 +296,131 @@ fn follow_session(
     state: &RouterState,
     session: &str,
     backend: &str,
-) -> Result<BackendConn, FollowError> {
-    let mut fresh = state.pool().checkout(backend).map_err(FollowError::Io)?;
-    let frames = fresh
-        .control(Op::Attach(AttachOp {
-            session: session.to_string(),
-            create: Some(false),
-        }))
-        .map_err(FollowError::Io)?;
+) -> Result<BackendConn, Refusal> {
+    let mut fresh = state.pool().checkout(backend)?;
+    let frames = fresh.control(Op::Attach(AttachOp {
+        session: session.to_string(),
+        create: Some(false),
+    }))?;
     if let Some(message) = BackendConn::first_error(&frames) {
         state.pool().checkin(fresh);
-        return Err(FollowError::Backend(message));
+        return Err(Refusal::Reply(message));
     }
     fresh.attached = Some(session.to_string());
     Ok(fresh)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msmr_serve::protocol::{read_response, write_request, RestoreOp, SnapshotOp, StatusOp};
+
+    /// Drives `requests` through the forwarder and returns the message
+    /// of the error each one was answered with (in request order).
+    fn refusals(state: &Arc<RouterState>, requests: &[Op]) -> Vec<String> {
+        let mut input = b"not json\n".to_vec();
+        for (index, op) in requests.iter().enumerate() {
+            let id = index as u64 + 1;
+            write_request(&mut input, &Request { id, op: op.clone() }).unwrap();
+        }
+        let mut output = Vec::new();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        handle_connection(state, input.as_slice(), &mut output, &shutdown).unwrap();
+        let mut reader = output.as_slice();
+        let mut messages = Vec::new();
+        while let Some(response) = read_response(&mut reader).unwrap() {
+            match response.frame {
+                Frame::Error(error) => {
+                    assert_eq!(response.id, messages.len() as u64, "one error per request");
+                    messages.push(error.message);
+                }
+                Frame::Done(done) => assert_eq!(done.frames, 1),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        messages
+    }
+
+    #[test]
+    fn requests_the_router_cannot_place_are_answered_locally_and_the_connection_goes_on() {
+        let attach = |session: &str| {
+            Op::Attach(AttachOp {
+                session: session.to_string(),
+                create: None,
+            })
+        };
+        // No backend at all: nothing routes.
+        let messages = refusals(
+            &RouterState::new(&[]),
+            &[
+                attach("s"),
+                Op::Status(StatusOp {}),
+                Op::Restore(RestoreOp { session: None }),
+                Op::Snapshot(SnapshotOp {
+                    session: Some("s".to_string()),
+                }),
+            ],
+        );
+        assert!(
+            messages[0].starts_with("malformed request: "),
+            "{}",
+            messages[0]
+        );
+        assert_eq!(
+            messages[1..],
+            [
+                "no alive backend to place session `s`",
+                "not attached: send attach first",
+                "restore without a session name is ambiguous behind the router; name the session",
+                "no alive backend owns session `s`",
+            ]
+        );
+
+        // A backend nobody listens on: placed, then unreachable.
+        let dead = "127.0.0.1:1".to_string();
+        let messages = refusals(
+            &RouterState::new(std::slice::from_ref(&dead)),
+            &[
+                attach("s"),
+                Op::Stats(msmr_serve::protocol::StatsOp {
+                    session: Some("s".to_string()),
+                }),
+            ],
+        );
+        for message in &messages[1..] {
+            assert!(
+                message.starts_with("backend 127.0.0.1:1 unreachable: "),
+                "{message}"
+            );
+        }
+        assert_eq!(messages.len(), 3);
+    }
+
+    #[test]
+    fn the_control_id_is_refused_from_clients() {
+        let mut input = Vec::new();
+        let request = Request {
+            id: CONTROL_ID,
+            op: Op::Status(StatusOp {}),
+        };
+        write_request(&mut input, &request).unwrap();
+        let mut output = Vec::new();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        handle_connection(
+            &RouterState::new(&[]),
+            input.as_slice(),
+            &mut output,
+            &shutdown,
+        )
+        .unwrap();
+        let response = read_response(&mut output.as_slice()).unwrap().unwrap();
+        assert_eq!(response.id, CONTROL_ID);
+        let Frame::Error(error) = response.frame else {
+            panic!("expected error frame, got {:?}", response.frame);
+        };
+        assert_eq!(
+            error.message,
+            format!("request id {CONTROL_ID} is reserved by the router")
+        );
+    }
 }

@@ -29,10 +29,12 @@
 //! latency computed through the shared [`msmr_stats::LatencyRing`].
 //!
 //! With `--session NAME` the client first attaches to that named shared
-//! session (cluster daemons). A typed overload/backpressure response from
-//! the daemon exits with the distinct code 75 (`EX_TEMPFAIL`), so callers
-//! can tell "retry later" from a protocol failure (exit 1); with `--json`
-//! the abort still emits a summary line whose `overloads` count is 1.
+//! session; without it, it works on the connection's private session (a
+//! `--cluster` daemon has none and answers `not attached`). A typed
+//! overload/backpressure response from the daemon exits with the
+//! distinct code 75 (`EX_TEMPFAIL`), so callers can tell "retry later"
+//! from a protocol failure (exit 1); with `--json` the abort still emits
+//! a summary line whose `overloads` count is 1.
 
 use std::io;
 use std::path::PathBuf;
@@ -157,7 +159,7 @@ impl ReplaySummary {
 }
 
 fn usage() -> &'static str {
-    "usage: msmr-admit (--tcp ADDR | --uds PATH) [--session NAME] <command>\n\ncommands:\n  --status        print the session status frame\n  --stats         print the daemon's live stats snapshot as JSON (protocol v4);\n                  with --session NAME, print that session's breakdown instead\n                  (cluster daemons; reads without refreshing the session's TTL)\n  --shutdown      stop the daemon\n  --replay        feed a generated workload trace, one admit per arrival\n\noptions:\n  --session NAME  attach to a named shared session first (cluster daemons)\n\nreplay options:\n  --jobs N        trace length (default 100)\n  --seed S        workload seed (default 2024)\n  --beta F        workload heaviness parameter\n  --evaluate      stream the full solver suite per admit\n  --verify        compare streamed verdicts against offline evaluate (implies --evaluate)\n  --bound NAME    delay bound, must match the daemon's (default eq10)\n  --opt-nodes N   exact-engine node budget, must match the daemon's (default 200000)\n  --withdraw-ratio F  withdraw a random admitted job after each admit with probability F\n  --json          print the run summary as one machine-readable JSON line\n\nexit codes: 0 ok, 1 error, 75 daemon overloaded (typed backpressure; retry later)"
+    "usage: msmr-admit (--tcp ADDR | --uds PATH) [--session NAME] <command>\n\ncommands:\n  --status        print the session status frame\n  --stats         print the daemon's live stats snapshot as JSON (protocol v4);\n                  with --session NAME, print that session's breakdown instead\n                  (reads without refreshing the session's TTL)\n  --shutdown      stop the daemon\n  --replay        feed a generated workload trace, one admit per arrival\n\noptions:\n  --session NAME  attach to a named shared session first\n\nreplay options:\n  --jobs N        trace length (default 100)\n  --seed S        workload seed (default 2024)\n  --beta F        workload heaviness parameter\n  --evaluate      stream the full solver suite per admit\n  --verify        compare streamed verdicts against offline evaluate (implies --evaluate)\n  --bound NAME    delay bound, must match the daemon's (default eq10)\n  --opt-nodes N   exact-engine node budget, must match the daemon's (default 200000)\n  --withdraw-ratio F  withdraw a random admitted job after each admit with probability F\n  --json          print the run summary as one machine-readable JSON line\n\nexit codes: 0 ok, 1 error, 75 daemon overloaded (typed backpressure; retry later)"
 }
 
 fn parse_options() -> Result<Options, String> {

@@ -1,5 +1,5 @@
 //! A small blocking client for the admission protocol, shared by the
-//! `msmr-admit` binary, the end-to-end tests and the service benchmarks.
+//! `msmr-admit` binary, the end-to-end tests and `msmr-loadgen`.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -128,14 +128,14 @@ impl Client {
         }
     }
 
-    /// Attaches this connection to the named shared session (cluster
-    /// daemons; protocol v2), creating it when `create` is set.
+    /// Attaches this connection to the named shared session (protocol
+    /// v2), creating it when `create` is set.
     ///
     /// # Errors
     ///
-    /// Transport errors, and daemon `Error` frames (e.g. a classic
-    /// non-cluster daemon, or an unknown session with `create: false`)
-    /// as `io::ErrorKind::Other`.
+    /// Transport errors, and daemon `Error` frames (e.g. an invalid
+    /// name, or an unknown session with `create: false`) as
+    /// `io::ErrorKind::Other`.
     pub fn attach(&mut self, session: &str, create: bool) -> io::Result<AttachFrame> {
         let frames = self.request(Op::Attach(AttachOp {
             session: session.to_string(),
@@ -211,8 +211,8 @@ impl Client {
     /// offline verdict verification) after the round trip completes.
     ///
     /// This is the one definition of "replay" shared by the `msmr-admit`
-    /// binary, the end-to-end suite and the `service_throughput` bench,
-    /// so they cannot drift apart in protocol or ordering.
+    /// binary and the end-to-end suites, so they cannot drift apart in
+    /// protocol or ordering.
     ///
     /// # Errors
     ///
@@ -527,9 +527,6 @@ enum IssueError {
 /// [`RetryPolicy`]; typed daemon errors surface as
 /// [`RetryError::Fatal`]. [`ResumingClient::checkpoint`] persists the
 /// session server-side and prunes the journal up to the acked horizon.
-///
-/// Requires a cluster-mode daemon (classic mode refuses seq-carrying
-/// ops with a typed error).
 pub struct ResumingClient {
     endpoint: Endpoint,
     /// Endpoints rotated in when connecting to `endpoint` fails — the

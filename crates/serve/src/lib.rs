@@ -30,15 +30,17 @@
 //!   execution-provenance fields (`elapsed_micros`, `cold_fallback`) are
 //!   zeroed — see [`normalized_verdict_json`].
 //! * [`Server`] is a std-only thread-per-connection acceptor over TCP
-//!   and Unix-domain sockets. Each connection holds one session; the
-//!   evaluation fans onto the solver suite and **streams one
-//!   [`protocol::Frame::Verdict`] per solver as it finishes** — DM's
-//!   answer is on the wire while OPT is still searching — rather than
-//!   waiting for the batch barrier.
-//! * Two binaries ship with the crate: `msmr-served` (the daemon) and
-//!   `msmr-admit` (a client with a `--replay` mode that feeds a generated
-//!   workload trace and can `--verify` the streamed verdicts against an
-//!   offline [`msmr_sched::SolverRegistry::evaluate`] mirror).
+//!   and Unix-domain sockets; [`read_request`] and [`FrameSink`] are the
+//!   framing every connection handler shares. This crate interprets no
+//!   requests: the one request loop lives in `msmr-cluster`'s engine
+//!   (the `msmr-served` daemon), which fans each evaluation onto the
+//!   solver suite and **streams one [`protocol::Frame::Verdict`] per
+//!   solver as it finishes** — DM's answer is on the wire while OPT is
+//!   still searching — rather than waiting for the batch barrier.
+//! * The client side ships here: [`Client`] / [`ResumingClient`] and the
+//!   `msmr-admit` binary (a `--replay` mode feeds a generated workload
+//!   trace and can `--verify` the streamed verdicts against an offline
+//!   [`msmr_sched::SolverRegistry::evaluate`] mirror).
 //!
 //! # Wire protocol
 //!
@@ -51,18 +53,18 @@
 //! always terminated by exactly one `Done` frame, so clients can
 //! pipeline requests without framing ambiguity.
 //!
-//! Protocol **v2** ([`protocol::PROTOCOL_VERSION`]) adds the cluster
+//! Protocol **v2** ([`protocol::PROTOCOL_VERSION`]) adds the named-session
 //! ops — `attach`/`detach` (named *shared* sessions addressable from any
 //! number of connections), `snapshot`/`restore` (persistence across
 //! daemon restarts) — and the typed `Overload` backpressure frame.
-//! Those ops are answered by daemons running the `msmr-cluster` engine
-//! (`msmr-served --cluster`); this crate's classic per-connection server
-//! answers them with an `Error` frame. See the `msmr-cluster` crate
-//! docs for a worked attach/snapshot transcript, and the [`protocol`]
-//! module docs for the full v1 → v5 version history (v4 adds the
-//! `stats` observability op, answered by both server modes; v5 adds the
-//! seq-idempotency rule for crash-safe resume, served by cluster mode
-//! and driven client-side by [`client::ResumingClient`]).
+//! Every daemon answers every op; what `msmr-served --cluster` changes
+//! is only where a connection *starts*: bound to a private session of
+//! its own (the default — the transcript below needs no `attach`), or
+//! unbound until it attaches by name. See the `msmr-cluster` crate docs
+//! for a worked attach/snapshot transcript, and the [`protocol`] module
+//! docs for the full v1 → v5 version history (v4 adds the `stats`
+//! observability op; v5 adds the seq-idempotency rule for crash-safe
+//! resume, driven client-side by [`client::ResumingClient`]).
 //!
 //! A worked transcript (client lines marked `>`, daemon lines `<`,
 //! verdicts abbreviated). The session is opened with a pipeline-only
@@ -81,7 +83,7 @@
 //!       "stats":{"implied_by":"DMR",...},...}}}}
 //! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"DCMP","kind":"Accepted",
 //!       "stats":{"cold_fallback":true,...},...}}}}
-//! < {"id":2,"frame":{"Admit":{"admitted":true,"job":1,"jobs":1,"decider":"OPDCA"}}}
+//! < {"id":2,"frame":{"Admit":{"admitted":true,"job":1,"jobs":1,"decider":"OPDCA","seq":1}}}
 //! < {"id":2,"frame":{"Done":{"frames":6}}}
 //! > {"id":3,"op":{"Status":{}}}
 //! < {"id":3,"frame":{"Status":{"jobs":1,"stages":3,"admitted":[1],"admits":1,
@@ -101,7 +103,7 @@
 //! ```text
 //! > {"id":6,"op":{"Withdraw":{"job":1,"evaluate":null}}}
 //! < {"id":6,"frame":{"Verdict":{"verdict":{"solver":"OPDCA","kind":"Accepted",...}}}}
-//! < {"id":6,"frame":{"Withdraw":{"job":1,"jobs":2,"seq":null,"deduped":null}}}
+//! < {"id":6,"frame":{"Withdraw":{"job":1,"jobs":2,"seq":4,"deduped":null}}}
 //! < {"id":6,"frame":{"Done":{"frames":2}}}
 //! > {"id":7,"op":{"Shutdown":{}}}
 //! < {"id":7,"frame":{"Done":{"frames":0}}}
@@ -150,9 +152,7 @@ pub use client::{
     percentile_us, Client, Endpoint, MixRng, ObservedOp, ReplayOutcome, ReplayedOp, ResumeStats,
     ResumingClient, RetryError, RetryPolicy,
 };
-pub use server::{
-    serve_connection, ConnHandler, ConnStream, FrameSink, Listen, ServeOptions, Server,
-};
+pub use server::{read_request, ConnHandler, ConnStream, FrameSink, Listen, Server};
 pub use session::{
     AdmissionSession, AdmitOutcome, DecisionRecord, SessionConfig, SessionError, SessionImage,
     SessionStatus, WithdrawOutcome, DECISION_LOG_CAP,

@@ -19,9 +19,9 @@
 //!   [`Op::Snapshot`], [`Op::Restore`]) and new frames
 //!   ([`Frame::Attach`] and friends, plus the typed [`Frame::Overload`]
 //!   backpressure response), and the [`AdmitFrame`] gained an optional
-//!   per-session decision sequence number `seq` — a positive number in
-//!   cluster mode, serialized as `null` by the classic per-connection
-//!   server.
+//!   per-session decision sequence number `seq` — a positive number on
+//!   named sessions, serialized as `null` by the per-connection server
+//!   of the time (see the last entry).
 //! * **v3** routed `withdraw` through the stateful online solver seam:
 //!   a withdrawal now streams [`Frame::Verdict`]s for the reduced set
 //!   before its [`WithdrawFrame`], [`WithdrawOp`] gained the optional
@@ -31,8 +31,7 @@
 //!   [`Frame::Stats`] carrying a full
 //!   [`msmr_stats::StatsSnapshot`] — daemon-wide monotonic counters,
 //!   gauges, per-op latency percentiles, the per-solver work table and
-//!   (cluster mode) per-session rows. Both the classic and the cluster
-//!   server answer it; every older op is byte-unchanged. The same
+//!   one row per named session. Every older op is byte-unchanged. The same
 //!   snapshot is also served out-of-band by the daemon's
 //!   `--stats-addr` side channel, so scrapers need not compete with
 //!   admission traffic.
@@ -61,10 +60,26 @@
 //!   request id `u64::MAX`, which the router refuses from clients. The
 //!   `migrate`/`backends`/`routes` admin commands are out-of-band on
 //!   the router's `--admin-addr` line channel, not protocol ops.
+//! * **v5 (one request path, no wire-shape change)**: the second,
+//!   per-connection server is gone; one engine interprets every request
+//!   and "classic mode" is a connection's *start state* — bound to a
+//!   private session of its own unless the daemon runs `--cluster`,
+//!   where connections start unbound. No op, frame or field changed
+//!   shape; three restrictions of the default-mode daemon fell away.
+//!   (1) Private sessions number their decisions like named ones and
+//!   accept client-asserted seqs, so their [`AdmitFrame`] /
+//!   [`WithdrawFrame`] carry `"seq":n` where they used to carry
+//!   `"seq":null` (and may carry `deduped`). (2) `attach`, `detach`,
+//!   `snapshot`, `restore` and `stats` with a session name are answered
+//!   instead of refused with `… require the daemon's --cluster mode`;
+//!   after a `detach` the connection is unbound. (3) `stats` reports the
+//!   engine gauges (queue, workers, shards, session rows) it used to
+//!   leave at zero. Everything a `--cluster` client sees is
+//!   byte-unchanged.
 //!
 //! # The seq-idempotency rule (v5)
 //!
-//! A cluster session numbers its decisions 1, 2, 3, … (admit accepts,
+//! A session numbers its decisions 1, 2, 3, … (admit accepts,
 //! admit rejects and withdrawals all count; the counter survives
 //! snapshot restore). A client MAY assert a `seq` on an admit/withdraw
 //! op, claiming "this op is decision number `seq`":
@@ -82,10 +97,9 @@
 //! * `seq > decisions + 1` — a typed gap error (the client skipped
 //!   ahead).
 //!
-//! Ops without a `seq` always apply (the pre-v5 behaviour). The classic
-//! per-connection server does not support the rule (its sessions die
-//! with the connection, so there is nothing to resume) and answers
-//! seq-carrying ops with a typed error.
+//! Ops without a `seq` always apply (the pre-v5 behaviour). The rule
+//! holds on private sessions too, though only a named session outlives
+//! its connection to be resumed.
 //!
 //! Clients must ignore unknown response fields (older readers of newer
 //! frames) and treat missing optional fields as `None` (newer readers of
@@ -124,20 +138,18 @@ pub enum Op {
     Status(StatusOp),
     /// Stop the daemon (all listeners).
     Shutdown(ShutdownOp),
-    /// Attach this connection to a *named shared* session (cluster mode;
-    /// protocol v2).
+    /// Attach this connection to a *named shared* session (protocol
+    /// v2), releasing the session it was bound to.
     Attach(AttachOp),
-    /// Detach from the currently attached named session (cluster mode;
-    /// protocol v2).
+    /// Detach from the currently bound session, leaving the connection
+    /// unbound (protocol v2).
     Detach(DetachOp),
     /// Persist a named session's admitted job set to the snapshot
-    /// directory (cluster mode; protocol v2).
+    /// directory (protocol v2).
     Snapshot(SnapshotOp),
-    /// Rebuild named sessions from the snapshot directory (cluster mode;
-    /// protocol v2).
+    /// Rebuild named sessions from the snapshot directory (protocol v2).
     Restore(RestoreOp),
-    /// Report the daemon's live stats snapshot (protocol v4; answered by
-    /// both the classic and the cluster server).
+    /// Report the daemon's live stats snapshot (protocol v4).
     Stats(StatsOp),
 }
 
@@ -166,8 +178,8 @@ pub struct AdmitOp {
     /// low-latency path.
     pub evaluate: Option<bool>,
     /// Client-asserted decision sequence number for seq-idempotent
-    /// resume (protocol v5; cluster mode only — see the module docs for
-    /// the rule). Absent opts out: the op always applies.
+    /// resume (protocol v5 — see the module docs for the rule). Absent
+    /// opts out: the op always applies.
     pub seq: Option<u64>,
 }
 
@@ -240,7 +252,7 @@ pub struct WithdrawOp {
     /// v1 requests, which parse as `None`.
     pub evaluate: Option<bool>,
     /// Client-asserted decision sequence number for seq-idempotent
-    /// resume (protocol v5; cluster mode only). Absent opts out.
+    /// resume (protocol v5). Absent opts out.
     pub seq: Option<u64>,
 }
 
@@ -290,12 +302,11 @@ pub struct RestoreOp {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsOp {
     /// Absent asks for the daemon-wide [`Frame::Stats`] snapshot (the
-    /// v4 behaviour, byte-unchanged on the wire). A name asks the
-    /// cluster daemon for that *named session's* breakdown instead,
-    /// answered with a [`Frame::SessionStats`]; the read never counts
-    /// as session activity, so a TTL-idle session is not kept alive by
-    /// being observed. The classic server answers the named form with
-    /// a typed error (it has no named sessions).
+    /// v4 behaviour, byte-unchanged on the wire). A name asks for that
+    /// *named session's* breakdown instead, answered with a
+    /// [`Frame::SessionStats`]; the read never counts as session
+    /// activity, so a TTL-idle session is not kept alive by being
+    /// observed.
     pub session: Option<String>,
 }
 
@@ -338,8 +349,8 @@ pub enum Frame {
     /// The daemon's live stats answering an [`Op::Stats`] (protocol v4).
     Stats(StatsFrame),
     /// One named session's stats breakdown, answering an [`Op::Stats`]
-    /// that carried a `session` name (cluster mode; still protocol v5 —
-    /// the frame is only ever sent to clients that asked for it).
+    /// that carried a `session` name (still protocol v5 — the frame is
+    /// only ever sent to clients that asked for it).
     SessionStats(SessionStatsFrame),
 }
 
@@ -363,12 +374,11 @@ pub struct AdmitFrame {
     /// Name of the solver whose verdict decided the admission.
     pub decider: String,
     /// Per-session decision sequence number (1-based, counts admissions
-    /// *and* rejections). Set in cluster mode, where several clients
-    /// share one session: sorting each client's observed decisions by
-    /// `seq` reconstructs the order the session actually processed them
-    /// in, so a serialized offline replay can verify the verdicts
-    /// byte-for-byte. `None` (serialized as `null`) in classic
-    /// per-connection mode; missing in v1 frames, which parse as `None`.
+    /// *and* rejections). Where several clients share one session,
+    /// sorting each client's observed decisions by `seq` reconstructs
+    /// the order the session actually processed them in, so a serialized
+    /// offline replay can verify the verdicts byte-for-byte. Missing in
+    /// v1 frames, which parse as `None`.
     pub seq: Option<u64>,
     /// `Some(true)` when this frame acks a seq-idempotent **replay**:
     /// the decision was already made, nothing was re-applied, and the
@@ -386,10 +396,10 @@ pub struct WithdrawFrame {
     pub jobs: u64,
     /// Per-session decision sequence number (1-based, shared with the
     /// admit counter: withdrawals are decider decisions too since the
-    /// online seam re-decides the reduced set). Set in cluster mode so
-    /// interleaved multi-client histories — admits *and* withdrawals —
-    /// can be re-ordered into the serialized replay the verifier checks;
-    /// `None` in classic per-connection mode, missing in v1 frames.
+    /// online seam re-decides the reduced set), so interleaved
+    /// multi-client histories — admits *and* withdrawals — can be
+    /// re-ordered into the serialized replay the verifier checks.
+    /// Missing in v1 frames.
     pub seq: Option<u64>,
     /// `Some(true)` when this frame acks a seq-idempotent replay of an
     /// already-applied withdrawal (protocol v5; see [`AdmitFrame`]).
@@ -445,8 +455,8 @@ pub struct AttachFrame {
     pub jobs: u64,
     /// The daemon's wire-protocol version ([`PROTOCOL_VERSION`]).
     pub protocol: u32,
-    /// The session's decision counter at attach time (protocol v5,
-    /// cluster mode): the seq horizon a resuming client re-issues its
+    /// The session's decision counter at attach time (protocol v5):
+    /// the seq horizon a resuming client re-issues its
     /// unacked ops against. `None` in pre-v5 frames.
     pub decisions: Option<u64>,
 }
@@ -852,9 +862,9 @@ mod tests {
         assert_eq!(frame.seq, None);
         assert_eq!(frame.job, Some(2));
 
-        // And the v2 classic server serializes that None as an explicit
-        // null (the vendored serde has no skip-if-none) — pinned here so
-        // the protocol docs stay honest about the wire bytes.
+        // And a `None` seq serializes as an explicit null (the vendored
+        // serde has no skip-if-none) — pinned here so the protocol docs
+        // stay honest about the wire bytes.
         let frame = Frame::Admit(AdmitFrame {
             admitted: true,
             job: Some(2),

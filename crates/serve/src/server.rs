@@ -1,14 +1,14 @@
-//! The daemon: TCP and Unix-domain listeners, a std-only
-//! thread-per-connection acceptor, and the per-connection request loop
-//! that streams frames as they are produced.
+//! The daemon's transport half: TCP and Unix-domain listeners, a
+//! std-only thread-per-connection acceptor, and the two framing pieces
+//! every connection handler shares — [`read_request`] on the way in and
+//! [`FrameSink`] on the way out.
 //!
-//! The acceptor is handler-generic: [`Server::start`] runs the classic
-//! one-session-per-connection loop ([`serve_connection`]), while
-//! [`Server::start_with`] plugs in any connection handler — the
-//! `msmr-cluster` crate uses it to route connections at a shared,
-//! sharded session store.
+//! The acceptor is handler-generic: [`Server::start_with`] plugs in any
+//! connection handler. The `msmr-cluster` engine's request loop (the
+//! daemon) and the `msmr-router` forwarder are the two handlers; this
+//! crate interprets no requests itself.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -18,11 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::protocol::{
-    write_response, DoneFrame, ErrorFrame, Frame, Op, Request, Response, StatsFrame, VerdictFrame,
-    WithdrawFrame,
-};
-use crate::session::{AdmissionSession, SessionConfig};
+use crate::protocol::{write_response, DoneFrame, ErrorFrame, Frame, Request, Response};
 
 /// How long an idle acceptor sleeps between shutdown-flag polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
@@ -34,18 +30,6 @@ pub struct Listen {
     pub tcp: Option<String>,
     /// Unix-domain socket path (removed and re-created on bind).
     pub uds: Option<PathBuf>,
-}
-
-/// Where the daemon listens plus the per-connection session
-/// configuration of the classic (non-cluster) mode.
-#[derive(Debug, Clone, Default)]
-pub struct ServeOptions {
-    /// TCP listen address (e.g. `127.0.0.1:7471`).
-    pub tcp: Option<String>,
-    /// Unix-domain socket path (removed and re-created on bind).
-    pub uds: Option<PathBuf>,
-    /// Per-connection session configuration.
-    pub session: SessionConfig,
 }
 
 /// One accepted connection, transport-erased. Produced by the acceptor
@@ -85,12 +69,10 @@ pub type ConnHandler = Arc<dyn Fn(ConnStream, Arc<AtomicBool>) + Send + Sync + '
 
 /// A running daemon: bound listeners plus their acceptor threads.
 ///
-/// With [`Server::start`], every accepted connection gets its own thread
-/// and its own [`AdmissionSession`]; session state lives for the
-/// connection lifetime. [`Server::start_with`] accepts the same
-/// transports but hands connections to a caller-supplied handler.
-/// [`Server::stop`] (or a client's `shutdown` op) makes the acceptors
-/// exit; [`Server::join`] waits for them.
+/// [`Server::start_with`] hands every accepted connection to a
+/// caller-supplied handler on its own thread. [`Server::stop`] (or a
+/// client's `shutdown` op) makes the acceptors exit; [`Server::join`]
+/// waits for them.
 pub struct Server {
     shutdown: Arc<AtomicBool>,
     acceptors: Vec<JoinHandle<()>>,
@@ -99,30 +81,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured listeners and starts accepting with the
-    /// classic one-session-per-connection loop. Returns once every
-    /// listener is bound (connectable), with the acceptors running in
-    /// background threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors; fails with `InvalidInput` when neither a
-    /// TCP address nor a socket path is configured.
-    pub fn start(options: ServeOptions) -> io::Result<Server> {
-        let listen = Listen {
-            tcp: options.tcp,
-            uds: options.uds,
-        };
-        let session = options.session;
-        let handler: ConnHandler = Arc::new(move |stream: ConnStream, shutdown| {
-            if let Ok((reader, writer)) = stream.into_split() {
-                let _ =
-                    serve_connection(BufReader::new(reader), writer, session.clone(), &shutdown);
-            }
-        });
-        Server::start_with(listen, handler)
-    }
-
     /// Binds the configured listeners and hands every accepted
     /// connection to `handler` on a dedicated thread.
     ///
@@ -263,8 +221,8 @@ fn accept_loop(
 
 /// Streams responses for one frame sequence, counting frames and trapping
 /// the first I/O error so verdict sinks (plain `FnMut(&Verdict)`) can
-/// write without a fallible signature. Shared by the classic connection
-/// loop and the cluster connection loop of `msmr-cluster`.
+/// write without a fallible signature. Every frame a daemon or the
+/// router authors goes through one of these.
 pub struct FrameSink<'a, W: Write> {
     writer: &'a mut W,
     id: u64,
@@ -281,6 +239,20 @@ impl<'a, W: Write> FrameSink<'a, W> {
             frames: 0,
             error: None,
         }
+    }
+
+    /// Answers request `id` with one `Error` frame and the terminating
+    /// `Done` — the whole response of a request refused before any work.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error writing either frame.
+    pub fn reply_error(writer: &'a mut W, id: u64, message: impl Into<String>) -> io::Result<()> {
+        let mut sink = FrameSink::new(writer, id);
+        sink.send(Frame::Error(ErrorFrame {
+            message: message.into(),
+        }));
+        sink.finish()
     }
 
     /// Writes one frame; after a write error, further sends are dropped
@@ -312,383 +284,70 @@ impl<'a, W: Write> FrameSink<'a, W> {
     }
 }
 
-/// The per-connection request loop, generic over the transport so tests
-/// can drive it with in-memory buffers. Returns when the client closes
-/// the connection or a `shutdown` op is processed.
+/// Reads the next request off a connection — the one place a socket
+/// line becomes a [`Request`], shared by the daemon's request loop and
+/// the router's forwarder. Blank lines are skipped; a line that does not
+/// parse is answered on the spot with a `malformed request` error on the
+/// reserved id 0 (there is no id to correlate with) and reading goes on.
+/// On `Some`, `buffer` holds the request's raw line for callers that
+/// relay it. `None` means the peer closed the connection.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the transport.
-pub fn serve_connection(
-    mut reader: impl BufRead,
-    mut writer: impl Write + Send,
-    config: SessionConfig,
-    shutdown: &AtomicBool,
-) -> io::Result<()> {
-    // Track the attached-clients gauge for the lifetime of this
-    // connection; the guard decrements on every exit path.
-    struct AttachedGuard(Option<Arc<msmr_stats::StatsRegistry>>);
-    impl Drop for AttachedGuard {
-        fn drop(&mut self) {
-            if let Some(stats) = &self.0 {
-                stats.client_detached();
-            }
-        }
-    }
-    let _attached = {
-        let stats = config.stats.clone();
-        if let Some(stats) = &stats {
-            stats.client_attached();
-        }
-        AttachedGuard(stats)
-    };
-    let mut session = AdmissionSession::new(config);
-    let mut buffer = Vec::new();
+/// Transport errors from `reader`, or from `writer` while answering a
+/// malformed line.
+pub fn read_request(
+    reader: &mut impl BufRead,
+    buffer: &mut Vec<u8>,
+    writer: &mut impl Write,
+) -> io::Result<Option<Request>> {
     loop {
         buffer.clear();
-        if reader.read_until(b'\n', &mut buffer)? == 0 {
-            break;
+        if reader.read_until(b'\n', buffer)? == 0 {
+            return Ok(None);
         }
         // Lossy conversion instead of `lines()`: a line of binary junk
         // must degrade to a parse failure answered with an Error frame,
         // not an InvalidData error that tears the connection down.
-        let line = String::from_utf8_lossy(&buffer);
+        let line = String::from_utf8_lossy(buffer);
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let request: Request = match serde_json::from_str(line) {
-            Ok(request) => request,
-            Err(e) => {
-                // Unparseable line: no id to correlate with, report on
-                // the reserved id 0.
-                let mut sink = FrameSink::new(&mut writer, 0);
-                sink.send(Frame::Error(ErrorFrame {
-                    message: format!("malformed request: {e}"),
-                }));
-                sink.finish()?;
-                continue;
-            }
-        };
-        let mut sink = FrameSink::new(&mut writer, request.id);
-        let mut stop = false;
-        match request.op {
-            Op::Submit(op) => {
-                // serde bypasses the JobSet builder invariants, so an
-                // untrusted payload must be re-validated (and its ids
-                // re-numbered) before any analysis touches it.
-                match op.jobs.sanitized() {
-                    Ok(jobs) => {
-                        let parallel = op.parallel.unwrap_or(false);
-                        session.submit(jobs, parallel, |verdict| {
-                            sink.send(Frame::Verdict(VerdictFrame {
-                                verdict: verdict.clone(),
-                            }));
-                        });
-                    }
-                    Err(e) => sink.send(Frame::Error(ErrorFrame {
-                        message: format!("invalid job set: {e}"),
-                    })),
-                }
-            }
-            Op::Admit(op) => {
-                if op.seq.is_some() {
-                    // Classic per-connection sessions have no decision
-                    // log to dedupe against; refusing (instead of
-                    // silently applying) keeps the seq-idempotency
-                    // contract honest for resuming clients.
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: "idempotent seq requires the daemon's --cluster mode".to_string(),
-                    }));
-                    sink.finish()?;
-                    continue;
-                }
-                let evaluate = op.evaluate.unwrap_or(true);
-                match session.admit(&op.job, evaluate, |verdict| {
-                    sink.send(Frame::Verdict(VerdictFrame {
-                        verdict: verdict.clone(),
-                    }));
-                }) {
-                    Ok(outcome) => {
-                        sink.send(Frame::Admit(outcome.to_frame(
-                            &session.config().decider,
-                            None,
-                            false,
-                        )));
-                    }
-                    Err(e) => sink.send(Frame::Error(ErrorFrame {
-                        message: e.to_string(),
-                    })),
-                }
-            }
-            Op::Withdraw(op) => {
-                if op.seq.is_some() {
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: "idempotent seq requires the daemon's --cluster mode".to_string(),
-                    }));
-                    sink.finish()?;
-                    continue;
-                }
-                let evaluate = op.evaluate.unwrap_or(false);
-                match session.withdraw(op.job, evaluate, |verdict| {
-                    sink.send(Frame::Verdict(VerdictFrame {
-                        verdict: verdict.clone(),
-                    }));
-                }) {
-                    Ok(outcome) => sink.send(Frame::Withdraw(WithdrawFrame {
-                        job: op.job,
-                        jobs: outcome.jobs as u64,
-                        seq: None,
-                        deduped: None,
-                    })),
-                    Err(e) => sink.send(Frame::Error(ErrorFrame {
-                        message: e.to_string(),
-                    })),
-                }
-            }
-            Op::Status(_) => {
-                sink.send(Frame::Status(session.status().to_frame()));
-            }
-            Op::Shutdown(_) => {
-                shutdown.store(true, Ordering::SeqCst);
-                stop = true;
-            }
-            Op::Stats(op) => {
-                if op.session.is_some() {
-                    // Per-session breakdowns are a named-session
-                    // feature; the classic server only has this one
-                    // anonymous per-connection session.
-                    sink.send(Frame::Error(ErrorFrame {
-                        message: "named shared sessions require the daemon's --cluster mode"
-                            .to_string(),
-                    }));
-                } else {
-                    let stats = session
-                        .config()
-                        .stats
-                        .as_ref()
-                        .map_or_else(Default::default, |s| s.snapshot());
-                    sink.send(Frame::Stats(StatsFrame { stats }));
-                }
-            }
-            Op::Attach(_) | Op::Detach(_) | Op::Snapshot(_) | Op::Restore(_) => {
-                sink.send(Frame::Error(ErrorFrame {
-                    message: "named shared sessions require the daemon's --cluster mode"
-                        .to_string(),
-                }));
-            }
-        }
-        sink.finish()?;
-        if stop {
-            return Ok(());
+        match serde_json::from_str::<Request>(line) {
+            Ok(request) => return Ok(Some(request)),
+            Err(e) => FrameSink::reply_error(writer, 0, format!("malformed request: {e}"))?,
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_response, AdmitOp, JobSpec, StageDemand, StatusOp, SubmitOp};
-    use msmr_model::{JobSetBuilder, PreemptionPolicy};
-    use std::io::BufReader as StdBufReader;
+    use crate::protocol::{read_response, write_request, Op, StatusOp};
 
-    fn pipeline_only() -> msmr_model::JobSet {
-        let mut b = JobSetBuilder::new();
-        b.stage("a", 1, PreemptionPolicy::Preemptive)
-            .stage("b", 1, PreemptionPolicy::Preemptive);
-        b.build().unwrap()
-    }
-
-    fn request_lines(requests: &[Request]) -> Vec<u8> {
-        let mut buffer = Vec::new();
-        for request in requests {
-            crate::protocol::write_request(&mut buffer, request).unwrap();
-        }
-        buffer
-    }
-
-    fn drive(requests: &[Request]) -> Vec<Response> {
-        let input = request_lines(requests);
-        let mut output = Vec::new();
-        let shutdown = AtomicBool::new(false);
-        serve_connection(
-            input.as_slice(),
-            &mut output,
-            crate::session::SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
-        let mut reader = StdBufReader::new(output.as_slice());
-        let mut responses = Vec::new();
-        while let Some(response) = read_response(&mut reader).unwrap() {
-            responses.push(response);
-        }
-        responses
-    }
-
-    #[test]
-    fn submit_admit_status_stream_correlated_frames() {
-        let responses = drive(&[
-            Request {
-                id: 11,
-                op: Op::Submit(SubmitOp {
-                    jobs: pipeline_only(),
-                    parallel: None,
-                }),
-            },
-            Request {
-                id: 12,
-                op: Op::Admit(AdmitOp {
-                    job: JobSpec {
-                        arrival: 0,
-                        deadline: 100,
-                        stages: vec![
-                            StageDemand {
-                                time: 3,
-                                resource: 0,
-                            },
-                            StageDemand {
-                                time: 4,
-                                resource: 0,
-                            },
-                        ],
-                    },
-                    evaluate: Some(true),
-                    seq: None,
-                }),
-            },
-            Request {
-                id: 13,
-                op: Op::Status(StatusOp {}),
-            },
-        ]);
-        // Submit on an empty set: just Done.
-        assert_eq!(responses[0].id, 11);
-        assert!(matches!(
-            responses[0].frame,
-            Frame::Done(DoneFrame { frames: 0 })
-        ));
-        // Admit: five verdicts, the admit frame, then Done(6).
-        let admit: Vec<&Response> = responses.iter().filter(|r| r.id == 12).collect();
-        assert_eq!(admit.len(), 7);
-        assert!(admit[..5]
-            .iter()
-            .all(|r| matches!(r.frame, Frame::Verdict(_))));
-        let Frame::Admit(frame) = &admit[5].frame else {
-            panic!("expected admit frame, got {:?}", admit[5].frame);
-        };
-        assert!(frame.admitted);
-        assert_eq!(frame.jobs, 1);
-        assert!(matches!(
-            admit[6].frame,
-            Frame::Done(DoneFrame { frames: 6 })
-        ));
-        // Status.
-        let status: Vec<&Response> = responses.iter().filter(|r| r.id == 13).collect();
-        let Frame::Status(frame) = &status[0].frame else {
-            panic!("expected status frame");
-        };
-        assert_eq!(frame.jobs, 1);
-        assert_eq!(frame.admits, 1);
-        assert_eq!(frame.solvers.len(), 5);
-    }
-
-    #[test]
-    fn errors_are_frames_not_disconnects() {
-        let responses = drive(&[Request {
-            id: 7,
-            op: Op::Admit(AdmitOp {
-                job: JobSpec {
-                    arrival: 0,
-                    deadline: 10,
-                    stages: vec![StageDemand {
-                        time: 1,
-                        resource: 0,
-                    }],
-                },
-                evaluate: Some(false),
-                seq: None,
-            }),
-        }]);
-        assert_eq!(responses.len(), 2);
-        let Frame::Error(error) = &responses[0].frame else {
-            panic!("expected error frame");
-        };
-        assert!(error.message.contains("no session"));
-        assert!(matches!(responses[1].frame, Frame::Done(_)));
-    }
-
-    #[test]
-    fn invariant_violating_wire_job_sets_are_an_error_frame_not_a_panic() {
-        // serde lets a wire payload describe jobs whose per-stage arrays
-        // are shorter than the pipeline — something the builder can never
-        // produce. The connection must answer with an Error frame, not
-        // die inside the analysis.
-        let mut b = JobSetBuilder::new();
-        b.stage("a", 1, PreemptionPolicy::Preemptive)
-            .stage("b", 1, PreemptionPolicy::Preemptive);
-        b.job()
-            .deadline(msmr_model::Time::new(50))
-            .stage_time(msmr_model::Time::new(3), 0)
-            .stage_time(msmr_model::Time::new(4), 0)
-            .add()
-            .unwrap();
-        let valid = Request {
-            id: 21,
-            op: Op::Submit(SubmitOp {
-                jobs: b.build().unwrap(),
-                parallel: None,
-            }),
-        };
-        let mut buffer = Vec::new();
-        crate::protocol::write_request(&mut buffer, &valid).unwrap();
-        let line = String::from_utf8(buffer).unwrap();
-        // Truncate the job's processing array from two stages to one.
-        let broken = line.replace("\"processing\":[3,4]", "\"processing\":[3]");
-        assert_ne!(line, broken, "payload surgery must hit the job arrays");
-
-        let mut output = Vec::new();
-        let shutdown = AtomicBool::new(false);
-        serve_connection(
-            broken.as_bytes(),
-            &mut output,
-            crate::session::SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
-        let mut reader = StdBufReader::new(output.as_slice());
-        let first = read_response(&mut reader).unwrap().unwrap();
-        assert_eq!(first.id, 21);
-        let Frame::Error(error) = &first.frame else {
-            panic!("expected error frame, got {:?}", first.frame);
-        };
-        assert!(
-            error.message.contains("invalid job set"),
-            "{}",
-            error.message
-        );
-        let done = read_response(&mut reader).unwrap().unwrap();
-        assert!(matches!(done.frame, Frame::Done(_)));
+    fn responses(output: &[u8]) -> Vec<Response> {
+        let mut reader = output;
+        std::iter::from_fn(|| read_response(&mut reader).unwrap()).collect()
     }
 
     #[test]
     fn malformed_lines_report_on_id_zero() {
-        let mut input = Vec::new();
-        input.extend_from_slice(b"this is not json\n");
-        let mut output = Vec::new();
-        let shutdown = AtomicBool::new(false);
-        serve_connection(
-            input.as_slice(),
-            &mut output,
-            crate::session::SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
-        let mut reader = StdBufReader::new(output.as_slice());
-        let first = read_response(&mut reader).unwrap().unwrap();
-        assert_eq!(first.id, 0);
-        assert!(matches!(first.frame, Frame::Error(_)));
+        let mut reader: &[u8] = b"this is not json\n";
+        let (mut buffer, mut output) = (Vec::new(), Vec::new());
+        let request = read_request(&mut reader, &mut buffer, &mut output).unwrap();
+        assert_eq!(request, None, "nothing parses before the peer closes");
+        let responses = responses(&output);
+        assert_eq!(responses.len(), 2, "one Error frame, then its Done");
+        assert!(responses.iter().all(|r| r.id == 0));
+        let Frame::Error(error) = &responses[0].frame else {
+            panic!("expected error frame, got {:?}", responses[0].frame);
+        };
+        assert!(error.message.starts_with("malformed request: "));
+        assert!(matches!(
+            responses[1].frame,
+            Frame::Done(DoneFrame { frames: 1 })
+        ));
     }
 
     #[test]
@@ -697,8 +356,9 @@ mod tests {
         // JSON, wrong-typed fields, binary junk, overlong ids, partial
         // protocol structures. Every line must be answered with a typed
         // Error frame on id 0 (no correlatable id parses out of any of
-        // them) and the connection must keep serving — proven by the
-        // healthy Status op at the end answering normally.
+        // them) and reading must go on — proven by the healthy Status
+        // request at the end coming out parsed, its raw line left in the
+        // buffer for a relaying caller.
         let garbage: &[&[u8]] = &[
             b"{\"id\":1,\"op\":{\"Admit\"",
             b"{\"id\":\"one\",\"op\":{\"Status\":{}}}",
@@ -713,205 +373,38 @@ mod tests {
         let mut input = Vec::new();
         for line in garbage {
             input.extend_from_slice(line);
-            input.push(b'\n');
+            // Each followed by a blank line, which is skipped silently.
+            input.extend_from_slice(b"\n  \n");
         }
-        crate::protocol::write_request(
-            &mut input,
-            &Request {
-                id: 99,
-                op: Op::Status(StatusOp {}),
-            },
-        )
-        .unwrap();
-        let mut output = Vec::new();
-        let shutdown = AtomicBool::new(false);
-        serve_connection(
-            input.as_slice(),
-            &mut output,
-            crate::session::SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
-        let mut reader = StdBufReader::new(output.as_slice());
+        let healthy = Request {
+            id: 99,
+            op: Op::Status(StatusOp {}),
+        };
+        let mut healthy_line = Vec::new();
+        write_request(&mut healthy_line, &healthy).unwrap();
+        input.extend_from_slice(&healthy_line);
+
+        let mut reader = input.as_slice();
+        let (mut buffer, mut output) = (Vec::new(), Vec::new());
+        let request = read_request(&mut reader, &mut buffer, &mut output).unwrap();
+        assert_eq!(
+            request,
+            Some(healthy),
+            "the connection survives the garbage"
+        );
+        assert_eq!(buffer, healthy_line);
+        let closed = read_request(&mut reader, &mut buffer, &mut output).unwrap();
+        assert_eq!(closed, None);
+
         let mut errors = 0;
-        let mut status_answered = false;
-        while let Some(response) = read_response(&mut reader).unwrap() {
+        for response in responses(&output) {
+            assert_eq!(response.id, 0, "malformed lines report on id 0");
             match response.frame {
-                Frame::Error(_) => {
-                    assert_eq!(response.id, 0, "malformed lines report on id 0");
-                    errors += 1;
-                }
-                Frame::Status(_) => {
-                    assert_eq!(response.id, 99);
-                    status_answered = true;
-                }
+                Frame::Error(_) => errors += 1,
                 Frame::Done(_) => {}
                 other => panic!("unexpected frame {other:?}"),
             }
         }
         assert_eq!(errors, garbage.len());
-        assert!(status_answered, "the connection must survive the garbage");
-    }
-
-    #[test]
-    fn classic_mode_answers_seq_carrying_ops_with_a_typed_error() {
-        let responses = drive(&[
-            Request {
-                id: 1,
-                op: Op::Submit(SubmitOp {
-                    jobs: pipeline_only(),
-                    parallel: None,
-                }),
-            },
-            Request {
-                id: 2,
-                op: Op::Admit(AdmitOp {
-                    job: JobSpec {
-                        arrival: 0,
-                        deadline: 100,
-                        stages: vec![
-                            StageDemand {
-                                time: 3,
-                                resource: 0,
-                            },
-                            StageDemand {
-                                time: 4,
-                                resource: 0,
-                            },
-                        ],
-                    },
-                    evaluate: Some(false),
-                    seq: Some(1),
-                }),
-            },
-            Request {
-                id: 3,
-                op: Op::Withdraw(crate::protocol::WithdrawOp {
-                    job: 1,
-                    evaluate: None,
-                    seq: Some(2),
-                }),
-            },
-            Request {
-                id: 4,
-                op: Op::Status(StatusOp {}),
-            },
-        ]);
-        for id in [2, 3] {
-            let frames: Vec<&Response> = responses.iter().filter(|r| r.id == id).collect();
-            let Frame::Error(error) = &frames[0].frame else {
-                panic!(
-                    "expected error frame for id {id}, got {:?}",
-                    frames[0].frame
-                );
-            };
-            assert!(error.message.contains("--cluster"), "{}", error.message);
-        }
-        // Nothing was applied and the connection stayed healthy.
-        let status: Vec<&Response> = responses.iter().filter(|r| r.id == 4).collect();
-        let Frame::Status(frame) = &status[0].frame else {
-            panic!("expected status frame");
-        };
-        assert_eq!(frame.jobs, 0);
-        assert_eq!(frame.admits, 0);
-    }
-
-    #[test]
-    fn stats_op_snapshots_the_shared_registry_and_tracks_attachment() {
-        let stats = Arc::new(msmr_stats::StatsRegistry::new());
-        let config = crate::session::SessionConfig {
-            stats: Some(Arc::clone(&stats)),
-            ..Default::default()
-        };
-        let input = request_lines(&[
-            Request {
-                id: 1,
-                op: Op::Submit(SubmitOp {
-                    jobs: pipeline_only(),
-                    parallel: None,
-                }),
-            },
-            Request {
-                id: 2,
-                op: Op::Admit(AdmitOp {
-                    job: JobSpec {
-                        arrival: 0,
-                        deadline: 100,
-                        stages: vec![
-                            StageDemand {
-                                time: 3,
-                                resource: 0,
-                            },
-                            StageDemand {
-                                time: 4,
-                                resource: 0,
-                            },
-                        ],
-                    },
-                    evaluate: Some(true),
-                    seq: None,
-                }),
-            },
-            Request {
-                id: 3,
-                op: Op::Stats(crate::protocol::StatsOp { session: None }),
-            },
-        ]);
-        let mut output = Vec::new();
-        let shutdown = AtomicBool::new(false);
-        serve_connection(input.as_slice(), &mut output, config, &shutdown).unwrap();
-        let mut reader = StdBufReader::new(output.as_slice());
-        let mut snapshot = None;
-        while let Some(response) = read_response(&mut reader).unwrap() {
-            if let Frame::Stats(frame) = response.frame {
-                assert_eq!(response.id, 3);
-                snapshot = Some(frame.stats);
-            }
-        }
-        let snapshot = snapshot.expect("stats op must answer with a stats frame");
-        assert_eq!(snapshot.counters.admits, 1);
-        assert_eq!(snapshot.ops["admit"].samples, 1);
-        // Five paper-suite solvers each produced one verdict, each
-        // classified as exactly one of warm / cold / implied.
-        assert_eq!(
-            snapshot.counters.warm_decides
-                + snapshot.counters.cold_decides
-                + snapshot.counters.implied_decides,
-            5
-        );
-        // The in-flight snapshot saw this connection attached; after the
-        // connection loop returned, the guard detached it.
-        assert_eq!(snapshot.gauges.attached_clients, 1);
-        assert_eq!(stats.snapshot().gauges.attached_clients, 0);
-    }
-
-    #[test]
-    fn shutdown_raises_the_flag_and_ends_the_connection() {
-        let input = request_lines(&[
-            Request {
-                id: 1,
-                op: Op::Shutdown(crate::protocol::ShutdownOp {}),
-            },
-            Request {
-                id: 2,
-                op: Op::Status(StatusOp {}),
-            },
-        ]);
-        let mut output = Vec::new();
-        let shutdown = AtomicBool::new(false);
-        serve_connection(
-            input.as_slice(),
-            &mut output,
-            crate::session::SessionConfig::default(),
-            &shutdown,
-        )
-        .unwrap();
-        assert!(shutdown.load(Ordering::SeqCst));
-        let mut reader = StdBufReader::new(output.as_slice());
-        let first = read_response(&mut reader).unwrap().unwrap();
-        assert_eq!(first.id, 1);
-        assert!(matches!(first.frame, Frame::Done(_)));
-        // The status request after shutdown was never processed.
-        assert!(read_response(&mut reader).unwrap().is_none());
     }
 }

@@ -145,11 +145,9 @@ pub struct AdmitOutcome {
 }
 
 impl AdmitOutcome {
-    /// The wire frame reporting this decision — the one encoding shared
-    /// by the classic and the cluster connection loop (`seq` is the
-    /// cluster-mode decision sequence number, `None` in classic mode;
-    /// `deduped` marks a seq-idempotent replay ack that re-applied
-    /// nothing).
+    /// The wire frame reporting this decision (`seq` is the session's
+    /// decision sequence number; `deduped` marks a seq-idempotent replay
+    /// ack that re-applied nothing).
     #[must_use]
     pub fn to_frame(&self, decider: &str, seq: Option<u64>, deduped: bool) -> AdmitFrame {
         AdmitFrame {
@@ -226,8 +224,7 @@ pub struct SessionStatus {
 }
 
 impl SessionStatus {
-    /// The wire frame reporting this status — the one encoding shared
-    /// by the classic and the cluster connection loop.
+    /// The wire frame reporting this status.
     #[must_use]
     pub fn to_frame(&self) -> StatusFrame {
         StatusFrame {
@@ -313,8 +310,8 @@ pub struct AdmissionSession {
     /// (newest last, capped at [`DECISION_LOG_CAP`]).
     decision_log: Vec<DecisionRecord>,
     /// Name this session's stats flight events carry (the cluster
-    /// store sets its session name; the classic single-session daemon
-    /// leaves it unset). Not part of [`SessionImage`] — the owner
+    /// store sets a named session's name; a connection's private
+    /// session has none). Not part of [`SessionImage`] — the owner
     /// re-labels after a restore.
     stats_label: Option<String>,
 }

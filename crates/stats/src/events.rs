@@ -61,8 +61,8 @@ pub enum EventKind {
 ///
 /// `session` and `op_seq` are filled when the recording seam knows them
 /// (the cluster store labels its sessions; the session layer knows its
-/// own decision seq) and `None` otherwise, so the classic single-session
-/// daemon records unlabeled events through the same seams.
+/// own decision seq) and `None` otherwise, so a connection's private
+/// session records unlabeled events through the same seams.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Event {
     /// Recorder-assigned monotonic sequence number (1-based).

@@ -1,8 +1,8 @@
 //! `msmr-stats` — live observability for the admission daemons.
 //!
-//! The daemons of this workspace (`msmr-served` classic and `--cluster`)
-//! serve online admission traffic, but until this crate the only
-//! visibility was post-hoc `BENCH_kernels.json` entries. `msmr-stats`
+//! The daemon of this workspace (`msmr-served`, with or without
+//! `--cluster`) serves online admission traffic, but until this crate
+//! the only visibility was post-hoc `BENCH_kernels.json` entries. `msmr-stats`
 //! is the missing live layer, modeled on sched_ext's `scx_stats` +
 //! `scxtop` split: a small serializable metrics model, a lock-cheap
 //! registry every layer feeds, and tooling on top.
@@ -21,8 +21,8 @@
 //!   ([`model`]): counters, gauges (live sessions per shard, worker
 //!   queue depth), per-op latency percentiles, a per-solver work table
 //!   aggregated from [`msmr_sched::SolverStats`], and per-session rows.
-//!   It travels two ways: as the protocol-v4 `stats` op answered by both
-//!   daemons, and over the [`listener`] side channel (`--stats-addr`) so
+//!   It travels two ways: as the protocol-v4 `stats` op, and over the
+//!   [`listener`] side channel (`--stats-addr`) so
 //!   scraping never competes with admission traffic. The side channel
 //!   also upgrades to a streaming mode — one baseline snapshot, then
 //!   periodic [`StatsDelta`] frames whose fold reproduces the live

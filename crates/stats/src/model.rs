@@ -5,7 +5,7 @@
 //! side channel — and what `msmr-top` renders. Counters are monotonic
 //! since daemon boot; gauges are sampled at snapshot time by whichever
 //! layer owns them (the cluster engine fills per-shard session counts
-//! and worker-queue depth, the classic server leaves them at their
+//! and worker-queue depth; a bare registry snapshot leaves them at their
 //! defaults); latency percentiles come from the fixed-size rings.
 //!
 //! Every type here (de)serializes through the vendored serde, so maps
@@ -57,7 +57,7 @@ pub struct StatsGauges {
     pub attached_clients: u64,
     /// Live sessions across all shards.
     pub live_sessions: u64,
-    /// Live sessions per store shard (empty for the classic server).
+    /// Live named sessions per store shard.
     pub sessions_per_shard: Vec<u64>,
     /// Tasks waiting in the worker-pool queue.
     pub queue_depth: u64,

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Boots the admission daemon on a Unix socket, replays a workload trace
-# through the client with offline verdict verification, and shuts the
-# daemon down. Fails on non-zero exit (including any verdict mismatch).
+# Boots the admission daemon in its default mode on a Unix socket and
+# drives both kinds of session through the one daemon: a verified replay
+# on the connection's private session, the same on a named session that a
+# second connection then sees, and a shutdown that snapshots the named
+# one. Fails on non-zero exit (including any verdict mismatch).
 #
 # Usage: scripts/service_smoke.sh [jobs] [seed]
 set -euo pipefail
@@ -9,17 +11,18 @@ set -euo pipefail
 JOBS="${1:-40}"
 SEED="${2:-7}"
 SOCK="${TMPDIR:-/tmp}/msmr-smoke-$$.sock"
+SNAPDIR="${TMPDIR:-/tmp}/msmr-smoke-$$-snapshots"
 SERVED="target/release/msmr-served"
 ADMIT="target/release/msmr-admit"
 
 # msmr-admit lives in msmr-serve; the msmr-served daemon in msmr-cluster.
 cargo build --release -p msmr-serve -p msmr-cluster
 
-"$SERVED" --uds "$SOCK" &
+"$SERVED" --uds "$SOCK" --snapshot-dir "$SNAPDIR" &
 SERVED_PID=$!
 cleanup() {
     kill "$SERVED_PID" 2>/dev/null || true
-    rm -f "$SOCK"
+    rm -rf "$SOCK" "$SNAPDIR"
 }
 trap cleanup EXIT
 
@@ -34,8 +37,23 @@ done
 # online seam; --verify byte-checks every admit *and* withdraw verdict
 # stream against offline evaluate.
 "$ADMIT" --uds "$SOCK" --replay --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
+
+# The same daemon serves named sessions: the replay again, attached to
+# `smoke`; a second connection attaching by name sees the jobs the first
+# one left (its private predecessor above left nothing behind).
+"$ADMIT" --uds "$SOCK" --session smoke --replay --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
+"$ADMIT" --uds "$SOCK" --session smoke --status | grep -Eq '"jobs":[1-9]' || {
+    echo "a second connection did not see the named session's jobs" >&2
+    exit 1
+}
+
+# The graceful shutdown snapshots the named session (and only it).
 "$ADMIT" --uds "$SOCK" --shutdown
 wait "$SERVED_PID"
+[ "$(ls "$SNAPDIR")" = "smoke.json" ] || {
+    echo "shutdown did not leave exactly smoke.json in $SNAPDIR" >&2
+    exit 1
+}
 trap - EXIT
-rm -f "$SOCK"
+rm -rf "$SOCK" "$SNAPDIR"
 echo "service smoke: OK"
