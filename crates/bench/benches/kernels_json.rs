@@ -1,9 +1,9 @@
 //! Machine-readable kernel benchmarks: measures the analysis kernels,
-//! the OPT search, the fig4d admission controllers, the batch throughput
-//! and the admission service, then **appends** the run — keyed by git SHA
-//! and timestamp — to the history in `BENCH_kernels.json` at the
-//! workspace root so the performance trajectory is tracked commit over
-//! commit (legacy single-run files are migrated in place).
+//! the simulator, DCMP, the OPT search and the online admit/withdraw
+//! kernels, then **appends** the run — keyed by git SHA and timestamp —
+//! to the history in `BENCH_kernels.json` at the workspace root so the
+//! performance trajectory is tracked commit over commit. It is the
+//! file's only writer.
 //!
 //! Environment:
 //! * `MSMR_BENCH_FAST=1` — smoke-test proportions (CI uses the
@@ -25,7 +25,7 @@ fn main() {
     let path = if fast && std::env::var_os("MSMR_BENCH_OUT").is_none() {
         std::env::temp_dir().join("BENCH_kernels.fast.json")
     } else {
-        msmr_bench::default_report_path()
+        msmr_report::default_report_path()
     };
     let history = report
         .append_to(&path)

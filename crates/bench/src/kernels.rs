@@ -1,12 +1,12 @@
 //! The JSON kernel-benchmark harness behind `BENCH_kernels.json`.
 
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
-use msmr_experiments::{admission_rejects, evaluation_budget, evaluation_registry, Approach};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
 use msmr_sched::{Dcmp, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
 
-use crate::report::BenchReport;
+use msmr_report::BenchReport;
+
 use crate::{generate_case, paper_config, small_config, BENCH_SEED};
 
 /// The Observation V.1 instance (four jobs, feasible only pairwise).
@@ -129,44 +129,6 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
         samples.min(5),
         1,
         || deep_solver.assign_with_stats(&deep_analysis),
-    );
-
-    // --- fig4d admission-controller kernels ------------------------------
-    let admission_jobs = if fast {
-        generate_case(&small_config(16).with_beta(0.2), BENCH_SEED)
-    } else {
-        generate_case(&paper_config().with_beta(0.2), BENCH_SEED)
-    };
-    for approach in [Approach::Opdca, Approach::Dmr, Approach::Dm] {
-        report.time_ns(&format!("admission/{approach}"), samples.min(5), 1, || {
-            admission_rejects(approach, &admission_jobs)
-        });
-    }
-
-    // --- batch throughput -------------------------------------------------
-    let (batch_size, batch_jobs, opt_limit) = if fast {
-        (4, 12, 5_000)
-    } else {
-        (16, 40, 50_000)
-    };
-    let batch: Vec<JobSet> = (0..batch_size)
-        .map(|i| generate_case(&small_config(batch_jobs), BENCH_SEED.wrapping_add(i as u64)))
-        .collect();
-    let registry = evaluation_registry();
-    let budget = evaluation_budget(opt_limit);
-    let threads = msmr_par::default_threads();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let verdicts = registry.evaluate_batch(&batch, budget, threads);
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(verdicts.len(), batch.len());
-        best = best.min(elapsed);
-    }
-    report.record(
-        "batch_throughput/cases_per_sec",
-        batch.len() as f64 / best.max(1e-12),
-        "cases/sec",
     );
 
     // --- online solver seam -------------------------------------------------

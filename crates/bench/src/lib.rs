@@ -1,33 +1,18 @@
-//! Shared helpers for the criterion benchmarks that regenerate the paper's
-//! evaluation figures.
+//! Shared helpers for the ns-scale kernel benchmarks.
 //!
-//! Every figure of the paper has a matching bench target
-//! (`fig4a`–`fig4d`); each target first prints the figure's data series
-//! (acceptance ratios or rejected heaviness, at a reduced number of test
-//! cases so `cargo bench` stays tractable) and then measures the runtime of
-//! the underlying analysis on representative test cases. The additional
-//! `scalability` and `analysis_kernels` targets benchmark how the
-//! algorithms scale with the number of jobs and the cost of the individual
-//! analysis kernels.
+//! This crate times kernels only: the criterion targets `scalability`
+//! (how the algorithms scale with the number of jobs) and
+//! `analysis_kernels` (the individual analysis kernels), and the
+//! `kernels_json` harness that appends a run to `BENCH_kernels.json`.
+//! Anything that crosses a socket or a thread — and the Fig. 4 sweep —
+//! is measured by the standalone `benchmark/` package (`fig4_batch`,
+//! `admit_*`, `evaluate_direct`), not here.
 
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 mod kernels;
 
-/// Re-export of the `msmr-report` reporting schema (this crate's
-/// historical home for it), so existing `msmr_bench::report::…` paths
-/// keep working.
-pub use msmr_report as report;
-
 pub use kernels::run_kernel_report;
-pub use msmr_report::{
-    check_trend, default_report_path, BenchHistory, BenchRecord, BenchReport, BenchRun, Regression,
-    TrendConfig, TrendReport,
-};
-
-/// Number of test cases used for the data tables printed by the figure
-/// benches (the standalone `fig4*` binaries default to the paper's 100).
-pub const BENCH_CASES: usize = 5;
 
 /// Base seed shared by every bench so results are reproducible.
 pub const BENCH_SEED: u64 = 2024;

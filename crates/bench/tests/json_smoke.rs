@@ -4,7 +4,8 @@
 //! clobbering them, so the `BENCH_kernels.json` pipeline cannot bit-rot
 //! between releases.
 
-use msmr_bench::{run_kernel_report, BenchHistory, BenchReport};
+use msmr_bench::run_kernel_report;
+use msmr_report::{BenchHistory, BenchReport};
 
 #[test]
 fn fast_kernel_report_is_complete_and_parseable() {
@@ -21,10 +22,6 @@ fn fast_kernel_report_is_complete_and_parseable() {
         "sim/completions_ns",
         "dcmp/solve_ns",
         "opt_search/observation_v1",
-        "admission/OPDCA",
-        "admission/DMR",
-        "admission/DM",
-        "batch_throughput/cases_per_sec",
         "online_admit_warm",
         "online_admit_cold",
         "withdraw_mid",

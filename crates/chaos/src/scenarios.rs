@@ -147,7 +147,7 @@ fn verify_accounting(
         if samples != expected || total != expected {
             return Err(format!(
                 "{context}: op `{op}` histograms hold {total} sample(s) \
-                 (ring total {samples}), the surviving history decided {expected}"
+                 (stored total {samples}), the surviving history decided {expected}"
             ));
         }
     }

@@ -4,18 +4,17 @@
 //! ```text
 //! msmr-loadgen (--tcp ADDR | --uds PATH) [--clients M] [--sessions K]
 //!              [--jobs N] [--seed S] [--evaluate] [--verify]
-//!              [--bound NAME] [--opt-nodes N] [--retries R] [--no-record]
-//!              [--check-stats]
+//!              [--bound NAME] [--opt-nodes N] [--retries R] [--check-stats]
 //! ```
 //!
 //! Drives `M` concurrent client connections over `K` named shared
 //! sessions (`loadgen-<seed>-<k>`): each session gets a seeded
 //! `msmr-workload` arrival trace of `N` jobs, and the session's clients
 //! split that trace round-robin, admitting concurrently. Typed overload
-//! responses are retried with backoff (and counted). The run reports
-//! aggregate requests/sec plus p50/p99 admit latency, and appends them
-//! to the `BENCH_kernels.json` run history (`MSMR_BENCH_OUT` overrides
-//! the path; `--no-record` skips the append).
+//! responses are retried with backoff (and counted). The run prints
+//! aggregate requests/sec plus p50/p99 admit latency; it is a smoke
+//! driver and records no bench history — socket-scale numbers are the
+//! standalone `benchmark/` package's job.
 //!
 //! With `--verify`, every session's interleaved decision history is
 //! re-ordered by the admit frames' `seq` numbers and replayed through a
@@ -41,7 +40,6 @@ use std::time::{Duration, Instant};
 
 use msmr_dca::DelayBoundKind;
 use msmr_model::JobSet;
-use msmr_report::{default_report_path, BenchReport};
 use msmr_serve::protocol::{AdmitOp, Frame, JobSpec, Op, StatsOp, SubmitOp, WithdrawOp};
 use msmr_serve::{
     normalized_verdict_json, parse_bound, percentile_us, AdmissionSession, Client, Endpoint,
@@ -61,14 +59,12 @@ struct Options {
     opt_nodes: u64,
     decider: String,
     retries: usize,
-    record: bool,
     withdraw_ratio: f64,
     check_stats: bool,
-    chaos_seed: Option<u64>,
 }
 
 fn usage() -> &'static str {
-    "usage: msmr-loadgen (--tcp ADDR | --uds PATH) [options]\n\n  --clients M     concurrent client connections (default 4)\n  --sessions K    named shared sessions the clients spread over (default 2)\n  --jobs N        arrival-trace length per session (default 40)\n  --seed S        workload seed (default 2024)\n  --evaluate      stream the full solver suite per admit\n  --verify        verify verdicts against a serialized offline replay (implies --evaluate)\n  --bound NAME    delay bound, must match the daemon's (default eq10)\n  --opt-nodes N   exact-engine node budget, must match the daemon's (default 200000)\n  --decider NAME  deciding solver, must match the daemon's (default OPDCA)\n  --retries R     max retries per admit on typed overload responses (default 100)\n  --withdraw-ratio F  withdraw one of the client's admitted jobs after each admit with probability F\n  --check-stats   assert the daemon's stats counters equal this run's tallies (fresh daemon)\n  --chaos-seed S  record the chaos-schedule seed of the harness driving this run;\n                  printed on any failure so the exact fault schedule can be replayed\n  --no-record     do not append the results to the BENCH_kernels.json history"
+    "usage: msmr-loadgen (--tcp ADDR | --uds PATH) [options]\n\n  --clients M     concurrent client connections (default 4)\n  --sessions K    named shared sessions the clients spread over (default 2)\n  --jobs N        arrival-trace length per session (default 40)\n  --seed S        workload seed (default 2024)\n  --evaluate      stream the full solver suite per admit\n  --verify        verify verdicts against a serialized offline replay (implies --evaluate)\n  --bound NAME    delay bound, must match the daemon's (default eq10)\n  --opt-nodes N   exact-engine node budget, must match the daemon's (default 200000)\n  --decider NAME  deciding solver, must match the daemon's (default OPDCA)\n  --retries R     max retries per admit on typed overload responses (default 100)\n  --withdraw-ratio F  withdraw one of the client's admitted jobs after each admit with probability F\n  --check-stats   assert the daemon's stats counters equal this run's tallies (fresh daemon)"
 }
 
 fn parse_options() -> Result<Options, String> {
@@ -85,10 +81,8 @@ fn parse_options() -> Result<Options, String> {
         opt_nodes: 200_000,
         decider: "OPDCA".to_string(),
         retries: 100,
-        record: true,
         withdraw_ratio: 0.0,
         check_stats: false,
-        chaos_seed: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -133,14 +127,6 @@ fn parse_options() -> Result<Options, String> {
                     .ok_or("invalid --withdraw-ratio value (need 0.0..=1.0)")?;
             }
             "--check-stats" => options.check_stats = true,
-            "--chaos-seed" => {
-                options.chaos_seed = Some(
-                    value("--chaos-seed")?
-                        .parse()
-                        .map_err(|_| "invalid --chaos-seed value".to_string())?,
-                );
-            }
-            "--no-record" => options.record = false,
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -575,7 +561,7 @@ fn run(options: &Options) -> Result<bool, String> {
         })
         .count();
     // `latencies` holds one sample per round trip — admits *and*
-    // withdraws — so the recorded req/sec matches the wall time spent.
+    // withdraws — so the printed req/sec matches the wall time spent.
     let requests = latencies.len();
     let req_per_sec = requests as f64 / elapsed.as_secs_f64().max(1e-9);
     let p50 = percentile_us(&latencies, 0.50);
@@ -631,34 +617,6 @@ fn run(options: &Options) -> Result<bool, String> {
         )?;
     }
 
-    if options.record {
-        // The log-bucket histogram over the same samples: its p50/p99
-        // estimates land in BENCH_kernels.json as their own series, so
-        // `check_trend` gates drift of the coarse distribution too.
-        let histo = msmr_stats::LatencyHisto::new();
-        for &latency in &latencies {
-            histo.record(latency.round() as u64);
-        }
-        let mut report = BenchReport::new(false);
-        report.record("loadgen/requests_per_sec", req_per_sec, "req/sec");
-        report.record("loadgen/admit_p50_us", p50, "us");
-        report.record("loadgen/admit_p99_us", p99, "us");
-        report.record(
-            "loadgen/admit_histo_p50_us",
-            histo.percentile_us(0.50),
-            "us",
-        );
-        report.record(
-            "loadgen/admit_histo_p99_us",
-            histo.percentile_us(0.99),
-            "us",
-        );
-        report.record("loadgen/overload_retries", overload_retries as f64, "count");
-        let path = default_report_path();
-        report.append_to(&path).map_err(|e| e.to_string())?;
-        println!("loadgen: appended run to {}", path.display());
-    }
-
     Ok(mismatches != 0)
 }
 
@@ -678,12 +636,8 @@ fn main() -> ExitCode {
         }
     };
     if failed {
-        // Any failure under a chaos harness prints the fault-schedule
-        // seed, so the exact interleaving that broke is one flag away.
-        if let Some(seed) = options.chaos_seed {
-            eprintln!("msmr-loadgen: chaos seed was {seed}");
-        }
-        return ExitCode::FAILURE;
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    ExitCode::SUCCESS
 }

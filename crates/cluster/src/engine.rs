@@ -277,7 +277,7 @@ impl ClusterEngine {
 
     /// One live stats snapshot with the engine-level gauges and
     /// per-session rows filled in: the registry knows counters, latency
-    /// rings and per-solver rows, while session/shard/queue occupancy
+    /// histograms and per-solver rows, while session/shard/queue occupancy
     /// lives here. Feeds both the protocol's `stats` op and the
     /// `--stats-addr` side channel.
     #[must_use]

@@ -50,8 +50,9 @@
 //! `--shards`/`--workers`/`--queue`/`--snapshot-dir`/`--session-ttl`
 //! size this engine, `--cluster` starts connections unbound) and
 //! `msmr-loadgen` (drives M concurrent clients over K named sessions
-//! from seeded workload traces and reports aggregate req/sec and
-//! p50/p99 admit latency into the `BENCH_kernels.json` run history).
+//! from seeded workload traces, verifies the interleaved history and
+//! prints aggregate req/sec and p50/p99 admit latency — the smoke
+//! scripts' driver; bench history is `benchmark/`'s).
 //!
 //! # Worked transcript
 //!

@@ -6,10 +6,11 @@
 //!
 //! Loads the benchmark run history (default: the workspace's
 //! `BENCH_kernels.json`, `MSMR_BENCH_OUT` respected), compares the
-//! latest non-fast run against the best value each kernel achieved over
-//! the previous `N` runs, and exits non-zero when any kernel regressed
-//! beyond the tolerance. See `msmr_report::trend` for the comparison
-//! semantics.
+//! latest non-fast run against the best value each of its kernels
+//! achieved over the previous `N` recordings, and exits non-zero when
+//! any kernel regressed beyond the tolerance; series the latest run no
+//! longer records are listed as `retired` notes. See
+//! `msmr_report::trend` for the comparison semantics.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -7,9 +7,9 @@
 //! by git SHA and timestamp — to the [`BenchHistory`] in
 //! `BENCH_kernels.json` at the workspace root (override with the
 //! `MSMR_BENCH_OUT` environment variable) instead of clobbering previous
-//! measurements; legacy single-run v1 files are migrated in place. A fast
-//! variant of the same harness runs as an ordinary `#[test]` in CI so the
-//! report cannot bit-rot.
+//! measurements, and is the history's only writer. A fast variant of the
+//! same harness runs as an ordinary `#[test]` in CI so the report cannot
+//! bit-rot.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -100,15 +100,6 @@ impl BenchReport {
         serde_json::to_string(self).expect("report serialization cannot fail")
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the file.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
     /// Prints a human-readable table of the measurements.
     pub fn print_table(&self) {
         for record in &self.results {
@@ -161,13 +152,12 @@ impl BenchHistory {
     pub const SCHEMA: &'static str = "msmr-bench-kernels/2";
 
     /// Loads the history at `path`. A missing file yields an empty
-    /// history; a legacy v1 single-report file is migrated into a
-    /// one-run history (SHA `"pre-history"`, timestamp 0).
+    /// history.
     ///
     /// # Errors
     ///
-    /// Returns an `InvalidData` error when the file exists but parses as
-    /// neither schema, and propagates other I/O errors.
+    /// Returns an `InvalidData` error when the file exists but is not a
+    /// v2 history, and propagates other I/O errors.
     pub fn load(path: &Path) -> std::io::Result<BenchHistory> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -176,24 +166,12 @@ impl BenchHistory {
             }
             Err(e) => return Err(e),
         };
-        if let Ok(history) = serde_json::from_str::<BenchHistory>(&text) {
-            return Ok(history);
-        }
-        match serde_json::from_str::<BenchReport>(&text) {
-            Ok(legacy) => Ok(BenchHistory {
-                schema: BenchHistory::SCHEMA.to_string(),
-                runs: vec![BenchRun {
-                    git_sha: "pre-history".to_string(),
-                    unix_time: 0,
-                    fast: legacy.fast,
-                    results: legacy.results,
-                }],
-            }),
-            Err(e) => Err(std::io::Error::new(
+        serde_json::from_str(&text).map_err(|e| {
+            std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("{}: neither v2 history nor v1 report: {e}", path.display()),
-            )),
-        }
+                format!("{}: not a v2 bench history: {e}", path.display()),
+            )
+        })
     }
 
     /// Writes the history to `path`.
@@ -231,8 +209,7 @@ impl BenchReport {
     }
 
     /// Appends this report as one run to the history at `path` (creating
-    /// it, or migrating a legacy v1 file, as needed) and returns the
-    /// updated history.
+    /// it as needed) and returns the updated history.
     ///
     /// # Errors
     ///
@@ -331,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_reports_migrate_into_the_history() {
+    fn v1_single_report_files_are_invalid_data() {
         let path = std::env::temp_dir().join(format!(
             "msmr_bench_v1_{}_{:?}.json",
             std::process::id(),
@@ -339,19 +316,14 @@ mod tests {
         ));
         let mut legacy = BenchReport::new(false);
         legacy.record("kernel/a", 3.5, "ns/op");
-        legacy.write_json(&path).unwrap();
+        std::fs::write(&path, legacy.to_json()).unwrap();
 
-        let history = BenchHistory::load(&path).unwrap();
-        assert_eq!(history.runs.len(), 1);
-        assert_eq!(history.runs[0].git_sha, "pre-history");
-        assert_eq!(history.runs[0].results, legacy.results);
-
-        // Appending on top of a legacy file keeps the migrated run.
-        let mut fresh = BenchReport::new(true);
-        fresh.record("kernel/a", 3.0, "ns/op");
-        let history = fresh.append_to(&path).unwrap();
-        assert_eq!(history.runs.len(), 2);
-        assert_eq!(history.runs[0].git_sha, "pre-history");
+        let error = BenchHistory::load(&path).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+        // Appending refuses too, and leaves the file as it found it.
+        let error = legacy.append_to(&path).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), legacy.to_json());
         let _ = std::fs::remove_file(&path);
     }
 

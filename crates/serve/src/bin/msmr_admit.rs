@@ -25,8 +25,8 @@
 //!
 //! With `--json` the replay summary is printed as one machine-readable
 //! JSON line instead of prose — counts (admitted / rejected / withdrawn /
-//! overloads / verify mismatches) plus nearest-rank p50/p99 admit
-//! latency computed through the shared [`msmr_stats::LatencyRing`].
+//! overloads / verify mismatches) plus exact nearest-rank p50/p99 admit
+//! latency and the same samples in the daemon's log-bucket form.
 //!
 //! With `--session NAME` the client first attaches to that named shared
 //! session; without it, it works on the connection's private session (a
@@ -89,10 +89,9 @@ struct ReplayOptions {
 }
 
 /// The `--replay --json` machine-readable run summary, one JSON line.
-/// The percentiles are nearest-rank over the full latency sample set,
-/// computed through the same [`msmr_stats::LatencyRing`] the daemon's
-/// stats registry uses, so client- and daemon-side numbers share one
-/// definition.
+/// The client holds every round-trip sample, so `admit_p50_us` /
+/// `admit_p99_us` are exact nearest-rank percentiles; `admit_histo_*`
+/// are the same samples in the log-bucket form of the daemon's stats.
 #[derive(Debug, Serialize)]
 struct ReplaySummary {
     /// Arrivals sent (each one `admit` round-trip).
@@ -129,17 +128,16 @@ struct ReplaySummary {
 }
 
 impl ReplaySummary {
-    /// Builds the summary, routing the latency samples through a
-    /// [`msmr_stats::LatencyRing`] sized to hold the full set, plus the
-    /// same log-bucket [`msmr_stats::LatencyHisto`] the daemon's stats
-    /// registry keeps — so client- and daemon-side numbers share both
-    /// definitions.
+    /// Builds the summary from the samples rounded to whole microseconds:
+    /// exact [`msmr_stats::nearest_rank`] percentiles plus the log-bucket
+    /// [`msmr_stats::LatencyHisto`] the daemon's stats registry keeps.
     fn new(latencies_us: &[f64], admitted: u64, rejected: u64, withdrawn: u64) -> Self {
-        let ring = msmr_stats::LatencyRing::new(latencies_us.len().max(1));
         let histo = msmr_stats::LatencyHisto::new();
+        let mut micros = Vec::with_capacity(latencies_us.len());
         for &latency in latencies_us {
-            ring.record(latency.round() as u64);
-            histo.record(latency.round() as u64);
+            let rounded = latency.round() as u64;
+            histo.record(rounded);
+            micros.push(rounded as f64);
         }
         ReplaySummary {
             requests: latencies_us.len() as u64,
@@ -148,8 +146,8 @@ impl ReplaySummary {
             withdrawn,
             overloads: 0,
             verify_mismatches: 0,
-            admit_p50_us: ring.percentile_us(0.50),
-            admit_p99_us: ring.percentile_us(0.99),
+            admit_p50_us: msmr_stats::nearest_rank(&micros, 0.50),
+            admit_p99_us: msmr_stats::nearest_rank(&micros, 0.99),
             deduped_ops: 0,
             admit_histo_buckets: histo.counts(),
             admit_histo_p50_us: histo.percentile_us(0.50),

@@ -76,6 +76,8 @@
 //!   engine gauges (queue, workers, shards, session rows) it used to
 //!   leave at zero. Everything a `--cluster` client sees is
 //!   byte-unchanged.
+//! * **v5 (one latency view)**: stats payload: `ops.*` lose
+//!   `p50_us`/`p99_us`, no wire-shape change elsewhere, no version bump.
 //!
 //! # The seq-idempotency rule (v5)
 //!
@@ -810,14 +812,7 @@ mod tests {
                         stats.gauges.sessions_per_shard = vec![1, 0, 2];
                         stats.ops.insert(
                             "admit".to_string(),
-                            msmr_stats::OpLatency {
-                                samples: 12,
-                                p50_us: 51.0,
-                                p99_us: 130.0,
-                                histo_buckets: vec![0, 0, 0, 0, 0, 0, 9, 3],
-                                histo_p50_us: 63.0,
-                                histo_p99_us: 127.0,
-                            },
+                            msmr_stats::OpLatency::from_counts(vec![0, 0, 0, 0, 0, 0, 9, 3]),
                         );
                         stats
                     },

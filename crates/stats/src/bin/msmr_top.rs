@@ -2,9 +2,10 @@
 //! channel, in the spirit of `scxtop`.
 //!
 //! Default mode polls a `--stats-addr` listener and redraws a compact
-//! dashboard: counters, warm/cold ratio, per-op p50/p99, a worker
-//! queue-depth sparkline across polls, and per-solver / per-session
-//! tables. `--tui` switches to a full-screen mode on the terminal's
+//! dashboard: counters, warm/cold ratio, per-op p50/p99 (histogram
+//! estimates: upper bucket edges), a worker queue-depth sparkline
+//! across polls, and per-solver / per-session tables. `--tui`
+//! switches to a full-screen mode on the terminal's
 //! alternate screen (plain ANSI, no terminal library): the same
 //! counters plus log-bucket latency **distribution sparklines** per
 //! op, per-shard session occupancy bars and a per-solver latency
@@ -18,10 +19,10 @@
 //! scripting modes double as the CI validators:
 //!
 //! * `--once` prints one raw JSON snapshot (optionally asserting
-//!   `--min-admits N`; when asserted, the per-op histograms must also
-//!   be populated and agree with the ring p99 within one log bucket),
-//!   so shell scripts can check the side channel without a JSON tool
-//!   dependency. Its output is raw snapshot JSON — byte-stable for CI
+//!   `--min-admits N`; when asserted, every op's stored sample total
+//!   and percentile estimates must also be the ones its own histogram
+//!   buckets yield), so shell scripts can check the side channel
+//!   without a JSON tool dependency. Its output is raw snapshot JSON — byte-stable for CI
 //!   regardless of the dashboard modes.
 //! * `--check-trace FILE` validates a `--trace-out` file as
 //!   trace-event JSON (optionally asserting `--expect-spans N` exact
@@ -58,10 +59,9 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use msmr_stats::ring::DEFAULT_RING_SLOTS;
 use msmr_stats::{
-    bucket_bounds, bucket_index, fetch_flight_dump, fetch_stats_json, parse_trace, validate_trace,
-    Event, EventKind, FlightDump, LatencyHisto, StatsSnapshot, StatsStream, TraceEvents,
+    bucket_bounds, fetch_flight_dump, fetch_stats_json, parse_trace, validate_trace, Event,
+    EventKind, FlightDump, LatencyHisto, OpLatency, StatsSnapshot, StatsStream, TraceEvents,
     TraceSummary,
 };
 
@@ -349,11 +349,11 @@ fn render(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
     let mut out = String::new();
     out.push_str("msmr-top — admission daemon live stats\n\n");
     out.push_str(&render_header(snapshot, depths));
-    out.push_str("\nop        samples      p50 µs      p99 µs\n");
+    out.push_str("\nop        samples    p50 ≤ µs    p99 ≤ µs   (histogram bucket upper edges)\n");
     for (name, lat) in &snapshot.ops {
         out.push_str(&format!(
             "{name:<10}{:>7}  {:>10.1}  {:>10.1}\n",
-            lat.samples, lat.p50_us, lat.p99_us
+            lat.samples, lat.histo_p50_us, lat.histo_p99_us
         ));
     }
     if !snapshot.solvers.is_empty() {
@@ -404,13 +404,13 @@ fn render_tui(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
     out.push_str(&render_header(snapshot, depths));
 
     out.push_str("\nlatency distributions (log-bucket, since boot)\n");
-    out.push_str("op        samples   ring p50/p99 µs   histo p50/p99 µs  distribution\n");
+    out.push_str("op        samples   p50/p99 ≤ µs (bucket upper edges)  distribution\n");
     for (name, lat) in &snapshot.ops {
         let (glyphs, range) = histo_sparkline(&lat.histo_buckets)
             .unwrap_or_else(|| ("".to_string(), "no samples".to_string()));
         out.push_str(&format!(
-            "{name:<10}{:>7}  {:>7.1}/{:<8.1} {:>7.1}/{:<8.1} {} {}\n",
-            lat.samples, lat.p50_us, lat.p99_us, lat.histo_p50_us, lat.histo_p99_us, glyphs, range
+            "{name:<10}{:>7}  {:>7.1}/{:<8.1} {} {}\n",
+            lat.samples, lat.histo_p50_us, lat.histo_p99_us, glyphs, range
         ));
     }
 
@@ -460,33 +460,24 @@ fn render_tui(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
     out
 }
 
-/// The `--once --min-admits` histogram cross-check: every op that
-/// recorded samples must carry a populated histogram whose total
-/// matches the sample count, and — while the ring window still holds
-/// every sample — a histogram p99 estimate in the same (±1) log bucket
-/// as the ring p99.
+/// The `--once --min-admits` histogram validation: every op's stored
+/// sample total and percentile estimates must be exactly what its own
+/// buckets yield — a snapshot is one consistent copy of each histogram,
+/// even when taken mid-burst.
 fn verify_histograms(snapshot: &StatsSnapshot) -> Result<(), String> {
     for (name, lat) in &snapshot.ops {
-        if lat.samples == 0 {
-            continue;
-        }
-        let total: u64 = lat.histo_buckets.iter().sum();
-        if total != lat.samples {
+        let derived = OpLatency::from_counts(lat.histo_buckets.clone());
+        if *lat != derived {
             return Err(format!(
-                "op `{name}`: histogram holds {total} samples but the ring recorded {}",
-                lat.samples
+                "op `{name}`: stored samples {} / p50 {:.1}µs / p99 {:.1}µs, but its histogram \
+                 buckets yield samples {} / p50 {:.1}µs / p99 {:.1}µs",
+                lat.samples,
+                lat.histo_p50_us,
+                lat.histo_p99_us,
+                derived.samples,
+                derived.histo_p50_us,
+                derived.histo_p99_us
             ));
-        }
-        if lat.samples <= DEFAULT_RING_SLOTS as u64 {
-            let ring_bucket = bucket_index(lat.p99_us as u64);
-            let histo_bucket = bucket_index(lat.histo_p99_us as u64);
-            if ring_bucket.abs_diff(histo_bucket) > 1 {
-                return Err(format!(
-                    "op `{name}`: histogram p99 {:.1}µs (bucket {histo_bucket}) disagrees with \
-                     ring p99 {:.1}µs (bucket {ring_bucket}) by more than one bucket",
-                    lat.histo_p99_us, lat.p99_us
-                ));
-            }
         }
     }
     Ok(())
@@ -908,7 +899,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msmr_stats::{OpLatency, SessionRow, SolverRow};
+    use msmr_stats::{SessionRow, SolverRow};
 
     fn sample_snapshot() -> StatsSnapshot {
         let mut snapshot = StatsSnapshot::default();
@@ -921,14 +912,7 @@ mod tests {
         snapshot.gauges.queue_capacity = 64;
         snapshot.ops.insert(
             "admit".into(),
-            OpLatency {
-                samples: 12,
-                p50_us: 51.0,
-                p99_us: 130.0,
-                histo_buckets: vec![0, 0, 0, 0, 0, 0, 8, 3, 1],
-                histo_p50_us: 63.0,
-                histo_p99_us: 255.0,
-            },
+            OpLatency::from_counts(vec![0, 0, 0, 0, 0, 0, 8, 3, 1]),
         );
         snapshot.solvers.insert(
             "OPDCA".into(),
@@ -1010,15 +994,18 @@ mod tests {
         // A histogram that lost samples is an error...
         snapshot.ops.get_mut("admit").unwrap().histo_buckets = vec![1];
         let message = verify_histograms(&snapshot).unwrap_err();
-        assert!(message.contains("histogram holds 1"));
-        // ...as is a p99 estimate more than one bucket away.
+        assert!(message.contains("stored samples 12"), "{message}");
+        assert!(message.contains("yield samples 1"), "{message}");
+        // ...as is a stored p99 that is not the p99 of the stored buckets.
         let lat = snapshot.ops.get_mut("admit").unwrap();
         lat.histo_buckets = vec![0, 0, 0, 0, 0, 0, 8, 3, 1];
-        lat.histo_p99_us = 4095.0; // bucket 12 vs ring bucket 8
+        lat.histo_p99_us = 127.0; // one bucket below the rank-12 sample's
         let message = verify_histograms(&snapshot).unwrap_err();
-        assert!(message.contains("more than one bucket"));
-        // Ops with no samples are skipped entirely.
-        snapshot.ops.get_mut("admit").unwrap().samples = 0;
+        assert!(message.contains("p99 127.0µs"), "{message}");
+        assert!(message.contains("p99 255.0µs"), "{message}");
+        // An op that never recorded a sample is consistent.
+        snapshot.ops.insert("submit".into(), OpLatency::default());
+        snapshot.ops.get_mut("admit").unwrap().histo_p99_us = 255.0;
         assert!(verify_histograms(&snapshot).is_ok());
     }
 

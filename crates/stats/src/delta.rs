@@ -4,45 +4,37 @@
 //! poll. The streaming mode instead sends one full snapshot as a
 //! baseline and then periodic [`StatsDelta`] frames, each carrying only
 //! what moved: counter *increments*, absolute gauge values, per-op
-//! sample and per-bucket histogram *increments*, per-solver row
-//! increments, and the session table as a wholesale replacement (rows
-//! are tiny and churn structurally).
+//! per-bucket histogram *increments*, per-solver row increments, and
+//! the session table as a wholesale replacement (rows are tiny and
+//! churn structurally).
 //!
 //! The merge contract — pinned by proptest in `tests/delta_props.rs` —
 //! is exact reconstruction: for snapshots `S₀ … Sₙ` taken from one
 //! daemon, folding `apply` over the deltas `diff(Sᵢ, Sᵢ₊₁)` reproduces
 //! every intermediate snapshot *byte-for-byte* (`S₀ ⊕ d₁ ⊕ … ⊕ dᵢ ≡
 //! Sᵢ`), because every incremental field in the model is monotonic
-//! (counters, histogram buckets, solver work tallies) and everything
-//! non-monotonic (gauges, ring percentiles, session rows) travels as
-//! absolute values.
+//! (counters, histogram buckets, solver work tallies), everything
+//! non-monotonic (gauges, session rows) travels as absolute values, and
+//! what derives from the buckets (sample totals, percentiles) is
+//! rebuilt from them by [`OpLatency::from_counts`], not shipped.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::histo::add_counts;
 use crate::model::{OpLatency, SessionRow, SolverRow, StatsCounters, StatsGauges, StatsSnapshot};
 
-/// Per-op latency delta: increments for the monotonic parts, absolute
-/// values for the windowed percentiles (which move non-monotonically as
-/// the ring slides).
+/// Per-op latency delta: bucket increments only — the receiving side
+/// rebuilds the sample total and the percentiles from the summed
+/// buckets.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpLatencyDelta {
-    /// New samples since the previous frame.
-    pub samples: u64,
-    /// Absolute ring p50, microseconds.
-    pub p50_us: f64,
-    /// Absolute ring p99, microseconds.
-    pub p99_us: f64,
     /// Per-bucket histogram increments, indexed like
     /// [`OpLatency::histo_buckets`] and trimmed to the *new* trimmed
     /// length (bucket counts only grow, so the trimmed prefix only
     /// extends).
     pub histo_buckets: Vec<u64>,
-    /// Absolute histogram p50, microseconds.
-    pub histo_p50_us: f64,
-    /// Absolute histogram p99, microseconds.
-    pub histo_p99_us: f64,
 }
 
 /// One frame of the streaming side channel.
@@ -74,7 +66,10 @@ impl StatsDelta {
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.counters == StatsCounters::default()
-            && self.ops.values().all(|op| op.samples == 0)
+            && self
+                .ops
+                .values()
+                .all(|op| op.histo_buckets.iter().all(|&inc| inc == 0))
             && self
                 .solvers
                 .values()
@@ -153,13 +148,6 @@ fn diff_buckets(prev: &[u64], next: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-fn add_buckets(base: &[u64], inc: &[u64]) -> Vec<u64> {
-    let len = base.len().max(inc.len());
-    (0..len)
-        .map(|i| base.get(i).copied().unwrap_or(0) + inc.get(i).copied().unwrap_or(0))
-        .collect()
-}
-
 /// Computes the delta frame turning `prev` into `next`.
 #[must_use]
 pub fn diff(prev: &StatsSnapshot, next: &StatsSnapshot) -> StatsDelta {
@@ -172,12 +160,7 @@ pub fn diff(prev: &StatsSnapshot, next: &StatsSnapshot) -> StatsDelta {
             (
                 name.clone(),
                 OpLatencyDelta {
-                    samples: op.samples.saturating_sub(before.samples),
-                    p50_us: op.p50_us,
-                    p99_us: op.p99_us,
                     histo_buckets: diff_buckets(&before.histo_buckets, &op.histo_buckets),
-                    histo_p50_us: op.histo_p50_us,
-                    histo_p99_us: op.histo_p99_us,
                 },
             )
         })
@@ -211,12 +194,7 @@ pub fn apply(base: &StatsSnapshot, delta: &StatsDelta) -> StatsSnapshot {
     let mut ops = base.ops.clone();
     for (name, inc) in &delta.ops {
         let entry = ops.entry(name.clone()).or_default();
-        entry.samples += inc.samples;
-        entry.p50_us = inc.p50_us;
-        entry.p99_us = inc.p99_us;
-        entry.histo_buckets = add_buckets(&entry.histo_buckets, &inc.histo_buckets);
-        entry.histo_p50_us = inc.histo_p50_us;
-        entry.histo_p99_us = inc.histo_p99_us;
+        *entry = OpLatency::from_counts(add_counts(&entry.histo_buckets, &inc.histo_buckets));
     }
     let mut solvers = base.solvers.clone();
     for (name, inc) in &delta.solvers {
@@ -240,17 +218,9 @@ mod tests {
     fn snapshot_with(admits: u64, buckets: Vec<u64>) -> StatsSnapshot {
         let mut snapshot = StatsSnapshot::default();
         snapshot.counters.admits = admits;
-        snapshot.ops.insert(
-            "admit".into(),
-            OpLatency {
-                samples: buckets.iter().sum(),
-                p50_us: 10.0,
-                p99_us: 20.0,
-                histo_buckets: buckets,
-                histo_p50_us: 15.0,
-                histo_p99_us: 31.0,
-            },
-        );
+        snapshot
+            .ops
+            .insert("admit".into(), OpLatency::from_counts(buckets));
         snapshot
     }
 
@@ -276,7 +246,6 @@ mod tests {
         });
         let delta = diff(&prev, &next);
         assert_eq!(delta.counters.admits, 4);
-        assert_eq!(delta.ops["admit"].samples, 3);
         assert_eq!(delta.ops["admit"].histo_buckets, vec![0, 1, 2]);
         assert_eq!(delta.solvers["OPDCA"].verdicts, 5);
         assert_eq!(apply(&prev, &delta), next);

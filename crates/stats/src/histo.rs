@@ -1,7 +1,6 @@
 //! Fixed-size log-bucket latency histograms.
 //!
-//! The rings ([`crate::LatencyRing`]) answer "what were the recent
-//! percentiles" over a sliding sample window; the histogram answers
+//! The daemon's one latency view per op: the histogram answers
 //! "what does the whole distribution look like since boot" in O(64)
 //! space no matter how many samples land. Buckets are powers of two
 //! over microseconds — bucket `i` holds samples whose bit length is
@@ -22,13 +21,12 @@ pub const HISTO_BUCKETS: usize = 64;
 /// A fixed-size, atomic, mergeable log-bucket latency histogram over
 /// microsecond samples.
 ///
-/// Unlike the ring it never forgets: counts are monotonic since
-/// creation, so percentile estimates reflect the full lifetime
-/// distribution. The estimate returned for a percentile is the
-/// *inclusive upper edge* of the bucket the nearest-rank sample landed
-/// in (`2^i - 1` µs for bucket `i`), which keeps the estimate inside
-/// the same bucket as the true sample — "agrees within one bucket" by
-/// construction whenever ring and histogram saw the same samples.
+/// It never forgets: counts are monotonic since creation, so
+/// percentile estimates reflect the full lifetime distribution. The
+/// estimate returned for a percentile is the *inclusive upper edge* of
+/// the bucket the nearest-rank sample landed in (`2^i - 1` µs for
+/// bucket `i`), which keeps the estimate inside the same bucket as the
+/// exact nearest-rank sample (pinned by `tests/histo_props.rs`).
 #[derive(Debug)]
 pub struct LatencyHisto {
     buckets: Vec<AtomicU64>,
@@ -121,6 +119,17 @@ impl LatencyHisto {
     pub fn percentile_us(&self, p: f64) -> f64 {
         percentile_from_counts(&self.counts(), p)
     }
+}
+
+/// Element-wise sum of two (possibly trimmed) bucket-count vectors,
+/// as long as the longer one — bucket `i` is bucket `i` on every
+/// daemon, so this is how histograms merge across backends and how a
+/// delta frame's increments land on a base.
+pub(crate) fn add_counts(base: &[u64], inc: &[u64]) -> Vec<u64> {
+    let len = base.len().max(inc.len());
+    (0..len)
+        .map(|i| base.get(i).copied().unwrap_or(0) + inc.get(i).copied().unwrap_or(0))
+        .collect()
 }
 
 /// Nearest-rank percentile estimate over (possibly trimmed) log-bucket

@@ -9,17 +9,18 @@
 //!
 //! * [`StatsRegistry`] — atomics-only monotonic counters (admits,
 //!   rejects, withdraws, warm vs `cold_fallback` decides, overloads,
-//!   evictions, snapshot writes), an attached-clients gauge, fixed-size
-//!   [`LatencyRing`]s per op yielding windowed p50/p99, and log-bucket
-//!   [`LatencyHisto`]s fed by the same `record_*` calls yielding the
-//!   full-lifetime latency distribution. The serve session layer, the
+//!   evictions, snapshot writes), an attached-clients gauge and one
+//!   log-bucket [`LatencyHisto`] per op — the daemon's only latency
+//!   view: the full-lifetime distribution, from which every served
+//!   sample total and p50/p99 estimate derives
+//!   ([`OpLatency::from_counts`]). The serve session layer, the
 //!   cluster engine/store/worker-pool and the solver registry (through
 //!   its verdict hook) all feed the same instance; recording a sample
 //!   is a handful of relaxed atomic ops, so the hot admission path
 //!   never takes a lock for a counter.
 //! * [`StatsSnapshot`] — the serde-serializable point-in-time view
 //!   ([`model`]): counters, gauges (live sessions per shard, worker
-//!   queue depth), per-op latency percentiles, a per-solver work table
+//!   queue depth), per-op latency histograms, a per-solver work table
 //!   aggregated from [`msmr_sched::SolverStats`], and per-session rows.
 //!   It travels two ways: as the protocol-v4 `stats` op, and over the
 //!   [`listener`] side channel (`--stats-addr`) so
@@ -67,7 +68,6 @@ pub mod listener;
 pub mod model;
 pub mod percentile;
 pub mod registry;
-pub mod ring;
 pub mod trace;
 
 pub use delta::{OpLatencyDelta, StatsDelta};
@@ -80,7 +80,6 @@ pub use listener::{
 pub use model::{OpLatency, SessionRow, SolverRow, StatsCounters, StatsGauges, StatsSnapshot};
 pub use percentile::nearest_rank;
 pub use registry::StatsRegistry;
-pub use ring::LatencyRing;
 pub use trace::{
     parse_trace, validate_trace, TraceCounterSample, TraceEvents, TraceSpan, TraceSummary,
     TraceWriter,

@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn side_channel_serves_snapshots_until_shutdown() {
         let stats = Arc::new(StatsRegistry::new());
-        stats.record_admit(true, 42);
+        stats.record_admit_for(None, None, true, 42);
         let provider = {
             let stats = Arc::clone(&stats);
             Arc::new(move || {
@@ -332,9 +332,9 @@ mod tests {
     #[test]
     fn legacy_line_is_byte_identical_to_the_serialized_snapshot() {
         let stats = Arc::new(StatsRegistry::new());
-        stats.record_admit(true, 50);
-        stats.record_admit(false, 1500);
-        stats.record_withdraw(80);
+        stats.record_admit_for(None, None, true, 50);
+        stats.record_admit_for(None, None, false, 1500);
+        stats.record_withdraw_for(None, None, 80);
         let shutdown = Arc::new(AtomicBool::new(false));
         let (addr, handle) =
             serve_stats("127.0.0.1:0", plain_provider(&stats), Arc::clone(&shutdown))
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn stream_mode_folds_deltas_back_to_the_live_snapshot() {
         let stats = Arc::new(StatsRegistry::new());
-        stats.record_admit(true, 30);
+        stats.record_admit_for(None, None, true, 30);
         let shutdown = Arc::new(AtomicBool::new(false));
         let (addr, handle) =
             serve_stats("127.0.0.1:0", plain_provider(&stats), Arc::clone(&shutdown))
@@ -362,10 +362,10 @@ mod tests {
 
         // Mutate between frames; the folded snapshot must converge to
         // the live one exactly once the recording stops.
-        stats.record_admit(true, 60);
-        stats.record_admit(false, 90);
-        stats.record_submit(700);
-        stats.record_dedup();
+        stats.record_admit_for(None, None, true, 60);
+        stats.record_admit_for(None, None, false, 90);
+        stats.record_submit_for(None, 700);
+        stats.record_dedup_for(None, None);
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let frame = stream.next_frame().expect("delta frame arrives");
@@ -387,8 +387,8 @@ mod tests {
     #[test]
     fn flight_command_returns_the_recorder_dump() {
         let stats = Arc::new(StatsRegistry::new());
-        stats.record_admit(true, 40);
-        stats.record_overload();
+        stats.record_admit_for(None, None, true, 40);
+        stats.record_overload_for(None);
         let flight = {
             let stats = Arc::clone(&stats);
             Arc::new(move || stats.flight_dump()) as FlightProvider

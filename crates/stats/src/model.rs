@@ -6,7 +6,8 @@
 //! since daemon boot; gauges are sampled at snapshot time by whichever
 //! layer owns them (the cluster engine fills per-shard session counts
 //! and worker-queue depth; a bare registry snapshot leaves them at their
-//! defaults); latency percentiles come from the fixed-size rings.
+//! defaults); every latency field derives from one copy of its op's
+//! log-bucket histogram ([`OpLatency::from_counts`]).
 //!
 //! Every type here (de)serializes through the vendored serde, so maps
 //! are `BTreeMap` (deterministic key order on the wire) and optional
@@ -15,6 +16,8 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
+
+use crate::histo::add_counts;
 
 /// Monotonic event counters since daemon boot.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,17 +70,14 @@ pub struct StatsGauges {
     pub workers: u64,
 }
 
-/// Latency summary for one op: windowed percentiles from its
-/// fixed-size ring plus the full-lifetime log-bucket distribution from
-/// its [`crate::LatencyHisto`].
+/// Latency summary for one op: the full-lifetime log-bucket
+/// distribution from its [`crate::LatencyHisto`] and what derives from
+/// it. [`OpLatency::from_counts`] is the only place the derived fields
+/// are computed, so they cannot disagree with the buckets beside them.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpLatency {
-    /// Samples ever recorded (monotonic, not capped by the ring).
+    /// Samples ever recorded: the sum of `histo_buckets`.
     pub samples: u64,
-    /// Nearest-rank p50 over the ring window, microseconds.
-    pub p50_us: f64,
-    /// Nearest-rank p99 over the ring window, microseconds.
-    pub p99_us: f64,
     /// Log-bucket counts over every sample since boot: element `i`
     /// counts samples in pow-2 bucket `i` (see
     /// [`crate::bucket_bounds`]), trimmed after the last non-empty
@@ -176,30 +176,28 @@ impl SolverRow {
 }
 
 impl OpLatency {
-    /// Folds `other` into `self` through the log-bucket histograms —
-    /// how a router tier aggregates per-backend latency summaries.
-    ///
-    /// Histogram buckets are element-wise sums (bucket `i` is bucket
-    /// `i` on every daemon — see [`crate::bucket_bounds`]) and all four
-    /// percentile fields are recomputed from the merged counts via
-    /// [`crate::percentile_from_counts`]: the windowed ring samples
-    /// behind `p50_us`/`p99_us` are not mergeable across processes, so
-    /// a merged summary reports histogram estimates in those fields
-    /// too (full-lifetime, upper-bucket-edge semantics).
+    /// The summary of one copy of (possibly trimmed) bucket counts, as
+    /// [`crate::LatencyHisto::counts`] yields them: `samples` is their
+    /// sum and both percentiles are [`crate::percentile_from_counts`]
+    /// of that same copy. A registry snapshot, a tier merge and a
+    /// streamed delta all build their summaries here.
+    #[must_use]
+    pub fn from_counts(histo_buckets: Vec<u64>) -> OpLatency {
+        OpLatency {
+            samples: histo_buckets.iter().sum(),
+            histo_p50_us: crate::percentile_from_counts(&histo_buckets, 0.50),
+            histo_p99_us: crate::percentile_from_counts(&histo_buckets, 0.99),
+            histo_buckets,
+        }
+    }
+
+    /// Folds `other` into `self` — how a router tier aggregates
+    /// per-backend latency summaries: buckets sum element-wise (bucket
+    /// `i` is bucket `i` on every daemon — see
+    /// [`crate::bucket_bounds`]) and the summary is rebuilt from the
+    /// merged counts.
     pub fn absorb(&mut self, other: &OpLatency) {
-        self.samples += other.samples;
-        if self.histo_buckets.len() < other.histo_buckets.len() {
-            self.histo_buckets.resize(other.histo_buckets.len(), 0);
-        }
-        for (mine, theirs) in self.histo_buckets.iter_mut().zip(&other.histo_buckets) {
-            *mine += *theirs;
-        }
-        let p50 = crate::percentile_from_counts(&self.histo_buckets, 0.50);
-        let p99 = crate::percentile_from_counts(&self.histo_buckets, 0.99);
-        self.histo_p50_us = p50;
-        self.histo_p99_us = p99;
-        self.p50_us = p50;
-        self.p99_us = p99;
+        *self = OpLatency::from_counts(add_counts(&self.histo_buckets, &other.histo_buckets));
     }
 }
 
@@ -279,14 +277,7 @@ mod tests {
         };
         snapshot.ops.insert(
             "admit".into(),
-            OpLatency {
-                samples: 4,
-                p50_us: 51.0,
-                p99_us: 130.0,
-                histo_buckets: vec![0, 0, 0, 0, 0, 0, 3, 1],
-                histo_p50_us: 63.0,
-                histo_p99_us: 127.0,
-            },
+            OpLatency::from_counts(vec![0, 0, 0, 0, 0, 0, 3, 1]),
         );
         snapshot.solvers.insert(
             "OPDCA".into(),
@@ -369,26 +360,12 @@ mod tests {
         let mut a = StatsSnapshot::default();
         a.ops.insert(
             "admit".into(),
-            OpLatency {
-                samples: 3,
-                p50_us: 10.0,
-                p99_us: 12.0,
-                histo_buckets: vec![0, 0, 0, 0, 3], // three samples in [8,16)
-                histo_p50_us: 15.0,
-                histo_p99_us: 15.0,
-            },
+            OpLatency::from_counts(vec![0, 0, 0, 0, 3]), // three samples in [8,16)
         );
         let mut b = StatsSnapshot::default();
         b.ops.insert(
             "admit".into(),
-            OpLatency {
-                samples: 1,
-                p50_us: 1500.0,
-                p99_us: 1500.0,
-                histo_buckets: vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], // [1024,2048)
-                histo_p50_us: 2047.0,
-                histo_p99_us: 2047.0,
-            },
+            OpLatency::from_counts(vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]), // [1024,2048)
         );
         let merged = StatsSnapshot::merged(&[a, b]);
         let admit = &merged.ops["admit"];
@@ -397,10 +374,6 @@ mod tests {
         // p50 rank 2 of 4 → the [8,16) bucket; p99 rank 4 → [1024,2048).
         assert_eq!(admit.histo_p50_us, 15.0);
         assert_eq!(admit.histo_p99_us, 2047.0);
-        // The windowed ring fields carry the histogram estimates after a
-        // merge (rings are not mergeable across processes).
-        assert_eq!(admit.p50_us, 15.0);
-        assert_eq!(admit.p99_us, 2047.0);
     }
 
     #[test]

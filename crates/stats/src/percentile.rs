@@ -5,8 +5,11 @@
 //! small sample sets — for 100 samples it selects the 99th-smallest
 //! value instead of the 100th. The canonical *nearest-rank* definition
 //! used here is `rank = ⌈p·n⌉` (1-based) over the sorted **full** sample
-//! set, which is what every consumer of the latency rings — `msmr-top`,
-//! `msmr-admit --json`, `msmr-loadgen` — now shares.
+//! set. The daemon keeps no raw samples (its latency view is the
+//! log-bucket histogram); this is the exact definition the clients that
+//! do hold every round-trip sample — `msmr-admit --json`,
+//! `msmr-loadgen`, `msmr_serve::ReplayOutcome` — share, and the
+//! reference `tests/histo_props.rs` holds the histogram estimates to.
 
 /// Returns the nearest-rank `p`-th percentile (`p` in `0.0..=1.0`) of
 /// the sample set, or `0.0` when it is empty. The slice does not need

@@ -9,7 +9,6 @@ use msmr_sched::Verdict;
 use crate::events::{EventKind, FlightDump, FlightRecorder};
 use crate::histo::LatencyHisto;
 use crate::model::{OpLatency, SolverRow, StatsCounters, StatsSnapshot};
-use crate::ring::LatencyRing;
 use crate::trace::TraceWriter;
 
 /// Shared live-metrics sink for one daemon.
@@ -23,7 +22,7 @@ use crate::trace::TraceWriter;
 ///
 /// The registry is deliberately ignorant of gauges it does not own:
 /// [`StatsRegistry::snapshot`] fills counters, the attached-clients
-/// gauge, per-op percentiles and the solver table; the cluster engine
+/// gauge, per-op latency summaries and the solver table; the cluster engine
 /// layers per-shard session counts, queue depth and per-session rows on
 /// top before serving the snapshot.
 #[derive(Default)]
@@ -41,9 +40,6 @@ pub struct StatsRegistry {
     snapshot_quarantined: AtomicU64,
     deduped_ops: AtomicU64,
     attached: AtomicU64,
-    admit_ring: LatencyRing,
-    withdraw_ring: LatencyRing,
-    submit_ring: LatencyRing,
     admit_histo: LatencyHisto,
     withdraw_histo: LatencyHisto,
     submit_histo: LatencyHisto,
@@ -63,19 +59,15 @@ impl std::fmt::Debug for StatsRegistry {
 }
 
 impl StatsRegistry {
-    /// Creates an empty registry with default-size latency rings.
+    /// Creates an empty registry.
     #[must_use]
     pub fn new() -> Self {
         StatsRegistry::default()
     }
 
-    /// Records an admission decision and its latency.
-    pub fn record_admit(&self, admitted: bool, micros: u64) {
-        self.record_admit_for(None, None, admitted, micros);
-    }
-
-    /// [`StatsRegistry::record_admit`] with flight-event context: the
-    /// session name and decision seq, when the caller knows them.
+    /// Records an admission decision and its latency, with flight-event
+    /// context: the session name and decision seq, when the caller
+    /// knows them.
     pub fn record_admit_for(
         &self,
         session: Option<&str>,
@@ -90,78 +82,43 @@ impl StatsRegistry {
             self.rejects.fetch_add(1, Ordering::Relaxed);
             EventKind::Reject
         };
-        self.admit_ring.record(micros);
         self.admit_histo.record(micros);
         self.flight.record(kind, session, seq);
     }
 
     /// Records a successful withdrawal and its latency.
-    pub fn record_withdraw(&self, micros: u64) {
-        self.record_withdraw_for(None, None, micros);
-    }
-
-    /// [`StatsRegistry::record_withdraw`] with flight-event context.
     pub fn record_withdraw_for(&self, session: Option<&str>, seq: Option<u64>, micros: u64) {
         self.withdraws.fetch_add(1, Ordering::Relaxed);
-        self.withdraw_ring.record(micros);
         self.withdraw_histo.record(micros);
         self.flight.record(EventKind::Withdraw, session, seq);
     }
 
     /// Records a session (re)submission and its latency.
-    pub fn record_submit(&self, micros: u64) {
-        self.record_submit_for(None, micros);
-    }
-
-    /// [`StatsRegistry::record_submit`] with flight-event context.
     pub fn record_submit_for(&self, session: Option<&str>, micros: u64) {
         self.submits.fetch_add(1, Ordering::Relaxed);
-        self.submit_ring.record(micros);
         self.submit_histo.record(micros);
         self.flight.record(EventKind::Submit, session, None);
     }
 
     /// Records a request refused with a typed `Overload` frame.
-    pub fn record_overload(&self) {
-        self.record_overload_for(None);
-    }
-
-    /// [`StatsRegistry::record_overload`] with flight-event context.
     pub fn record_overload_for(&self, session: Option<&str>) {
         self.overloads.fetch_add(1, Ordering::Relaxed);
         self.flight.record(EventKind::Overload, session, None);
     }
 
     /// Records a TTL eviction.
-    pub fn record_eviction(&self) {
-        self.record_eviction_for(None);
-    }
-
-    /// [`StatsRegistry::record_eviction`] with flight-event context.
     pub fn record_eviction_for(&self, session: Option<&str>) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         self.flight.record(EventKind::Eviction, session, None);
     }
 
     /// Records a session snapshot written to the snapshot store.
-    pub fn record_snapshot_write(&self) {
-        self.record_snapshot_write_for(None);
-    }
-
-    /// [`StatsRegistry::record_snapshot_write`] with flight-event
-    /// context.
     pub fn record_snapshot_write_for(&self, session: Option<&str>) {
         self.snapshot_writes.fetch_add(1, Ordering::Relaxed);
         self.flight.record(EventKind::SnapshotWrite, session, None);
     }
 
     /// Records a corrupt snapshot file quarantined at restore time.
-    pub fn record_snapshot_quarantine(&self) {
-        self.record_snapshot_quarantine_for(None);
-    }
-
-    /// [`StatsRegistry::record_snapshot_quarantine`] with flight-event
-    /// context.
     pub fn record_snapshot_quarantine_for(&self, session: Option<&str>) {
         self.snapshot_quarantined.fetch_add(1, Ordering::Relaxed);
         self.flight
@@ -170,11 +127,6 @@ impl StatsRegistry {
 
     /// Records a replayed op acknowledged by seq-dedupe without being
     /// re-applied.
-    pub fn record_dedup(&self) {
-        self.record_dedup_for(None, None);
-    }
-
-    /// [`StatsRegistry::record_dedup`] with flight-event context.
     pub fn record_dedup_for(&self, session: Option<&str>, seq: Option<u64>) {
         self.deduped_ops.fetch_add(1, Ordering::Relaxed);
         self.flight.record(EventKind::Dedup, session, seq);
@@ -316,22 +268,14 @@ impl StatsRegistry {
             ..StatsSnapshot::default()
         };
         snapshot.gauges.attached_clients = self.attached();
-        for (name, ring, histo) in [
-            ("admit", &self.admit_ring, &self.admit_histo),
-            ("withdraw", &self.withdraw_ring, &self.withdraw_histo),
-            ("submit", &self.submit_ring, &self.submit_histo),
+        for (name, histo) in [
+            ("admit", &self.admit_histo),
+            ("withdraw", &self.withdraw_histo),
+            ("submit", &self.submit_histo),
         ] {
-            snapshot.ops.insert(
-                name.to_string(),
-                OpLatency {
-                    samples: ring.recorded(),
-                    p50_us: ring.percentile_us(0.50),
-                    p99_us: ring.percentile_us(0.99),
-                    histo_buckets: histo.counts(),
-                    histo_p50_us: histo.percentile_us(0.50),
-                    histo_p99_us: histo.percentile_us(0.99),
-                },
-            );
+            snapshot
+                .ops
+                .insert(name.to_string(), OpLatency::from_counts(histo.counts()));
         }
         snapshot.solvers = self.solvers.lock().expect("solver table lock").clone();
         snapshot
@@ -353,17 +297,17 @@ mod tests {
     #[test]
     fn counters_and_rings_land_in_the_snapshot() {
         let stats = StatsRegistry::new();
-        stats.record_admit(true, 50);
-        stats.record_admit(true, 70);
-        stats.record_admit(false, 90);
-        stats.record_withdraw(110);
-        stats.record_submit(500);
-        stats.record_overload();
-        stats.record_eviction();
-        stats.record_snapshot_write();
-        stats.record_snapshot_quarantine();
-        stats.record_dedup();
-        stats.record_dedup();
+        stats.record_admit_for(None, None, true, 50);
+        stats.record_admit_for(None, None, true, 70);
+        stats.record_admit_for(None, None, false, 90);
+        stats.record_withdraw_for(None, None, 110);
+        stats.record_submit_for(None, 500);
+        stats.record_overload_for(None);
+        stats.record_eviction_for(None);
+        stats.record_snapshot_write_for(None);
+        stats.record_snapshot_quarantine_for(None);
+        stats.record_dedup_for(None, None);
+        stats.record_dedup_for(None, None);
         stats.client_attached();
         stats.client_attached();
         stats.client_detached();
@@ -381,21 +325,73 @@ mod tests {
         assert_eq!(snapshot.gauges.attached_clients, 1);
         let admit = &snapshot.ops["admit"];
         assert_eq!(admit.samples, 3);
-        assert_eq!(admit.p50_us, 70.0);
-        assert_eq!(admit.p99_us, 90.0);
-        // The histograms saw the same samples: 50 µs lands in bucket 6
-        // ([32,64)), 70 and 90 in bucket 7 ([64,128)).
+        // 50 µs lands in bucket 6 ([32,64)), 70 and 90 in bucket 7
+        // ([64,128)).
         assert_eq!(admit.histo_buckets, vec![0, 0, 0, 0, 0, 0, 1, 2]);
         assert_eq!(admit.histo_p50_us, 127.0);
         assert_eq!(admit.histo_p99_us, 127.0);
-        assert_eq!(
-            crate::histo::bucket_index(admit.histo_p99_us as u64),
-            crate::histo::bucket_index(admit.p99_us as u64),
-            "histogram p99 estimate stays in the ring p99's bucket"
-        );
         assert_eq!(snapshot.ops["withdraw"].samples, 1);
         assert_eq!(snapshot.ops["submit"].samples, 1);
         assert_eq!(snapshot.ops["submit"].histo_buckets.iter().sum::<u64>(), 1);
+    }
+
+    /// A snapshot is one copy of each histogram: taken while two
+    /// threads record, its sample total and both percentiles are still
+    /// the ones its own buckets yield.
+    #[test]
+    fn snapshots_taken_mid_burst_are_internally_consistent() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let stats = StatsRegistry::new();
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(3);
+        std::thread::scope(|scope| {
+            for writer in 0..2u64 {
+                let (stats, stop, start) = (&stats, &stop, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // An LCG spread over ~40 buckets, so the percentile
+                    // ranks keep crossing bucket edges as samples land.
+                    let mut state = writer;
+                    while !stop.load(Ordering::Relaxed) {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        let micros = (state >> 24) >> (state % 40);
+                        stats.record_admit_for(None, None, true, micros);
+                        stats.record_withdraw_for(None, None, micros);
+                    }
+                });
+            }
+            start.wait();
+            // Collected, not asserted in place: a panic in here would
+            // leave the writers spinning under the scope's join.
+            let mut violations = Vec::new();
+            for _ in 0..10_000 {
+                let snapshot = stats.snapshot();
+                for (op, lat) in &snapshot.ops {
+                    let total: u64 = lat.histo_buckets.iter().sum();
+                    let p50 = crate::percentile_from_counts(&lat.histo_buckets, 0.50);
+                    let p99 = crate::percentile_from_counts(&lat.histo_buckets, 0.99);
+                    if (lat.samples, lat.histo_p50_us, lat.histo_p99_us) != (total, p50, p99) {
+                        violations.push(format!(
+                            "op `{op}` stores samples {} / p50 {} / p99 {}, its buckets yield \
+                             {total} / {p50} / {p99}",
+                            lat.samples, lat.histo_p50_us, lat.histo_p99_us
+                        ));
+                    }
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert!(
+                violations.is_empty(),
+                "{} inconsistent op summaries in 10000 snapshots, first: {}",
+                violations.len(),
+                violations[0]
+            );
+        });
+        assert!(stats.snapshot().ops["admit"].samples > 0, "writers ran");
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! histogram counts, solver rows and session tables alike. Applying any
 //! *prefix* of the stream therefore yields the server's snapshot at
 //! that point, which is the guarantee `msmr-top`'s streaming mode and
-//! the smoke scripts' `--check-stream` lean on.
+//! the smoke scripts' `--check-stream` lean on. Per-op latency travels
+//! as bucket increments only, so the suite also pins that a streamed
+//! fold, a tier merge and the constructor agree on every derived field.
 
 use msmr_stats::delta::{apply, diff, StatsDelta};
-use msmr_stats::{SessionRow, StatsRegistry, StatsSnapshot};
+use msmr_stats::{
+    percentile_from_counts, OpLatency, SessionRow, StatsRegistry, StatsSnapshot, HISTO_BUCKETS,
+};
 use proptest::prelude::*;
 
 /// One recordable op: `(selector, micros)` where the selector picks the
@@ -21,17 +25,23 @@ fn ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
 
 fn drive(stats: &StatsRegistry, op: u8, micros: u64) {
     match op {
-        0 => stats.record_admit(true, micros),
-        1 => stats.record_admit(false, micros),
-        2 => stats.record_withdraw(micros),
-        3 => stats.record_submit(micros),
-        4 => stats.record_overload(),
-        5 => stats.record_eviction(),
-        6 => stats.record_snapshot_write(),
-        7 => stats.record_snapshot_quarantine(),
-        8 => stats.record_dedup(),
+        0 => stats.record_admit_for(None, None, true, micros),
+        1 => stats.record_admit_for(None, None, false, micros),
+        2 => stats.record_withdraw_for(None, None, micros),
+        3 => stats.record_submit_for(None, micros),
+        4 => stats.record_overload_for(None),
+        5 => stats.record_eviction_for(None),
+        6 => stats.record_snapshot_write_for(None),
+        7 => stats.record_snapshot_quarantine_for(None),
+        8 => stats.record_dedup_for(None, None),
         _ => stats.client_attached(),
     }
+}
+
+/// Bucket-count vectors as a snapshot could carry them: any length up
+/// to the bucket count, zeros anywhere (trailing ones included).
+fn buckets() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..1_000, 0..HISTO_BUCKETS)
 }
 
 /// Overlays the gauges and session rows an engine would layer on top of
@@ -106,5 +116,31 @@ proptest! {
         let frame = diff(&snapshot, &snapshot);
         prop_assert!(frame.is_quiescent());
         prop_assert_eq!(apply(&snapshot, &frame), snapshot);
+    }
+
+    /// One summary, three routes: streaming `next` as a delta onto
+    /// `base`, merging two backends' summaries, and building from the
+    /// summed counts all yield the same [`OpLatency`] — whose derived
+    /// fields are the ones its own buckets give.
+    #[test]
+    fn delta_fold_tier_merge_and_constructor_agree((a, b) in (buckets(), buckets())) {
+        let summed: Vec<u64> = (0..a.len().max(b.len()))
+            .map(|i| a.get(i).copied().unwrap_or(0) + b.get(i).copied().unwrap_or(0))
+            .collect();
+        let expected = OpLatency::from_counts(summed.clone());
+        prop_assert_eq!(expected.samples, summed.iter().sum::<u64>());
+        prop_assert_eq!(expected.histo_p50_us, percentile_from_counts(&summed, 0.50));
+        prop_assert_eq!(expected.histo_p99_us, percentile_from_counts(&summed, 0.99));
+
+        let mut merged = OpLatency::from_counts(a.clone());
+        merged.absorb(&OpLatency::from_counts(b));
+        prop_assert_eq!(&merged, &expected);
+
+        let mut base = StatsSnapshot::default();
+        base.ops.insert("admit".into(), OpLatency::from_counts(a));
+        let mut next = StatsSnapshot::default();
+        next.ops.insert("admit".into(), expected.clone());
+        let frame = diff(&base, &next);
+        prop_assert_eq!(&apply(&base, &frame).ops["admit"], &expected);
     }
 }

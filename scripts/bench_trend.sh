@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Trend gate over the BENCH_kernels.json run history: compares the
-# latest non-fast run against the best value each kernel achieved over
-# the previous N runs and fails when any kernel regressed beyond the
-# tolerance (see crates/report/src/trend.rs for the semantics).
+# latest non-fast run against the best value each of its kernels
+# achieved over the previous N recordings and fails when any regressed
+# beyond the tolerance; series it no longer records are `retired` notes
+# (see crates/report/src/trend.rs for the semantics).
 #
 # Usage: scripts/bench_trend.sh [--window N] [--tolerance PCT] [--file PATH] [--include-fast]
 set -euo pipefail

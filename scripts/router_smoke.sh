@@ -89,15 +89,19 @@ STATS_ADDR="$(sed -n 's|.*stats on tcp://||p' "$ROUTER_LOG" | head -n 1)"
 }
 
 # One admin command per connection; replies end with an ok/err line.
+# The reply is printed in one write: a `grep -q` reader exits at its
+# first match, and a line-by-line writer would then die of SIGPIPE and
+# fail the pipeline under pipefail.
 admin() {
     exec 3<>"/dev/tcp/${ADMIN_ADDR%:*}/${ADMIN_ADDR##*:}"
     printf '%s\n' "$1" >&3
-    local line
+    local line reply=""
     while IFS= read -r line <&3; do
-        printf '%s\n' "$line"
+        reply+="$line"$'\n'
         case "$line" in ok\ * | err\ *) break ;; esac
     done
     exec 3<&- 3>&-
+    printf '%s' "$reply"
 }
 
 admin backends | grep -q "ok 3 backends" || {
@@ -111,7 +115,7 @@ admin backends | grep -q "ok 3 backends" || {
 # per-backend counters with nothing lost and nothing double-counted.
 "$LOADGEN" --tcp "$ROUTER_ADDR" \
     --clients 3 --sessions 3 --jobs 12 --seed "$SEED" \
-    --withdraw-ratio 0.25 --verify --check-stats --no-record
+    --withdraw-ratio 0.25 --verify --check-stats
 
 # The router's stats side channel serves the same aggregate: its admits
 # counter must equal the sum over the per-backend side channels.
@@ -180,7 +184,7 @@ admin backends | grep -q "^$TARGET dead\$" || {
 # its replays offline.
 "$LOADGEN" --tcp "$ROUTER_ADDR" \
     --clients 2 --sessions 2 --jobs 10 --seed $((SEED + 100)) \
-    --withdraw-ratio 0.25 --verify --no-record
+    --withdraw-ratio 0.25 --verify
 
 # One shutdown op through the router takes the whole tier down: the
 # router broadcasts to the alive backends, then exits itself.
