@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use msmr_bench::{generate_case, paper_config, BENCH_SEED};
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_model::{JobId, JobSetBuilder, PreemptionPolicy, Time};
-use msmr_sched::{PairwiseIlp, Sdca};
+use msmr_sched::{PairwiseIlp, Sdca, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
 use std::hint::black_box;
 
@@ -73,7 +73,8 @@ fn bench_kernels(c: &mut Criterion) {
     });
     c.bench_function("ilp_observation_v1", |b| {
         let instance = observation_v1();
-        b.iter(|| PairwiseIlp::new(DelayBoundKind::RefinedPreemptive).assign(black_box(&instance)));
+        let ilp = PairwiseIlp::new(DelayBoundKind::RefinedPreemptive);
+        b.iter(|| ilp.solve(&SolveCtx::new(black_box(&instance))));
     });
 }
 

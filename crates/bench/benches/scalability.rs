@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msmr_bench::{generate_case, small_config, BENCH_SEED};
 use msmr_dca::Analysis;
 use msmr_experiments::EVALUATION_BOUND;
-use msmr_sched::{Dcmp, Dmr, Opdca, OptPairwise, PairwiseSearchConfig};
+use msmr_sched::{Budget, Dcmp, Dmr, Opdca, OptPairwise, SolveCtx, Solver};
 use std::hint::black_box;
 
 const JOB_COUNTS: [usize; 3] = [25, 50, 100];
@@ -24,23 +24,18 @@ fn bench_scalability(c: &mut Criterion) {
             |b, jobs| b.iter(|| Analysis::new(black_box(jobs))),
         );
         group.bench_with_input(BenchmarkId::new("opdca", jobs_count), &jobs, |b, jobs| {
-            b.iter(|| Opdca::new(EVALUATION_BOUND).assign(black_box(jobs)));
+            b.iter(|| Opdca::new(EVALUATION_BOUND).solve(&SolveCtx::new(black_box(jobs))));
         });
         group.bench_with_input(BenchmarkId::new("dmr", jobs_count), &jobs, |b, jobs| {
-            b.iter(|| Dmr::new(EVALUATION_BOUND).assign(black_box(jobs)));
+            b.iter(|| Dmr::new(EVALUATION_BOUND).solve(&SolveCtx::new(black_box(jobs))));
         });
         group.bench_with_input(
             BenchmarkId::new("opt_search", jobs_count),
             &jobs,
             |b, jobs| {
-                let solver = OptPairwise::with_config(
-                    EVALUATION_BOUND,
-                    PairwiseSearchConfig {
-                        node_limit: 20_000,
-                        ..PairwiseSearchConfig::default()
-                    },
-                );
-                b.iter(|| solver.assign(black_box(jobs)));
+                let solver = OptPairwise::new(EVALUATION_BOUND);
+                let budget = Budget::default().with_node_limit(20_000);
+                b.iter(|| solver.solve(&SolveCtx::with_budget(black_box(jobs), budget)));
             },
         );
         group.bench_with_input(BenchmarkId::new("dcmp", jobs_count), &jobs, |b, jobs| {

@@ -2,7 +2,7 @@
 
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
-use msmr_sched::{Dcmp, SolveCtx, Solver};
+use msmr_sched::{Budget, Dcmp, OptPairwise, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
 
 use msmr_report::BenchReport;
@@ -101,34 +101,32 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
         Dcmp::new().solve(&SolveCtx::new(&jobs))
     });
 
-    // --- OPT branch-and-bound -------------------------------------------
-    use msmr_sched::{OptPairwise, PairwiseSearchConfig};
+    // --- OPT branch-and-bound, through `Solver::solve` on a context whose
+    // analysis is already built: search plus verdict assembly -------------
     let v1 = observation_v1();
-    let v1_analysis = Analysis::new(&v1);
+    let v1_ctx = SolveCtx::with_analysis(Analysis::new(&v1), Budget::default());
+    let v1_solver = OptPairwise::new(DelayBoundKind::RefinedPreemptive);
     report.time_ns(
-        "opt_search/observation_v1",
+        "opt_solve/observation_v1",
         samples,
         if fast { 10 } else { 200 },
-        || OptPairwise::new(DelayBoundKind::RefinedPreemptive).assign_with_analysis(&v1_analysis),
+        || v1_solver.solve(&v1_ctx),
     );
     let deep = generate_case(
         &paper_config().with_jobs(20).with_infrastructure(4, 3),
         BENCH_SEED,
     );
-    let deep_analysis = Analysis::new(&deep);
     let node_limit = if fast { 2_000 } else { 50_000 };
-    let deep_solver = OptPairwise::with_config(
-        DelayBoundKind::EdgeHybrid,
-        PairwiseSearchConfig {
-            node_limit,
-            ..PairwiseSearchConfig::default()
-        },
+    let deep_ctx = SolveCtx::with_analysis(
+        Analysis::new(&deep),
+        Budget::default().with_node_limit(node_limit),
     );
+    let deep_solver = OptPairwise::new(DelayBoundKind::EdgeHybrid);
     report.time_ns(
-        &format!("opt_search/edge20_{node_limit}_nodes"),
+        &format!("opt_solve/edge20_{node_limit}_nodes"),
         samples.min(5),
         1,
-        || deep_solver.assign_with_stats(&deep_analysis),
+        || deep_solver.solve(&deep_ctx),
     );
 
     // --- online solver seam -------------------------------------------------
@@ -142,7 +140,7 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
 /// replaces (fresh `O(n²·N)` analysis + cold decider), and the general
 /// mid-set withdraw + re-admit cycle over the swap-removal path.
 fn append_online_benchmarks(report: &mut BenchReport, fast: bool, samples: usize) {
-    use msmr_sched::{Budget, SolveCtx, SolverRegistry};
+    use msmr_sched::SolverRegistry;
     use msmr_serve::protocol::{JobSpec, StageDemand};
     use msmr_serve::{AdmissionSession, SessionConfig};
 

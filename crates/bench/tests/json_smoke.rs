@@ -21,7 +21,7 @@ fn fast_kernel_report_is_complete_and_parseable() {
         "sim/run_ns",
         "sim/completions_ns",
         "dcmp/solve_ns",
-        "opt_search/observation_v1",
+        "opt_solve/observation_v1",
         "online_admit_warm",
         "online_admit_cold",
         "withdraw_mid",

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
-use msmr_model::{JobId, JobSet};
+use msmr_model::JobId;
 
 use crate::online::RepairState;
 use crate::orientation::Orientation;
@@ -36,26 +36,13 @@ impl Dm {
         self.bound
     }
 
-    /// Computes the deadline-monotonic pairwise assignment of `jobs`.
-    #[must_use]
-    pub fn assign(&self, jobs: &JobSet) -> PairwiseAssignment {
-        deadline_monotonic_assignment(jobs, &jobs.job_ids().collect::<BTreeSet<_>>())
-    }
-
-    /// Returns `true` if the DM assignment keeps every job within its
-    /// deadline under this baseline's bound.
-    #[must_use]
-    pub fn is_schedulable(&self, analysis: &Analysis<'_>) -> bool {
-        self.assign(analysis.jobs())
-            .is_feasible(analysis, self.bound)
-    }
-
     /// Runs DM as an admission controller: jobs with the largest deadline
     /// overshoot are rejected until the remaining set is feasible.
-    #[must_use]
-    pub fn admission_control(&self, jobs: &JobSet) -> PairwiseAdmissionOutcome {
-        let analysis = Analysis::new(jobs);
-        admission_loop(&analysis, self.bound, false)
+    pub(crate) fn admission_control_with_analysis(
+        &self,
+        analysis: &Analysis<'_>,
+    ) -> PairwiseAdmissionOutcome {
+        admission_loop(analysis, self.bound, false)
     }
 
     /// The DM assignment plus the per-job delays under it, both read off
@@ -97,36 +84,11 @@ impl Dmr {
         self.bound
     }
 
-    /// Computes a feasible pairwise assignment, if the heuristic finds one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InfeasibleError`] listing the jobs that still miss their
-    /// deadline after the repair phase. Note that DMR is a heuristic: a
-    /// failure does not prove that no pairwise assignment exists (use
-    /// [`OptPairwise`](crate::OptPairwise) for that).
-    pub fn assign(&self, jobs: &JobSet) -> Result<PairwiseAssignment, InfeasibleError> {
-        let analysis = Analysis::new(jobs);
-        self.assign_with_analysis(&analysis)
-    }
-
-    /// Like [`Dmr::assign`] but reuses a precomputed [`Analysis`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InfeasibleError`] when the repair phase cannot make every
-    /// job feasible.
-    pub fn assign_with_analysis(
-        &self,
-        analysis: &Analysis<'_>,
-    ) -> Result<PairwiseAssignment, InfeasibleError> {
-        self.assign_with_delays(analysis)
-            .map(|(assignment, _)| assignment)
-    }
-
-    /// Like [`Dmr::assign_with_analysis`] but also returns the per-job
-    /// delays under the repaired assignment, read off the repair
-    /// evaluator (used by the `Solver` impl).
+    /// The repaired assignment plus the per-job delays under it, read off
+    /// the repair evaluator (used by the `Solver` impl). A failure lists
+    /// the jobs that still miss their deadline after the repair phase;
+    /// DMR is a heuristic, so it does not prove that no pairwise
+    /// assignment exists ([`OptPairwise`](crate::OptPairwise) does).
     pub(crate) fn assign_with_delays(
         &self,
         analysis: &Analysis<'_>,
@@ -163,10 +125,11 @@ impl Dmr {
     /// Runs DMR as an admission controller (§VI-B): when a job remains
     /// infeasible after repair, the job with the largest deadline overshoot
     /// is rejected and the heuristic restarts on the remaining jobs.
-    #[must_use]
-    pub fn admission_control(&self, jobs: &JobSet) -> PairwiseAdmissionOutcome {
-        let analysis = Analysis::new(jobs);
-        admission_loop(&analysis, self.bound, true)
+    pub(crate) fn admission_control_with_analysis(
+        &self,
+        analysis: &Analysis<'_>,
+    ) -> PairwiseAdmissionOutcome {
+        admission_loop(analysis, self.bound, true)
     }
 
     /// The repair phase over the incremental evaluator: pair flips are
@@ -249,46 +212,15 @@ impl Default for Dmr {
     }
 }
 
-/// Output of the pairwise admission controllers ([`Dm::admission_control`]
-/// and [`Dmr::admission_control`]).
+/// Output of the pairwise admission controllers (DM and DMR).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairwiseAdmissionOutcome {
+pub(crate) struct PairwiseAdmissionOutcome {
     /// The pairwise assignment over the accepted jobs.
-    pub assignment: PairwiseAssignment,
+    pub(crate) assignment: PairwiseAssignment,
     /// Accepted jobs in id order.
-    pub accepted: Vec<JobId>,
+    pub(crate) accepted: Vec<JobId>,
     /// Rejected jobs in rejection order.
-    pub rejected: Vec<JobId>,
-}
-
-impl PairwiseAdmissionOutcome {
-    /// Fraction of jobs accepted.
-    #[must_use]
-    pub fn acceptance_ratio(&self) -> f64 {
-        let total = self.accepted.len() + self.rejected.len();
-        if total == 0 {
-            return 1.0;
-        }
-        self.accepted.len() as f64 / total as f64
-    }
-}
-
-/// The DM pairwise assignment over the `active` jobs: `J_i > J_k` iff
-/// `D_i ≤ D_k` (ties to the lower id).
-fn deadline_monotonic_assignment(jobs: &JobSet, active: &BTreeSet<JobId>) -> PairwiseAssignment {
-    let mut assignment = PairwiseAssignment::new();
-    for &i in active {
-        for k in jobs.competitors(i) {
-            if k > i && active.contains(&k) {
-                if jobs.job(i).deadline() <= jobs.job(k).deadline() {
-                    assignment.set_higher(i, k);
-                } else {
-                    assignment.set_higher(k, i);
-                }
-            }
-        }
-    }
-    assignment
+    pub(crate) rejected: Vec<JobId>,
 }
 
 /// The DM relation over the `active` jobs as an orientation matrix plus an
@@ -400,11 +332,22 @@ fn admission_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SolveCtx, Solver};
     use msmr_dca::InterferenceSets;
-    use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
+    use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy, Time};
 
     fn jid(i: usize) -> JobId {
         JobId::new(i)
+    }
+
+    /// The DM pairwise assignment of `jobs`.
+    fn dm_assignment(jobs: &JobSet) -> PairwiseAssignment {
+        Dm::default().assignment_with_delays(&Analysis::new(jobs)).0
+    }
+
+    /// Whether DM keeps every job of `jobs` within its deadline.
+    fn dm_accepts(dm: Dm, jobs: &JobSet) -> bool {
+        dm.solve(&SolveCtx::new(jobs)).is_accepted()
     }
 
     /// Footnote 9 of the paper: with D1 = 60 and equal arrivals, DM gives
@@ -436,7 +379,7 @@ mod tests {
     #[test]
     fn dm_orders_pairs_by_deadline() {
         let jobs = footnote9_jobs();
-        let assignment = Dm::default().assign(&jobs);
+        let assignment = dm_assignment(&jobs);
         // J0 has deadline 60, the smallest, so it outranks everyone.
         for k in 1..4 {
             assert!(assignment.is_higher(jid(0), jid(k)));
@@ -459,7 +402,7 @@ mod tests {
                 .unwrap();
         }
         let jobs = b.build().unwrap();
-        let assignment = Dm::default().assign(&jobs);
+        let assignment = dm_assignment(&jobs);
         assert!(assignment.is_higher(jid(0), jid(1)));
     }
 
@@ -495,13 +438,16 @@ mod tests {
         let jobs = b.build().unwrap();
         let analysis = Analysis::new(&jobs);
         // DM: J1 (D=60) is the lowest-priority job among the four.
-        let assignment = Dm::default().assign(&jobs);
+        let assignment = dm_assignment(&jobs);
         // Footnote 9 quotes the single-resource preemptive bound (Eq. 1):
         // Δ_1 = 82 when J1 has the lowest priority.
         let delays = assignment.delays(&analysis, DelayBoundKind::PreemptiveSingleResource);
         assert_eq!(delays[0], Time::new(82));
         assert!(delays[0] > jobs.job(jid(0)).deadline());
-        assert!(!Dm::new(DelayBoundKind::PreemptiveSingleResource).is_schedulable(&analysis));
+        assert!(!dm_accepts(
+            Dm::new(DelayBoundKind::PreemptiveSingleResource),
+            &jobs
+        ));
     }
 
     #[test]
@@ -531,12 +477,12 @@ mod tests {
         let jobs = b.build().unwrap();
         let analysis = Analysis::new(&jobs);
         // DM alone: J1 > J0, so Δ_0 = 15 + 3 + max(4,1) = 22 > 21.
-        assert!(!Dm::default().is_schedulable(&analysis));
+        assert!(!dm_accepts(Dm::default(), &jobs));
         // DMR flips the pair: J0 > J1 keeps both feasible
         // (Δ_0 = 19 ≤ 21, Δ_1 = 2 + 15+4 + max(1,4) = 25 > 20? ...).
-        let result = Dmr::default().assign(&jobs);
+        let result = Dmr::default().assign_with_delays(&analysis);
         match result {
-            Ok(assignment) => {
+            Ok((assignment, _)) => {
                 assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
             }
             Err(err) => {
@@ -551,19 +497,19 @@ mod tests {
     fn dmr_succeeds_when_dm_already_works() {
         let jobs = footnote9_jobs();
         let analysis = Analysis::new(&jobs);
-        assert!(Dm::default().is_schedulable(&analysis));
-        let assignment = Dmr::default().assign(&jobs).unwrap();
+        assert!(dm_accepts(Dm::default(), &jobs));
+        let (assignment, _) = Dmr::default().assign_with_delays(&analysis).unwrap();
         assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
     }
 
     #[test]
     fn admission_controllers_only_reject_when_necessary() {
         let jobs = footnote9_jobs();
-        let dm_outcome = Dm::default().admission_control(&jobs);
+        let analysis = Analysis::new(&jobs);
+        let dm_outcome = Dm::default().admission_control_with_analysis(&analysis);
         assert!(dm_outcome.rejected.is_empty());
         assert_eq!(dm_outcome.accepted.len(), 4);
-        assert!((dm_outcome.acceptance_ratio() - 1.0).abs() < 1e-12);
-        let dmr_outcome = Dmr::default().admission_control(&jobs);
+        let dmr_outcome = Dmr::default().admission_control_with_analysis(&analysis);
         assert!(dmr_outcome.rejected.is_empty());
     }
 
@@ -582,12 +528,11 @@ mod tests {
         let jobs = b.build().unwrap();
         let analysis = Analysis::new(&jobs);
         for outcome in [
-            Dm::default().admission_control(&jobs),
-            Dmr::default().admission_control(&jobs),
+            Dm::default().admission_control_with_analysis(&analysis),
+            Dmr::default().admission_control_with_analysis(&analysis),
         ] {
             assert!(!outcome.rejected.is_empty());
             assert!(outcome.accepted.len() <= 2);
-            assert!(outcome.acceptance_ratio() < 1.0);
             // The surviving set is feasible.
             for &job in &outcome.accepted {
                 let ctx = outcome.assignment.interference_sets(&jobs, job);

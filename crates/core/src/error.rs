@@ -12,19 +12,19 @@ use msmr_model::JobId;
 /// callers — in particular the admission-controller variants — can inspect
 /// which jobs were involved.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InfeasibleError {
+pub(crate) struct InfeasibleError {
     /// Name of the algorithm that failed (`"OPDCA"`, `"DMR"`, ...).
-    pub algorithm: &'static str,
+    pub(crate) algorithm: &'static str,
     /// Jobs that could not be scheduled feasibly (for OPDCA: the jobs left
     /// without a priority; for DMR: the jobs still missing their deadline
     /// after the repair phase).
-    pub unschedulable: Vec<JobId>,
+    pub(crate) unschedulable: Vec<JobId>,
 }
 
 impl InfeasibleError {
     /// Creates an infeasibility report.
     #[must_use]
-    pub fn new(algorithm: &'static str, unschedulable: Vec<JobId>) -> Self {
+    pub(crate) fn new(algorithm: &'static str, unschedulable: Vec<JobId>) -> Self {
         InfeasibleError {
             algorithm,
             unschedulable,

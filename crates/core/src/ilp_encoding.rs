@@ -2,12 +2,14 @@
 //! solved with the `msmr-ilp` branch-and-bound solver.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use msmr_dca::{Analysis, DelayBoundKind};
 use msmr_ilp::{LinExpr, Outcome, Problem, Solver, SolverConfig, VarId};
-use msmr_model::{JobId, JobSet, StageId};
+use msmr_model::{JobId, StageId};
 
-use crate::{PairwiseAssignment, PairwiseSearchOutcome};
+use crate::opt::PairwiseSearchOutcome;
+use crate::PairwiseAssignment;
 
 /// The verbatim ILP formulation of OPT (§V-A): binary orientation variables
 /// `X_{i,k}` (Eq. 7), the delay expression of Eq. 8 with the refined
@@ -19,12 +21,12 @@ use crate::{PairwiseAssignment, PairwiseSearchOutcome};
 /// Gurobi); it is cross-checked against the specialised
 /// [`OptPairwise`](crate::OptPairwise) search in the test suite. For large
 /// instances prefer `OptPairwise`, which exploits the monotonicity of the
-/// delay bounds and scales much further.
+/// delay bounds and scales much further. Run it through
+/// [`Solver`](crate::Solver); the context's [`Budget`](crate::Budget)
+/// limits the ILP's branch-and-bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairwiseIlp {
     bound: DelayBoundKind,
-    node_limit: u64,
-    time_limit: Option<std::time::Duration>,
 }
 
 impl PairwiseIlp {
@@ -46,26 +48,7 @@ impl PairwiseIlp {
             "the ILP encoding supports the refined preemptive bound (Eq. 6) \
              and the edge hybrid bound (Eq. 10), not {bound}"
         );
-        PairwiseIlp {
-            bound,
-            node_limit: 20_000_000,
-            time_limit: None,
-        }
-    }
-
-    /// Overrides the solver's node budget.
-    #[must_use]
-    pub fn with_node_limit(mut self, node_limit: u64) -> Self {
-        self.node_limit = node_limit;
-        self
-    }
-
-    /// Sets a wall-clock budget; exceeding it truncates the solve to
-    /// [`PairwiseSearchOutcome::Unknown`] like an exhausted node budget.
-    #[must_use]
-    pub fn with_time_limit(mut self, time_limit: std::time::Duration) -> Self {
-        self.time_limit = Some(time_limit);
-        self
+        PairwiseIlp { bound }
     }
 
     /// The delay bound encoded by this instance.
@@ -74,38 +57,23 @@ impl PairwiseIlp {
         self.bound
     }
 
-    /// Encodes and solves the pairwise assignment problem.
-    #[must_use]
-    pub fn assign(&self, jobs: &JobSet) -> PairwiseSearchOutcome {
-        let analysis = Analysis::new(jobs);
-        self.assign_with_analysis(&analysis)
-    }
-
-    /// Like [`PairwiseIlp::assign`] but reuses a precomputed [`Analysis`].
-    #[must_use]
-    pub fn assign_with_analysis(&self, analysis: &Analysis<'_>) -> PairwiseSearchOutcome {
-        self.assign_with_stats(analysis).0
-    }
-
-    /// Like [`PairwiseIlp::assign_with_analysis`], additionally reporting
-    /// the branch-and-bound statistics of the underlying ILP solve.
-    #[must_use]
-    pub fn assign_with_stats(
+    /// Encodes and solves the pairwise assignment problem within
+    /// `node_limit` branch-and-bound nodes and the optional wall-clock
+    /// `time_limit`, reporting the outcome and the nodes explored.
+    pub(crate) fn search(
         &self,
         analysis: &Analysis<'_>,
-    ) -> (PairwiseSearchOutcome, crate::PairwiseSearchStats) {
+        node_limit: u64,
+        time_limit: Option<Duration>,
+    ) -> (PairwiseSearchOutcome, u64) {
         let (problem, variables) = self.encode(analysis);
         let solver = Solver::with_config(SolverConfig {
-            node_limit: self.node_limit,
-            time_limit: self.time_limit,
+            node_limit,
+            time_limit,
         });
         let (outcome, stats) = solver
             .solve_with_stats(&problem)
             .expect("the encoding only uses variables of its own problem");
-        let stats = crate::PairwiseSearchStats {
-            nodes: stats.nodes,
-            truncated: stats.truncated,
-        };
         let outcome = match outcome {
             Outcome::Optimal(solution) | Outcome::Feasible(solution) => {
                 let mut assignment = PairwiseAssignment::new();
@@ -119,13 +87,15 @@ impl PairwiseIlp {
             Outcome::Infeasible => PairwiseSearchOutcome::Infeasible,
             Outcome::Unknown => PairwiseSearchOutcome::Unknown,
         };
-        (outcome, stats)
+        (outcome, stats.nodes)
     }
 
     /// Builds the ILP. Returns the problem and the map from ordered pairs
     /// `(i, k)` to the binary variable `X_{i,k}` ("i outranks k").
-    #[must_use]
-    pub fn encode(&self, analysis: &Analysis<'_>) -> (Problem, BTreeMap<(JobId, JobId), VarId>) {
+    pub(crate) fn encode(
+        &self,
+        analysis: &Analysis<'_>,
+    ) -> (Problem, BTreeMap<(JobId, JobId), VarId>) {
         let jobs = analysis.jobs();
         let n_stages = jobs.stage_count();
         let big_m = jobs.max_processing_time().as_ticks() as i64;
@@ -271,8 +241,22 @@ impl PairwiseIlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OptPairwise;
-    use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
+    use crate::{OptPairwise, SolveCtx, Solver, Witness};
+    use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy, Time};
+
+    /// Both exact engines agree on `jobs`, and the ILP's witness (if any)
+    /// is feasible.
+    fn assert_exact_engines_agree(jobs: &JobSet, bound: DelayBoundKind) {
+        let ctx = SolveCtx::new(jobs);
+        let ilp = PairwiseIlp::new(bound).solve(&ctx);
+        let search = OptPairwise::new(bound).solve(&ctx);
+        assert!(ilp.is_conclusive(), "ILP hit its node limit");
+        assert!(search.is_conclusive());
+        assert_eq!(ilp.kind, search.kind, "ILP and branch-and-bound disagree");
+        if let Some(Witness::Pairwise(assignment)) = &ilp.witness {
+            assert!(assignment.is_feasible(ctx.analysis(), bound));
+        }
+    }
 
     /// The Observation V.1 system.
     fn observation_v1() -> JobSet {
@@ -308,9 +292,11 @@ mod tests {
     fn ilp_finds_the_observation_v1_assignment() {
         let jobs = observation_v1();
         let analysis = Analysis::new(&jobs);
-        let outcome =
-            PairwiseIlp::new(DelayBoundKind::RefinedPreemptive).assign_with_analysis(&analysis);
-        let assignment = outcome.assignment().expect("feasible by Observation V.1");
+        let (outcome, _) =
+            PairwiseIlp::new(DelayBoundKind::RefinedPreemptive).search(&analysis, 20_000_000, None);
+        let PairwiseSearchOutcome::Feasible(assignment) = outcome else {
+            panic!("feasible by Observation V.1");
+        };
         assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
     }
 
@@ -342,36 +328,12 @@ mod tests {
         .unwrap();
         for seed in 0..15 {
             let jobs = generator.generate_seeded(seed);
-            let analysis = Analysis::new(&jobs);
-            let bound = DelayBoundKind::RefinedPreemptive;
-            let ilp = PairwiseIlp::new(bound).assign_with_analysis(&analysis);
-            let search = OptPairwise::new(bound).assign_with_analysis(&analysis);
-            assert!(ilp.is_conclusive(), "seed {seed}: ILP hit its node limit");
-            assert!(search.is_conclusive());
-            assert_eq!(
-                ilp.is_feasible(),
-                search.is_feasible(),
-                "seed {seed}: ILP and branch-and-bound disagree"
-            );
-            if let Some(assignment) = ilp.assignment() {
-                assert!(assignment.is_feasible(&analysis, bound));
-            }
+            assert_exact_engines_agree(&jobs, DelayBoundKind::RefinedPreemptive);
         }
     }
 
     #[test]
     fn edge_hybrid_encoding_solves_small_instances() {
-        let jobs = observation_v1();
-        let analysis = Analysis::new(&jobs);
-        let bound = DelayBoundKind::EdgeHybrid;
-        let ilp = PairwiseIlp::new(bound)
-            .with_node_limit(5_000_000)
-            .assign_with_analysis(&analysis);
-        let search = OptPairwise::new(bound).assign_with_analysis(&analysis);
-        assert!(ilp.is_conclusive());
-        assert_eq!(ilp.is_feasible(), search.is_feasible());
-        if let Some(assignment) = ilp.assignment() {
-            assert!(assignment.is_feasible(&analysis, bound));
-        }
+        assert_exact_engines_agree(&observation_v1(), DelayBoundKind::EdgeHybrid);
     }
 }

@@ -24,15 +24,20 @@
 //! * [`admission`] — helpers shared by the admission-controller variants
 //!   (rejected-heaviness metric of Fig. 4d).
 //!
-//! All six engines are also exposed through one object-safe seam:
+//! All six engines run through one object-safe seam, which is each
+//! engine's only public entry point (DM, DMR, OPDCA, OPT and OPT-ILP
+//! expose nothing else but `new` and `bound`; DCMP also keeps
+//! [`Dcmp::evaluate`] for its virtual deadlines and trace):
 //!
-//! * [`Solver`] — `solve(&SolveCtx) -> Verdict` plus capability queries
+//! * [`Solver`] — `solve(&SolveCtx) -> Verdict` and
+//!   `admission_control(&SolveCtx)` plus capability queries
 //!   ([`Solver::is_exact`], [`Solver::supports_admission`],
 //!   [`Solver::name`]), implemented by [`Dm`], [`Dmr`], [`Opdca`],
-//!   [`OptPairwise`], [`PairwiseIlp`] and [`Dcmp`].
+//!   [`OptPairwise`], [`PairwiseIlp`] and [`Dcmp`]; [`OnlineSolver`] is
+//!   the warm path for DM, DMR and OPDCA.
 //! * [`SolveCtx`] — shared, lazily-built [`msmr_dca::Analysis`] (one
 //!   `O(n²·N)` pass per job set, not per approach) and a [`Budget`]
-//!   (node limit, wall-clock deadline).
+//!   (node limit, wall-clock deadline) — the only way to limit a solver.
 //! * [`Verdict`] — the unified, serde-serializable report: accepted /
 //!   rejected / undecided, an optional [`Witness`]
 //!   ([`PriorityOrdering`] or [`PairwiseAssignment`]), per-job delay
@@ -96,9 +101,30 @@
 //! let verdicts = registry.evaluate_batch(&cases, budget, msmr_par::default_threads());
 //! ```
 //!
-//! The engine-specific constructors and entry points (`Opdca::assign`,
-//! `OptPairwise::assign_with_analysis`, ...) remain available; the trait
-//! impls are thin adapters over them.
+//! One engine runs the same way on its own; the verdict carries the
+//! witness, the per-job delays and the work counters:
+//!
+//! ```
+//! use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
+//! use msmr_sched::{Budget, DelayBoundKind, OptPairwise, SolveCtx, Solver};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let mut b = JobSetBuilder::new();
+//! b.stage("cpu", 1, PreemptionPolicy::Preemptive);
+//! for deadline in [10, 12] {
+//!     b.job()
+//!         .deadline(Time::new(deadline))
+//!         .stage_time(Time::new(5), 0)
+//!         .add()?;
+//! }
+//! let jobs = b.build()?;
+//! let ctx = SolveCtx::with_budget(&jobs, Budget::default().with_node_limit(1_000));
+//! let verdict = OptPairwise::new(DelayBoundKind::RefinedPreemptive).solve(&ctx);
+//! assert!(verdict.is_accepted() && verdict.witness.is_some());
+//! assert!(verdict.stats.nodes_explored > 0);
+//! # Ok(())
+//! # }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,14 +146,14 @@ mod solver;
 mod solvers;
 
 pub use dcmp::{Dcmp, DcmpOutcome};
-pub use dmr::{Dm, Dmr, PairwiseAdmissionOutcome};
-pub use error::InfeasibleError;
+pub use dmr::{Dm, Dmr};
+pub(crate) use error::InfeasibleError;
 pub use ilp_encoding::PairwiseIlp;
 pub use online::{
     AudsleyState, DeciderState, OnlineEvent, OnlineSolver, OnlineSuiteState, RepairState,
 };
-pub use opdca::{Opdca, OrderingAdmissionOutcome, OrderingResult};
-pub use opt::{OptPairwise, PairwiseSearchConfig, PairwiseSearchOutcome, PairwiseSearchStats};
+pub use opdca::Opdca;
+pub use opt::OptPairwise;
 pub use ordering::PriorityOrdering;
 pub use pairwise::{PairwiseAssignment, PairwiseCycleError};
 pub use registry::SolverRegistry;

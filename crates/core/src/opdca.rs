@@ -1,7 +1,7 @@
 //! OPDCA — Algorithm 1: optimal priority assignment driven by `S_DCA`.
 
 use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
-use msmr_model::{JobId, JobSet, Time};
+use msmr_model::{JobId, Time};
 
 use crate::online::AudsleyState;
 use crate::{InfeasibleError, PriorityOrdering, Sdca};
@@ -16,10 +16,10 @@ use crate::{InfeasibleError, PriorityOrdering, Sdca};
 /// fixed-priority ordering passes the test, OPDCA finds one, using at most
 /// `O(n²)` test invocations.
 ///
-/// The [`Opdca::admission_control`] variant implements the Fig. 4d
-/// behaviour: instead of declaring the whole set infeasible it discards the
-/// job with the largest deadline overshoot and keeps assigning priorities
-/// to the rest.
+/// Its [`Solver::admission_control`](crate::Solver::admission_control)
+/// variant implements the Fig. 4d behaviour: instead of declaring the whole
+/// set infeasible it discards the job with the largest deadline overshoot
+/// and keeps assigning priorities to the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opdca {
     sdca: Sdca,
@@ -35,42 +35,24 @@ impl Opdca {
     /// pairwise algorithms for those bounds instead.
     #[must_use]
     pub fn new(bound: DelayBoundKind) -> Self {
-        Opdca::with_test(Sdca::new(bound))
-    }
-
-    /// Creates the algorithm from an existing test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the test's bound is not OPA-compatible.
-    #[must_use]
-    pub fn with_test(sdca: Sdca) -> Self {
+        let sdca = Sdca::new(bound);
         assert!(
             sdca.is_opa_compatible(),
-            "OPDCA requires an OPA-compatible schedulability test ({} is not)",
-            sdca.bound()
+            "OPDCA requires an OPA-compatible schedulability test ({bound} is not)"
         );
         Opdca { sdca }
     }
 
-    /// The underlying schedulability test.
+    /// The delay bound behind the `S_DCA` test.
     #[must_use]
-    pub const fn test(&self) -> Sdca {
-        self.sdca
+    pub const fn bound(&self) -> DelayBoundKind {
+        self.sdca.bound()
     }
 
-    /// Computes an optimal priority ordering for `jobs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InfeasibleError`] when no job can take the current lowest
-    /// priority level, i.e. no priority ordering passes `S_DCA`.
-    pub fn assign(&self, jobs: &JobSet) -> Result<OrderingResult, InfeasibleError> {
-        let analysis = Analysis::new(jobs);
-        self.assign_with_analysis(&analysis)
-    }
-
-    /// Like [`Opdca::assign`] but reuses a precomputed [`Analysis`].
+    /// The Audsley loop with trace recording and optional warm resumption
+    /// — the engine behind both the cold [`Solver::solve`](crate::Solver)
+    /// (with [`AudsleyResume::Cold`]) and the
+    /// [`OnlineSolver`](crate::OnlineSolver) impl (warm).
     ///
     /// Probes are answered by an incremental
     /// [`DelayEvaluator`](msmr_dca::DelayEvaluator) seeded with every
@@ -79,21 +61,6 @@ impl Opdca {
     /// remaining candidates in `O(n·N)` (one `remove_higher` plus one
     /// `add_lower` per candidate) instead of rebuilding `O(n)`
     /// interference sets per probe round.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InfeasibleError`] when no priority ordering passes
-    /// `S_DCA`.
-    pub fn assign_with_analysis(
-        &self,
-        analysis: &Analysis<'_>,
-    ) -> Result<OrderingResult, InfeasibleError> {
-        self.decide_traced(analysis, AudsleyResume::Cold).result
-    }
-
-    /// The Audsley loop with trace recording and optional warm resumption
-    /// — the engine behind both [`Opdca::assign_with_analysis`] (cold) and
-    /// the [`OnlineSolver`](crate::OnlineSolver) impl (warm).
     ///
     /// The fast-forward is sound *and counter-exact* by monotonicity: the
     /// maintained bounds only grow when the assumed-higher set grows, so
@@ -249,7 +216,7 @@ impl Opdca {
             result: Ok(OrderingResult {
                 ordering,
                 delays,
-                sdca_calls: sdca_calls as usize,
+                sdca_calls,
             }),
             trace: AudsleyState {
                 winners: assigned_lowest_first,
@@ -263,16 +230,7 @@ impl Opdca {
     /// the current priority level, the job with the largest deadline
     /// overshoot `Δ_i − D_i` is rejected and the assignment continues with
     /// the remaining jobs.
-    #[must_use]
-    pub fn admission_control(&self, jobs: &JobSet) -> OrderingAdmissionOutcome {
-        let analysis = Analysis::new(jobs);
-        self.admission_control_with_analysis(&analysis)
-    }
-
-    /// Like [`Opdca::admission_control`] but reuses a precomputed
-    /// [`Analysis`].
-    #[must_use]
-    pub fn admission_control_with_analysis(
+    pub(crate) fn admission_control_with_analysis(
         &self,
         analysis: &Analysis<'_>,
     ) -> OrderingAdmissionOutcome {
@@ -353,88 +311,49 @@ pub(crate) enum AudsleyResume<'a> {
 
 /// An Audsley decision together with the trace that produced it.
 pub(crate) struct TracedOrdering {
-    /// The decision, exactly as [`Opdca::assign_with_analysis`] reports
-    /// it.
+    /// The decision.
     pub(crate) result: Result<OrderingResult, InfeasibleError>,
     /// The recorded walk, for the next warm decide.
     pub(crate) trace: AudsleyState,
 }
 
-/// Successful output of [`Opdca::assign`].
+/// A feasible ordering found by the Audsley loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderingResult {
-    ordering: PriorityOrdering,
-    delays: Vec<Time>,
-    sdca_calls: usize,
-}
-
-impl OrderingResult {
+pub(crate) struct OrderingResult {
     /// The computed priority ordering (highest priority first).
-    #[must_use]
-    pub fn ordering(&self) -> &PriorityOrdering {
-        &self.ordering
-    }
-
-    /// Consumes the result, returning the ordering.
-    #[must_use]
-    pub fn into_ordering(self) -> PriorityOrdering {
-        self.ordering
-    }
-
-    /// The delay bound `Δ_i` of a job under the computed ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job id is out of range.
-    #[must_use]
-    pub fn delay(&self, job: JobId) -> Time {
-        self.delays[job.index()]
-    }
-
-    /// Delay bounds of all jobs, indexed by job id.
-    #[must_use]
-    pub fn delays(&self) -> &[Time] {
-        &self.delays
-    }
-
-    /// Number of `S_DCA` invocations performed (at most `n(n+1)/2 ≤ O(n²)`).
-    #[must_use]
-    pub fn sdca_calls(&self) -> usize {
-        self.sdca_calls
-    }
+    pub(crate) ordering: PriorityOrdering,
+    /// Delay bounds of all jobs under the ordering, indexed by job id.
+    pub(crate) delays: Vec<Time>,
+    /// Number of `S_DCA` invocations (at most `n(n+1)/2 ≤ O(n²)`).
+    pub(crate) sdca_calls: u64,
 }
 
-/// Output of [`Opdca::admission_control`].
+/// Output of [`Opdca::admission_control_with_analysis`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderingAdmissionOutcome {
+pub(crate) struct OrderingAdmissionOutcome {
     /// Priority ordering over the accepted jobs (highest priority first).
-    pub ordering: PriorityOrdering,
+    pub(crate) ordering: PriorityOrdering,
     /// Accepted jobs in id order.
-    pub accepted: Vec<JobId>,
+    pub(crate) accepted: Vec<JobId>,
     /// Rejected jobs in rejection order.
-    pub rejected: Vec<JobId>,
-}
-
-impl OrderingAdmissionOutcome {
-    /// Fraction of jobs accepted.
-    #[must_use]
-    pub fn acceptance_ratio(&self) -> f64 {
-        let total = self.accepted.len() + self.rejected.len();
-        if total == 0 {
-            return 1.0;
-        }
-        self.accepted.len() as f64 / total as f64
-    }
+    pub(crate) rejected: Vec<JobId>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use msmr_dca::InterferenceSets;
-    use msmr_model::{JobSetBuilder, PreemptionPolicy};
+    use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy};
 
     fn jid(i: usize) -> JobId {
         JobId::new(i)
+    }
+
+    /// The cold Audsley loop on `jobs`.
+    fn assign(jobs: &JobSet) -> Result<OrderingResult, InfeasibleError> {
+        Opdca::default()
+            .decide_traced(&Analysis::new(jobs), AudsleyResume::Cold)
+            .result
     }
 
     /// The Observation V.1 system, for which no total ordering exists.
@@ -489,23 +408,22 @@ mod tests {
     #[test]
     fn finds_the_only_feasible_ordering() {
         let jobs = forced_order();
-        let result = Opdca::default().assign(&jobs).unwrap();
-        assert_eq!(result.ordering().as_slice(), &[jid(0), jid(1)]);
+        let result = assign(&jobs).unwrap();
+        assert_eq!(result.ordering.as_slice(), &[jid(0), jid(1)]);
         // At most n(n+1)/2 test calls for n=2.
-        assert!(result.sdca_calls() <= 3);
+        assert!(result.sdca_calls <= 3);
         // Delays are consistent with the ordering and within deadlines.
         for i in 0..2 {
-            assert!(result.delay(jid(i)) <= jobs.job(jid(i)).deadline());
+            assert!(result.delays[i] <= jobs.job(jid(i)).deadline());
         }
-        assert_eq!(result.delays().len(), 2);
-        let ordering = result.into_ordering();
-        assert!(ordering.covers(&jobs));
+        assert_eq!(result.delays.len(), 2);
+        assert!(result.ordering.covers(&jobs));
     }
 
     #[test]
     fn observation_v1_has_no_total_ordering() {
         let jobs = observation_v1();
-        let err = Opdca::default().assign(&jobs).unwrap_err();
+        let err = assign(&jobs).unwrap_err();
         assert_eq!(err.algorithm, "OPDCA");
         // The failure happens at the very first (lowest) level, so every
         // job is reported unschedulable.
@@ -515,12 +433,11 @@ mod tests {
     #[test]
     fn admission_control_rejects_and_schedules_the_rest() {
         let jobs = observation_v1();
-        let outcome = Opdca::default().admission_control(&jobs);
+        let analysis = Analysis::new(&jobs);
+        let outcome = Opdca::default().admission_control_with_analysis(&analysis);
         assert!(!outcome.rejected.is_empty());
         assert_eq!(outcome.accepted.len() + outcome.rejected.len(), 4);
-        assert!(outcome.acceptance_ratio() < 1.0);
         // All accepted jobs are feasible under the produced ordering.
-        let analysis = Analysis::new(&jobs);
         let sdca = Sdca::preemptive();
         for &job in &outcome.accepted {
             let ctx = outcome.ordering.interference_sets(job);
@@ -535,10 +452,9 @@ mod tests {
     #[test]
     fn admission_control_accepts_everything_when_feasible() {
         let jobs = forced_order();
-        let outcome = Opdca::default().admission_control(&jobs);
+        let outcome = Opdca::default().admission_control_with_analysis(&Analysis::new(&jobs));
         assert!(outcome.rejected.is_empty());
         assert_eq!(outcome.accepted.len(), 2);
-        assert!((outcome.acceptance_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -560,7 +476,9 @@ mod tests {
             let jobs = generator.generate_seeded(seed);
             let analysis = Analysis::new(&jobs);
             let brute = brute_force_ordering_exists(&analysis, &sdca);
-            let opdca = Opdca::default().assign_with_analysis(&analysis);
+            let opdca = Opdca::default()
+                .decide_traced(&analysis, AudsleyResume::Cold)
+                .result;
             assert_eq!(
                 brute,
                 opdca.is_ok(),
@@ -610,9 +528,6 @@ mod tests {
 
     #[test]
     fn default_uses_refined_preemptive() {
-        assert_eq!(
-            Opdca::default().test().bound(),
-            DelayBoundKind::RefinedPreemptive
-        );
+        assert_eq!(Opdca::default().bound(), DelayBoundKind::RefinedPreemptive);
     }
 }

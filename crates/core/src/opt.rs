@@ -13,70 +13,17 @@ use crate::PairwiseAssignment;
 /// a power of two so the check compiles to a mask test.
 const DEADLINE_CHECK_INTERVAL: u64 = 4_096;
 
-/// Configuration of the pairwise branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairwiseSearchConfig {
-    /// Maximum number of search nodes before the search is truncated.
-    /// Truncation is reported as [`PairwiseSearchOutcome::Unknown`], never
-    /// silently as infeasible.
-    pub node_limit: u64,
-    /// Optional wall-clock budget; exceeding it truncates the search the
-    /// same way the node limit does (checked every few thousand nodes).
-    pub time_limit: Option<Duration>,
-}
-
-impl Default for PairwiseSearchConfig {
-    fn default() -> Self {
-        PairwiseSearchConfig {
-            node_limit: 5_000_000,
-            time_limit: None,
-        }
-    }
-}
-
-/// Counters describing one branch-and-bound run, reported by
-/// [`OptPairwise::assign_with_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PairwiseSearchStats {
-    /// Search nodes explored.
-    pub nodes: u64,
-    /// Whether the node or time budget truncated the search.
-    pub truncated: bool,
-}
-
-/// Result of an exact pairwise priority search.
+/// Result of an exact pairwise priority search (OPT and OPT-ILP).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PairwiseSearchOutcome {
+pub(crate) enum PairwiseSearchOutcome {
     /// A feasible pairwise assignment was found.
     Feasible(PairwiseAssignment),
     /// The search proved that no pairwise assignment satisfies every
     /// deadline under the selected bound.
     Infeasible,
-    /// The node budget was exhausted before a conclusion was reached.
+    /// The node or time budget was exhausted before a conclusion was
+    /// reached — never reported silently as infeasible.
     Unknown,
-}
-
-impl PairwiseSearchOutcome {
-    /// The assignment, if one was found.
-    #[must_use]
-    pub fn assignment(&self) -> Option<&PairwiseAssignment> {
-        match self {
-            PairwiseSearchOutcome::Feasible(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// `true` if a feasible assignment was found.
-    #[must_use]
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, PairwiseSearchOutcome::Feasible(_))
-    }
-
-    /// `true` if the search reached a definite answer.
-    #[must_use]
-    pub fn is_conclusive(&self) -> bool {
-        !matches!(self, PairwiseSearchOutcome::Unknown)
-    }
 }
 
 /// OPT — an exact solver for problem P2: assign a priority direction to
@@ -92,28 +39,18 @@ impl PairwiseSearchOutcome {
 /// instances completed within the node budget the answer matches the ILP
 /// optimum. (The verbatim ILP encoding is available as
 /// [`PairwiseIlp`](crate::PairwiseIlp) and is cross-checked against this
-/// engine in the test suite.)
+/// engine in the test suite.) Run it through [`Solver`](crate::Solver);
+/// the context's [`Budget`](crate::Budget) limits the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptPairwise {
     bound: DelayBoundKind,
-    config: PairwiseSearchConfig,
 }
 
 impl OptPairwise {
-    /// Creates the solver for the given delay bound with the default
-    /// search budget.
+    /// Creates the solver for the given delay bound.
     #[must_use]
     pub fn new(bound: DelayBoundKind) -> Self {
-        OptPairwise {
-            bound,
-            config: PairwiseSearchConfig::default(),
-        }
-    }
-
-    /// Creates the solver with an explicit search budget.
-    #[must_use]
-    pub fn with_config(bound: DelayBoundKind, config: PairwiseSearchConfig) -> Self {
-        OptPairwise { bound, config }
+        OptPairwise { bound }
     }
 
     /// The delay bound used by the solver.
@@ -122,38 +59,21 @@ impl OptPairwise {
         self.bound
     }
 
-    /// The active search configuration.
-    #[must_use]
-    pub const fn config(&self) -> PairwiseSearchConfig {
-        self.config
-    }
-
-    /// Searches for a feasible pairwise assignment.
-    #[must_use]
-    pub fn assign(&self, jobs: &JobSet) -> PairwiseSearchOutcome {
-        let analysis = Analysis::new(jobs);
-        self.assign_with_analysis(&analysis)
-    }
-
-    /// Like [`OptPairwise::assign`] but reuses a precomputed [`Analysis`].
-    #[must_use]
-    pub fn assign_with_analysis(&self, analysis: &Analysis<'_>) -> PairwiseSearchOutcome {
-        self.assign_with_stats(analysis).0
-    }
-
-    /// Like [`OptPairwise::assign_with_analysis`], additionally reporting
-    /// how many nodes the search explored and whether it was truncated.
+    /// Searches for a feasible pairwise assignment within `node_limit`
+    /// nodes and the optional wall-clock `time_limit`, reporting the
+    /// outcome and how many nodes the search explored.
     ///
     /// The search keeps a *single* mutable state — an incremental
     /// [`DelayEvaluator`] plus a flat tri-state orientation matrix — and
     /// undoes each pair decision on backtrack instead of cloning an
     /// assignment per node. For job populations of `n ≤ 64` a search node
     /// therefore performs zero heap allocations.
-    #[must_use]
-    pub fn assign_with_stats(
+    pub(crate) fn search(
         &self,
         analysis: &Analysis<'_>,
-    ) -> (PairwiseSearchOutcome, PairwiseSearchStats) {
+        node_limit: u64,
+        time_limit: Option<Duration>,
+    ) -> (PairwiseSearchOutcome, u64) {
         let jobs = analysis.jobs();
         let evaluator = analysis.evaluator(self.bound);
 
@@ -164,10 +84,7 @@ impl OptPairwise {
         for i in jobs.job_ids() {
             let delay = evaluator.delay(i);
             if delay > jobs.job(i).deadline() {
-                return (
-                    PairwiseSearchOutcome::Infeasible,
-                    PairwiseSearchStats::default(),
-                );
+                return (PairwiseSearchOutcome::Infeasible, 0);
             }
             alone.push(delay);
         }
@@ -191,24 +108,20 @@ impl OptPairwise {
             orientation: Orientation::new(jobs.len()),
             jobs,
             pairs,
-            node_limit: self.config.node_limit,
-            deadline: self.config.time_limit.map(|limit| Instant::now() + limit),
+            node_limit,
+            deadline: time_limit.map(|limit| Instant::now() + limit),
             nodes: 0,
             truncated: false,
             solution: None,
         };
         search.explore(0);
 
-        let stats = PairwiseSearchStats {
-            nodes: search.nodes,
-            truncated: search.truncated,
-        };
         let outcome = match (search.solution, search.truncated) {
             (Some(assignment), _) => PairwiseSearchOutcome::Feasible(assignment),
             (None, true) => PairwiseSearchOutcome::Unknown,
             (None, false) => PairwiseSearchOutcome::Infeasible,
         };
-        (outcome, stats)
+        (outcome, search.nodes)
     }
 }
 
@@ -286,6 +199,13 @@ mod tests {
         JobId::new(i)
     }
 
+    /// Runs the search with a generous node budget and no time limit.
+    fn search(bound: DelayBoundKind, jobs: &JobSet) -> PairwiseSearchOutcome {
+        OptPairwise::new(bound)
+            .search(&Analysis::new(jobs), 5_000_000, None)
+            .0
+    }
+
     /// The Observation V.1 system: a pairwise assignment exists although no
     /// total ordering does.
     fn observation_v1() -> JobSet {
@@ -315,9 +235,11 @@ mod tests {
     fn observation_v1_pairwise_assignment_is_found() {
         let jobs = observation_v1();
         let analysis = Analysis::new(&jobs);
-        let outcome = OptPairwise::new(DelayBoundKind::RefinedPreemptive).assign(&jobs);
-        assert!(outcome.is_conclusive());
-        let assignment = outcome.assignment().expect("Observation V.1 is feasible");
+        let PairwiseSearchOutcome::Feasible(assignment) =
+            search(DelayBoundKind::RefinedPreemptive, &jobs)
+        else {
+            panic!("Observation V.1 is feasible");
+        };
         assert!(assignment.is_complete(&jobs));
         assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
         // And it must be cyclic across resources (otherwise a total
@@ -353,10 +275,8 @@ mod tests {
             .add()
             .unwrap();
         let jobs = b.build().unwrap();
-        let outcome = OptPairwise::new(DelayBoundKind::RefinedPreemptive).assign(&jobs);
+        let outcome = search(DelayBoundKind::RefinedPreemptive, &jobs);
         assert_eq!(outcome, PairwiseSearchOutcome::Infeasible);
-        assert!(!outcome.is_feasible());
-        assert!(outcome.assignment().is_none());
     }
 
     #[test]
@@ -369,28 +289,22 @@ mod tests {
             .add()
             .unwrap();
         let jobs = b.build().unwrap();
-        let outcome = OptPairwise::new(DelayBoundKind::RefinedPreemptive).assign(&jobs);
+        let outcome = search(DelayBoundKind::RefinedPreemptive, &jobs);
         assert_eq!(outcome, PairwiseSearchOutcome::Infeasible);
     }
 
     #[test]
     fn node_limit_reports_unknown() {
         let jobs = observation_v1();
-        let solver = OptPairwise::with_config(
-            DelayBoundKind::RefinedPreemptive,
-            PairwiseSearchConfig {
-                node_limit: 1,
-                ..PairwiseSearchConfig::default()
-            },
-        );
-        let outcome = solver.assign(&jobs);
+        let solver = OptPairwise::new(DelayBoundKind::RefinedPreemptive);
+        let (outcome, nodes) = solver.search(&Analysis::new(&jobs), 1, None);
         // With a single node the search cannot finish; it must not claim
         // infeasibility.
         assert!(matches!(
             outcome,
             PairwiseSearchOutcome::Unknown | PairwiseSearchOutcome::Feasible(_)
         ));
-        assert_eq!(solver.config().node_limit, 1);
+        assert_eq!(nodes, 1);
         assert_eq!(solver.bound(), DelayBoundKind::RefinedPreemptive);
     }
 
@@ -410,11 +324,14 @@ mod tests {
             let analysis = Analysis::new(&jobs);
             let bound = DelayBoundKind::RefinedPreemptive;
             let expected = exhaustive_pairwise_exists(&analysis, bound);
-            let outcome = OptPairwise::new(bound).assign_with_analysis(&analysis);
-            assert!(outcome.is_conclusive(), "seed {seed} hit the node limit");
-            assert_eq!(outcome.is_feasible(), expected, "seed {seed} disagrees");
-            if let Some(assignment) = outcome.assignment() {
-                assert!(assignment.is_feasible(&analysis, bound));
+            let (outcome, _) = OptPairwise::new(bound).search(&analysis, 5_000_000, None);
+            match outcome {
+                PairwiseSearchOutcome::Feasible(assignment) => {
+                    assert!(expected, "seed {seed} disagrees");
+                    assert!(assignment.is_feasible(&analysis, bound));
+                }
+                PairwiseSearchOutcome::Infeasible => assert!(!expected, "seed {seed} disagrees"),
+                PairwiseSearchOutcome::Unknown => panic!("seed {seed} hit the node limit"),
             }
         }
     }
@@ -454,11 +371,11 @@ mod tests {
     #[test]
     fn edge_hybrid_bound_is_supported() {
         let jobs = observation_v1();
-        let outcome = OptPairwise::new(DelayBoundKind::EdgeHybrid).assign(&jobs);
+        let outcome = search(DelayBoundKind::EdgeHybrid, &jobs);
         // The hybrid bound adds blocking, so the set may or may not be
         // feasible — but the search must terminate conclusively.
-        assert!(outcome.is_conclusive());
-        if let Some(assignment) = outcome.assignment() {
+        assert_ne!(outcome, PairwiseSearchOutcome::Unknown);
+        if let PairwiseSearchOutcome::Feasible(assignment) = outcome {
             let analysis = Analysis::new(&jobs);
             assert!(assignment.is_feasible(&analysis, DelayBoundKind::EdgeHybrid));
         }

@@ -2,14 +2,14 @@
 //! engine implements, a shared per-job-set [`SolveCtx`], and a
 //! serde-serializable [`Verdict`] report.
 //!
-//! Before this seam existed every engine exposed an ad-hoc entry point
-//! (`Dm::is_schedulable`, `Dmr::assign_with_analysis`, `Opdca::assign`,
-//! `OptPairwise::assign_with_analysis`, `Dcmp::evaluate`) with five
-//! incompatible outcome types, and every consumer hand-wired them. The
-//! [`Solver`] trait is the one interface the experiment harness, the batch
-//! evaluator ([`SolverRegistry`](crate::SolverRegistry)) and future
-//! services program against; the legacy constructors and entry points
-//! remain available and are what the trait impls delegate to.
+//! [`Solver::solve`] and [`Solver::admission_control`] (plus
+//! [`OnlineSolver`](crate::OnlineSolver) for the warm path) are the only
+//! public way to run DM, DMR, OPDCA, OPT and OPT-ILP, and the context's
+//! [`Budget`] is the only way to limit one. The experiment harness, the
+//! batch evaluator ([`SolverRegistry`](crate::SolverRegistry)), the
+//! services, the examples and the benches all program against it. DCMP
+//! additionally keeps [`Dcmp::evaluate`](crate::Dcmp::evaluate), whose
+//! virtual deadlines and simulation trace no `Verdict` carries.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -21,27 +21,24 @@ use serde::{Deserialize, Serialize};
 
 use crate::{PairwiseAssignment, PriorityOrdering};
 
-/// Resource limits applied to one [`Solver::solve`] call.
+/// Resource limits applied to one [`Solver::solve`] call — the only way
+/// to limit a solver.
 ///
-/// Only the exact engines consume budgets today (the heuristics are
-/// polynomial); unknown fields are simply ignored by solvers that cannot
-/// honour them, so a budget can be passed uniformly to a whole registry.
+/// Only the exact engines consume budgets (the heuristics are
+/// polynomial); solvers that cannot honour a limit ignore it, so a budget
+/// can be passed uniformly to a whole registry. Exhausting a limit yields
+/// [`VerdictKind::Undecided`], never a rejection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
-    /// Maximum number of search nodes for exact engines; `None` keeps each
-    /// solver's own default.
+    /// Maximum number of search nodes for the exact engines. `None` falls
+    /// back to each engine's default: 5 000 000 nodes for OPT, 20 000 000
+    /// branch-and-bound nodes for OPT-ILP.
     pub node_limit: Option<u64>,
-    /// Wall-clock limit for exact engines; `None` means unlimited.
+    /// Wall-clock limit for the exact engines; `None` means unlimited.
     pub time_limit: Option<Duration>,
 }
 
 impl Budget {
-    /// An unlimited budget (each solver keeps its configured defaults).
-    #[must_use]
-    pub fn unlimited() -> Self {
-        Budget::default()
-    }
-
     /// Sets the node limit.
     #[must_use]
     pub fn with_node_limit(mut self, node_limit: u64) -> Self {
@@ -71,7 +68,8 @@ pub struct SolveCtx<'a> {
 }
 
 impl<'a> SolveCtx<'a> {
-    /// Creates a context with an unlimited budget.
+    /// Creates a context with the default [`Budget`] (each exact engine's
+    /// default node limit, no time limit).
     #[must_use]
     pub fn new(jobs: &'a JobSet) -> Self {
         SolveCtx {
@@ -337,8 +335,9 @@ impl std::error::Error for UnsupportedMode {}
 /// The unified interface of every priority-assignment engine.
 ///
 /// The trait is object-safe and `Send + Sync`, so registries can hold
-/// boxed solvers and evaluate them from worker threads. Implementations
-/// delegate to the engine-specific entry points, which remain public.
+/// boxed solvers and evaluate them from worker threads. It is each
+/// engine's only public entry point; the engine code behind it is private
+/// to the crate.
 pub trait Solver: Send + Sync {
     /// Canonical name of the solver (`"DM"`, `"OPT"`, ... — the names the
     /// registry and the CLI use).
@@ -415,7 +414,7 @@ mod tests {
 
     #[test]
     fn budget_builders_compose() {
-        let budget = Budget::unlimited()
+        let budget = Budget::default()
             .with_node_limit(1_000)
             .with_time_limit(Duration::from_millis(5));
         assert_eq!(budget.node_limit, Some(1_000));

@@ -1,23 +1,22 @@
-//! [`Solver`] implementations for the six engines of the workspace.
+//! [`Solver`] implementations for the six engines of the workspace — each
+//! engine's only public entry point.
 //!
-//! Each impl delegates to the engine's legacy entry points (which stay
-//! public), translates the engine-specific outcome into the unified
+//! Each impl runs the engine's crate-private code on the context's shared
+//! analysis, translates the engine-specific outcome into the unified
 //! [`Verdict`] and honours the [`Budget`](crate::Budget) of the context
-//! where the engine supports limits.
+//! where the engine supports limits (OPT and OPT-ILP).
 
 use msmr_dca::DelayBoundKind;
 use msmr_model::{JobId, Time};
 
 use crate::online::{DeciderState, OnlineSolver};
-use crate::opdca::AudsleyResume;
+use crate::opdca::{AudsleyResume, OrderingResult};
+use crate::opt::PairwiseSearchOutcome;
 use crate::solver::{
     timed, AdmissionVerdict, SolveCtx, Solver, SolverStats, UnsupportedMode, Verdict, VerdictKind,
     Witness,
 };
-use crate::{
-    Dcmp, Dm, Dmr, InfeasibleError, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp,
-    PairwiseSearchConfig, PairwiseSearchOutcome,
-};
+use crate::{Dcmp, Dm, Dmr, InfeasibleError, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp};
 
 /// Canonical registry/CLI name of the deadline-monotonic baseline.
 pub const DM: &str = "DM";
@@ -31,6 +30,11 @@ pub const OPT: &str = "OPT";
 pub const OPT_ILP: &str = "OPT-ILP";
 /// Canonical name of the deadline-decomposition simulation baseline.
 pub const DCMP: &str = "DCMP";
+
+/// OPT's node limit when the context's budget sets none.
+const OPT_DEFAULT_NODE_LIMIT: u64 = 5_000_000;
+/// OPT-ILP's branch-and-bound node limit when the budget sets none.
+const OPT_ILP_DEFAULT_NODE_LIMIT: u64 = 20_000_000;
 
 impl Solver for Dm {
     fn name(&self) -> &str {
@@ -82,7 +86,7 @@ impl Solver for Dm {
     }
 
     fn admission_control(&self, ctx: &SolveCtx<'_>) -> Result<AdmissionVerdict, UnsupportedMode> {
-        let outcome = Dm::admission_control(self, ctx.jobs());
+        let outcome = self.admission_control_with_analysis(ctx.analysis());
         Ok(AdmissionVerdict {
             solver: DM.to_string(),
             accepted: outcome.accepted,
@@ -116,7 +120,7 @@ impl Solver for Dmr {
     }
 
     fn admission_control(&self, ctx: &SolveCtx<'_>) -> Result<AdmissionVerdict, UnsupportedMode> {
-        let outcome = Dmr::admission_control(self, ctx.jobs());
+        let outcome = self.admission_control_with_analysis(ctx.analysis());
         Ok(AdmissionVerdict {
             solver: DMR.to_string(),
             accepted: outcome.accepted,
@@ -147,7 +151,8 @@ impl Solver for Opdca {
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
         let analysis = ctx.analysis();
-        let (verdict, elapsed) = timed(|| opdca_verdict(self.assign_with_analysis(analysis)));
+        let (verdict, elapsed) =
+            timed(|| opdca_verdict(self.decide_traced(analysis, AudsleyResume::Cold).result));
         with_elapsed(verdict, elapsed)
     }
 
@@ -172,17 +177,12 @@ impl Solver for OptPairwise {
     }
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
-        let budgeted = OptPairwise::with_config(
-            self.bound(),
-            PairwiseSearchConfig {
-                node_limit: ctx.budget().node_limit.unwrap_or(self.config().node_limit),
-                time_limit: ctx.budget().time_limit.or(self.config().time_limit),
-            },
-        );
+        let budget = ctx.budget();
         let analysis = ctx.analysis();
         let (verdict, elapsed) = timed(|| {
-            let (outcome, stats) = budgeted.assign_with_stats(analysis);
-            pairwise_outcome_verdict(OPT, ctx, self.bound(), outcome, stats.nodes)
+            let node_limit = budget.node_limit.unwrap_or(OPT_DEFAULT_NODE_LIMIT);
+            let (outcome, nodes) = self.search(analysis, node_limit, budget.time_limit);
+            pairwise_outcome_verdict(OPT, ctx, self.bound(), outcome, nodes)
         });
         with_elapsed(verdict, elapsed)
     }
@@ -198,17 +198,12 @@ impl Solver for PairwiseIlp {
     }
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
-        let mut budgeted = match ctx.budget().node_limit {
-            Some(node_limit) => self.with_node_limit(node_limit),
-            None => *self,
-        };
-        if let Some(time_limit) = ctx.budget().time_limit {
-            budgeted = budgeted.with_time_limit(time_limit);
-        }
+        let budget = ctx.budget();
         let analysis = ctx.analysis();
         let (verdict, elapsed) = timed(|| {
-            let (outcome, stats) = budgeted.assign_with_stats(analysis);
-            pairwise_outcome_verdict(OPT_ILP, ctx, self.bound(), outcome, stats.nodes)
+            let node_limit = budget.node_limit.unwrap_or(OPT_ILP_DEFAULT_NODE_LIMIT);
+            let (outcome, nodes) = self.search(analysis, node_limit, budget.time_limit);
+            pairwise_outcome_verdict(OPT_ILP, ctx, self.bound(), outcome, nodes)
         });
         with_elapsed(verdict, elapsed)
     }
@@ -252,7 +247,7 @@ impl Solver for Dcmp {
 /// on warm tables are the warm win) and persists the flip trace; OPDCA
 /// fast-forwards its persisted Audsley trace and re-decides only the
 /// suffix the arriving or departing job can perturb (see
-/// [`Opdca::decide_traced`]).
+/// `Opdca::decide_traced`).
 impl OnlineSolver for Dm {
     fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
         *state = DeciderState::Stateless;
@@ -344,18 +339,18 @@ impl OnlineSolver for Opdca {
 /// Translates an OPDCA outcome into the unified verdict — the one
 /// assembly shared by the cold [`Solver::solve`] and the warm
 /// [`OnlineSolver`] paths, so they cannot drift.
-fn opdca_verdict(result: Result<crate::OrderingResult, InfeasibleError>) -> Verdict {
+fn opdca_verdict(result: Result<OrderingResult, InfeasibleError>) -> Verdict {
     match result {
         Ok(result) => Verdict {
             solver: OPDCA.to_string(),
             kind: VerdictKind::Accepted,
-            delays: Some(result.delays().to_vec()),
+            witness: Some(Witness::Ordering(result.ordering)),
+            delays: Some(result.delays),
+            unschedulable: Vec::new(),
             stats: SolverStats {
-                sdca_calls: result.sdca_calls() as u64,
+                sdca_calls: result.sdca_calls,
                 ..SolverStats::default()
             },
-            witness: Some(Witness::Ordering(result.into_ordering())),
-            unschedulable: Vec::new(),
         },
         Err(err) => Verdict {
             solver: OPDCA.to_string(),
@@ -442,8 +437,8 @@ fn with_elapsed(mut verdict: Verdict, elapsed_micros: u64) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolveCtx;
-    use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
+    use crate::{Budget, SolveCtx};
+    use msmr_model::{JobSetBuilder, PreemptionPolicy};
 
     fn light_jobs() -> msmr_model::JobSet {
         let mut b = JobSetBuilder::new();
@@ -516,11 +511,9 @@ mod tests {
         assert_eq!(err.solver, "OPT");
     }
 
-    #[test]
-    fn budget_node_limit_reaches_the_search() {
-        // A competing pair forces at least one search node; a zero node
-        // budget must therefore yield Undecided, proving the context
-        // budget overrides the solver's configured default.
+    /// Two jobs competing for one CPU, each feasible alone: deciding the
+    /// pair takes at least one search node.
+    fn competing_pair() -> msmr_model::JobSet {
         let mut b = JobSetBuilder::new();
         b.stage("cpu", 1, PreemptionPolicy::Preemptive);
         for _ in 0..2 {
@@ -530,11 +523,42 @@ mod tests {
                 .add()
                 .unwrap();
         }
-        let jobs = b.build().unwrap();
-        let ctx = SolveCtx::with_budget(&jobs, crate::Budget::default().with_node_limit(0));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn budget_node_limit_reaches_the_search() {
+        // A zero node budget must yield Undecided, proving the context
+        // budget overrides the engine's default node limit.
+        let jobs = competing_pair();
+        let ctx = SolveCtx::with_budget(&jobs, Budget::default().with_node_limit(0));
         let verdict = Solver::solve(&OptPairwise::new(DelayBoundKind::RefinedPreemptive), &ctx);
         assert_eq!(verdict.kind, VerdictKind::Undecided);
         assert!(!verdict.is_conclusive());
+    }
+
+    #[test]
+    fn budget_time_limit_reaches_both_exact_engines() {
+        // A zero wall-clock budget expires before the first node, so both
+        // exact engines must give up rather than answer.
+        let jobs = competing_pair();
+        let budget = Budget::default().with_time_limit(std::time::Duration::ZERO);
+        let ctx = SolveCtx::with_budget(&jobs, budget);
+        let bound = DelayBoundKind::RefinedPreemptive;
+        let exact: [Box<dyn Solver>; 2] = [
+            Box::new(OptPairwise::new(bound)),
+            Box::new(PairwiseIlp::new(bound)),
+        ];
+        for solver in &exact {
+            let verdict = solver.solve(&ctx);
+            assert_eq!(verdict.kind, VerdictKind::Undecided, "{}", solver.name());
+            assert!(verdict.witness.is_none(), "{}", solver.name());
+        }
+        // Without the limit both decide the case.
+        let unlimited = SolveCtx::new(&jobs);
+        for solver in &exact {
+            assert!(solver.solve(&unlimited).is_accepted(), "{}", solver.name());
+        }
     }
 
     #[test]

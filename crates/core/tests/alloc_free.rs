@@ -2,16 +2,17 @@
 //! search node (for job populations of `n ≤ 64`).
 //!
 //! Strategy: wrap the system allocator in a counting shim and run the same
-//! search twice with node budgets that differ by orders of magnitude. The
-//! setup (analysis, evaluator, pair list) allocates a fixed amount, so the
+//! search twice through `Solver::solve` with node budgets that differ by
+//! orders of magnitude. The analysis is built before measuring; the setup
+//! (evaluator, pair list) and the verdict allocate a fixed amount, so the
 //! two runs report the same allocation count iff exploring a node
 //! allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use msmr_dca::{Analysis, DelayBoundKind};
-use msmr_sched::{OptPairwise, PairwiseSearchConfig, PairwiseSearchOutcome};
+use msmr_dca::DelayBoundKind;
+use msmr_sched::{Budget, OptPairwise, SolveCtx, Solver, Verdict, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 struct CountingAllocator;
@@ -65,49 +66,44 @@ fn hard_instance() -> msmr_model::JobSet {
 #[test]
 fn opt_search_nodes_do_not_allocate() {
     let jobs = hard_instance();
-    let analysis = Analysis::new(&jobs);
-
-    let solver_with_limit = |node_limit: u64| {
-        OptPairwise::with_config(
-            DelayBoundKind::EdgeHybrid,
-            PairwiseSearchConfig {
-                node_limit,
-                ..PairwiseSearchConfig::default()
-            },
-        )
+    let solver = OptPairwise::new(DelayBoundKind::EdgeHybrid);
+    let ctx_with_limit = |node_limit: u64| {
+        let ctx = SolveCtx::with_budget(&jobs, Budget::default().with_node_limit(node_limit));
+        let _ = ctx.analysis();
+        ctx
     };
 
     // Warm-up: make sure any one-time lazy allocation happens outside the
     // measured runs.
-    let _ = solver_with_limit(16).assign_with_stats(&analysis);
+    let _ = solver.solve(&ctx_with_limit(16));
 
     // The libtest harness may allocate concurrently (timers, capture
     // buffers), so measure each budget several times and take the minimum
     // — the search itself is deterministic.
     let measure = |node_limit: u64| {
-        let mut best: Option<((PairwiseSearchOutcome, _), u64)> = None;
+        let ctx = ctx_with_limit(node_limit);
+        let mut best: Option<(Verdict, u64)> = None;
         for _ in 0..5 {
-            let (result, allocs) =
-                allocations(|| solver_with_limit(node_limit).assign_with_stats(&analysis));
+            let (verdict, allocs) = allocations(|| solver.solve(&ctx));
             if best.as_ref().is_none_or(|(_, b)| allocs < *b) {
-                best = Some((result, allocs));
+                best = Some((verdict, allocs));
             }
         }
         best.expect("at least one measurement")
     };
-    let ((outcome_small, stats_small), allocs_small) = measure(1_000);
-    let ((outcome_large, stats_large), allocs_large) = measure(100_000);
+    let (small, allocs_small) = measure(1_000);
+    let (large, allocs_large) = measure(100_000);
 
     // The two runs must actually have explored very different node counts,
     // with no solution witness allocated in either.
-    assert_eq!(stats_small.nodes, 1_000);
-    assert_eq!(stats_large.nodes, 100_000);
-    assert_eq!(outcome_small, PairwiseSearchOutcome::Unknown);
-    assert_eq!(outcome_large, PairwiseSearchOutcome::Unknown);
+    assert_eq!(small.stats.nodes_explored, 1_000);
+    assert_eq!(large.stats.nodes_explored, 100_000);
+    assert_eq!(small.kind, VerdictKind::Undecided);
+    assert_eq!(large.kind, VerdictKind::Undecided);
 
     assert_eq!(
         allocs_small, allocs_large,
         "allocation count grew with the node count: {} allocations at {} nodes vs {} at {}",
-        allocs_small, stats_small.nodes, allocs_large, stats_large.nodes
+        allocs_small, small.stats.nodes_explored, allocs_large, large.stats.nodes_explored
     );
 }

@@ -7,20 +7,45 @@
 //! keeps verbatim copies of the previous implementations and asserts, on
 //! the same 220-case fixed-seed corpus the registry equivalence test uses,
 //! that verdicts, witnesses, explored node counts, `S_DCA` call counts and
-//! admission outcomes are all unchanged.
+//! admission outcomes are all unchanged. The engines are run the only way
+//! the crate offers, through `Solver`, and compared on what their
+//! `Verdict` / `AdmissionVerdict` reports.
 
 use std::collections::BTreeSet;
 
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_model::{JobId, JobSet, Time};
 use msmr_sched::{
-    Dm, Dmr, Opdca, OptPairwise, PairwiseAssignment, PairwiseSearchConfig, PairwiseSearchOutcome,
-    Sdca,
+    Budget, Dm, Dmr, Opdca, OptPairwise, PairwiseAssignment, Sdca, SolveCtx, Solver, Verdict,
+    VerdictKind, Witness,
 };
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 const BOUND: DelayBoundKind = DelayBoundKind::EdgeHybrid;
 const OPT_NODE_LIMIT: u64 = 50_000;
+
+/// The three answers of an exact pairwise search, as the frozen OPT
+/// oracle reports them.
+#[derive(Debug, PartialEq)]
+enum PairwiseSearchOutcome {
+    Feasible(PairwiseAssignment),
+    Infeasible,
+    Unknown,
+}
+
+impl PairwiseSearchOutcome {
+    /// An exact engine's verdict in the oracle's terms.
+    fn of(verdict: &Verdict) -> Self {
+        match (verdict.kind, &verdict.witness) {
+            (VerdictKind::Accepted, Some(Witness::Pairwise(assignment))) => {
+                PairwiseSearchOutcome::Feasible(assignment.clone())
+            }
+            (VerdictKind::Rejected, None) => PairwiseSearchOutcome::Infeasible,
+            (VerdictKind::Undecided, None) => PairwiseSearchOutcome::Unknown,
+            (kind, witness) => panic!("malformed exact verdict: {kind:?} with {witness:?}"),
+        }
+    }
+}
 
 /// The registry equivalence corpus: four configurations spanning the
 /// evaluation's parameter space, 55 fixed seeds each.
@@ -355,20 +380,19 @@ fn legacy_pairwise_admission(
 fn opt_outcomes_and_node_counts_match_the_clone_based_search() {
     let cases = corpus();
     assert!(cases.len() >= 220, "corpus shrank: {}", cases.len());
-    let solver = OptPairwise::with_config(
-        BOUND,
-        PairwiseSearchConfig {
-            node_limit: OPT_NODE_LIMIT,
-            ..PairwiseSearchConfig::default()
-        },
-    );
+    let solver = OptPairwise::new(BOUND);
+    let budget = Budget::default().with_node_limit(OPT_NODE_LIMIT);
     for (case, jobs) in cases.iter().enumerate() {
-        let analysis = Analysis::new(jobs);
-        let (expected, expected_nodes) = legacy_opt(&analysis, BOUND, OPT_NODE_LIMIT);
-        let (outcome, stats) = solver.assign_with_stats(&analysis);
-        assert_eq!(outcome, expected, "case {case}: OPT outcome diverged");
+        let ctx = SolveCtx::with_budget(jobs, budget);
+        let (expected, expected_nodes) = legacy_opt(ctx.analysis(), BOUND, OPT_NODE_LIMIT);
+        let verdict = solver.solve(&ctx);
         assert_eq!(
-            stats.nodes, expected_nodes,
+            PairwiseSearchOutcome::of(&verdict),
+            expected,
+            "case {case}: OPT outcome diverged"
+        );
+        assert_eq!(
+            verdict.stats.nodes_explored, expected_nodes,
             "case {case}: OPT node count diverged"
         );
     }
@@ -379,14 +403,21 @@ fn opdca_orderings_and_sdca_calls_match_the_probe_based_loop() {
     let sdca = Sdca::new(BOUND);
     let opdca = Opdca::new(BOUND);
     for (case, jobs) in corpus().iter().enumerate() {
-        let analysis = Analysis::new(jobs);
-        match (
-            legacy_opdca(&analysis, &sdca),
-            opdca.assign_with_analysis(&analysis),
-        ) {
-            (Ok((order, calls)), Ok(result)) => {
-                assert_eq!(result.ordering().as_slice(), &order[..], "case {case}");
-                assert_eq!(result.sdca_calls(), calls, "case {case}: sdca_calls");
+        let ctx = SolveCtx::new(jobs);
+        let analysis = ctx.analysis();
+        let verdict = opdca.solve(&ctx);
+        match (legacy_opdca(analysis, &sdca), verdict.kind) {
+            (Ok((order, calls)), VerdictKind::Accepted) => {
+                let ordering = verdict.witness.as_ref().and_then(Witness::as_ordering);
+                assert_eq!(
+                    ordering.map(|o| o.as_slice()),
+                    Some(&order[..]),
+                    "case {case}"
+                );
+                assert_eq!(
+                    verdict.stats.sdca_calls, calls as u64,
+                    "case {case}: sdca_calls"
+                );
                 // Delays reported by the evaluator match the naive
                 // per-job evaluation under the computed ordering.
                 let expected: Vec<Time> = jobs
@@ -396,15 +427,14 @@ fn opdca_orderings_and_sdca_calls_match_the_probe_based_loop() {
                         analysis.delay_bound(BOUND, i, &ctx)
                     })
                     .collect();
-                assert_eq!(result.delays(), &expected[..], "case {case}: delays");
+                assert_eq!(verdict.delays, Some(expected), "case {case}: delays");
             }
-            (Err(expected), Err(err)) => {
-                assert_eq!(err.unschedulable, expected, "case {case}");
+            (Err(expected), VerdictKind::Rejected) => {
+                assert_eq!(verdict.unschedulable, expected, "case {case}");
             }
-            (legacy, new) => panic!(
-                "case {case}: OPDCA verdict diverged (legacy ok: {}, new ok: {})",
-                legacy.is_ok(),
-                new.is_ok()
+            (legacy, kind) => panic!(
+                "case {case}: OPDCA verdict diverged (legacy ok: {}, new: {kind:?})",
+                legacy.is_ok()
             ),
         }
     }
@@ -437,21 +467,23 @@ fn pairwise_delays_match_the_naive_per_job_evaluation() {
 fn dmr_assignments_match_the_clone_based_repair() {
     let dmr = Dmr::new(BOUND);
     for (case, jobs) in corpus().iter().enumerate() {
-        let analysis = Analysis::new(jobs);
+        let ctx = SolveCtx::new(jobs);
         let active: BTreeSet<JobId> = jobs.job_ids().collect();
         let (expected_assignment, expected_unschedulable) =
-            legacy_dmr_repair(&analysis, &active, BOUND);
-        match dmr.assign_with_analysis(&analysis) {
-            Ok(assignment) => {
-                assert!(
-                    expected_unschedulable.is_empty(),
-                    "case {case}: DMR verdict diverged (legacy rejected)"
-                );
-                assert_eq!(assignment, expected_assignment, "case {case}");
-            }
-            Err(err) => {
-                assert_eq!(err.unschedulable, expected_unschedulable, "case {case}");
-            }
+            legacy_dmr_repair(ctx.analysis(), &active, BOUND);
+        let verdict = dmr.solve(&ctx);
+        if verdict.is_accepted() {
+            assert!(
+                expected_unschedulable.is_empty(),
+                "case {case}: DMR verdict diverged (legacy rejected)"
+            );
+            assert_eq!(
+                verdict.witness,
+                Some(Witness::Pairwise(expected_assignment)),
+                "case {case}"
+            );
+        } else {
+            assert_eq!(verdict.unschedulable, expected_unschedulable, "case {case}");
         }
     }
 }
@@ -460,25 +492,25 @@ fn dmr_assignments_match_the_clone_based_repair() {
 fn admission_controllers_match_their_legacy_loops() {
     let opdca = Opdca::new(BOUND);
     let sdca = Sdca::new(BOUND);
+    let (dm, dmr) = (Dm::new(BOUND), Dmr::new(BOUND));
     for (case, jobs) in corpus().iter().enumerate().step_by(5) {
-        let analysis = Analysis::new(jobs);
+        let ctx = SolveCtx::new(jobs);
+        let analysis = ctx.analysis();
 
-        let (expected_accepted, expected_rejected) = legacy_opdca_admission(&analysis, &sdca);
-        let outcome = opdca.admission_control_with_analysis(&analysis);
+        let (expected_accepted, expected_rejected) = legacy_opdca_admission(analysis, &sdca);
+        let outcome = opdca.admission_control(&ctx).expect("OPDCA admits");
         assert_eq!(outcome.accepted, expected_accepted, "case {case}: OPDCA");
         assert_eq!(outcome.rejected, expected_rejected, "case {case}: OPDCA");
 
         for use_repair in [false, true] {
             let (expected_assignment, expected_accepted, expected_rejected) =
-                legacy_pairwise_admission(&analysis, BOUND, use_repair);
-            let outcome = if use_repair {
-                Dmr::new(BOUND).admission_control(jobs)
-            } else {
-                Dm::new(BOUND).admission_control(jobs)
-            };
-            let label = if use_repair { "DMR" } else { "DM" };
+                legacy_pairwise_admission(analysis, BOUND, use_repair);
+            let solver: &dyn Solver = if use_repair { &dmr } else { &dm };
+            let outcome = solver.admission_control(&ctx).expect("DM and DMR admit");
+            let label = solver.name();
             assert_eq!(
-                outcome.assignment, expected_assignment,
+                outcome.witness,
+                Some(Witness::Pairwise(expected_assignment)),
                 "case {case}: {label}"
             );
             assert_eq!(outcome.accepted, expected_accepted, "case {case}: {label}");

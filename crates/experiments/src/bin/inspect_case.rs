@@ -5,11 +5,11 @@
 //!
 //! `cargo run -p msmr-experiments --release --bin inspect_case -- --jobs 100 --seed 3`
 
-use msmr_dca::{Analysis, InterferenceSets};
+use msmr_dca::InterferenceSets;
 use msmr_experiments::cli::RunOptions;
 use msmr_experiments::{evaluate_all, EVALUATION_BOUND};
 use msmr_model::HeavinessProfile;
-use msmr_sched::Opdca;
+use msmr_sched::{Dm, Opdca, SolveCtx, Solver};
 use msmr_workload::EdgeWorkloadGenerator;
 
 fn main() {
@@ -22,7 +22,8 @@ fn main() {
     };
     let generator = EdgeWorkloadGenerator::new(options.base_config()).expect("valid configuration");
     let jobs = generator.generate_seeded(options.seed);
-    let analysis = Analysis::new(&jobs);
+    let ctx = SolveCtx::new(&jobs);
+    let analysis = ctx.analysis();
     let profile = HeavinessProfile::of(&jobs);
 
     println!(
@@ -51,40 +52,50 @@ fn main() {
         jobs.len()
     );
 
-    match Opdca::new(EVALUATION_BOUND).assign(&jobs) {
-        Ok(result) => {
-            let slack: Vec<i128> = jobs
+    // OPDCA reports delays exactly when it finds an ordering.
+    let opdca = Opdca::new(EVALUATION_BOUND).solve(&ctx);
+    match opdca.delays.as_deref() {
+        Some(delays) => {
+            let min_slack = jobs
                 .job_ids()
-                .map(|i| jobs.job(i).deadline().signed_diff(result.delay(i)))
-                .collect();
-            let min_slack = slack.iter().min().copied().unwrap_or(0);
+                .map(|i| jobs.job(i).deadline().signed_diff(delays[i.index()]))
+                .min()
+                .unwrap_or(0);
             println!("OPDCA: feasible ordering found, minimum slack {min_slack} ms");
         }
-        Err(err) => println!("OPDCA: {err}"),
+        None => println!(
+            "{opdca} ({} unschedulable job(s))",
+            opdca.unschedulable.len()
+        ),
     }
 
     // Worst offenders under the deadline-monotonic pairwise assignment,
-    // with a breakdown of the delay components.
-    let dm = msmr_sched::Dm::new(EVALUATION_BOUND).assign(&jobs);
+    // with a breakdown of the delay components. The DM verdict carries
+    // every job's delay, rejected or not.
+    let dm = Dm::new(EVALUATION_BOUND).solve(&ctx);
+    let dm_delays = dm.delays.as_deref().expect("DM reports delays");
     let mut offenders: Vec<(msmr_model::JobId, f64)> = jobs
         .job_ids()
         .map(|i| {
-            let ctx = dm.interference_sets(&jobs, i);
-            let delta = analysis.delay_bound(EVALUATION_BOUND, i, &ctx);
             (
                 i,
-                delta.as_ticks() as f64 / jobs.job(i).deadline().as_ticks() as f64,
+                dm_delays[i.index()].as_ticks() as f64 / jobs.job(i).deadline().as_ticks() as f64,
             )
         })
         .collect();
     offenders.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\nworst jobs under the DM assignment (delay/deadline):");
     for &(i, ratio) in offenders.iter().take(5) {
-        let ctx = dm.interference_sets(&jobs, i);
         let job = jobs.job(i);
-        let higher = ctx.higher().len();
-        let job_additive: u64 = ctx
-            .higher()
+        // DM ranks a competitor higher iff its deadline is smaller, ties
+        // going to the lower id.
+        let dm_higher: Vec<_> = jobs
+            .competitors(i)
+            .into_iter()
+            .filter(|&k| (jobs.job(k).deadline(), k) < (job.deadline(), i))
+            .collect();
+        let higher = dm_higher.len();
+        let job_additive: u64 = dm_higher
             .iter()
             .map(|&k| {
                 let pair = analysis.pair(i, k);

@@ -1,12 +1,13 @@
 //! Equivalence of the registry-based `evaluate_all` with the legacy
 //! hand-wired evaluation loop, on a fixed-seed corpus of generated job
 //! sets: outcomes must be byte-identical (checked on the serialized
-//! reports) for every case.
+//! reports) for every case. The hand-wired loop calls each engine
+//! directly through `Solver::solve` on one shared context — no registry,
+//! no declarative shortcuts.
 
-use msmr_dca::Analysis;
 use msmr_experiments::{evaluate_all, Approach, ApproachOutcome, EVALUATION_BOUND};
 use msmr_model::JobSet;
-use msmr_sched::{Dcmp, Dm, Dmr, Opdca, OptPairwise, PairwiseSearchConfig, PairwiseSearchOutcome};
+use msmr_sched::{Budget, Dcmp, Dm, Dmr, Opdca, OptPairwise, SolveCtx, Solver, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 const OPT_NODE_LIMIT: u64 = 50_000;
@@ -14,30 +15,18 @@ const OPT_NODE_LIMIT: u64 = 50_000;
 /// The seed repository's hand-wired evaluation loop, kept verbatim as the
 /// oracle for the registry-based reimplementation.
 fn legacy_evaluate_all(jobs: &JobSet, opt_node_limit: u64) -> Vec<(Approach, ApproachOutcome)> {
-    let analysis = Analysis::new(jobs);
+    let ctx = SolveCtx::with_budget(jobs, Budget::default().with_node_limit(opt_node_limit));
 
-    let dm_ok = Dm::new(EVALUATION_BOUND).is_schedulable(&analysis);
-    let dmr_ok = Dmr::new(EVALUATION_BOUND)
-        .assign_with_analysis(&analysis)
-        .is_ok();
-    let opdca_ok = Opdca::new(EVALUATION_BOUND)
-        .assign_with_analysis(&analysis)
-        .is_ok();
+    let dm_ok = Dm::new(EVALUATION_BOUND).solve(&ctx).is_accepted();
+    let dmr_ok = Dmr::new(EVALUATION_BOUND).solve(&ctx).is_accepted();
+    let opdca_ok = Opdca::new(EVALUATION_BOUND).solve(&ctx).is_accepted();
     let opt = if dmr_ok || opdca_ok {
         ApproachOutcome::Accepted
     } else {
-        match OptPairwise::with_config(
-            EVALUATION_BOUND,
-            PairwiseSearchConfig {
-                node_limit: opt_node_limit,
-                ..PairwiseSearchConfig::default()
-            },
-        )
-        .assign_with_analysis(&analysis)
-        {
-            PairwiseSearchOutcome::Feasible(_) => ApproachOutcome::Accepted,
-            PairwiseSearchOutcome::Infeasible => ApproachOutcome::Rejected,
-            PairwiseSearchOutcome::Unknown => ApproachOutcome::Undecided,
+        match OptPairwise::new(EVALUATION_BOUND).solve(&ctx).kind {
+            VerdictKind::Accepted => ApproachOutcome::Accepted,
+            VerdictKind::Rejected => ApproachOutcome::Rejected,
+            VerdictKind::Undecided => ApproachOutcome::Undecided,
         }
     };
     let dcmp_ok = Dcmp::new().evaluate(jobs).accepted;

@@ -626,8 +626,8 @@ fn render_replay(
                 lane.spans,
                 lane.accepted,
                 lane.total_us as f64 / lane.spans.max(1) as f64,
-                lane.histo.percentile_us(50.0),
-                lane.histo.percentile_us(99.0),
+                lane.histo.percentile_us(0.5),
+                lane.histo.percentile_us(0.99),
                 glyphs,
                 range
             ));
@@ -1083,6 +1083,29 @@ mod tests {
         assert!(report.contains("Overload 1"));
         assert!(report.contains("tenant-0"));
         assert!(report.contains("seq=1"));
+    }
+
+    #[test]
+    fn replay_percentile_columns_are_the_p50_and_p99_bucket_edges() {
+        use msmr_stats::TraceSpan;
+        // Fifty 10 µs spans and fifty 1 000 µs spans: the p50 sample sits
+        // in bucket [8, 16) µs, the p99 sample in [512, 1024) µs.
+        let mut events = TraceEvents::default();
+        for (i, dur_us) in [10u64; 50].into_iter().chain([1_000; 50]).enumerate() {
+            events.spans.push(TraceSpan {
+                solver: "OPT".into(),
+                ts_us: i as u64 * 2_000,
+                dur_us,
+                seq: Some(i as u64),
+                accepted: Some(true),
+            });
+        }
+        let report = render_replay("run.trace", &events, None, None);
+        let row = report
+            .lines()
+            .find(|line| line.starts_with("OPT "))
+            .expect("an OPT lane row");
+        assert!(row.contains("   15.0/1023.0 "), "{row}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use msmr_experiments::EVALUATION_BOUND;
 use msmr_sched::admission::rejected_heaviness_percent;
-use msmr_sched::{Dm, Dmr, Opdca};
+use msmr_sched::{Dm, Dmr, Opdca, SolveCtx, Solver};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,43 +25,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.len()
     );
 
-    // OPDCA as an admission controller.
-    let opdca = Opdca::new(EVALUATION_BOUND).admission_control(&jobs);
-    println!(
-        "OPDCA : accepted {:>2}, rejected {:>2} ({}), rejected heaviness {:>5.1}%",
-        opdca.accepted.len(),
-        opdca.rejected.len(),
-        format_jobs(&opdca.rejected),
-        rejected_heaviness_percent(&jobs, &opdca.rejected)
-    );
-
-    // DMR as an admission controller.
-    let dmr = Dmr::new(EVALUATION_BOUND).admission_control(&jobs);
-    println!(
-        "DMR   : accepted {:>2}, rejected {:>2} ({}), rejected heaviness {:>5.1}%",
-        dmr.accepted.len(),
-        dmr.rejected.len(),
-        format_jobs(&dmr.rejected),
-        rejected_heaviness_percent(&jobs, &dmr.rejected)
-    );
-
-    // DM (no repair) as an admission controller.
-    let dm = Dm::new(EVALUATION_BOUND).admission_control(&jobs);
-    println!(
-        "DM    : accepted {:>2}, rejected {:>2} ({}), rejected heaviness {:>5.1}%",
-        dm.accepted.len(),
-        dm.rejected.len(),
-        format_jobs(&dm.rejected),
-        rejected_heaviness_percent(&jobs, &dm.rejected)
-    );
+    // OPDCA, DMR and DM (no repair) as admission controllers, all on one
+    // shared analysis of the job set.
+    let ctx = SolveCtx::new(&jobs);
+    let controllers: [Box<dyn Solver>; 3] = [
+        Box::new(Opdca::new(EVALUATION_BOUND)),
+        Box::new(Dmr::new(EVALUATION_BOUND)),
+        Box::new(Dm::new(EVALUATION_BOUND)),
+    ];
+    let mut rejected_heaviness = Vec::new();
+    for controller in &controllers {
+        let verdict = controller.admission_control(&ctx)?;
+        let heaviness = rejected_heaviness_percent(&jobs, &verdict.rejected);
+        println!(
+            "{:<6}: accepted {:>2}, rejected {:>2} ({}), rejected heaviness {:>5.1}%",
+            verdict.solver,
+            verdict.accepted.len(),
+            verdict.rejected.len(),
+            format_jobs(&verdict.rejected),
+            heaviness
+        );
+        rejected_heaviness.push(heaviness);
+    }
 
     // Sanity: the optimal ordering algorithm never rejects more heaviness
     // than the plain deadline-monotonic baseline on this instance.
-    let opdca_rejected = rejected_heaviness_percent(&jobs, &opdca.rejected);
-    let dm_rejected = rejected_heaviness_percent(&jobs, &dm.rejected);
     println!(
         "\nOPDCA rejects {:.1}% of the heaviness vs {:.1}% for DM",
-        opdca_rejected, dm_rejected
+        rejected_heaviness[0], rejected_heaviness[2]
     );
     Ok(())
 }

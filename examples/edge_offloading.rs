@@ -7,7 +7,7 @@
 
 use msmr_experiments::{evaluate_all, Approach, EVALUATION_BOUND};
 use msmr_model::HeavinessProfile;
-use msmr_sched::Opdca;
+use msmr_sched::{Opdca, SolveCtx, Solver, Witness};
 use msmr_sim::{PriorityMap, Simulator};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
@@ -38,9 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // If a priority ordering exists, execute it on the simulator and
     // report the observed end-to-end delays.
-    match Opdca::new(EVALUATION_BOUND).assign(&jobs) {
-        Ok(result) => {
-            let priorities = PriorityMap::from_global_order(&jobs, result.ordering().as_slice());
+    let opdca = Opdca::new(EVALUATION_BOUND).solve(&SolveCtx::new(&jobs));
+    match opdca.witness.as_ref().and_then(Witness::as_ordering) {
+        Some(ordering) => {
+            let priorities = PriorityMap::from_global_order(&jobs, ordering.as_slice());
             let outcome = Simulator::new(&jobs).run(&priorities);
             let worst = jobs
                 .job_ids()
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "jobs accepted by S_DCA missed deadlines in simulation: {misses:?}"
             );
         }
-        Err(err) => println!("\nno priority ordering exists: {err}"),
+        None => println!("\nno priority ordering exists: {opdca}"),
     }
 
     // Which approach accepted the case?

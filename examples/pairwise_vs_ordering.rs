@@ -4,9 +4,9 @@
 //!
 //! Run with `cargo run -p msmr-experiments --example pairwise_vs_ordering`.
 
-use msmr_dca::{Analysis, DelayBoundKind};
+use msmr_dca::DelayBoundKind;
 use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
-use msmr_sched::{Opdca, OptPairwise, PairwiseIlp};
+use msmr_sched::{Opdca, OptPairwise, PairwiseIlp, SolveCtx, Solver, Witness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Example 1 processing times, the Figure 2(a) job-to-resource mapping
@@ -32,22 +32,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .add()?;
     }
     let jobs = builder.build()?;
-    let analysis = Analysis::new(&jobs);
+    // One context: the three engines share its interference analysis.
+    let ctx = SolveCtx::new(&jobs);
     let bound = DelayBoundKind::RefinedPreemptive;
 
     // 1. OPDCA (problem P1) cannot find a total ordering.
-    match Opdca::new(bound).assign(&jobs) {
-        Ok(result) => println!("unexpected: OPDCA found {}", result.ordering()),
-        Err(err) => println!("OPDCA: {err}"),
+    let opdca = Opdca::new(bound).solve(&ctx);
+    match opdca.witness.as_ref().and_then(Witness::as_ordering) {
+        Some(ordering) => println!("unexpected: OPDCA found {ordering}"),
+        None => println!(
+            "{opdca} ({} unschedulable job(s): {})",
+            opdca.unschedulable.len(),
+            opdca
+                .unschedulable
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
     }
 
     // 2. The exact pairwise search (problem P2) finds an assignment.
-    let outcome = OptPairwise::new(bound).assign(&jobs);
-    let assignment = outcome
-        .assignment()
+    let opt = OptPairwise::new(bound).solve(&ctx);
+    let assignment = opt
+        .witness
+        .as_ref()
+        .and_then(Witness::as_pairwise)
         .expect("Observation V.1 guarantees a pairwise assignment");
     println!("OPT (branch-and-bound): {assignment}");
-    for (job, delay) in jobs.job_ids().zip(assignment.delays(&analysis, bound)) {
+    let delays = opt
+        .delays
+        .as_deref()
+        .expect("accepted verdicts carry delays");
+    for (job, delay) in jobs.job_ids().zip(delays) {
         println!(
             "  {job}: delay bound {delay} <= deadline {}",
             jobs.job(job).deadline()
@@ -56,11 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The paper's ILP formulation (Eqs. 7-9), solved with the bundled
     //    branch-and-bound ILP solver, agrees.
-    let ilp = PairwiseIlp::new(bound).assign(&jobs);
-    println!(
-        "OPT (ILP formulation): feasible = {}",
-        ilp.assignment().is_some()
-    );
-    assert_eq!(ilp.is_feasible(), outcome.is_feasible());
+    let ilp = PairwiseIlp::new(bound).solve(&ctx);
+    println!("OPT (ILP formulation): feasible = {}", ilp.is_accepted());
+    assert_eq!(ilp.kind, opt.kind);
     Ok(())
 }

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: workload generation → analysis →
 //! priority assignment → simulation.
 
-use msmr_dca::{Analysis, DelayBoundKind};
+use msmr_dca::DelayBoundKind;
 use msmr_experiments::{evaluate_all, AcceptanceExperiment, Approach, EVALUATION_BOUND};
 use msmr_model::JobId;
-use msmr_sched::{Dcmp, Dmr, Opdca, OptPairwise, PairwiseIlp};
+use msmr_sched::{Dcmp, Dmr, Opdca, OptPairwise, PairwiseIlp, SolveCtx, Solver, Witness};
 use msmr_sim::{PriorityMap, Simulator};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
@@ -23,12 +23,13 @@ fn opdca_orderings_hold_up_in_simulation() {
     let mut accepted_cases = 0;
     for seed in 0..12 {
         let jobs = generator.generate_seeded(seed);
-        let analysis = Analysis::new(&jobs);
-        let Ok(result) = Opdca::new(EVALUATION_BOUND).assign_with_analysis(&analysis) else {
+        let verdict = Opdca::new(EVALUATION_BOUND).solve(&SolveCtx::new(&jobs));
+        let (Some(Witness::Ordering(ordering)), Some(delays)) = (&verdict.witness, &verdict.delays)
+        else {
             continue;
         };
         accepted_cases += 1;
-        let priorities = PriorityMap::from_global_order(&jobs, result.ordering().as_slice());
+        let priorities = PriorityMap::from_global_order(&jobs, ordering.as_slice());
         let outcome = Simulator::new(&jobs).run(&priorities);
         assert!(
             outcome.all_deadlines_met(),
@@ -36,7 +37,7 @@ fn opdca_orderings_hold_up_in_simulation() {
         );
         for job in jobs.job_ids() {
             assert!(
-                outcome.delay(job) <= result.delay(job),
+                outcome.delay(job) <= delays[job.index()],
                 "seed {seed}: simulated delay of {job} exceeds the DCA bound"
             );
         }
@@ -55,7 +56,8 @@ fn dmr_assignments_hold_up_in_simulation_when_linearisable() {
     let mut simulated = 0;
     for seed in 0..12 {
         let jobs = generator.generate_seeded(seed);
-        let Ok(assignment) = Dmr::new(EVALUATION_BOUND).assign(&jobs) else {
+        let verdict = Dmr::new(EVALUATION_BOUND).solve(&SolveCtx::new(&jobs));
+        let Some(Witness::Pairwise(assignment)) = verdict.witness else {
             continue;
         };
         let Ok(values) = assignment.to_stage_priority_values(&jobs) else {
@@ -139,13 +141,11 @@ fn exact_engines_agree_on_a_small_edge_instance() {
     let generator = EdgeWorkloadGenerator::new(config).unwrap();
     for seed in 0..5 {
         let jobs = generator.generate_seeded(seed);
-        let analysis = Analysis::new(&jobs);
-        let search =
-            OptPairwise::new(DelayBoundKind::RefinedPreemptive).assign_with_analysis(&analysis);
-        let ilp =
-            PairwiseIlp::new(DelayBoundKind::RefinedPreemptive).assign_with_analysis(&analysis);
+        let ctx = SolveCtx::new(&jobs);
+        let search = OptPairwise::new(DelayBoundKind::RefinedPreemptive).solve(&ctx);
+        let ilp = PairwiseIlp::new(DelayBoundKind::RefinedPreemptive).solve(&ctx);
         assert!(search.is_conclusive() && ilp.is_conclusive());
-        assert_eq!(search.is_feasible(), ilp.is_feasible(), "seed {seed}");
+        assert_eq!(search.kind, ilp.kind, "seed {seed}");
     }
 }
 
@@ -154,16 +154,22 @@ fn admission_controllers_accept_a_superset_relationship() {
     // The admission controllers never reject jobs from a case the plain
     // algorithm accepts outright.
     let generator = EdgeWorkloadGenerator::new(small_edge_config()).unwrap();
+    let controllers: [Box<dyn Solver>; 2] = [
+        Box::new(Opdca::new(EVALUATION_BOUND)),
+        Box::new(Dmr::new(EVALUATION_BOUND)),
+    ];
     for seed in 0..8 {
         let jobs = generator.generate_seeded(seed);
-        if Opdca::new(EVALUATION_BOUND).assign(&jobs).is_ok() {
-            let outcome = Opdca::new(EVALUATION_BOUND).admission_control(&jobs);
-            assert!(outcome.rejected.is_empty(), "seed {seed}");
-            assert_eq!(outcome.accepted.len(), jobs.len());
-        }
-        if Dmr::new(EVALUATION_BOUND).assign(&jobs).is_ok() {
-            let outcome = Dmr::new(EVALUATION_BOUND).admission_control(&jobs);
-            assert!(outcome.rejected.is_empty(), "seed {seed}");
+        let ctx = SolveCtx::new(&jobs);
+        for controller in &controllers {
+            if controller.solve(&ctx).is_accepted() {
+                let outcome = controller
+                    .admission_control(&ctx)
+                    .expect("supports admission");
+                let name = controller.name();
+                assert!(outcome.rejected.is_empty(), "seed {seed}: {name}");
+                assert_eq!(outcome.accepted.len(), jobs.len(), "seed {seed}: {name}");
+            }
         }
     }
 }
@@ -173,13 +179,20 @@ fn rejected_jobs_are_never_part_of_the_final_ordering() {
     let generator =
         EdgeWorkloadGenerator::new(small_edge_config().with_beta(0.25).with_gamma(0.9)).unwrap();
     let jobs = generator.generate_seeded(2);
-    let outcome = Opdca::new(EVALUATION_BOUND).admission_control(&jobs);
+    let outcome = Opdca::new(EVALUATION_BOUND)
+        .admission_control(&SolveCtx::new(&jobs))
+        .expect("OPDCA supports admission");
+    let ordering = outcome
+        .witness
+        .as_ref()
+        .and_then(Witness::as_ordering)
+        .expect("OPDCA admits with an ordering");
     for &job in &outcome.rejected {
-        assert!(outcome.ordering.priority_of(job).is_none());
+        assert!(ordering.priority_of(job).is_none());
         assert!(!outcome.accepted.contains(&job));
     }
     for &job in &outcome.accepted {
-        assert!(outcome.ordering.priority_of(job).is_some());
+        assert!(ordering.priority_of(job).is_some());
     }
     let all: Vec<JobId> = outcome
         .accepted

@@ -4,7 +4,10 @@
 
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
-use msmr_sched::{Dm, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp, Sdca};
+use msmr_sched::{
+    Dm, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp, Sdca, SolveCtx, Solver, VerdictKind,
+    Witness,
+};
 
 fn jid(i: usize) -> JobId {
     JobId::new(i)
@@ -84,39 +87,46 @@ fn footnote9_deadline_monotonic_pushes_j1_to_the_lowest_priority() {
     // deadline-monotonic rule gives J1 the lowest priority and Eq. 1
     // yields Δ_1 = 82 > 60.
     let jobs = example1([60, 55, 55, 50]);
-    let analysis = Analysis::new(&jobs);
-    let dm = Dm::new(DelayBoundKind::PreemptiveSingleResource).assign(&jobs);
-    // Every other job outranks J1 under DM.
+    let ctx = SolveCtx::new(&jobs);
+    // Every other job has a smaller deadline, so DM ranks it above J1.
     for k in 1..4 {
-        assert!(dm.is_higher(jid(k), jid(0)));
+        assert!(jobs.job(jid(k)).deadline() < jobs.job(jid(0)).deadline());
     }
-    let delays = dm.delays(&analysis, DelayBoundKind::PreemptiveSingleResource);
+    let dm = Dm::new(DelayBoundKind::PreemptiveSingleResource).solve(&ctx);
+    let delays = dm
+        .delays
+        .as_deref()
+        .expect("DM reports delays on rejection too");
     assert_eq!(delays[0], Time::new(82));
-    assert!(!dm.is_feasible(&analysis, DelayBoundKind::PreemptiveSingleResource));
+    assert_eq!(dm.kind, VerdictKind::Rejected);
+    assert!(dm.unschedulable.contains(&jid(0)));
     // In this single-resource variant the lowest-priority slot costs 82
     // time units for *any* job, so no ordering exists either — Audsley's
     // algorithm agrees.
-    assert!(Opdca::new(DelayBoundKind::PreemptiveSingleResource)
-        .assign(&jobs)
-        .is_err());
+    let opdca = Opdca::new(DelayBoundKind::PreemptiveSingleResource).solve(&ctx);
+    assert_eq!(opdca.kind, VerdictKind::Rejected);
 }
 
 #[test]
 fn observation_v1_no_ordering_but_a_pairwise_assignment_exists() {
     let jobs = observation_v1();
-    let analysis = Analysis::new(&jobs);
+    let ctx = SolveCtx::new(&jobs);
+    let analysis = ctx.analysis();
     let bound = DelayBoundKind::RefinedPreemptive;
 
     // P1 is infeasible: no total priority ordering passes S_DCA.
-    assert!(Opdca::new(bound).assign(&jobs).is_err());
+    assert_eq!(Opdca::new(bound).solve(&ctx).kind, VerdictKind::Rejected);
 
     // P2 is feasible: both exact engines find a pairwise assignment, and it
     // matches Figure 2(b) (up to the symmetric reverse cycle).
-    let search = OptPairwise::new(bound).assign(&jobs);
-    let assignment = search.assignment().expect("feasible per Observation V.1");
-    assert!(assignment.is_feasible(&analysis, bound));
-    let ilp = PairwiseIlp::new(bound).assign(&jobs);
-    assert!(ilp.is_feasible());
+    let search = OptPairwise::new(bound).solve(&ctx);
+    let assignment = search
+        .witness
+        .as_ref()
+        .and_then(Witness::as_pairwise)
+        .expect("feasible per Observation V.1");
+    assert!(assignment.is_feasible(analysis, bound));
+    assert!(PairwiseIlp::new(bound).solve(&ctx).is_accepted());
 
     // The Figure 2(b) assignment itself yields the delays computed in the
     // analysis crate's tests: 34, 55, 51, 22.
@@ -126,7 +136,7 @@ fn observation_v1_no_ordering_but_a_pairwise_assignment_exists() {
     fig2b.set_higher(jid(1), jid(3));
     fig2b.set_higher(jid(3), jid(2));
     assert_eq!(
-        fig2b.delays(&analysis, bound),
+        fig2b.delays(analysis, bound),
         vec![Time::new(34), Time::new(55), Time::new(51), Time::new(22)]
     );
 }
@@ -136,7 +146,9 @@ fn observation_v1_admission_controller_salvages_most_jobs() {
     // Running OPDCA as an admission controller on the Observation V.1 set
     // schedules three of the four jobs.
     let jobs = observation_v1();
-    let outcome = Opdca::new(DelayBoundKind::RefinedPreemptive).admission_control(&jobs);
+    let outcome = Opdca::new(DelayBoundKind::RefinedPreemptive)
+        .admission_control(&SolveCtx::new(&jobs))
+        .expect("OPDCA supports admission");
     assert_eq!(outcome.rejected.len(), 1);
     assert_eq!(outcome.accepted.len(), 3);
 }

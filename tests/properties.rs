@@ -8,7 +8,7 @@
 
 use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_model::{JobId, JobSet, PreemptionPolicy};
-use msmr_sched::{Opdca, PairwiseAssignment, PriorityOrdering};
+use msmr_sched::{Budget, Opdca, PairwiseAssignment, PriorityOrdering, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
 use msmr_workload::{RandomMsmrConfig, RandomMsmrGenerator};
 use proptest::prelude::*;
@@ -182,8 +182,8 @@ proptest! {
         if random_is_feasible {
             prop_assert!(
                 Opdca::new(DelayBoundKind::RefinedPreemptive)
-                    .assign_with_analysis(&analysis)
-                    .is_ok()
+                    .solve(&SolveCtx::with_analysis(analysis, Budget::default()))
+                    .is_accepted()
             );
         }
     }
