@@ -12,7 +12,8 @@
 //!   (`deduped: true`) but never re-applied; the daemon's decision
 //!   counter equals the number of unique ops.
 //! * **Byte-identity.** The seq-ordered history that survives the chaos
-//!   replays offline through a fresh [`AdmissionSession`] and every
+//!   replays offline through a fresh
+//!   [`AdmissionSession`](msmr_serve::AdmissionSession) and every
 //!   observed verdict matches byte for byte (after
 //!   [`normalized_verdict_json`] zeroes the timing fields).
 //! * **Warm provenance.** Sessions restored from snapshots keep their

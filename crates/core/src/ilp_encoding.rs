@@ -97,6 +97,7 @@ impl PairwiseIlp {
         analysis: &Analysis<'_>,
     ) -> (Problem, BTreeMap<(JobId, JobId), VarId>) {
         let jobs = analysis.jobs();
+        let tables = analysis.tables();
         let n_stages = jobs.stage_count();
         let big_m = jobs.max_processing_time().as_ticks() as i64;
         let mut problem = Problem::new();
@@ -126,11 +127,10 @@ impl PairwiseIlp {
             let mut delay = LinExpr::new().constant(job.max_processing().as_ticks() as i64);
 
             for k in jobs.competitors(i) {
-                let pair = analysis.pair(i, k);
-                if !pair.interferes() {
+                if !tables.interference_mask(i).contains(k) {
                     continue;
                 }
-                let contribution = pair.sum_of_largest(pair.job_additive_terms()).as_ticks() as i64;
+                let contribution = tables.ja_eq6(i, k).as_ticks() as i64;
                 if contribution > 0 {
                     delay.add_term(x[&(k, i)], contribution);
                 }
@@ -167,6 +167,7 @@ impl PairwiseIlp {
         big_m: i64,
     ) -> VarId {
         let jobs = analysis.jobs();
+        let tables = analysis.tables();
         let own = jobs.job(i).processing(stage).as_ticks() as i64;
         let theta = problem
             .int_var(
@@ -188,11 +189,10 @@ impl PairwiseIlp {
         selectors.add_term(b_self, 1);
 
         for k in jobs.competitors_at(i, stage) {
-            let pair = analysis.pair(i, k);
-            if !pair.interferes() {
+            if !tables.interference_mask(i).contains(k) {
                 continue;
             }
-            let ep = pair.ep(stage).as_ticks() as i64;
+            let ep = tables.ep(i, k, stage).as_ticks() as i64;
             let xki = x[&(k, i)];
             // Eq. 9a: θ ≥ ep_{k,j}·X_{k,i}.
             problem.greater_equal(LinExpr::new().term(theta, 1).term(xki, -ep), 0);
@@ -221,15 +221,15 @@ impl PairwiseIlp {
         big_m: i64,
     ) -> VarId {
         let jobs = analysis.jobs();
+        let tables = analysis.tables();
         let blocking = problem
             .int_var(format!("block_{}_{}", i.index(), stage.index()), 0, big_m)
             .expect("blocking bounds are ordered");
         for k in jobs.competitors_at(i, stage) {
-            let pair = analysis.pair(i, k);
-            if !pair.interferes() {
+            if !tables.interference_mask(i).contains(k) {
                 continue;
             }
-            let ep = pair.ep(stage).as_ticks() as i64;
+            let ep = tables.ep(i, k, stage).as_ticks() as i64;
             let xik = x[&(i, k)];
             // blocking ≥ ep_{k,last}·X_{i,k}.
             problem.greater_equal(LinExpr::new().term(blocking, 1).term(xik, -ep), 0);
@@ -335,5 +335,131 @@ mod tests {
     #[test]
     fn edge_hybrid_encoding_solves_small_instances() {
         assert_exact_engines_agree(&observation_v1(), DelayBoundKind::EdgeHybrid);
+    }
+
+    /// The encoder as it read the per-pair [`msmr_dca::PairInterference`]
+    /// objects before it moved onto `PairTables`: the reference the table
+    /// reader must reproduce variable for variable and constraint for
+    /// constraint.
+    fn encode_with_pairs(
+        bound: DelayBoundKind,
+        analysis: &Analysis<'_>,
+    ) -> (Problem, BTreeMap<(JobId, JobId), VarId>) {
+        let jobs = analysis.jobs();
+        let n_stages = jobs.stage_count();
+        let big_m = jobs.max_processing_time().as_ticks() as i64;
+        let mut problem = Problem::new();
+        let mut x = BTreeMap::new();
+        for i in jobs.job_ids() {
+            for k in jobs.competitors(i) {
+                if i < k {
+                    let xik = problem.binary(format!("x_{}_{}", i.index(), k.index()));
+                    let xki = problem.binary(format!("x_{}_{}", k.index(), i.index()));
+                    problem.equal(LinExpr::new().term(xik, 1).term(xki, 1), 1);
+                    x.insert((i, k), xik);
+                    x.insert((k, i), xki);
+                }
+            }
+        }
+        for i in jobs.job_ids() {
+            let job = jobs.job(i);
+            let mut delay = LinExpr::new().constant(job.max_processing().as_ticks() as i64);
+            for k in jobs.competitors(i) {
+                let pair = analysis.pair(i, k);
+                if !pair.interferes() {
+                    continue;
+                }
+                let contribution = pair.sum_of_largest(pair.job_additive_terms()).as_ticks() as i64;
+                if contribution > 0 {
+                    delay.add_term(x[&(k, i)], contribution);
+                }
+            }
+            for j in 0..n_stages.saturating_sub(1) {
+                let stage = StageId::new(j);
+                let own = job.processing(stage).as_ticks() as i64;
+                let theta = problem
+                    .int_var(format!("theta_{}_{}", i.index(), j), own, big_m.max(own))
+                    .unwrap();
+                let mut selectors = LinExpr::new();
+                let b_self = problem.binary(format!("b_{}_{}_self", i.index(), j));
+                problem.less_equal(
+                    LinExpr::new().term(theta, 1).term(b_self, big_m),
+                    own + big_m,
+                );
+                selectors.add_term(b_self, 1);
+                for k in jobs.competitors_at(i, stage) {
+                    let pair = analysis.pair(i, k);
+                    if !pair.interferes() {
+                        continue;
+                    }
+                    let ep = pair.ep(stage).as_ticks() as i64;
+                    let xki = x[&(k, i)];
+                    problem.greater_equal(LinExpr::new().term(theta, 1).term(xki, -ep), 0);
+                    let b = problem.binary(format!("b_{}_{}_{}", i.index(), j, k.index()));
+                    problem.less_equal(
+                        LinExpr::new().term(theta, 1).term(xki, -ep).term(b, big_m),
+                        big_m,
+                    );
+                    selectors.add_term(b, 1);
+                }
+                problem.equal(selectors, 1);
+                delay.add_term(theta, 1);
+            }
+            if bound == DelayBoundKind::EdgeHybrid {
+                let last = StageId::new(n_stages - 1);
+                let blocking = problem
+                    .int_var(format!("block_{}_{}", i.index(), n_stages - 1), 0, big_m)
+                    .unwrap();
+                for k in jobs.competitors_at(i, last) {
+                    let pair = analysis.pair(i, k);
+                    if !pair.interferes() {
+                        continue;
+                    }
+                    let ep = pair.ep(last).as_ticks() as i64;
+                    problem
+                        .greater_equal(LinExpr::new().term(blocking, 1).term(x[&(i, k)], -ep), 0);
+                }
+                delay.add_term(blocking, 1);
+            }
+            problem.less_equal(delay, job.deadline().as_ticks() as i64);
+        }
+        (problem, x)
+    }
+
+    #[test]
+    fn table_encoding_equals_the_pair_encoding() {
+        use msmr_workload::{
+            EdgeWorkloadConfig, EdgeWorkloadGenerator, RandomMsmrConfig, RandomMsmrGenerator,
+        };
+        let random = RandomMsmrGenerator::new(RandomMsmrConfig {
+            jobs: (2, 8),
+            stages: (2, 5),
+            resources_per_stage: (1, 3),
+            // Spread arrivals so that some windows do not overlap.
+            arrivals: (0, 150),
+            deadline_factor: (1.0, 2.5),
+            ..RandomMsmrConfig::default()
+        })
+        .unwrap();
+        let edge = EdgeWorkloadGenerator::new(
+            EdgeWorkloadConfig::default()
+                .with_jobs(24)
+                .with_infrastructure(6, 4)
+                .with_beta(0.22),
+        )
+        .unwrap();
+        let mut cases = vec![observation_v1()];
+        cases.extend((0..20).map(|seed| random.generate_seeded(seed)));
+        cases.extend((0..4).map(|seed| edge.generate_seeded(seed)));
+        for jobs in &cases {
+            for bound in [
+                DelayBoundKind::RefinedPreemptive,
+                DelayBoundKind::EdgeHybrid,
+            ] {
+                let analysis = Analysis::new(jobs);
+                let by_tables = PairwiseIlp::new(bound).encode(&analysis);
+                assert_eq!(by_tables, encode_with_pairs(bound, &analysis));
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use msmr_model::{JobId, JobSet, StageId};
+use msmr_model::{JobId, JobSet, StageId, Time};
 
 use crate::{DelayBoundKind, JobMask};
 
@@ -672,6 +672,32 @@ impl PairTables {
     #[must_use]
     pub fn interference_mask(&self, target: JobId) -> &JobMask {
         &self.interferes[target.index()]
+    }
+
+    /// `ep_{k,j}`: the processing time of `interferer` at `stage` if the
+    /// pair shares that stage's resource, zero otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stage is out of range, and in debug builds if either
+    /// job id is.
+    #[must_use]
+    pub fn ep(&self, target: JobId, interferer: JobId, stage: StageId) -> Time {
+        debug_assert!(target.index() < self.n && interferer.index() < self.n);
+        assert!(stage.index() < self.stages, "stage out of range");
+        Time::new(self.ep_at(target.index(), interferer.index(), stage.index()))
+    }
+
+    /// The Eq. 6/10 job-additive term of `interferer` against `target`:
+    /// `Σ_{x=1}^{w_{i,k}} et_{k,x}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if either job id is out of range.
+    #[must_use]
+    pub fn ja_eq6(&self, target: JobId, interferer: JobId) -> Time {
+        debug_assert!(target.index() < self.n && interferer.index() < self.n);
+        Time::new(self.ja_eq6[target.index() * self.cap + interferer.index()])
     }
 
     /// The competitor mask of a target: bit `k` is set iff `k ≠ target`

@@ -17,6 +17,16 @@
 //! either a provably optimal solution or a proof of infeasibility, which is
 //! all the pairwise-priority feasibility encoding of the paper requires.
 //!
+//! Propagation is event-driven. Each variable has a watch list of the
+//! constraints that mention it; the root propagates every constraint, and
+//! a child node, whose parent's domains are already a fixpoint, starts from
+//! the watch list of the one variable its branch bounded. A constraint that
+//! moves a bound re-queues that variable's watchers. Every constraint's
+//! narrowing is monotone and only tightens, so the fixpoint reached does
+//! not depend on the queue order: it is the one a full sweep of all
+//! constraints would reach, and the search tree, node count and solution
+//! are the same as with such a sweep.
+//!
 //! # Example
 //!
 //! A tiny knapsack: maximise `6x + 5y + 4z` subject to

@@ -3,7 +3,9 @@
 use std::time::{Duration, Instant};
 
 use crate::problem::Objective;
-use crate::propagate::{normalize, propagate, Domains, LeConstraint, Propagation};
+use crate::propagate::{
+    normalize, propagate, watch_lists, Domains, LeConstraint, Propagation, Worklist,
+};
 use crate::{IlpError, LinExpr, Problem, VarId};
 
 /// Tuning knobs of the [`Solver`].
@@ -173,8 +175,11 @@ impl Solver {
             Objective::Maximize(e) => Some(e.clone().scaled(-1)),
         };
         let constraints = normalize(problem);
+        let watches = watch_lists(&constraints, problem.num_variables());
         let mut search = Search {
             constraints: &constraints,
+            watches: &watches,
+            worklist: Worklist::new(constraints.len()),
             minimise: minimise.as_ref(),
             node_limit: self.config.node_limit,
             deadline: self.config.time_limit.map(|limit| Instant::now() + limit),
@@ -183,7 +188,8 @@ impl Solver {
             incumbent_cost: i128::MAX,
         };
         let domains = Domains::from_problem(problem);
-        search.explore(domains);
+        let every_constraint: Vec<usize> = (0..constraints.len()).collect();
+        search.explore(domains, &every_constraint);
 
         let stats = search.stats;
         let outcome = match (search.incumbent, stats.truncated) {
@@ -209,6 +215,10 @@ impl Solver {
 /// Mutable state of one search run.
 struct Search<'a> {
     constraints: &'a [LeConstraint],
+    /// `watches[var]`: the constraints that mention `var`.
+    watches: &'a [Vec<usize>],
+    /// Propagation queue, reused by every node.
+    worklist: Worklist,
     minimise: Option<&'a LinExpr>,
     node_limit: u64,
     deadline: Option<Instant>,
@@ -242,9 +252,13 @@ impl Search<'_> {
             .unwrap_or(i128::MIN)
     }
 
-    /// Depth-first exploration. Returns `true` if the search should stop
-    /// entirely (feasibility problem solved, or node budget exhausted).
-    fn explore(&mut self, mut domains: Domains) -> bool {
+    /// Depth-first exploration. `seeds` are the constraints propagation
+    /// starts from: every constraint at the root, and at a child the ones
+    /// watching the variable its branch bounded (the parent's domains are
+    /// already a fixpoint of all the others). Returns `true` if the search
+    /// should stop entirely (feasibility problem solved, or node budget
+    /// exhausted).
+    fn explore(&mut self, mut domains: Domains, seeds: &[usize]) -> bool {
         if self.stats.nodes >= self.node_limit {
             self.stats.truncated = true;
             return true;
@@ -259,7 +273,14 @@ impl Search<'_> {
         }
         self.stats.nodes += 1;
 
-        if propagate(self.constraints, &mut domains) == Propagation::Infeasible {
+        self.worklist.extend(seeds.iter().copied());
+        if propagate(
+            self.constraints,
+            self.watches,
+            &mut self.worklist,
+            &mut domains,
+        ) == Propagation::Infeasible
+        {
             return false;
         }
         // Prune nodes that cannot improve on the incumbent.
@@ -292,14 +313,15 @@ impl Search<'_> {
         let upper = domains.upper(var);
         let mid = lower + (upper - lower) / 2;
 
+        let watching = &self.watches[var];
         let mut left = domains.clone();
         left.set_upper(var, mid);
-        if self.explore(left) {
+        if self.explore(left, watching) {
             return true;
         }
         let mut right = domains;
         right.set_lower(var, mid + 1);
-        self.explore(right)
+        self.explore(right, watching)
     }
 }
 

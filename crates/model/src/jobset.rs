@@ -442,8 +442,7 @@ impl JobSetBuilder {
         self
     }
 
-    /// Starts describing a new job; finish it with
-    /// [`JobEntryBuilder::add`].
+    /// Starts describing a new job; finish it with the entry's `add`.
     pub fn job(&mut self) -> JobEntryBuilder<'_> {
         JobEntryBuilder {
             parent: self,

@@ -16,7 +16,7 @@
 //!   derived quantities used by the delay composition algebra (shared-stage
 //!   processing times `ep_{k,j}` / `et_{k,x}`, [`Segments`],
 //!   competitor sets `M_{i,j}` / `M_i`) and by the evaluation
-//!   (per-job, per-resource and system [`heaviness`]).
+//!   (per-job, per-resource and system heaviness, [`HeavinessProfile`]).
 //!
 //! # Example
 //!
