@@ -191,31 +191,17 @@ impl SolverRegistry {
     /// (e.g. to reuse an already-built analysis).
     #[must_use]
     pub fn evaluate_ctx(&self, ctx: &SolveCtx<'_>) -> Vec<Verdict> {
-        self.evaluate_streamed(ctx, |_| {})
-    }
-
-    /// Streaming form of [`SolverRegistry::evaluate_ctx`]: identical
-    /// verdicts in identical order (sequential evaluation, implication
-    /// shortcuts applied), but `sink` observes each verdict the moment its
-    /// solver finishes — a service can push DM's answer over the wire
-    /// while OPT is still searching, instead of waiting for the batch
-    /// barrier.
-    pub fn evaluate_streamed(
-        &self,
-        ctx: &SolveCtx<'_>,
-        sink: impl FnMut(&Verdict),
-    ) -> Vec<Verdict> {
         self.evaluate_each(
             |solver, shortcut| match shortcut {
                 Some(source) => Self::implied_verdict(solver.name(), source),
                 None => solver.solve(ctx),
             },
-            sink,
+            |_| {},
         )
     }
 
     /// The one sequential evaluation loop behind both the offline
-    /// ([`SolverRegistry::evaluate_streamed`]) and the online
+    /// ([`SolverRegistry::evaluate_ctx`]) and the online
     /// ([`SolverRegistry::evaluate_online`]) paths: registration order,
     /// implication-shortcut detection, acceptance tracking and streaming.
     /// Sharing it (and [`SolverRegistry::implied_verdict`]) is what makes
@@ -256,36 +242,14 @@ impl SolverRegistry {
         }
     }
 
-    /// Streaming form of [`SolverRegistry::evaluate_parallel`]: every
-    /// solver genuinely runs (no implication shortcuts), one task per
-    /// solver on the `msmr-par` pool, and `sink` observes each verdict as
-    /// its solver completes — in **completion** order, from worker
-    /// threads. The returned vector is still in registration order.
-    #[must_use]
-    pub fn evaluate_parallel_streamed(
-        &self,
-        jobs: &JobSet,
-        budget: Budget,
-        threads: usize,
-        sink: impl Fn(&Verdict) + Sync,
-    ) -> Vec<Verdict> {
-        self.evaluate_parallel_ctx(&SolveCtx::with_budget(jobs, budget), threads, sink)
-    }
-
-    /// Evaluates every registered solver on one job set concurrently
-    /// (one task per solver, no implication shortcuts — all solvers
-    /// genuinely run). The analysis is still built only once: it is forced
-    /// before the fan-out and shared read-only by the workers.
-    #[must_use]
-    pub fn evaluate_parallel(&self, jobs: &JobSet, budget: Budget, threads: usize) -> Vec<Verdict> {
-        self.evaluate_parallel_streamed(jobs, budget, threads, |_| {})
-    }
-
-    /// Like [`SolverRegistry::evaluate_parallel_streamed`] with a
-    /// caller-provided context (e.g. to reuse an already-built analysis —
-    /// the cross-request caching path of an admission session). The
-    /// analysis is forced before the fan-out and shared read-only by the
-    /// workers; verdicts are returned in registration order.
+    /// Evaluates every registered solver on one context concurrently: one
+    /// task per solver on the `msmr-par` pool, no implication shortcuts —
+    /// every solver genuinely runs. The analysis is built only once: it is
+    /// forced before the fan-out and shared read-only by the workers (a
+    /// context with an injected analysis reuses it — the cross-request
+    /// caching path of an admission session). `sink` observes each verdict
+    /// as its solver completes — in **completion** order, from worker
+    /// threads; the returned vector is in registration order.
     #[must_use]
     pub fn evaluate_parallel_ctx(
         &self,
@@ -313,7 +277,7 @@ impl SolverRegistry {
         OnlineSuiteState::new()
     }
 
-    /// The stateful counterpart of [`SolverRegistry::evaluate_streamed`]:
+    /// The stateful counterpart of [`SolverRegistry::evaluate_ctx`]:
     /// identical verdicts in identical order — sequential evaluation,
     /// implication shortcuts applied, every verdict byte-identical to the
     /// cold path once the wall-clock provenance fields are zeroed — but
@@ -323,7 +287,9 @@ impl SolverRegistry {
     /// served by the cold adapter, which re-solves on the (warm) context
     /// and marks the verdict with the `cold_fallback` stat; solvers
     /// skipped by a shortcut get their state invalidated (they did not
-    /// observe the event and must decide cold next time).
+    /// observe the event and must decide cold next time). `sink` observes
+    /// each verdict the moment its solver finishes, so a service can push
+    /// DM's answer over the wire while OPT is still searching.
     pub fn evaluate_online(
         &self,
         state: &mut OnlineSuiteState,
@@ -406,30 +372,6 @@ impl SolverRegistry {
         threads: usize,
     ) -> Vec<Vec<Verdict>> {
         msmr_par::parallel_map(jobsets, threads, |_, jobs| self.evaluate(jobs, budget))
-    }
-
-    /// Streaming variant of [`SolverRegistry::evaluate_batch`] for batches
-    /// that are cheaper to generate than to keep: each worker thread
-    /// produces the job set for an index on demand (`make_jobs`),
-    /// evaluates it and drops it, so peak memory is `O(threads)` job sets
-    /// instead of `O(count)`. Results are returned in index order and are
-    /// identical to generating the batch up front.
-    #[must_use]
-    pub fn evaluate_batch_with<F>(
-        &self,
-        count: usize,
-        budget: Budget,
-        threads: usize,
-        make_jobs: F,
-    ) -> Vec<Vec<Verdict>>
-    where
-        F: Fn(usize) -> JobSet + Sync,
-    {
-        let indices: Vec<usize> = (0..count).collect();
-        msmr_par::parallel_map(&indices, threads, |_, &index| {
-            let jobs = make_jobs(index);
-            self.evaluate(&jobs, budget)
-        })
     }
 }
 
@@ -551,7 +493,7 @@ mod tests {
     fn evaluate_parallel_runs_every_solver_for_real() {
         let registry = SolverRegistry::paper_suite(BOUND);
         let jobs = light_jobs();
-        let verdicts = registry.evaluate_parallel(&jobs, Budget::default(), 4);
+        let verdicts = registry.evaluate_parallel_ctx(&SolveCtx::new(&jobs), 4, |_| {});
         assert_eq!(verdicts.len(), 5);
         // No shortcuts in the parallel-per-solver path: OPT carries a real
         // witness.
@@ -561,48 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_batch_matches_the_materialized_batch() {
-        let registry = SolverRegistry::paper_suite(BOUND);
-        let jobsets = vec![light_jobs(), observation_v1(), light_jobs()];
-        let budget = Budget::default().with_node_limit(100_000);
-        let materialized = registry.evaluate_batch(&jobsets, budget, 2);
-        let streamed =
-            registry.evaluate_batch_with(jobsets.len(), budget, 2, |i| jobsets[i].clone());
-        assert_eq!(streamed.len(), materialized.len());
-        for (a, b) in streamed.iter().zip(&materialized) {
-            let a_kinds: Vec<_> = a.iter().map(|v| (v.solver.clone(), v.kind)).collect();
-            let b_kinds: Vec<_> = b.iter().map(|v| (v.solver.clone(), v.kind)).collect();
-            assert_eq!(a_kinds, b_kinds);
-        }
-    }
-
-    #[test]
-    fn streamed_evaluation_matches_and_streams_in_order() {
-        let registry = SolverRegistry::paper_suite(BOUND);
-        let jobs = light_jobs();
-        let ctx = SolveCtx::new(&jobs);
-        let mut streamed: Vec<(String, VerdictKind)> = Vec::new();
-        let verdicts = registry.evaluate_streamed(&ctx, |v| {
-            streamed.push((v.solver.clone(), v.kind));
-        });
-        let returned: Vec<(String, VerdictKind)> = verdicts
-            .iter()
-            .map(|v| (v.solver.clone(), v.kind))
-            .collect();
-        assert_eq!(streamed, returned);
-        assert_eq!(streamed.len(), 5);
-        // Shortcut verdicts are streamed too.
-        let opt = verdicts.iter().find(|v| v.solver == "OPT").unwrap();
-        assert_eq!(opt.stats.implied_by.as_deref(), Some("DMR"));
-    }
-
-    #[test]
     fn parallel_streamed_sees_every_solver_once() {
         use std::sync::Mutex;
         let registry = SolverRegistry::paper_suite(BOUND);
         let jobs = light_jobs();
         let seen = Mutex::new(Vec::new());
-        let verdicts = registry.evaluate_parallel_streamed(&jobs, Budget::default(), 4, |v| {
+        let verdicts = registry.evaluate_parallel_ctx(&SolveCtx::new(&jobs), 4, |v| {
             seen.lock().unwrap().push(v.solver.clone());
         });
         assert_eq!(verdicts.len(), 5);
@@ -683,7 +589,7 @@ mod tests {
 
         // Parallel path (hook fires from worker threads).
         seen.store(0, Ordering::SeqCst);
-        let _ = hooked.evaluate_parallel(&jobs, Budget::default(), 2);
+        let _ = hooked.evaluate_parallel_ctx(&SolveCtx::new(&jobs), 2, |_| {});
         assert_eq!(seen.load(Ordering::SeqCst), hooked.len());
 
         // Online paths: full suite and single-decider.

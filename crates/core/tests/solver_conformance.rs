@@ -82,8 +82,9 @@ fn exact_engines_agree_through_the_registry() {
     let registry = SolverRegistry::full_suite(BOUND);
     let budget = Budget::default().with_node_limit(NODE_LIMIT);
     for (case, jobs) in corpus().iter().enumerate() {
-        // evaluate_parallel runs every solver for real (no shortcuts).
-        let verdicts = registry.evaluate_parallel(jobs, budget, 2);
+        // The parallel path runs every solver for real (no shortcuts).
+        let verdicts =
+            registry.evaluate_parallel_ctx(&SolveCtx::with_budget(jobs, budget), 2, |_| {});
         let kind = |name: &str| {
             verdicts
                 .iter()

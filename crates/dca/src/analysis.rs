@@ -159,8 +159,7 @@ impl<'a> Analysis<'a> {
     /// reference evaluation hot path); out-of-range ids in release builds
     /// either panic on the underlying slice index or — when
     /// `target·n + interferer` happens to stay in bounds — return data of
-    /// a different pair. Use [`Analysis::try_pair`] when the ids are not
-    /// known to be valid.
+    /// a different pair.
     ///
     /// # Panics
     ///
@@ -173,18 +172,6 @@ impl<'a> Analysis<'a> {
             "job id out of range"
         );
         &self.pair_table()[target.index() * n + interferer.index()]
-    }
-
-    /// Checked variant of [`Analysis::pair`]: returns `None` when either
-    /// id is out of range for the analysed job set.
-    #[must_use]
-    pub fn try_pair(&self, target: JobId, interferer: JobId) -> Option<&PairInterference> {
-        let n = self.jobs.len();
-        if target.index() < n && interferer.index() < n {
-            Some(&self.pair_table()[target.index() * n + interferer.index()])
-        } else {
-            None
-        }
     }
 
     /// The higher-priority jobs of `ctx` that can actually interfere with
@@ -843,20 +830,5 @@ mod tests {
         let jobs = example1();
         let analysis = Analysis::new(&jobs);
         let _ = analysis.pair(jid(0), jid(9));
-    }
-
-    #[test]
-    fn try_pair_checks_both_ids() {
-        let jobs = example1();
-        let analysis = Analysis::new(&jobs);
-        assert!(analysis.try_pair(jid(0), jid(3)).is_some());
-        assert!(analysis.try_pair(jid(0), jid(9)).is_none());
-        assert!(analysis.try_pair(jid(9), jid(0)).is_none());
-        assert_eq!(
-            analysis
-                .try_pair(jid(1), jid(2))
-                .map(|p| p.ep(StageId::new(0))),
-            Some(analysis.pair(jid(1), jid(2)).ep(StageId::new(0)))
-        );
     }
 }

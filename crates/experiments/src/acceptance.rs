@@ -2,18 +2,21 @@
 
 use std::collections::BTreeMap;
 
+use msmr_model::JobSet;
+use msmr_sched::{Budget, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator, WorkloadError};
 use serde::{Deserialize, Serialize};
 
-use crate::approach::{evaluation_budget, evaluation_registry, Approach, ApproachOutcome};
+use crate::approach::{evaluation_registry, Approach};
 
 /// An acceptance-ratio experiment: generate `cases` test cases from a
 /// workload configuration and record, for every approach, the percentage
 /// of cases it accepts.
 ///
 /// Figures 4a–4c of the paper are sweeps of this experiment over β,
-/// `[h1,h2,h3]` and γ respectively; the `fig4a`–`fig4c` binaries perform
-/// those sweeps and print one [`AcceptanceRow`] per parameter value.
+/// `[h1,h2,h3]` and γ respectively; [`Panel`](crate::Panel) holds those
+/// sweeps' points and [`render`](crate::render) prints one
+/// [`AcceptanceRow`] per point.
 ///
 /// Evaluation goes through
 /// [`SolverRegistry::evaluate_batch`](msmr_sched::SolverRegistry::evaluate_batch):
@@ -82,28 +85,27 @@ impl AcceptanceExperiment {
     /// Returns a [`WorkloadError`] if the configuration is invalid.
     pub fn run(&self, config: &EdgeWorkloadConfig) -> Result<AcceptanceRow, WorkloadError> {
         let generator = EdgeWorkloadGenerator::new(config.clone())?;
-        let registry = evaluation_registry();
-        let budget = evaluation_budget(self.opt_node_limit);
-        // Streaming batch: each worker generates its case on demand, so a
-        // paper-scale sweep never holds more than `threads` job sets.
-        let batch = registry.evaluate_batch_with(self.cases, budget, self.threads, |case| {
-            generator.generate_seeded(self.base_seed.wrapping_add(case as u64))
-        });
+        let cases: Vec<JobSet> = (0..self.cases)
+            .map(|case| generator.generate_seeded(self.base_seed.wrapping_add(case as u64)))
+            .collect();
+        let batch = evaluation_registry().evaluate_batch(
+            &cases,
+            Budget::default().with_node_limit(self.opt_node_limit),
+            self.threads,
+        );
 
         let mut accepted: BTreeMap<Approach, usize> =
             Approach::all().into_iter().map(|a| (a, 0usize)).collect();
         let mut undecided = 0usize;
-        for verdicts in &batch {
-            for verdict in verdicts {
-                match ApproachOutcome::from(verdict.kind) {
-                    ApproachOutcome::Accepted => {
-                        let approach = Approach::from_solver_name(&verdict.solver)
-                            .expect("registry contains only the paper approaches");
-                        *accepted.get_mut(&approach).expect("initialised above") += 1;
-                    }
-                    ApproachOutcome::Undecided => undecided += 1,
-                    ApproachOutcome::Rejected => {}
+        for verdict in batch.iter().flatten() {
+            match verdict.kind {
+                VerdictKind::Accepted => {
+                    let approach = Approach::from_solver_name(&verdict.solver)
+                        .expect("registry contains only the paper approaches");
+                    *accepted.get_mut(&approach).expect("initialised above") += 1;
                 }
+                VerdictKind::Undecided => undecided += 1,
+                VerdictKind::Rejected => {}
             }
         }
         Ok(AcceptanceRow {
@@ -112,19 +114,6 @@ impl AcceptanceExperiment {
             accepted,
             opt_undecided: undecided,
         })
-    }
-
-    /// Convenience: runs the experiment for every configuration of a sweep
-    /// and returns one row per configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WorkloadError`] on the first invalid configuration.
-    pub fn sweep(
-        &self,
-        configs: &[EdgeWorkloadConfig],
-    ) -> Result<Vec<AcceptanceRow>, WorkloadError> {
-        configs.iter().map(|c| self.run(c)).collect()
     }
 }
 
@@ -218,16 +207,6 @@ mod tests {
     fn zero_threads_selects_auto_parallelism() {
         let experiment = AcceptanceExperiment::new(1, 1).with_threads(0);
         assert!(experiment.threads() >= 1);
-    }
-
-    #[test]
-    fn sweep_produces_one_row_per_config() {
-        let experiment = AcceptanceExperiment::new(2, 3).with_opt_node_limit(20_000);
-        let configs = vec![tiny_config().with_beta(0.05), tiny_config().with_beta(0.20)];
-        let rows = experiment.sweep(&configs).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].config.beta - 0.05).abs() < 1e-12);
-        assert!((rows[1].config.beta - 0.20).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 
 use msmr_dca::DelayBoundKind;
 use msmr_model::{JobId, JobSet};
-use msmr_sched::{Budget, SolveCtx, SolverRegistry, UnsupportedMode, Verdict, VerdictKind};
+use msmr_sched::{Budget, SolveCtx, SolverRegistry, UnsupportedMode, VerdictKind};
 use serde::{Deserialize, Serialize};
 
 /// The delay bound used throughout the evaluation: Eq. 10, i.e. preemptive
@@ -73,96 +73,53 @@ impl fmt::Display for Approach {
     }
 }
 
-/// Result of evaluating one approach on one test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ApproachOutcome {
-    /// The approach schedules the whole job set.
-    Accepted,
-    /// The approach cannot schedule the job set (or, for heuristics, does
-    /// not find a feasible assignment).
-    Rejected,
-    /// The exact search exhausted its budget without a conclusive answer
-    /// (only possible for OPT); counted as rejected in acceptance ratios,
-    /// so the reported OPT ratio is a *lower* bound.
-    Undecided,
-}
-
-impl ApproachOutcome {
-    /// `true` for [`ApproachOutcome::Accepted`].
-    #[must_use]
-    pub fn is_accepted(self) -> bool {
-        matches!(self, ApproachOutcome::Accepted)
-    }
-}
-
-impl From<VerdictKind> for ApproachOutcome {
-    fn from(kind: VerdictKind) -> Self {
-        match kind {
-            VerdictKind::Accepted => ApproachOutcome::Accepted,
-            VerdictKind::Rejected => ApproachOutcome::Rejected,
-            VerdictKind::Undecided => ApproachOutcome::Undecided,
-        }
-    }
-}
-
 /// The registry used by the evaluation: the paper's five approaches under
 /// the edge-computing bound (Eq. 10), with the exact implication shortcuts
 /// `DMR accepted ⇒ OPT accepted` and `OPDCA accepted ⇒ OPT accepted`
 /// (a feasible ordering or repaired pairwise assignment *is* a feasible
 /// pairwise assignment).
-#[must_use]
-pub fn evaluation_registry() -> SolverRegistry {
+pub(crate) fn evaluation_registry() -> SolverRegistry {
     SolverRegistry::paper_suite(EVALUATION_BOUND)
 }
 
-/// The evaluation budget implied by an OPT node limit.
-#[must_use]
-pub fn evaluation_budget(opt_node_limit: u64) -> Budget {
-    Budget::default().with_node_limit(opt_node_limit)
-}
-
-/// Evaluates every approach on one test case, returning the full
-/// [`Verdict`]s in legend order.
-#[must_use]
-pub fn evaluate_all_verdicts(jobs: &JobSet, opt_node_limit: u64) -> Vec<Verdict> {
-    evaluation_registry().evaluate(jobs, evaluation_budget(opt_node_limit))
-}
-
-/// Evaluates every approach on one test case.
+/// Evaluates every approach on one test case. An OPT search that
+/// exhausts `opt_node_limit` answers [`VerdictKind::Undecided`], which
+/// acceptance ratios count as a rejection (so OPT's ratio is a *lower*
+/// bound).
 ///
 /// Implemented on [`SolverRegistry::evaluate`]: the interference analysis
 /// is built once and shared by all approaches, and the `OPDCA ⇒ OPT` /
 /// `DMR ⇒ OPT` shortcuts skip the exact search whenever possible (this
 /// shortcut is exact, not an approximation).
 #[must_use]
-pub fn evaluate_all(jobs: &JobSet, opt_node_limit: u64) -> Vec<(Approach, ApproachOutcome)> {
-    evaluate_all_verdicts(jobs, opt_node_limit)
+pub fn evaluate_all(jobs: &JobSet, opt_node_limit: u64) -> Vec<(Approach, VerdictKind)> {
+    evaluation_registry()
+        .evaluate(jobs, Budget::default().with_node_limit(opt_node_limit))
         .into_iter()
         .map(|verdict| {
             let approach = Approach::from_solver_name(&verdict.solver)
                 .expect("the evaluation registry only contains the five paper approaches");
-            (approach, ApproachOutcome::from(verdict.kind))
+            (approach, verdict.kind)
         })
         .collect()
 }
 
-/// Runs one approach as an admission controller and returns the rejected
-/// jobs (only DM, DMR and OPDCA support this mode, mirroring Fig. 4d).
+/// Runs one approach as an admission controller on `ctx` and returns the
+/// rejected jobs (only DM, DMR and OPDCA support this mode, mirroring
+/// Fig. 4d). Controllers run on the same context share its analysis.
 ///
 /// # Errors
 ///
 /// Returns [`UnsupportedMode`] for approaches without an admission
-/// variant ([`Approach::Opt`] and [`Approach::Dcmp`]); query
-/// [`msmr_sched::Solver::supports_admission`] through the registry to
-/// check upfront.
-pub fn admission_rejects(approach: Approach, jobs: &JobSet) -> Result<Vec<JobId>, UnsupportedMode> {
-    let registry = evaluation_registry();
-    let solver = registry
+/// variant ([`Approach::Opt`] and [`Approach::Dcmp`]).
+pub(crate) fn admission_rejects(
+    approach: Approach,
+    ctx: &SolveCtx<'_>,
+) -> Result<Vec<JobId>, UnsupportedMode> {
+    evaluation_registry()
         .solver(approach.solver_name())
-        .expect("every approach is registered in the evaluation registry");
-    let ctx = SolveCtx::new(jobs);
-    solver
-        .admission_control(&ctx)
+        .expect("every approach is registered in the evaluation registry")
+        .admission_control(ctx)
         .map(|verdict| verdict.rejected)
 }
 
@@ -221,8 +178,9 @@ mod tests {
     fn light_system_is_accepted_by_every_approach() {
         let jobs = light_jobs();
         for (approach, outcome) in evaluate_all(&jobs, 100_000) {
-            assert!(
-                outcome.is_accepted(),
+            assert_eq!(
+                outcome,
+                VerdictKind::Accepted,
                 "{approach} rejected a trivially schedulable system"
             );
         }
@@ -231,7 +189,8 @@ mod tests {
     #[test]
     fn verdicts_carry_solver_details() {
         let jobs = light_jobs();
-        let verdicts = evaluate_all_verdicts(&jobs, 100_000);
+        let verdicts =
+            evaluation_registry().evaluate(&jobs, Budget::default().with_node_limit(100_000));
         assert_eq!(verdicts.len(), 5);
         let opdca = verdicts.iter().find(|v| v.solver == "OPDCA").unwrap();
         assert!(opdca.stats.sdca_calls > 0);
@@ -244,16 +203,18 @@ mod tests {
     #[test]
     fn admission_controllers_do_not_reject_light_systems() {
         let jobs = light_jobs();
+        let ctx = SolveCtx::new(&jobs);
         for approach in [Approach::Dm, Approach::Dmr, Approach::Opdca] {
-            assert!(admission_rejects(approach, &jobs).unwrap().is_empty());
+            assert!(admission_rejects(approach, &ctx).unwrap().is_empty());
         }
     }
 
     #[test]
     fn opt_and_dcmp_have_no_admission_mode() {
         let jobs = light_jobs();
+        let ctx = SolveCtx::new(&jobs);
         for approach in [Approach::Opt, Approach::Dcmp] {
-            let err = admission_rejects(approach, &jobs).unwrap_err();
+            let err = admission_rejects(approach, &ctx).unwrap_err();
             assert_eq!(err.solver, approach.solver_name());
             assert!(err.to_string().contains("admission control"));
         }
@@ -263,16 +224,9 @@ mod tests {
             let solver = registry.solver(approach.solver_name()).unwrap();
             assert_eq!(
                 solver.supports_admission(),
-                admission_rejects(approach, &jobs).is_ok(),
+                admission_rejects(approach, &ctx).is_ok(),
                 "{approach}"
             );
         }
-    }
-
-    #[test]
-    fn outcome_accessor() {
-        assert!(ApproachOutcome::Accepted.is_accepted());
-        assert!(!ApproachOutcome::Rejected.is_accepted());
-        assert!(!ApproachOutcome::Undecided.is_accepted());
     }
 }

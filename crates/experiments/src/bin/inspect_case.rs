@@ -24,6 +24,7 @@ fn main() {
     let jobs = generator.generate_seeded(options.seed);
     let ctx = SolveCtx::new(&jobs);
     let analysis = ctx.analysis();
+    let tables = analysis.tables();
     let profile = HeavinessProfile::of(&jobs);
 
     println!(
@@ -97,10 +98,7 @@ fn main() {
         let higher = dm_higher.len();
         let job_additive: u64 = dm_higher
             .iter()
-            .map(|&k| {
-                let pair = analysis.pair(i, k);
-                pair.sum_of_largest(pair.job_additive_terms()).as_ticks()
-            })
+            .map(|&k| tables.ja_eq6(i, k).as_ticks())
             .sum();
         println!(
             "  {i}: D={} dl-ratio={ratio:.2} own_max={} higher={higher} job_additive={} ",
@@ -123,14 +121,8 @@ fn main() {
         let competitors = jobs.competitors(i);
         let job_additive: u64 = competitors
             .iter()
-            .map(|&k| {
-                let pair = analysis.pair(i, k);
-                if pair.interferes() {
-                    pair.sum_of_largest(pair.job_additive_terms()).as_ticks()
-                } else {
-                    0
-                }
-            })
+            .filter(|&&k| tables.interference_mask(i).contains(k))
+            .map(|&k| tables.ja_eq6(i, k).as_ticks())
             .sum();
         println!(
             "  {i}: D={} delta={delta} competitors={} job_additive={job_additive} own_max={}",

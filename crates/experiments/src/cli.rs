@@ -1,8 +1,10 @@
-//! Minimal command-line option parsing shared by the figure binaries.
+//! Minimal command-line option parsing shared by the `fig4` and
+//! `inspect_case` binaries.
 
 use std::fmt;
 
-/// Options accepted by every `fig4*` binary.
+/// Options accepted by both binaries (`fig4` parses its own `--panel`
+/// first and hands the rest over).
 ///
 /// ```
 /// use msmr_experiments::cli::RunOptions;
@@ -121,7 +123,8 @@ impl RunOptions {
     }
 
     /// The edge workload configuration implied by these options (figure
-    /// parameters such as β are applied on top by each binary).
+    /// parameters such as β are applied on top by each
+    /// [`Panel`](crate::Panel)'s points).
     #[must_use]
     pub fn base_config(&self) -> msmr_workload::EdgeWorkloadConfig {
         msmr_workload::EdgeWorkloadConfig::default()

@@ -9,16 +9,19 @@
 //!   DCMP), all applied with the edge-computing delay bound (Eq. 10) and
 //!   evaluated through the unified
 //!   [`SolverRegistry`](msmr_sched::SolverRegistry) seam (see
-//!   [`evaluation_registry`]).
-//! * [`AcceptanceExperiment`] — acceptance-ratio sweeps over β,
-//!   `[h1,h2,h3]` and γ (Fig. 4a–4c), fanning test cases out over worker
-//!   threads via `SolverRegistry::evaluate_batch`.
+//!   [`evaluate_all`]).
+//! * [`AcceptanceExperiment`] — the acceptance ratios of one workload
+//!   configuration (one point of Fig. 4a–4c), fanning its test cases out
+//!   over worker threads via `SolverRegistry::evaluate_batch`.
 //! * [`RejectedHeavinessExperiment`] — the admission-controller comparison
 //!   of Fig. 4d.
+//! * [`Panel`] and [`render`] — the four panels as data (title, parameter
+//!   column, labelled points) and the one function that runs a panel and
+//!   formats its table.
 //!
-//! Each figure has a matching binary (`fig4a` … `fig4d`) that prints the
-//! same series the paper plots; `EXPERIMENTS.md` in the repository root
-//! records paper-reported versus measured values.
+//! Two binaries sit on top: `fig4 --panel a|b|c|d|all` prints what
+//! [`render`] returns, and `inspect_case` diagnoses one generated case.
+//! Both take the flags of [`cli::RunOptions`].
 //!
 //! # Example
 //!
@@ -42,13 +45,12 @@
 mod acceptance;
 mod approach;
 pub mod cli;
+mod figure;
 mod rejected;
 mod table;
 
 pub use acceptance::{AcceptanceExperiment, AcceptanceRow};
-pub use approach::{
-    admission_rejects, evaluate_all, evaluate_all_verdicts, evaluation_budget, evaluation_registry,
-    Approach, ApproachOutcome, EVALUATION_BOUND,
-};
+pub use approach::{evaluate_all, Approach, EVALUATION_BOUND};
+pub use figure::{render, Panel};
 pub use rejected::{RejectedHeavinessExperiment, RejectedHeavinessRow};
 pub use table::{format_markdown_table, Cell};

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use msmr_sched::admission::rejected_heaviness_percent;
+use msmr_sched::SolveCtx;
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator, WorkloadError};
 use serde::{Deserialize, Serialize};
 
@@ -53,8 +54,10 @@ impl RejectedHeavinessExperiment {
             Self::approaches().into_iter().map(|a| (a, 0.0)).collect();
         for case in 0..self.cases {
             let jobs = generator.generate_seeded(self.base_seed.wrapping_add(case as u64));
+            // One context per case: the three controllers share its analysis.
+            let ctx = SolveCtx::new(&jobs);
             for approach in Self::approaches() {
-                let rejected = admission_rejects(approach, &jobs)
+                let rejected = admission_rejects(approach, &ctx)
                     .expect("every Fig. 4d approach supports admission control");
                 *totals.get_mut(&approach).expect("initialised above") +=
                     rejected_heaviness_percent(&jobs, &rejected);

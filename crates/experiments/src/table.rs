@@ -1,4 +1,4 @@
-//! Tiny table formatter used by the figure binaries.
+//! Tiny table formatter behind [`render`](crate::render).
 
 use std::fmt::Write as _;
 

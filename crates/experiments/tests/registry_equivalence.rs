@@ -5,7 +5,7 @@
 //! directly through `Solver::solve` on one shared context — no registry,
 //! no declarative shortcuts.
 
-use msmr_experiments::{evaluate_all, Approach, ApproachOutcome, EVALUATION_BOUND};
+use msmr_experiments::{evaluate_all, Approach, EVALUATION_BOUND};
 use msmr_model::JobSet;
 use msmr_sched::{Budget, Dcmp, Dm, Dmr, Opdca, OptPairwise, SolveCtx, Solver, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
@@ -14,28 +14,24 @@ const OPT_NODE_LIMIT: u64 = 50_000;
 
 /// The seed repository's hand-wired evaluation loop, kept verbatim as the
 /// oracle for the registry-based reimplementation.
-fn legacy_evaluate_all(jobs: &JobSet, opt_node_limit: u64) -> Vec<(Approach, ApproachOutcome)> {
+fn legacy_evaluate_all(jobs: &JobSet, opt_node_limit: u64) -> Vec<(Approach, VerdictKind)> {
     let ctx = SolveCtx::with_budget(jobs, Budget::default().with_node_limit(opt_node_limit));
 
     let dm_ok = Dm::new(EVALUATION_BOUND).solve(&ctx).is_accepted();
     let dmr_ok = Dmr::new(EVALUATION_BOUND).solve(&ctx).is_accepted();
     let opdca_ok = Opdca::new(EVALUATION_BOUND).solve(&ctx).is_accepted();
     let opt = if dmr_ok || opdca_ok {
-        ApproachOutcome::Accepted
+        VerdictKind::Accepted
     } else {
-        match OptPairwise::new(EVALUATION_BOUND).solve(&ctx).kind {
-            VerdictKind::Accepted => ApproachOutcome::Accepted,
-            VerdictKind::Rejected => ApproachOutcome::Rejected,
-            VerdictKind::Undecided => ApproachOutcome::Undecided,
-        }
+        OptPairwise::new(EVALUATION_BOUND).solve(&ctx).kind
     };
     let dcmp_ok = Dcmp::new().evaluate(jobs).accepted;
 
     let to_outcome = |ok: bool| {
         if ok {
-            ApproachOutcome::Accepted
+            VerdictKind::Accepted
         } else {
-            ApproachOutcome::Rejected
+            VerdictKind::Rejected
         }
     };
     vec![
@@ -81,7 +77,7 @@ fn registry_evaluation_is_byte_identical_to_the_legacy_loop() {
             assert_eq!(unified_json, legacy_json);
             corpus_size += 1;
             for (_, outcome) in &unified {
-                if outcome.is_accepted() {
+                if *outcome == VerdictKind::Accepted {
                     accepted_total += 1;
                 } else {
                     rejected_total += 1;

@@ -532,7 +532,7 @@ impl AdmissionSession {
                 // Sequential submits evaluate through the online seam on
                 // the just-reset (blank) states: every solver decides
                 // cold exactly once — verdict-identical to
-                // `evaluate_streamed` — and records the trace the first
+                // `evaluate_ctx` — and records the trace the first
                 // admit fast-forwards from, with no duplicate decider
                 // run.
                 self.registry

@@ -5,15 +5,13 @@
 //! DM, DMR, OPDCA and OPT are all driven by the allocation-free
 //! incremental `DelayEvaluator` of `msmr-dca` (solver verdicts are
 //! bit-identical to the naive reference evaluation; the branch-and-bound
-//! performs zero heap allocations per search node). Measured effect on
-//! this registry's end-to-end throughput: batch evaluation went from
-//! ~780 to ~4 500 cases/sec (5.7×) and the Fig. 4d admission controllers
-//! sped up 5–14×; `BENCH_kernels.json` tracks the kernel numbers.
+//! performs zero heap allocations per search node). The kernel timings
+//! live in `BENCH_kernels.json`, the end-to-end ones in `benchmark/`.
 //!
 //! Run with `cargo run -p msmr-experiments --example compare_solvers`.
 
 use msmr_experiments::EVALUATION_BOUND;
-use msmr_sched::{Budget, SolverRegistry, VerdictKind};
+use msmr_sched::{Budget, SolveCtx, SolverRegistry, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,12 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The full suite registers DM, DMR, OPDCA, OPT, DCMP and OPT-ILP.
-    // `evaluate_parallel` runs one task per solver over a shared analysis;
-    // no implication shortcuts, so every engine genuinely executes.
+    // `evaluate_parallel_ctx` runs one task per solver over the context's
+    // shared analysis; no implication shortcuts, so every engine genuinely
+    // executes.
     let registry = SolverRegistry::full_suite(EVALUATION_BOUND);
-    let budget = Budget::default().with_node_limit(500_000);
-    let threads = msmr_par::default_threads();
-    let verdicts = registry.evaluate_parallel(&jobs, budget, threads);
+    let ctx = SolveCtx::with_budget(&jobs, Budget::default().with_node_limit(500_000));
+    let verdicts = registry.evaluate_parallel_ctx(&ctx, msmr_par::default_threads(), |_| {});
 
     println!(
         "{:<8} {:<10} {:<6} {:<10} {:<12} {:<12} time",

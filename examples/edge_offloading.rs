@@ -7,7 +7,7 @@
 
 use msmr_experiments::{evaluate_all, Approach, EVALUATION_BOUND};
 use msmr_model::HeavinessProfile;
-use msmr_sched::{Opdca, SolveCtx, Solver, Witness};
+use msmr_sched::{Opdca, SolveCtx, Solver, VerdictKind, Witness};
 use msmr_sim::{PriorityMap, Simulator};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Which approach accepted the case?
     let accepted: Vec<Approach> = evaluate_all(&jobs, 200_000)
         .into_iter()
-        .filter(|(_, o)| o.is_accepted())
+        .filter(|&(_, o)| o == VerdictKind::Accepted)
         .map(|(a, _)| a)
         .collect();
     println!("accepted by: {accepted:?}");

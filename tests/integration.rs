@@ -4,7 +4,9 @@
 use msmr_dca::DelayBoundKind;
 use msmr_experiments::{evaluate_all, AcceptanceExperiment, Approach, EVALUATION_BOUND};
 use msmr_model::JobId;
-use msmr_sched::{Dcmp, Dmr, Opdca, OptPairwise, PairwiseIlp, SolveCtx, Solver, Witness};
+use msmr_sched::{
+    Dcmp, Dmr, Opdca, OptPairwise, PairwiseIlp, SolveCtx, Solver, VerdictKind, Witness,
+};
 use msmr_sim::{PriorityMap, Simulator};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
@@ -91,7 +93,7 @@ fn approach_dominance_holds_on_generated_workloads() {
             verdicts
                 .iter()
                 .find(|(x, _)| *x == a)
-                .map(|(_, o)| o.is_accepted())
+                .map(|(_, o)| *o == VerdictKind::Accepted)
                 .unwrap_or(false)
         };
         if accepted(Approach::Opdca) || accepted(Approach::Dmr) {
