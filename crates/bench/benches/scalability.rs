@@ -4,10 +4,11 @@
 //! resources and jobs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use msmr_bench::{generate_case, small_config, BENCH_SEED};
+use msmr_bench::{generate_case, BENCH_SEED};
 use msmr_dca::Analysis;
 use msmr_experiments::EVALUATION_BOUND;
 use msmr_sched::{Budget, Dcmp, Dmr, Opdca, OptPairwise, SolveCtx, Solver};
+use msmr_workload::EdgeWorkloadConfig;
 use std::hint::black_box;
 
 const JOB_COUNTS: [usize; 3] = [25, 50, 100];
@@ -16,7 +17,7 @@ fn bench_scalability(c: &mut Criterion) {
     let mut group = c.benchmark_group("scalability");
     group.sample_size(10);
     for jobs_count in JOB_COUNTS {
-        let jobs = generate_case(&small_config(jobs_count), BENCH_SEED);
+        let jobs = generate_case(&EdgeWorkloadConfig::scaled(jobs_count), BENCH_SEED);
 
         group.bench_with_input(
             BenchmarkId::new("analysis_precompute", jobs_count),

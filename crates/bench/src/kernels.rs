@@ -4,10 +4,11 @@ use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
 use msmr_sched::{Budget, Dcmp, OptPairwise, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
+use msmr_workload::EdgeWorkloadConfig;
 
 use msmr_report::BenchReport;
 
-use crate::{generate_case, paper_config, small_config, BENCH_SEED};
+use crate::{generate_case, paper_config, BENCH_SEED};
 
 /// The Observation V.1 instance (four jobs, feasible only pairwise).
 fn observation_v1() -> JobSet {
@@ -47,7 +48,7 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
 
     // --- delay-bound kernels on one representative case -----------------
     let jobs = if fast {
-        generate_case(&small_config(16), BENCH_SEED)
+        generate_case(&EdgeWorkloadConfig::scaled(16), BENCH_SEED)
     } else {
         generate_case(&paper_config(), BENCH_SEED)
     };
@@ -146,7 +147,10 @@ fn append_online_benchmarks(report: &mut BenchReport, fast: bool, samples: usize
 
     let jobs = if fast { 10 } else { 48 };
     let iters = if fast { 5 } else { 100 };
-    let template = generate_case(&small_config(jobs.max(4)), BENCH_SEED.wrapping_add(17));
+    let template = generate_case(
+        &EdgeWorkloadConfig::scaled(jobs.max(4)),
+        BENCH_SEED.wrapping_add(17),
+    );
     let stages = template.stage_count();
     let spec_for = |seed: u64, deadline: u64| JobSpec {
         arrival: 0,

@@ -35,14 +35,6 @@ pub fn paper_config() -> EdgeWorkloadConfig {
     EdgeWorkloadConfig::default()
 }
 
-/// A reduced configuration for micro-benchmarks.
-#[must_use]
-pub fn small_config(jobs: usize) -> EdgeWorkloadConfig {
-    EdgeWorkloadConfig::default()
-        .with_jobs(jobs)
-        .with_infrastructure((jobs / 4).clamp(2, 25), (jobs / 5).clamp(2, 20))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,7 +43,7 @@ mod tests {
     fn helpers_produce_valid_cases() {
         let jobs = generate_case(&paper_config().with_jobs(10).with_infrastructure(4, 3), 1);
         assert_eq!(jobs.len(), 10);
-        let jobs = generate_case(&small_config(20), 2);
+        let jobs = generate_case(&EdgeWorkloadConfig::scaled(20), 2);
         assert_eq!(jobs.len(), 20);
     }
 }

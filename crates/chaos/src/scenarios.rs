@@ -11,20 +11,20 @@ use std::time::Duration;
 
 use msmr_cluster::{ClusterConfig, ClusterEngine};
 use msmr_model::JobSet;
+use msmr_serve::history::{self, replay_warm, Decision, DecisionOp};
 use msmr_serve::protocol::{
     read_response, write_request, AdmitOp, AttachOp, Frame, JobSpec, Op, Request, Response,
     StatusOp, SubmitOp,
 };
 use msmr_serve::{
-    normalized_verdict_json, Client, Endpoint, Listen, ResumingClient, RetryError, RetryPolicy,
-    SessionConfig,
+    Client, Endpoint, Listen, ObservedOp, ResumingClient, RetryError, RetryPolicy, SessionConfig,
 };
 use msmr_stats::{fetch_flight_dump, fetch_stats_json, EventKind, FlightDump, StatsSnapshot};
 use msmr_workload::arrival_order;
 
 use crate::harness::{wait_until, DaemonHarness};
 use crate::proxy::{ChaosProxy, FaultPlan};
-use crate::{chaos_trace, scratch_dir, verify_history, HistoryEntry, HistoryOp};
+use crate::{chaos_trace, scratch_dir};
 
 /// Asserts that every decider verdict in `frames` is warm: a session
 /// that restored properly keeps its online decider state, so the
@@ -43,30 +43,37 @@ fn assert_decider_warm(frames: &[Response], decider: &str, context: &str) -> Res
     Ok(())
 }
 
-/// Reduces one observed op's frames to a [`HistoryEntry`].
-fn entry_from_frames(
-    seq: u64,
-    spec: &JobSpec,
-    frames: &[Response],
-) -> Result<HistoryEntry, String> {
-    let mut verdicts = Vec::new();
-    let mut admitted = None;
-    for response in frames {
-        match &response.frame {
-            Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-            Frame::Admit(f) => admitted = Some(f.admitted),
-            _ => {}
-        }
+/// The surviving history of a [`ResumingClient`] run
+/// ([`history::surviving`]), which must hold `jobs` seqs. Every
+/// decision after the first must have decided warm — a restore keeps
+/// the decider state; the very first decision after a submit may
+/// legitimately decide cold.
+fn surviving_history(observed: Vec<ObservedOp>, jobs: usize) -> Result<Vec<Decision>, String> {
+    let decider = SessionConfig::default().decider;
+    let survivors = history::surviving(observed).map_err(|e| e.to_string())?;
+    if survivors.len() != jobs {
+        return Err(format!(
+            "observed {} distinct seq(s), expected {jobs}",
+            survivors.len()
+        ));
     }
-    let admitted = admitted.ok_or_else(|| format!("seq {seq}: observed op has no admit ack"))?;
-    Ok(HistoryEntry {
-        seq,
-        op: HistoryOp::Admit {
-            spec: spec.clone(),
-            admitted,
-        },
-        verdicts,
-    })
+    let mut decisions = Vec::with_capacity(jobs);
+    for (observed, decision) in survivors {
+        if observed.seq > 1 {
+            let context = format!("seq {}", observed.seq);
+            assert_decider_warm(&observed.frames, &decider, &context)?;
+        }
+        decisions.push(decision);
+    }
+    Ok(decisions)
+}
+
+/// Admitted decisions in a history.
+fn admitted(decisions: &[Decision]) -> usize {
+    decisions
+        .iter()
+        .filter(|d| matches!(d.op, DecisionOp::Admit { admitted: true, .. }))
+        .count()
 }
 
 /// Post-failure accounting: reconciles the flight recorder's event
@@ -228,7 +235,6 @@ pub fn kill_restart(seed: u64) -> Result<Vec<String>, String> {
     let (pipeline, _) = trace.restrict_to(&[]).map_err(|e| e.to_string())?;
     client.set_pipeline(pipeline);
 
-    let mut specs = Vec::new();
     let mut journal_at_kill = 0u64;
     for (i, &id) in order.iter().enumerate() {
         if i == kill_before {
@@ -248,11 +254,9 @@ pub fn kill_restart(seed: u64) -> Result<Vec<String>, String> {
                 daemon.addr
             ));
         }
-        let spec = JobSpec::from_job(trace.job(id));
         client
-            .admit(&spec, true)
+            .admit(&JobSpec::from_job(trace.job(id)), true)
             .map_err(|e| format!("admit {}: {e}", i + 1))?;
-        specs.push(spec);
         if (i + 1) % 5 == 0 {
             client
                 .checkpoint()
@@ -269,35 +273,9 @@ pub fn kill_restart(seed: u64) -> Result<Vec<String>, String> {
         jobs, stats.reconnects, stats.retries, stats.deduped_acks
     ));
 
-    // The surviving history: the last observed application per seq.
-    let decider = SessionConfig::default().decider;
-    let mut last: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
-    for observed in client.drain_observed() {
-        last.insert(observed.seq, observed.frames);
-    }
-    if last.len() != jobs {
-        return Err(format!(
-            "observed {} distinct seq(s), expected {jobs}",
-            last.len()
-        ));
-    }
-    let mut entries = Vec::new();
-    for (&seq, frames) in &last {
-        // Every op past the restore point must have decided warm; ops
-        // before it trivially did (same live session). The very first
-        // decision after a submit may legitimately decide cold, so it
-        // is exempt.
-        if seq > 1 {
-            assert_decider_warm(frames, &decider, &format!("seq {seq}"))?;
-        }
-        let spec = &specs[seq as usize - 1];
-        entries.push(entry_from_frames(seq, spec, frames)?);
-    }
-    verify_history(&trace, &entries, SessionConfig::default())?;
-    let admitted = entries
-        .iter()
-        .filter(|e| matches!(e.op, HistoryOp::Admit { admitted: true, .. }))
-        .count();
+    let history = surviving_history(client.drain_observed(), jobs)?;
+    replay_warm(&trace, &history, &SessionConfig::default())?;
+    let admitted = admitted(&history);
     log.push(format!(
         "kill-restart: history of {jobs} seq(s) replays byte-identically ({admitted} admitted)"
     ));
@@ -644,8 +622,8 @@ pub fn overload_storm(seed: u64) -> Result<Vec<String>, String> {
 /// Outcome of one proxied request round in [`frame_chaos`].
 #[derive(Default)]
 struct RoundOutcome {
-    /// Freshly applied seqs with their admit verdict and verdict lines.
-    applied: Vec<(u64, bool, Vec<String>)>,
+    /// Freshly applied decisions.
+    applied: Vec<Decision>,
     /// `deduped: true` acks observed.
     deduped: u64,
     /// `Error` frames on id 0 (malformed lines the server survived).
@@ -683,18 +661,16 @@ fn chaos_round(
             }),
         });
     }
-    let mut id_to_seq = BTreeMap::new();
+    let mut admits = BTreeMap::new();
     for (i, (seq, spec)) in ops.iter().enumerate() {
-        let id = 100 + i as u64;
-        id_to_seq.insert(id, *seq);
-        requests.push(Request {
-            id,
-            op: Op::Admit(AdmitOp {
-                job: spec.clone(),
-                evaluate: Some(true),
-                seq: Some(*seq),
-            }),
+        let op = Op::Admit(AdmitOp {
+            job: spec.clone(),
+            evaluate: Some(true),
+            seq: Some(*seq),
         });
+        let id = 100 + i as u64;
+        admits.insert(id, op.clone());
+        requests.push(Request { id, op });
     }
     for request in &requests {
         write_request(&mut writer, request).map_err(|e| e.to_string())?;
@@ -703,32 +679,30 @@ fn chaos_round(
         .shutdown(Shutdown::Write)
         .map_err(|e| e.to_string())?;
 
+    // Each answer (a duplicated line gets two under one id) ends in its
+    // `Done`; a complete admit answer reduces to a decision.
     let mut outcome = RoundOutcome::default();
-    let mut verdicts: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    let mut answers: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
     while let Some(response) = read_response(&mut reader).map_err(|e| e.to_string())? {
-        match &response.frame {
-            Frame::Verdict(v) => verdicts
-                .entry(response.id)
-                .or_default()
-                .push(normalized_verdict_json(&v.verdict)),
-            Frame::Admit(frame) => {
-                let Some(&seq) = id_to_seq.get(&response.id) else {
-                    continue;
-                };
-                let lines = verdicts.remove(&response.id).unwrap_or_default();
-                if frame.deduped == Some(true) {
-                    outcome.deduped += 1;
-                } else {
-                    outcome.applied.push((seq, frame.admitted, lines));
-                }
-            }
-            Frame::Error(_) if response.id == 0 => outcome.id0_errors += 1,
-            // Seq-gap/retired errors on a real id: the op was not
-            // applied this round; a later round re-issues it.
-            Frame::Error(_) => {
-                verdicts.remove(&response.id);
-            }
-            _ => {}
+        if response.id == 0 {
+            outcome.id0_errors += u64::from(matches!(response.frame, Frame::Error(_)));
+            continue;
+        }
+        let (id, done) = (response.id, matches!(response.frame, Frame::Done(_)));
+        answers.entry(id).or_default().push(response);
+        if !done {
+            continue;
+        }
+        let answer = answers.remove(&id).unwrap_or_default();
+        let Some(op) = admits.get(&id) else {
+            continue; // attach / submit
+        };
+        match Decision::from_frames(op, &answer) {
+            Ok(decision) if decision.deduped => outcome.deduped += 1,
+            Ok(decision) => outcome.applied.push(decision),
+            // Seq-gap/retired errors: the op was not applied this
+            // round; a later round re-issues it.
+            Err(_) => {}
         }
     }
     Ok(outcome)
@@ -774,7 +748,7 @@ pub fn frame_chaos(seed: u64) -> Result<Vec<String>, String> {
         .map(|&id| JobSpec::from_job(trace.job(id)))
         .collect();
 
-    let mut applied: BTreeMap<u64, (bool, Vec<String>)> = BTreeMap::new();
+    let mut applied: BTreeMap<u64, Decision> = BTreeMap::new();
     let mut deduped_acks = 0u64;
     let mut id0_errors = 0u64;
     let mut rounds = 0usize;
@@ -799,8 +773,8 @@ pub fn frame_chaos(seed: u64) -> Result<Vec<String>, String> {
             (rounds == 1).then_some(&pipeline),
             &pending,
         )?;
-        for (seq, admitted, lines) in outcome.applied {
-            applied.insert(seq, (admitted, lines));
+        for decision in outcome.applied {
+            applied.insert(decision.seq, decision);
         }
         deduped_acks += outcome.deduped;
         id0_errors += outcome.id0_errors;
@@ -852,18 +826,8 @@ pub fn frame_chaos(seed: u64) -> Result<Vec<String>, String> {
         jobs
     ));
 
-    let entries: Vec<HistoryEntry> = applied
-        .iter()
-        .map(|(&seq, (admitted, lines))| HistoryEntry {
-            seq,
-            op: HistoryOp::Admit {
-                spec: specs[seq as usize - 1].clone(),
-                admitted: *admitted,
-            },
-            verdicts: lines.clone(),
-        })
-        .collect();
-    verify_history(&trace, &entries, SessionConfig::default())?;
+    let history: Vec<Decision> = applied.into_values().collect();
+    replay_warm(&trace, &history, &SessionConfig::default())?;
     log.push("frame-chaos: surviving history replays byte-identically".into());
 
     // Post-failure accounting: exactly one decision and one histogram
@@ -940,7 +904,6 @@ pub fn router_failover(seed: u64) -> Result<Vec<String>, String> {
     let (pipeline, _) = trace.restrict_to(&[]).map_err(|e| e.to_string())?;
     client.set_pipeline(pipeline);
 
-    let mut specs = Vec::new();
     let mut killed = String::new();
     for (i, &id) in order.iter().enumerate() {
         if i == kill_before {
@@ -967,11 +930,9 @@ pub fn router_failover(seed: u64) -> Result<Vec<String>, String> {
                 i + 1
             ));
         }
-        let spec = JobSpec::from_job(trace.job(id));
         client
-            .admit(&spec, true)
+            .admit(&JobSpec::from_job(trace.job(id)), true)
             .map_err(|e| format!("admit {} across the failover: {e}", i + 1))?;
-        specs.push(spec);
     }
 
     let stats = client.stats();
@@ -993,30 +954,9 @@ pub fn router_failover(seed: u64) -> Result<Vec<String>, String> {
 
     // The surviving history: contiguous seqs, warm decider, offline
     // byte-identity.
-    let decider = SessionConfig::default().decider;
-    let mut last: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
-    for observed in client.drain_observed() {
-        last.insert(observed.seq, observed.frames);
-    }
-    if last.len() != jobs {
-        return Err(format!(
-            "observed {} distinct seq(s), expected {jobs}",
-            last.len()
-        ));
-    }
-    let mut entries = Vec::new();
-    for (&seq, frames) in &last {
-        if seq > 1 {
-            assert_decider_warm(frames, &decider, &format!("seq {seq}"))?;
-        }
-        let spec = &specs[seq as usize - 1];
-        entries.push(entry_from_frames(seq, spec, frames)?);
-    }
-    verify_history(&trace, &entries, SessionConfig::default())?;
-    let admitted = entries
-        .iter()
-        .filter(|e| matches!(e.op, HistoryOp::Admit { admitted: true, .. }))
-        .count();
+    let history = surviving_history(client.drain_observed(), jobs)?;
+    replay_warm(&trace, &history, &SessionConfig::default())?;
+    let admitted = admitted(&history);
     log.push(format!(
         "router-failover: history of {jobs} seq(s) replays byte-identically \
          ({admitted} admitted)"

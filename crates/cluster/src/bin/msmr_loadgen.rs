@@ -17,9 +17,10 @@
 //! standalone `benchmark/` package's job.
 //!
 //! With `--verify`, every session's interleaved decision history is
-//! re-ordered by the admit frames' `seq` numbers and replayed through a
-//! library `AdmissionSession`; the streamed verdicts must match the
-//! serialized replay byte-for-byte (wall-clock fields zeroed). Any
+//! re-ordered by the decision frames' `seq` numbers and replayed through
+//! a library `AdmissionSession` (the warm oracle
+//! `msmr_serve::history::replay_warm`); the streamed verdicts must match
+//! the serialized replay byte-for-byte (wall-clock fields zeroed). Any
 //! mismatch exits non-zero — this is the cluster CI smoke check.
 //!
 //! The summary reports overloads (typed backpressure responses, each
@@ -32,6 +33,7 @@
 //! decided round trip lands in precisely one counter (run it against a
 //! freshly started daemon, otherwise earlier traffic is counted too).
 
+use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,11 +42,9 @@ use std::time::{Duration, Instant};
 
 use msmr_dca::DelayBoundKind;
 use msmr_model::JobSet;
+use msmr_serve::history::{replay_warm, Decision, DecisionOp};
 use msmr_serve::protocol::{AdmitOp, Frame, JobSpec, Op, StatsOp, SubmitOp, WithdrawOp};
-use msmr_serve::{
-    normalized_verdict_json, parse_bound, percentile_us, AdmissionSession, Client, Endpoint,
-    MixRng, SessionConfig,
-};
+use msmr_serve::{parse_bound, Client, Endpoint, MixRng, SessionConfig};
 use msmr_workload::{arrival_order, EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 struct Options {
@@ -147,20 +147,6 @@ fn session_name(seed: u64, k: usize) -> String {
     format!("loadgen-{seed}-{k}")
 }
 
-/// One decider decision — an admission or a withdrawal — as observed by
-/// a client: enough to re-run the session history serially and compare
-/// verdicts.
-enum DecisionOp {
-    Admit { spec: JobSpec, admitted: bool },
-    Withdraw { handle: u64 },
-}
-
-struct Decision {
-    seq: u64,
-    op: DecisionOp,
-    verdicts: Vec<String>,
-}
-
 #[derive(Default)]
 struct ClientStats {
     latencies_us: Vec<f64>,
@@ -173,198 +159,49 @@ struct ClientStats {
     decisions: Vec<(usize, Decision)>, // (session index, decision)
 }
 
-/// Issues one admit, retrying on typed overload responses with linear
-/// backoff. Returns the admitted handle (None on rejection) or an error
-/// message.
-fn admit_with_retry(
+/// Issues one admit or withdraw, retrying on typed overload responses
+/// with linear backoff, and records the decision. Returns the admitted
+/// handle (None on rejection and for a withdraw) or an error message.
+fn decide_with_retry(
     client: &mut Client,
     session: usize,
-    spec: &JobSpec,
+    op: Op,
     options: &Options,
     stats: &mut ClientStats,
 ) -> Result<Option<u64>, String> {
-    let evaluate = options.evaluate || options.verify;
     for attempt in 0..=options.retries {
         let start = Instant::now();
-        let frames = client
-            .request(Op::Admit(AdmitOp {
-                job: spec.clone(),
-                evaluate: Some(evaluate),
-                seq: None,
-            }))
-            .map_err(|e| e.to_string())?;
+        let frames = client.request(op.clone()).map_err(|e| e.to_string())?;
         let elapsed_us = start.elapsed().as_nanos() as f64 / 1_000.0;
-
-        let mut overloaded = false;
-        let mut admit = None;
-        let mut verdicts = Vec::new();
-        for frame in &frames {
-            match &frame.frame {
-                Frame::Overload(_) => overloaded = true,
-                Frame::Admit(a) => admit = Some(a.clone()),
-                Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-                Frame::Error(e) => return Err(e.message.clone()),
-                _ => {}
+        let decision = match Decision::from_frames(&op, &frames) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                stats.overload_retries += 1;
+                std::thread::sleep(Duration::from_millis((attempt as u64 + 1).min(20)));
+                continue;
             }
-        }
-        if overloaded {
-            stats.overload_retries += 1;
-            std::thread::sleep(Duration::from_millis((attempt as u64 + 1).min(20)));
-            continue;
-        }
-        let admit = admit.ok_or("daemon sent no admit frame")?;
-        let seq = admit
-            .seq
-            .ok_or("daemon sent no decision seq (not a cluster daemon?)")?;
-        stats.deduped += usize::from(admit.deduped == Some(true));
-        stats.latencies_us.push(elapsed_us);
-        let handle = admit.admitted.then_some(admit.job).flatten();
-        stats.decisions.push((
-            session,
-            Decision {
-                seq,
-                op: DecisionOp::Admit {
-                    spec: spec.clone(),
-                    admitted: admit.admitted,
-                },
-                verdicts,
-            },
-        ));
-        return Ok(handle);
-    }
-    Err(format!(
-        "admit still overloaded after {} retries",
-        options.retries
-    ))
-}
-
-/// Issues one withdraw, retrying on typed overload responses — the
-/// general mid-set withdraw of the online seam under multi-client load.
-fn withdraw_with_retry(
-    client: &mut Client,
-    session: usize,
-    handle: u64,
-    options: &Options,
-    stats: &mut ClientStats,
-) -> Result<(), String> {
-    let evaluate = options.evaluate || options.verify;
-    for attempt in 0..=options.retries {
-        let start = Instant::now();
-        let frames = client
-            .request(Op::Withdraw(WithdrawOp {
-                job: handle,
-                evaluate: Some(evaluate),
-                seq: None,
-            }))
-            .map_err(|e| e.to_string())?;
-        let elapsed_us = start.elapsed().as_nanos() as f64 / 1_000.0;
-
-        let mut overloaded = false;
-        let mut withdraw = None;
-        let mut verdicts = Vec::new();
-        for frame in &frames {
-            match &frame.frame {
-                Frame::Overload(_) => overloaded = true,
-                Frame::Withdraw(w) => withdraw = Some(w.clone()),
-                Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-                Frame::Error(e) => return Err(e.message.clone()),
-                _ => {}
-            }
-        }
-        if overloaded {
-            stats.overload_retries += 1;
-            std::thread::sleep(Duration::from_millis((attempt as u64 + 1).min(20)));
-            continue;
-        }
-        let withdraw = withdraw.ok_or("daemon sent no withdraw frame")?;
-        let seq = withdraw
-            .seq
-            .ok_or("daemon sent no decision seq (not a cluster daemon?)")?;
-        stats.deduped += usize::from(withdraw.deduped == Some(true));
+            Err(e) => return Err(e.to_string()),
+            Ok(decision) => decision,
+        };
+        stats.deduped += usize::from(decision.deduped);
         // Withdraw round trips count toward throughput and the latency
         // percentiles like any other decider decision.
         stats.latencies_us.push(elapsed_us);
-        stats.decisions.push((
-            session,
-            Decision {
-                seq,
-                op: DecisionOp::Withdraw { handle },
-                verdicts,
-            },
-        ));
-        return Ok(());
+        let handle = match decision.op {
+            DecisionOp::Admit { handle, .. } => handle,
+            DecisionOp::Withdraw { .. } => None,
+        };
+        stats.decisions.push((session, decision));
+        return Ok(handle);
     }
+    let what = if matches!(op, Op::Admit(_)) {
+        "admit"
+    } else {
+        "withdraw"
+    };
     Err(format!(
-        "withdraw still overloaded after {} retries",
+        "{what} still overloaded after {} retries",
         options.retries
     ))
-}
-
-/// Serialized offline replay of one session's decision history: applies
-/// the decisions in `seq` order to a fresh library session and checks
-/// verdicts and outcomes byte-for-byte.
-fn verify_session(
-    name: &str,
-    trace: &JobSet,
-    mut decisions: Vec<Decision>,
-    options: &Options,
-) -> Result<(), String> {
-    decisions.sort_by_key(|d| d.seq);
-    for (i, decision) in decisions.iter().enumerate() {
-        if decision.seq != i as u64 + 1 {
-            return Err(format!(
-                "{name}: decision seqs are not contiguous at position {i} (got {})",
-                decision.seq
-            ));
-        }
-    }
-    let evaluate = options.evaluate || options.verify;
-    let mut mirror = AdmissionSession::new(SessionConfig {
-        bound: options.bound,
-        node_limit: Some(options.opt_nodes),
-        decider: options.decider.clone(),
-        ..SessionConfig::default()
-    });
-    let (pipeline, _) = trace.restrict_to(&[]).map_err(|e| e.to_string())?;
-    mirror.submit(pipeline, false, |_| {});
-    for (i, decision) in decisions.iter().enumerate() {
-        let mut offline = Vec::new();
-        match &decision.op {
-            DecisionOp::Admit { spec, admitted } => {
-                let outcome = mirror
-                    .admit(spec, evaluate, |v| {
-                        offline.push(normalized_verdict_json(v));
-                    })
-                    .map_err(|e| {
-                        format!("{name}: serialized replay failed at seq {}: {e}", i + 1)
-                    })?;
-                if outcome.admitted != *admitted {
-                    return Err(format!(
-                        "{name}: seq {} decided {} online but {} in the serialized replay",
-                        i + 1,
-                        admitted,
-                        outcome.admitted
-                    ));
-                }
-            }
-            DecisionOp::Withdraw { handle } => {
-                mirror
-                    .withdraw(*handle, evaluate, |v| {
-                        offline.push(normalized_verdict_json(v));
-                    })
-                    .map_err(|e| {
-                        format!("{name}: serialized replay failed at seq {}: {e}", i + 1)
-                    })?;
-            }
-        }
-        if offline != decision.verdicts {
-            return Err(format!(
-                "{name}: seq {} verdicts differ from the serialized replay",
-                i + 1
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// `--check-stats`: queries the daemon's v4 `stats` op and asserts its
@@ -423,13 +260,7 @@ fn run(options: &Options) -> Result<bool, String> {
     // One seeded trace per session.
     let traces: Vec<JobSet> = (0..options.sessions)
         .map(|k| {
-            let config = EdgeWorkloadConfig::default()
-                .with_jobs(options.jobs)
-                .with_infrastructure(
-                    (options.jobs / 4).clamp(2, 25),
-                    (options.jobs / 5).clamp(2, 20),
-                );
-            EdgeWorkloadGenerator::new(config)
+            EdgeWorkloadGenerator::new(EdgeWorkloadConfig::scaled(options.jobs))
                 .map_err(|e| e.to_string())
                 .map(|generator| generator.generate_seeded(options.seed + k as u64))
         })
@@ -474,6 +305,7 @@ fn run(options: &Options) -> Result<bool, String> {
                 let lane = m / options.sessions;
                 let lanes = (options.clients - k).div_ceil(options.sessions);
                 let mut stats = ClientStats::default();
+                let evaluate = Some(options.evaluate || options.verify);
                 let mut work = || -> Result<(), String> {
                     let mut client =
                         Client::connect(&options.endpoint).map_err(|e| e.to_string())?;
@@ -490,16 +322,27 @@ fn run(options: &Options) -> Result<bool, String> {
                         if i % lanes != lane {
                             continue;
                         }
-                        let spec = JobSpec::from_job(trace.job(id));
-                        if let Some(handle) =
-                            admit_with_retry(&mut client, k, &spec, options, &mut stats)?
-                        {
-                            my_handles.push(handle);
-                        }
+                        let admit = Op::Admit(AdmitOp {
+                            job: JobSpec::from_job(trace.job(id)),
+                            evaluate,
+                            seq: None,
+                        });
+                        my_handles.extend(decide_with_retry(
+                            &mut client,
+                            k,
+                            admit,
+                            options,
+                            &mut stats,
+                        )?);
                         if !my_handles.is_empty() && rng.next_f64() < options.withdraw_ratio {
                             let victim = my_handles
                                 .swap_remove((rng.next_u64() % my_handles.len() as u64) as usize);
-                            withdraw_with_retry(&mut client, k, victim, options, &mut stats)?;
+                            let withdraw = Op::Withdraw(WithdrawOp {
+                                job: victim,
+                                evaluate,
+                                seq: None,
+                            });
+                            decide_with_retry(&mut client, k, withdraw, options, &mut stats)?;
                         }
                     }
                     Ok(())
@@ -564,19 +407,23 @@ fn run(options: &Options) -> Result<bool, String> {
     // withdraws — so the printed req/sec matches the wall time spent.
     let requests = latencies.len();
     let req_per_sec = requests as f64 / elapsed.as_secs_f64().max(1e-9);
-    let p50 = percentile_us(&latencies, 0.50);
-    let p99 = percentile_us(&latencies, 0.99);
+    let p50 = msmr_stats::nearest_rank(&latencies, 0.50);
+    let p99 = msmr_stats::nearest_rank(&latencies, 0.99);
 
+    // Serialized offline replay of each session: its decisions in `seq`
+    // order through a fresh library session, verdicts byte for byte.
     let mut mismatches = 0usize;
     if options.verify {
-        for (k, decisions) in per_session.into_iter().enumerate() {
-            if let Err(message) = verify_session(
-                &session_name(options.seed, k),
-                &traces[k],
-                decisions,
-                options,
-            ) {
-                eprintln!("msmr-loadgen: {message}");
+        let config = SessionConfig {
+            bound: options.bound,
+            node_limit: Some(options.opt_nodes),
+            decider: options.decider.clone(),
+            ..SessionConfig::default()
+        };
+        for (k, mut decisions) in per_session.into_iter().enumerate() {
+            decisions.sort_by_key(|d| d.seq);
+            if let Err(message) = replay_warm(&traces[k], &decisions, &config) {
+                eprintln!("msmr-loadgen: {}: {message}", session_name(options.seed, k));
                 mismatches += 1;
             }
         }

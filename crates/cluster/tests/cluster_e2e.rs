@@ -19,13 +19,11 @@ use std::sync::Mutex;
 use msmr_cluster::{ClusterConfig, ClusterEngine};
 use msmr_dca::DelayBoundKind;
 use msmr_model::JobSet;
-use msmr_sched::{Budget, SolverRegistry};
+use msmr_serve::history::{replay_cold, replay_warm, Decision, DecisionOp};
 use msmr_serve::protocol::{
     AdmitOp, Frame, JobSpec, Op, ShutdownOp, SnapshotOp, StatusOp, SubmitOp,
 };
-use msmr_serve::{
-    normalized_verdict_json, AdmissionSession, Client, Endpoint, Listen, Server, SessionConfig,
-};
+use msmr_serve::{Client, Endpoint, Listen, Server, SessionConfig};
 use msmr_workload::{arrival_order, EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 const BOUND: DelayBoundKind = DelayBoundKind::EdgeHybrid;
@@ -85,32 +83,14 @@ fn start_private(tag: &str) -> (Server, PathBuf) {
     )
 }
 
-/// Per-arrival observation of one replay: the admit decision and its
-/// seq plus the normalized verdict stream.
-#[derive(Debug, Clone, PartialEq)]
-struct Observation {
-    admitted: bool,
-    seq: Option<u64>,
-    verdicts: Vec<String>,
-}
-
-fn observe(frames: &[msmr_serve::protocol::Response]) -> Observation {
-    let mut admit = None;
-    let mut verdicts = Vec::new();
-    for frame in frames {
-        match &frame.frame {
-            Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-            Frame::Admit(a) => admit = Some(a),
-            Frame::Error(e) => panic!("daemon error: {}", e.message),
-            _ => {}
-        }
-    }
-    let admit = admit.expect("admit frame present");
-    Observation {
-        admitted: admit.admitted,
-        seq: admit.seq,
-        verdicts,
-    }
+/// Asserts a history is one decision per seq, in order from 1.
+fn assert_seqs_count_up(decisions: &[Decision]) {
+    let seqs: Vec<u64> = decisions.iter().map(|d| d.seq).collect();
+    assert_eq!(
+        seqs,
+        (1..=decisions.len() as u64).collect::<Vec<_>>(),
+        "every op is one decision, accepted or not"
+    );
 }
 
 #[test]
@@ -132,60 +112,34 @@ fn cluster_replay_is_byte_identical_to_classic_serve_and_offline() {
         .attach("replay-session", true)
         .expect("attach");
     assert!(attach.created);
-    let mut cluster_observations = Vec::new();
-    cluster_client
-        .replay_trace(&trace, true, |_, _, frames| {
-            cluster_observations.push(observe(frames));
-            Ok(())
-        })
+    let cluster = cluster_client
+        .replay_trace_mixed(&trace, true, 0.0, 0)
         .expect("cluster replay");
 
     // Default-mode daemon: the same trace through a connection's private
     // session, solved inline instead of on the pool.
     let (private_server, private_path) = start_private("replay-private");
     let mut private_client = Client::connect(&Endpoint::Uds(private_path)).expect("connect");
-    let mut private_observations = Vec::new();
-    private_client
-        .replay_trace(&trace, true, |_, _, frames| {
-            private_observations.push(observe(frames));
-            Ok(())
-        })
+    let private = private_client
+        .replay_trace_mixed(&trace, true, 0.0, 0)
         .expect("private-session replay");
 
     assert_eq!(
-        cluster_observations, private_observations,
+        cluster.decisions, private.decisions,
         "named/pooled and private/inline verdict streams and seqs must be byte-identical"
     );
 
     // Offline mirror: SolverRegistry::evaluate on every candidate set.
-    let registry = SolverRegistry::paper_suite(BOUND);
-    let budget = Budget::default().with_node_limit(OPT_NODES);
-    let (mut mirror, _) = trace.restrict_to(&[]).expect("pipeline-only set");
-    for (arrival, &id) in arrival_order(&trace).iter().enumerate() {
-        let spec = JobSpec::from_job(trace.job(id));
-        let (candidate, _) = mirror.with_job(spec.to_builder()).expect("valid job");
-        let offline: Vec<String> = registry
-            .evaluate(&candidate, budget)
-            .iter()
-            .map(normalized_verdict_json)
-            .collect();
-        assert_eq!(
-            cluster_observations[arrival].verdicts, offline,
-            "arrival {arrival}: cluster verdicts differ from offline evaluate"
-        );
-        assert_eq!(
-            cluster_observations[arrival].seq,
-            Some(arrival as u64 + 1),
-            "every arrival is one decision, accepted or not"
-        );
-        if cluster_observations[arrival].admitted {
-            mirror = candidate;
-        }
-    }
-    let admitted = cluster_observations.iter().filter(|o| o.admitted).count();
-    let rejected = cluster_observations.len() - admitted;
-    assert!(admitted > 0, "nothing admitted — not a useful replay");
-    assert!(rejected > 0, "nothing rejected — rollback path never ran");
+    replay_cold(&trace, &cluster.decisions, &session_config()).expect("cold offline oracle");
+    assert_seqs_count_up(&cluster.decisions);
+    assert!(
+        cluster.admitted > 0,
+        "nothing admitted — not a useful replay"
+    );
+    assert!(
+        cluster.rejected > 0,
+        "nothing rejected — rollback path never ran"
+    );
 
     cluster_client
         .request(Op::Shutdown(ShutdownOp {}))
@@ -206,52 +160,14 @@ fn cluster_replay_is_byte_identical_to_classic_serve_and_offline() {
 /// mirror applying the same swap-removal the sessions use.
 #[test]
 fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
-    use msmr_serve::ReplayedOp;
     let trace = trace(26, 515);
     const RATIO: f64 = 0.4;
     const MIX_SEED: u64 = 99;
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct Event {
-        op: ReplayedOp,
-        admitted: Option<bool>,
-        handle: Option<u64>,
-        seq: Option<u64>,
-        verdicts: Vec<String>,
-    }
-
-    let run = |mut client: Client| -> Vec<Event> {
-        let mut events = Vec::new();
+    let run = |mut client: Client| -> Vec<Decision> {
         client
-            .replay_trace_mixed(&trace, true, RATIO, MIX_SEED, |op, frames| {
-                let mut admitted = None;
-                let mut handle = None;
-                let mut seq = None;
-                let mut verdicts = Vec::new();
-                for frame in frames {
-                    match &frame.frame {
-                        Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-                        Frame::Admit(a) => {
-                            admitted = Some(a.admitted);
-                            handle = a.job;
-                            seq = a.seq;
-                        }
-                        Frame::Withdraw(w) => seq = w.seq,
-                        Frame::Error(e) => panic!("daemon error: {}", e.message),
-                        _ => {}
-                    }
-                }
-                events.push(Event {
-                    op,
-                    admitted,
-                    handle,
-                    seq,
-                    verdicts,
-                });
-                Ok(())
-            })
-            .expect("mixed replay");
-        events
+            .replay_trace_mixed(&trace, true, RATIO, MIX_SEED)
+            .expect("mixed replay")
+            .decisions
     };
 
     let (cluster_server, cluster_path) = start_cluster(
@@ -278,59 +194,15 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
     );
     let withdraws = cluster_events
         .iter()
-        .filter(|e| matches!(e.op, ReplayedOp::Withdraw { .. }))
+        .filter(|e| matches!(e.op, DecisionOp::Withdraw { .. }))
         .count();
     assert!(withdraws > 3, "mix produced too few withdrawals to matter");
 
     // Cold oracle: no warm tables, no warm decider state — a fresh
     // offline evaluation of every set the history visits, with the same
     // swap-removal id discipline.
-    let registry = SolverRegistry::paper_suite(BOUND);
-    let budget = Budget::default().with_node_limit(OPT_NODES);
-    let (mut mirror, _) = trace.restrict_to(&[]).expect("pipeline-only set");
-    let mut mirror_handles: Vec<u64> = Vec::new();
-    for (step, event) in cluster_events.iter().enumerate() {
-        assert_eq!(
-            event.seq,
-            Some(step as u64 + 1),
-            "step {step}: decision seq"
-        );
-        match event.op {
-            ReplayedOp::Admit { id, .. } => {
-                let spec = JobSpec::from_job(trace.job(id));
-                let (candidate, _) = mirror.with_job(spec.to_builder()).expect("valid job");
-                let offline: Vec<String> = registry
-                    .evaluate(&candidate, budget)
-                    .iter()
-                    .map(normalized_verdict_json)
-                    .collect();
-                assert_eq!(event.verdicts, offline, "step {step}: admit verdicts");
-                if event.admitted == Some(true) {
-                    mirror = candidate;
-                    mirror_handles.push(event.handle.expect("admitted handle"));
-                }
-            }
-            ReplayedOp::Withdraw { handle } => {
-                let index = mirror_handles
-                    .iter()
-                    .position(|&h| h == handle)
-                    .expect("withdrawn handle known");
-                let (reduced, _) = mirror.swap_remove_job(msmr_model::JobId::new(index));
-                mirror_handles.swap_remove(index);
-                let offline: Vec<String> = if reduced.is_empty() {
-                    Vec::new()
-                } else {
-                    registry
-                        .evaluate(&reduced, budget)
-                        .iter()
-                        .map(normalized_verdict_json)
-                        .collect()
-                };
-                assert_eq!(event.verdicts, offline, "step {step}: withdraw verdicts");
-                mirror = reduced;
-            }
-        }
-    }
+    replay_cold(&trace, &cluster_events, &session_config()).expect("cold offline oracle");
+    assert_seqs_count_up(&cluster_events);
 
     let mut shutdown_client = Client::connect(&Endpoint::Uds(cluster_path)).expect("connect");
     shutdown_client
@@ -370,7 +242,7 @@ fn interleaved_clients_match_the_serialized_replay() {
 
     // Two clients interleave admits (even/odd arrivals) and statuses on
     // the same named session.
-    let decisions: Mutex<Vec<(u64, JobSpec, Observation)>> = Mutex::new(Vec::new());
+    let decisions: Mutex<Vec<Decision>> = Mutex::new(Vec::new());
     let status_probes = AtomicU64::new(0);
     let order = arrival_order(&trace);
     std::thread::scope(|scope| {
@@ -387,25 +259,14 @@ fn interleaved_clients_match_the_serialized_replay() {
                     if i % 2 != lane {
                         continue;
                     }
-                    let spec = JobSpec::from_job(trace.job(id));
-                    let frames = client
-                        .request(Op::Admit(AdmitOp {
-                            job: spec.clone(),
-                            evaluate: Some(true),
-                            seq: None,
-                        }))
-                        .expect("admit");
-                    let seq = frames
-                        .iter()
-                        .find_map(|f| match &f.frame {
-                            Frame::Admit(a) => Some(a.seq.expect("cluster admits carry seq")),
-                            _ => None,
-                        })
-                        .expect("admit frame");
-                    decisions
-                        .lock()
-                        .unwrap()
-                        .push((seq, spec, observe(&frames)));
+                    let admit = Op::Admit(AdmitOp {
+                        job: JobSpec::from_job(trace.job(id)),
+                        evaluate: Some(true),
+                        seq: None,
+                    });
+                    let frames = client.request(admit.clone()).expect("admit");
+                    let decision = Decision::from_frames(&admit, &frames).expect("decided");
+                    decisions.lock().unwrap().push(decision);
                     // Interleave a status probe to exercise concurrent
                     // reads on the shared session.
                     let frames = client.request(Op::Status(StatusOp {})).expect("status");
@@ -418,33 +279,17 @@ fn interleaved_clients_match_the_serialized_replay() {
     });
     assert_eq!(status_probes.load(Ordering::SeqCst) as usize, order.len());
 
-    // Serialized replay: apply the decisions in seq order to a fresh
-    // library session; verdicts must match byte-for-byte.
+    // Serialized replay: apply the decisions in seq order (a contiguous
+    // total order) to a fresh library session; verdicts must match
+    // byte-for-byte.
     let mut decisions = decisions.into_inner().unwrap();
-    decisions.sort_by_key(|(seq, _, _)| *seq);
-    let seqs: Vec<u64> = decisions.iter().map(|(seq, _, _)| *seq).collect();
-    assert_eq!(
-        seqs,
-        (1..=order.len() as u64).collect::<Vec<_>>(),
-        "decision seqs must be a contiguous total order"
-    );
-
-    let mut mirror = AdmissionSession::new(session_config());
-    mirror.submit(pipeline, false, |_| {});
-    for (seq, spec, online) in &decisions {
-        let mut offline = Vec::new();
-        let outcome = mirror
-            .admit(spec, true, |v| offline.push(normalized_verdict_json(v)))
-            .expect("serialized replay admits");
-        assert_eq!(
-            outcome.admitted, online.admitted,
-            "seq {seq}: decision differs from serialized replay"
-        );
-        assert_eq!(
-            &online.verdicts, &offline,
-            "seq {seq}: verdicts differ from serialized replay"
-        );
-    }
+    decisions.sort_by_key(|d| d.seq);
+    assert_eq!(decisions.len(), order.len());
+    replay_warm(&trace, &decisions, &session_config()).expect("serialized replay");
+    let admitted = decisions
+        .iter()
+        .filter(|d| matches!(d.op, DecisionOp::Admit { admitted: true, .. }))
+        .count();
 
     // The daemon's session agrees with the serialized mirror.
     let frames = setup.request(Op::Status(StatusOp {})).expect("status");
@@ -455,7 +300,7 @@ fn interleaved_clients_match_the_serialized_replay() {
             _ => None,
         })
         .expect("status frame");
-    assert_eq!(status.jobs as usize, mirror.jobs().unwrap().len());
+    assert_eq!(status.jobs as usize, admitted);
 
     setup
         .request(Op::Shutdown(ShutdownOp {}))
@@ -488,7 +333,7 @@ fn snapshot_survives_a_daemon_restart_over_the_wire() {
     let mut client = Client::connect(&Endpoint::Uds(path)).expect("connect");
     client.attach("durable", true).expect("attach");
     let outcome = client
-        .replay_trace(&trace, false, |_, _, _| Ok(()))
+        .replay_trace_mixed(&trace, false, 0.0, 0)
         .expect("replay");
     let frames = client
         .request(Op::Snapshot(SnapshotOp { session: None }))

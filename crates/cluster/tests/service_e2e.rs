@@ -1,11 +1,12 @@
 //! End-to-end suite of the daemon's default mode — every connection on
 //! a private session of its own, no `attach` anywhere: boots the engine
 //! on a Unix socket, replays a 100-job arrival trace against the paper
-//! suite and asserts the streamed verdicts are byte-identical to offline
+//! suite and asserts through the cold oracle (`replay_cold`) that the
+//! streamed verdicts are byte-identical to offline
 //! `SolverRegistry::evaluate` on every arrival (serialized JSON compared
 //! with the wall-clock `elapsed_micros` field zeroed on both sides —
 //! node counts, `S_DCA` counters, witnesses and delays must match
-//! exactly).
+//! exactly) and that every decision is the decider's.
 
 #![cfg(unix)]
 
@@ -13,11 +14,11 @@ use std::path::PathBuf;
 
 use msmr_cluster::{ClusterConfig, ClusterEngine};
 use msmr_dca::DelayBoundKind;
-use msmr_sched::{Budget, SolverRegistry, Verdict};
+use msmr_serve::history::replay_cold;
 use msmr_serve::protocol::{
     AdmitOp, Frame, JobSpec, Op, ShutdownOp, StatusOp, SubmitOp, WithdrawOp,
 };
-use msmr_serve::{normalized_verdict_json, Client, Endpoint, Listen, Server, SessionConfig};
+use msmr_serve::{Client, Endpoint, Listen, Server, SessionConfig};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 const BOUND: DelayBoundKind = DelayBoundKind::EdgeHybrid;
@@ -32,6 +33,14 @@ fn socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(unique.replace(['(', ')'], ""))
 }
 
+fn session_config() -> SessionConfig {
+    SessionConfig {
+        bound: BOUND,
+        node_limit: Some(OPT_NODES),
+        ..SessionConfig::default()
+    }
+}
+
 fn start_server(tag: &str) -> (Server, PathBuf) {
     let path = socket_path(tag);
     let listen = Listen {
@@ -41,11 +50,7 @@ fn start_server(tag: &str) -> (Server, PathBuf) {
     let config = ClusterConfig {
         start_private: true,
         workers: 1,
-        session: SessionConfig {
-            bound: BOUND,
-            node_limit: Some(OPT_NODES),
-            ..SessionConfig::default()
-        },
+        session: session_config(),
         ..ClusterConfig::default()
     };
     let (server, _engine) = ClusterEngine::start(listen, config).expect("daemon binds the socket");
@@ -68,50 +73,16 @@ fn replayed_trace_verdicts_are_byte_identical_to_offline_evaluate() {
         .expect("valid workload config")
         .generate_seeded(2024);
 
-    let registry = SolverRegistry::paper_suite(BOUND);
-    let budget = Budget::default().with_node_limit(OPT_NODES);
-    let (empty, _) = trace.restrict_to(&[]).expect("pipeline-only job set");
-    let mut mirror = empty;
-
     let outcome = client
-        .replay_trace(&trace, true, |arrival, id, frames| {
-            let spec = JobSpec::from_job(trace.job(id));
-            let mut streamed: Vec<Verdict> = Vec::new();
-            let mut decision = None;
-            for frame in frames {
-                match &frame.frame {
-                    Frame::Verdict(v) => streamed.push(v.verdict.clone()),
-                    Frame::Admit(a) => {
-                        decision = Some(a.admitted);
-                        assert_eq!(a.seq, Some(arrival as u64 + 1), "accepts and rejects count");
-                    }
-                    Frame::Error(e) => panic!("arrival {arrival}: daemon error: {}", e.message),
-                    Frame::Done(done) => assert_eq!(done.frames as usize, frames.len() - 1),
-                    other => panic!("arrival {arrival}: unexpected frame {other:?}"),
-                }
-            }
-            let accepted = decision.expect("admit frame present");
-
-            // Offline reference on an independently grown mirror set.
-            let (candidate, _) = mirror.with_job(spec.to_builder()).expect("valid job");
-            let offline = registry.evaluate(&candidate, budget);
-            let streamed_json: Vec<String> = streamed.iter().map(normalized_verdict_json).collect();
-            let offline_json: Vec<String> = offline.iter().map(normalized_verdict_json).collect();
-            assert_eq!(
-                streamed_json, offline_json,
-                "arrival {arrival}: streamed verdicts differ from offline evaluate"
-            );
-
-            // The daemon's decision must equal the offline decider's
-            // verdict.
-            let opdca = offline.iter().find(|v| v.solver == "OPDCA").unwrap();
-            assert_eq!(accepted, opdca.is_accepted(), "arrival {arrival}");
-            if accepted {
-                mirror = candidate;
-            }
-            Ok(())
-        })
+        .replay_trace_mixed(&trace, true, 0.0, 0)
         .expect("replay the trace");
+    replay_cold(&trace, &outcome.decisions, &session_config()).expect("cold offline oracle");
+    let seqs: Vec<u64> = outcome.decisions.iter().map(|d| d.seq).collect();
+    assert_eq!(
+        seqs,
+        (1..=100).collect::<Vec<_>>(),
+        "accepts and rejects count"
+    );
     let (admitted, rejected) = (outcome.admitted, outcome.rejected);
 
     assert_eq!(admitted + rejected, 100);
@@ -121,12 +92,12 @@ fn replayed_trace_verdicts_are_byte_identical_to_offline_evaluate() {
         "trace rejected nothing — rollback path never ran"
     );
 
-    // The daemon's view of the session agrees with the mirror.
+    // The daemon's view of the session agrees with the history.
     let frames = client.request(Op::Status(StatusOp {})).expect("status");
     let Some(Frame::Status(status)) = frames.first().map(|f| &f.frame) else {
         panic!("expected status frame");
     };
-    assert_eq!(status.jobs as usize, mirror.len());
+    assert_eq!(status.jobs as usize, admitted);
     assert_eq!(status.admits as usize, admitted);
     assert_eq!(status.rejects as usize, rejected);
 

@@ -142,7 +142,7 @@ impl SolverRegistry {
     }
 
     /// Fires the verdict hook, when installed.
-    fn observe(&self, verdict: &Verdict) {
+    fn fire_hook(&self, verdict: &Verdict) {
         if let Some(hook) = &self.verdict_hook {
             hook(verdict);
         }
@@ -223,7 +223,7 @@ impl SolverRegistry {
                 .find(|source| accepted.get(source.as_str()).copied().unwrap_or(false));
             let verdict = decide(entry.solver.as_ref(), shortcut.map(String::as_str));
             accepted.insert(entry.solver.name(), verdict.is_accepted());
-            self.observe(&verdict);
+            self.fire_hook(&verdict);
             sink(&verdict);
             verdicts.push(verdict);
         }
@@ -260,7 +260,7 @@ impl SolverRegistry {
         let _ = ctx.analysis();
         msmr_par::parallel_map(&self.entries, threads, |_, entry| {
             let verdict = entry.solver.solve(ctx);
-            self.observe(&verdict);
+            self.fire_hook(&verdict);
             sink(&verdict);
             verdict
         })
@@ -323,7 +323,7 @@ impl SolverRegistry {
         let solver = self.solver(name)?;
         state.invalidate_except(name);
         let verdict = Self::solve_online(solver, state, ctx, event);
-        self.observe(&verdict);
+        self.fire_hook(&verdict);
         Some(verdict)
     }
 

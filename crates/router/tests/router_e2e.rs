@@ -21,7 +21,6 @@
 
 #![cfg(unix)]
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -30,12 +29,9 @@ use std::time::Duration;
 use msmr_cluster::testkit::{served_binary, wait_until, DaemonHarness};
 use msmr_model::JobSet;
 use msmr_router::{Router, RouterConfig};
-use msmr_sched::{Budget, SolverRegistry};
-use msmr_serve::protocol::{Frame, JobSpec, Op, Response, ShutdownOp, StatsOp};
-use msmr_serve::{
-    normalized_verdict_json, AdmissionSession, Client, Endpoint, ReplayedOp, ResumingClient,
-    RetryPolicy, SessionConfig,
-};
+use msmr_serve::history::{replay_cold, replay_warm, surviving, Decision, DecisionOp};
+use msmr_serve::protocol::{Frame, JobSpec, Op, ShutdownOp, StatsOp};
+use msmr_serve::{Client, Endpoint, ResumingClient, RetryPolicy, SessionConfig};
 use msmr_stats::StatsSnapshot;
 use msmr_workload::{arrival_order, EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
@@ -118,43 +114,11 @@ fn shutdown_tier(router: Router) {
     router.join();
 }
 
-/// One observed op of a mixed replay, reduced to comparable parts.
-#[derive(Debug, Clone, PartialEq)]
-struct Event {
-    op: ReplayedOp,
-    admitted: Option<bool>,
-    handle: Option<u64>,
-    verdicts: Vec<String>,
-}
-
-fn mixed_replay(client: &mut Client, trace: &JobSet, ratio: f64, mix_seed: u64) -> Vec<Event> {
-    let mut events = Vec::new();
+fn mixed_replay(client: &mut Client, trace: &JobSet, ratio: f64, mix_seed: u64) -> Vec<Decision> {
     client
-        .replay_trace_mixed(trace, true, ratio, mix_seed, |op, frames| {
-            let mut admitted = None;
-            let mut handle = None;
-            let mut verdicts = Vec::new();
-            for frame in frames {
-                match &frame.frame {
-                    Frame::Verdict(v) => verdicts.push(normalized_verdict_json(&v.verdict)),
-                    Frame::Admit(a) => {
-                        admitted = Some(a.admitted);
-                        handle = a.job;
-                    }
-                    Frame::Error(e) => panic!("daemon error: {}", e.message),
-                    _ => {}
-                }
-            }
-            events.push(Event {
-                op,
-                admitted,
-                handle,
-                verdicts,
-            });
-            Ok(())
-        })
-        .expect("mixed replay");
-    events
+        .replay_trace_mixed(trace, true, ratio, mix_seed)
+        .expect("mixed replay")
+        .decisions
 }
 
 #[test]
@@ -200,7 +164,7 @@ fn routed_mixed_replay_is_byte_identical_to_direct_and_offline() {
         );
         let withdraws = events
             .iter()
-            .filter(|e| matches!(e.op, ReplayedOp::Withdraw { .. }))
+            .filter(|e| matches!(e.op, DecisionOp::Withdraw { .. }))
             .count();
         assert!(withdraws > 1, "session {name}: mix produced no withdrawals");
         routed_events.push((trace, events));
@@ -210,47 +174,7 @@ fn routed_mixed_replay_is_byte_identical_to_direct_and_offline() {
     // every set the history visits from scratch, mirroring the
     // sessions' swap-removal id discipline.
     let (trace, events) = &routed_events[0];
-    let registry = SolverRegistry::paper_suite(session_config().bound);
-    let budget = Budget::default().with_node_limit(OPT_NODES);
-    let (mut mirror, _) = trace.restrict_to(&[]).expect("pipeline-only set");
-    let mut mirror_handles: Vec<u64> = Vec::new();
-    for (step, event) in events.iter().enumerate() {
-        match event.op {
-            ReplayedOp::Admit { id, .. } => {
-                let spec = JobSpec::from_job(trace.job(id));
-                let (candidate, _) = mirror.with_job(spec.to_builder()).expect("valid job");
-                let offline: Vec<String> = registry
-                    .evaluate(&candidate, budget)
-                    .iter()
-                    .map(normalized_verdict_json)
-                    .collect();
-                assert_eq!(event.verdicts, offline, "step {step}: admit verdicts");
-                if event.admitted == Some(true) {
-                    mirror = candidate;
-                    mirror_handles.push(event.handle.expect("admitted handle"));
-                }
-            }
-            ReplayedOp::Withdraw { handle } => {
-                let index = mirror_handles
-                    .iter()
-                    .position(|&h| h == handle)
-                    .expect("withdrawn handle known");
-                let (reduced, _) = mirror.swap_remove_job(msmr_model::JobId::new(index));
-                mirror_handles.swap_remove(index);
-                let offline: Vec<String> = if reduced.is_empty() {
-                    Vec::new()
-                } else {
-                    registry
-                        .evaluate(&reduced, budget)
-                        .iter()
-                        .map(normalized_verdict_json)
-                        .collect()
-                };
-                assert_eq!(event.verdicts, offline, "step {step}: withdraw verdicts");
-                mirror = reduced;
-            }
-        }
-    }
+    replay_cold(trace, events, &session_config()).expect("cold offline oracle");
 
     // Placement sanity: with a handful more sessions the tier must
     // actually spread (rendezvous over 3 backends; twelve names all
@@ -320,7 +244,7 @@ fn killed_backend_fails_over_with_seq_continuity() {
         99,
     );
     let (pipeline, _) = trace.restrict_to(&[]).expect("pipeline-only set");
-    client.set_pipeline(pipeline.clone());
+    client.set_pipeline(pipeline);
 
     let kill_before = 7usize;
     let mut killed_addr = String::new();
@@ -347,41 +271,16 @@ fn killed_backend_fails_over_with_seq_continuity() {
     }
 
     // A seq gap or conflict would have surfaced as a Fatal typed error
-    // out of `admit` above. The surviving stream must be a contiguous
-    // total order.
-    let mut last: BTreeMap<u64, Vec<Response>> = BTreeMap::new();
-    for observed in client.drain_observed() {
-        last.insert(observed.seq, observed.frames);
-    }
-    let seqs: Vec<u64> = last.keys().copied().collect();
-    assert_eq!(
-        seqs,
-        (1..=jobs as u64).collect::<Vec<_>>(),
-        "observed seqs must be contiguous across the failover"
-    );
-
-    // Byte-identity of the surviving history against a serialized
-    // library replay.
-    let mut mirror = AdmissionSession::new(session_config());
-    mirror.submit(pipeline, false, |_| {});
-    for (&seq, frames) in &last {
-        let spec = &specs[seq as usize - 1];
-        let mut offline = Vec::new();
-        let outcome = mirror
-            .admit(spec, true, |v| offline.push(normalized_verdict_json(v)))
-            .expect("mirror admits");
-        let mut admitted = None;
-        let mut online = Vec::new();
-        for response in frames {
-            match &response.frame {
-                Frame::Verdict(v) => online.push(normalized_verdict_json(&v.verdict)),
-                Frame::Admit(a) => admitted = Some(a.admitted),
-                _ => {}
-            }
-        }
-        assert_eq!(admitted, Some(outcome.admitted), "seq {seq}: decision");
-        assert_eq!(online, offline, "seq {seq}: verdicts");
-    }
+    // out of `admit` above. The surviving stream (the last application
+    // per seq) must be a contiguous total order that replays
+    // byte-identically through a serialized library session.
+    let history: Vec<Decision> = surviving(client.drain_observed())
+        .expect("an ack per seq")
+        .into_iter()
+        .map(|(_, decision)| decision)
+        .collect();
+    assert_eq!(history.len(), jobs, "one surviving decision per seq");
+    replay_warm(&trace, &history, &session_config()).expect("serialized replay");
 
     // The session now lives on a survivor with the full seq horizon,
     // and the tier's dedup accounting matches what the client saw.
@@ -441,7 +340,7 @@ fn aggregated_stats_are_the_exact_sum_of_backend_snapshots() {
             .attach(&format!("stats-{i}"), true)
             .expect("attach through router");
         client
-            .replay_trace(&trace, false, |_, _, _| Ok(()))
+            .replay_trace_mixed(&trace, false, 0.0, 0)
             .expect("replay");
     }
 

@@ -17,16 +17,20 @@
 //! `--withdraw-ratio F`, after each admitted arrival a random admitted
 //! handle is withdrawn with probability `F` (deterministic in the seed),
 //! exercising the general `O(n·N)` mid-set withdraw of the online seam.
-//! With `--verify` every streamed verdict set — admits *and* withdrawals
-//! — is compared byte-for-byte (after zeroing the execution-provenance
-//! fields `elapsed_micros` and `cold_fallback`) against an offline
-//! `SolverRegistry::evaluate` of the same job set; any mismatch makes the
-//! process exit non-zero — this is the CI smoke check.
+//! With `--verify` the recorded history goes through the cold oracle
+//! `msmr_serve::history::replay_cold`: every streamed verdict set —
+//! admits *and* withdrawals — is compared byte-for-byte (after zeroing
+//! the execution-provenance fields `elapsed_micros` and `cold_fallback`)
+//! against an offline `SolverRegistry::evaluate` of the same job set, and
+//! every admit decision against the daemon's decider; the first
+//! divergence is printed and makes the process exit non-zero — this is
+//! the CI smoke check.
 //!
 //! With `--json` the replay summary is printed as one machine-readable
 //! JSON line instead of prose — counts (admitted / rejected / withdrawn /
-//! overloads / verify mismatches) plus exact nearest-rank p50/p99 admit
-//! latency and the same samples in the daemon's log-bucket form.
+//! overloads), the 0/1 flag `verify_mismatches`, exact nearest-rank
+//! p50/p99 admit latency and the same samples in the daemon's log-bucket
+//! form.
 //!
 //! With `--session NAME` the client first attaches to that named shared
 //! session; without it, it works on the connection's private session (a
@@ -41,10 +45,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use msmr_dca::DelayBoundKind;
-use msmr_model::{JobId, JobSet};
-use msmr_sched::{Budget, SolverRegistry};
-use msmr_serve::protocol::{Frame, JobSpec, Op, ShutdownOp, StatsOp, StatusOp};
-use msmr_serve::{normalized_verdict_json, parse_bound, Client, Endpoint, ReplayedOp};
+use msmr_model::JobSet;
+use msmr_serve::history::replay_cold;
+use msmr_serve::protocol::{Frame, Op, ShutdownOp, StatsOp, StatusOp};
+use msmr_serve::{parse_bound, Client, Endpoint, SessionConfig};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 use serde::Serialize;
 
@@ -105,7 +109,9 @@ struct ReplaySummary {
     /// Typed backpressure responses. The classic client aborts on the
     /// first one, so this is 0 (clean run) or 1 (aborted overloaded).
     overloads: u64,
-    /// `--verify` mismatches against the offline evaluate mirror.
+    /// `--verify` against the offline evaluate mirror, a 0/1 flag: 1
+    /// when it found a divergence, else 0. Not a count — the mirror
+    /// stops at the first divergence (printed to stderr).
     verify_mismatches: u64,
     /// Nearest-rank median admit round-trip, microseconds.
     admit_p50_us: f64,
@@ -251,12 +257,7 @@ fn parse_options() -> Result<Options, String> {
 /// The replay trace: a generated edge workload, with its jobs ordered by
 /// arrival time (ties by id).
 fn trace(options: &ReplayOptions) -> Result<JobSet, String> {
-    let mut config = EdgeWorkloadConfig::default()
-        .with_jobs(options.jobs)
-        .with_infrastructure(
-            (options.jobs / 4).clamp(2, 25),
-            (options.jobs / 5).clamp(2, 20),
-        );
+    let mut config = EdgeWorkloadConfig::scaled(options.jobs);
     if let Some(beta) = options.beta {
         config = config.with_beta(beta);
     }
@@ -267,110 +268,8 @@ fn trace(options: &ReplayOptions) -> Result<JobSet, String> {
 fn replay(client: &mut Client, options: &ReplayOptions) -> Result<ExitCode, String> {
     let trace = trace(options)?;
     let evaluate = options.evaluate || options.verify;
-    let registry = SolverRegistry::paper_suite(options.bound);
-    let budget = Budget::default().with_node_limit(options.opt_nodes);
-    let (empty, _) = trace.restrict_to(&[]).map_err(|e| e.to_string())?;
-    // The offline mirror applies the same ops with the same swap-removal
-    // semantics the session uses, tracking handle → internal-id order.
-    let mut mirror = empty;
-    let mut mirror_handles: Vec<u64> = Vec::new();
-    let mut mismatches = 0usize;
-
-    let mut compare =
-        |label: String, frames: &[msmr_serve::protocol::Response], offline: Vec<String>| {
-            let streamed: Vec<String> = frames
-                .iter()
-                .filter_map(|frame| match &frame.frame {
-                    Frame::Verdict(v) => Some(normalized_verdict_json(&v.verdict)),
-                    _ => None,
-                })
-                .collect();
-            if streamed != offline {
-                mismatches += 1;
-                eprintln!("verdict mismatch at {label}");
-                for (s, o) in streamed.iter().zip(&offline) {
-                    if s != o {
-                        eprintln!("  streamed: {s}\n  offline:  {o}");
-                    }
-                }
-                if streamed.len() != offline.len() {
-                    eprintln!(
-                        "  streamed {} verdicts, offline {}",
-                        streamed.len(),
-                        offline.len()
-                    );
-                }
-            }
-        };
-
-    let mut deduped_ops: u64 = 0;
-    let replayed = client.replay_trace_mixed(
-        &trace,
-        evaluate,
-        options.withdraw_ratio,
-        options.seed,
-        |op, frames| match op {
-            ReplayedOp::Admit { arrival, id } => {
-                let spec = JobSpec::from_job(trace.job(id));
-                let (candidate, _) = mirror.with_job(spec.to_builder()).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                if options.verify {
-                    let offline: Vec<String> = registry
-                        .evaluate(&candidate, budget)
-                        .iter()
-                        .map(normalized_verdict_json)
-                        .collect();
-                    compare(format!("arrival {arrival} (job {id})"), frames, offline);
-                }
-                for frame in frames {
-                    if let Frame::Admit(admit) = &frame.frame {
-                        deduped_ops += u64::from(admit.deduped == Some(true));
-                        if admit.admitted {
-                            mirror = candidate.clone();
-                            if let Some(handle) = admit.job {
-                                mirror_handles.push(handle);
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
-            ReplayedOp::Withdraw { handle } => {
-                for frame in frames.iter() {
-                    if let Frame::Withdraw(withdraw) = &frame.frame {
-                        deduped_ops += u64::from(withdraw.deduped == Some(true));
-                    }
-                }
-                let index = mirror_handles
-                    .iter()
-                    .position(|&h| h == handle)
-                    .ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("withdrawn handle {handle} unknown to the mirror"),
-                        )
-                    })?;
-                let (reduced, _) = mirror.swap_remove_job(JobId::new(index));
-                mirror_handles.swap_remove(index);
-                if options.verify {
-                    // An emptied session streams no verdicts.
-                    let offline: Vec<String> = if reduced.is_empty() {
-                        Vec::new()
-                    } else {
-                        registry
-                            .evaluate(&reduced, budget)
-                            .iter()
-                            .map(normalized_verdict_json)
-                            .collect()
-                    };
-                    compare(format!("withdraw of handle {handle}"), frames, offline);
-                }
-                mirror = reduced;
-                Ok(())
-            }
-        },
-    );
+    let replayed =
+        client.replay_trace_mixed(&trace, evaluate, options.withdraw_ratio, options.seed);
     let outcome = match replayed {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -390,6 +289,23 @@ fn replay(client: &mut Client, options: &ReplayOptions) -> Result<ExitCode, Stri
         }
     };
 
+    let mut diverged = false;
+    if options.verify {
+        // The cold mirror checks every admit against the daemon's decider
+        // and stops at the first divergence.
+        let config = SessionConfig {
+            bound: options.bound,
+            node_limit: Some(options.opt_nodes),
+            decider: daemon_decider(client)?,
+            ..SessionConfig::default()
+        };
+        if let Err(divergence) = replay_cold(&trace, &outcome.decisions, &config) {
+            diverged = true;
+            eprintln!("verdict mismatch: {divergence}");
+        }
+    }
+    let deduped_ops = outcome.decisions.iter().filter(|d| d.deduped).count() as u64;
+
     if options.json {
         let mut summary = ReplaySummary::new(
             &outcome.latencies_us,
@@ -397,7 +313,7 @@ fn replay(client: &mut Client, options: &ReplayOptions) -> Result<ExitCode, Stri
             outcome.rejected as u64,
             outcome.withdrawn as u64,
         );
-        summary.verify_mismatches = mismatches as u64;
+        summary.verify_mismatches = u64::from(diverged);
         summary.deduped_ops = deduped_ops;
         println!(
             "{}",
@@ -410,20 +326,35 @@ fn replay(client: &mut Client, options: &ReplayOptions) -> Result<ExitCode, Stri
             outcome.admitted,
             outcome.rejected,
             outcome.withdrawn,
-            outcome.latency_percentile_us(0.50),
-            outcome.latency_percentile_us(0.99),
-            if options.verify {
-                format!("; verified against offline evaluate, {mismatches} mismatches")
-            } else {
-                String::new()
+            msmr_stats::nearest_rank(&outcome.latencies_us, 0.50),
+            msmr_stats::nearest_rank(&outcome.latencies_us, 0.99),
+            match (options.verify, diverged) {
+                (false, _) => "",
+                (true, false) => "; verified against offline evaluate, 0 mismatches",
+                (true, true) => "; offline evaluate diverged (first mismatch above)",
             },
         );
     }
-    Ok(if mismatches == 0 {
-        ExitCode::SUCCESS
-    } else {
+    Ok(if diverged {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     })
+}
+
+/// The solver that decides admissions on the client's session, from
+/// its status frame.
+fn daemon_decider(client: &mut Client) -> Result<String, String> {
+    let frames = client
+        .request(Op::Status(StatusOp {}))
+        .map_err(|e| e.to_string())?;
+    frames
+        .into_iter()
+        .find_map(|frame| match frame.frame {
+            Frame::Status(status) => Some(status.decider),
+            _ => None,
+        })
+        .ok_or_else(|| "daemon answered the status op with no status frame".to_string())
 }
 
 fn main() -> ExitCode {

@@ -8,8 +8,9 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use msmr_model::{JobId, JobSet};
+use msmr_model::JobSet;
 
+use crate::history::{Decision, DecisionOp};
 use crate::protocol::{
     read_response, write_request, AdmitFrame, AdmitOp, AttachFrame, AttachOp, Frame, JobSpec, Op,
     Request, Response, SnapshotOp, SubmitOp, WithdrawFrame, WithdrawOp,
@@ -41,24 +42,6 @@ impl MixRng {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// One operation of a mixed replay, as reported to the caller's
-/// per-event hook together with the full frame stream it produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayedOp {
-    /// Arrival `arrival` of the trace (trace job `id`) was admitted.
-    Admit {
-        /// Position in arrival order.
-        arrival: usize,
-        /// The trace job fed to the daemon.
-        id: JobId,
-    },
-    /// A previously admitted job was withdrawn by handle.
-    Withdraw {
-        /// The withdrawn external handle.
-        handle: u64,
-    },
 }
 
 /// Where to reach a daemon.
@@ -207,8 +190,12 @@ impl Client {
     /// Replays an arrival trace against the daemon: opens the session
     /// with the trace's pipeline (no jobs), then issues one `admit` per
     /// job in arrival order (ties by id), measuring each round trip.
-    /// `on_arrival` observes every arrival's full frame stream (e.g. for
-    /// offline verdict verification) after the round trip completes.
+    /// After every admitted arrival, with probability `withdraw_ratio`
+    /// (deterministic in `mix_seed`; `0.0` never withdraws) one currently
+    /// admitted handle is withdrawn — exercising the general mid-set
+    /// withdraw path of the online seam. Every op is recorded as a
+    /// [`Decision`] in the outcome, ready for an oracle of
+    /// [`crate::history`].
     ///
     /// This is the one definition of "replay" shared by the `msmr-admit`
     /// binary and the end-to-end suites, so they cannot drift apart in
@@ -216,41 +203,17 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Propagates transport errors, daemon `Error` frames (as
-    /// `io::ErrorKind::Other`), typed overload responses (as
-    /// `io::ErrorKind::WouldBlock`, so callers can map backpressure to a
-    /// distinct exit path), a missing admit frame, and errors from
-    /// `on_arrival`.
-    pub fn replay_trace(
-        &mut self,
-        trace: &JobSet,
-        evaluate: bool,
-        mut on_arrival: impl FnMut(usize, JobId, &[Response]) -> io::Result<()>,
-    ) -> io::Result<ReplayOutcome> {
-        self.replay_trace_mixed(trace, evaluate, 0.0, 0, |op, frames| match op {
-            ReplayedOp::Admit { arrival, id } => on_arrival(arrival, id, frames),
-            ReplayedOp::Withdraw { .. } => Ok(()),
-        })
-    }
-
-    /// [`Client::replay_trace`] with a withdraw mix: after every admitted
-    /// arrival, with probability `withdraw_ratio` (deterministic in
-    /// `mix_seed`) one currently admitted handle is withdrawn — exercising
-    /// the general mid-set withdraw path of the online seam under the
-    /// same shared replay definition. `on_event` observes every
-    /// operation's full frame stream after its round trip.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::replay_trace`]; withdraw round trips report errors
-    /// and overloads the same way.
+    /// Propagates transport errors and, via [`Decision::from_frames`],
+    /// daemon `Error` frames (as `io::ErrorKind::Other`), typed overload
+    /// responses (as `io::ErrorKind::WouldBlock`, so callers can map
+    /// backpressure to a distinct exit path) and a missing admit or
+    /// withdraw ack (as `io::ErrorKind::InvalidData`).
     pub fn replay_trace_mixed(
         &mut self,
         trace: &JobSet,
         evaluate: bool,
         withdraw_ratio: f64,
         mix_seed: u64,
-        mut on_event: impl FnMut(ReplayedOp, &[Response]) -> io::Result<()>,
     ) -> io::Result<ReplayOutcome> {
         let arrivals = msmr_workload::arrival_order(trace);
         let (empty, _) = trace
@@ -268,94 +231,58 @@ impl Client {
             rejected: 0,
             withdrawn: 0,
             latencies_us: Vec::with_capacity(arrivals.len()),
+            decisions: Vec::new(),
+        };
+        let in_context = |context: String| {
+            move |e: io::Error| io::Error::new(e.kind(), format!("{context}: {e}"))
         };
         for (arrival, &id) in arrivals.iter().enumerate() {
-            let start = Instant::now();
-            let frames = self.request(Op::Admit(AdmitOp {
+            let op = Op::Admit(AdmitOp {
                 job: JobSpec::from_job(trace.job(id)),
                 evaluate: Some(evaluate),
                 seq: None,
-            }))?;
+            });
+            let start = Instant::now();
+            let frames = self.request(op.clone())?;
             outcome
                 .latencies_us
                 .push(start.elapsed().as_nanos() as f64 / 1_000.0);
-            let mut accepted = None;
-            for frame in &frames {
-                match &frame.frame {
-                    Frame::Admit(admit) => {
-                        accepted = Some(admit.admitted);
-                        if let Some(handle) = admit.job {
-                            handles.push(handle);
-                        }
-                    }
-                    Frame::Error(e) => {
-                        return Err(io::Error::other(format!(
-                            "arrival {arrival}: {}",
-                            e.message
-                        )))
-                    }
-                    Frame::Overload(overload) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            format!(
-                                "arrival {arrival}: server overloaded ({}/{} tasks queued)",
-                                overload.queued, overload.capacity
-                            ),
-                        ))
-                    }
-                    _ => {}
+            let decision = Decision::from_frames(&op, &frames)
+                .map_err(in_context(format!("arrival {arrival}")))?;
+            match decision.op {
+                DecisionOp::Admit {
+                    admitted: true,
+                    handle,
+                    ..
+                } => {
+                    outcome.admitted += 1;
+                    handles.extend(handle);
                 }
+                _ => outcome.rejected += 1,
             }
-            match accepted {
-                Some(true) => outcome.admitted += 1,
-                Some(false) => outcome.rejected += 1,
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("arrival {arrival}: no admit frame"),
-                    ))
-                }
-            }
-            on_event(ReplayedOp::Admit { arrival, id }, &frames)?;
+            outcome.decisions.push(decision);
 
             // The withdraw mix: drawn per arrival so the op sequence is a
             // pure function of (trace, ratio, seed).
             if !handles.is_empty() && rng.next_f64() < withdraw_ratio {
                 let victim = handles.swap_remove((rng.next_u64() % handles.len() as u64) as usize);
-                let frames = self.request(Op::Withdraw(WithdrawOp {
+                let op = Op::Withdraw(WithdrawOp {
                     job: victim,
                     evaluate: Some(evaluate),
                     seq: None,
-                }))?;
-                for frame in &frames {
-                    match &frame.frame {
-                        Frame::Error(e) => {
-                            return Err(io::Error::other(format!(
-                                "withdraw {victim}: {}",
-                                e.message
-                            )))
-                        }
-                        Frame::Overload(overload) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WouldBlock,
-                                format!(
-                                    "withdraw {victim}: server overloaded ({}/{} tasks queued)",
-                                    overload.queued, overload.capacity
-                                ),
-                            ))
-                        }
-                        _ => {}
-                    }
-                }
+                });
+                let frames = self.request(op.clone())?;
+                let decision = Decision::from_frames(&op, &frames)
+                    .map_err(in_context(format!("withdraw {victim}")))?;
                 outcome.withdrawn += 1;
-                on_event(ReplayedOp::Withdraw { handle: victim }, &frames)?;
+                outcome.decisions.push(decision);
             }
         }
         Ok(outcome)
     }
 }
 
-/// Summary of one [`Client::replay_trace`] run.
+/// Summary of one [`Client::replay_trace_mixed`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Arrivals the daemon admitted.
@@ -366,27 +293,8 @@ pub struct ReplayOutcome {
     pub withdrawn: usize,
     /// Per-arrival round-trip latency in microseconds, in arrival order.
     pub latencies_us: Vec<f64>,
-}
-
-impl ReplayOutcome {
-    /// The `p`-quantile (0.0–1.0, nearest-rank) of the round-trip
-    /// latencies, in microseconds.
-    #[must_use]
-    pub fn latency_percentile_us(&self, p: f64) -> f64 {
-        percentile_us(&self.latencies_us, p)
-    }
-}
-
-/// Nearest-rank `p`-quantile (0.0–1.0) of latency samples in
-/// microseconds; the input need not be sorted. Delegates to
-/// [`msmr_stats::nearest_rank`], the workspace's single percentile
-/// definition (`rank = ⌈p·n⌉`, 1-based, on the full sample set) — the
-/// previous `round((n−1)·p)` index arithmetic drifted off the textbook
-/// rank on small sample sets (e.g. it reported the median of four
-/// samples as the third, not the second).
-#[must_use]
-pub fn percentile_us(samples: &[f64], p: f64) -> f64 {
-    msmr_stats::nearest_rank(samples, p)
+    /// Every op of the run — admits and withdrawals — in issue order.
+    pub decisions: Vec<Decision>,
 }
 
 /// Capped exponential backoff with deterministic jitter, for retrying
@@ -544,14 +452,17 @@ pub struct ResumingClient {
     observed: Vec<ObservedOp>,
 }
 
-/// The full response stream one applied (or dedupe-acked) op produced,
-/// tagged with its decision seq — what a verifying harness replays
-/// offline. Reconnect-time journal replays are observed too, so the
-/// log's *last* entry per seq reflects the application that survived.
+/// One applied (or dedupe-acked) op with the full response stream it
+/// produced, tagged with its decision seq — what a verifying harness
+/// reduces with [`Decision::from_frames`] and replays offline.
+/// Reconnect-time journal replays are observed too, so the log's *last*
+/// entry per seq reflects the application that survived.
 #[derive(Debug, Clone)]
 pub struct ObservedOp {
     /// The op's decision seq.
     pub seq: u64,
+    /// The op as sent.
+    pub op: Op,
     /// Every response frame of the successful attempt.
     pub frames: Vec<Response>,
 }
@@ -653,6 +564,7 @@ impl ResumingClient {
         let frames = self.issue_with_retry(&op)?;
         self.observed.push(ObservedOp {
             seq: op.seq,
+            op: op.to_op(),
             frames: frames.clone(),
         });
         let frame = frames
@@ -689,6 +601,7 @@ impl ResumingClient {
         let frames = self.issue_with_retry(&op)?;
         self.observed.push(ObservedOp {
             seq: op.seq,
+            op: op.to_op(),
             frames: frames.clone(),
         });
         let frame = frames
@@ -848,6 +761,7 @@ impl ResumingClient {
             }
             self.observed.push(ObservedOp {
                 seq: entry.seq,
+                op: entry.to_op(),
                 frames,
             });
         }
@@ -926,7 +840,7 @@ mod tests {
         ]);
         let mut client = Client::from_parts(std::io::Cursor::new(input), Vec::new());
         let err = client
-            .replay_trace(&one_job_trace(), false, |_, _, _| Ok(()))
+            .replay_trace_mixed(&one_job_trace(), false, 0.0, 0)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
         assert!(err.to_string().contains("overloaded"), "{err}");
@@ -952,9 +866,46 @@ mod tests {
         ]);
         let mut client = Client::from_parts(std::io::Cursor::new(input), Vec::new());
         let err = client
-            .replay_trace(&one_job_trace(), false, |_, _, _| Ok(()))
+            .replay_trace_mixed(&one_job_trace(), false, 0.0, 0)
             .unwrap_err();
         assert_ne!(err.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn a_withdraw_without_its_ack_is_invalid_data() {
+        // The admit (id 2) is acked; the withdraw the 1.0 mix issues right
+        // after it (id 3) is answered with a bare `Done`.
+        let input = canned(&[
+            Response {
+                id: 1,
+                frame: Frame::Done(DoneFrame { frames: 0 }),
+            },
+            Response {
+                id: 2,
+                frame: Frame::Admit(AdmitFrame {
+                    admitted: true,
+                    job: Some(1),
+                    jobs: 1,
+                    decider: "OPDCA".to_string(),
+                    seq: Some(1),
+                    deduped: None,
+                }),
+            },
+            Response {
+                id: 2,
+                frame: Frame::Done(DoneFrame { frames: 1 }),
+            },
+            Response {
+                id: 3,
+                frame: Frame::Done(DoneFrame { frames: 0 }),
+            },
+        ]);
+        let mut client = Client::from_parts(std::io::Cursor::new(input), Vec::new());
+        let err = client
+            .replay_trace_mixed(&one_job_trace(), false, 1.0, 0)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("withdraw 1: "), "{err}");
     }
 
     #[test]

@@ -42,6 +42,17 @@
 //!   trace and can `--verify` the streamed verdicts against an offline
 //!   [`msmr_sched::SolverRegistry::evaluate`] mirror).
 //!
+//! # Verification
+//!
+//! The byte-identity contract is checked in one place, [`history`]: a
+//! [`history::Decision`] is one admit or withdraw as a client observed
+//! it (built from its frames by [`history::Decision::from_frames`]), and
+//! two oracles replay a history offline — [`history::replay_warm`]
+//! through a fresh [`AdmissionSession`] in seq order,
+//! [`history::replay_cold`] by evaluating every visited job set from
+//! scratch. `msmr-admit --verify`, `msmr-loadgen --verify`, the chaos
+//! scenarios and the end-to-end suites all call them.
+//!
 //! # Wire protocol
 //!
 //! Newline-delimited JSON: each client line is one [`protocol::Request`]
@@ -144,13 +155,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod history;
 pub mod protocol;
 mod server;
 mod session;
 
 pub use client::{
-    percentile_us, Client, Endpoint, MixRng, ObservedOp, ReplayOutcome, ReplayedOp, ResumeStats,
-    ResumingClient, RetryError, RetryPolicy,
+    Client, Endpoint, MixRng, ObservedOp, ReplayOutcome, ResumeStats, ResumingClient, RetryError,
+    RetryPolicy,
 };
 pub use server::{read_request, ConnHandler, ConnStream, FrameSink, Listen, Server};
 pub use session::{

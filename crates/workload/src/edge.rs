@@ -104,6 +104,18 @@ impl EdgeWorkloadConfig {
         self
     }
 
+    /// The default configuration at `jobs` jobs, with the infrastructure
+    /// scaled to match: `jobs / 4` access points and `jobs / 5` servers,
+    /// clamped to the paper's 25 and 20 and to at least 2 each. The one
+    /// recipe behind every generated replay trace (the clients, the chaos
+    /// scenarios) and the kernel benches' reduced cases.
+    #[must_use]
+    pub fn scaled(jobs: usize) -> Self {
+        EdgeWorkloadConfig::default()
+            .with_jobs(jobs)
+            .with_infrastructure((jobs / 4).clamp(2, 25), (jobs / 5).clamp(2, 20))
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -436,6 +448,24 @@ mod tests {
         assert_eq!(cfg.heavy_ratios, [0.05, 0.05, 0.01]);
         assert!((cfg.gamma - 0.7).abs() < 1e-12);
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn scaled_config_pins_its_infrastructure() {
+        for (jobs, access_points, servers) in [(8, 2, 2), (40, 10, 8), (100, 25, 20), (200, 25, 20)]
+        {
+            let cfg = EdgeWorkloadConfig::scaled(jobs);
+            assert_eq!(
+                (cfg.jobs, cfg.access_points, cfg.servers),
+                (jobs, access_points, servers)
+            );
+            assert_eq!(
+                cfg,
+                EdgeWorkloadConfig::default()
+                    .with_jobs(jobs)
+                    .with_infrastructure(access_points, servers)
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Boots the admission daemon in its default mode on a Unix socket and
 # drives both kinds of session through the one daemon: a verified replay
-# on the connection's private session, the same on a named session that a
-# second connection then sees, and a shutdown that snapshots the named
-# one. Fails on non-zero exit (including any verdict mismatch).
+# on the connection's private session, a verify against the wrong bound
+# that must fail, the verified replay on a named session that a second
+# connection then sees, and a shutdown that snapshots the named one.
+# Fails on non-zero exit (including any verdict mismatch).
 #
 # Usage: scripts/service_smoke.sh [jobs] [seed]
 set -euo pipefail
@@ -37,6 +38,20 @@ done
 # online seam; --verify byte-checks every admit *and* withdraw verdict
 # stream against offline evaluate.
 "$ADMIT" --uds "$SOCK" --replay --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
+
+# Negative control: verifying an eq10 daemon's verdicts against an eq6
+# mirror must fail with exit code 1 *and* the oracle's divergence
+# message — an oracle that compared nothing would pass here, and exit 1
+# alone could be any other failure. Like the run above it uses a private
+# session, so nothing of it reaches the snapshot directory.
+status=0
+out=$("$ADMIT" --uds "$SOCK" --replay --jobs 40 --seed 7 --withdraw-ratio 0.25 --verify --bound eq6 \
+    2>&1) || status=$?
+[ "$status" -eq 1 ] && grep -q '^verdict mismatch: seq ' <<<"$out" || {
+    echo "a verify against the wrong bound exited $status without naming a divergent seq:" >&2
+    echo "$out" >&2
+    exit 1
+}
 
 # The same daemon serves named sessions: the replay again, attached to
 # `smoke`; a second connection attaching by name sees the jobs the first
