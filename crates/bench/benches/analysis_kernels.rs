@@ -1,12 +1,13 @@
 //! Micro-benchmarks of the analysis kernels: pairwise interference
-//! precomputation, individual delay-bound evaluations, the discrete-event
-//! simulator and the ILP encoding of the Observation V.1 instance.
+//! precomputation, the discrete-event simulator and the ILP encoding of
+//! the Observation V.1 instance. Single delay-bound probes are measured by
+//! `kernels_json` (`delay_bound_naive/*`, `delay_bound_incremental/*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use msmr_bench::{generate_case, paper_config, BENCH_SEED};
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::{Analysis, DelayBoundKind};
 use msmr_model::{JobId, JobSetBuilder, PreemptionPolicy, Time};
-use msmr_sched::{PairwiseIlp, Sdca, SolveCtx, Solver};
+use msmr_sched::{PairwiseIlp, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
 use std::hint::black_box;
 
@@ -36,35 +37,10 @@ fn observation_v1() -> msmr_model::JobSet {
 
 fn bench_kernels(c: &mut Criterion) {
     let jobs = generate_case(&paper_config(), BENCH_SEED);
-    let analysis = Analysis::new(&jobs);
     let order: Vec<JobId> = jobs.job_ids().collect();
-    let lowest = *order.last().expect("non-empty");
-    let ctx = InterferenceSets::from_total_order(&order, lowest);
 
     c.bench_function("analysis_precompute_100_jobs", |b| {
         b.iter(|| Analysis::new(black_box(&jobs)));
-    });
-    c.bench_function("delay_bound_eq6_lowest_priority", |b| {
-        b.iter(|| {
-            analysis.delay_bound(
-                black_box(DelayBoundKind::RefinedPreemptive),
-                black_box(lowest),
-                black_box(&ctx),
-            )
-        });
-    });
-    c.bench_function("delay_bound_eq10_lowest_priority", |b| {
-        b.iter(|| {
-            analysis.delay_bound(
-                black_box(DelayBoundKind::EdgeHybrid),
-                black_box(lowest),
-                black_box(&ctx),
-            )
-        });
-    });
-    c.bench_function("sdca_full_test", |b| {
-        let sdca = Sdca::edge();
-        b.iter(|| sdca.is_feasible(black_box(&analysis), black_box(lowest), black_box(&ctx)));
     });
     c.bench_function("simulate_100_jobs_global_order", |b| {
         let priorities = PriorityMap::from_global_order(&jobs, &order);

@@ -1,6 +1,7 @@
 //! The JSON kernel-benchmark harness behind `BENCH_kernels.json`.
 
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::{Analysis, DelayBoundKind};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
 use msmr_sched::{Budget, Dcmp, OptPairwise, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
@@ -55,6 +56,7 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
     report.time_ns("analysis_precompute", samples, 1, || Analysis::new(&jobs));
 
     let analysis = Analysis::new(&jobs);
+    let reference = ReferenceBounds::new(&jobs);
     let order: Vec<JobId> = jobs.job_ids().collect();
     let lowest = *order.last().expect("non-empty case");
     let ctx = InterferenceSets::from_total_order(&order, lowest);
@@ -66,7 +68,7 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
             &format!("delay_bound_naive/{label}"),
             samples,
             kernel_iters,
-            || analysis.delay_bound(kind, lowest, &ctx),
+            || reference.delay_bound(kind, lowest, &ctx),
         );
         // The incremental op the search engines perform per move: undo one
         // membership, redo it, read the delay.

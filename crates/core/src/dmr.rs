@@ -332,8 +332,9 @@ fn admission_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assignment_fits;
     use crate::{SolveCtx, Solver};
-    use msmr_dca::InterferenceSets;
+    use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
     use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy, Time};
 
     fn jid(i: usize) -> JobId {
@@ -483,7 +484,11 @@ mod tests {
         let result = Dmr::default().assign_with_delays(&analysis);
         match result {
             Ok((assignment, _)) => {
-                assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
+                assert!(assignment_fits(
+                    &ReferenceBounds::new(&jobs),
+                    &assignment,
+                    DelayBoundKind::RefinedPreemptive
+                ));
             }
             Err(err) => {
                 // If the flip is not feasible for J1 either, DMR correctly
@@ -499,7 +504,11 @@ mod tests {
         let analysis = Analysis::new(&jobs);
         assert!(dm_accepts(Dm::default(), &jobs));
         let (assignment, _) = Dmr::default().assign_with_delays(&analysis).unwrap();
-        assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
+        assert!(assignment_fits(
+            &ReferenceBounds::new(&jobs),
+            &assignment,
+            DelayBoundKind::RefinedPreemptive
+        ));
     }
 
     #[test]
@@ -527,6 +536,7 @@ mod tests {
         }
         let jobs = b.build().unwrap();
         let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         for outcome in [
             Dm::default().admission_control_with_analysis(&analysis),
             Dmr::default().admission_control_with_analysis(&analysis),
@@ -551,9 +561,11 @@ mod tests {
                     .filter(|k| outcome.accepted.contains(k))
                     .collect();
                 let restricted = InterferenceSets::new(higher, lower);
-                let delta =
-                    analysis.delay_bound(DelayBoundKind::RefinedPreemptive, job, &restricted);
-                assert!(delta <= jobs.job(job).deadline());
+                assert!(reference.meets_deadline(
+                    DelayBoundKind::RefinedPreemptive,
+                    job,
+                    &restricted
+                ));
             }
         }
     }

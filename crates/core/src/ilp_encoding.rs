@@ -241,7 +241,9 @@ impl PairwiseIlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assignment_fits;
     use crate::{OptPairwise, SolveCtx, Solver, Witness};
+    use msmr_dca::reference::ReferenceBounds;
     use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy, Time};
 
     /// Both exact engines agree on `jobs`, and the ILP's witness (if any)
@@ -254,7 +256,11 @@ mod tests {
         assert!(search.is_conclusive());
         assert_eq!(ilp.kind, search.kind, "ILP and branch-and-bound disagree");
         if let Some(Witness::Pairwise(assignment)) = &ilp.witness {
-            assert!(assignment.is_feasible(ctx.analysis(), bound));
+            assert!(assignment_fits(
+                &ReferenceBounds::new(jobs),
+                assignment,
+                bound
+            ));
         }
     }
 
@@ -297,7 +303,11 @@ mod tests {
         let PairwiseSearchOutcome::Feasible(assignment) = outcome else {
             panic!("feasible by Observation V.1");
         };
-        assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
+        assert!(assignment_fits(
+            &ReferenceBounds::new(&jobs),
+            &assignment,
+            DelayBoundKind::RefinedPreemptive
+        ));
     }
 
     #[test]
@@ -337,15 +347,15 @@ mod tests {
         assert_exact_engines_agree(&observation_v1(), DelayBoundKind::EdgeHybrid);
     }
 
-    /// The encoder as it read the per-pair [`msmr_dca::PairInterference`]
-    /// objects before it moved onto `PairTables`: the reference the table
-    /// reader must reproduce variable for variable and constraint for
-    /// constraint.
+    /// The encoder as it read the per-pair
+    /// [`PairInterference`](msmr_dca::reference::PairInterference) objects
+    /// before it moved onto `PairTables`: the reference the table reader
+    /// must reproduce variable for variable and constraint for constraint.
     fn encode_with_pairs(
         bound: DelayBoundKind,
-        analysis: &Analysis<'_>,
+        reference: &ReferenceBounds<'_>,
     ) -> (Problem, BTreeMap<(JobId, JobId), VarId>) {
-        let jobs = analysis.jobs();
+        let jobs = reference.jobs();
         let n_stages = jobs.stage_count();
         let big_m = jobs.max_processing_time().as_ticks() as i64;
         let mut problem = Problem::new();
@@ -365,7 +375,7 @@ mod tests {
             let job = jobs.job(i);
             let mut delay = LinExpr::new().constant(job.max_processing().as_ticks() as i64);
             for k in jobs.competitors(i) {
-                let pair = analysis.pair(i, k);
+                let pair = reference.pair(i, k);
                 if !pair.interferes() {
                     continue;
                 }
@@ -388,7 +398,7 @@ mod tests {
                 );
                 selectors.add_term(b_self, 1);
                 for k in jobs.competitors_at(i, stage) {
-                    let pair = analysis.pair(i, k);
+                    let pair = reference.pair(i, k);
                     if !pair.interferes() {
                         continue;
                     }
@@ -411,7 +421,7 @@ mod tests {
                     .int_var(format!("block_{}_{}", i.index(), n_stages - 1), 0, big_m)
                     .unwrap();
                 for k in jobs.competitors_at(i, last) {
-                    let pair = analysis.pair(i, k);
+                    let pair = reference.pair(i, k);
                     if !pair.interferes() {
                         continue;
                     }
@@ -456,9 +466,11 @@ mod tests {
                 DelayBoundKind::RefinedPreemptive,
                 DelayBoundKind::EdgeHybrid,
             ] {
-                let analysis = Analysis::new(jobs);
-                let by_tables = PairwiseIlp::new(bound).encode(&analysis);
-                assert_eq!(by_tables, encode_with_pairs(bound, &analysis));
+                let by_tables = PairwiseIlp::new(bound).encode(&Analysis::new(jobs));
+                assert_eq!(
+                    by_tables,
+                    encode_with_pairs(bound, &ReferenceBounds::new(jobs))
+                );
             }
         }
     }

@@ -6,9 +6,10 @@
 //! Distributed Real-Time Systems"*, DATE 2024). On top of the delay
 //! composition bounds of [`msmr_dca`] it provides:
 //!
-//! * [`Sdca`] — the OPA-compatible schedulability test `S_DCA(J_i, H_i,
-//!   L_i)` of §IV-A, parameterised by the delay bound
-//!   ([`DelayBoundKind`]).
+//! * `S_DCA` is [`DelayEvaluator::fits`](msmr_dca::DelayEvaluator::fits)
+//!   under OPDCA's bound: the schedulability test `S_DCA(J_i, H_i, L_i)`
+//!   of §IV-A compares the delay bound selected by a [`DelayBoundKind`]
+//!   against the target's deadline.
 //! * [`Opdca`] — Algorithm 1: Audsley's optimal priority assignment driven
 //!   by `S_DCA`, producing a total [`PriorityOrdering`] (problem P1), plus
 //!   the admission-controller variant used in Fig. 4d.
@@ -141,7 +142,6 @@ mod ordering;
 mod orientation;
 mod pairwise;
 mod registry;
-mod sdca;
 mod solver;
 mod solvers;
 
@@ -157,7 +157,6 @@ pub use opt::OptPairwise;
 pub use ordering::PriorityOrdering;
 pub use pairwise::{PairwiseAssignment, PairwiseCycleError};
 pub use registry::SolverRegistry;
-pub use sdca::Sdca;
 pub use solver::{
     AdmissionVerdict, Budget, SolveCtx, Solver, SolverStats, UnsupportedMode, Verdict, VerdictKind,
     Witness,
@@ -167,3 +166,26 @@ pub use solvers::{DCMP, DM, DMR, OPDCA, OPT, OPT_ILP};
 // Re-export the bound selector so downstream users rarely need msmr-dca
 // directly.
 pub use msmr_dca::DelayBoundKind;
+
+#[cfg(test)]
+mod test_support {
+    //! The reference oracle's verdict on a pairwise assignment, shared by
+    //! the engines' unit tests.
+
+    use msmr_dca::reference::ReferenceBounds;
+    use msmr_dca::DelayBoundKind;
+
+    use crate::PairwiseAssignment;
+
+    /// `true` iff every job of the reference's set meets its deadline under
+    /// `assignment` and `bound`, evaluated by the naive reference bounds.
+    pub(crate) fn assignment_fits(
+        reference: &ReferenceBounds<'_>,
+        assignment: &PairwiseAssignment,
+        bound: DelayBoundKind,
+    ) -> bool {
+        let jobs = reference.jobs();
+        jobs.job_ids()
+            .all(|i| reference.meets_deadline(bound, i, &assignment.interference_sets(jobs, i)))
+    }
+}

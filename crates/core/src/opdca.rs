@@ -4,10 +4,11 @@ use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
 use msmr_model::{JobId, Time};
 
 use crate::online::AudsleyState;
-use crate::{InfeasibleError, PriorityOrdering, Sdca};
+use crate::{InfeasibleError, PriorityOrdering};
 
 /// OPDCA (Algorithm 1 of the paper): Audsley's optimal priority assignment
-/// using the OPA-compatible schedulability test [`Sdca`].
+/// using the OPA-compatible schedulability test `S_DCA` — a
+/// [`DelayEvaluator::fits`] read under its [`DelayBoundKind`].
 ///
 /// Priorities are assigned from the lowest (`ρ = n`) to the highest
 /// (`ρ = 1`); at each level any job that passes `S_DCA` with all remaining
@@ -22,7 +23,7 @@ use crate::{InfeasibleError, PriorityOrdering, Sdca};
 /// and keeps assigning priorities to the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opdca {
-    sdca: Sdca,
+    bound: DelayBoundKind,
 }
 
 impl Opdca {
@@ -35,18 +36,17 @@ impl Opdca {
     /// pairwise algorithms for those bounds instead.
     #[must_use]
     pub fn new(bound: DelayBoundKind) -> Self {
-        let sdca = Sdca::new(bound);
         assert!(
-            sdca.is_opa_compatible(),
+            bound.is_opa_compatible(),
             "OPDCA requires an OPA-compatible schedulability test ({bound} is not)"
         );
-        Opdca { sdca }
+        Opdca { bound }
     }
 
     /// The delay bound behind the `S_DCA` test.
     #[must_use]
     pub const fn bound(&self) -> DelayBoundKind {
-        self.sdca.bound()
+        self.bound
     }
 
     /// The Audsley loop with trace recording and optional warm resumption
@@ -54,10 +54,9 @@ impl Opdca {
     /// (with [`AudsleyResume::Cold`]) and the
     /// [`OnlineSolver`](crate::OnlineSolver) impl (warm).
     ///
-    /// Probes are answered by an incremental
-    /// [`DelayEvaluator`](msmr_dca::DelayEvaluator) seeded with every
-    /// other job at higher priority: each `S_DCA` invocation is then an
-    /// `O(1)` read, and assigning one priority level updates the
+    /// Probes are answered by an incremental [`DelayEvaluator`] seeded
+    /// with every other job at higher priority: each `S_DCA` invocation is
+    /// then an `O(1)` read, and assigning one priority level updates the
     /// remaining candidates in `O(n·N)` (one `remove_higher` plus one
     /// `add_lower` per candidate) instead of rebuilding `O(n)`
     /// interference sets per probe round.
@@ -81,7 +80,7 @@ impl Opdca {
     ) -> TracedOrdering {
         let jobs = analysis.jobs();
         let n = jobs.len();
-        let mut evaluator = analysis.evaluator(self.sdca.bound());
+        let mut evaluator = analysis.evaluator(self.bound);
         evaluator.seed_all_higher();
         let mut unassigned: Vec<JobId> = jobs.job_ids().collect();
         let mut assigned_lowest_first: Vec<JobId> = Vec::with_capacity(n);
@@ -235,7 +234,7 @@ impl Opdca {
         analysis: &Analysis<'_>,
     ) -> OrderingAdmissionOutcome {
         let jobs = analysis.jobs();
-        let mut evaluator = analysis.evaluator(self.sdca.bound());
+        let mut evaluator = analysis.evaluator(self.bound);
         evaluator.seed_all_higher();
         let mut unassigned: Vec<JobId> = jobs.job_ids().collect();
         let mut assigned_lowest_first: Vec<JobId> = Vec::with_capacity(jobs.len());
@@ -342,7 +341,7 @@ pub(crate) struct OrderingAdmissionOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msmr_dca::InterferenceSets;
+    use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
     use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy};
 
     fn jid(i: usize) -> JobId {
@@ -438,10 +437,10 @@ mod tests {
         assert!(!outcome.rejected.is_empty());
         assert_eq!(outcome.accepted.len() + outcome.rejected.len(), 4);
         // All accepted jobs are feasible under the produced ordering.
-        let sdca = Sdca::preemptive();
+        let reference = ReferenceBounds::new(&jobs);
         for &job in &outcome.accepted {
-            let ctx = outcome.ordering.interference_sets(job);
-            assert!(sdca.is_feasible(&analysis, job, &ctx));
+            let ctx = InterferenceSets::from_total_order(outcome.ordering.as_slice(), job);
+            assert!(reference.meets_deadline(DelayBoundKind::RefinedPreemptive, job, &ctx));
         }
         // Rejected jobs are not part of the ordering.
         for &job in &outcome.rejected {
@@ -471,11 +470,13 @@ mod tests {
             ..RandomMsmrConfig::default()
         })
         .unwrap();
-        let sdca = Sdca::preemptive();
         for seed in 0..40 {
             let jobs = generator.generate_seeded(seed);
             let analysis = Analysis::new(&jobs);
-            let brute = brute_force_ordering_exists(&analysis, &sdca);
+            let brute = brute_force_ordering_exists(
+                &ReferenceBounds::new(&jobs),
+                DelayBoundKind::RefinedPreemptive,
+            );
             let opdca = Opdca::default()
                 .decide_traced(&analysis, AudsleyResume::Cold)
                 .result;
@@ -489,23 +490,23 @@ mod tests {
 
     /// Exhaustively checks whether any total priority ordering passes the
     /// test.
-    fn brute_force_ordering_exists(analysis: &Analysis<'_>, sdca: &Sdca) -> bool {
+    fn brute_force_ordering_exists(reference: &ReferenceBounds<'_>, bound: DelayBoundKind) -> bool {
         fn permute(
-            analysis: &Analysis<'_>,
-            sdca: &Sdca,
+            reference: &ReferenceBounds<'_>,
+            bound: DelayBoundKind,
             remaining: &mut Vec<JobId>,
             prefix: &mut Vec<JobId>,
         ) -> bool {
             if remaining.is_empty() {
                 return prefix.iter().all(|&i| {
                     let ctx = InterferenceSets::from_total_order(prefix, i);
-                    sdca.is_feasible(analysis, i, &ctx)
+                    reference.meets_deadline(bound, i, &ctx)
                 });
             }
             for idx in 0..remaining.len() {
                 let job = remaining.remove(idx);
                 prefix.push(job);
-                if permute(analysis, sdca, remaining, prefix) {
+                if permute(reference, bound, remaining, prefix) {
                     prefix.pop();
                     remaining.insert(idx, job);
                     return true;
@@ -515,9 +516,9 @@ mod tests {
             }
             false
         }
-        let mut remaining: Vec<JobId> = analysis.jobs().job_ids().collect();
+        let mut remaining: Vec<JobId> = reference.jobs().job_ids().collect();
         let mut prefix = Vec::new();
-        permute(analysis, sdca, &mut remaining, &mut prefix)
+        permute(reference, bound, &mut remaining, &mut prefix)
     }
 
     #[test]

@@ -192,7 +192,8 @@ impl PairSearch<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msmr_dca::InterferenceSets;
+    use crate::test_support::assignment_fits;
+    use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
     use msmr_model::{JobSetBuilder, PreemptionPolicy};
 
     fn jid(i: usize) -> JobId {
@@ -234,14 +235,17 @@ mod tests {
     #[test]
     fn observation_v1_pairwise_assignment_is_found() {
         let jobs = observation_v1();
-        let analysis = Analysis::new(&jobs);
         let PairwiseSearchOutcome::Feasible(assignment) =
             search(DelayBoundKind::RefinedPreemptive, &jobs)
         else {
             panic!("Observation V.1 is feasible");
         };
         assert!(assignment.is_complete(&jobs));
-        assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
+        assert!(assignment_fits(
+            &ReferenceBounds::new(&jobs),
+            &assignment,
+            DelayBoundKind::RefinedPreemptive
+        ));
         // And it must be cyclic across resources (otherwise a total
         // ordering would exist): check it is *not* derivable from any
         // ordering by verifying OPDCA's conclusion indirectly — the four
@@ -321,14 +325,15 @@ mod tests {
         .unwrap();
         for seed in 0..30 {
             let jobs = generator.generate_seeded(seed);
-            let analysis = Analysis::new(&jobs);
+            let reference = ReferenceBounds::new(&jobs);
             let bound = DelayBoundKind::RefinedPreemptive;
-            let expected = exhaustive_pairwise_exists(&analysis, bound);
-            let (outcome, _) = OptPairwise::new(bound).search(&analysis, 5_000_000, None);
+            let expected = exhaustive_pairwise_exists(&reference, bound);
+            let (outcome, _) =
+                OptPairwise::new(bound).search(&Analysis::new(&jobs), 5_000_000, None);
             match outcome {
                 PairwiseSearchOutcome::Feasible(assignment) => {
                     assert!(expected, "seed {seed} disagrees");
-                    assert!(assignment.is_feasible(&analysis, bound));
+                    assert!(assignment_fits(&reference, &assignment, bound));
                 }
                 PairwiseSearchOutcome::Infeasible => assert!(!expected, "seed {seed} disagrees"),
                 PairwiseSearchOutcome::Unknown => panic!("seed {seed} hit the node limit"),
@@ -337,8 +342,8 @@ mod tests {
     }
 
     /// Enumerates all `2^m` orientations of the competing pairs.
-    fn exhaustive_pairwise_exists(analysis: &Analysis<'_>, bound: DelayBoundKind) -> bool {
-        let jobs = analysis.jobs();
+    fn exhaustive_pairwise_exists(reference: &ReferenceBounds<'_>, bound: DelayBoundKind) -> bool {
+        let jobs = reference.jobs();
         let mut pairs = Vec::new();
         for i in jobs.job_ids() {
             for k in jobs.competitors(i) {
@@ -357,15 +362,14 @@ mod tests {
                     assignment.set_higher(b, a);
                 }
             }
-            if assignment.is_feasible(analysis, bound) {
+            if assignment_fits(reference, &assignment, bound) {
                 return true;
             }
         }
         m == 0
-            && jobs.job_ids().all(|i| {
-                analysis.delay_bound(bound, i, &InterferenceSets::default())
-                    <= jobs.job(i).deadline()
-            })
+            && jobs
+                .job_ids()
+                .all(|i| reference.meets_deadline(bound, i, &InterferenceSets::default()))
     }
 
     #[test]
@@ -376,8 +380,11 @@ mod tests {
         // feasible — but the search must terminate conclusively.
         assert_ne!(outcome, PairwiseSearchOutcome::Unknown);
         if let PairwiseSearchOutcome::Feasible(assignment) = outcome {
-            let analysis = Analysis::new(&jobs);
-            assert!(assignment.is_feasible(&analysis, DelayBoundKind::EdgeHybrid));
+            assert!(assignment_fits(
+                &ReferenceBounds::new(&jobs),
+                &assignment,
+                DelayBoundKind::EdgeHybrid
+            ));
         }
     }
 }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use msmr_dca::InterferenceSets;
 use msmr_model::{JobId, JobSet};
 
 /// A total priority ordering of jobs: a permutation listing jobs from the
@@ -67,17 +66,6 @@ impl PriorityOrdering {
         }
     }
 
-    /// The higher-/lower-priority sets of one job under this ordering,
-    /// ready to be fed to the delay analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job is not part of the ordering.
-    #[must_use]
-    pub fn interference_sets(&self, target: JobId) -> InterferenceSets {
-        InterferenceSets::from_total_order(&self.order, target)
-    }
-
     /// Returns `true` if the ordering covers exactly the jobs of `jobs`.
     #[must_use]
     pub fn covers(&self, jobs: &JobSet) -> bool {
@@ -140,6 +128,7 @@ impl IntoIterator for PriorityOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msmr_dca::reference::InterferenceSets;
     use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
 
     fn jid(i: usize) -> JobId {
@@ -165,8 +154,9 @@ mod tests {
 
     #[test]
     fn interference_sets_match_positions() {
+        // The slice is highest first, the order the reference splits.
         let ordering = PriorityOrdering::new(vec![jid(2), jid(0), jid(1)]);
-        let ctx = ordering.interference_sets(jid(0));
+        let ctx = InterferenceSets::from_total_order(ordering.as_slice(), jid(0));
         assert!(ctx.is_higher(jid(2)));
         assert!(ctx.is_lower(jid(1)));
     }

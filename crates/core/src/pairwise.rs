@@ -4,7 +4,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::reference::InterferenceSets;
+use msmr_dca::{Analysis, DelayBoundKind};
 use msmr_model::{JobId, JobSet, ResourceRef, StageId, Time};
 
 use crate::PriorityOrdering;
@@ -95,7 +96,8 @@ impl PairwiseAssignment {
     /// The higher-/lower-priority sets of one job implied by this
     /// assignment: competitors assigned a higher priority form `H_i`,
     /// competitors assigned a lower priority form `L_i`, undecided
-    /// competitors and non-competitors appear in neither.
+    /// competitors and non-competitors appear in neither — the sets the
+    /// reference oracle must be fed to check [`PairwiseAssignment::delays`].
     #[must_use]
     pub fn interference_sets(&self, jobs: &JobSet, target: JobId) -> InterferenceSets {
         let mut higher = Vec::new();
@@ -116,8 +118,9 @@ impl PairwiseAssignment {
     /// Evaluated through the incremental
     /// [`DelayEvaluator`](msmr_dca::DelayEvaluator) (one `O(N)` update per
     /// decided pair), which is bit-identical to evaluating
-    /// [`Analysis::delay_bound`] per job; [`PairwiseAssignment::is_feasible`]
-    /// keeps the naive reference evaluation for cross-checking.
+    /// [`ReferenceBounds::delay_bound`](msmr_dca::reference::ReferenceBounds::delay_bound)
+    /// per job on [`PairwiseAssignment::interference_sets`] (checked by the
+    /// test suites).
     #[must_use]
     pub fn delays(&self, analysis: &Analysis<'_>, bound: DelayBoundKind) -> Vec<Time> {
         let tables = analysis.tables();
@@ -131,16 +134,6 @@ impl PairwiseAssignment {
             }
         }
         evaluator.delays()
-    }
-
-    /// Returns `true` if every job meets its deadline under this
-    /// assignment and the selected bound.
-    #[must_use]
-    pub fn is_feasible(&self, analysis: &Analysis<'_>, bound: DelayBoundKind) -> bool {
-        analysis.jobs().job_ids().all(|i| {
-            let ctx = self.interference_sets(analysis.jobs(), i);
-            analysis.delay_bound(bound, i, &ctx) <= analysis.jobs().job(i).deadline()
-        })
     }
 
     /// Iterates over the decided pairs as `(higher, lower)` tuples, each
@@ -302,6 +295,8 @@ impl Error for PairwiseCycleError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assignment_fits;
+    use msmr_dca::reference::ReferenceBounds;
     use msmr_model::{JobSetBuilder, PreemptionPolicy};
 
     fn jid(i: usize) -> JobId {
@@ -379,7 +374,11 @@ mod tests {
             delays,
             vec![Time::new(34), Time::new(55), Time::new(51), Time::new(22)]
         );
-        assert!(assignment.is_feasible(&analysis, DelayBoundKind::RefinedPreemptive));
+        assert!(assignment_fits(
+            &ReferenceBounds::new(&jobs),
+            &assignment,
+            DelayBoundKind::RefinedPreemptive
+        ));
     }
 
     #[test]

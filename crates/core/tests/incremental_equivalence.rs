@@ -13,10 +13,11 @@
 
 use std::collections::BTreeSet;
 
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::{Analysis, DelayBoundKind};
 use msmr_model::{JobId, JobSet, Time};
 use msmr_sched::{
-    Budget, Dm, Dmr, Opdca, OptPairwise, PairwiseAssignment, Sdca, SolveCtx, Solver, Verdict,
+    Budget, Dm, Dmr, Opdca, OptPairwise, PairwiseAssignment, SolveCtx, Solver, Verdict,
     VerdictKind, Witness,
 };
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
@@ -72,7 +73,7 @@ fn corpus() -> Vec<JobSet> {
 // ---------------------------------------------------------------------
 
 struct LegacySearch<'a, 'j> {
-    analysis: &'a Analysis<'j>,
+    analysis: &'a ReferenceBounds<'j>,
     bound: DelayBoundKind,
     pairs: Vec<(JobId, JobId)>,
     node_limit: u64,
@@ -123,7 +124,7 @@ impl LegacySearch<'_, '_> {
 }
 
 fn legacy_opt(
-    analysis: &Analysis<'_>,
+    analysis: &ReferenceBounds<'_>,
     bound: DelayBoundKind,
     node_limit: u64,
 ) -> (PairwiseSearchOutcome, u64) {
@@ -172,7 +173,10 @@ fn legacy_opt(
 
 /// Returns the ordering (highest priority first) and `S_DCA` call count,
 /// or the unschedulable jobs on failure.
-fn legacy_opdca(analysis: &Analysis<'_>, sdca: &Sdca) -> Result<(Vec<JobId>, usize), Vec<JobId>> {
+fn legacy_opdca(
+    analysis: &ReferenceBounds<'_>,
+    bound: DelayBoundKind,
+) -> Result<(Vec<JobId>, usize), Vec<JobId>> {
     let jobs = analysis.jobs();
     let mut unassigned: Vec<JobId> = jobs.job_ids().collect();
     let mut assigned_lowest_first: Vec<JobId> = Vec::with_capacity(jobs.len());
@@ -187,7 +191,7 @@ fn legacy_opdca(analysis: &Analysis<'_>, sdca: &Sdca) -> Result<(Vec<JobId>, usi
                 candidate,
             );
             sdca_calls += 1;
-            if sdca.is_feasible(analysis, candidate, &ctx) {
+            if analysis.meets_deadline(bound, candidate, &ctx) {
                 chosen = Some(idx);
                 break;
             }
@@ -207,7 +211,10 @@ fn legacy_opdca(analysis: &Analysis<'_>, sdca: &Sdca) -> Result<(Vec<JobId>, usi
 }
 
 /// The pre-rewrite OPDCA admission controller.
-fn legacy_opdca_admission(analysis: &Analysis<'_>, sdca: &Sdca) -> (Vec<JobId>, Vec<JobId>) {
+fn legacy_opdca_admission(
+    analysis: &ReferenceBounds<'_>,
+    bound: DelayBoundKind,
+) -> (Vec<JobId>, Vec<JobId>) {
     let jobs = analysis.jobs();
     let mut unassigned: Vec<JobId> = jobs.job_ids().collect();
     let mut assigned_lowest_first: Vec<JobId> = Vec::with_capacity(jobs.len());
@@ -222,7 +229,10 @@ fn legacy_opdca_admission(analysis: &Analysis<'_>, sdca: &Sdca) -> (Vec<JobId>, 
                 assigned_lowest_first.iter().copied(),
                 candidate,
             );
-            let slack = sdca.slack(analysis, candidate, &ctx);
+            let slack = jobs
+                .job(candidate)
+                .deadline()
+                .signed_diff(analysis.delay_bound(bound, candidate, &ctx));
             if slack >= 0 {
                 chosen = Some(idx);
                 break;
@@ -269,7 +279,7 @@ fn legacy_dm_assignment(jobs: &JobSet, active: &BTreeSet<JobId>) -> PairwiseAssi
 }
 
 fn legacy_delay_of(
-    analysis: &Analysis<'_>,
+    analysis: &ReferenceBounds<'_>,
     assignment: &PairwiseAssignment,
     active: &BTreeSet<JobId>,
     job: JobId,
@@ -291,7 +301,7 @@ fn legacy_delay_of(
 }
 
 fn legacy_dmr_repair(
-    analysis: &Analysis<'_>,
+    analysis: &ReferenceBounds<'_>,
     active: &BTreeSet<JobId>,
     bound: DelayBoundKind,
 ) -> (PairwiseAssignment, Vec<JobId>) {
@@ -337,7 +347,7 @@ fn legacy_dmr_repair(
 }
 
 fn legacy_pairwise_admission(
-    analysis: &Analysis<'_>,
+    analysis: &ReferenceBounds<'_>,
     bound: DelayBoundKind,
     use_repair: bool,
 ) -> (PairwiseAssignment, Vec<JobId>, Vec<JobId>) {
@@ -384,7 +394,8 @@ fn opt_outcomes_and_node_counts_match_the_clone_based_search() {
     let budget = Budget::default().with_node_limit(OPT_NODE_LIMIT);
     for (case, jobs) in cases.iter().enumerate() {
         let ctx = SolveCtx::with_budget(jobs, budget);
-        let (expected, expected_nodes) = legacy_opt(ctx.analysis(), BOUND, OPT_NODE_LIMIT);
+        let (expected, expected_nodes) =
+            legacy_opt(&ReferenceBounds::new(jobs), BOUND, OPT_NODE_LIMIT);
         let verdict = solver.solve(&ctx);
         assert_eq!(
             PairwiseSearchOutcome::of(&verdict),
@@ -400,13 +411,12 @@ fn opt_outcomes_and_node_counts_match_the_clone_based_search() {
 
 #[test]
 fn opdca_orderings_and_sdca_calls_match_the_probe_based_loop() {
-    let sdca = Sdca::new(BOUND);
     let opdca = Opdca::new(BOUND);
     for (case, jobs) in corpus().iter().enumerate() {
         let ctx = SolveCtx::new(jobs);
-        let analysis = ctx.analysis();
+        let analysis = ReferenceBounds::new(jobs);
         let verdict = opdca.solve(&ctx);
-        match (legacy_opdca(analysis, &sdca), verdict.kind) {
+        match (legacy_opdca(&analysis, BOUND), verdict.kind) {
             (Ok((order, calls)), VerdictKind::Accepted) => {
                 let ordering = verdict.witness.as_ref().and_then(Witness::as_ordering);
                 assert_eq!(
@@ -444,6 +454,7 @@ fn opdca_orderings_and_sdca_calls_match_the_probe_based_loop() {
 fn pairwise_delays_match_the_naive_per_job_evaluation() {
     for (case, jobs) in corpus().iter().enumerate().step_by(7) {
         let analysis = Analysis::new(jobs);
+        let reference = ReferenceBounds::new(jobs);
         let active: BTreeSet<JobId> = jobs.job_ids().collect();
         let assignment = legacy_dm_assignment(jobs, &active);
         for kind in msmr_dca::DelayBoundKind::all() {
@@ -451,7 +462,7 @@ fn pairwise_delays_match_the_naive_per_job_evaluation() {
                 .job_ids()
                 .map(|i| {
                     let ctx = assignment.interference_sets(jobs, i);
-                    analysis.delay_bound(kind, i, &ctx)
+                    reference.delay_bound(kind, i, &ctx)
                 })
                 .collect();
             assert_eq!(
@@ -470,7 +481,7 @@ fn dmr_assignments_match_the_clone_based_repair() {
         let ctx = SolveCtx::new(jobs);
         let active: BTreeSet<JobId> = jobs.job_ids().collect();
         let (expected_assignment, expected_unschedulable) =
-            legacy_dmr_repair(ctx.analysis(), &active, BOUND);
+            legacy_dmr_repair(&ReferenceBounds::new(jobs), &active, BOUND);
         let verdict = dmr.solve(&ctx);
         if verdict.is_accepted() {
             assert!(
@@ -491,13 +502,12 @@ fn dmr_assignments_match_the_clone_based_repair() {
 #[test]
 fn admission_controllers_match_their_legacy_loops() {
     let opdca = Opdca::new(BOUND);
-    let sdca = Sdca::new(BOUND);
     let (dm, dmr) = (Dm::new(BOUND), Dmr::new(BOUND));
     for (case, jobs) in corpus().iter().enumerate().step_by(5) {
         let ctx = SolveCtx::new(jobs);
-        let analysis = ctx.analysis();
+        let analysis = &ReferenceBounds::new(jobs);
 
-        let (expected_accepted, expected_rejected) = legacy_opdca_admission(analysis, &sdca);
+        let (expected_accepted, expected_rejected) = legacy_opdca_admission(analysis, BOUND);
         let outcome = opdca.admission_control(&ctx).expect("OPDCA admits");
         assert_eq!(outcome.accepted, expected_accepted, "case {case}: OPDCA");
         assert_eq!(outcome.rejected, expected_rejected, "case {case}: OPDCA");

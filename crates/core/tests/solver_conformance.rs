@@ -4,7 +4,8 @@
 //! other and dominate the heuristics, on a corpus of random job sets from
 //! `msmr-workload`.
 
-use msmr_dca::{Analysis, DelayBoundKind};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::DelayBoundKind;
 use msmr_model::JobSet;
 use msmr_sched::{Budget, SolveCtx, SolverRegistry, VerdictKind, Witness};
 use msmr_workload::{
@@ -41,7 +42,7 @@ fn accepted_witnesses_are_feasible() {
     let registry = SolverRegistry::full_suite(BOUND);
     let budget = Budget::default().with_node_limit(NODE_LIMIT);
     for jobs in corpus() {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let ctx = SolveCtx::with_budget(&jobs, budget);
         for name in registry.names() {
             let verdict = registry.solver(name).expect("registered").solve(&ctx);
@@ -50,16 +51,19 @@ fn accepted_witnesses_are_feasible() {
             }
             match &verdict.witness {
                 Some(Witness::Pairwise(assignment)) => {
-                    assert!(
-                        assignment.is_feasible(&analysis, BOUND),
-                        "{name} reported an infeasible pairwise witness"
-                    );
+                    for job in jobs.job_ids() {
+                        let ctx = assignment.interference_sets(&jobs, job);
+                        assert!(
+                            reference.meets_deadline(BOUND, job, &ctx),
+                            "{name} reported an infeasible pairwise witness"
+                        );
+                    }
                 }
                 Some(Witness::Ordering(ordering)) => {
                     for job in jobs.job_ids() {
-                        let ctx = ordering.interference_sets(job);
+                        let ctx = InterferenceSets::from_total_order(ordering.as_slice(), job);
                         assert!(
-                            analysis.delay_bound(BOUND, job, &ctx) <= jobs.job(job).deadline(),
+                            reference.meets_deadline(BOUND, job, &ctx),
                             "{name} reported an infeasible ordering witness"
                         );
                     }

@@ -1,14 +1,16 @@
 //! Higher-/lower-priority interference sets (`H_i`, `L_i`).
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 use msmr_model::JobId;
 
 /// The interference sets of one target job: the set `H_i` of
 /// higher-priority jobs and the set `L_i` of lower-priority jobs.
 ///
-/// The delay composition bounds of [`Analysis`](crate::Analysis) are
+/// The input of the reference bounds
+/// ([`ReferenceBounds`](crate::reference::ReferenceBounds)); the shipped
+/// [`DelayEvaluator`](crate::DelayEvaluator) keeps the same sets as
+/// [`JobMask`](crate::JobMask)s. The delay composition bounds are
 /// functions of these *sets only* — never of the relative order inside
 /// them — which is exactly what makes the resulting schedulability test
 /// OPA-compatible (conditions 1 and 2 of §III-B).
@@ -20,7 +22,7 @@ use msmr_model::JobId;
 /// # Example
 ///
 /// ```
-/// use msmr_dca::InterferenceSets;
+/// use msmr_dca::reference::InterferenceSets;
 /// use msmr_model::JobId;
 ///
 /// // Priority order J2 > J0 > J1 (highest to lowest); target J0.
@@ -115,69 +117,6 @@ impl InterferenceSets {
     pub fn is_lower(&self, job: JobId) -> bool {
         self.lower.contains(&job)
     }
-
-    /// Adds a job to `H_i`, removing it from `L_i` if present.
-    pub fn insert_higher(&mut self, job: JobId) {
-        self.lower.remove(&job);
-        self.higher.insert(job);
-    }
-
-    /// Adds a job to `L_i`, removing it from `H_i` if present.
-    pub fn insert_lower(&mut self, job: JobId) {
-        self.higher.remove(&job);
-        self.lower.insert(job);
-    }
-
-    /// Removes a job from both sets.
-    pub fn remove(&mut self, job: JobId) {
-        self.higher.remove(&job);
-        self.lower.remove(&job);
-    }
-
-    /// Builder-style variant of [`InterferenceSets::insert_higher`].
-    #[must_use]
-    pub fn with_higher(mut self, job: JobId) -> Self {
-        self.insert_higher(job);
-        self
-    }
-
-    /// Builder-style variant of [`InterferenceSets::insert_lower`].
-    #[must_use]
-    pub fn with_lower(mut self, job: JobId) -> Self {
-        self.insert_lower(job);
-        self
-    }
-
-    /// Number of higher-priority jobs.
-    #[must_use]
-    pub fn higher_count(&self) -> usize {
-        self.higher.len()
-    }
-
-    /// Number of lower-priority jobs.
-    #[must_use]
-    pub fn lower_count(&self) -> usize {
-        self.lower.len()
-    }
-}
-
-impl fmt::Display for InterferenceSets {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "H={{{}}} L={{{}}}",
-            self.higher
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            self.lower
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -203,11 +142,11 @@ mod tests {
     fn highest_and_lowest_priority_targets() {
         let order = [id(0), id(1), id(2)];
         let top = InterferenceSets::from_total_order(&order, id(0));
-        assert_eq!(top.higher_count(), 0);
-        assert_eq!(top.lower_count(), 2);
+        assert!(top.higher().is_empty());
+        assert_eq!(top.lower().len(), 2);
         let bottom = InterferenceSets::from_total_order(&order, id(2));
-        assert_eq!(bottom.higher_count(), 2);
-        assert_eq!(bottom.lower_count(), 0);
+        assert_eq!(bottom.higher().len(), 2);
+        assert!(bottom.lower().is_empty());
     }
 
     #[test]
@@ -223,24 +162,5 @@ mod tests {
         assert!(ctx.is_higher(id(0)) && ctx.is_higher(id(2)));
         assert!(!ctx.is_higher(id(1)));
         assert!(ctx.is_lower(id(3)) && ctx.is_lower(id(4)));
-    }
-
-    #[test]
-    fn mutation_keeps_sets_disjoint() {
-        let mut ctx = InterferenceSets::new([id(1)], [id(2)]);
-        ctx.insert_higher(id(2));
-        assert!(ctx.is_higher(id(2)) && !ctx.is_lower(id(2)));
-        ctx.insert_lower(id(1));
-        assert!(ctx.is_lower(id(1)) && !ctx.is_higher(id(1)));
-        ctx.remove(id(1));
-        assert!(!ctx.is_lower(id(1)));
-        let ctx = ctx.with_higher(id(7)).with_lower(id(8));
-        assert!(ctx.is_higher(id(7)) && ctx.is_lower(id(8)));
-    }
-
-    #[test]
-    fn display_lists_both_sets() {
-        let ctx = InterferenceSets::new([id(1)], [id(2)]);
-        assert_eq!(ctx.to_string(), "H={J1} L={J2}");
     }
 }

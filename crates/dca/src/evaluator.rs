@@ -5,14 +5,14 @@ use msmr_model::{JobId, Time};
 use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 
 /// Incremental evaluator of one delay bound over *all* targets of a job
-/// set.
+/// set — the library's one bound implementation, run by every engine.
 ///
-/// The reference entry points on [`Analysis`] recompute a bound from
-/// scratch in `O(|H_i|·N)`; search algorithms, however, move between
-/// *neighbouring* interference configurations — a branch-and-bound node
-/// orients one pair, Audsley's loop moves one job from "higher" to
-/// "lower", DMR's repair flips one pair. `DelayEvaluator` maintains, per
-/// target job,
+/// Recomputing a bound from scratch costs `O(|H_i|·N)` (that is what the
+/// test oracle [`ReferenceBounds`](crate::reference::ReferenceBounds)
+/// does); search algorithms, however, move between *neighbouring*
+/// interference configurations — a branch-and-bound node orients one
+/// pair, Audsley's loop moves one job from "higher" to "lower", DMR's
+/// repair flips one pair. `DelayEvaluator` maintains, per target job,
 ///
 /// * the running job-additive sum (one addition/subtraction per change),
 /// * the per-stage maxima of the stage-additive component together with
@@ -26,24 +26,24 @@ use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 /// holds a stage maximum triggers an exact recompute of that stage's
 /// maximum over the remaining members (the only `O(|H_i|)` path).
 ///
-/// After construction no operation allocates (job populations above 64
+/// After construction no operation allocates (job populations above 128
 /// pre-size their [`JobMask`] spill words up front), which is what keeps
 /// the OPT branch-and-bound allocation-free per search node.
 ///
 /// Membership is tracked in *effective* terms: jobs whose interference
-/// windows do not overlap the target are ignored by every operation,
-/// mirroring the `effective_higher`/`effective_lower` filters of the
-/// reference bounds. The aggregates are exact integer arithmetic over the
-/// same precomputed ticks the reference reads, so for every reachable
-/// state `evaluator.delay(i)` is bit-identical to
-/// [`Analysis::delay_bound`] with the corresponding
-/// [`InterferenceSets`](crate::InterferenceSets) — a property the test
-/// suite asserts for all seven [`DelayBoundKind`]s.
+/// windows do not overlap the target are ignored by every operation. The
+/// aggregates are exact integer arithmetic over the same precomputed ticks
+/// the reference reads, so for every reachable state `evaluator.delay(i)`
+/// is bit-identical to
+/// [`ReferenceBounds::delay_bound`](crate::reference::ReferenceBounds::delay_bound)
+/// with the corresponding
+/// [`InterferenceSets`](crate::reference::InterferenceSets) — a property
+/// the test suite asserts for all seven [`DelayBoundKind`]s.
 ///
 /// # Example
 ///
 /// ```
-/// use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+/// use msmr_dca::{Analysis, DelayBoundKind};
 /// use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
 ///
 /// # fn main() -> Result<(), msmr_model::ModelError> {
@@ -53,17 +53,16 @@ use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 /// b.job().deadline(Time::new(20)).stage_time(Time::new(9), 0).add()?;
 /// let jobs = b.build()?;
 /// let analysis = Analysis::new(&jobs);
-/// let kind = DelayBoundKind::RefinedPreemptive;
 ///
-/// let mut eval = analysis.evaluator(kind);
+/// let mut eval = analysis.evaluator(DelayBoundKind::RefinedPreemptive);
+/// assert_eq!(eval.delay(0.into()), Time::new(4));
+/// // Job 1 above job 0 adds its 9 to job 0's delay.
 /// eval.add_higher(0.into(), 1.into());
-/// let ctx = InterferenceSets::new([1.into()], []);
-/// assert_eq!(eval.delay(0.into()), analysis.delay_bound(kind, 0.into(), &ctx));
+/// assert_eq!(eval.delay(0.into()), Time::new(13));
+/// assert!(eval.fits(0.into()));
+/// assert_eq!(eval.slack(0.into()), 7);
 /// eval.remove_higher(0.into(), 1.into());
-/// assert_eq!(
-///     eval.delay(0.into()),
-///     analysis.delay_bound(kind, 0.into(), &InterferenceSets::default()),
-/// );
+/// assert_eq!(eval.delay(0.into()), Time::new(4));
 /// # Ok(())
 /// # }
 /// ```
@@ -230,10 +229,8 @@ impl<'a> DelayEvaluator<'a> {
     }
 
     /// Adds `k` to `H_target`, removing it from `L_target` first if
-    /// present (mirroring
-    /// [`InterferenceSets::insert_higher`](crate::InterferenceSets::insert_higher)).
-    /// No-op for the target itself, for non-interfering jobs and for jobs
-    /// already in `H_target`.
+    /// present. No-op for the target itself, for non-interfering jobs and
+    /// for jobs already in `H_target`.
     pub fn add_higher(&mut self, target: JobId, k: JobId) {
         let (t, ki) = (target.index(), k.index());
         if t == ki || !self.tables.interferes[t].contains(k) {
@@ -406,7 +403,7 @@ impl<'a> Analysis<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::InterferenceSets;
+    use crate::reference::{InterferenceSets, ReferenceBounds};
     use msmr_model::{JobSet, JobSetBuilder, PreemptionPolicy};
 
     fn jid(i: usize) -> JobId {
@@ -441,6 +438,7 @@ mod tests {
     fn matches_reference_on_total_orders_for_all_kinds() {
         let jobs = observation_v1();
         let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let order = [jid(2), jid(0), jid(1), jid(3)];
         for kind in DelayBoundKind::all() {
             let mut eval = analysis.evaluator(kind);
@@ -456,12 +454,12 @@ mod tests {
                 let ctx = InterferenceSets::from_total_order(&order, t);
                 assert_eq!(
                     eval.delay(t),
-                    analysis.delay_bound(kind, t, &ctx),
+                    reference.delay_bound(kind, t, &ctx),
                     "{kind}: target {t}"
                 );
                 assert_eq!(
                     eval.fits(t),
-                    analysis.meets_deadline(kind, t, &ctx),
+                    reference.meets_deadline(kind, t, &ctx),
                     "{kind}: target {t}"
                 );
             }
@@ -496,6 +494,7 @@ mod tests {
     fn add_higher_displaces_lower_membership() {
         let jobs = observation_v1();
         let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let kind = DelayBoundKind::EdgeHybrid;
         let mut eval = analysis.evaluator(kind);
         eval.add_lower(jid(0), jid(1));
@@ -503,11 +502,17 @@ mod tests {
         assert!(eval.higher(jid(0)).contains(jid(1)));
         assert!(!eval.lower(jid(0)).contains(jid(1)));
         let ctx = InterferenceSets::new([jid(1)], []);
-        assert_eq!(eval.delay(jid(0)), analysis.delay_bound(kind, jid(0), &ctx));
+        assert_eq!(
+            eval.delay(jid(0)),
+            reference.delay_bound(kind, jid(0), &ctx)
+        );
         // And back again.
         eval.add_lower(jid(0), jid(1));
         let ctx = InterferenceSets::new([], [jid(1)]);
-        assert_eq!(eval.delay(jid(0)), analysis.delay_bound(kind, jid(0), &ctx));
+        assert_eq!(
+            eval.delay(jid(0)),
+            reference.delay_bound(kind, jid(0), &ctx)
+        );
     }
 
     #[test]
@@ -544,5 +549,39 @@ mod tests {
         eval.reset();
         assert_eq!(eval.delays(), initial);
         assert_eq!(eval.kind(), DelayBoundKind::NonPreemptiveMsmr);
+    }
+
+    #[test]
+    fn fits_and_slack_compare_against_the_deadline() {
+        // `S_DCA` on two jobs sharing both stages of one resource each.
+        let mut b = JobSetBuilder::new();
+        b.stage("a", 1, PreemptionPolicy::Preemptive)
+            .stage("b", 1, PreemptionPolicy::Preemptive);
+        b.job()
+            .deadline(Time::new(30))
+            .stage_time(Time::new(5), 0)
+            .stage_time(Time::new(10), 0)
+            .add()
+            .unwrap();
+        b.job()
+            .deadline(Time::new(18))
+            .stage_time(Time::new(4), 0)
+            .stage_time(Time::new(6), 0)
+            .add()
+            .unwrap();
+        let jobs = b.build().unwrap();
+        let analysis = Analysis::new(&jobs);
+        let mut eval = analysis.evaluator(DelayBoundKind::RefinedPreemptive);
+        // J0 below J1: self 10; J1 shares one two-stage segment (w = 2),
+        // 6 + 4 = 10; stage-additive (stage 0): max(5, 4) = 5. Δ = 25 ≤ 30.
+        eval.add_higher(jid(0), jid(1));
+        assert_eq!(eval.delay(jid(0)), Time::new(25));
+        assert!(eval.fits(jid(0)));
+        assert_eq!(eval.slack(jid(0)), 5);
+        // J1 below J0: 6 + (10 + 5) + max(4, 5) = 26 > 18.
+        eval.add_higher(jid(1), jid(0));
+        assert_eq!(eval.delay(jid(1)), Time::new(26));
+        assert!(!eval.fits(jid(1)));
+        assert_eq!(eval.slack(jid(1)), -8);
     }
 }

@@ -3,62 +3,53 @@
 //!
 //! This crate implements every delay bound used by the paper
 //! *"Optimal Fixed Priority Scheduling in Multi-Stage Multi-Resource
-//! Distributed Real-Time Systems"* (DATE 2024):
+//! Distributed Real-Time Systems"* (DATE 2024). A [`DelayBoundKind`]
+//! selects one; the table links each to its naive transcription in
+//! [`reference`](mod@reference):
 //!
-//! | Paper equation | This crate | Scope |
-//! |----------------|------------|-------|
-//! | Eq. 1 | [`Analysis::preemptive_single_resource_bound`] | preemptive, multi-stage *single-resource* pipeline |
-//! | Eq. 2 | [`Analysis::non_preemptive_single_resource_bound`] | non-preemptive, single-resource pipeline (OPA-*in*compatible) |
-//! | Eq. 3 | [`Analysis::preemptive_msmr_bound`] | preemptive MSMR, per-segment job-additive terms |
-//! | Eq. 4 | [`Analysis::non_preemptive_msmr_bound`] | non-preemptive MSMR (OPA-*in*compatible) |
-//! | Eq. 5 | [`Analysis::non_preemptive_opa_bound`] | non-preemptive MSMR, pessimistic but OPA-compatible |
-//! | Eq. 6 | [`Analysis::refined_preemptive_bound`] | preemptive MSMR, refined `w_{i,k}` job-additive terms |
-//! | Eq. 10 | [`Analysis::edge_hybrid_bound`] | preemptive pipeline with a non-preemptive last stage (edge offload/compute/download) |
+//! | Paper equation | Reference transcription | Scope |
+//! |----------------|-------------------------|-------|
+//! | Eq. 1 | [`ReferenceBounds::preemptive_single_resource_bound`](reference::ReferenceBounds::preemptive_single_resource_bound) | preemptive, multi-stage *single-resource* pipeline |
+//! | Eq. 2 | [`ReferenceBounds::non_preemptive_single_resource_bound`](reference::ReferenceBounds::non_preemptive_single_resource_bound) | non-preemptive, single-resource pipeline (OPA-*in*compatible) |
+//! | Eq. 3 | [`ReferenceBounds::preemptive_msmr_bound`](reference::ReferenceBounds::preemptive_msmr_bound) | preemptive MSMR, per-segment job-additive terms |
+//! | Eq. 4 | [`ReferenceBounds::non_preemptive_msmr_bound`](reference::ReferenceBounds::non_preemptive_msmr_bound) | non-preemptive MSMR (OPA-*in*compatible) |
+//! | Eq. 5 | [`ReferenceBounds::non_preemptive_opa_bound`](reference::ReferenceBounds::non_preemptive_opa_bound) | non-preemptive MSMR, pessimistic but OPA-compatible |
+//! | Eq. 6 | [`ReferenceBounds::refined_preemptive_bound`](reference::ReferenceBounds::refined_preemptive_bound) | preemptive MSMR, refined `w_{i,k}` job-additive terms |
+//! | Eq. 10 | [`ReferenceBounds::edge_hybrid_bound`](reference::ReferenceBounds::edge_hybrid_bound) | preemptive pipeline with a non-preemptive last stage (edge offload/compute/download) |
 //!
-//! The bounds take the *target* job and an [`InterferenceSets`] value
-//! describing the sets of higher- and lower-priority jobs (`H_i` and
-//! `L_i`); they return an upper bound on the end-to-end delay `Δ_i`.
-//! Jobs whose interference windows do not overlap the target's window are
-//! ignored automatically, per §II of the paper.
+//! A bound is a function of the *target* job and its sets of higher- and
+//! lower-priority jobs (`H_i` and `L_i`); it is an upper bound on the
+//! end-to-end delay `Δ_i`. Jobs whose interference windows do not overlap
+//! the target's window are ignored automatically, per §II of the paper.
 //!
-//! [`Analysis`] precomputes all pairwise interference data
-//! ([`PairInterference`]) of a [`JobSet`](msmr_model::JobSet) once, so the
-//! `O(n²)` delay-bound evaluations performed by priority-assignment
-//! algorithms stay cheap.
+//! # One implementation: the incremental evaluator
 //!
-//! # Incremental evaluation architecture
+//! [`DelayEvaluator`] is what every engine runs — the OPT
+//! branch-and-bound, Audsley's loop in OPDCA, DM and DMR's repair phase,
+//! and the `msmr-serve` sessions. Search algorithms evaluate millions of
+//! *neighbouring* interference configurations, so the evaluator is
+//! allocation-free and incremental, built from three pieces:
 //!
-//! The [`Analysis`] methods above are the *reference* implementation:
-//! straightforward transcriptions of the paper's formulas, evaluated from
-//! scratch in `O(|H_i|·N)` per call. Search algorithms (the OPT
-//! branch-and-bound, Audsley's loop in OPDCA, DMR's repair phase) evaluate
-//! millions of *neighbouring* interference configurations, for which the
-//! crate provides an allocation-free incremental engine built from three
-//! pieces:
-//!
-//! * [`JobMask`] — a bitset over job ids whose first 64 bits live inline
-//!   (no heap for `n ≤ 64`; larger populations pre-size their spill words
-//!   once). Set membership, the `effective_higher`/`effective_lower`
-//!   window-overlap filters and iteration are word operations.
-//! * [`PairTables`] — a flat struct-of-arrays projection of the pair
-//!   table, built once inside [`Analysis::new`]: dense `ep_{k,j}` ticks
-//!   contiguous per (target, interferer), one precomputed job-additive
-//!   scalar per pair and bound family, per-target interference masks and
-//!   per-target constants (self terms, deadlines, the Eq. 5 blocking sum).
+//! * [`JobMask`] — a bitset over job ids whose first 128 bits live inline
+//!   (no heap for `n ≤ 128`; larger populations pre-size their spill words
+//!   once). Set membership, the window-overlap filter and iteration are
+//!   word operations.
+//! * [`PairTables`] — flat struct-of-arrays pair tables, built once inside
+//!   [`Analysis::new`]: dense `ep_{k,j}` ticks contiguous per (target,
+//!   interferer), one precomputed job-additive scalar per pair and bound
+//!   family, per-target interference masks and per-target constants (self
+//!   terms, deadlines, the Eq. 5 blocking sum).
 //! * [`DelayEvaluator`] — maintains, per target, the running job-additive
 //!   sum and the per-stage maxima (plus blocking maxima where the bound
 //!   has a lower-priority term) under `add_higher`/`remove_higher`/
 //!   `add_lower`/`remove_lower` updates in `O(N)` each, with an exact
 //!   recompute fallback when a removed job held a stage maximum; reading a
-//!   delay is `O(1)`. All aggregates are exact integer sums over the same
-//!   precomputed ticks the reference reads, so evaluator delays are
-//!   bit-identical to [`Analysis::delay_bound`] for every reachable state
-//!   and all seven [`DelayBoundKind`]s (property-tested in
-//!   `tests/evaluator_equivalence.rs`).
+//!   delay is `O(1)`, and [`DelayEvaluator::fits`] is the schedulability
+//!   test `S_DCA` (`Δ_i ≤ D_i`).
 //!
 //! Callers that mutate priority relations (e.g. an undo-based search)
 //! apply the inverse operations on backtrack instead of cloning any
-//! state; `msmr-sched`'s OPT/OPDCA/DMR engines are all driven this way.
+//! state.
 //!
 //! The tables also support **online extension** for admission-control
 //! services: [`PairTables::extend_with_job`] /
@@ -69,10 +60,18 @@
 //! `msmr-serve` sessions keep one set of tables warm across requests
 //! this way instead of re-running the `O(n²·N)` pass per arrival.
 //!
+//! The [`reference`](mod@reference) module is the test oracle: the same
+//! bounds written out from scratch over one
+//! [`PairInterference`](reference::PairInterference) per job pair. Its
+//! evaluations are exact integer sums over the same ticks, so evaluator
+//! delays are bit-identical to it for every reachable state and all seven
+//! kinds (property-tested in `tests/evaluator_equivalence.rs`). Only tests
+//! and the `delay_bound_naive/*` kernel series read it.
+//!
 //! # Example
 //!
 //! ```
-//! use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+//! use msmr_dca::{Analysis, DelayBoundKind};
 //! use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
 //!
 //! # fn main() -> Result<(), msmr_model::ModelError> {
@@ -91,11 +90,18 @@
 //!     .add()?;
 //! let jobs = b.build()?;
 //! let analysis = Analysis::new(&jobs);
+//! let mut eval = analysis.evaluator(DelayBoundKind::RefinedPreemptive);
 //!
-//! // Job 0 at the lowest priority: job 1 is higher priority.
-//! let ctx = InterferenceSets::from_total_order(&[1.into(), 0.into()], 0.into());
-//! let delta = analysis.delay_bound(DelayBoundKind::RefinedPreemptive, 0.into(), &ctx);
-//! assert!(delta <= Time::from_millis(100));
+//! // Job 1 alone: its largest stage plus its first stage, 10 + 5.
+//! assert_eq!(eval.delay(1.into()), Time::from_millis(15));
+//!
+//! // Job 0 at the lowest priority, below job 1: its own 30, job 1's two
+//! // job-additive terms (one two-stage segment: 10 + 5) and the first
+//! // stage's maximum, max(10, 5).
+//! eval.add_higher(0.into(), 1.into());
+//! eval.add_lower(1.into(), 0.into());
+//! assert_eq!(eval.delay(0.into()), Time::from_millis(55));
+//! assert!(eval.fits(0.into()) && eval.fits(1.into()));
 //! # Ok(())
 //! # }
 //! ```
@@ -109,12 +115,11 @@ mod context;
 mod evaluator;
 mod mask;
 mod pair;
+pub mod reference;
 mod tables;
 
 pub use analysis::Analysis;
 pub use bounds::DelayBoundKind;
-pub use context::InterferenceSets;
 pub use evaluator::DelayEvaluator;
 pub use mask::{JobMask, JobMaskIter};
-pub use pair::PairInterference;
 pub use tables::PairTables;

@@ -8,7 +8,9 @@ use msmr_model::{JobId, JobSet, Segments, SharedStageTimes, StageId, Time};
 /// The data combines the segment structure (`m_{i,k}`, `u_{i,k}`,
 /// `v_{i,k}`, `w_{i,k}`) with the shared-stage processing times
 /// (`ep_{k,j}`, `et_{k,x}`) and the interference-window overlap check of
-/// §II. It is computed once per pair by [`Analysis`](crate::Analysis).
+/// §II. It is computed once per pair by
+/// [`ReferenceBounds`](crate::reference::ReferenceBounds); the shipped
+/// evaluator reads the same values from [`PairTables`](crate::PairTables).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairInterference {
     target: JobId,

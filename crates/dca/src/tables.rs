@@ -8,10 +8,11 @@ use crate::{DelayBoundKind, JobMask};
 
 /// Flat struct-of-arrays projection of the pairwise interference table.
 ///
-/// [`Analysis`](crate::Analysis) stores one `PairInterference` value per
-/// ordered pair; that layout is convenient for the reference bounds but
-/// costs a pointer chase and a branch per pair in the hot evaluation
-/// loops. `PairTables` re-materialises the same data as dense arrays of
+/// The reference bounds read one
+/// [`PairInterference`](crate::reference::PairInterference) value per
+/// ordered pair; that layout is convenient for a transcription of the
+/// formulas but costs a pointer chase and a branch per pair in the hot
+/// evaluation loops. `PairTables` holds the same data as dense arrays of
 /// raw ticks:
 ///
 /// * `ep[(target·cap + k)·N + j]` — the shared-stage processing time
@@ -275,9 +276,9 @@ impl PairTables {
     /// Builds the flat tables directly from the job set in one
     /// `O(n²·N log N)` pass, without materialising any per-pair
     /// intermediate structures (two reusable scratch buffers serve every
-    /// pair). The values are defined to be identical to what the lazy
-    /// [`PairInterference`](crate::PairInterference) objects would yield —
-    /// the property suite cross-checks this bit for bit.
+    /// pair). The values are defined to be identical to what the
+    /// reference's [`PairInterference`](crate::reference::PairInterference)
+    /// objects yield — the property suite cross-checks this bit for bit.
     pub(crate) fn build(jobs: &JobSet) -> Self {
         let n = jobs.len();
         let stages = jobs.stage_count();

@@ -2,7 +2,8 @@
 //! re-implementations of the paper's formulas ("oracles") and against each
 //! other.
 
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::DelayBoundKind;
 use msmr_model::{
     Job, JobId, JobSet, Pipeline, PreemptionPolicy, Segments, SharedStageTimes, StageId, Time,
 };
@@ -119,7 +120,7 @@ proptest! {
     /// The optimised Eq. 6 implementation matches the literal formula.
     #[test]
     fn refined_preemptive_matches_oracle(jobs in arbitrary_jobset(), split in 0usize..6) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         for target in jobs.job_ids() {
             let higher: Vec<JobId> = jobs
                 .job_ids()
@@ -127,7 +128,7 @@ proptest! {
                 .collect();
             let ctx = InterferenceSets::new(higher.clone(), []);
             prop_assert_eq!(
-                analysis.refined_preemptive_bound(target, &ctx),
+                reference.refined_preemptive_bound(target, &ctx),
                 oracle_eq6(&jobs, target, &higher)
             );
         }
@@ -136,7 +137,7 @@ proptest! {
     /// The optimised Eq. 5 implementation matches the literal formula.
     #[test]
     fn non_preemptive_opa_matches_oracle(jobs in arbitrary_jobset(), split in 0usize..6) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         for target in jobs.job_ids() {
             let higher: Vec<JobId> = jobs
                 .job_ids()
@@ -148,7 +149,7 @@ proptest! {
                 .collect();
             let ctx = InterferenceSets::new(higher.clone(), lower);
             prop_assert_eq!(
-                analysis.non_preemptive_opa_bound(target, &ctx),
+                reference.non_preemptive_opa_bound(target, &ctx),
                 oracle_eq5(&jobs, target, &higher)
             );
         }
@@ -159,7 +160,7 @@ proptest! {
     /// processing time at the last stage.
     #[test]
     fn edge_hybrid_decomposes_into_eq6_plus_blocking(jobs in arbitrary_jobset()) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let last = StageId::new(jobs.stage_count() - 1);
         for target in jobs.job_ids() {
             let higher: Vec<JobId> = jobs
@@ -171,8 +172,8 @@ proptest! {
                 .filter(|&k| k != target && k.index() % 2 == 1)
                 .collect();
             let ctx = InterferenceSets::new(higher, lower.clone());
-            let eq6 = analysis.refined_preemptive_bound(target, &ctx);
-            let eq10 = analysis.edge_hybrid_bound(target, &ctx);
+            let eq6 = reference.refined_preemptive_bound(target, &ctx);
+            let eq10 = reference.edge_hybrid_bound(target, &ctx);
             prop_assert!(eq10 >= eq6);
             let max_blocking = lower
                 .iter()
@@ -189,7 +190,7 @@ proptest! {
     /// priority (undecided jobs are simply absent from the sets).
     #[test]
     fn unrelated_jobs_do_not_affect_compatible_bounds(jobs in arbitrary_jobset()) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         for target in jobs.job_ids() {
             let ctx_empty = InterferenceSets::default();
             for kind in [
@@ -199,7 +200,7 @@ proptest! {
             ] {
                 // With no higher-priority jobs the bound is the isolated
                 // delay regardless of how many other jobs exist.
-                let isolated = analysis.delay_bound(kind, target, &ctx_empty);
+                let isolated = reference.delay_bound(kind, target, &ctx_empty);
                 prop_assert!(isolated >= jobs.job(target).max_processing());
             }
         }

@@ -1,11 +1,12 @@
 //! Property suite: the incremental [`DelayEvaluator`] must be
-//! bit-identical to the naive [`Analysis`] bounds for all seven
+//! bit-identical to the naive [`ReferenceBounds`] for all seven
 //! [`DelayBoundKind`]s, over random MSMR systems and random
 //! add/remove operation sequences.
 
 use std::collections::BTreeSet;
 
-use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, InterferenceSets};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
 use msmr_model::{Job, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
 use proptest::prelude::*;
 
@@ -106,6 +107,7 @@ proptest! {
         ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..8), 1..60),
     ) {
         let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let n = jobs.len();
         for kind in DelayBoundKind::all() {
             let mut eval = analysis.evaluator(kind);
@@ -116,7 +118,7 @@ proptest! {
                 let ctx = refs[target.index()].interference_sets();
                 prop_assert_eq!(
                     eval.delay(target),
-                    analysis.delay_bound(kind, target, &ctx),
+                    reference.delay_bound(kind, target, &ctx),
                     "{}: target {} diverged mid-sequence", kind, target
                 );
             }
@@ -125,15 +127,15 @@ proptest! {
                 let ctx = refs[target.index()].interference_sets();
                 prop_assert_eq!(
                     eval.delay(target),
-                    analysis.delay_bound(kind, target, &ctx),
+                    reference.delay_bound(kind, target, &ctx),
                     "{}: target {} diverged at end", kind, target
                 );
                 prop_assert_eq!(
                     eval.fits(target),
-                    analysis.meets_deadline(kind, target, &ctx)
+                    reference.meets_deadline(kind, target, &ctx)
                 );
                 let expected_slack = jobs.job(target).deadline()
-                    .signed_diff(analysis.delay_bound(kind, target, &ctx));
+                    .signed_diff(reference.delay_bound(kind, target, &ctx));
                 prop_assert_eq!(eval.slack(target), expected_slack);
             }
         }
@@ -147,6 +149,7 @@ proptest! {
         ops in prop::collection::vec((0u8..2, 0usize..8, 0usize..8), 1..40),
     ) {
         let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let n = jobs.len();
         let mut eval = analysis.evaluator(DelayBoundKind::RefinedPreemptive);
         let mut refs = vec![RefSets::default(); n];
@@ -158,7 +161,7 @@ proptest! {
                 .higher
                 .iter()
                 .copied()
-                .filter(|&k| k != target && analysis.pair(target, k).interferes())
+                .filter(|&k| k != target && reference.pair(target, k).interferes())
                 .collect();
             let got: Vec<JobId> = eval.higher(target).iter().collect();
             prop_assert_eq!(got, expect_higher);
@@ -166,7 +169,7 @@ proptest! {
                 .lower
                 .iter()
                 .copied()
-                .filter(|&k| k != target && analysis.pair(target, k).interferes())
+                .filter(|&k| k != target && reference.pair(target, k).interferes())
                 .collect();
             let got: Vec<JobId> = eval.lower(target).iter().collect();
             prop_assert_eq!(got, expect_lower);

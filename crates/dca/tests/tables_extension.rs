@@ -3,7 +3,8 @@
 //! a full rebuild on the extended set — the primitive the `msmr-serve`
 //! admission-session cache rides on.
 
-use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, InterferenceSets, PairTables};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, PairTables};
 use msmr_model::{Job, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
 use proptest::prelude::*;
 
@@ -118,13 +119,21 @@ proptest! {
             let order = order_from_keys(m + 1, &keys);
             assert_tables_equivalent(analysis.tables(), rebuilt.tables(), &order);
 
-            // The reference bounds agree too (they read the extended
-            // analysis' lazily re-materialised pair objects).
-            let ctx = InterferenceSets::from_total_order(&order, order[m / 2]);
+            // The reference bounds of the extended set agree too.
+            let reference = ReferenceBounds::new(&sets[m]);
+            let target = order[m / 2];
+            let ctx = InterferenceSets::from_total_order(&order, target);
             for kind in DelayBoundKind::all() {
+                let mut eval = analysis.evaluator(kind);
+                for &k in ctx.higher() {
+                    eval.add_higher(target, k);
+                }
+                for &k in ctx.lower() {
+                    eval.add_lower(target, k);
+                }
                 prop_assert_eq!(
-                    analysis.delay_bound(kind, order[m / 2], &ctx),
-                    rebuilt.delay_bound(kind, order[m / 2], &ctx),
+                    eval.delay(target),
+                    reference.delay_bound(kind, target, &ctx),
                     "reference {} after {} extensions", kind, m
                 );
             }

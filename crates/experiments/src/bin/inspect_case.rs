@@ -5,7 +5,6 @@
 //!
 //! `cargo run -p msmr-experiments --release --bin inspect_case -- --jobs 100 --seed 3`
 
-use msmr_dca::InterferenceSets;
 use msmr_experiments::cli::RunOptions;
 use msmr_experiments::{evaluate_all, EVALUATION_BOUND};
 use msmr_model::HeavinessProfile;
@@ -34,12 +33,12 @@ fn main() {
     );
 
     // Per-job diagnosis at the lowest priority (everyone else higher).
+    let mut lowest = analysis.evaluator(EVALUATION_BOUND);
+    lowest.seed_all_higher();
     let mut feasible_at_lowest = 0usize;
     let mut worst_ratio = 0.0f64;
     for i in jobs.job_ids() {
-        let higher: Vec<_> = jobs.job_ids().filter(|&k| k != i).collect();
-        let ctx = InterferenceSets::new(higher, []);
-        let delta = analysis.delay_bound(EVALUATION_BOUND, i, &ctx);
+        let delta = lowest.delay(i);
         let deadline = jobs.job(i).deadline();
         let ratio = delta.as_ticks() as f64 / deadline.as_ticks() as f64;
         worst_ratio = worst_ratio.max(ratio);
@@ -114,9 +113,7 @@ fn main() {
     by_deadline.sort_by_key(|&i| std::cmp::Reverse(jobs.job(i).deadline()));
     println!("\nlargest-deadline jobs at the lowest priority:");
     for &i in by_deadline.iter().take(5) {
-        let higher: Vec<_> = jobs.job_ids().filter(|&k| k != i).collect();
-        let ctx = InterferenceSets::new(higher, []);
-        let delta = analysis.delay_bound(EVALUATION_BOUND, i, &ctx);
+        let delta = lowest.delay(i);
         let job = jobs.job(i);
         let competitors = jobs.competitors(i);
         let job_additive: u64 = competitors

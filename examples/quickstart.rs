@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run -p msmr-experiments --example quickstart`.
 
-use msmr_dca::{Analysis, DelayBoundKind};
+use msmr_dca::DelayBoundKind;
 use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
 use msmr_sched::{Budget, SolverRegistry, Witness};
 use msmr_sim::{render_gantt, PriorityMap, Simulator};
@@ -88,15 +88,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // of the same priority ordering.
     let priorities = PriorityMap::from_global_order(&jobs, ordering.as_slice());
     let outcome = Simulator::new(&jobs).run(&priorities);
-    let analysis = Analysis::new(&jobs);
     println!("simulated end-to-end delays:");
     for job in jobs.jobs() {
         let simulated = outcome.delay(job.id());
-        let bound = analysis.delay_bound(
-            DelayBoundKind::EdgeHybrid,
-            job.id(),
-            &ordering.interference_sets(job.id()),
-        );
+        let bound = delays[job.id().index()];
         println!(
             "  {}: simulated {} ms, analytical bound {} ms",
             job.id(),

@@ -2,15 +2,28 @@
 //! paper's text: Example 1, Observations IV.2 and V.1, Figure 1 and
 //! Figure 2.
 
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::{Analysis, DelayBoundKind};
 use msmr_model::{JobId, JobSet, JobSetBuilder, PreemptionPolicy, Time};
 use msmr_sched::{
-    Dm, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp, Sdca, SolveCtx, Solver, VerdictKind,
-    Witness,
+    Dm, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp, SolveCtx, Solver, VerdictKind, Witness,
 };
 
 fn jid(i: usize) -> JobId {
     JobId::new(i)
+}
+
+/// `target`'s delay on the shipped evaluator, given `ctx`'s sets.
+fn shipped(jobs: &JobSet, kind: DelayBoundKind, target: JobId, ctx: &InterferenceSets) -> Time {
+    let analysis = Analysis::new(jobs);
+    let mut eval = analysis.evaluator(kind);
+    for &k in ctx.higher() {
+        eval.add_higher(target, k);
+    }
+    for &k in ctx.lower() {
+        eval.add_lower(target, k);
+    }
+    eval.delay(target)
 }
 
 /// Example 1: three-stage single-resource pipeline, four jobs with stage
@@ -63,22 +76,24 @@ fn observation_iv2_example1_delay_drops_after_a_priority_swap() {
     // Under Eq. 2, Δ_2 = 92 for the ordering J1 > J2 > J3 > J4 and drops
     // to 87 after swapping J2 and J3 — the OPA-incompatibility witness.
     let jobs = example1([1_000; 4]);
-    let analysis = Analysis::new(&jobs);
+    let reference = ReferenceBounds::new(&jobs);
     let before = InterferenceSets::from_total_order(&[jid(0), jid(1), jid(2), jid(3)], jid(1));
     let after = InterferenceSets::from_total_order(&[jid(0), jid(2), jid(1), jid(3)], jid(1));
-    assert_eq!(
-        analysis.non_preemptive_single_resource_bound(jid(1), &before),
-        Time::new(92)
-    );
-    assert_eq!(
-        analysis.non_preemptive_single_resource_bound(jid(1), &after),
-        Time::new(87)
-    );
+    let eq2 = DelayBoundKind::NonPreemptiveSingleResource;
+    for (ctx, want) in [(&before, 92), (&after, 87)] {
+        assert_eq!(
+            reference.non_preemptive_single_resource_bound(jid(1), ctx),
+            Time::new(want)
+        );
+        assert_eq!(shipped(&jobs, eq2, jid(1), ctx), Time::new(want));
+    }
     // The OPA-compatible Eq. 5 does not decrease under the same swap.
     assert!(
-        analysis.non_preemptive_opa_bound(jid(1), &after)
-            >= analysis.non_preemptive_opa_bound(jid(1), &before)
+        reference.non_preemptive_opa_bound(jid(1), &after)
+            >= reference.non_preemptive_opa_bound(jid(1), &before)
     );
+    let eq5 = DelayBoundKind::NonPreemptiveOpa;
+    assert!(shipped(&jobs, eq5, jid(1), &after) >= shipped(&jobs, eq5, jid(1), &before));
 }
 
 #[test]
@@ -119,26 +134,34 @@ fn observation_v1_no_ordering_but_a_pairwise_assignment_exists() {
 
     // P2 is feasible: both exact engines find a pairwise assignment, and it
     // matches Figure 2(b) (up to the symmetric reverse cycle).
+    let reference = ReferenceBounds::new(&jobs);
+    let by_reference = |assignment: &PairwiseAssignment| -> Vec<Time> {
+        jobs.job_ids()
+            .map(|i| reference.delay_bound(bound, i, &assignment.interference_sets(&jobs, i)))
+            .collect()
+    };
     let search = OptPairwise::new(bound).solve(&ctx);
     let assignment = search
         .witness
         .as_ref()
         .and_then(Witness::as_pairwise)
         .expect("feasible per Observation V.1");
-    assert!(assignment.is_feasible(analysis, bound));
+    let delays = by_reference(assignment);
+    assert!(jobs
+        .job_ids()
+        .all(|i| delays[i.index()] <= jobs.job(i).deadline()));
     assert!(PairwiseIlp::new(bound).solve(&ctx).is_accepted());
 
     // The Figure 2(b) assignment itself yields the delays computed in the
-    // analysis crate's tests: 34, 55, 51, 22.
+    // analysis crate's tests, on both implementations: 34, 55, 51, 22.
     let mut fig2b = PairwiseAssignment::new();
     fig2b.set_higher(jid(2), jid(0));
     fig2b.set_higher(jid(0), jid(1));
     fig2b.set_higher(jid(1), jid(3));
     fig2b.set_higher(jid(3), jid(2));
-    assert_eq!(
-        fig2b.delays(analysis, bound),
-        vec![Time::new(34), Time::new(55), Time::new(51), Time::new(22)]
-    );
+    let expected = vec![Time::new(34), Time::new(55), Time::new(51), Time::new(22)];
+    assert_eq!(fig2b.delays(analysis, bound), expected);
+    assert_eq!(by_reference(&fig2b), expected);
 }
 
 #[test]
@@ -186,14 +209,16 @@ fn figure1_job_additive_terms_depend_on_segment_structure() {
         b.build().unwrap()
     };
     let interference = |jobs: &JobSet| -> u64 {
-        let analysis = Analysis::new(jobs);
-        let alone = analysis
-            .refined_preemptive_bound(jid(0), &InterferenceSets::default())
-            .as_ticks();
-        let with_b = analysis
-            .refined_preemptive_bound(jid(0), &InterferenceSets::new([jid(1)], []))
-            .as_ticks();
-        with_b - alone
+        let reference = ReferenceBounds::new(jobs);
+        let alone = InterferenceSets::default();
+        let with_b = InterferenceSets::new([jid(1)], []);
+        let kind = DelayBoundKind::RefinedPreemptive;
+        let by_reference = reference.refined_preemptive_bound(jid(0), &with_b)
+            - reference.refined_preemptive_bound(jid(0), &alone);
+        let by_evaluator =
+            shipped(jobs, kind, jid(0), &with_b) - shipped(jobs, kind, jid(0), &alone);
+        assert_eq!(by_evaluator, by_reference);
+        by_reference.as_ticks()
     };
     // (a) no shared stage: no interference.
     assert_eq!(interference(&build([1, 1, 1, 1])), 0);
@@ -208,10 +233,16 @@ fn figure1_job_additive_terms_depend_on_segment_structure() {
 
 #[test]
 fn sdca_constructors_match_the_paper_defaults() {
-    assert!(Sdca::preemptive().is_opa_compatible());
-    assert!(Sdca::non_preemptive().is_opa_compatible());
-    assert!(Sdca::edge().is_opa_compatible());
-    assert_eq!(Sdca::preemptive().bound().equation(), 6);
-    assert_eq!(Sdca::non_preemptive().bound().equation(), 5);
-    assert_eq!(Sdca::edge().bound().equation(), 10);
+    // The `S_DCA` tests of the paper: preemptive (Eq. 6), non-preemptive
+    // (Eq. 5) and edge (Eq. 10), all usable inside OPDCA.
+    for (kind, equation) in [
+        (DelayBoundKind::RefinedPreemptive, 6),
+        (DelayBoundKind::NonPreemptiveOpa, 5),
+        (DelayBoundKind::EdgeHybrid, 10),
+    ] {
+        assert!(kind.is_opa_compatible());
+        assert_eq!(kind.equation(), equation);
+        assert_eq!(Opdca::new(kind).bound(), kind);
+    }
+    assert_eq!(Opdca::default().bound(), DelayBoundKind::RefinedPreemptive);
 }

@@ -6,9 +6,10 @@
 //! for the corresponding scheduling policy; the central OPA properties are
 //! the three compatibility conditions of §III-B.
 
-use msmr_dca::{Analysis, DelayBoundKind, InterferenceSets};
+use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
+use msmr_dca::DelayBoundKind;
 use msmr_model::{JobId, JobSet, PreemptionPolicy};
-use msmr_sched::{Budget, Opdca, PairwiseAssignment, PriorityOrdering, SolveCtx, Solver};
+use msmr_sched::{Opdca, PairwiseAssignment, PriorityOrdering, SolveCtx, Solver};
 use msmr_sim::{PriorityMap, Simulator};
 use msmr_workload::{RandomMsmrConfig, RandomMsmrGenerator};
 use proptest::prelude::*;
@@ -58,12 +59,12 @@ proptest! {
     fn eq6_dominates_preemptive_simulation(
         (jobs, order) in jobset_and_order(PreemptionPolicy::Preemptive, (0, 0))
     ) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let priorities = PriorityMap::from_global_order(&jobs, &order);
         let outcome = Simulator::new(&jobs).run(&priorities);
         for &job in &order {
             let ctx = InterferenceSets::from_total_order(&order, job);
-            let bound = analysis.refined_preemptive_bound(job, &ctx);
+            let bound = reference.refined_preemptive_bound(job, &ctx);
             prop_assert!(
                 outcome.delay(job) <= bound,
                 "{job}: simulated {} > bound {}", outcome.delay(job), bound
@@ -77,12 +78,12 @@ proptest! {
     fn eq3_dominates_eq6(
         (jobs, order) in jobset_and_order(PreemptionPolicy::Preemptive, (0, 0))
     ) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         for &job in &order {
             let ctx = InterferenceSets::from_total_order(&order, job);
             prop_assert!(
-                analysis.preemptive_msmr_bound(job, &ctx)
-                    >= analysis.refined_preemptive_bound(job, &ctx)
+                reference.preemptive_msmr_bound(job, &ctx)
+                    >= reference.refined_preemptive_bound(job, &ctx)
             );
         }
     }
@@ -94,13 +95,13 @@ proptest! {
     fn eq5_dominates_non_preemptive_simulation(
         (jobs, order) in jobset_and_order(PreemptionPolicy::NonPreemptive, (0, 0))
     ) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let priorities = PriorityMap::from_global_order(&jobs, &order);
         let outcome = Simulator::new(&jobs).run(&priorities);
         for &job in &order {
             let ctx = InterferenceSets::from_total_order(&order, job);
-            let eq5 = analysis.non_preemptive_opa_bound(job, &ctx);
-            let eq4 = analysis.non_preemptive_msmr_bound(job, &ctx);
+            let eq5 = reference.non_preemptive_opa_bound(job, &ctx);
+            let eq4 = reference.non_preemptive_msmr_bound(job, &ctx);
             prop_assert!(eq5 >= eq4);
             prop_assert!(
                 outcome.delay(job) <= eq5,
@@ -117,7 +118,7 @@ proptest! {
     fn compatible_bounds_ignore_relative_order_of_higher_jobs(
         (jobs, order) in jobset_and_order(PreemptionPolicy::Preemptive, (0, 4))
     ) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let target = *order.last().expect("non-empty");
         let mut shuffled = order.clone();
         shuffled[..order.len() - 1].reverse();
@@ -127,8 +128,8 @@ proptest! {
             DelayBoundKind::EdgeHybrid,
             DelayBoundKind::PreemptiveMsmr,
         ] {
-            let a = analysis.delay_bound(kind, target, &InterferenceSets::from_total_order(&order, target));
-            let b = analysis.delay_bound(kind, target, &InterferenceSets::from_total_order(&shuffled, target));
+            let a = reference.delay_bound(kind, target, &InterferenceSets::from_total_order(&order, target));
+            let b = reference.delay_bound(kind, target, &InterferenceSets::from_total_order(&shuffled, target));
             prop_assert_eq!(a, b, "{} changed under a permutation of H_i", kind);
         }
     }
@@ -140,14 +141,14 @@ proptest! {
     fn compatible_bounds_are_monotone_in_higher_set(
         (jobs, order) in jobset_and_order(PreemptionPolicy::Preemptive, (0, 3))
     ) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let target = order[0];
         let others: Vec<JobId> = order[1..].to_vec();
         for kind in DelayBoundKind::all() {
             if !kind.is_opa_compatible() {
                 continue;
             }
-            let mut previous = analysis.delay_bound(
+            let mut previous = reference.delay_bound(
                 kind,
                 target,
                 &InterferenceSets::new([], others.clone()),
@@ -157,7 +158,7 @@ proptest! {
                     others[..split].to_vec(),
                     others[split..].to_vec(),
                 );
-                let current = analysis.delay_bound(kind, target, &ctx);
+                let current = reference.delay_bound(kind, target, &ctx);
                 prop_assert!(
                     current >= previous,
                     "{kind}: promoting a job decreased the bound"
@@ -173,16 +174,15 @@ proptest! {
     fn opdca_finds_an_ordering_whenever_the_random_one_works(
         (jobs, order) in jobset_and_order(PreemptionPolicy::Preemptive, (0, 0))
     ) {
-        let analysis = Analysis::new(&jobs);
-        let ordering = PriorityOrdering::new(order.clone());
+        let reference = ReferenceBounds::new(&jobs);
         let random_is_feasible = order.iter().all(|&job| {
-            let ctx = ordering.interference_sets(job);
-            analysis.refined_preemptive_bound(job, &ctx) <= jobs.job(job).deadline()
+            let ctx = InterferenceSets::from_total_order(&order, job);
+            reference.refined_preemptive_bound(job, &ctx) <= jobs.job(job).deadline()
         });
         if random_is_feasible {
             prop_assert!(
                 Opdca::new(DelayBoundKind::RefinedPreemptive)
-                    .solve(&SolveCtx::with_analysis(analysis, Budget::default()))
+                    .solve(&SolveCtx::new(&jobs))
                     .is_accepted()
             );
         }
@@ -195,15 +195,15 @@ proptest! {
     fn ordering_induced_pairwise_assignment_preserves_delays(
         (jobs, order) in jobset_and_order(PreemptionPolicy::Preemptive, (0, 0))
     ) {
-        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
         let ordering = PriorityOrdering::new(order.clone());
         let assignment = PairwiseAssignment::from_ordering(&jobs, &ordering);
         for &job in &order {
-            let via_ordering = analysis.refined_preemptive_bound(
+            let via_ordering = reference.refined_preemptive_bound(
                 job,
-                &ordering.interference_sets(job),
+                &InterferenceSets::from_total_order(&order, job),
             );
-            let via_pairwise = analysis.refined_preemptive_bound(
+            let via_pairwise = reference.refined_preemptive_bound(
                 job,
                 &assignment.interference_sets(&jobs, job),
             );
