@@ -1,13 +1,10 @@
 //! Deadline-monotonic pairwise assignment (DM) and the deadline-monotonic
 //! & repair heuristic (DMR, Algorithm 2).
 
-use std::collections::BTreeSet;
-
-use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
+use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, JobMask};
 use msmr_model::JobId;
 
 use crate::online::RepairState;
-use crate::orientation::Orientation;
 use crate::{InfeasibleError, PairwiseAssignment};
 
 /// The deadline-monotonic pairwise baseline: every competing pair is
@@ -51,9 +48,9 @@ impl Dm {
         &self,
         analysis: &Analysis<'_>,
     ) -> (PairwiseAssignment, Vec<msmr_model::Time>) {
-        let active: BTreeSet<JobId> = analysis.jobs().job_ids().collect();
-        let (orientation, evaluator) = dm_orientation(analysis, &active, self.bound);
-        (orientation.to_assignment(), evaluator.delays())
+        let active: JobMask = analysis.jobs().job_ids().collect();
+        let (assignment, evaluator) = dm_orientation(analysis, &active, self.bound);
+        (assignment, evaluator.delays())
     }
 }
 
@@ -108,14 +105,14 @@ impl Dmr {
         Result<(PairwiseAssignment, Vec<msmr_model::Time>), InfeasibleError>,
         RepairState,
     ) {
-        let active: BTreeSet<JobId> = analysis.jobs().job_ids().collect();
-        let (orientation, evaluator, unschedulable, flips) = self.repair_inner(analysis, &active);
+        let active: JobMask = analysis.jobs().job_ids().collect();
+        let (assignment, evaluator, unschedulable, flips) = self.repair_inner(analysis, &active);
         let trace = RepairState {
             jobs: analysis.jobs().len() as u64,
             flips,
         };
         let result = if unschedulable.is_empty() {
-            Ok((orientation.to_assignment(), evaluator.delays()))
+            Ok((assignment, evaluator.delays()))
         } else {
             Err(InfeasibleError::new("DMR", unschedulable))
         };
@@ -142,19 +139,19 @@ impl Dmr {
     fn repair_inner<'a>(
         &self,
         analysis: &'a Analysis<'_>,
-        active: &BTreeSet<JobId>,
+        active: &JobMask,
     ) -> (
-        Orientation,
+        PairwiseAssignment,
         DelayEvaluator<'a>,
         Vec<JobId>,
         Vec<(JobId, JobId)>,
     ) {
         let jobs = analysis.jobs();
-        let (mut orientation, mut evaluator) = dm_orientation(analysis, active, self.bound);
+        let (mut assignment, mut evaluator) = dm_orientation(analysis, active, self.bound);
         let mut unschedulable = Vec::new();
         let mut flips: Vec<(JobId, JobId)> = Vec::new();
 
-        for &job in active {
+        for job in active {
             // Step 4: only repair jobs that currently miss their deadline.
             let mut delta = evaluator.delay(job);
             if delta <= jobs.job(job).deadline() {
@@ -167,7 +164,7 @@ impl Dmr {
                 .tables()
                 .competitor_mask(job)
                 .iter()
-                .filter(|k| active.contains(k) && orientation.is_higher(*k, job))
+                .filter(|&k| active.contains(k) && assignment.is_higher(k, job))
                 .filter_map(|k| {
                     let slack = evaluator.slack(k);
                     (slack > 0).then_some((k, slack))
@@ -184,7 +181,7 @@ impl Dmr {
                 evaluator.add_lower(job, competitor);
                 evaluator.add_higher(competitor, job);
                 if evaluator.delay(competitor) <= jobs.job(competitor).deadline() {
-                    orientation.set(job, competitor);
+                    assignment.set(job, competitor);
                     flips.push((job, competitor));
                     delta = evaluator.delay(job);
                     if delta <= jobs.job(job).deadline() {
@@ -202,7 +199,7 @@ impl Dmr {
                 unschedulable.push(job);
             }
         }
-        (orientation, evaluator, unschedulable, flips)
+        (assignment, evaluator, unschedulable, flips)
     }
 }
 
@@ -223,33 +220,45 @@ pub(crate) struct PairwiseAdmissionOutcome {
     pub(crate) rejected: Vec<JobId>,
 }
 
-/// The DM relation over the `active` jobs as an orientation matrix plus an
-/// evaluator already tracking it: `J_i > J_k` iff `D_i ≤ D_k` (ties to the
-/// lower id).
+/// The DM relation over the `active` jobs as a witness sized for the whole
+/// set plus an evaluator already tracking it: `J_i > J_k` iff `D_i ≤ D_k`
+/// (ties to the lower id).
 fn dm_orientation<'a>(
     analysis: &'a Analysis<'_>,
-    active: &BTreeSet<JobId>,
+    active: &JobMask,
     bound: DelayBoundKind,
-) -> (Orientation, DelayEvaluator<'a>) {
+) -> (PairwiseAssignment, DelayEvaluator<'a>) {
     let jobs = analysis.jobs();
-    let mut orientation = Orientation::new(jobs.len());
+    let mut assignment = PairwiseAssignment::for_jobs(jobs.len());
     let mut evaluator = analysis.evaluator(bound);
-    let full = active.len() == jobs.len();
-    for &i in active {
+    for i in active {
         for k in analysis.tables().competitor_mask(i).iter() {
-            if k > i && (full || active.contains(&k)) {
+            if k > i && active.contains(k) {
                 let (winner, loser) = if jobs.job(i).deadline() <= jobs.job(k).deadline() {
                     (i, k)
                 } else {
                     (k, i)
                 };
-                orientation.set(winner, loser);
+                assignment.set(winner, loser);
                 evaluator.add_higher(loser, winner);
                 evaluator.add_lower(winner, loser);
             }
         }
     }
-    (orientation, evaluator)
+    (assignment, evaluator)
+}
+
+/// The active job with the largest deadline overshoot (the lowest id on
+/// ties), or `None` when every active job fits.
+fn worst_overshoot(active: &JobMask, evaluator: &DelayEvaluator<'_>) -> Option<JobId> {
+    let mut worst: Option<(JobId, i128)> = None;
+    for job in active {
+        let overshoot = -evaluator.slack(job);
+        if overshoot > 0 && worst.is_none_or(|(_, w)| overshoot > w) {
+            worst = Some((job, overshoot));
+        }
+    }
+    worst.map(|(job, _)| job)
 }
 
 /// Shared admission-controller loop: run DM (plus repair when `use_repair`)
@@ -261,67 +270,43 @@ fn admission_loop(
     bound: DelayBoundKind,
     use_repair: bool,
 ) -> PairwiseAdmissionOutcome {
-    let jobs = analysis.jobs();
-    let mut active: BTreeSet<JobId> = jobs.job_ids().collect();
+    let mut active: JobMask = analysis.jobs().job_ids().collect();
     let mut rejected = Vec::new();
 
     if !use_repair {
         // DM pair orientations do not depend on the active set, so the
         // relation over a shrunk set is obtained by erasing the rejected
         // job's pairs — no per-round rebuild.
-        let (mut orientation, mut evaluator) = dm_orientation(analysis, &active, bound);
-        loop {
-            let mut worst: Option<(JobId, i128)> = None;
-            for &job in &active {
-                let overshoot = -evaluator.slack(job);
-                if overshoot > 0 && worst.is_none_or(|(_, w)| overshoot > w) {
-                    worst = Some((job, overshoot));
-                }
+        let (mut assignment, mut evaluator) = dm_orientation(analysis, &active, bound);
+        while let Some(job) = worst_overshoot(&active, &evaluator) {
+            active.remove(job);
+            for other in &active {
+                evaluator.remove_higher(other, job);
+                evaluator.remove_lower(other, job);
+                assignment.clear(other, job);
             }
-            match worst {
-                Some((job, _)) => {
-                    active.remove(&job);
-                    for &other in &active {
-                        evaluator.remove_higher(other, job);
-                        evaluator.remove_lower(other, job);
-                        orientation.clear(other, job);
-                    }
-                    rejected.push(job);
-                }
-                None => {
-                    let accepted: Vec<JobId> = active.iter().copied().collect();
-                    return PairwiseAdmissionOutcome {
-                        assignment: orientation.to_assignment(),
-                        accepted,
-                        rejected,
-                    };
-                }
-            }
+            rejected.push(job);
         }
+        return PairwiseAdmissionOutcome {
+            assignment,
+            accepted: active.iter().collect(),
+            rejected,
+        };
     }
 
     // DMR restarts the repair phase from a fresh DM assignment after every
     // rejection (Algorithm 2's admission semantics), so each round rebuilds.
     loop {
-        let (orientation, evaluator, _, _) = Dmr::new(bound).repair_inner(analysis, &active);
-        // Find the job with the largest deadline overshoot.
-        let mut worst: Option<(JobId, i128)> = None;
-        for &job in &active {
-            let overshoot = -evaluator.slack(job);
-            if overshoot > 0 && worst.is_none_or(|(_, w)| overshoot > w) {
-                worst = Some((job, overshoot));
-            }
-        }
-        match worst {
-            Some((job, _)) => {
-                active.remove(&job);
+        let (assignment, evaluator, _, _) = Dmr::new(bound).repair_inner(analysis, &active);
+        match worst_overshoot(&active, &evaluator) {
+            Some(job) => {
+                active.remove(job);
                 rejected.push(job);
             }
             None => {
-                let accepted: Vec<JobId> = active.iter().copied().collect();
                 return PairwiseAdmissionOutcome {
-                    assignment: orientation.to_assignment(),
-                    accepted,
+                    assignment,
+                    accepted: active.iter().collect(),
                     rejected,
                 };
             }

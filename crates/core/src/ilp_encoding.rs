@@ -76,10 +76,10 @@ impl PairwiseIlp {
             .expect("the encoding only uses variables of its own problem");
         let outcome = match outcome {
             Outcome::Optimal(solution) | Outcome::Feasible(solution) => {
-                let mut assignment = PairwiseAssignment::new();
+                let mut assignment = PairwiseAssignment::for_jobs(analysis.jobs().len());
                 for (&(i, k), &var) in &variables {
                     if solution.value(var) == 1 {
-                        assignment.set_higher(i, k);
+                        assignment.set(i, k);
                     }
                 }
                 PairwiseSearchOutcome::Feasible(assignment)

@@ -139,7 +139,6 @@ mod online;
 mod opdca;
 mod opt;
 mod ordering;
-mod orientation;
 mod pairwise;
 mod registry;
 mod solver;

@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
 use msmr_model::{JobId, JobSet, Time};
 
-use crate::orientation::Orientation;
 use crate::PairwiseAssignment;
 
 /// How many search nodes are explored between wall-clock deadline checks;
@@ -64,9 +63,9 @@ impl OptPairwise {
     /// outcome and how many nodes the search explored.
     ///
     /// The search keeps a *single* mutable state — an incremental
-    /// [`DelayEvaluator`] plus a flat tri-state orientation matrix — and
-    /// undoes each pair decision on backtrack instead of cloning an
-    /// assignment per node. For job populations of `n ≤ 64` a search node
+    /// [`DelayEvaluator`] plus the witness matrix itself — and undoes each
+    /// pair decision on backtrack instead of cloning an assignment per
+    /// node. For job populations of `n ≤ 64` a search node
     /// therefore performs zero heap allocations.
     pub(crate) fn search(
         &self,
@@ -105,39 +104,42 @@ impl OptPairwise {
 
         let mut search = PairSearch {
             evaluator,
-            orientation: Orientation::new(jobs.len()),
+            assignment: PairwiseAssignment::for_jobs(jobs.len()),
             jobs,
             pairs,
             node_limit,
             deadline: time_limit.map(|limit| Instant::now() + limit),
             nodes: 0,
             truncated: false,
-            solution: None,
+            found: false,
         };
         search.explore(0);
 
-        let outcome = match (search.solution, search.truncated) {
-            (Some(assignment), _) => PairwiseSearchOutcome::Feasible(assignment),
-            (None, true) => PairwiseSearchOutcome::Unknown,
-            (None, false) => PairwiseSearchOutcome::Infeasible,
+        let outcome = if search.found {
+            PairwiseSearchOutcome::Feasible(search.assignment)
+        } else if search.truncated {
+            PairwiseSearchOutcome::Unknown
+        } else {
+            PairwiseSearchOutcome::Infeasible
         };
         (outcome, search.nodes)
     }
 }
 
 /// Mutable state of one branch-and-bound run: one incremental evaluator
-/// and one orientation matrix, mutated on the way down and undone on
-/// backtrack.
+/// and the witness under construction, mutated on the way down and undone
+/// on backtrack.
 struct PairSearch<'a, 'j> {
     evaluator: DelayEvaluator<'a>,
-    orientation: Orientation,
+    assignment: PairwiseAssignment,
     jobs: &'j JobSet,
     pairs: Vec<(JobId, JobId)>,
     node_limit: u64,
     deadline: Option<Instant>,
     nodes: u64,
     truncated: bool,
-    solution: Option<PairwiseAssignment>,
+    /// Every pair is oriented and fits: `assignment` is the witness.
+    found: bool,
 }
 
 impl PairSearch<'_, '_> {
@@ -157,7 +159,9 @@ impl PairSearch<'_, '_> {
         self.nodes += 1;
 
         if depth == self.pairs.len() {
-            self.solution = Some(self.orientation.to_assignment());
+            // Returning `true` unwinds without undoing a decision, so the
+            // matrix is left holding the witness.
+            self.found = true;
             return true;
         }
 
@@ -172,7 +176,7 @@ impl PairSearch<'_, '_> {
         };
 
         for (winner, loser) in orientations {
-            self.orientation.set(winner, loser);
+            self.assignment.set(winner, loser);
             self.evaluator.add_higher(loser, winner);
             self.evaluator.add_lower(winner, loser);
             // Monotonicity: the partial bounds of the two affected jobs are
@@ -183,7 +187,7 @@ impl PairSearch<'_, '_> {
             }
             self.evaluator.remove_higher(loser, winner);
             self.evaluator.remove_lower(winner, loser);
-            self.orientation.clear(winner, loser);
+            self.assignment.clear(winner, loser);
         }
         false
     }

@@ -1,6 +1,6 @@
 //! Pairwise priority assignments (problem P2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -10,6 +10,13 @@ use msmr_model::{JobId, JobSet, ResourceRef, StageId, Time};
 
 use crate::PriorityOrdering;
 
+/// Cell of an undecided pair.
+const UNDECIDED: u8 = 0;
+/// The row job outranks the column job.
+const HIGHER: u8 = 1;
+/// The column job outranks the row job.
+const LOWER: u8 = 2;
+
 /// A pairwise priority assignment: for pairs of jobs that compete for at
 /// least one resource, a relation `J_a > J_b` ("a has higher priority than
 /// b", valid across all stages they share).
@@ -18,11 +25,30 @@ use crate::PriorityOrdering;
 /// unrelated jobs unordered and — crucially, per Observation V.1 of the
 /// paper — is *not* required to be transitive, which is what makes it
 /// strictly more expressive in MSMR systems.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// # Storage
+///
+/// The relation is a flat `n×n` tri-state byte matrix over job ids: cell
+/// `(a, b)` says `a > b`, `b > a` or undecided, and both cells of a pair
+/// are always written together. [`is_higher`](Self::is_higher) and
+/// [`is_decided`](Self::is_decided) are `O(1)` reads. The engines (DM's
+/// orientation, DMR's repair, OPT's undo search, the admission loops)
+/// decide, flip and clear pairs on the witness itself with plain byte
+/// writes into a matrix sized once for the job set;
+/// [`set_higher`](Self::set_higher) grows the matrix to fit its ids.
+///
+/// [`iter`](Self::iter) scans the matrix row by row, so decided pairs come
+/// out as `(winner, loser)` in ascending order. That is the serialized
+/// order and the order of the `Display` list. Two assignments are equal
+/// when they decide the same pairs the same way, whatever their matrix
+/// sizes (a decoded witness is sized from its largest id), and `Debug`
+/// prints the decided pairs, not the matrix.
+#[derive(Clone, Default)]
 pub struct PairwiseAssignment {
-    /// `higher[(a, b)] = true` means `a > b`. Both orientations are stored
-    /// for O(log n) lookups; the two entries are kept consistent.
-    relation: BTreeMap<(JobId, JobId), bool>,
+    /// Matrix dimension: every decided pair has both ids below `n`.
+    n: usize,
+    /// Row-major `n×n` cells.
+    cells: Vec<u8>,
 }
 
 impl PairwiseAssignment {
@@ -32,18 +58,38 @@ impl PairwiseAssignment {
         PairwiseAssignment::default()
     }
 
+    /// An undecided matrix over the ids `0..n`, which the engines fill with
+    /// [`set`](Self::set) and [`clear`](Self::clear) without allocating.
+    pub(crate) fn for_jobs(n: usize) -> Self {
+        PairwiseAssignment {
+            n,
+            cells: vec![UNDECIDED; n * n],
+        }
+    }
+
+    /// An undecided matrix over the ids `0..=largest`, or `None` where
+    /// sizing it would overflow or its cells cannot be allocated.
+    fn try_holding(largest: usize) -> Option<Self> {
+        let n = largest.checked_add(1)?;
+        let len = n.checked_mul(n)?;
+        let mut cells = Vec::new();
+        cells.try_reserve_exact(len).ok()?;
+        cells.resize(len, UNDECIDED);
+        Some(PairwiseAssignment { n, cells })
+    }
+
     /// Derives the pairwise assignment induced by a total priority
     /// ordering, restricted to the pairs that actually compete in `jobs`.
     #[must_use]
     pub fn from_ordering(jobs: &JobSet, ordering: &PriorityOrdering) -> Self {
-        let mut assignment = PairwiseAssignment::new();
+        let mut assignment = PairwiseAssignment::for_jobs(jobs.len());
         for i in jobs.job_ids() {
             for k in jobs.competitors(i) {
                 if i < k && ordering.priority_of(i).is_some() && ordering.priority_of(k).is_some() {
                     if ordering.outranks(i, k) {
-                        assignment.set_higher(i, k);
+                        assignment.set(i, k);
                     } else {
-                        assignment.set_higher(k, i);
+                        assignment.set(k, i);
                     }
                 }
             }
@@ -57,30 +103,66 @@ impl PairwiseAssignment {
     ///
     /// # Panics
     ///
-    /// Panics if `winner == loser`.
+    /// Panics if `winner == loser`, or if an id is so large that the
+    /// `n×n` matrix holding it cannot be allocated.
     pub fn set_higher(&mut self, winner: JobId, loser: JobId) {
         assert_ne!(winner, loser, "a job cannot outrank itself");
-        self.relation.insert((winner, loser), true);
-        self.relation.insert((loser, winner), false);
+        let largest = winner.index().max(loser.index());
+        if largest >= self.n {
+            let mut grown = PairwiseAssignment::try_holding(largest)
+                .expect("job id too large for a pairwise assignment");
+            let rows = grown.cells.chunks_exact_mut(grown.n);
+            for (row, old) in rows.zip(self.cells.chunks_exact(self.n.max(1))) {
+                row[..self.n].copy_from_slice(old);
+            }
+            *self = grown;
+        }
+        self.set(winner, loser);
+    }
+
+    /// Declares `winner > loser` in a matrix that already holds both ids:
+    /// two byte writes, overwriting any previous decision.
+    pub(crate) fn set(&mut self, winner: JobId, loser: JobId) {
+        debug_assert_ne!(winner, loser, "a job cannot outrank itself");
+        debug_assert!(winner.index() < self.n && loser.index() < self.n);
+        self.cells[winner.index() * self.n + loser.index()] = HIGHER;
+        self.cells[loser.index() * self.n + winner.index()] = LOWER;
+    }
+
+    /// Returns the pair to the undecided state.
+    pub(crate) fn clear(&mut self, a: JobId, b: JobId) {
+        debug_assert!(a.index() < self.n && b.index() < self.n);
+        self.cells[a.index() * self.n + b.index()] = UNDECIDED;
+        self.cells[b.index() * self.n + a.index()] = UNDECIDED;
+    }
+
+    /// The cell of the ordered pair `(a, b)`; ids beyond the matrix are
+    /// undecided.
+    fn cell(&self, a: JobId, b: JobId) -> u8 {
+        if a.index() < self.n && b.index() < self.n {
+            self.cells[a.index() * self.n + b.index()]
+        } else {
+            UNDECIDED
+        }
     }
 
     /// Returns `true` if the pair has been assigned `a > b`.
     #[must_use]
     pub fn is_higher(&self, a: JobId, b: JobId) -> bool {
-        self.relation.get(&(a, b)).copied().unwrap_or(false)
+        self.cell(a, b) == HIGHER
     }
 
     /// Returns `true` if the relative priority of the pair has been
     /// decided (in either direction).
     #[must_use]
     pub fn is_decided(&self, a: JobId, b: JobId) -> bool {
-        self.relation.contains_key(&(a, b))
+        self.cell(a, b) != UNDECIDED
     }
 
-    /// Number of decided (unordered) pairs.
+    /// Number of decided (unordered) pairs, counted by scanning the matrix.
     #[must_use]
     pub fn decided_pairs(&self) -> usize {
-        self.relation.len() / 2
+        self.cells.iter().filter(|&&cell| cell == HIGHER).count()
     }
 
     /// Returns `true` if every competing pair of `jobs` has been decided.
@@ -137,12 +219,14 @@ impl PairwiseAssignment {
     }
 
     /// Iterates over the decided pairs as `(higher, lower)` tuples, each
-    /// pair reported once.
+    /// pair reported once, in ascending order (the serialized order).
     pub fn iter(&self) -> impl Iterator<Item = (JobId, JobId)> + '_ {
-        self.relation
+        let n = self.n;
+        self.cells
             .iter()
-            .filter(|(_, &is_higher)| is_higher)
-            .map(|(&(a, b), _)| (a, b))
+            .enumerate()
+            .filter(|&(_, &cell)| cell == HIGHER)
+            .map(move |(at, _)| (JobId::new(at / n), JobId::new(at % n)))
     }
 
     /// Converts the assignment into per-stage priority values usable by the
@@ -206,8 +290,8 @@ impl PairwiseAssignment {
 }
 
 // Serialized as the list of decided `[winner, loser]` pairs (each pair
-// once); a manual impl because the internal double-entry map would need
-// tuple-valued JSON object keys.
+// once, in `iter` order), not as the matrix, whose size is an engine
+// detail.
 impl serde::Serialize for PairwiseAssignment {
     fn serialize(&self) -> serde::Value {
         let pairs: Vec<(JobId, JobId)> = self.iter().collect();
@@ -218,7 +302,16 @@ impl serde::Serialize for PairwiseAssignment {
 impl serde::Deserialize for PairwiseAssignment {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let pairs = <Vec<(JobId, JobId)> as serde::Deserialize>::deserialize(value)?;
-        let mut assignment = PairwiseAssignment::new();
+        let largest = pairs.iter().map(|&(w, l)| w.index().max(l.index())).max();
+        let mut assignment = match largest {
+            None => PairwiseAssignment::new(),
+            Some(id) => PairwiseAssignment::try_holding(id).ok_or_else(|| {
+                serde::Error::custom(format!(
+                    "job {} is too large for a pairwise assignment",
+                    JobId::new(id)
+                ))
+            })?,
+        };
         for (winner, loser) in pairs {
             if winner == loser {
                 return Err(serde::Error::custom(format!(
@@ -230,9 +323,23 @@ impl serde::Deserialize for PairwiseAssignment {
                     "pair ({winner}, {loser}) appears twice in the serialized assignment"
                 )));
             }
-            assignment.set_higher(winner, loser);
+            assignment.set(winner, loser);
         }
         Ok(assignment)
+    }
+}
+
+impl PartialEq for PairwiseAssignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for PairwiseAssignment {}
+
+impl fmt::Debug for PairwiseAssignment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -298,6 +405,8 @@ mod tests {
     use crate::test_support::assignment_fits;
     use msmr_dca::reference::ReferenceBounds;
     use msmr_model::{JobSetBuilder, PreemptionPolicy};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn jid(i: usize) -> JobId {
         JobId::new(i)
@@ -354,6 +463,35 @@ mod tests {
         assert_eq!(a.decided_pairs(), 1);
         assert_eq!(a.iter().count(), 1);
         assert_eq!((&a).into_iter().count(), 1);
+    }
+
+    #[test]
+    fn set_clear_and_query() {
+        let mut o = PairwiseAssignment::for_jobs(3);
+        assert!(!o.is_higher(jid(0), jid(1)));
+        o.set(jid(0), jid(1));
+        assert!(o.is_higher(jid(0), jid(1)));
+        assert!(!o.is_higher(jid(1), jid(0)));
+        o.set(jid(1), jid(0));
+        assert!(o.is_higher(jid(1), jid(0)));
+        o.clear(jid(0), jid(1));
+        assert!(!o.is_higher(jid(0), jid(1)) && !o.is_higher(jid(1), jid(0)));
+        assert!(!o.is_decided(jid(0), jid(1)));
+    }
+
+    #[test]
+    fn converts_to_the_same_assignment_as_direct_construction() {
+        // Engine writes into a pre-sized matrix and `set_higher` growing
+        // one from empty build equal witnesses.
+        let mut o = PairwiseAssignment::for_jobs(6);
+        o.set(jid(2), jid(0));
+        o.set(jid(0), jid(1));
+        o.set(jid(3), jid(2));
+        let mut expected = PairwiseAssignment::new();
+        expected.set_higher(jid(2), jid(0));
+        expected.set_higher(jid(0), jid(1));
+        expected.set_higher(jid(3), jid(2));
+        assert_eq!(o, expected);
     }
 
     #[test]
@@ -455,5 +593,95 @@ mod tests {
         assert_eq!(a.to_string(), "(empty)");
         a.set_higher(jid(1), jid(0));
         assert!(a.to_string().contains("J1 > J0"));
+    }
+
+    /// The relation as a double-entry `BTreeMap`, `higher[(a, b)] = true`
+    /// meaning `a > b`: the model the matrix must agree with on every
+    /// query, on `Display` and on serialized bytes.
+    #[derive(Default)]
+    struct MapRelation(BTreeMap<(JobId, JobId), bool>);
+
+    impl MapRelation {
+        fn set_higher(&mut self, winner: JobId, loser: JobId) {
+            self.0.insert((winner, loser), true);
+            self.0.insert((loser, winner), false);
+        }
+
+        fn is_higher(&self, a: JobId, b: JobId) -> bool {
+            self.0.get(&(a, b)).copied().unwrap_or(false)
+        }
+
+        fn pairs(&self) -> Vec<(JobId, JobId)> {
+            self.0
+                .iter()
+                .filter(|(_, &higher)| higher)
+                .map(|(&pair, _)| pair)
+                .collect()
+        }
+
+        fn display(&self) -> String {
+            let pairs = self.pairs();
+            if pairs.is_empty() {
+                return "(empty)".to_string();
+            }
+            let pairs: Vec<String> = pairs.iter().map(|(w, l)| format!("{w} > {l}")).collect();
+            pairs.join(", ")
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `set_higher` sequences from `new()`, with overwrites and
+        /// ids in any order, agree with the map model everywhere.
+        #[test]
+        fn matrix_agrees_with_the_map_model(
+            decisions in prop::collection::vec((0usize..40, 0usize..40), 0..60)
+        ) {
+            let mut matrix = PairwiseAssignment::new();
+            let mut model = MapRelation::default();
+            for (winner, loser) in decisions {
+                if winner != loser {
+                    matrix.set_higher(jid(winner), jid(loser));
+                    model.set_higher(jid(winner), jid(loser));
+                }
+            }
+            for a in 0..42 {
+                for b in 0..42 {
+                    let (a, b) = (jid(a), jid(b));
+                    prop_assert_eq!(matrix.is_higher(a, b), model.is_higher(a, b));
+                    prop_assert_eq!(matrix.is_decided(a, b), model.0.contains_key(&(a, b)));
+                }
+            }
+            prop_assert_eq!(matrix.decided_pairs(), model.0.len() / 2);
+            prop_assert_eq!(matrix.iter().collect::<Vec<_>>(), model.pairs());
+            prop_assert_eq!(matrix.to_string(), model.display());
+            let json = serde_json::to_string(&matrix).unwrap();
+            prop_assert_eq!(&json, &serde_json::to_string(&model.pairs()).unwrap());
+            let back: PairwiseAssignment = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back, matrix);
+        }
+    }
+
+    #[test]
+    fn an_engine_sized_witness_equals_its_json_round_trip() {
+        // Sized for 100 jobs, the last ones undecided: the decoded copy is
+        // sized from its largest id and must still be equal, print the same
+        // and serialize to the same bytes.
+        let mut witness = PairwiseAssignment::for_jobs(100);
+        witness.set(jid(3), jid(0));
+        witness.set(jid(1), jid(7));
+        witness.set(jid(40), jid(2));
+        witness.set(jid(1), jid(40));
+        witness.clear(jid(1), jid(7));
+        let json = serde_json::to_string(&witness).unwrap();
+        assert_eq!(json, "[[1,40],[3,0],[40,2]]");
+        let back: PairwiseAssignment = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.n, 41);
+        assert_eq!(back, witness);
+        assert_eq!(format!("{back:?}"), format!("{witness:?}"));
+        assert_eq!(back.to_string(), witness.to_string());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_ne!(back, PairwiseAssignment::for_jobs(100));
     }
 }

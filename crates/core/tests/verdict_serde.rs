@@ -90,6 +90,27 @@ fn ordering_witness_round_trips_and_rejects_duplicates() {
 }
 
 #[test]
+fn malformed_pairwise_witnesses_are_serde_errors_not_panics() {
+    let error = |json: &str| {
+        serde_json::from_str::<PairwiseAssignment>(json)
+            .expect_err(json)
+            .to_string()
+    };
+    assert!(error("[[1,1]]").contains("cannot outrank itself"));
+    assert!(error("[[0,1],[0,1]]").contains("appears twice"));
+    assert!(error("[[2,0],[1,3],[0,2]]").contains("appears twice"));
+    // The matrix holding id `usize::MAX` needs `usize::MAX + 1` rows, and
+    // the one holding 2^32 needs more than `usize::MAX` cells.
+    assert!(error(&format!("[[{},0]]", usize::MAX)).contains("too large"));
+    assert!(error("[[0,1],[4294967296,2]]").contains("too large"));
+    // Sparse ids are fine: the decoded witness is sized from the largest.
+    let sparse: PairwiseAssignment = serde_json::from_str("[[0,300],[7,1]]").unwrap();
+    assert!(sparse.is_higher(JobId::new(0), JobId::new(300)));
+    assert!(!sparse.is_decided(JobId::new(0), JobId::new(1)));
+    assert_eq!(serde_json::to_string(&sparse).unwrap(), "[[0,300],[7,1]]");
+}
+
+#[test]
 fn solver_stats_defaults_round_trip() {
     let stats = SolverStats::default();
     let json = serde_json::to_string(&stats).expect("serializable");
