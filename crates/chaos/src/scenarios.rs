@@ -19,7 +19,9 @@ use msmr_serve::protocol::{
 use msmr_serve::{
     Client, Endpoint, Listen, ObservedOp, ResumingClient, RetryError, RetryPolicy, SessionConfig,
 };
-use msmr_stats::{fetch_flight_dump, fetch_stats_json, EventKind, FlightDump, StatsSnapshot};
+use msmr_stats::{
+    audit, fetch_flight_dump, fetch_stats_json, EventKind, FlightDump, StatsSnapshot,
+};
 use msmr_workload::arrival_order;
 
 use crate::harness::{wait_until, DaemonHarness};
@@ -74,91 +76,6 @@ fn admitted(decisions: &[Decision]) -> usize {
         .iter()
         .filter(|d| matches!(d.op, DecisionOp::Admit { admitted: true, .. }))
         .count()
-}
-
-/// Post-failure accounting: reconciles the flight recorder's event
-/// tallies and the per-op [`LatencyHisto`](msmr_stats::LatencyHisto)
-/// totals against the decided-op counts the scenario derived from its
-/// surviving history. The recorder, the counters and the histograms
-/// are fed by the same seams, so after any fault they must agree
-/// exactly — a lost or double-counted op shows up as a delta here.
-fn verify_accounting(
-    context: &str,
-    snapshot: &StatsSnapshot,
-    dump: &FlightDump,
-    decided: u64,
-    withdraws: u64,
-    deduped: u64,
-) -> Result<(), String> {
-    if dump.dropped != 0 {
-        return Err(format!(
-            "{context}: the flight ring dropped {} event(s) — scenarios are sized under capacity",
-            dump.dropped
-        ));
-    }
-    let c = &snapshot.counters;
-    // Counter ↔ flight-event identities: both record at the same seams.
-    for (what, counter, events) in [
-        (
-            "decisions",
-            c.admits + c.rejects,
-            dump.count(EventKind::Admit) + dump.count(EventKind::Reject),
-        ),
-        ("withdraws", c.withdraws, dump.count(EventKind::Withdraw)),
-        ("submits", c.submits, dump.count(EventKind::Submit)),
-        ("overloads", c.overloads, dump.count(EventKind::Overload)),
-        ("evictions", c.evictions, dump.count(EventKind::Eviction)),
-        (
-            "snapshot writes",
-            c.snapshot_writes,
-            dump.count(EventKind::SnapshotWrite),
-        ),
-        (
-            "quarantines",
-            c.snapshot_quarantined,
-            dump.count(EventKind::SnapshotQuarantine),
-        ),
-        ("dedups", c.deduped_ops, dump.count(EventKind::Dedup)),
-    ] {
-        if counter != events {
-            return Err(format!(
-                "{context}: the {what} counter says {counter} but the flight \
-                 recorder holds {events} event(s)"
-            ));
-        }
-    }
-    // History ties: what survived must be exactly what was counted.
-    if c.admits + c.rejects != decided {
-        return Err(format!(
-            "{context}: {} decision(s) counted, the surviving history decided {decided}",
-            c.admits + c.rejects
-        ));
-    }
-    if c.withdraws != withdraws {
-        return Err(format!(
-            "{context}: {} withdraw(s) counted, the surviving history holds {withdraws}",
-            c.withdraws
-        ));
-    }
-    if c.deduped_ops != deduped {
-        return Err(format!(
-            "{context}: {} dedup(s) counted, the client observed {deduped} deduped ack(s)",
-            c.deduped_ops
-        ));
-    }
-    // The latency histograms hold exactly one sample per decided op.
-    for (op, expected) in [("admit", decided), ("withdraw", withdraws)] {
-        let (samples, total) = snapshot.ops.get(op).map_or((0, 0), |lat| {
-            (lat.samples, lat.histo_buckets.iter().sum::<u64>())
-        });
-        if samples != expected || total != expected {
-            return Err(format!(
-                "{context}: op `{op}` histograms hold {total} sample(s) \
-                 (stored total {samples}), the surviving history decided {expected}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// SIGKILL the daemon mid-replay and resume against a restart.
@@ -295,7 +212,7 @@ pub fn kill_restart(seed: u64) -> Result<Vec<String>, String> {
     let live: StatsSnapshot =
         serde_json::from_str(live.trim()).map_err(|e| format!("bad stats snapshot: {e}"))?;
     let dump = fetch_flight_dump(&stats_addr).map_err(|e| format!("flight fetch: {e}"))?;
-    verify_accounting(
+    audit::accounting(
         "kill-restart",
         &live,
         &dump,
@@ -479,7 +396,7 @@ pub fn torn_snapshot(seed: u64) -> Result<Vec<String>, String> {
     // Post-failure accounting on the rebooted engine: one fresh
     // decision, two quarantine events, nothing deduped — recorder,
     // counters and histograms all agree.
-    verify_accounting(
+    audit::accounting(
         "torn-snapshot",
         &engine.stats_snapshot(),
         &engine.stats().flight_dump(),
@@ -605,7 +522,7 @@ pub fn overload_storm(seed: u64) -> Result<Vec<String>, String> {
     // Post-failure accounting: two decided ops around the storm, every
     // bounce a flight Overload event, histograms holding exactly one
     // sample per decision and none for the bounced attempts.
-    verify_accounting(
+    audit::accounting(
         "overload-storm",
         &engine.stats_snapshot(),
         &engine.stats().flight_dump(),
@@ -833,7 +750,7 @@ pub fn frame_chaos(seed: u64) -> Result<Vec<String>, String> {
     // Post-failure accounting: exactly one decision and one histogram
     // sample per unique seq despite the duplicated/reordered/corrupted
     // lines, and one flight Dedup event per deduped ack the client saw.
-    verify_accounting(
+    audit::accounting(
         "frame-chaos",
         &engine.stats_snapshot(),
         &engine.stats().flight_dump(),
@@ -1145,7 +1062,7 @@ pub fn clock_skew(seed: u64) -> Result<Vec<String>, String> {
     // Post-failure accounting: three decisions across the skew (two
     // before the eviction, one after the resurrection), one Eviction
     // and one SnapshotWrite flight event matching their counters.
-    verify_accounting(
+    audit::accounting(
         "clock-skew",
         &engine.stats_snapshot(),
         &engine.stats().flight_dump(),

@@ -14,7 +14,7 @@
 //! pieces:
 //!
 //! * [`SessionStore`] — sessions are *named* and hashed (stable FNV-1a)
-//!   onto `N` shards, each shard a mutex-guarded slab of sessions. Any
+//!   onto `N` shards, each shard a mutex-guarded map of sessions. Any
 //!   number of connections [`attach`](msmr_serve::protocol::Op::Attach)
 //!   to the same name and admit into / observe the same admitted set.
 //!   Operations on one session serialize at that session's own mutex

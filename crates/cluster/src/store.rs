@@ -1,9 +1,8 @@
 //! The sharded store of named shared sessions.
 //!
 //! Session names hash (FNV-1a, stable across platforms and daemon
-//! restarts) onto one of `N` shards; each shard is a mutex-guarded slab
-//! (a `Vec` of slots with a free list, plus a name → slot index) of
-//! [`SharedSession`]s. The shard lock covers only the *lookup* —
+//! restarts) onto one of `N` shards; each shard is a mutex-guarded
+//! name → [`SharedSession`] map. The shard lock covers only the *lookup* —
 //! attach/create/remove bookkeeping — never the solve work: every
 //! session is handed out as an `Arc` and guards its own state, so two
 //! clients of different sessions never contend, and two clients of the
@@ -344,46 +343,8 @@ impl SharedSession {
     }
 }
 
-/// One shard: a slab of sessions plus the name index.
-#[derive(Default)]
-struct Shard {
-    slots: Vec<Option<Arc<SharedSession>>>,
-    free: Vec<usize>,
-    index: HashMap<String, usize>,
-}
-
-impl Shard {
-    fn insert(&mut self, session: Arc<SharedSession>) {
-        let name = session.name().to_string();
-        if let Some(&slot) = self.index.get(&name) {
-            self.slots[slot] = Some(session);
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(session);
-                slot
-            }
-            None => {
-                self.slots.push(Some(session));
-                self.slots.len() - 1
-            }
-        };
-        self.index.insert(name, slot);
-    }
-
-    fn get(&self, name: &str) -> Option<Arc<SharedSession>> {
-        self.index
-            .get(name)
-            .and_then(|&slot| self.slots[slot].clone())
-    }
-
-    fn remove(&mut self, name: &str) -> Option<Arc<SharedSession>> {
-        let slot = self.index.remove(name)?;
-        self.free.push(slot);
-        self.slots[slot].take()
-    }
-}
+/// One shard: its sessions by name.
+type Shard = HashMap<String, Arc<SharedSession>>;
 
 impl fmt::Debug for SharedSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -455,11 +416,14 @@ impl SessionStore {
         let mut candidates = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("shard lock poisoned");
-            candidates.extend(shard.index.values().filter_map(|&slot| {
-                let session = shard.slots[slot].as_ref()?;
-                (session.attached() == 0 && session.idle_millis(now) >= ttl_millis)
-                    .then(|| Arc::clone(session))
-            }));
+            candidates.extend(
+                shard
+                    .values()
+                    .filter(|session| {
+                        session.attached() == 0 && session.idle_millis(now) >= ttl_millis
+                    })
+                    .cloned(),
+            );
         }
         candidates.sort_by(|a, b| a.name().cmp(b.name()));
         candidates
@@ -473,30 +437,9 @@ impl SessionStore {
     pub fn remove_if_idle(&self, name: &str, ttl_millis: u64) -> Option<Arc<SharedSession>> {
         let now = self.clock.now_millis();
         let mut shard = self.shard(name).lock().expect("shard lock poisoned");
-        let still_idle = {
-            let session = shard
-                .index
-                .get(name)
-                .and_then(|&slot| shard.slots[slot].as_ref())?;
-            session.attached() == 0 && session.idle_millis(now) >= ttl_millis
-        };
+        let session = shard.get(name)?;
+        let still_idle = session.attached() == 0 && session.idle_millis(now) >= ttl_millis;
         still_idle.then(|| shard.remove(name)).flatten()
-    }
-
-    /// Removes and returns every session that has **no attached
-    /// connection** and has been idle for at least `ttl_millis` — the
-    /// unbounded-growth valve of long-running daemons. Sessions with
-    /// attached clients are never evicted (their `Arc` would keep
-    /// operating on a ghost while new attaches create a divergent
-    /// namesake). Callers that persist evictees must use the two-phase
-    /// [`SessionStore::idle_candidates`] / [`SessionStore::remove_if_idle`]
-    /// protocol instead, so the snapshot lands *before* the name is
-    /// released.
-    pub fn evict_idle(&self, ttl_millis: u64) -> Vec<Arc<SharedSession>> {
-        self.idle_candidates(ttl_millis)
-            .into_iter()
-            .filter(|session| self.remove_if_idle(session.name(), ttl_millis).is_some())
-            .collect()
     }
 
     /// The number of shards.
@@ -523,6 +466,7 @@ impl SessionStore {
             .lock()
             .expect("shard lock poisoned")
             .get(name)
+            .cloned()
     }
 
     /// Attaches to `name`, creating the session when `create` is set.
@@ -540,7 +484,7 @@ impl SessionStore {
         if let Some(session) = shard.get(name) {
             session.client_attached();
             return Ok(AttachOutcome {
-                session,
+                session: Arc::clone(session),
                 created: false,
             });
         }
@@ -549,7 +493,7 @@ impl SessionStore {
         }
         let session = self.new_session(name);
         session.client_attached();
-        shard.insert(Arc::clone(&session));
+        shard.insert(name.to_string(), Arc::clone(&session));
         Ok(AttachOutcome {
             session,
             created: true,
@@ -587,11 +531,11 @@ impl SessionStore {
         let mut shard = self.shard(name).lock().expect("shard lock poisoned");
         if let Some(existing) = shard.get(name) {
             existing.install(session, version);
-            return Ok(existing);
+            return Ok(Arc::clone(existing));
         }
         let shared = self.new_session(name);
         shared.install(session, version);
-        shard.insert(Arc::clone(&shared));
+        shard.insert(name.to_string(), Arc::clone(&shared));
         Ok(shared)
     }
 
@@ -615,7 +559,6 @@ impl SessionStore {
                 shard
                     .lock()
                     .expect("shard lock poisoned")
-                    .index
                     .keys()
                     .cloned()
                     .collect::<Vec<_>>()
@@ -633,7 +576,7 @@ impl SessionStore {
     pub fn shard_lens(&self) -> Vec<u64> {
         self.shards
             .iter()
-            .map(|shard| shard.lock().expect("shard lock poisoned").index.len() as u64)
+            .map(|shard| shard.lock().expect("shard lock poisoned").len() as u64)
             .collect()
     }
 
@@ -642,7 +585,7 @@ impl SessionStore {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.lock().expect("shard lock poisoned").index.len())
+            .map(|shard| shard.lock().expect("shard lock poisoned").len())
             .sum()
     }
 
@@ -695,25 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_reused_after_removal() {
-        let store = SessionStore::new(1, SessionConfig::default());
-        for round in 0..3 {
-            for i in 0..8 {
-                store.attach(&format!("s{i}"), true).unwrap();
-            }
-            for i in 0..8 {
-                assert!(store.remove(&format!("s{i}")).is_some(), "round {round}");
-            }
-        }
-        let shard = store.shards[0].lock().unwrap();
-        assert!(
-            shard.slots.len() <= 8,
-            "free list must recycle slots, got {} slots",
-            shard.slots.len()
-        );
-    }
-
-    #[test]
     fn sharding_is_deterministic_and_total() {
         let a = SessionStore::new(7, SessionConfig::default());
         let b = SessionStore::new(7, SessionConfig::default());
@@ -751,14 +675,21 @@ mod tests {
         busy.client_detached();
         // `held` keeps one attached client and must survive any TTL.
 
+        // One sweep of the two-phase protocol: scan, then remove each
+        // candidate that still qualifies.
+        let sweep = |ttl| -> Vec<String> {
+            store
+                .idle_candidates(ttl)
+                .iter()
+                .filter_map(|s| store.remove_if_idle(s.name(), ttl))
+                .map(|s| s.name().to_string())
+                .collect()
+        };
+
         clock.0.store(10_000, Ordering::SeqCst);
         // `busy` saw activity just now.
         busy.touch();
-        let evicted = store.evict_idle(5_000);
-        assert_eq!(
-            evicted.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            vec!["idle"]
-        );
+        assert_eq!(sweep(5_000), vec!["idle"]);
         assert!(store.get("idle").is_none());
         assert!(store.get("busy").is_some());
         assert!(store.get("held").is_some());
@@ -766,11 +697,7 @@ mod tests {
         // Once `busy` goes idle past the TTL it is evicted too; `held`
         // still is not.
         clock.0.store(20_000, Ordering::SeqCst);
-        let evicted = store.evict_idle(5_000);
-        assert_eq!(
-            evicted.iter().map(|s| s.name()).collect::<Vec<_>>(),
-            vec!["busy"]
-        );
+        assert_eq!(sweep(5_000), vec!["busy"]);
         assert_eq!(store.len(), 1);
         drop(held);
 

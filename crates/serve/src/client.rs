@@ -139,19 +139,14 @@ impl Client {
         ))
     }
 
-    /// Sends one operation and invokes `on_frame` for every streamed
-    /// frame as it arrives, returning all frames (the terminating `Done`
-    /// included) once the stream ends.
+    /// Sends one operation and returns every streamed frame (the
+    /// terminating `Done` included) once the stream ends.
     ///
     /// # Errors
     ///
     /// Fails on transport errors, on malformed frames, and when the
     /// connection closes before the `Done` frame.
-    pub fn request_streamed(
-        &mut self,
-        op: Op,
-        mut on_frame: impl FnMut(&Response),
-    ) -> io::Result<Vec<Response>> {
+    pub fn request(&mut self, op: Op) -> io::Result<Vec<Response>> {
         let id = self.next_id;
         self.next_id += 1;
         write_request(&mut self.writer, &Request { id, op })?;
@@ -169,22 +164,12 @@ impl Client {
                     format!("frame for request {} while awaiting {}", response.id, id),
                 ));
             }
-            on_frame(&response);
             let done = matches!(response.frame, Frame::Done(_));
             frames.push(response);
             if done {
                 return Ok(frames);
             }
         }
-    }
-
-    /// [`Client::request_streamed`] without a per-frame callback.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::request_streamed`].
-    pub fn request(&mut self, op: Op) -> io::Result<Vec<Response>> {
-        self.request_streamed(op, |_| {})
     }
 
     /// Replays an arrival trace against the daemon: opens the session
@@ -383,36 +368,6 @@ pub struct ResumeStats {
     pub failovers: u64,
 }
 
-/// One journaled (not yet checkpointed) operation, replayable verbatim.
-#[derive(Debug, Clone)]
-enum PendingPayload {
-    Admit { job: JobSpec, evaluate: bool },
-    Withdraw { job: u64, evaluate: bool },
-}
-
-#[derive(Debug, Clone)]
-struct PendingOp {
-    seq: u64,
-    payload: PendingPayload,
-}
-
-impl PendingOp {
-    fn to_op(&self) -> Op {
-        match &self.payload {
-            PendingPayload::Admit { job, evaluate } => Op::Admit(AdmitOp {
-                job: job.clone(),
-                evaluate: Some(*evaluate),
-                seq: Some(self.seq),
-            }),
-            PendingPayload::Withdraw { job, evaluate } => Op::Withdraw(WithdrawOp {
-                job: *job,
-                evaluate: Some(*evaluate),
-                seq: Some(self.seq),
-            }),
-        }
-    }
-}
-
 /// How one attempt of one op failed, for the retry loop's triage.
 enum IssueError {
     /// Transport failure — reconnect and retry.
@@ -422,6 +377,14 @@ enum IssueError {
     Overload(io::Error),
     /// Typed daemon error or malformed response — do not retry.
     Fatal(io::Error),
+}
+
+impl IssueError {
+    fn into_io(self) -> io::Error {
+        match self {
+            IssueError::Io(e) | IssueError::Overload(e) | IssueError::Fatal(e) => e,
+        }
+    }
 }
 
 /// A crash-tolerant session client: every admit/withdraw carries a
@@ -447,7 +410,8 @@ pub struct ResumingClient {
     client: Option<Client>,
     pipeline: Option<JobSet>,
     next_seq: u64,
-    journal: Vec<PendingOp>,
+    /// Ops acked since the last checkpoint, as sent (seq inside).
+    journal: Vec<Op>,
     stats: ResumeStats,
     observed: Vec<ObservedOp>,
 }
@@ -553,37 +517,19 @@ impl ResumingClient {
     /// [`RetryError::Exhausted`] when the policy gives up,
     /// [`RetryError::Fatal`] on typed daemon errors.
     pub fn admit(&mut self, job: &JobSpec, evaluate: bool) -> Result<AdmitFrame, RetryError> {
-        let op = PendingOp {
-            seq: self.next_seq,
-            payload: PendingPayload::Admit {
-                job: job.clone(),
-                evaluate,
-            },
-        };
-        self.journal.push(op.clone());
-        let frames = self.issue_with_retry(&op)?;
-        self.observed.push(ObservedOp {
-            seq: op.seq,
-            op: op.to_op(),
-            frames: frames.clone(),
+        let op = Op::Admit(AdmitOp {
+            job: job.clone(),
+            evaluate: Some(evaluate),
+            seq: Some(self.next_seq),
         });
-        let frame = frames
-            .iter()
-            .find_map(|r| match &r.frame {
-                Frame::Admit(frame) => Some(frame.clone()),
+        self.issue_journaled(
+            op,
+            "daemon answered admit without an admit frame",
+            |f| match f {
+                Frame::Admit(frame) => Some((frame.clone(), frame.deduped)),
                 _ => None,
-            })
-            .ok_or_else(|| {
-                RetryError::Fatal(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "daemon answered admit without an admit frame",
-                ))
-            })?;
-        if frame.deduped == Some(true) {
-            self.stats.deduped_acks += 1;
-        }
-        self.next_seq += 1;
-        Ok(frame)
+            },
+        )
     }
 
     /// Withdraws an admitted handle under the next decision seq,
@@ -593,34 +539,19 @@ impl ResumingClient {
     ///
     /// As [`ResumingClient::admit`].
     pub fn withdraw(&mut self, job: u64, evaluate: bool) -> Result<WithdrawFrame, RetryError> {
-        let op = PendingOp {
-            seq: self.next_seq,
-            payload: PendingPayload::Withdraw { job, evaluate },
-        };
-        self.journal.push(op.clone());
-        let frames = self.issue_with_retry(&op)?;
-        self.observed.push(ObservedOp {
-            seq: op.seq,
-            op: op.to_op(),
-            frames: frames.clone(),
+        let op = Op::Withdraw(WithdrawOp {
+            job,
+            evaluate: Some(evaluate),
+            seq: Some(self.next_seq),
         });
-        let frame = frames
-            .iter()
-            .find_map(|r| match &r.frame {
-                Frame::Withdraw(frame) => Some(frame.clone()),
+        self.issue_journaled(
+            op,
+            "daemon answered withdraw without a withdraw frame",
+            |f| match f {
+                Frame::Withdraw(frame) => Some((frame.clone(), frame.deduped)),
                 _ => None,
-            })
-            .ok_or_else(|| {
-                RetryError::Fatal(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "daemon answered withdraw without a withdraw frame",
-                ))
-            })?;
-        if frame.deduped == Some(true) {
-            self.stats.deduped_acks += 1;
-        }
-        self.next_seq += 1;
-        Ok(frame)
+            },
+        )
     }
 
     /// Snapshots the session server-side and prunes the journal: ops
@@ -631,42 +562,45 @@ impl ResumingClient {
     ///
     /// As [`ResumingClient::admit`].
     pub fn checkpoint(&mut self) -> Result<(), RetryError> {
-        let mut last: Option<io::Error> = None;
-        for attempt in 0..self.policy.max_attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.policy.delay(attempt, &mut self.rng));
-                self.stats.retries += 1;
-            }
-            let result = (|| -> Result<(), IssueError> {
-                self.ensure_connected().map_err(IssueError::Io)?;
-                let client = self.client.as_mut().expect("connected above");
-                let frames = client
-                    .request(Op::Snapshot(SnapshotOp {
-                        session: Some(self.session.clone()),
-                    }))
-                    .map_err(IssueError::Io)?;
-                triage_frames(&frames)
-            })();
-            match result {
-                Ok(()) => {
-                    self.journal.clear();
-                    return Ok(());
-                }
-                Err(IssueError::Io(e)) => {
-                    self.client = None;
-                    last = Some(e);
-                }
-                Err(IssueError::Overload(e)) => last = Some(e),
-                Err(IssueError::Fatal(e)) => return Err(RetryError::Fatal(e)),
-            }
-        }
-        Err(RetryError::Exhausted {
-            attempts: self.policy.max_attempts,
-            last: last.unwrap_or_else(|| io::Error::other("no attempt ran")),
-        })
+        self.issue_with_retry(&Op::Snapshot(SnapshotOp {
+            session: Some(self.session.clone()),
+        }))?;
+        self.journal.clear();
+        Ok(())
     }
 
-    fn issue_with_retry(&mut self, op: &PendingOp) -> Result<Vec<Response>, RetryError> {
+    /// The path `admit` and `withdraw` share: issues `op` (stamped with
+    /// the next seq) through the retry loop and observes its frames;
+    /// once `ack` finds the op's ack frame, journals the op, counts a
+    /// deduped ack and advances the seq.
+    fn issue_journaled<F>(
+        &mut self,
+        op: Op,
+        missing_ack: &str,
+        ack: impl Fn(&Frame) -> Option<(F, Option<bool>)>,
+    ) -> Result<F, RetryError> {
+        let frames = self.issue_with_retry(&op)?;
+        let found = frames.iter().find_map(|r| ack(&r.frame));
+        self.observed.push(ObservedOp {
+            seq: self.next_seq,
+            op: op.clone(),
+            frames,
+        });
+        let (frame, deduped) = found.ok_or_else(|| {
+            RetryError::Fatal(io::Error::new(io::ErrorKind::InvalidData, missing_ack))
+        })?;
+        if deduped == Some(true) {
+            self.stats.deduped_acks += 1;
+        }
+        self.journal.push(op);
+        self.next_seq += 1;
+        Ok(frame)
+    }
+
+    /// The one retry loop: sends `op` on a live (re-attached,
+    /// journal-replayed) connection until an attempt's frames carry
+    /// neither an overload nor an error.
+    fn issue_with_retry(&mut self, op: &Op) -> Result<Vec<Response>, RetryError> {
         let mut last: Option<io::Error> = None;
         for attempt in 0..self.policy.max_attempts {
             if attempt > 0 {
@@ -689,19 +623,18 @@ impl ResumingClient {
         })
     }
 
-    fn try_issue(&mut self, op: &PendingOp) -> Result<Vec<Response>, IssueError> {
+    fn try_issue(&mut self, op: &Op) -> Result<Vec<Response>, IssueError> {
         self.ensure_connected().map_err(IssueError::Io)?;
         let client = self.client.as_mut().expect("connected above");
-        let frames = client.request(op.to_op()).map_err(IssueError::Io)?;
+        let frames = client.request(op.clone()).map_err(IssueError::Io)?;
         triage_frames(&frames)?;
         Ok(frames)
     }
 
     /// Connects, attaches and resyncs when no live connection exists:
     /// re-submits the pipeline if the session had to be re-created, then
-    /// replays every journaled op older than the one about to be issued
-    /// — the daemon's seq-dedupe acks already-applied entries without
-    /// re-applying them.
+    /// replays every journaled op — the daemon's seq-dedupe acks
+    /// already-applied entries without re-applying them.
     fn ensure_connected(&mut self) -> io::Result<()> {
         if self.client.is_some() {
             return Ok(());
@@ -731,26 +664,18 @@ impl ResumingClient {
                     jobs: jobs.clone(),
                     parallel: None,
                 }))?;
-                if let Err(IssueError::Fatal(e) | IssueError::Io(e) | IssueError::Overload(e)) =
-                    triage_frames(&frames)
-                {
-                    return Err(e);
-                }
+                triage_frames(&frames).map_err(IssueError::into_io)?;
             }
         }
-        // Replay the journal up to (not including) next_seq — the op
-        // currently being issued is journaled too and follows normally.
-        for entry in &self.journal {
-            if entry.seq >= self.next_seq {
-                continue;
-            }
-            let frames = client.request(entry.to_op())?;
-            match triage_frames(&frames) {
-                Ok(()) => {}
-                Err(IssueError::Fatal(e) | IssueError::Io(e) | IssueError::Overload(e)) => {
-                    return Err(e)
-                }
-            }
+        // The journal holds the acked ops of the seqs just below
+        // `next_seq`; the op about to be issued joins it once acked.
+        for (entry, seq) in self
+            .journal
+            .iter()
+            .zip(self.next_seq - self.journal.len() as u64..)
+        {
+            let frames = client.request(entry.clone())?;
+            triage_frames(&frames).map_err(IssueError::into_io)?;
             let deduped = frames.iter().any(|r| match &r.frame {
                 Frame::Admit(f) => f.deduped == Some(true),
                 Frame::Withdraw(f) => f.deduped == Some(true),
@@ -760,8 +685,8 @@ impl ResumingClient {
                 self.stats.deduped_acks += 1;
             }
             self.observed.push(ObservedOp {
-                seq: entry.seq,
-                op: entry.to_op(),
+                seq,
+                op: entry.clone(),
                 frames,
             });
         }

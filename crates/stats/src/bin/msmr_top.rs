@@ -1,29 +1,29 @@
 //! `msmr-top` — a std-only terminal dashboard over the stats side
 //! channel, in the spirit of `scxtop`.
 //!
-//! Default mode polls a `--stats-addr` listener and redraws a compact
-//! dashboard: counters, warm/cold ratio, per-op p50/p99 (histogram
-//! estimates: upper bucket edges), a worker queue-depth sparkline
-//! across polls, and per-solver / per-session tables. `--tui`
-//! switches to a full-screen mode on the terminal's
-//! alternate screen (plain ANSI, no terminal library): the same
-//! counters plus log-bucket latency **distribution sparklines** per
-//! op, per-shard session occupancy bars and a per-solver latency
-//! table. Two scripting modes double as the CI validators:
+//! Default mode polls a `--stats-addr` listener and redraws one compact
+//! dashboard (plain text, cleared and homed per frame, so the output of
+//! `--iterations N` stays in the terminal or log): counters, warm/cold
+//! ratio, per-op p50/p99 (histogram estimates: upper bucket edges) with
+//! a log-bucket **distribution sparkline** and its `[lo µs, hi µs)`
+//! range, a worker queue-depth sparkline across polls, and per-solver
+//! (with mean latency) / per-session tables.
 //!
-//! The live modes ride the side channel's **streaming delta mode**: one
+//! The live mode rides the side channel's **streaming delta mode**: one
 //! persistent connection receives the baseline snapshot and then one
 //! `StatsDelta` frame per interval, folded client-side — no
 //! reconnect-per-poll churn against the daemon. If the daemon bounces,
-//! the dashboard reconnects and picks up a fresh baseline. Four
-//! scripting modes double as the CI validators:
+//! the dashboard reconnects and picks up a fresh baseline. Five
+//! scripting modes double as the CI validators; every invariant they
+//! check lives in [`msmr_stats::audit`], and this binary only reads
+//! files and sockets, parses arguments and renders:
 //!
 //! * `--once` prints one raw JSON snapshot (optionally asserting
 //!   `--min-admits N`; when asserted, every op's stored sample total
 //!   and percentile estimates must also be the ones its own histogram
 //!   buckets yield), so shell scripts can check the side channel
-//!   without a JSON tool dependency. Its output is raw snapshot JSON — byte-stable for CI
-//!   regardless of the dashboard modes.
+//!   without a JSON tool dependency. Its output is raw snapshot JSON —
+//!   byte-stable for CI whatever the dashboard renders.
 //! * `--check-trace FILE` validates a `--trace-out` file as
 //!   trace-event JSON (optionally asserting `--expect-spans N` exact
 //!   span and `--expect-counters N` minimum counter-sample tallies).
@@ -34,8 +34,8 @@
 //! * `--replay FILE` is the offline post-mortem: it reconstructs
 //!   per-solver lanes and counter tracks from a recorded Chrome trace,
 //!   rebuilds per-solver span-latency histograms with the same
-//!   log-bucket [`LatencyHisto`], and renders the report without a
-//!   daemon. `--flight DUMP` folds a flight-recorder dump in;
+//!   log-bucket [`msmr_stats::LatencyHisto`], and renders the report
+//!   without a daemon. `--flight DUMP` folds a flight-recorder dump in;
 //!   `--against SNAPSHOT` cross-checks per-solver span counts versus
 //!   the live decisions counters of a saved snapshot.
 //! * `--flight-dump` asks the side channel's `flight` command for the
@@ -48,7 +48,7 @@
 //! cover only the selection (the recorded/dropped totals stay honest).
 //!
 //! ```text
-//! msmr-top --addr 127.0.0.1:9099 [--interval-ms 1000] [--iterations 0] [--tui]
+//! msmr-top --addr 127.0.0.1:9099 [--interval-ms 1000] [--iterations 0]
 //! msmr-top --addr 127.0.0.1:9099 --once [--min-admits 1]
 //! msmr-top --addr 127.0.0.1:9099 --check-stream [--interval-ms 200]
 //! msmr-top --addr 127.0.0.1:9099 --flight-dump [--flight-filter kind=K,session=S]
@@ -56,13 +56,13 @@
 //! msmr-top --replay replay.trace [--flight flight.json] [--against snapshot.json]
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use msmr_stats::{
-    bucket_bounds, fetch_flight_dump, fetch_stats_json, parse_trace, validate_trace, Event,
-    EventKind, FlightDump, LatencyHisto, OpLatency, StatsSnapshot, StatsStream, TraceEvents,
-    TraceSummary,
+    audit, bucket_bounds, fetch_flight_dump, fetch_stats_json, parse_trace, Event, EventKind,
+    FlightDump, StatsSnapshot, StatsStream, TraceEvents,
 };
 
 /// How long `--check-stream` waits for the folded stream to converge
@@ -78,9 +78,6 @@ const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█
 /// Polls of queue depth kept for the sparkline.
 const SPARK_WINDOW: usize = 32;
 
-/// Widest per-shard occupancy bar in the TUI.
-const SHARD_BAR_WIDTH: usize = 30;
-
 #[derive(Debug)]
 struct Options {
     addr: Option<String>,
@@ -88,7 +85,6 @@ struct Options {
     /// 0 = poll until interrupted.
     iterations: u64,
     once: bool,
-    tui: bool,
     min_admits: Option<u64>,
     check_trace: Option<String>,
     expect_spans: Option<u64>,
@@ -108,7 +104,6 @@ impl Default for Options {
             interval_ms: 1000,
             iterations: 0,
             once: false,
-            tui: false,
             min_admits: None,
             check_trace: None,
             expect_spans: None,
@@ -121,39 +116,6 @@ impl Default for Options {
             flight_filter: None,
         }
     }
-}
-
-/// Every [`EventKind`] under the lowercase name `--flight-filter`
-/// accepts; the parser strips `-`/`_` so `snapshot-write` works too.
-const EVENT_KINDS: &[(&str, EventKind)] = &[
-    ("admit", EventKind::Admit),
-    ("reject", EventKind::Reject),
-    ("withdraw", EventKind::Withdraw),
-    ("submit", EventKind::Submit),
-    ("overload", EventKind::Overload),
-    ("eviction", EventKind::Eviction),
-    ("snapshotwrite", EventKind::SnapshotWrite),
-    ("snapshotquarantine", EventKind::SnapshotQuarantine),
-    ("seqconflict", EventKind::SeqConflict),
-    ("dedup", EventKind::Dedup),
-    ("clientattach", EventKind::ClientAttach),
-    ("clientdetach", EventKind::ClientDetach),
-];
-
-fn parse_event_kind(name: &str) -> Result<EventKind, String> {
-    let normalized: String = name
-        .chars()
-        .filter(|c| !matches!(c, '-' | '_'))
-        .collect::<String>()
-        .to_ascii_lowercase();
-    EVENT_KINDS
-        .iter()
-        .find(|(known, _)| *known == normalized)
-        .map(|(_, kind)| *kind)
-        .ok_or_else(|| {
-            let names: Vec<&str> = EVENT_KINDS.iter().map(|(known, _)| *known).collect();
-            format!("unknown event kind `{name}` (one of: {})", names.join(", "))
-        })
 }
 
 /// The `--flight-filter` selection: comma-separated `kind=…` /
@@ -183,7 +145,7 @@ impl FlightFilter {
                 ));
             };
             match key.trim() {
-                "kind" => filter.kind = Some(parse_event_kind(value.trim())?),
+                "kind" => filter.kind = Some(value.trim().parse()?),
                 "session" => filter.session = Some(value.trim().to_string()),
                 other => return Err(format!("unknown filter key `{other}` (kind, session)")),
             }
@@ -238,7 +200,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--iterations needs an integer".to_string())?;
             }
             "--once" => options.once = true,
-            "--tui" => options.tui = true,
             "--min-admits" => {
                 options.min_admits = Some(
                     value("--min-admits")?
@@ -309,11 +270,13 @@ fn sparkline(depths: &[u64]) -> String {
         .collect()
 }
 
-/// The counters / gauges header both dashboard modes share.
-fn render_header(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
+/// Renders one dashboard frame (no ANSI control codes — the caller
+/// prepends the clear sequence in loop mode, tests read it plain).
+fn render(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
     let c = &snapshot.counters;
     let g = &snapshot.gauges;
     let mut out = String::new();
+    out.push_str("msmr-top — admission daemon live stats\n\n");
     out.push_str(&format!(
         "admits {:>8}   rejects {:>6}   withdraws {:>6}   submits {:>4}   overloads {:>4}\n",
         c.admits, c.rejects, c.withdraws, c.submits, c.overloads
@@ -340,36 +303,33 @@ fn render_header(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
         g.workers,
         sparkline(depths)
     ));
-    out
-}
-
-/// Renders one dashboard frame (no ANSI control codes — the caller
-/// prepends the clear sequence in loop mode, tests read it plain).
-fn render(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
-    let mut out = String::new();
-    out.push_str("msmr-top — admission daemon live stats\n\n");
-    out.push_str(&render_header(snapshot, depths));
-    out.push_str("\nop        samples    p50 ≤ µs    p99 ≤ µs   (histogram bucket upper edges)\n");
+    out.push_str(
+        "\nop        samples    p50 ≤ µs    p99 ≤ µs  distribution (p50/p99: bucket upper edges)\n",
+    );
     for (name, lat) in &snapshot.ops {
         out.push_str(&format!(
-            "{name:<10}{:>7}  {:>10.1}  {:>10.1}\n",
-            lat.samples, lat.histo_p50_us, lat.histo_p99_us
+            "{name:<10}{:>7}  {:>10.1}  {:>10.1}  {}\n",
+            lat.samples,
+            lat.histo_p50_us,
+            lat.histo_p99_us,
+            histo_sparkline(&lat.histo_buckets)
         ));
     }
     if !snapshot.solvers.is_empty() {
         out.push_str(
-            "\nsolver    verdicts  accepted      warm      cold   implied       sdca      nodes\n",
+            "\nsolver    verdicts  accepted      warm      cold   implied       sdca      nodes    mean µs\n",
         );
         for (name, row) in &snapshot.solvers {
             out.push_str(&format!(
-                "{name:<10}{:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9}  {:>9}\n",
+                "{name:<10}{:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9}  {:>9}  {:>9.1}\n",
                 row.verdicts,
                 row.accepted,
                 row.warm,
                 row.cold,
                 row.implied,
                 row.sdca_calls,
-                row.nodes_explored
+                row.nodes_explored,
+                row.elapsed_micros as f64 / row.verdicts.max(1) as f64
             ));
         }
     }
@@ -385,158 +345,21 @@ fn render(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
     out
 }
 
-/// Sparkline over the non-empty span of a log-bucket histogram plus a
-/// human `[lower µs, upper µs)` range label; `None` when no samples.
-fn histo_sparkline(buckets: &[u64]) -> Option<(String, String)> {
-    let first = buckets.iter().position(|&c| c > 0)?;
-    let last = buckets.iter().rposition(|&c| c > 0)?;
-    let glyphs = sparkline(&buckets[first..=last]);
+/// Sparkline over the non-empty span of a log-bucket histogram plus its
+/// human `[lower µs, upper µs)` range, or `no samples` when empty.
+fn histo_sparkline(buckets: &[u64]) -> String {
+    let (Some(first), Some(last)) = (
+        buckets.iter().position(|&c| c > 0),
+        buckets.iter().rposition(|&c| c > 0),
+    ) else {
+        return "no samples".to_string();
+    };
     let (lower, _) = bucket_bounds(first);
     let (_, upper) = bucket_bounds(last);
-    Some((glyphs, format!("[{lower}µs, {upper}µs)")))
-}
-
-/// Renders one full-screen TUI frame (plain text; the TUI loop owns
-/// the alternate-screen and cursor-addressing control codes).
-fn render_tui(snapshot: &StatsSnapshot, depths: &[u64]) -> String {
-    let mut out = String::new();
-    out.push_str("msmr-top — admission daemon live stats (tui)\n\n");
-    out.push_str(&render_header(snapshot, depths));
-
-    out.push_str("\nlatency distributions (log-bucket, since boot)\n");
-    out.push_str("op        samples   p50/p99 ≤ µs (bucket upper edges)  distribution\n");
-    for (name, lat) in &snapshot.ops {
-        let (glyphs, range) = histo_sparkline(&lat.histo_buckets)
-            .unwrap_or_else(|| ("".to_string(), "no samples".to_string()));
-        out.push_str(&format!(
-            "{name:<10}{:>7}  {:>7.1}/{:<8.1} {} {}\n",
-            lat.samples, lat.histo_p50_us, lat.histo_p99_us, glyphs, range
-        ));
-    }
-
-    if !snapshot.gauges.sessions_per_shard.is_empty() {
-        out.push_str("\nshard occupancy\n");
-        let max = snapshot
-            .gauges
-            .sessions_per_shard
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        for (shard, &count) in snapshot.gauges.sessions_per_shard.iter().enumerate() {
-            let width = ((count as usize * SHARD_BAR_WIDTH) / max as usize).min(SHARD_BAR_WIDTH);
-            out.push_str(&format!(
-                "shard {shard:<3} {:<width$} {count}\n",
-                "█".repeat(width),
-                width = SHARD_BAR_WIDTH
-            ));
-        }
-    }
-
-    if !snapshot.solvers.is_empty() {
-        out.push_str("\nsolver      verdicts   accept%     warm%    mean µs\n");
-        for (name, row) in &snapshot.solvers {
-            let verdicts = row.verdicts.max(1) as f64;
-            out.push_str(&format!(
-                "{name:<10}{:>10}  {:>7.1}%  {:>7.1}%  {:>9.1}\n",
-                row.verdicts,
-                row.accepted as f64 / verdicts * 100.0,
-                row.warm as f64 / verdicts * 100.0,
-                row.elapsed_micros as f64 / verdicts,
-            ));
-        }
-    }
-
-    if !snapshot.sessions.is_empty() {
-        out.push_str("\nsession                          jobs   version  attached\n");
-        for row in &snapshot.sessions {
-            out.push_str(&format!(
-                "{:<30}{:>7}  {:>8}  {:>8}\n",
-                row.name, row.jobs, row.version, row.attached
-            ));
-        }
-    }
-    out
-}
-
-/// The `--once --min-admits` histogram validation: every op's stored
-/// sample total and percentile estimates must be exactly what its own
-/// buckets yield — a snapshot is one consistent copy of each histogram,
-/// even when taken mid-burst.
-fn verify_histograms(snapshot: &StatsSnapshot) -> Result<(), String> {
-    for (name, lat) in &snapshot.ops {
-        let derived = OpLatency::from_counts(lat.histo_buckets.clone());
-        if *lat != derived {
-            return Err(format!(
-                "op `{name}`: stored samples {} / p50 {:.1}µs / p99 {:.1}µs, but its histogram \
-                 buckets yield samples {} / p50 {:.1}µs / p99 {:.1}µs",
-                lat.samples,
-                lat.histo_p50_us,
-                lat.histo_p99_us,
-                derived.samples,
-                derived.histo_p50_us,
-                derived.histo_p99_us
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_trace(
-    path: &str,
-    expect_spans: Option<u64>,
-    expect_counters: Option<u64>,
-) -> Result<TraceSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let summary = validate_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(expected) = expect_spans {
-        if summary.spans != expected {
-            return Err(format!(
-                "{path}: expected {expected} spans, found {}",
-                summary.spans
-            ));
-        }
-    }
-    if let Some(expected) = expect_counters {
-        if summary.counters < expected {
-            return Err(format!(
-                "{path}: expected at least {expected} counter samples, found {}",
-                summary.counters
-            ));
-        }
-        if summary.lanes == 0 {
-            return Err(format!(
-                "{path}: counter samples present but no named solver lanes"
-            ));
-        }
-    }
-    Ok(summary)
-}
-
-/// One solver lane reconstructed from a trace's spans.
-#[derive(Default)]
-struct ReplayLane {
-    spans: u64,
-    accepted: u64,
-    total_us: u64,
-    histo: LatencyHisto,
-}
-
-/// Rebuilds the per-solver lanes of a recorded trace: span counts,
-/// accept tallies and a log-bucket latency histogram over span
-/// durations — the offline analogue of the live per-op histograms.
-fn replay_lanes(events: &TraceEvents) -> std::collections::BTreeMap<String, ReplayLane> {
-    let mut lanes: std::collections::BTreeMap<String, ReplayLane> =
-        std::collections::BTreeMap::new();
-    for span in &events.spans {
-        let lane = lanes.entry(span.solver.clone()).or_default();
-        lane.spans += 1;
-        lane.accepted += u64::from(span.accepted.unwrap_or(false));
-        lane.total_us += span.dur_us;
-        lane.histo.record(span.dur_us);
-    }
-    lanes
+    format!(
+        "{} [{lower}µs, {upper}µs)",
+        sparkline(&buckets[first..=last])
+    )
 }
 
 /// Renders the flight-recorder section shared by the `--replay
@@ -596,7 +419,7 @@ fn render_replay(
     flight: Option<&FlightDump>,
     filter: Option<&FlightFilter>,
 ) -> String {
-    let lanes = replay_lanes(events);
+    let lanes = events.solver_lanes();
     let wall_us = events
         .spans
         .iter()
@@ -619,17 +442,14 @@ fn render_replay(
             "\nsolver       spans  accepted    mean µs   histo p50/p99 µs  distribution\n",
         );
         for (solver, lane) in &lanes {
-            let (glyphs, range) = histo_sparkline(&lane.histo.counts())
-                .unwrap_or_else(|| (String::new(), "no samples".to_string()));
             out.push_str(&format!(
-                "{solver:<10}{:>8}  {:>8}  {:>9.1}  {:>7.1}/{:<8.1} {} {}\n",
+                "{solver:<10}{:>8}  {:>8}  {:>9.1}  {:>7.1}/{:<8.1} {}\n",
                 lane.spans,
                 lane.accepted,
                 lane.total_us as f64 / lane.spans.max(1) as f64,
                 lane.histo.percentile_us(0.5),
                 lane.histo.percentile_us(0.99),
-                glyphs,
-                range
+                histo_sparkline(&lane.histo.counts())
             ));
         }
     }
@@ -657,48 +477,31 @@ fn render_replay(
     out
 }
 
-/// The `--against` cross-check: every solver row of the saved snapshot
-/// must have exactly as many trace spans as live verdicts, and the
-/// trace must not carry spans for solvers the snapshot never saw.
-fn verify_replay_against(events: &TraceEvents, snapshot: &StatsSnapshot) -> Result<(), String> {
-    let lanes = replay_lanes(events);
-    for (solver, row) in &snapshot.solvers {
-        let spans = lanes.get(solver).map_or(0, |lane| lane.spans);
-        if spans != row.verdicts {
-            return Err(format!(
-                "solver `{solver}`: trace holds {spans} spans but the live counter decided {}",
-                row.verdicts
-            ));
-        }
-    }
-    for solver in lanes.keys() {
-        if !snapshot.solvers.contains_key(solver) {
-            return Err(format!(
-                "solver `{solver}` has trace spans but no row in the snapshot"
-            ));
-        }
-    }
-    Ok(())
+/// Reads a file, naming it in the error.
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Reads and parses a recorded trace, naming the file in the error.
+fn read_trace(path: &str) -> Result<TraceEvents, String> {
+    parse_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 fn run_replay(options: &Options) -> Result<(), String> {
     let path = options.replay.as_deref().expect("replay checked by caller");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let events = parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+    let events = read_trace(path)?;
     let flight = match &options.flight {
         Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let dump: FlightDump = serde_json::from_str(text.trim())
+            let dump: FlightDump = serde_json::from_str(read(path)?.trim())
                 .map_err(|e| format!("{path}: bad flight dump: {e}"))?;
             Some(dump)
         }
         None => None,
     };
     if let Some(path) = &options.against {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let snapshot: StatsSnapshot =
-            serde_json::from_str(text.trim()).map_err(|e| format!("{path}: bad snapshot: {e}"))?;
-        verify_replay_against(&events, &snapshot).map_err(|e| format!("{path}: {e}"))?;
+        let snapshot: StatsSnapshot = serde_json::from_str(read(path)?.trim())
+            .map_err(|e| format!("{path}: bad snapshot: {e}"))?;
+        audit::trace_against(&events, &snapshot).map_err(|e| format!("{path}: {e}"))?;
     }
     print!(
         "{}",
@@ -760,31 +563,6 @@ fn run_check_stream(addr: &str, interval_ms: u64) -> Result<(), String> {
     }
 }
 
-/// RAII guard for the terminal's alternate screen: enters on
-/// construction, restores (and re-shows the cursor) on drop, so every
-/// exit path — including errors — leaves the terminal usable.
-struct AltScreen;
-
-impl AltScreen {
-    fn enter() -> Self {
-        print!("\x1b[?1049h\x1b[?25l");
-        let _ = flush();
-        AltScreen
-    }
-}
-
-impl Drop for AltScreen {
-    fn drop(&mut self) {
-        print!("\x1b[?1049l\x1b[?25h");
-        let _ = flush();
-    }
-}
-
-fn flush() -> std::io::Result<()> {
-    use std::io::Write;
-    std::io::stdout().flush()
-}
-
 fn fetch_snapshot(addr: &str) -> Result<(String, StatsSnapshot), String> {
     let json = fetch_stats_json(addr).map_err(|e| format!("{addr}: {e}"))?;
     let snapshot = serde_json::from_str(&json).map_err(|e| format!("{addr}: bad snapshot: {e}"))?;
@@ -793,7 +571,9 @@ fn fetch_snapshot(addr: &str) -> Result<(String, StatsSnapshot), String> {
 
 fn run(options: &Options) -> Result<(), String> {
     if let Some(path) = &options.check_trace {
-        let summary = check_trace(path, options.expect_spans, options.expect_counters)?;
+        let summary = read_trace(path)?.summary();
+        audit::trace_tallies(&summary, options.expect_spans, options.expect_counters)
+            .map_err(|e| format!("{path}: {e}"))?;
         println!(
             "trace OK: {} spans, {} counter samples, {} solver lanes",
             summary.spans, summary.counters, summary.lanes
@@ -819,12 +599,11 @@ fn run(options: &Options) -> Result<(), String> {
                     snapshot.counters.admits
                 ));
             }
-            verify_histograms(&snapshot).map_err(|e| format!("{addr}: {e}"))?;
+            audit::histograms(&snapshot).map_err(|e| format!("{addr}: {e}"))?;
         }
         println!("{json}");
         return Ok(());
     }
-    let _alt = options.tui.then(AltScreen::enter);
     let mut depths: Vec<u64> = Vec::new();
     let mut iteration = 0u64;
     // One persistent streaming connection per daemon lifetime: the
@@ -846,15 +625,9 @@ fn run(options: &Options) -> Result<(), String> {
             if depths.len() > SPARK_WINDOW {
                 depths.remove(0);
             }
-            if options.tui {
-                // Home the cursor and clear below, then one full frame
-                // on the alternate screen.
-                print!("\x1b[H\x1b[J{}", render_tui(snapshot, &depths));
-            } else {
-                // Clear + home, then one full frame.
-                print!("\x1b[2J\x1b[H{}", render(snapshot, &depths));
-            }
-            let _ = flush();
+            // Clear + home, then one full frame.
+            print!("\x1b[2J\x1b[H{}", render(snapshot, &depths));
+            let _ = std::io::stdout().flush();
             iteration += 1;
             if options.iterations != 0 && iteration >= options.iterations {
                 return Ok(());
@@ -873,7 +646,7 @@ fn main() -> ExitCode {
         Err(message) => {
             if message == "help" {
                 eprintln!(
-                    "usage: msmr-top --addr HOST:PORT [--interval-ms N] [--iterations N] [--tui]\n\
+                    "usage: msmr-top --addr HOST:PORT [--interval-ms N] [--iterations N]\n\
                      \x20      msmr-top --addr HOST:PORT --once [--min-admits N]\n\
                      \x20      msmr-top --addr HOST:PORT --check-stream [--interval-ms N]\n\
                      \x20      msmr-top --addr HOST:PORT --flight-dump [--flight-filter kind=K,session=S]\n\
@@ -899,7 +672,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msmr_stats::{SessionRow, SolverRow};
+    use msmr_stats::{OpLatency, SessionRow, SolverRow};
 
     fn sample_snapshot() -> StatsSnapshot {
         let mut snapshot = StatsSnapshot::default();
@@ -954,27 +727,11 @@ mod tests {
         assert!(frame.contains("OPDCA"));
         assert!(frame.contains("loadgen-7-0"));
         assert!(frame.contains("queue   2/64"));
-    }
-
-    #[test]
-    fn tui_frame_shows_distributions_shards_and_solver_latency() {
-        let mut snapshot = sample_snapshot();
-        snapshot.gauges.sessions_per_shard = vec![3, 0, 1, 2];
-        snapshot.gauges.live_sessions = 6;
-        let frame = render_tui(&snapshot, &[0, 1, 2]);
-        // Same counter header, plus the distribution table with the
-        // histogram range and sparkline glyphs.
-        assert!(frame.contains("admits       12"));
-        assert!(frame.contains("latency distributions"));
+        // Each op's distribution: the histogram range and its sparkline.
         assert!(frame.contains("[32µs, 256µs)"));
         assert!(frame.chars().any(|c| SPARKS.contains(&c)));
-        // Shard occupancy bars, one per shard, scaled to the busiest.
-        assert!(frame.contains("shard 0"));
-        assert!(frame.contains("shard 3"));
-        assert!(frame.contains('█'));
         // Solver latency: 660 µs over 12 verdicts = 55.0 mean.
         assert!(frame.contains("55.0"));
-        assert!(frame.contains("91.7%"));
         // No ANSI control codes inside the frame — the loop owns them.
         assert!(!frame.contains('\x1b'));
     }
@@ -983,30 +740,9 @@ mod tests {
     fn empty_histograms_render_without_a_range() {
         let mut snapshot = sample_snapshot();
         snapshot.ops.get_mut("admit").unwrap().histo_buckets = Vec::new();
-        let frame = render_tui(&snapshot, &[]);
+        let frame = render(&snapshot, &[]);
         assert!(frame.contains("no samples"));
-    }
-
-    #[test]
-    fn histogram_verification_cross_checks_the_ring() {
-        let mut snapshot = sample_snapshot();
-        assert!(verify_histograms(&snapshot).is_ok());
-        // A histogram that lost samples is an error...
-        snapshot.ops.get_mut("admit").unwrap().histo_buckets = vec![1];
-        let message = verify_histograms(&snapshot).unwrap_err();
-        assert!(message.contains("stored samples 12"), "{message}");
-        assert!(message.contains("yield samples 1"), "{message}");
-        // ...as is a stored p99 that is not the p99 of the stored buckets.
-        let lat = snapshot.ops.get_mut("admit").unwrap();
-        lat.histo_buckets = vec![0, 0, 0, 0, 0, 0, 8, 3, 1];
-        lat.histo_p99_us = 127.0; // one bucket below the rank-12 sample's
-        let message = verify_histograms(&snapshot).unwrap_err();
-        assert!(message.contains("p99 127.0µs"), "{message}");
-        assert!(message.contains("p99 255.0µs"), "{message}");
-        // An op that never recorded a sample is consistent.
-        snapshot.ops.insert("submit".into(), OpLatency::default());
-        snapshot.ops.get_mut("admit").unwrap().histo_p99_us = 255.0;
-        assert!(verify_histograms(&snapshot).is_ok());
+        assert!(!frame.contains("µs)"));
     }
 
     fn sample_events() -> TraceEvents {
@@ -1169,36 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_against_cross_checks_span_counts_with_the_snapshot() {
-        let events = sample_events();
-        let mut snapshot = StatsSnapshot::default();
-        snapshot.solvers.insert(
-            "OPDCA".into(),
-            SolverRow {
-                verdicts: 2,
-                ..SolverRow::default()
-            },
-        );
-        snapshot.solvers.insert(
-            "GREEDY".into(),
-            SolverRow {
-                verdicts: 1,
-                ..SolverRow::default()
-            },
-        );
-        assert!(verify_replay_against(&events, &snapshot).is_ok());
-        // A solver that decided more than the trace recorded fails...
-        snapshot.solvers.get_mut("OPDCA").unwrap().verdicts = 3;
-        let message = verify_replay_against(&events, &snapshot).unwrap_err();
-        assert!(message.contains("holds 2 spans"));
-        // ...as do trace spans for a solver the snapshot never saw.
-        snapshot.solvers.get_mut("OPDCA").unwrap().verdicts = 2;
-        snapshot.solvers.remove("GREEDY");
-        let message = verify_replay_against(&events, &snapshot).unwrap_err();
-        assert!(message.contains("no row in the snapshot"));
-    }
-
-    #[test]
     fn parser_accepts_the_replay_and_stream_modes() {
         let options = parse_args(&[
             "--replay".into(),
@@ -1291,17 +997,16 @@ mod tests {
         let options =
             parse_args(&["--addr".into(), "127.0.0.1:9".into(), "--once".into()]).unwrap();
         assert!(options.once);
-        assert!(!options.tui);
         let options = parse_args(&[
             "--addr".into(),
             "127.0.0.1:9".into(),
-            "--tui".into(),
             "--iterations".into(),
             "3".into(),
         ])
         .unwrap();
-        assert!(options.tui);
         assert_eq!(options.iterations, 3);
+        // There is one dashboard; the removed full-screen flag is unknown.
+        assert!(parse_args(&["--addr".into(), "127.0.0.1:9".into(), "--tui".into()]).is_err());
         let options = parse_args(&[
             "--check-trace".into(),
             "x.trace".into(),

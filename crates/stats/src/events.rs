@@ -57,6 +57,61 @@ pub enum EventKind {
     ClientDetach,
 }
 
+impl EventKind {
+    /// Every kind, in declaration order: the order a parse error lists
+    /// the names in.
+    const ALL: [EventKind; 12] = [
+        EventKind::Admit,
+        EventKind::Reject,
+        EventKind::Withdraw,
+        EventKind::Submit,
+        EventKind::Overload,
+        EventKind::Eviction,
+        EventKind::SnapshotWrite,
+        EventKind::SnapshotQuarantine,
+        EventKind::SeqConflict,
+        EventKind::Dedup,
+        EventKind::ClientAttach,
+        EventKind::ClientDetach,
+    ];
+
+    /// The lowercase, separator-free name a filter spells the kind with.
+    fn name(self) -> &'static str {
+        match self {
+            EventKind::Admit => "admit",
+            EventKind::Reject => "reject",
+            EventKind::Withdraw => "withdraw",
+            EventKind::Submit => "submit",
+            EventKind::Overload => "overload",
+            EventKind::Eviction => "eviction",
+            EventKind::SnapshotWrite => "snapshotwrite",
+            EventKind::SnapshotQuarantine => "snapshotquarantine",
+            EventKind::SeqConflict => "seqconflict",
+            EventKind::Dedup => "dedup",
+            EventKind::ClientAttach => "clientattach",
+            EventKind::ClientDetach => "clientdetach",
+        }
+    }
+}
+
+/// Parses a kind name case-insensitively, ignoring `-` and `_`, so
+/// `snapshot-write`, `SnapshotWrite` and `snapshot_write` all name
+/// [`EventKind::SnapshotWrite`].
+impl std::str::FromStr for EventKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<EventKind, String> {
+        let normalized = name.replace(['-', '_'], "").to_ascii_lowercase();
+        EventKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == normalized)
+            .ok_or_else(|| {
+                let names: Vec<&str> = EventKind::ALL.iter().map(|kind| kind.name()).collect();
+                format!("unknown event kind `{name}` (one of: {})", names.join(", "))
+            })
+    }
+}
+
 /// One recorded event.
 ///
 /// `session` and `op_seq` are filled when the recording seam knows them
@@ -210,6 +265,25 @@ mod tests {
         assert_eq!(dump.events[1].op_seq, Some(1));
         assert_eq!(dump.count(EventKind::Admit), 1);
         assert_eq!(dump.count(EventKind::Eviction), 0);
+    }
+
+    #[test]
+    fn kind_names_parse_case_and_separator_insensitively() {
+        for kind in EventKind::ALL {
+            assert_eq!(kind.name().parse(), Ok(kind));
+            assert_eq!(format!("{kind:?}").to_uppercase().parse(), Ok(kind));
+        }
+        assert_eq!("Snapshot-Write".parse(), Ok(EventKind::SnapshotWrite));
+        assert_eq!("seq_conflict".parse(), Ok(EventKind::SeqConflict));
+        let message = "bogus".parse::<EventKind>().unwrap_err();
+        assert!(
+            message.starts_with("unknown event kind `bogus` (one of: admit, reject, "),
+            "{message}"
+        );
+        assert!(
+            message.ends_with("clientattach, clientdetach)"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -44,14 +44,19 @@
 //!   saturation gauges, args carrying the full `SolverStats`, so an
 //!   entire replay opens in Perfetto with one named track per solver
 //!   and counter tracks beside the spans.
+//! * [`audit`] — the one home of the model's own invariants: histogram
+//!   summaries match their buckets, trace tallies and per-solver span
+//!   counts match expectations and decision counters, and counters,
+//!   flight events and histograms reconcile with a surviving history.
+//!   `msmr-top`'s validators and every `msmr-chaos` scenario call it.
 //! * `msmr-top` — a std-only terminal dashboard over the side channel:
-//!   periodic redraw (plain repaint, or a full-screen `--tui` mode with
-//!   histogram sparklines), per-session and per-solver tables,
-//!   warm/cold ratio and a queue-depth sparkline — fed by one held
-//!   streaming connection, not reconnect-per-poll. Its `--once` /
-//!   `--check-stream` / `--check-trace` modes double as the validators
-//!   the CI smoke scripts use, and `--replay` renders an offline
-//!   post-mortem from a recorded trace (plus optional flight dump).
+//!   one periodic repaint with per-op histogram sparklines,
+//!   per-session and per-solver tables, warm/cold ratio and a
+//!   queue-depth sparkline — fed by one held streaming connection, not
+//!   reconnect-per-poll. Its `--once` / `--check-stream` /
+//!   `--check-trace` modes double as the validators the CI smoke
+//!   scripts use, and `--replay` renders an offline post-mortem from a
+//!   recorded trace (plus optional flight dump).
 //!
 //! Instrumentation is provenance-only by construction: nothing in this
 //! crate touches a [`msmr_sched::Verdict`], so the byte-identity
@@ -61,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod delta;
 pub mod events;
 pub mod histo;
@@ -81,6 +87,5 @@ pub use model::{OpLatency, SessionRow, SolverRow, StatsCounters, StatsGauges, St
 pub use percentile::nearest_rank;
 pub use registry::StatsRegistry;
 pub use trace::{
-    parse_trace, validate_trace, TraceCounterSample, TraceEvents, TraceSpan, TraceSummary,
-    TraceWriter,
+    parse_trace, SolverLane, TraceCounterSample, TraceEvents, TraceSpan, TraceSummary, TraceWriter,
 };

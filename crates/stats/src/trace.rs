@@ -27,7 +27,7 @@
 //!
 //! The array is closed by [`TraceWriter::finish`] (the daemons call it
 //! after their accept loops join). Trace viewers accept a missing
-//! closing bracket for traces cut short — [`validate_trace`] applies
+//! closing bracket for traces cut short — [`parse_trace`] applies
 //! the same leniency so tooling can check a file from a daemon that was
 //! killed mid-write.
 
@@ -39,6 +39,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use msmr_sched::Verdict;
+
+use crate::LatencyHisto;
 
 struct TraceInner {
     writer: BufWriter<File>,
@@ -227,7 +229,7 @@ fn process_name() -> String {
         .unwrap_or_else(|| "msmr".to_string())
 }
 
-/// What [`validate_trace`] counted in a well-formed trace.
+/// What [`parse_trace`] counted in a well-formed trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Complete (`"X"`) solver spans.
@@ -277,8 +279,22 @@ pub struct TraceEvents {
     pub lanes: BTreeMap<String, u64>,
 }
 
+/// One solver lane rebuilt from a trace's spans
+/// ([`TraceEvents::solver_lanes`]).
+#[derive(Debug, Default)]
+pub struct SolverLane {
+    /// Spans on the lane.
+    pub spans: u64,
+    /// Spans whose verdict was an acceptance.
+    pub accepted: u64,
+    /// Summed span durations in microseconds.
+    pub total_us: u64,
+    /// Log-bucket histogram of the span durations.
+    pub histo: LatencyHisto,
+}
+
 impl TraceEvents {
-    /// The tallies [`validate_trace`] reports for this trace.
+    /// The span, counter-sample and lane tallies of this trace.
     #[must_use]
     pub fn summary(&self) -> TraceSummary {
         TraceSummary {
@@ -287,9 +303,26 @@ impl TraceEvents {
             lanes: self.lanes.len() as u64,
         }
     }
+
+    /// The per-solver lanes of the spans, keyed by solver name: span
+    /// counts, accept tallies and a log-bucket latency histogram over
+    /// span durations — the offline analogue of the live per-op
+    /// histograms.
+    #[must_use]
+    pub fn solver_lanes(&self) -> BTreeMap<String, SolverLane> {
+        let mut lanes: BTreeMap<String, SolverLane> = BTreeMap::new();
+        for span in &self.spans {
+            let lane = lanes.entry(span.solver.clone()).or_default();
+            lane.spans += 1;
+            lane.accepted += u64::from(span.accepted.unwrap_or(false));
+            lane.total_us += span.dur_us;
+            lane.histo.record(span.dur_us);
+        }
+        lanes
+    }
 }
 
-/// Validates trace-event JSON and returns the event tallies.
+/// Parses and validates trace-event JSON into its structured events.
 ///
 /// Accepts both a properly closed array and one cut short mid-write
 /// (the trace viewers' documented leniency): a trailing comma is
@@ -297,18 +330,6 @@ impl TraceEvents {
 /// element must be a named `"X"` span (unsigned `ts`/`dur`), an `"M"`
 /// metadata event (an `args.name` string), or a `"C"` counter sample
 /// (unsigned `ts`); any other phase is malformed.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed element (or the JSON
-/// parse error) when the text is not a valid trace.
-pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
-    parse_trace(text).map(|events| events.summary())
-}
-
-/// Parses trace-event JSON into its structured events, with the same
-/// validation and truncation leniency as [`validate_trace`] (which is
-/// this walk, keeping only the tallies).
 ///
 /// # Errors
 ///
@@ -423,6 +444,10 @@ mod tests {
         SolverRegistry::paper_suite(DelayBoundKind::EdgeHybrid).evaluate(&jobs, Budget::default())
     }
 
+    fn summarize(text: &str) -> Result<TraceSummary, String> {
+        parse_trace(text).map(|events| events.summary())
+    }
+
     fn parse_events(text: &str) -> Vec<serde::Value> {
         let value: serde::Value = serde_json::from_str(text).expect("closed trace parses");
         let serde::Value::Seq(events) = value else {
@@ -452,7 +477,7 @@ mod tests {
         let solvers: std::collections::BTreeSet<&str> =
             verdicts.iter().map(|v| v.solver.as_str()).collect();
         assert_eq!(
-            validate_trace(&text),
+            summarize(&text),
             Ok(TraceSummary {
                 spans: verdicts.len() as u64,
                 counters: 0,
@@ -541,7 +566,7 @@ mod tests {
         writer.finish().expect("trace closes");
         let text = std::fs::read_to_string(&path).expect("trace reads");
         assert_eq!(
-            validate_trace(&text),
+            summarize(&text),
             Ok(TraceSummary {
                 spans: 0,
                 counters: 3,
@@ -573,7 +598,7 @@ mod tests {
         // the unterminated array.
         let text = std::fs::read_to_string(&path).expect("trace reads");
         assert!(!text.trim_end().ends_with(']'));
-        let summary = validate_trace(&text).expect("truncated traces validate");
+        let summary = summarize(&text).expect("truncated traces validate");
         assert_eq!(summary.spans, verdicts.len() as u64);
         writer.finish().expect("trace closes");
         std::fs::remove_file(&path).ok();
@@ -591,7 +616,6 @@ mod tests {
         writer.finish().expect("trace closes");
         let text = std::fs::read_to_string(&path).expect("trace reads");
         let events = parse_trace(&text).expect("recorded traces parse");
-        assert_eq!(events.summary(), validate_trace(&text).unwrap());
         assert_eq!(events.spans.len(), verdicts.len());
         for (index, (span, verdict)) in events.spans.iter().zip(&verdicts).enumerate() {
             assert_eq!(span.solver, verdict.solver);
@@ -611,14 +635,14 @@ mod tests {
 
     #[test]
     fn malformed_traces_are_rejected() {
-        assert!(validate_trace("{}").is_err());
+        assert!(summarize("{}").is_err());
         // Unknown phases are still rejected — leniency covers
         // truncation, not arbitrary event soup.
-        assert!(validate_trace("[{\"ph\":\"B\",\"name\":\"x\"}]").is_err());
-        assert!(validate_trace("[{\"ph\":\"X\",\"ts\":1,\"dur\":2}]").is_err());
+        assert!(summarize("[{\"ph\":\"B\",\"name\":\"x\"}]").is_err());
+        assert!(summarize("[{\"ph\":\"X\",\"ts\":1,\"dur\":2}]").is_err());
         // Metadata without a label, counters without a timestamp.
-        assert!(validate_trace("[{\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{}}]").is_err());
-        assert!(validate_trace("[{\"ph\":\"C\",\"name\":\"q\",\"args\":{\"value\":1}}]").is_err());
-        assert_eq!(validate_trace("[]"), Ok(TraceSummary::default()));
+        assert!(summarize("[{\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{}}]").is_err());
+        assert!(summarize("[{\"ph\":\"C\",\"name\":\"q\",\"args\":{\"value\":1}}]").is_err());
+        assert_eq!(summarize("[]"), Ok(TraceSummary::default()));
     }
 }

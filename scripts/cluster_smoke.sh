@@ -3,8 +3,9 @@
 # stats side channel and trace-event export on), runs a short
 # multi-client msmr-loadgen burst over shared named sessions with
 # serialized-replay verification and daemon-counter cross-checking,
-# queries the live stats channel mid-burst through msmr-top (one-shot
-# and a held streaming-delta connection validating the merge contract),
+# queries the live stats channel mid-burst through msmr-top (one-shot,
+# a held streaming-delta connection validating the merge contract, and
+# two frames of the live dashboard),
 # exercises the snapshot op through msmr-admit, shuts the daemon down,
 # validates the written trace and replays it offline against the final
 # live snapshot. Fails on any non-zero exit (including verdict
@@ -87,6 +88,10 @@ done
 # once the stream goes quiescent.
 "$TOP" --addr "$STATS_ADDR" --check-stream --interval-ms 200 &
 STREAM_PID=$!
+
+# The live dashboard itself: two frames from one held stream (the
+# baseline, then one delta), then a clean exit.
+"$TOP" --addr "$STATS_ADDR" --iterations 2 >/dev/null
 
 wait "$LOADGEN_PID"
 
