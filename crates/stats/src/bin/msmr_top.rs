@@ -727,9 +727,19 @@ mod tests {
         assert!(frame.contains("OPDCA"));
         assert!(frame.contains("loadgen-7-0"));
         assert!(frame.contains("queue   2/64"));
+    }
+
+    #[test]
+    fn tui_frame_shows_distributions_shards_and_solver_latency() {
+        let mut snapshot = sample_snapshot();
+        snapshot.gauges.sessions_per_shard = vec![3, 0, 1, 2];
+        snapshot.gauges.live_sessions = 6;
+        let frame = render(&snapshot, &[0, 1, 2]);
         // Each op's distribution: the histogram range and its sparkline.
         assert!(frame.contains("[32µs, 256µs)"));
         assert!(frame.chars().any(|c| SPARKS.contains(&c)));
+        // Shard occupancy, one count per shard.
+        assert!(frame.contains("sessions 6   shards [3, 0, 1, 2]"));
         // Solver latency: 660 µs over 12 verdicts = 55.0 mean.
         assert!(frame.contains("55.0"));
         // No ANSI control codes inside the frame — the loop owns them.
