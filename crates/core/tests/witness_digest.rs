@@ -9,6 +9,11 @@
 //! A change to how a witness is stored, built or serialized that moves a
 //! single byte of a verdict shows up here as a moved cell.
 //!
+//! A second table freezes each solver's search work (`nodes_explored`
+//! and `sdca_calls`) on the same cases, one cell per solver. It is kept
+//! apart so that a change to how much an engine searches, but not to
+//! what it decides, moves that table alone.
+//!
 //! The shapes are a reduced `fig4_batch` hard point (30 jobs, `β = 0.15`,
 //! `γ = 0.9`, infrastructure scaled to the job count) and the
 //! `ilp_crosscheck` shape (24 jobs, 6 access points, 4 servers,
@@ -19,6 +24,7 @@ use msmr_dca::DelayBoundKind;
 use msmr_model::JobSet;
 use msmr_sched::{Budget, SolveCtx, SolverRegistry, Verdict, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
+use std::sync::OnceLock;
 
 /// Node budget of both exact engines. Small enough that a debug build
 /// settles every case quickly; some OPT and OPT-ILP cells are therefore
@@ -31,6 +37,9 @@ const CASES: usize = 12;
 /// Columns: the six solvers in registry order (DM, DMR, OPDCA, OPT, DCMP,
 /// OPT-ILP), then the admission verdicts.
 const COLUMNS: usize = 7;
+
+/// Columns of the work table: the six solvers in registry order.
+const SOLVERS: usize = 6;
 
 /// FNV-1a over bytes.
 struct Fnv(u64);
@@ -78,29 +87,66 @@ fn digest(verdict: &Verdict) -> u64 {
     fnv.0
 }
 
-/// One row of the table for `jobs`.
-fn row(registry: &SolverRegistry, jobs: &JobSet) -> [u64; COLUMNS] {
+/// Digest of (`nodes_explored`, `sdca_calls`) of one verdict.
+fn work_digest(verdict: &Verdict) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.word(verdict.stats.nodes_explored);
+    fnv.word(verdict.stats.sdca_calls);
+    fnv.0
+}
+
+/// One verdict row and one work row for `jobs`.
+fn row(registry: &SolverRegistry, jobs: &JobSet) -> ([u64; COLUMNS], [u64; SOLVERS]) {
     let ctx = SolveCtx::with_budget(jobs, Budget::default().with_node_limit(NODE_LIMIT));
     let mut row = [0; COLUMNS];
+    let mut work = [0; SOLVERS];
     let mut admission = Fnv::new();
-    for (cell, name) in row.iter_mut().zip(registry.names()) {
+    for ((cell, work_cell), name) in row.iter_mut().zip(&mut work).zip(registry.names()) {
         let solver = registry.solver(name).expect("registered");
-        *cell = digest(&solver.solve(&ctx));
+        let verdict = solver.solve(&ctx);
+        *cell = digest(&verdict);
+        *work_cell = work_digest(&verdict);
         if let Ok(verdict) = solver.admission_control(&ctx) {
             let json = serde_json::to_string(&verdict).expect("admission verdicts serialize");
             admission.bytes(json.as_bytes());
         }
     }
     row[COLUMNS - 1] = admission.0;
-    row
+    (row, work)
 }
 
-fn table(config: EdgeWorkloadConfig) -> Vec<[u64; COLUMNS]> {
+/// The verdict and work tables of one shape.
+struct Tables {
+    verdicts: Vec<[u64; COLUMNS]>,
+    work: Vec<[u64; SOLVERS]>,
+}
+
+fn tables(config: EdgeWorkloadConfig) -> Tables {
     let generator = EdgeWorkloadGenerator::new(config).expect("valid edge configuration");
     let registry = SolverRegistry::full_suite(DelayBoundKind::EdgeHybrid);
-    (0..CASES as u64)
+    let (verdicts, work) = (0..CASES as u64)
         .map(|seed| row(&registry, &generator.generate_seeded(seed)))
-        .collect()
+        .unzip();
+    Tables { verdicts, work }
+}
+
+/// Both shapes' tables, solved once for the two tests.
+fn shapes() -> &'static (Tables, Tables) {
+    static SHAPES: OnceLock<(Tables, Tables)> = OnceLock::new();
+    SHAPES.get_or_init(|| {
+        let fig4 = tables(
+            EdgeWorkloadConfig::scaled(30)
+                .with_beta(0.15)
+                .with_gamma(0.9),
+        );
+        let ilp = tables(
+            EdgeWorkloadConfig::default()
+                .with_jobs(24)
+                .with_infrastructure(6, 4)
+                .with_beta(0.22),
+        );
+        (fig4, ilp)
+    })
 }
 
 /// The reduced `fig4_batch` hard point.
@@ -327,22 +373,226 @@ const ILP_DIGESTS: [[u64; COLUMNS]; CASES] = [
     ],
 ];
 
+/// `nodes_explored` and `sdca_calls` at the reduced `fig4_batch` point.
+const FIG4_WORK: [[u64; SOLVERS]; CASES] = [
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xf597f3b81e182a7b,
+        0x54dd1a13fce1b548,
+        0x88201fb960ff6465,
+        0x1455b49b2621949c,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x0f8db34063911f5f,
+        0x7dcfb28c82755f0f,
+        0x88201fb960ff6465,
+        0xdd485f8bf4d38fbd,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x78f187f9037533d6,
+        0x88201fb960ff6465,
+        0x78f187f9037533d6,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xb112b831e6930e2c,
+        0x88201fb960ff6465,
+        0x392209f14dea4c24,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x29b7623cf4499e06,
+        0x41d75b6c3620fe0b,
+        0x88201fb960ff6465,
+        0x927d6463db8f9aa7,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x561c420d629a6c3a,
+        0x88201fb960ff6465,
+        0x78f187f9037533d6,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xbac725dceb48eff4,
+        0xdcec6bd36438f340,
+        0x88201fb960ff6465,
+        0x504e0bbb7275f5a0,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x5254595ef3a67f1b,
+        0xa3db2fdc0ff6cd89,
+        0x88201fb960ff6465,
+        0xf48138d3b5656a25,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x3bb74981dc7c6db5,
+        0x2ed19cc46f6046ce,
+        0x88201fb960ff6465,
+        0xa71e3ebd98a3a553,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x93a2971c37d3f6db,
+        0x78f187f9037533d6,
+        0x88201fb960ff6465,
+        0x78f187f9037533d6,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x17b77af80c16ce57,
+        0xf5c060cd1b1e2117,
+        0x88201fb960ff6465,
+        0x504e0bbb7275f5a0,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x78f187f9037533d6,
+        0x88201fb960ff6465,
+        0x78f187f9037533d6,
+    ],
+];
+
+/// `nodes_explored` and `sdca_calls` at the `ilp_crosscheck` shape.
+const ILP_WORK: [[u64; SOLVERS]; CASES] = [
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x0abc9b33e95a53e5,
+        0x08c61f74e1ded854,
+        0x88201fb960ff6465,
+        0x5b07441e7da0c85f,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x145ecb4cddc7ead9,
+        0x607986b7dd2aa27c,
+        0x88201fb960ff6465,
+        0xe8e4cc2fd51c7cf1,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xc41876d9ad53c569,
+        0x88201fb960ff6465,
+        0x392209f14dea4c24,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xea23f4293ad533e3,
+        0x88201fb960ff6465,
+        0x392209f14dea4c24,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xc6ff9202a56600b6,
+        0x88201fb960ff6465,
+        0x392209f14dea4c24,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x62a7e8ce44b1dd0b,
+        0x117b70efca158a3b,
+        0x88201fb960ff6465,
+        0x12c77066cbd47219,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x261c4b49872994e7,
+        0x88201fb960ff6465,
+        0x392209f14dea4c24,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x4d834152796fb3a1,
+        0x24812f9790d64178,
+        0x88201fb960ff6465,
+        0x86e0f7bffb46ad73,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x4c27c89914ab0361,
+        0x88201fb960ff6465,
+        0x392209f14dea4c24,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x7978e81fa71b7834,
+        0x78f187f9037533d6,
+        0x88201fb960ff6465,
+        0x3a6131eab3a30316,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0xa09d76e05a90714d,
+        0xaf779c7ff03fbabd,
+        0x88201fb960ff6465,
+        0xf4186d9d88c49cbc,
+    ],
+    [
+        0x88201fb960ff6465,
+        0x88201fb960ff6465,
+        0x160b232274ef5c98,
+        0xb6e0ee83d6b784c6,
+        0x88201fb960ff6465,
+        0xd2f7f25f16498a67,
+    ],
+];
+
 #[test]
 fn every_solver_matches_the_frozen_verdict_digests() {
-    let fig4 = table(
-        EdgeWorkloadConfig::scaled(30)
-            .with_beta(0.15)
-            .with_gamma(0.9),
-    );
-    let ilp = table(
-        EdgeWorkloadConfig::default()
-            .with_jobs(24)
-            .with_infrastructure(6, 4)
-            .with_beta(0.22),
-    );
+    let (fig4, ilp) = shapes();
     assert_eq!(
-        (fig4.as_slice(), ilp.as_slice()),
+        (fig4.verdicts.as_slice(), ilp.verdicts.as_slice()),
         (&FIG4_DIGESTS[..], &ILP_DIGESTS[..]),
-        "a verdict moved: {fig4:#018x?} {ilp:#018x?}"
+        "a verdict moved: {:#018x?} {:#018x?}",
+        fig4.verdicts,
+        ilp.verdicts
+    );
+}
+
+#[test]
+fn every_solver_matches_the_frozen_work_digests() {
+    let (fig4, ilp) = shapes();
+    assert_eq!(
+        (fig4.work.as_slice(), ilp.work.as_slice()),
+        (&FIG4_WORK[..], &ILP_WORK[..]),
+        "a solver's search work moved: {:#018x?} {:#018x?}",
+        fig4.work,
+        ilp.work
     );
 }
