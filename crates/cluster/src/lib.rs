@@ -46,13 +46,13 @@
 //!   re-acked with `deduped: true` instead of being applied twice. See
 //!   the seq-idempotency rule in [`msmr_serve::protocol`].
 //!
-//! Two binaries ship with the crate: `msmr-served` (the daemon:
-//! `--shards`/`--workers`/`--queue`/`--snapshot-dir`/`--session-ttl`
-//! size this engine, `--cluster` starts connections unbound) and
-//! `msmr-loadgen` (drives M concurrent clients over K named sessions
-//! from seeded workload traces, verifies the interleaved history and
-//! prints aggregate req/sec and p50/p99 admit latency — the smoke
-//! scripts' driver; bench history is `benchmark/`'s).
+//! One binary ships with the crate: `msmr-served`, the daemon
+//! (`--shards`/`--workers`/`--queue`/`--snapshot-dir`/`--session-ttl`
+//! size this engine, `--cluster` starts connections unbound). Its
+//! client is `msmr-admit` in `msmr-serve`, whose `--replay --clients M
+//! --sessions K` drives M concurrent clients over K named sessions from
+//! seeded workload traces and verifies the interleaved histories — the
+//! smoke scripts' driver; bench history is `benchmark/`'s.
 //!
 //! # Worked transcript
 //!
@@ -102,8 +102,8 @@
 //! the pool only moves *where* a solve runs, the session mutex fixes the
 //! order, and the table extension path is the same
 //! `PairTables::extend_with_job` either way. The end-to-end suite pins
-//! all three down, and `msmr-loadgen --verify` re-checks the
-//! serialized-replay equivalence under real concurrency.
+//! all three down, and a multi-client `msmr-admit --replay --verify`
+//! re-checks the serialized-replay equivalence under real concurrency.
 //!
 //! # Library example
 //!

@@ -6,7 +6,7 @@
 //! control connection with the same `stats` op any client could send,
 //! and the per-backend snapshots fold through
 //! [`StatsSnapshot::merged`]. Counters sum exactly (the acceptance
-//! check `msmr-loadgen --check-stats` relies on this), scalar gauges
+//! check `msmr-admit --replay --check-stats` relies on this), scalar gauges
 //! sum, per-shard gauges and session rows concatenate per backend, and
 //! per-op latency merges through the log-bucket histograms.
 //!

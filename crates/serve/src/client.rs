@@ -1,5 +1,6 @@
 //! A small blocking client for the admission protocol, shared by the
-//! `msmr-admit` binary, the end-to-end tests and `msmr-loadgen`.
+//! `msmr-admit` binary (single- and multi-client replays), the chaos
+//! harness and the end-to-end tests.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -8,7 +9,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use msmr_model::JobSet;
+use msmr_model::{JobId, JobSet};
 
 use crate::history::{Decision, DecisionOp};
 use crate::protocol::{
@@ -173,18 +174,46 @@ impl Client {
     }
 
     /// Replays an arrival trace against the daemon: opens the session
-    /// with the trace's pipeline (no jobs), then issues one `admit` per
-    /// job in arrival order (ties by id), measuring each round trip.
-    /// After every admitted arrival, with probability `withdraw_ratio`
-    /// (deterministic in `mix_seed`; `0.0` never withdraws) one currently
-    /// admitted handle is withdrawn — exercising the general mid-set
-    /// withdraw path of the online seam. Every op is recorded as a
-    /// [`Decision`] in the outcome, ready for an oracle of
-    /// [`crate::history`].
+    /// with the trace's pipeline (no jobs), then runs
+    /// [`Client::replay_arrivals`] over every job in arrival order (ties
+    /// by id).
     ///
     /// This is the one definition of "replay" shared by the `msmr-admit`
     /// binary and the end-to-end suites, so they cannot drift apart in
     /// protocol or ordering.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::replay_arrivals`], plus the submit's transport errors.
+    pub fn replay_trace_mixed(
+        &mut self,
+        trace: &JobSet,
+        evaluate: bool,
+        withdraw_ratio: f64,
+        mix_seed: u64,
+    ) -> io::Result<ReplayOutcome> {
+        let (empty, _) = trace
+            .restrict_to(&[])
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        self.request(Op::Submit(SubmitOp {
+            jobs: empty,
+            parallel: None,
+        }))?;
+        let arrivals = msmr_workload::arrival_order(trace);
+        self.replay_arrivals(trace, &arrivals, evaluate, withdraw_ratio, mix_seed)
+    }
+
+    /// The admit → withdraw-draw loop every replaying client runs, on
+    /// whatever session the connection is on: one `admit` per job of
+    /// `arrivals` (ids into `trace`), in the given order, measuring each
+    /// round trip. After every admitted arrival, with probability
+    /// `withdraw_ratio` (deterministic in `mix_seed`; `0.0` never
+    /// withdraws) one handle this loop admitted is withdrawn —
+    /// exercising the general mid-set withdraw path of the online seam.
+    /// A loop only withdraws its own handles, so clients sharing a
+    /// session never race on a victim. Every op is recorded as a
+    /// [`Decision`] in the outcome, ready for an oracle of
+    /// [`crate::history`].
     ///
     /// # Errors
     ///
@@ -193,22 +222,14 @@ impl Client {
     /// responses (as `io::ErrorKind::WouldBlock`, so callers can map
     /// backpressure to a distinct exit path) and a missing admit or
     /// withdraw ack (as `io::ErrorKind::InvalidData`).
-    pub fn replay_trace_mixed(
+    pub fn replay_arrivals(
         &mut self,
         trace: &JobSet,
+        arrivals: &[JobId],
         evaluate: bool,
         withdraw_ratio: f64,
         mix_seed: u64,
     ) -> io::Result<ReplayOutcome> {
-        let arrivals = msmr_workload::arrival_order(trace);
-        let (empty, _) = trace
-            .restrict_to(&[])
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.request(Op::Submit(SubmitOp {
-            jobs: empty,
-            parallel: None,
-        }))?;
-
         let mut rng = MixRng::new(mix_seed);
         let mut handles: Vec<u64> = Vec::new();
         let mut outcome = ReplayOutcome {
@@ -248,7 +269,7 @@ impl Client {
             outcome.decisions.push(decision);
 
             // The withdraw mix: drawn per arrival so the op sequence is a
-            // pure function of (trace, ratio, seed).
+            // pure function of (arrivals, ratio, seed).
             if !handles.is_empty() && rng.next_f64() < withdraw_ratio {
                 let victim = handles.swap_remove((rng.next_u64() % handles.len() as u64) as usize);
                 let op = Op::Withdraw(WithdrawOp {
@@ -267,7 +288,7 @@ impl Client {
     }
 }
 
-/// Summary of one [`Client::replay_trace_mixed`] run.
+/// Summary of one [`Client::replay_arrivals`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Arrivals the daemon admitted.
@@ -276,7 +297,8 @@ pub struct ReplayOutcome {
     pub rejected: usize,
     /// Jobs withdrawn by the mixed replay's withdraw draw.
     pub withdrawn: usize,
-    /// Per-arrival round-trip latency in microseconds, in arrival order.
+    /// Per-arrival admit round-trip latency in microseconds, in arrival
+    /// order.
     pub latencies_us: Vec<f64>,
     /// Every op of the run — admits and withdrawals — in issue order.
     pub decisions: Vec<Decision>,

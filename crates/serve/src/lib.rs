@@ -38,9 +38,11 @@
 //!   solver as it finishes** — DM's answer is on the wire while OPT is
 //!   still searching — rather than waiting for the batch barrier.
 //! * The client side ships here: [`Client`] / [`ResumingClient`] and the
-//!   `msmr-admit` binary (a `--replay` mode feeds a generated workload
-//!   trace and can `--verify` the streamed verdicts against an offline
-//!   [`msmr_sched::SolverRegistry::evaluate`] mirror).
+//!   `msmr-admit` binary (a `--replay` mode feeds generated workload
+//!   traces from one client on a private session, or from M clients
+//!   over K fresh named sessions, all through the one loop
+//!   [`Client::replay_arrivals`], and can `--verify` the streamed
+//!   verdicts against both offline oracles).
 //!
 //! # Verification
 //!
@@ -50,8 +52,8 @@
 //! two oracles replay a history offline — [`history::replay_warm`]
 //! through a fresh [`AdmissionSession`] in seq order,
 //! [`history::replay_cold`] by evaluating every visited job set from
-//! scratch. `msmr-admit --verify`, `msmr-loadgen --verify`, the chaos
-//! scenarios and the end-to-end suites all call them.
+//! scratch. `msmr-admit --verify` (both oracles), the chaos scenarios
+//! and the end-to-end suites all call them.
 //!
 //! # Wire protocol
 //!
@@ -178,8 +180,8 @@ use msmr_sched::Verdict;
 /// `stats.cold_fallback` marker — zeroed, so two runs of the same
 /// evaluation (warm or cold) produce byte-identical JSON. This is the
 /// normal form every verification path of the workspace compares —
-/// `msmr-admit --verify`, the end-to-end suites and `msmr-loadgen` all
-/// use it, so they cannot drift on what "byte-identical" means.
+/// `msmr-admit --verify`, the chaos scenarios and the end-to-end suites
+/// all use it, so they cannot drift on what "byte-identical" means.
 #[must_use]
 pub fn normalized_verdict_json(verdict: &Verdict) -> String {
     let mut verdict = verdict.clone();

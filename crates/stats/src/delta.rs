@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::histo::add_counts;
 use crate::model::{OpLatency, SessionRow, SolverRow, StatsCounters, StatsGauges, StatsSnapshot};
 
 /// Per-op latency delta: bucket increments only — the receiving side
@@ -97,24 +96,6 @@ fn diff_counters(prev: &StatsCounters, next: &StatsCounters) -> StatsCounters {
     }
 }
 
-fn add_counters(base: &StatsCounters, inc: &StatsCounters) -> StatsCounters {
-    StatsCounters {
-        admits: base.admits + inc.admits,
-        rejects: base.rejects + inc.rejects,
-        withdraws: base.withdraws + inc.withdraws,
-        submits: base.submits + inc.submits,
-        warm_decides: base.warm_decides + inc.warm_decides,
-        cold_decides: base.cold_decides + inc.cold_decides,
-        implied_decides: base.implied_decides + inc.implied_decides,
-        overloads: base.overloads + inc.overloads,
-        evictions: base.evictions + inc.evictions,
-        snapshot_writes: base.snapshot_writes + inc.snapshot_writes,
-        trace_spans: base.trace_spans + inc.trace_spans,
-        snapshot_quarantined: base.snapshot_quarantined + inc.snapshot_quarantined,
-        deduped_ops: base.deduped_ops + inc.deduped_ops,
-    }
-}
-
 fn diff_solver(prev: &SolverRow, next: &SolverRow) -> SolverRow {
     SolverRow {
         verdicts: next.verdicts.saturating_sub(prev.verdicts),
@@ -125,19 +106,6 @@ fn diff_solver(prev: &SolverRow, next: &SolverRow) -> SolverRow {
         sdca_calls: next.sdca_calls.saturating_sub(prev.sdca_calls),
         nodes_explored: next.nodes_explored.saturating_sub(prev.nodes_explored),
         elapsed_micros: next.elapsed_micros.saturating_sub(prev.elapsed_micros),
-    }
-}
-
-fn add_solver(base: &SolverRow, inc: &SolverRow) -> SolverRow {
-    SolverRow {
-        verdicts: base.verdicts + inc.verdicts,
-        accepted: base.accepted + inc.accepted,
-        warm: base.warm + inc.warm,
-        cold: base.cold + inc.cold,
-        implied: base.implied + inc.implied,
-        sdca_calls: base.sdca_calls + inc.sdca_calls,
-        nodes_explored: base.nodes_explored + inc.nodes_explored,
-        elapsed_micros: base.elapsed_micros + inc.elapsed_micros,
     }
 }
 
@@ -191,23 +159,18 @@ pub fn diff(prev: &StatsSnapshot, next: &StatsSnapshot) -> StatsDelta {
 /// unchanged (maps never shrink in the model).
 #[must_use]
 pub fn apply(base: &StatsSnapshot, delta: &StatsDelta) -> StatsSnapshot {
-    let mut ops = base.ops.clone();
+    let mut next = base.clone();
+    next.counters.absorb(&delta.counters);
     for (name, inc) in &delta.ops {
-        let entry = ops.entry(name.clone()).or_default();
-        *entry = OpLatency::from_counts(add_counts(&entry.histo_buckets, &inc.histo_buckets));
+        let inc = OpLatency::from_counts(inc.histo_buckets.clone());
+        next.ops.entry(name.clone()).or_default().absorb(&inc);
     }
-    let mut solvers = base.solvers.clone();
     for (name, inc) in &delta.solvers {
-        let entry = solvers.entry(name.clone()).or_default();
-        *entry = add_solver(entry, inc);
+        next.solvers.entry(name.clone()).or_default().absorb(inc);
     }
-    StatsSnapshot {
-        counters: add_counters(&base.counters, &delta.counters),
-        gauges: delta.gauges.clone(),
-        ops,
-        solvers,
-        sessions: delta.sessions.clone(),
-    }
+    next.gauges = delta.gauges.clone();
+    next.sessions = delta.sessions.clone();
+    next
 }
 
 #[cfg(test)]

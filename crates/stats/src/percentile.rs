@@ -7,8 +7,8 @@
 //! used here is `rank = ⌈p·n⌉` (1-based) over the sorted **full** sample
 //! set. The daemon keeps no raw samples (its latency view is the
 //! log-bucket histogram); this is the exact definition the clients that
-//! do hold every round-trip sample — `msmr-admit` (its summary line and
-//! `--json`) and `msmr-loadgen` — call directly, and the reference
+//! do hold every round-trip sample — `msmr-admit --replay` (its summary
+//! line and `--json`) — call directly, and the reference
 //! `tests/histo_props.rs` holds the histogram estimates to.
 
 /// Returns the nearest-rank `p`-th percentile (`p` in `0.0..=1.0`) of

@@ -4,9 +4,10 @@ use msmr_model::{JobId, JobSet};
 
 /// The canonical arrival order of a job set used as an online trace:
 /// ascending arrival time, ties broken by job id. Every replayer in the
-/// workspace — `msmr_serve::Client::replay_trace_mixed`, `msmr-loadgen`, the
-/// end-to-end suites — uses this one definition, so "replaying the same
-/// trace" always means the same admit sequence.
+/// workspace — `msmr_serve::Client::replay_trace_mixed`, the multi-client
+/// `msmr-admit --replay --sessions K`, the end-to-end suites — uses this one
+/// definition, so "replaying the same trace" always means the same admit
+/// sequence.
 #[must_use]
 pub fn arrival_order(jobs: &JobSet) -> Vec<JobId> {
     let mut order: Vec<JobId> = jobs.job_ids().collect();

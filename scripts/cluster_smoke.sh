@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Boots the admission daemon in --cluster mode on a Unix socket (with the
 # stats side channel and trace-event export on), runs a short
-# multi-client msmr-loadgen burst over shared named sessions with
-# serialized-replay verification and daemon-counter cross-checking,
+# multi-client msmr-admit replay burst over shared named sessions with
+# offline-oracle verification and daemon-counter cross-checking, then a
+# multi-client verify against the wrong bound that must fail,
 # queries the live stats channel mid-burst through msmr-top (one-shot,
 # a held streaming-delta connection validating the merge contract, and
 # two frames of the live dashboard),
 # exercises the snapshot op through msmr-admit, shuts the daemon down,
 # validates the written trace and replays it offline against the final
 # live snapshot. Fails on any non-zero exit (including verdict
-# mismatches in the loadgen verification).
+# mismatches in the burst's verification).
 #
 # Usage: scripts/cluster_smoke.sh [clients] [sessions] [jobs] [seed]
 set -euo pipefail
@@ -25,7 +26,6 @@ FINAL_SNAP="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$-final.json"
 SERVED_LOG="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$-served.log"
 SERVED="target/release/msmr-served"
 ADMIT="target/release/msmr-admit"
-LOADGEN="target/release/msmr-loadgen"
 TOP="target/release/msmr-top"
 
 cargo build --release -p msmr-serve -p msmr-cluster -p msmr-stats
@@ -53,12 +53,12 @@ STATS_ADDR="$(sed -n 's|.*stats on tcp://||p' "$SERVED_LOG" | head -n 1)"
 # general O(n·N) mid-set withdraw of the online seam runs under
 # multi-client load — verified against a serialized offline replay, and
 # cross-checked against the daemon's own stats counters (the daemon is
-# fresh, so loadgen's admit/reject/withdraw/overload tallies must match
+# fresh, so the run's admit/reject/withdraw/overload tallies must match
 # it exactly).
-"$LOADGEN" --uds "$SOCK" \
+"$ADMIT" --uds "$SOCK" --replay \
     --clients "$CLIENTS" --sessions "$SESSIONS" --jobs "$JOBS" --seed "$SEED" \
     --withdraw-ratio 0.3 --verify --check-stats &
-LOADGEN_PID=$!
+BURST_PID=$!
 
 # Mid-burst, the side channel must serve a valid JSON snapshot with a
 # non-zero admit counter whose stored latency summaries are the ones
@@ -93,10 +93,23 @@ STREAM_PID=$!
 # baseline, then one delta), then a clean exit.
 "$TOP" --addr "$STATS_ADDR" --iterations 2 >/dev/null
 
-wait "$LOADGEN_PID"
+wait "$BURST_PID"
 
 wait "$STREAM_PID" || {
     echo "streamed deltas did not fold back to the live snapshot" >&2
+    exit 1
+}
+
+# Negative control for the multi-client path: two clients on one fresh
+# session (seed + 1, so new names), verified against an eq6 mirror of
+# the eq10 daemon, must exit 1 *and* name a divergent seq — an oracle
+# that compared nothing would pass here.
+status=0
+out=$("$ADMIT" --uds "$SOCK" --replay --clients 2 --sessions 1 --jobs "$JOBS" \
+    --seed $((SEED + 1)) --verify --bound eq6 2>&1) || status=$?
+[ "$status" -eq 1 ] && grep -q '^verdict mismatch: seq ' <<<"$out" || {
+    echo "a multi-client verify against the wrong bound exited $status without naming a divergent seq:" >&2
+    echo "$out" >&2
     exit 1
 }
 
@@ -112,15 +125,15 @@ wait "$STREAM_PID" || {
 }
 
 # The per-session breakdown (stats op with a session argument) answers
-# for a loadgen session without attaching to it.
+# for a burst session without attaching to it.
 "$ADMIT" --uds "$SOCK" --stats --session "loadgen-$SEED-0" \
     | grep -q '"withdraws":' || {
     echo "the per-session stats breakdown did not answer" >&2
     exit 1
 }
 
-# A second tool (msmr-admit) attaches to the first loadgen session by
-# name and reads its status, then the graceful shutdown snapshots every
+# A second connection attaches to the burst's first session by name and
+# reads its status, then the graceful shutdown snapshots every
 # session (the explicit snapshot op is covered by the e2e suite). The
 # final snapshot is saved first: the offline replay below cross-checks
 # the trace's per-solver span counts against its decision counters.

@@ -5,7 +5,7 @@
 # journal applies exactly once and the surviving history byte-verifies
 # offline). Then a real tier: three msmr-served --cluster backends on a
 # shared snapshot directory behind one msmr-router — a verified
-# multi-client loadgen burst through the router with --check-stats
+# multi-client msmr-admit replay burst through the router with --check-stats
 # against the *aggregated* snapshot (which must equal the run's tallies
 # exactly, i.e. the per-backend sum), an exact cross-check of the
 # router's stats side channel against the per-backend side channels, a
@@ -24,12 +24,12 @@ PIDFILE="$BASE-router.pid"
 ROUTER_LOG="$BASE-router.log"
 SERVED="target/release/msmr-served"
 ROUTER="target/release/msmr-router"
-LOADGEN="target/release/msmr-loadgen"
 ADMIT="target/release/msmr-admit"
 TOP="target/release/msmr-top"
 CHAOS="target/release/msmr-chaos"
 
-cargo build --release -p msmr-cluster -p msmr-router -p msmr-chaos -p msmr-stats
+# msmr-admit lives in msmr-serve; the msmr-served daemon in msmr-cluster.
+cargo build --release -p msmr-serve -p msmr-cluster -p msmr-router -p msmr-chaos -p msmr-stats
 
 # The seeded kill-mid-replay scenario through the router: failover to a
 # survivor, exactly-once journal resume, offline byte-identity.
@@ -113,7 +113,7 @@ admin backends | grep -q "ok 3 backends" || {
 # fresh, so --check-stats — answered by the router with the aggregated
 # snapshot — must equal the run's tallies exactly: aggregation sums the
 # per-backend counters with nothing lost and nothing double-counted.
-"$LOADGEN" --tcp "$ROUTER_ADDR" \
+"$ADMIT" --tcp "$ROUTER_ADDR" --replay \
     --clients 3 --sessions 3 --jobs 12 --seed "$SEED" \
     --withdraw-ratio 0.25 --verify --check-stats
 
@@ -132,7 +132,7 @@ done
     exit 1
 }
 
-# Live migration over the admin channel: move one loadgen session to a
+# Live migration over the admin channel: move one burst session to a
 # backend it is not on, and see the route flip.
 SESSION="loadgen-$SEED-0"
 OWNER="$(admin routes | awk -v s="$SESSION" '$1 == s { print $2 }')"
@@ -182,7 +182,7 @@ admin backends | grep -q "^$TARGET dead\$" || {
 # The degraded tier still takes verified traffic: a second burst (new
 # seed => new sessions, placed over the two survivors) byte-verifies
 # its replays offline.
-"$LOADGEN" --tcp "$ROUTER_ADDR" \
+"$ADMIT" --tcp "$ROUTER_ADDR" --replay \
     --clients 2 --sessions 2 --jobs 10 --seed $((SEED + 100)) \
     --withdraw-ratio 0.25 --verify
 

@@ -2,8 +2,9 @@
 # Boots the admission daemon in its default mode on a Unix socket and
 # drives both kinds of session through the one daemon: a verified replay
 # on the connection's private session, a verify against the wrong bound
-# that must fail, the verified replay on a named session that a second
-# connection then sees, and a shutdown that snapshots the named one.
+# that must fail, the verified replay on a fresh named session
+# (`--sessions 1`, named loadgen-<seed>-0) that a second connection then
+# sees, and a shutdown that snapshots the named one.
 # Fails on non-zero exit (including any verdict mismatch).
 #
 # Usage: scripts/service_smoke.sh [jobs] [seed]
@@ -53,11 +54,12 @@ out=$("$ADMIT" --uds "$SOCK" --replay --jobs 40 --seed 7 --withdraw-ratio 0.25 -
     exit 1
 }
 
-# The same daemon serves named sessions: the replay again, attached to
-# `smoke`; a second connection attaching by name sees the jobs the first
-# one left (its private predecessor above left nothing behind).
-"$ADMIT" --uds "$SOCK" --session smoke --replay --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
-"$ADMIT" --uds "$SOCK" --session smoke --status | grep -Eq '"jobs":[1-9]' || {
+# The same daemon serves named sessions: the replay again, on the fresh
+# named session loadgen-$SEED-0; a second connection attaching by name
+# sees the jobs the first one left (its private predecessor above left
+# nothing behind).
+"$ADMIT" --uds "$SOCK" --replay --sessions 1 --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
+"$ADMIT" --uds "$SOCK" --session "loadgen-$SEED-0" --status | grep -Eq '"jobs":[1-9]' || {
     echo "a second connection did not see the named session's jobs" >&2
     exit 1
 }
@@ -65,8 +67,8 @@ out=$("$ADMIT" --uds "$SOCK" --replay --jobs 40 --seed 7 --withdraw-ratio 0.25 -
 # The graceful shutdown snapshots the named session (and only it).
 "$ADMIT" --uds "$SOCK" --shutdown
 wait "$SERVED_PID"
-[ "$(ls "$SNAPDIR")" = "smoke.json" ] || {
-    echo "shutdown did not leave exactly smoke.json in $SNAPDIR" >&2
+[ "$(ls "$SNAPDIR")" = "loadgen-$SEED-0.json" ] || {
+    echo "shutdown did not leave exactly loadgen-$SEED-0.json in $SNAPDIR" >&2
     exit 1
 }
 trap - EXIT
