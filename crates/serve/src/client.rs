@@ -297,8 +297,7 @@ pub struct ReplayOutcome {
     pub rejected: usize,
     /// Jobs withdrawn by the mixed replay's withdraw draw.
     pub withdrawn: usize,
-    /// Per-arrival admit round-trip latency in microseconds, in arrival
-    /// order.
+    /// Per-arrival round-trip latency in microseconds, in arrival order.
     pub latencies_us: Vec<f64>,
     /// Every op of the run — admits and withdrawals — in issue order.
     pub decisions: Vec<Decision>,
