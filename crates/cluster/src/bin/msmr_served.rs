@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]
-//!             [--opt-nodes N] [--reserve N] [--threads N]
-//!             [--cluster] [--shards N] [--workers N] [--queue N] [--snapshot-dir DIR]
-//!             [--session-ttl SECS] [--stats-addr ADDR] [--trace-out PATH]
-//!             [--flight-out PATH] [--pidfile PATH]
+//!             [--opt-nodes N] [--cluster] [--shards N] [--workers N] [--queue N]
+//!             [--snapshot-dir DIR] [--session-ttl SECS] [--stats-addr ADDR]
+//!             [--trace-out PATH] [--flight-out PATH] [--pidfile PATH]
 //! ```
 //!
 //! At least one of `--tcp` / `--uds` is required. The daemon prints one
@@ -40,6 +39,8 @@
 //! `--stats-addr ADDR` additionally binds a side-channel listener that
 //! writes one JSON snapshot line per connection (what `msmr-top`
 //! polls), so stats stay reachable while the main endpoint is saturated.
+//! The side channel also answers the `flight` command with a
+//! seq-ordered dump of the in-memory flight recorder.
 //! `--trace-out PATH` streams Chrome trace events into PATH (load it in
 //! `about:tracing` / Perfetto): one span per solver verdict on a stable
 //! per-solver lane, plus counter tracks sampled four times a second
@@ -47,13 +48,9 @@
 //! up with the solver work it caused. The array is closed on clean
 //! shutdown and remains loadable after a crash.
 //!
-//! The side channel also understands the `stream` command (a persistent
-//! connection receiving the baseline snapshot then periodic
-//! [`msmr_stats::StatsDelta`] frames) and the `flight` command (a
-//! seq-ordered dump of the in-memory flight recorder). `--flight-out
-//! PATH` additionally writes that dump to PATH on shutdown — including
-//! the SIGTERM path — and from a panic hook, so a dying daemon leaves
-//! its last moments on disk.
+//! `--flight-out PATH` writes the flight-recorder dump to PATH on
+//! shutdown — including the SIGTERM path — and from a panic hook, so a
+//! dying daemon leaves its last moments on disk.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -61,10 +58,10 @@ use std::sync::Arc;
 
 use msmr_cluster::{ClusterConfig, ClusterEngine};
 use msmr_serve::{parse_bound, Listen};
-use msmr_stats::{serve_stats_channel, FlightProvider, StatsRegistry, StatsSnapshot, TraceWriter};
+use msmr_stats::{serve_stats, FlightProvider, StatsRegistry, StatsSnapshot, TraceWriter};
 
 fn usage() -> &'static str {
-    "usage: msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]\n                   [--opt-nodes N] [--reserve N] [--threads N]\n                   [--cluster] [--shards N] [--workers N] [--queue N] [--snapshot-dir DIR]\n                   [--session-ttl SECS] [--stats-addr ADDR] [--trace-out PATH]\n                   [--flight-out PATH] [--pidfile PATH]\n\n  --tcp ADDR         listen on a TCP address (e.g. 127.0.0.1:7471)\n  --uds PATH         listen on a unix-domain socket path\n  --bound NAME       delay bound (eq1..eq6, eq10; default eq10)\n  --decider NAME     solver deciding admissions (default OPDCA)\n  --opt-nodes N      node budget of the exact engines (default 200000)\n  --reserve N        pre-size session tables for N jobs (default 0)\n  --threads N        worker threads for parallel submits (default 0 = all)\n\nsessions (a connection starts on a private session; `attach` binds a named shared one):\n  --cluster          start connections unbound instead: no private session,\n                     session ops need an `attach` first\n  --shards N         session-store shards (default 8)\n  --workers N        solve worker threads for named sessions (default 0 = all cores)\n  --queue N          bounded solve queue; full => typed overload response (default 64)\n  --snapshot-dir DIR enable snapshot/restore persistence of named sessions in DIR\n  --session-ttl SECS evict detached named sessions idle past SECS (snapshot first)\n\nobservability:\n  --stats-addr ADDR  serve one-line JSON stats snapshots on a TCP side channel\n                     (plus the `stream` delta mode and `flight` dump command)\n  --trace-out PATH   write one Chrome trace-event span per solver verdict to PATH\n  --flight-out PATH  write the flight-recorder event dump to PATH on shutdown,\n                     SIGTERM and panic\n\nlifecycle:\n  --pidfile PATH     write the daemon pid to PATH once bound; SIGTERM shuts the\n                     daemon down gracefully (named sessions are snapshotted\n                     first) and removes the file"
+    "usage: msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]\n                   [--opt-nodes N] [--cluster] [--shards N] [--workers N] [--queue N]\n                   [--snapshot-dir DIR] [--session-ttl SECS] [--stats-addr ADDR]\n                   [--trace-out PATH] [--flight-out PATH] [--pidfile PATH]\n\n  --tcp ADDR         listen on a TCP address (e.g. 127.0.0.1:7471)\n  --uds PATH         listen on a unix-domain socket path\n  --bound NAME       delay bound (eq1..eq6, eq10; default eq10)\n  --decider NAME     solver deciding admissions (default OPDCA)\n  --opt-nodes N      node budget of the exact engines (default 200000)\n\nsessions (a connection starts on a private session; `attach` binds a named shared one):\n  --cluster          start connections unbound instead: no private session,\n                     session ops need an `attach` first\n  --shards N         session-store shards (default 8)\n  --workers N        solve worker threads for named sessions (default 0 = all cores)\n  --queue N          bounded solve queue; full => typed overload response (default 64)\n  --snapshot-dir DIR enable snapshot/restore persistence of named sessions in DIR\n  --session-ttl SECS evict detached named sessions idle past SECS (snapshot first)\n\nobservability:\n  --stats-addr ADDR  serve one-line JSON stats snapshots on a TCP side channel\n                     (plus the `flight` dump command)\n  --trace-out PATH   write one Chrome trace-event span per solver verdict to PATH\n  --flight-out PATH  write the flight-recorder event dump to PATH on shutdown,\n                     SIGTERM and panic\n\nlifecycle:\n  --pidfile PATH     write the daemon pid to PATH once bound; SIGTERM shuts the\n                     daemon down gracefully (named sessions are snapshotted\n                     first) and removes the file"
 }
 
 struct Options {
@@ -147,16 +144,6 @@ fn parse_options() -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "invalid --opt-nodes value".to_string())?,
                 );
-            }
-            "--reserve" => {
-                options.config.session.reserve = value("--reserve")?
-                    .parse()
-                    .map_err(|_| "invalid --reserve value".to_string())?;
-            }
-            "--threads" => {
-                options.config.session.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "invalid --threads value".to_string())?;
             }
             "--cluster" => options.config.start_private = false,
             "--shards" => {
@@ -314,7 +301,7 @@ fn main() -> ExitCode {
             let stats = Arc::clone(&stats);
             Arc::new(move || stats.flight_dump())
         };
-        match serve_stats_channel(
+        match serve_stats(
             addr,
             Arc::clone(&provider),
             Some(flight),

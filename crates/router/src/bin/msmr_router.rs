@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use msmr_router::{stats_agg, Router, RouterConfig};
-use msmr_stats::{serve_stats_channel, StatsSnapshot};
+use msmr_stats::{serve_stats, StatsSnapshot};
 
 fn usage() -> &'static str {
     "usage: msmr-router --listen ADDR --backend ADDR [--backend ADDR ...]\n                   [--admin-addr ADDR] [--stats-addr ADDR]\n                   [--health-interval-ms N] [--health-failures N]\n                   [--pidfile PATH]\n\n  --listen ADDR           client listen address (e.g. 127.0.0.1:7470)\n  --backend ADDR          one msmr-served --cluster daemon (repeatable;\n                          every daemon must share one --snapshot-dir)\n  --admin-addr ADDR       operator channel (migrate/backends/routes)\n  --stats-addr ADDR       serve the tier-wide merged stats snapshot on\n                          a one-line JSON side channel (msmr-top reads it)\n  --health-interval-ms N  probe period in milliseconds (default 250)\n  --health-failures N     consecutive misses before a backend is\n                          declared dead (default 3)\n  --pidfile PATH          write the router pid to PATH once bound;\n                          SIGTERM shuts down gracefully and removes it"
@@ -166,7 +166,7 @@ fn main() -> ExitCode {
             let state = Arc::clone(router.state());
             Arc::new(move || stats_agg::aggregate(&state))
         };
-        match serve_stats_channel(addr, provider, None, router.shutdown_handle()) {
+        match serve_stats(addr, provider, None, router.shutdown_handle()) {
             Ok((bound, _listener)) => println!("msmr-router stats on tcp://{bound}"),
             Err(e) => {
                 eprintln!("msmr-router: cannot bind --stats-addr {addr}: {e}");

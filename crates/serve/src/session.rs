@@ -26,12 +26,6 @@ pub struct SessionConfig {
     pub decider: String,
     /// Node budget of the exact engines.
     pub node_limit: Option<u64>,
-    /// Pre-sized job capacity of the pair tables: sessions expecting up to
-    /// this many jobs never re-stride on arrival (0 keeps pure on-demand
-    /// growth).
-    pub reserve: usize,
-    /// Worker threads for parallel submit evaluation (0 = all cores).
-    pub threads: usize,
     /// Live-metrics sink shared by every session built from this config
     /// (daemon-wide). Sessions record op counters/latencies into it and
     /// install its verdict observer on their solver registry; `None`
@@ -45,8 +39,6 @@ impl Default for SessionConfig {
             bound: DelayBoundKind::EdgeHybrid,
             decider: "OPDCA".to_string(),
             node_limit: Some(200_000),
-            reserve: 0,
-            threads: 0,
             stats: None,
         }
     }
@@ -492,9 +484,6 @@ impl AdmissionSession {
         self.decision_log.clear();
         self.online = self.registry.online_suite();
         let mut tables = Analysis::new(&jobs).into_tables();
-        if self.config.reserve > tables.capacity() {
-            tables.reserve(self.config.reserve);
-        }
         let verdicts = if jobs.is_empty() {
             Vec::new()
         } else {
@@ -503,19 +492,16 @@ impl AdmissionSession {
             let analysis = Analysis::from_tables(&jobs, tables);
             let ctx = SolveCtx::with_analysis(analysis, self.budget());
             let verdicts = if parallel {
-                let threads = if self.config.threads == 0 {
-                    msmr_par::default_threads()
-                } else {
-                    self.config.threads
-                };
                 // Completion-order streaming needs a Sync sink, so funnel
                 // the caller's FnMut through a mutex.
                 let shared = std::sync::Mutex::new(&mut sink);
-                let verdicts = self
-                    .registry
-                    .evaluate_parallel_ctx(&ctx, threads, |verdict| {
+                let verdicts = self.registry.evaluate_parallel_ctx(
+                    &ctx,
+                    msmr_par::default_threads(),
+                    |verdict| {
                         (shared.lock().expect("sink poisoned"))(verdict);
-                    });
+                    },
+                );
                 // The parallel fan-out bypasses the online seam, so the
                 // decider's trace is recorded separately
                 // ([`msmr_sched::OnlineSolver::begin`]) and the very
@@ -924,8 +910,9 @@ impl AdmissionSession {
     /// # Errors
     ///
     /// [`SessionError::InvalidJob`] when the image's job set violates the
-    /// model invariants (e.g. a hand-edited snapshot file) or its handle
-    /// list does not match the job count.
+    /// model invariants (e.g. a hand-edited snapshot file), its handle
+    /// list does not match the job count or repeats a handle, or its
+    /// decision log holds a seq past the image's decision counter.
     pub fn from_image(
         config: SessionConfig,
         image: SessionImage,
@@ -938,15 +925,26 @@ impl AdmissionSession {
                 jobs.len()
             )));
         }
+        let mut seen = std::collections::HashSet::with_capacity(image.handles.len());
+        if let Some(handle) = image.handles.iter().find(|&&handle| !seen.insert(handle)) {
+            return Err(SessionError::InvalidJob(format!(
+                "snapshot lists handle {handle} twice"
+            )));
+        }
+        let decisions = image.decisions.unwrap_or(0);
+        let decision_log = image.decision_log.unwrap_or_default();
+        if let Some(record) = decision_log.iter().find(|record| record.seq > decisions) {
+            return Err(SessionError::InvalidJob(format!(
+                "snapshot logs decision seq {} past its counter {decisions}",
+                record.seq
+            )));
+        }
         let min_next = image
             .handles
             .iter()
             .max()
             .map_or(1, |&max| max.saturating_add(1));
-        let mut tables = Analysis::new(&jobs).into_tables();
-        if config.reserve > tables.capacity() {
-            tables.reserve(config.reserve);
-        }
+        let tables = Analysis::new(&jobs).into_tables();
         let registry = Self::build_registry(&config);
         // The persisted decider states come back warm; shape-invalid
         // states (hand-edited snapshots) are rejected lazily by the
@@ -976,8 +974,8 @@ impl AdmissionSession {
             // the first post-restore decision, as before) and an empty
             // log; current snapshots resume exactly where they stopped,
             // which is what makes cross-restart idempotent resume work.
-            decisions: image.decisions.unwrap_or(0),
-            decision_log: image.decision_log.unwrap_or_default(),
+            decisions,
+            decision_log,
         })
     }
 }
@@ -1350,12 +1348,28 @@ mod tests {
         session
             .admit(&spec([2, 2, 2], 0, 200), false, |_| {})
             .unwrap();
-        let mut image = session.image().unwrap();
-        image.handles.push(99); // one handle too many
-        let Err(error) = AdmissionSession::from_image(SessionConfig::default(), image) else {
-            panic!("mismatched handle count must be rejected");
+        session
+            .admit(&spec([2, 2, 2], 0, 200), false, |_| {})
+            .unwrap();
+        let good = session.image().unwrap();
+        assert!(AdmissionSession::from_image(SessionConfig::default(), good.clone()).is_ok());
+        let corrupt = |edit: fn(&mut SessionImage), what: &str| {
+            let mut image = good.clone();
+            edit(&mut image);
+            let Err(error) = AdmissionSession::from_image(SessionConfig::default(), image) else {
+                panic!("{what} must be rejected");
+            };
+            assert!(matches!(error, SessionError::InvalidJob(_)), "{what}");
         };
-        assert!(matches!(error, SessionError::InvalidJob(_)));
+        corrupt(|image| image.handles.push(99), "one handle too many");
+        corrupt(
+            |image| image.handles = vec![1, 1],
+            "one handle naming two jobs",
+        );
+        corrupt(
+            |image| image.decision_log.as_mut().unwrap()[0].seq = 3,
+            "a logged seq past the decision counter",
+        );
     }
 
     #[test]
@@ -1604,20 +1618,5 @@ mod tests {
                 .unwrap_err(),
             SessionError::SeqRetired(1)
         );
-    }
-
-    #[test]
-    fn reserve_pre_sizes_the_tables() {
-        let mut session = AdmissionSession::new(SessionConfig {
-            reserve: 32,
-            ..SessionConfig::default()
-        });
-        session.submit(pipeline_only(), false, |_| {});
-        for _ in 0..8 {
-            session
-                .admit(&spec([2, 2, 2], 0, 500), false, |_| {})
-                .unwrap();
-        }
-        assert_eq!(session.status().jobs, 8);
     }
 }

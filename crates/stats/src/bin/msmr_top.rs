@@ -1,20 +1,16 @@
 //! `msmr-top` — a std-only terminal dashboard over the stats side
 //! channel, in the spirit of `scxtop`.
 //!
-//! Default mode polls a `--stats-addr` listener and redraws one compact
-//! dashboard (plain text, cleared and homed per frame, so the output of
+//! Default mode polls a `--stats-addr` listener for one snapshot every
+//! `--interval-ms` (at least 10 ms) and redraws one compact dashboard
+//! (plain text, cleared and homed per frame, so the output of
 //! `--iterations N` stays in the terminal or log): counters, warm/cold
 //! ratio, per-op p50/p99 (histogram estimates: upper bucket edges) with
 //! a log-bucket **distribution sparkline** and its `[lo µs, hi µs)`
 //! range, a worker queue-depth sparkline across polls, and per-solver
-//! (with mean latency) / per-session tables.
-//!
-//! The live mode rides the side channel's **streaming delta mode**: one
-//! persistent connection receives the baseline snapshot and then one
-//! `StatsDelta` frame per interval, folded client-side — no
-//! reconnect-per-poll churn against the daemon. If the daemon bounces,
-//! the dashboard reconnects and picks up a fresh baseline. Five
-//! scripting modes double as the CI validators; every invariant they
+//! (with mean latency) / per-session tables. If the daemon bounces, the
+//! dashboard keeps polling until it answers again. Four scripting
+//! modes double as the CI validators; every invariant they
 //! check lives in [`msmr_stats::audit`], and this binary only reads
 //! files and sockets, parses arguments and renders:
 //!
@@ -27,10 +23,6 @@
 //! * `--check-trace FILE` validates a `--trace-out` file as
 //!   trace-event JSON (optionally asserting `--expect-spans N` exact
 //!   span and `--expect-counters N` minimum counter-sample tallies).
-//! * `--check-stream` holds one streaming connection, folds delta
-//!   frames onto the baseline, and — once a quiescent frame arrives —
-//!   asserts `baseline ⊕ deltas ≡ fresh snapshot` against a plain
-//!   legacy fetch, pinning the merge contract end to end.
 //! * `--replay FILE` is the offline post-mortem: it reconstructs
 //!   per-solver lanes and counter tracks from a recorded Chrome trace,
 //!   rebuilds per-solver span-latency histograms with the same
@@ -50,7 +42,6 @@
 //! ```text
 //! msmr-top --addr 127.0.0.1:9099 [--interval-ms 1000] [--iterations 0]
 //! msmr-top --addr 127.0.0.1:9099 --once [--min-admits 1]
-//! msmr-top --addr 127.0.0.1:9099 --check-stream [--interval-ms 200]
 //! msmr-top --addr 127.0.0.1:9099 --flight-dump [--flight-filter kind=K,session=S]
 //! msmr-top --check-trace replay.trace [--expect-spans 120] [--expect-counters 3]
 //! msmr-top --replay replay.trace [--flight flight.json] [--against snapshot.json]
@@ -58,16 +49,15 @@
 
 use std::io::Write;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use msmr_stats::{
     audit, bucket_bounds, fetch_flight_dump, fetch_stats_json, parse_trace, Event, EventKind,
-    FlightDump, StatsSnapshot, StatsStream, TraceEvents,
+    FlightDump, StatsSnapshot, TraceEvents,
 };
 
-/// How long `--check-stream` waits for the folded stream to converge
-/// with a fresh snapshot before giving up.
-const CHECK_STREAM_DEADLINE: Duration = Duration::from_secs(30);
+/// Shortest pause between two dashboard polls.
+const MIN_INTERVAL_MS: u64 = 10;
 
 /// Flight-recorder events listed (newest last) in a replay report.
 const REPLAY_FLIGHT_TAIL: usize = 10;
@@ -89,7 +79,6 @@ struct Options {
     check_trace: Option<String>,
     expect_spans: Option<u64>,
     expect_counters: Option<u64>,
-    check_stream: bool,
     replay: Option<String>,
     flight: Option<String>,
     against: Option<String>,
@@ -108,7 +97,6 @@ impl Default for Options {
             check_trace: None,
             expect_spans: None,
             expect_counters: None,
-            check_stream: false,
             replay: None,
             flight: None,
             against: None,
@@ -222,7 +210,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|_| "--expect-counters needs an integer".to_string())?,
                 );
             }
-            "--check-stream" => options.check_stream = true,
             "--replay" => options.replay = Some(value("--replay")?),
             "--flight" => options.flight = Some(value("--flight")?),
             "--against" => options.against = Some(value("--against")?),
@@ -530,39 +517,6 @@ fn run_flight_dump(addr: &str, filter: Option<&FlightFilter>) -> Result<(), Stri
     Ok(())
 }
 
-/// `--check-stream`: fold streamed deltas onto the baseline until a
-/// quiescent frame arrives, then assert the fold equals a fresh legacy
-/// fetch — the merge contract, checked against the live daemon.
-fn run_check_stream(addr: &str, interval_ms: u64) -> Result<(), String> {
-    let mut stream = StatsStream::connect(addr, interval_ms).map_err(|e| format!("{addr}: {e}"))?;
-    let deadline = Instant::now() + CHECK_STREAM_DEADLINE;
-    let mut frames = 0u64;
-    loop {
-        let frame = stream
-            .next_frame()
-            .map_err(|e| format!("{addr}: stream broke after {frames} frames: {e}"))?;
-        frames += 1;
-        if frame.is_quiescent() {
-            let (_, live) = fetch_snapshot(addr)?;
-            if &live == stream.snapshot() {
-                println!(
-                    "stream OK: baseline + {frames} delta frames == fresh snapshot \
-                     ({} admits)",
-                    live.counters.admits
-                );
-                return Ok(());
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "{addr}: folded stream never converged with a fresh snapshot \
-                 ({frames} frames in {}s)",
-                CHECK_STREAM_DEADLINE.as_secs()
-            ));
-        }
-    }
-}
-
 fn fetch_snapshot(addr: &str) -> Result<(String, StatsSnapshot), String> {
     let json = fetch_stats_json(addr).map_err(|e| format!("{addr}: {e}"))?;
     let snapshot = serde_json::from_str(&json).map_err(|e| format!("{addr}: bad snapshot: {e}"))?;
@@ -587,9 +541,6 @@ fn run(options: &Options) -> Result<(), String> {
     if options.flight_dump {
         return run_flight_dump(addr, options.flight_filter.as_ref());
     }
-    if options.check_stream {
-        return run_check_stream(addr, options.interval_ms);
-    }
     if options.once {
         let (json, snapshot) = fetch_snapshot(addr)?;
         if let Some(min) = options.min_admits {
@@ -604,38 +555,32 @@ fn run(options: &Options) -> Result<(), String> {
         println!("{json}");
         return Ok(());
     }
+    let interval = Duration::from_millis(options.interval_ms.max(MIN_INTERVAL_MS));
     let mut depths: Vec<u64> = Vec::new();
     let mut iteration = 0u64;
-    // One persistent streaming connection per daemon lifetime: the
-    // baseline arrives once, then delta frames pace the redraws. The
-    // outer loop only reconnects after the daemon goes away.
     loop {
-        let mut stream = match StatsStream::connect(addr, options.interval_ms) {
-            Ok(stream) => stream,
-            Err(e) if iteration == 0 => return Err(format!("{addr}: {e}")),
+        let snapshot = match fetch_snapshot(addr) {
+            Ok((_, snapshot)) => snapshot,
+            Err(e) if iteration == 0 => return Err(e),
             Err(_) => {
-                // The daemon bounced mid-watch; keep trying to reattach.
-                std::thread::sleep(Duration::from_millis(options.interval_ms));
+                // The daemon bounced mid-watch; keep polling until it
+                // answers again.
+                std::thread::sleep(interval);
                 continue;
             }
         };
-        loop {
-            let snapshot = stream.snapshot();
-            depths.push(snapshot.gauges.queue_depth);
-            if depths.len() > SPARK_WINDOW {
-                depths.remove(0);
-            }
-            // Clear + home, then one full frame.
-            print!("\x1b[2J\x1b[H{}", render(snapshot, &depths));
-            let _ = std::io::stdout().flush();
-            iteration += 1;
-            if options.iterations != 0 && iteration >= options.iterations {
-                return Ok(());
-            }
-            if stream.next_frame().is_err() {
-                break;
-            }
+        depths.push(snapshot.gauges.queue_depth);
+        if depths.len() > SPARK_WINDOW {
+            depths.remove(0);
         }
+        // Clear + home, then one full frame.
+        print!("\x1b[2J\x1b[H{}", render(&snapshot, &depths));
+        let _ = std::io::stdout().flush();
+        iteration += 1;
+        if options.iterations != 0 && iteration >= options.iterations {
+            return Ok(());
+        }
+        std::thread::sleep(interval);
     }
 }
 
@@ -648,7 +593,6 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: msmr-top --addr HOST:PORT [--interval-ms N] [--iterations N]\n\
                      \x20      msmr-top --addr HOST:PORT --once [--min-admits N]\n\
-                     \x20      msmr-top --addr HOST:PORT --check-stream [--interval-ms N]\n\
                      \x20      msmr-top --addr HOST:PORT --flight-dump [--flight-filter kind=K,session=S]\n\
                      \x20      msmr-top --check-trace FILE [--expect-spans N] [--expect-counters N]\n\
                      \x20      msmr-top --replay FILE [--flight DUMP] [--against SNAPSHOT]\n\
@@ -928,17 +872,19 @@ mod tests {
         assert_eq!(options.replay.as_deref(), Some("run.trace"));
         assert_eq!(options.flight.as_deref(), Some("flight.json"));
         assert_eq!(options.against.as_deref(), Some("snap.json"));
+        // The live dashboard polls at its own pace.
         let options = parse_args(&[
             "--addr".into(),
             "127.0.0.1:9".into(),
-            "--check-stream".into(),
+            "--interval-ms".into(),
+            "200".into(),
         ])
         .unwrap();
-        assert!(options.check_stream);
-        // --flight without --replay is refused, as is --check-stream
+        assert_eq!(options.interval_ms, 200);
+        // --flight without --replay is refused, as is a live mode
         // without an address.
         assert!(parse_args(&["--flight".into(), "x.json".into()]).is_err());
-        assert!(parse_args(&["--check-stream".into()]).is_err());
+        assert!(parse_args(&["--interval-ms".into(), "200".into()]).is_err());
     }
 
     #[test]

@@ -123,8 +123,7 @@ impl LatencyHisto {
 
 /// Element-wise sum of two (possibly trimmed) bucket-count vectors,
 /// as long as the longer one — bucket `i` is bucket `i` on every
-/// daemon, so this is how histograms merge across backends and how a
-/// delta frame's increments land on a base.
+/// daemon, so this is how histograms merge across backends.
 pub(crate) fn add_counts(base: &[u64], inc: &[u64]) -> Vec<u64> {
     let len = base.len().max(inc.len());
     (0..len)

@@ -23,12 +23,9 @@
 //!   queue depth), per-op latency histograms, a per-solver work table
 //!   aggregated from [`msmr_sched::SolverStats`], and per-session rows.
 //!   It travels two ways: as the protocol-v4 `stats` op, and over the
-//!   [`listener`] side channel (`--stats-addr`) so
-//!   scraping never competes with admission traffic. The side channel
-//!   also upgrades to a streaming mode — one baseline snapshot, then
-//!   periodic [`StatsDelta`] frames whose fold reproduces the live
-//!   snapshot exactly ([`delta`], pinned by `tests/delta_props.rs`) —
-//!   and answers `flight` with the recorder dump.
+//!   [`listener`] side channel (`--stats-addr`), one snapshot line per
+//!   connection, so scraping never competes with admission traffic.
+//!   The side channel also answers `flight` with the recorder dump.
 //! * [`FlightRecorder`] — a fixed-capacity, lock-cheap ring of
 //!   structured [`Event`]s ([`events`]) fed from the same seams as the
 //!   counters: admit/reject/withdraw with session and seq, overload
@@ -50,13 +47,12 @@
 //!   flight events and histograms reconcile with a surviving history.
 //!   `msmr-top`'s validators and every `msmr-chaos` scenario call it.
 //! * `msmr-top` — a std-only terminal dashboard over the side channel:
-//!   one periodic repaint with per-op histogram sparklines,
+//!   one repaint per snapshot poll with per-op histogram sparklines,
 //!   per-session and per-solver tables, warm/cold ratio and a
-//!   queue-depth sparkline — fed by one held streaming connection, not
-//!   reconnect-per-poll. Its `--once` / `--check-stream` /
-//!   `--check-trace` modes double as the validators the CI smoke
-//!   scripts use, and `--replay` renders an offline post-mortem from a
-//!   recorded trace (plus optional flight dump).
+//!   queue-depth sparkline. Its `--once` / `--check-trace` modes
+//!   double as the validators the CI smoke scripts use, and `--replay`
+//!   renders an offline post-mortem from a recorded trace (plus
+//!   optional flight dump).
 //!
 //! Instrumentation is provenance-only by construction: nothing in this
 //! crate touches a [`msmr_sched::Verdict`], so the byte-identity
@@ -67,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod delta;
 pub mod events;
 pub mod histo;
 pub mod listener;
@@ -76,12 +71,10 @@ pub mod percentile;
 pub mod registry;
 pub mod trace;
 
-pub use delta::{OpLatencyDelta, StatsDelta};
 pub use events::{Event, EventKind, FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use histo::{bucket_bounds, bucket_index, percentile_from_counts, LatencyHisto, HISTO_BUCKETS};
 pub use listener::{
-    fetch_flight_dump, fetch_stats_json, serve_stats, serve_stats_channel, FlightProvider,
-    SnapshotProvider, StatsStream, DEFAULT_STREAM_INTERVAL_MS,
+    fetch_flight_dump, fetch_stats_json, serve_stats, FlightProvider, SnapshotProvider,
 };
 pub use model::{OpLatency, SessionRow, SolverRow, StatsCounters, StatsGauges, StatsSnapshot};
 pub use percentile::nearest_rank;

@@ -179,8 +179,8 @@ impl OpLatency {
     /// The summary of one copy of (possibly trimmed) bucket counts, as
     /// [`crate::LatencyHisto::counts`] yields them: `samples` is their
     /// sum and both percentiles are [`crate::percentile_from_counts`]
-    /// of that same copy. A registry snapshot, a tier merge and a
-    /// streamed delta all build their summaries here.
+    /// of that same copy. A registry snapshot and a tier merge both
+    /// build their summaries here.
     #[must_use]
     pub fn from_counts(histo_buckets: Vec<u64>) -> OpLatency {
         OpLatency {

@@ -1,8 +1,9 @@
 //! Property suite for the log-bucket latency histograms: bucket
 //! boundaries, merge additivity, serde round-trips of the snapshot
-//! form, and the headline accuracy contract — the histogram's
-//! percentile estimates agree with the exact nearest-rank percentiles
-//! of the raw samples to within one log bucket.
+//! form, the tier merge of snapshot summaries, and the headline
+//! accuracy contract — the histogram's percentile estimates agree with
+//! the exact nearest-rank percentiles of the raw samples to within one
+//! log bucket.
 
 use msmr_stats::{
     bucket_bounds, bucket_index, nearest_rank, percentile_from_counts, LatencyHisto, OpLatency,
@@ -14,6 +15,12 @@ use proptest::prelude::*;
 /// stalls (the interesting log-bucket range).
 fn samples() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..100_000_000, 1..200)
+}
+
+/// Bucket-count vectors as a snapshot could carry them: any length up
+/// to the bucket count, zeros anywhere (trailing ones included).
+fn buckets() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..1_000, 0..HISTO_BUCKETS)
 }
 
 proptest! {
@@ -83,6 +90,25 @@ proptest! {
             percentile_from_counts(&parsed.histo_buckets, 0.99),
             lat.histo_p99_us
         );
+    }
+
+    /// One summary, two routes: merging two backends' summaries (the
+    /// router's tier merge) and building from the summed counts yield
+    /// the same [`OpLatency`] — whose derived fields are the ones its
+    /// own buckets give.
+    #[test]
+    fn tier_merge_and_constructor_agree((a, b) in (buckets(), buckets())) {
+        let summed: Vec<u64> = (0..a.len().max(b.len()))
+            .map(|i| a.get(i).copied().unwrap_or(0) + b.get(i).copied().unwrap_or(0))
+            .collect();
+        let expected = OpLatency::from_counts(summed.clone());
+        prop_assert_eq!(expected.samples, summed.iter().sum::<u64>());
+        prop_assert_eq!(expected.histo_p50_us, percentile_from_counts(&summed, 0.50));
+        prop_assert_eq!(expected.histo_p99_us, percentile_from_counts(&summed, 0.99));
+
+        let mut merged = OpLatency::from_counts(a);
+        merged.absorb(&OpLatency::from_counts(b));
+        prop_assert_eq!(&merged, &expected);
     }
 
     /// The accuracy contract: the histogram's p50/p90/p99 estimates

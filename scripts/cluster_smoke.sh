@@ -4,9 +4,8 @@
 # multi-client msmr-admit replay burst over shared named sessions with
 # offline-oracle verification and daemon-counter cross-checking, then a
 # multi-client verify against the wrong bound that must fail,
-# queries the live stats channel mid-burst through msmr-top (one-shot,
-# a held streaming-delta connection validating the merge contract, and
-# two frames of the live dashboard),
+# queries the live stats channel mid-burst through msmr-top (one-shot
+# and two frames of the live dashboard),
 # exercises the snapshot op through msmr-admit, shuts the daemon down,
 # validates the written trace and replays it offline against the final
 # live snapshot. Fails on any non-zero exit (including verdict
@@ -82,23 +81,16 @@ done
     exit 1
 }
 
-# Also mid-burst: hold one streaming connection across the rest of the
-# run. msmr-top folds the baseline plus every delta frame client-side
-# and asserts the merge contract (baseline + deltas == fresh snapshot)
-# once the stream goes quiescent.
-"$TOP" --addr "$STATS_ADDR" --check-stream --interval-ms 200 &
-STREAM_PID=$!
-
-# The live dashboard itself: two frames from one held stream (the
-# baseline, then one delta), then a clean exit.
-"$TOP" --addr "$STATS_ADDR" --iterations 2 >/dev/null
-
-wait "$BURST_PID"
-
-wait "$STREAM_PID" || {
-    echo "streamed deltas did not fold back to the live snapshot" >&2
+# The live dashboard itself: two polled frames, then a clean exit. Each
+# frame starts with the dashboard header, so exactly two must render.
+FRAMES="$("$TOP" --addr "$STATS_ADDR" --iterations 2 --interval-ms 200 |
+    grep -o 'msmr-top — admission daemon live stats' | wc -l)"
+[ "$FRAMES" -eq 2 ] || {
+    echo "live dashboard rendered $FRAMES frames, expected 2" >&2
     exit 1
 }
+
+wait "$BURST_PID"
 
 # Negative control for the multi-client path: two clients on one fresh
 # session (seed + 1, so new names), verified against an eq6 mirror of
