@@ -21,15 +21,21 @@
 //!    (the delay bounds are monotone in the assumed-higher set, so adding
 //!    an arrival can never turn a failed Audsley probe into a pass).
 //! 2. **States are advisory.** Every state is serializable (sessions
-//!    snapshot it, restores come back warm) and shape-validated before
-//!    use; a state that does not describe the current job set is ignored
-//!    and the solver decides cold. Semantically-wrong-but-well-shaped
-//!    states are trusted, like the pair-table values themselves.
+//!    snapshot it) and shape-validated before use; a state that does not
+//!    describe the current job set is ignored and the solver decides
+//!    cold. Semantically-wrong-but-well-shaped states are trusted, like
+//!    the pair-table values themselves. In-memory caches riding on a
+//!    state (OPDCA's [`AudsleyState::cache`]) are never serialized and
+//!    are used only on the exact tables they were computed from, so a
+//!    restored or mismatched state loses its warmth, never its bytes.
 //! 3. **Capability, not obligation.** [`Solver::online`](crate::Solver)
 //!    is an optional hook; solvers without it keep working through the
 //!    registry's cold adapter, which marks its verdicts with the
 //!    `cold_fallback` stat.
 
+use std::sync::Arc;
+
+use msmr_dca::EvaluatorState;
 use msmr_model::JobId;
 use serde::{Deserialize, Serialize};
 
@@ -76,7 +82,15 @@ pub enum DeciderState {
 /// trace — a level whose recorded winner still passes is re-used with one
 /// probe instead of `probes[level]`, while the *reported* `sdca_calls`
 /// still charges the cold count, keeping warm verdicts byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The fast-forward reads its bounds from [`AudsleyState::cache`], the
+/// recording decide's final evaluator state. The cache is in-memory and
+/// advisory: it is never serialized, never compared, and used only on the
+/// exact pair tables it was computed from (their
+/// [`PairTables::generation`](msmr_dca::PairTables::generation) before the
+/// arrival). Without it — after a snapshot restore, or on tables it does
+/// not match — an admit decides cold, with the same bytes.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AudsleyState {
     /// The job assigned at each level, in assignment order (lowest
     /// priority first).
@@ -86,6 +100,19 @@ pub struct AudsleyState {
     pub probes: Vec<u64>,
     /// `true` when the trace ends in a level no candidate passed.
     pub rejected: bool,
+    /// Every job's bound state at its own decision level, as the
+    /// recording decide left it (shared, so cloning a state is `O(1)`).
+    #[serde(skip)]
+    pub cache: Option<Arc<EvaluatorState>>,
+}
+
+/// Traces compare by their walk; the cache is derived from it.
+impl PartialEq for AudsleyState {
+    fn eq(&self, other: &Self) -> bool {
+        self.winners == other.winners
+            && self.probes == other.probes
+            && self.rejected == other.rejected
+    }
 }
 
 impl AudsleyState {
@@ -160,7 +187,7 @@ pub struct RepairState {
 ///   wall-clock provenance fields are zeroed (work counters included).
 /// * Callers that *reject* the decided set (admission rollback) must
 ///   restore the previous state themselves — states are cheap `O(n)`
-///   clones.
+///   clones (caches are shared, not copied).
 pub trait OnlineSolver: Send + Sync {
     /// Cold-starts the decider on the context's job set, returning the
     /// recorded state subsequent calls fast-forward from. The default
@@ -173,7 +200,9 @@ pub trait OnlineSolver: Send + Sync {
     }
 
     /// Decides the context's job set, fast-forwarding from `state` when
-    /// it describes the set *without* the highest-id job (the arrival).
+    /// it describes the set *without* the highest-id job (the arrival)
+    /// and carries what the fast-forward reads (OPDCA: its bound cache,
+    /// over the context's tables before the arrival).
     fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict;
 
     /// Decides the context's job set after a swap-removal, fast-forwarding
@@ -245,6 +274,7 @@ mod tests {
             winners: vec![JobId::new(2), JobId::new(0), JobId::new(1)],
             probes: vec![3, 1, 1],
             rejected: false,
+            ..Default::default()
         };
         assert!(accepted.describes(3));
         assert!(!accepted.describes(4), "accepted traces cover the set");
@@ -253,6 +283,7 @@ mod tests {
             winners: vec![JobId::new(1)],
             probes: vec![2, 3],
             rejected: true,
+            ..Default::default()
         };
         assert!(rejected.describes(4));
         assert!(!rejected.describes(1));
@@ -262,18 +293,21 @@ mod tests {
             winners: vec![JobId::new(0), JobId::new(0)],
             probes: vec![1, 1],
             rejected: false,
+            ..Default::default()
         };
         assert!(!dup.describes(2));
         let out = AudsleyState {
             winners: vec![JobId::new(9)],
             probes: vec![1],
             rejected: false,
+            ..Default::default()
         };
         assert!(!out.describes(1));
         let greedy = AudsleyState {
             winners: vec![JobId::new(0), JobId::new(1)],
             probes: vec![5, 1],
             rejected: false,
+            ..Default::default()
         };
         assert!(!greedy.describes(2));
     }
@@ -303,6 +337,7 @@ mod tests {
             winners: vec![JobId::new(1), JobId::new(0)],
             probes: vec![2, 1],
             rejected: false,
+            ..Default::default()
         });
         *suite.state_mut("DMR") = DeciderState::Repair(RepairState {
             jobs: 2,

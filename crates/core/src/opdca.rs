@@ -1,6 +1,6 @@
 //! OPDCA — Algorithm 1: optimal priority assignment driven by `S_DCA`.
 
-use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator};
+use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, EvaluatorState, JobMask};
 use msmr_model::{JobId, Time};
 
 use crate::online::AudsleyState;
@@ -54,39 +54,42 @@ impl Opdca {
     /// (with [`AudsleyResume::Cold`]) and the
     /// [`OnlineSolver`](crate::OnlineSolver) impl (warm).
     ///
-    /// Probes are answered by an incremental [`DelayEvaluator`] seeded
-    /// with every other job at higher priority: each `S_DCA` invocation is
-    /// then an `O(1)` read, and assigning one priority level updates the
-    /// remaining candidates in `O(n·N)` (one `remove_higher` plus one
-    /// `add_lower` per candidate) instead of rebuilding `O(n)`
-    /// interference sets per probe round.
+    /// Probes are answered by an incremental [`DelayEvaluator`]: each
+    /// `S_DCA` invocation is an `O(1)` read, and assigning one priority
+    /// level demotes the winner for every remaining candidate in `O(n·N)`.
+    /// A cold run seeds every job with all others at higher priority
+    /// (`O(n²·N)`).
     ///
-    /// The fast-forward is sound *and counter-exact* by monotonicity: the
-    /// maintained bounds only grow when the assumed-higher set grows, so
-    /// on an arrival every candidate the old trace probed **before** a
-    /// level's winner still fails — those probes are charged to
-    /// `sdca_calls` without being performed — and only the winner itself
-    /// is re-probed. The first level whose winner no longer passes is
-    /// where the arrival perturbs the assignment; the loop re-decides
-    /// from exactly that point. On a (swap-removal) departure bounds
-    /// shrink instead, so a previously failed probe is *not* provably
-    /// still failing; only levels whose winner was probed first (and is
-    /// still first in the reduced candidate order) are provably stable,
-    /// and the loop re-decides from the first level that is not.
-    pub(crate) fn decide_traced(
+    /// An admit resumes the previous decide's final evaluator state (its
+    /// [`AudsleyState::cache`]), which holds every job's bounds at its own
+    /// decision level. The fast-forward is sound *and counter-exact* by
+    /// monotonicity: bounds only grow when the assumed-higher set grows,
+    /// so every candidate the old trace probed **before** a level's winner
+    /// still fails — those probes are charged to `sdca_calls` without
+    /// being performed — and the winner's new bound is its cached one plus
+    /// the arrival at higher priority: one `add_higher` and one read,
+    /// `O(N)`, touching no other job. The first level whose winner no
+    /// longer passes is where the arrival perturbs the assignment; only
+    /// the jobs still unassigned there are seeded, and the loop re-decides
+    /// from exactly that point.
+    ///
+    /// On a (swap-removal) departure bounds shrink instead, so a
+    /// previously failed probe is *not* provably still failing; the
+    /// withdraw re-seeds cold, and only levels whose winner was probed
+    /// first (and is still first in the reduced candidate order) are
+    /// provably stable: the loop re-decides from the first level that is
+    /// not.
+    pub(crate) fn decide_traced<'t>(
         &self,
-        analysis: &Analysis<'_>,
+        analysis: &'t Analysis<'_>,
         resume: AudsleyResume<'_>,
-    ) -> TracedOrdering {
+    ) -> TracedOrdering<'t> {
         let jobs = analysis.jobs();
         let n = jobs.len();
-        let mut evaluator = analysis.evaluator(self.bound);
-        evaluator.seed_all_higher();
-        let mut unassigned: Vec<JobId> = jobs.job_ids().collect();
         let mut assigned_lowest_first: Vec<JobId> = Vec::with_capacity(n);
         let mut probes: Vec<u64> = Vec::with_capacity(n + 1);
         let mut sdca_calls: u64 = 0;
-        // Set when an admit fast-forward diverges mid-level: the cold loop
+        // Set when a fast-forward diverges mid-level: the cold loop
         // resumes probing at this `unassigned` index with this many probes
         // already charged to the level.
         let mut resume_probe: Option<(usize, u64)> = None;
@@ -101,40 +104,58 @@ impl Opdca {
             // "assumed higher" to "assigned lower" for every job still
             // awaiting a level.
             for &target in unassigned.iter() {
-                evaluator.remove_higher(target, job);
-                evaluator.add_lower(target, job);
+                evaluator.demote(target, job);
             }
             job
         }
 
+        let mut evaluator;
+        let mut unassigned: Vec<JobId>;
         match resume {
-            AudsleyResume::Admit(previous) if n > 0 && previous.describes(n - 1) => {
-                for level in 0..previous.winners.len() {
-                    let winner = previous.winners[level];
-                    let charged = previous.probes[level];
+            AudsleyResume::Admit { previous, cache } => {
+                evaluator = DelayEvaluator::with_state(analysis.tables(), cache);
+                let arrival = JobId::new(n - 1);
+                let mut lower = JobMask::with_capacity(n);
+                let mut diverged = None;
+                for (&winner, &charged) in previous.winners.iter().zip(&previous.probes) {
                     sdca_calls += charged;
-                    let idx = unassigned
-                        .binary_search(&winner)
-                        .expect("validated trace winners are unassigned");
-                    if evaluator.fits(winner) {
-                        assign(&mut evaluator, &mut unassigned, idx);
-                        assigned_lowest_first.push(winner);
-                        probes.push(charged);
-                    } else {
-                        // The arrival pushed the old winner over its
-                        // deadline; candidates before it provably still
-                        // fail, so the cold loop resumes right after it.
-                        resume_probe = Some((idx + 1, charged));
+                    evaluator.add_higher(winner, arrival);
+                    if !evaluator.fits(winner) {
+                        diverged = Some((winner, charged));
                         break;
                     }
+                    lower.insert(winner);
+                    assigned_lowest_first.push(winner);
+                    probes.push(charged);
                 }
-                if resume_probe.is_none() && previous.rejected {
-                    // The previously failing level: every old candidate
-                    // still fails (their bounds only grew); only the
-                    // arrival itself — last in id order — is new.
-                    let charged = previous.probes[previous.winners.len()];
-                    sdca_calls += charged;
-                    resume_probe = Some((unassigned.len() - 1, charged));
+                unassigned = jobs.job_ids().filter(|&job| !lower.contains(job)).collect();
+                if let Some((winner, charged)) = diverged {
+                    // The arrival pushed the old winner over its deadline.
+                    // Every job still unassigned now awaits this level, not
+                    // its cached one; candidates before the winner provably
+                    // still fail, so the cold loop resumes right after it.
+                    for &job in &unassigned {
+                        evaluator.seed_target(job, &lower);
+                    }
+                    let idx = unassigned
+                        .binary_search(&winner)
+                        .expect("the diverging winner is unassigned");
+                    resume_probe = Some((idx + 1, charged));
+                } else {
+                    evaluator.seed_target(arrival, &lower);
+                    if previous.rejected {
+                        // The previously failing level: the old candidates
+                        // hold their bounds at it, and every one of them
+                        // still fails once the arrival joins their higher
+                        // sets; only the arrival itself — last in id
+                        // order — is new.
+                        for &job in &unassigned[..unassigned.len() - 1] {
+                            evaluator.add_higher(job, arrival);
+                        }
+                        let charged = previous.probes[previous.winners.len()];
+                        sdca_calls += charged;
+                        resume_probe = Some((unassigned.len() - 1, charged));
+                    }
                 }
             }
             AudsleyResume::Withdraw {
@@ -142,6 +163,9 @@ impl Opdca {
                 removed,
                 moved,
             } if previous.describes(n + 1) => {
+                evaluator = analysis.evaluator(self.bound);
+                evaluator.seed_all_higher();
+                unassigned = jobs.job_ids().collect();
                 for level in 0..previous.winners.len() {
                     let recorded = previous.winners[level];
                     if recorded == removed || previous.probes[level] != 1 {
@@ -173,8 +197,12 @@ impl Opdca {
                     probes.push(1);
                 }
             }
-            // Cold, or a state that does not describe this job set.
-            _ => {}
+            // Cold, or a trace that does not describe this job set.
+            _ => {
+                evaluator = analysis.evaluator(self.bound);
+                evaluator.seed_all_higher();
+                unassigned = jobs.job_ids().collect();
+            }
         }
 
         // The cold Audsley loop over whatever is still undecided.
@@ -200,7 +228,9 @@ impl Opdca {
                     winners: assigned_lowest_first,
                     probes,
                     rejected: true,
+                    cache: None,
                 },
+                evaluator,
             };
         }
 
@@ -221,7 +251,9 @@ impl Opdca {
                 winners: assigned_lowest_first,
                 probes,
                 rejected: false,
+                cache: None,
             },
+            evaluator,
         }
     }
 
@@ -258,8 +290,7 @@ impl Opdca {
                 Some(idx) => {
                     let job = unassigned.remove(idx);
                     for &target in &unassigned {
-                        evaluator.remove_higher(target, job);
-                        evaluator.add_lower(target, job);
+                        evaluator.demote(target, job);
                     }
                     assigned_lowest_first.push(job);
                 }
@@ -297,8 +328,13 @@ impl Default for Opdca {
 pub(crate) enum AudsleyResume<'a> {
     /// No usable history: run the loop cold.
     Cold,
-    /// The job set extends the trace's set by one job at the highest id.
-    Admit(&'a AudsleyState),
+    /// The job set extends the trace's set by one job at the highest id,
+    /// and `cache` is the final evaluator state of the decide that
+    /// recorded `previous`, over the tables before the arrival.
+    Admit {
+        previous: &'a AudsleyState,
+        cache: EvaluatorState,
+    },
     /// The trace's set lost `removed` by swap-removal; `moved` is the old
     /// id of the job now answering at `removed`.
     Withdraw {
@@ -309,11 +345,14 @@ pub(crate) enum AudsleyResume<'a> {
 }
 
 /// An Audsley decision together with the trace that produced it.
-pub(crate) struct TracedOrdering {
+pub(crate) struct TracedOrdering<'t> {
     /// The decision.
     pub(crate) result: Result<OrderingResult, InfeasibleError>,
-    /// The recorded walk, for the next warm decide.
+    /// The recorded walk, for the next warm decide (without its cache).
     pub(crate) trace: AudsleyState,
+    /// The final evaluator: every job at its own decision level (the
+    /// still-unassigned ones at the failing level of a rejection).
+    pub(crate) evaluator: DelayEvaluator<'t>,
 }
 
 /// A feasible ordering found by the Audsley loop.

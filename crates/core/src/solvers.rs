@@ -6,11 +6,13 @@
 //! [`Verdict`] and honours the [`Budget`](crate::Budget) of the context
 //! where the engine supports limits (OPT and OPT-ILP).
 
+use std::sync::Arc;
+
 use msmr_dca::DelayBoundKind;
 use msmr_model::{JobId, Time};
 
 use crate::online::{DeciderState, OnlineSolver};
-use crate::opdca::{AudsleyResume, OrderingResult};
+use crate::opdca::{AudsleyResume, OrderingResult, TracedOrdering};
 use crate::opt::PairwiseSearchOutcome;
 use crate::solver::{
     timed, AdmissionVerdict, SolveCtx, Solver, SolverStats, UnsupportedMode, Verdict, VerdictKind,
@@ -297,15 +299,27 @@ impl Dmr {
 impl OnlineSolver for Opdca {
     fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
         let analysis = ctx.analysis();
-        let previous = std::mem::replace(state, DeciderState::Stateless);
+        let mut previous = std::mem::replace(state, DeciderState::Stateless);
         let (verdict, elapsed) = timed(|| {
-            let resume = match &previous {
-                DeciderState::Audsley(trace) => AudsleyResume::Admit(trace),
+            // The cache is used only on the tables it was computed from,
+            // as they were before this arrival; anything else decides cold.
+            let resume = match &mut previous {
+                DeciderState::Audsley(trace) => match trace.cache.take() {
+                    Some(cache)
+                        if Some(cache.generation()) == analysis.tables().parent_generation()
+                            && cache.kind() == self.bound()
+                            && trace.describes(analysis.jobs().len() - 1) =>
+                    {
+                        AudsleyResume::Admit {
+                            previous: trace,
+                            cache: Arc::unwrap_or_clone(cache),
+                        }
+                    }
+                    _ => AudsleyResume::Cold,
+                },
                 _ => AudsleyResume::Cold,
             };
-            let outcome = self.decide_traced(analysis, resume);
-            *state = DeciderState::Audsley(outcome.trace);
-            opdca_verdict(outcome.result)
+            record(state, self.decide_traced(analysis, resume))
         });
         with_elapsed(verdict, elapsed)
     }
@@ -328,12 +342,19 @@ impl OnlineSolver for Opdca {
                 },
                 _ => AudsleyResume::Cold,
             };
-            let outcome = self.decide_traced(analysis, resume);
-            *state = DeciderState::Audsley(outcome.trace);
-            opdca_verdict(outcome.result)
+            record(state, self.decide_traced(analysis, resume))
         });
         with_elapsed(verdict, elapsed)
     }
+}
+
+/// Stores a warm decide's trace, with its final evaluator state as the
+/// next admit's cache, and returns its verdict.
+fn record(state: &mut DeciderState, outcome: TracedOrdering<'_>) -> Verdict {
+    let mut trace = outcome.trace;
+    trace.cache = Some(Arc::new(outcome.evaluator.into_state()));
+    *state = DeciderState::Audsley(trace);
+    opdca_verdict(outcome.result)
 }
 
 /// Translates an OPDCA outcome into the unified verdict — the one

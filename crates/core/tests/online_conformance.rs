@@ -301,9 +301,235 @@ fn malformed_states_degrade_to_cold() {
         winners: vec![JobId::new(0), JobId::new(0)],
         probes: vec![1, 1],
         rejected: false,
+        ..Default::default()
     });
     let ctx = SolveCtx::with_budget(&candidate, budget);
     let warm = registry.evaluate_online(&mut state, &ctx, OnlineEvent::Admit, |_| {});
     let cold = registry.evaluate(&candidate, budget);
     assert_eq!(normalized_all(&warm), normalized_all(&cold));
+}
+
+/// Where a warm admit's re-decision started, for coverage accounting.
+#[derive(Debug, Default)]
+struct WarmCoverage {
+    /// The arrival displaced the lowest level's winner.
+    first: usize,
+    /// ... a winner strictly between the lowest and the highest level.
+    middle: usize,
+    /// ... only at the highest old level or above it.
+    last: usize,
+    /// Warm admits whose previous trace was a rejection.
+    on_rejected: usize,
+    /// Admits after the cache was dropped (as a snapshot restore does).
+    without_cache: usize,
+    /// Admits on a cache computed from another job set of the same size.
+    stale: usize,
+}
+
+fn audsley(state: &msmr_sched::OnlineSuiteState) -> &msmr_sched::AudsleyState {
+    match state.states.get("OPDCA") {
+        Some(DeciderState::Audsley(trace)) => trace,
+        other => panic!("OPDCA keeps an Audsley state, found {other:?}"),
+    }
+}
+
+/// One warm OPDCA decide over `tables` extended or reduced to `jobs`,
+/// checked against a cold `Solver::solve` of the same set; returns the
+/// tables back.
+fn decide_and_check(
+    registry: &SolverRegistry,
+    state: &mut msmr_sched::OnlineSuiteState,
+    jobs: &JobSet,
+    tables: PairTables,
+    event: OnlineEvent,
+    what: &str,
+) -> (Verdict, PairTables) {
+    let budget = Budget::default().with_node_limit(200_000);
+    let ctx = SolveCtx::with_analysis(Analysis::from_tables(jobs, tables), budget);
+    let warm = registry
+        .decide_online("OPDCA", state, &ctx, event)
+        .expect("OPDCA is registered");
+    let tables = ctx.into_analysis().unwrap().into_tables();
+    let cold = registry
+        .solver("OPDCA")
+        .unwrap()
+        .solve(&SolveCtx::with_budget(jobs, budget));
+    assert_eq!(normalized(&warm), normalized(&cold), "{what}");
+    assert_cache_is_exact(audsley(state), &tables, what);
+    (warm, tables)
+}
+
+/// The recorded cache holds every job's bounds at its own decision
+/// level — winners with the levels below them lower and everything else
+/// higher, the jobs left at a failing level with every winner lower —
+/// exactly as a freshly seeded evaluator computes them.
+fn assert_cache_is_exact(trace: &msmr_sched::AudsleyState, tables: &PairTables, what: &str) {
+    let cache = trace.cache.as_ref().expect("a decide records its cache");
+    let cached = msmr_dca::DelayEvaluator::with_state(tables, (**cache).clone());
+    let mut fresh = msmr_dca::DelayEvaluator::new(tables, cache.kind());
+    let mut lower = msmr_dca::JobMask::new();
+    let mut check = |job: JobId, lower: &msmr_dca::JobMask| {
+        fresh.seed_target(job, lower);
+        assert_eq!(cached.delay(job), fresh.delay(job), "{what}: job {job}");
+        assert_eq!(cached.higher(job), fresh.higher(job), "{what}: job {job}");
+        assert_eq!(cached.lower(job), fresh.lower(job), "{what}: job {job}");
+    };
+    for &winner in &trace.winners {
+        check(winner, &lower);
+        lower.insert(winner);
+    }
+    for job in (0..tables.job_count()).map(JobId::new) {
+        if !lower.contains(job) {
+            check(job, &lower);
+        }
+    }
+}
+
+/// Drives a seeded admit/withdraw/reject history at 40–70 jobs of a heavy
+/// edge workload (γ = 0.9, β = 0.2) through the decider-only OPDCA path
+/// and checks every warm verdict against a cold solve. Admits mostly roll
+/// a rejection back as a session does, but some keep the rejected arrival
+/// (so the next admit fast-forwards a rejected trace); some admits run on
+/// a state whose cache was dropped by a JSON round trip, and some on a
+/// state recorded over a different job set of the same size.
+fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
+    use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
+    let generator = EdgeWorkloadGenerator::new(
+        EdgeWorkloadConfig::scaled(70)
+            .with_gamma(0.9)
+            .with_beta(0.2),
+    )
+    .unwrap();
+    let pool = generator.generate_seeded(seed);
+    let other_pool = generator.generate_seeded(seed + 1_000);
+    let registry = SolverRegistry::paper_suite(DelayBoundKind::EdgeHybrid);
+    let mut rng = Rng(seed);
+    let pick = |pool: &JobSet, rng: &mut Rng| -> Job {
+        pool.job(JobId::new((rng.next() % pool.len() as u64) as usize))
+            .clone()
+    };
+
+    let (mut jobs, _) = pool.restrict_to(&[]).unwrap();
+    for i in 0..40 {
+        jobs = with_job(&jobs, pool.job(JobId::new(i)));
+    }
+    let mut tables = Analysis::new(&jobs).into_tables();
+    let mut state = registry.online_suite();
+    (_, tables) = decide_and_check(
+        &registry,
+        &mut state,
+        &jobs,
+        tables,
+        OnlineEvent::Admit,
+        "initial cold decide",
+    );
+
+    for step in 0..ops {
+        let what = format!("seed {seed}, step {step}, {} jobs", jobs.len());
+        let roll = rng.next();
+        if jobs.len() >= 70 || (jobs.len() > 40 && roll.is_multiple_of(4)) {
+            let victim = JobId::new((rng.next() % jobs.len() as u64) as usize);
+            let (reduced, moved) = jobs.swap_remove_job(victim);
+            tables.remove_job(victim);
+            let event = OnlineEvent::Withdraw {
+                removed: victim,
+                moved,
+            };
+            (_, tables) = decide_and_check(&registry, &mut state, &reduced, tables, event, &what);
+            jobs = reduced;
+            continue;
+        }
+
+        match step % 9 {
+            // Drop the cache the way a snapshot restore does.
+            4 => {
+                let json = serde_json::to_string(&state).unwrap();
+                state = serde_json::from_str(&json).unwrap();
+                assert!(audsley(&state).cache.is_none());
+                coverage.without_cache += 1;
+            }
+            // A state recorded over a different set of the same size.
+            7 => {
+                let (mut other, _) = other_pool.restrict_to(&[]).unwrap();
+                for _ in 0..jobs.len() {
+                    other = with_job(&other, &pick(&other_pool, &mut rng));
+                }
+                let mut other_state = registry.online_suite();
+                let other_tables = Analysis::new(&other).into_tables();
+                let _ = decide_and_check(
+                    &registry,
+                    &mut other_state,
+                    &other,
+                    other_tables,
+                    OnlineEvent::Admit,
+                    "stale source",
+                );
+                state = other_state;
+                coverage.stale += 1;
+            }
+            _ => {}
+        }
+
+        let previous = audsley(&state).clone();
+        let candidate = with_job(&jobs, &pick(&pool, &mut rng));
+        tables.extend_with_job(&candidate);
+        let saved = state.clone();
+        let (verdict, back) = decide_and_check(
+            &registry,
+            &mut state,
+            &candidate,
+            tables,
+            OnlineEvent::Admit,
+            &what,
+        );
+        tables = back;
+
+        let warm = previous
+            .cache
+            .as_ref()
+            .is_some_and(|cache| Some(cache.generation()) == tables.parent_generation());
+        assert!(
+            !warm || !matches!(step % 9, 4 | 7),
+            "{what}: no usable cache"
+        );
+        if warm {
+            let now = audsley(&state);
+            let level = previous
+                .winners
+                .iter()
+                .zip(&now.winners)
+                .take_while(|(a, b)| a == b)
+                .count();
+            if level == 0 {
+                coverage.first += 1;
+            } else if level + 1 < previous.winners.len() {
+                coverage.middle += 1;
+            } else {
+                coverage.last += 1;
+            }
+            coverage.on_rejected += usize::from(previous.rejected);
+        }
+
+        // Keep a rejected arrival now and then instead of rolling back.
+        if verdict.is_accepted() || roll % 5 == 1 {
+            jobs = candidate;
+        } else {
+            tables.remove_last_job();
+            state = saved;
+        }
+    }
+}
+
+#[test]
+fn heavy_warm_histories_match_cold_solve() {
+    let mut coverage = WarmCoverage::default();
+    for seed in 0..3 {
+        run_heavy_history(seed, 60, &mut coverage);
+    }
+    eprintln!("{coverage:?}");
+    assert!(coverage.first > 0, "{coverage:?}");
+    assert!(coverage.middle > 0, "{coverage:?}");
+    assert!(coverage.last > 0, "{coverage:?}");
+    assert!(coverage.on_rejected > 0, "{coverage:?}");
+    assert!(coverage.without_cache > 0 && coverage.stale > 0);
 }

@@ -25,6 +25,10 @@ use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 /// `O(N)` and [`DelayEvaluator::delay`] is `O(1)`. Removing a job that
 /// holds a stage maximum triggers an exact recompute of that stage's
 /// maximum over the remaining members (the only `O(|H_i|)` path).
+/// Audsley's loop uses the fused [`DelayEvaluator::demote`] and sets a
+/// target's whole state at once with [`DelayEvaluator::seed_target`];
+/// [`DelayEvaluator::into_state`] and [`DelayEvaluator::with_state`] carry
+/// the aggregates from one decision to the next.
 ///
 /// After construction no operation allocates (job populations above 128
 /// pre-size their [`JobMask`] spill words up front), which is what keeps
@@ -69,8 +73,7 @@ use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 #[derive(Debug, Clone)]
 pub struct DelayEvaluator<'a> {
     tables: &'a PairTables,
-    kind: DelayBoundKind,
-    /// Job-additive scalar table of `kind`, indexed `target·n + k`.
+    /// Job-additive scalar table of the bound, indexed `target·n + k`.
     job_additive: &'a [u64],
     /// `true` when the stage-additive component reads raw processing
     /// times (Eqs. 1 and 2) instead of shared-stage times.
@@ -84,6 +87,18 @@ pub struct DelayEvaluator<'a> {
     /// Per-target constant: self term plus, for Eq. 5, the
     /// content-independent blocking sum.
     base: Vec<u64>,
+    /// The per-target aggregates.
+    state: EvaluatorState,
+}
+
+/// The per-target aggregates of a [`DelayEvaluator`], moved out with
+/// [`DelayEvaluator::into_state`] and stamped with the
+/// [`PairTables::generation`] they were computed from, so a later
+/// [`DelayEvaluator::with_state`] resumes them without re-seeding.
+pub struct EvaluatorState {
+    /// Generation of the tables the aggregates describe.
+    generation: u64,
+    kind: DelayBoundKind,
     /// Per-target running job-additive sum over `H_i`.
     ja_sum: Vec<u64>,
     /// Per-target, per-stage maxima of the stage-additive component,
@@ -100,6 +115,61 @@ pub struct DelayEvaluator<'a> {
     higher: Vec<JobMask>,
     /// Effective `L_i` per target.
     lower: Vec<JobMask>,
+}
+
+/// Clones leave room for one more target: a warm admit resumes a clone
+/// over tables one arrival larger, which then appends without
+/// reallocating (re-growing every vector per admit fragments the heap).
+impl Clone for EvaluatorState {
+    fn clone(&self) -> Self {
+        fn with_room<T: Clone>(v: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(v.len() + extra);
+            out.extend_from_slice(v);
+            out
+        }
+        let per_target = |v: &[u64]| v.len().checked_div(self.job_count()).unwrap_or(0);
+        EvaluatorState {
+            generation: self.generation,
+            kind: self.kind,
+            ja_sum: with_room(&self.ja_sum, 1),
+            stage_max: with_room(&self.stage_max, per_target(&self.stage_max)),
+            stage_sum: with_room(&self.stage_sum, 1),
+            block_max: with_room(&self.block_max, per_target(&self.block_max)),
+            block_sum: with_room(&self.block_sum, 1),
+            higher: with_room(&self.higher, 1),
+            lower: with_room(&self.lower, 1),
+        }
+    }
+}
+
+impl EvaluatorState {
+    /// The [`PairTables::generation`] the aggregates were computed from.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The bound kind the aggregates belong to.
+    #[must_use]
+    pub fn kind(&self) -> DelayBoundKind {
+        self.kind
+    }
+
+    /// Number of targets covered.
+    #[must_use]
+    pub fn job_count(&self) -> usize {
+        self.ja_sum.len()
+    }
+}
+
+impl std::fmt::Debug for EvaluatorState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EvaluatorState")
+            .field("generation", &self.generation)
+            .field("kind", &self.kind)
+            .field("jobs", &self.job_count())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Stage-additive value of interferer `k` against `target` at stage `j`.
@@ -129,6 +199,57 @@ impl<'a> DelayEvaluator<'a> {
     /// every target (every delay starts at the job's isolated bound).
     #[must_use]
     pub fn new(tables: &'a PairTables, kind: DelayBoundKind) -> Self {
+        Self::assemble(
+            tables,
+            EvaluatorState {
+                generation: tables.generation(),
+                kind,
+                ja_sum: Vec::new(),
+                stage_max: Vec::new(),
+                stage_sum: Vec::new(),
+                block_max: Vec::new(),
+                block_sum: Vec::new(),
+                higher: Vec::new(),
+                lower: Vec::new(),
+            },
+        )
+    }
+
+    /// Resumes the evaluator whose aggregates
+    /// [`DelayEvaluator::into_state`] moved out, over the same tables or
+    /// over those tables extended by one job
+    /// ([`PairTables::extend_with_job`]); the arrival's target starts with
+    /// empty sets, as in [`DelayEvaluator::new`]. Nothing is recomputed
+    /// but the per-target constants (`O(n)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `state` was taken from an evaluator over `tables`
+    /// (equal [`PairTables::generation`]) or over their
+    /// [`PairTables::parent_generation`].
+    #[must_use]
+    pub fn with_state(tables: &'a PairTables, state: EvaluatorState) -> Self {
+        let covered = state.ja_sum.len();
+        assert!(
+            (state.generation == tables.generation() && covered == tables.job_count())
+                || (Some(state.generation) == tables.parent_generation()
+                    && covered + 1 == tables.job_count()),
+            "evaluator state was computed from other tables"
+        );
+        Self::assemble(tables, state)
+    }
+
+    /// Moves the per-target aggregates out, stamped with the tables'
+    /// generation, for a later [`DelayEvaluator::with_state`].
+    #[must_use]
+    pub fn into_state(self) -> EvaluatorState {
+        self.state
+    }
+
+    /// Wraps `state`'s aggregates, appending empty-set aggregates for the
+    /// targets it does not cover, and computes the per-target constants.
+    fn assemble(tables: &'a PairTables, mut state: EvaluatorState) -> Self {
+        let kind = state.kind;
         let n = tables.job_count();
         let stages = tables.stage_count();
         let add_stages = stages.saturating_sub(1);
@@ -143,68 +264,72 @@ impl<'a> DelayEvaluator<'a> {
             DelayBoundKind::PreemptiveSingleResource | DelayBoundKind::NonPreemptiveSingleResource
         );
 
+        state.generation = tables.generation();
+        // The Eq. 5 blocking constant moves when a job arrives, so the
+        // per-target constants are always recomputed.
         let opa_block = (kind == DelayBoundKind::NonPreemptiveOpa).then(|| tables.opa_block());
-        let mut base = Vec::with_capacity(n);
-        let mut stage_max = Vec::with_capacity(n * add_stages);
-        let mut stage_sum = Vec::with_capacity(n);
-        for t in 0..n {
-            let mut b = tables.self_term(kind, t);
-            if let Some(opa_block) = opa_block {
-                b += opa_block[t];
-            }
-            base.push(b);
-            let mut sum = 0u64;
-            for j in 0..add_stages {
-                let seed = tables.proc_at(t, j);
-                stage_max.push(seed);
-                sum += seed;
-            }
-            stage_sum.push(sum);
+        let base = (0..n)
+            .map(|t| tables.self_term(kind, t) + opa_block.map_or(0, |block| block[t]))
+            .collect();
+        let missing = n - state.ja_sum.len();
+        state.ja_sum.reserve_exact(missing);
+        state.stage_max.reserve_exact(missing * add_stages);
+        state.stage_sum.reserve_exact(missing);
+        state.block_max.reserve_exact(missing * block_stages.len());
+        state.block_sum.reserve_exact(missing);
+        state.higher.reserve_exact(missing);
+        state.lower.reserve_exact(missing);
+        for t in n - missing..n {
+            state.ja_sum.push(0);
+            let seeds = (0..add_stages).map(|j| tables.proc_at(t, j));
+            state.stage_max.extend(seeds.clone());
+            state.stage_sum.push(seeds.sum());
+            state
+                .block_max
+                .extend(std::iter::repeat_n(0, block_stages.len()));
+            state.block_sum.push(0);
+            state.higher.push(JobMask::with_capacity(n));
+            state.lower.push(JobMask::with_capacity(n));
         }
 
         DelayEvaluator {
             tables,
-            kind,
             job_additive: tables.job_additive(kind),
             raw_stage_values,
             add_stages,
-            block_max: vec![0; n * block_stages.len()],
-            block_sum: vec![0; n],
             block_stages,
             raw_block_values,
             base,
-            ja_sum: vec![0; n],
-            stage_max,
-            stage_sum,
-            higher: (0..n).map(|_| JobMask::with_capacity(n)).collect(),
-            lower: (0..n).map(|_| JobMask::with_capacity(n)).collect(),
+            state,
         }
     }
 
     /// The bound kind this evaluator maintains.
     #[must_use]
     pub const fn kind(&self) -> DelayBoundKind {
-        self.kind
+        self.state.kind
     }
 
     /// The effective higher-priority set of a target (interfering members
     /// only).
     #[must_use]
     pub fn higher(&self, target: JobId) -> &JobMask {
-        &self.higher[target.index()]
+        &self.state.higher[target.index()]
     }
 
     /// The effective lower-priority set of a target.
     #[must_use]
     pub fn lower(&self, target: JobId) -> &JobMask {
-        &self.lower[target.index()]
+        &self.state.lower[target.index()]
     }
 
     /// Current delay bound `Δ_target` under the maintained sets — `O(1)`.
     #[must_use]
     pub fn delay(&self, target: JobId) -> Time {
         let t = target.index();
-        Time::new(self.base[t] + self.ja_sum[t] + self.stage_sum[t] + self.block_sum[t])
+        Time::new(
+            self.base[t] + self.state.ja_sum[t] + self.state.stage_sum[t] + self.state.block_sum[t],
+        )
     }
 
     /// `true` iff `Δ_target ≤ D_target`.
@@ -236,19 +361,19 @@ impl<'a> DelayEvaluator<'a> {
         if t == ki || !self.tables.interferes[t].contains(k) {
             return;
         }
-        if self.lower[t].contains(k) {
+        if self.state.lower[t].contains(k) {
             self.remove_lower(target, k);
         }
-        if !self.higher[t].insert(k) {
+        if !self.state.higher[t].insert(k) {
             return;
         }
-        self.ja_sum[t] += self.job_additive[t * self.tables.cap + ki];
+        self.state.ja_sum[t] += self.job_additive[t * self.tables.cap + ki];
         let row = stage_row(self.tables, self.raw_stage_values, t, ki);
         let maxima =
-            &mut self.stage_max[t * self.add_stages..t * self.add_stages + self.add_stages];
+            &mut self.state.stage_max[t * self.add_stages..t * self.add_stages + self.add_stages];
         for (slot, &v) in maxima.iter_mut().zip(row) {
             if v > *slot {
-                self.stage_sum[t] += v - *slot;
+                self.state.stage_sum[t] += v - *slot;
                 *slot = v;
             }
         }
@@ -257,19 +382,23 @@ impl<'a> DelayEvaluator<'a> {
     /// Removes `k` from `H_target`. No-op when `k` is not an effective
     /// member.
     pub fn remove_higher(&mut self, target: JobId, k: JobId) {
-        let (t, ki) = (target.index(), k.index());
-        if !self.higher[t].remove(k) {
-            return;
+        if self.state.higher[target.index()].remove(k) {
+            self.drop_higher(target.index(), k.index());
         }
-        self.ja_sum[t] -= self.job_additive[t * self.tables.cap + ki];
+    }
+
+    /// Takes interferer `ki`, just removed from `H_t`'s mask, out of the
+    /// target's aggregates.
+    fn drop_higher(&mut self, t: usize, ki: usize) {
+        self.state.ja_sum[t] -= self.job_additive[t * self.tables.cap + ki];
         let row = stage_row(self.tables, self.raw_stage_values, t, ki);
         for (j, &v) in row.iter().enumerate().take(self.add_stages) {
             let slot = t * self.add_stages + j;
-            if v == self.stage_max[slot] {
+            if v == self.state.stage_max[slot] {
                 // The removed job may have held this stage's maximum:
                 // recompute it exactly over the remaining members.
                 let mut max = self.tables.proc_at(t, j);
-                for kk in self.higher[t].iter() {
+                for kk in self.state.higher[t].iter() {
                     max = max.max(stage_value(
                         self.tables,
                         self.raw_stage_values,
@@ -278,8 +407,8 @@ impl<'a> DelayEvaluator<'a> {
                         j,
                     ));
                 }
-                self.stage_sum[t] -= self.stage_max[slot] - max;
-                self.stage_max[slot] = max;
+                self.state.stage_sum[t] -= self.state.stage_max[slot] - max;
+                self.state.stage_max[slot] = max;
             }
         }
     }
@@ -292,18 +421,40 @@ impl<'a> DelayEvaluator<'a> {
         if t == ki || !self.tables.interferes[t].contains(k) {
             return;
         }
-        if self.higher[t].contains(k) {
+        if self.state.higher[t].contains(k) {
             self.remove_higher(target, k);
         }
-        if !self.lower[t].insert(k) {
+        if self.state.lower[t].insert(k) {
+            self.raise_block(t, ki);
+        }
+    }
+
+    /// Moves `k` from `H_target` to `L_target` — Audsley's step of `k`
+    /// taking the level below `target` — as one call, equivalent to
+    /// [`DelayEvaluator::remove_higher`] followed by
+    /// [`DelayEvaluator::add_lower`]. No-op for non-interfering jobs.
+    pub fn demote(&mut self, target: JobId, k: JobId) {
+        let (t, ki) = (target.index(), k.index());
+        if !self.tables.interferes[t].contains(k) {
             return;
         }
+        if self.state.higher[t].remove(k) {
+            self.drop_higher(t, ki);
+        }
+        if self.state.lower[t].insert(k) {
+            self.raise_block(t, ki);
+        }
+    }
+
+    /// Folds interferer `ki`, just inserted into `L_t`'s mask, into the
+    /// target's blocking maxima.
+    fn raise_block(&mut self, t: usize, ki: usize) {
         for (b, &j) in self.block_stages.iter().enumerate() {
             let v = stage_value(self.tables, self.raw_block_values, t, ki, j);
             let slot = t * self.block_stages.len() + b;
-            if v > self.block_max[slot] {
-                self.block_sum[t] += v - self.block_max[slot];
-                self.block_max[slot] = v;
+            if v > self.state.block_max[slot] {
+                self.state.block_sum[t] += v - self.state.block_max[slot];
+                self.state.block_max[slot] = v;
             }
         }
     }
@@ -312,15 +463,15 @@ impl<'a> DelayEvaluator<'a> {
     /// member.
     pub fn remove_lower(&mut self, target: JobId, k: JobId) {
         let (t, ki) = (target.index(), k.index());
-        if !self.lower[t].remove(k) {
+        if !self.state.lower[t].remove(k) {
             return;
         }
         for (b, &j) in self.block_stages.iter().enumerate() {
             let v = stage_value(self.tables, self.raw_block_values, t, ki, j);
             let slot = t * self.block_stages.len() + b;
-            if v == self.block_max[slot] {
+            if v == self.state.block_max[slot] {
                 let mut max = 0u64;
-                for kk in self.lower[t].iter() {
+                for kk in self.state.lower[t].iter() {
                     max = max.max(stage_value(
                         self.tables,
                         self.raw_block_values,
@@ -329,44 +480,62 @@ impl<'a> DelayEvaluator<'a> {
                         j,
                     ));
                 }
-                self.block_sum[t] -= self.block_max[slot] - max;
-                self.block_max[slot] = max;
+                self.state.block_sum[t] -= self.state.block_max[slot] - max;
+                self.state.block_max[slot] = max;
             }
         }
     }
 
     /// Seeds every target with *all* interfering jobs at higher priority —
     /// the canonical start state of Audsley's algorithm (every other job
-    /// assumed higher) — in one fused pass per target, equivalent to but
-    /// cheaper than `n·(n−1)` individual [`DelayEvaluator::add_higher`]
-    /// calls. Lower sets are emptied.
+    /// assumed higher): [`DelayEvaluator::seed_target`] with an empty
+    /// `lower` for every target, equivalent to but cheaper than `n·(n−1)`
+    /// individual [`DelayEvaluator::add_higher`] calls.
     pub fn seed_all_higher(&mut self) {
-        let tables = self.tables;
-        let n = tables.job_count();
-        for t in 0..n {
-            self.lower[t].clear();
-            self.higher[t].clone_from(&tables.interferes[t]);
-            let base = t * self.add_stages;
-            for j in 0..self.add_stages {
-                self.stage_max[base + j] = tables.proc_at(t, j);
-            }
-            let mut ja = 0u64;
-            for k in tables.interferes[t].iter() {
-                let ki = k.index();
-                ja += self.job_additive[t * tables.cap + ki];
-                let row = stage_row(tables, self.raw_stage_values, t, ki);
-                let maxima = &mut self.stage_max[base..base + self.add_stages];
-                for (slot, &v) in maxima.iter_mut().zip(row) {
-                    if v > *slot {
-                        *slot = v;
-                    }
-                }
-            }
-            self.ja_sum[t] = ja;
-            self.stage_sum[t] = self.stage_max[base..base + self.add_stages].iter().sum();
-            self.block_sum[t] = 0;
+        let none = JobMask::new();
+        for t in 0..self.tables.job_count() {
+            self.seed_target(JobId::new(t), &none);
         }
-        self.block_max.fill(0);
+    }
+
+    /// Overwrites one target's sets with `H = I_t ∖ lower` and
+    /// `L = I_t ∩ lower` (`I_t` its interfering jobs) — the state of a
+    /// job awaiting an Audsley level once `lower` holds the levels below
+    /// it — in word operations plus one pass over each set, equivalent
+    /// to emptying both sets and calling [`DelayEvaluator::add_higher`]
+    /// and [`DelayEvaluator::add_lower`] member by member.
+    pub fn seed_target(&mut self, target: JobId, lower: &JobMask) {
+        let tables = self.tables;
+        let t = target.index();
+        let interferes = &tables.interferes[t];
+        self.state.higher[t].assign_difference(interferes, lower);
+        self.state.lower[t].assign_intersection(interferes, lower);
+
+        let maxima = &mut self.state.stage_max[t * self.add_stages..(t + 1) * self.add_stages];
+        for (j, slot) in maxima.iter_mut().enumerate() {
+            *slot = tables.proc_at(t, j);
+        }
+        let mut ja = 0u64;
+        for k in self.state.higher[t].iter() {
+            let ki = k.index();
+            ja += self.job_additive[t * tables.cap + ki];
+            let row = stage_row(tables, self.raw_stage_values, t, ki);
+            for (slot, &v) in maxima.iter_mut().zip(row) {
+                *slot = (*slot).max(v);
+            }
+        }
+        self.state.ja_sum[t] = ja;
+        self.state.stage_sum[t] = maxima.iter().sum();
+
+        let width = self.block_stages.len();
+        let blocks = &mut self.state.block_max[t * width..(t + 1) * width];
+        blocks.fill(0);
+        for k in self.state.lower[t].iter() {
+            for (slot, &j) in blocks.iter_mut().zip(&self.block_stages) {
+                *slot = (*slot).max(stage_value(tables, self.raw_block_values, t, k.index(), j));
+            }
+        }
+        self.state.block_sum[t] = blocks.iter().sum();
     }
 
     /// Returns every target to empty interference sets without releasing
@@ -374,19 +543,19 @@ impl<'a> DelayEvaluator<'a> {
     pub fn reset(&mut self) {
         let n = self.tables.job_count();
         for t in 0..n {
-            self.ja_sum[t] = 0;
+            self.state.ja_sum[t] = 0;
             let mut sum = 0u64;
             for j in 0..self.add_stages {
                 let seed = self.tables.proc_at(t, j);
-                self.stage_max[t * self.add_stages + j] = seed;
+                self.state.stage_max[t * self.add_stages + j] = seed;
                 sum += seed;
             }
-            self.stage_sum[t] = sum;
-            self.block_sum[t] = 0;
-            self.higher[t].clear();
-            self.lower[t].clear();
+            self.state.stage_sum[t] = sum;
+            self.state.block_sum[t] = 0;
+            self.state.higher[t].clear();
+            self.state.lower[t].clear();
         }
-        self.block_max.fill(0);
+        self.state.block_max.fill(0);
     }
 }
 
@@ -464,6 +633,129 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every `(H, L)` split of the other jobs of `target` that a subset
+    /// `lower` induces, over all subsets.
+    fn lower_subsets(n: usize) -> impl Iterator<Item = JobMask> {
+        (0u32..1 << n).map(move |bits| (0..n).filter(|&k| bits & (1 << k) != 0).map(jid).collect())
+    }
+
+    #[test]
+    fn seed_target_matches_member_by_member_updates() {
+        let jobs = observation_v1();
+        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
+        for kind in DelayBoundKind::all() {
+            let mut seeded = analysis.evaluator(kind);
+            // Start from a dirty state: seeding must overwrite it.
+            seeded.seed_all_higher();
+            for lower in lower_subsets(jobs.len()) {
+                for t in jobs.job_ids() {
+                    seeded.seed_target(t, &lower);
+                    let mut stepped = analysis.evaluator(kind);
+                    for k in jobs.job_ids() {
+                        if lower.contains(k) {
+                            stepped.add_lower(t, k);
+                        } else {
+                            stepped.add_higher(t, k);
+                        }
+                    }
+                    assert_eq!(seeded.delay(t), stepped.delay(t), "{kind}: target {t}");
+                    assert_eq!(seeded.higher(t), stepped.higher(t), "{kind}: target {t}");
+                    assert_eq!(seeded.lower(t), stepped.lower(t), "{kind}: target {t}");
+                    let ctx = InterferenceSets::new(
+                        jobs.job_ids().filter(|&k| k != t && !lower.contains(k)),
+                        jobs.job_ids().filter(|&k| k != t && lower.contains(k)),
+                    );
+                    assert_eq!(
+                        seeded.delay(t),
+                        reference.delay_bound(kind, t, &ctx),
+                        "{kind}: target {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn demote_matches_remove_higher_then_add_lower() {
+        let jobs = observation_v1();
+        let analysis = Analysis::new(&jobs);
+        let reference = ReferenceBounds::new(&jobs);
+        // Demote jobs one by one in a fixed order, as Audsley's loop does,
+        // from every target's point of view.
+        let order = [jid(1), jid(3), jid(0), jid(2)];
+        for kind in DelayBoundKind::all() {
+            let mut fused = analysis.evaluator(kind);
+            let mut split = analysis.evaluator(kind);
+            fused.seed_all_higher();
+            split.seed_all_higher();
+            for (step, &k) in order.iter().enumerate() {
+                for t in jobs.job_ids() {
+                    fused.demote(t, k);
+                    split.remove_higher(t, k);
+                    split.add_lower(t, k);
+                    assert_eq!(fused.delay(t), split.delay(t), "{kind}: {k} below {t}");
+                    assert_eq!(fused.higher(t), split.higher(t));
+                    assert_eq!(fused.lower(t), split.lower(t));
+                    let lower = &order[..=step];
+                    let ctx = InterferenceSets::new(
+                        jobs.job_ids().filter(|&j| j != t && !lower.contains(&j)),
+                        lower.iter().copied().filter(|&j| j != t),
+                    );
+                    assert_eq!(
+                        fused.delay(t),
+                        reference.delay_bound(kind, t, &ctx),
+                        "{kind}: {k} below {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_resumes_over_the_same_or_extended_tables() {
+        let jobs = observation_v1();
+        let ids: Vec<JobId> = jobs.job_ids().collect();
+        let (prefix, _) = jobs.restrict_to(&ids[..3]).unwrap();
+        for kind in DelayBoundKind::all() {
+            let mut tables = Analysis::new(&prefix).into_tables();
+            let mut eval = DelayEvaluator::new(&tables, kind);
+            eval.seed_all_higher();
+            eval.demote(jid(0), jid(2));
+            let before = eval.delays();
+            let sets: Vec<(JobMask, JobMask)> = (0..3)
+                .map(|t| (eval.higher(jid(t)).clone(), eval.lower(jid(t)).clone()))
+                .collect();
+            let state = eval.into_state();
+            assert_eq!(state.job_count(), 3);
+            let same = DelayEvaluator::with_state(&tables, state.clone());
+            assert_eq!(same.delays(), before, "{kind}");
+
+            // Over the extended tables the arrival starts empty, exactly
+            // as a fresh evaluator's target does, and the old targets'
+            // constants (Eq. 5's blocking term) follow the arrival.
+            tables.extend_with_job(&jobs);
+            let resumed = DelayEvaluator::with_state(&tables, state);
+            let mut fresh = DelayEvaluator::new(&tables, kind);
+            for (t, (higher, lower)) in sets.iter().enumerate() {
+                higher.iter().for_each(|k| fresh.add_higher(jid(t), k));
+                lower.iter().for_each(|k| fresh.add_lower(jid(t), k));
+            }
+            assert_eq!(resumed.delays(), fresh.delays(), "{kind}");
+            assert!(resumed.higher(jid(3)).is_empty() && resumed.lower(jid(3)).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "other tables")]
+    fn state_from_other_tables_is_refused() {
+        let jobs = observation_v1();
+        let a = Analysis::new(&jobs);
+        let b = Analysis::new(&jobs);
+        let state = a.evaluator(DelayBoundKind::EdgeHybrid).into_state();
+        let _ = DelayEvaluator::with_state(b.tables(), state);
     }
 
     #[test]

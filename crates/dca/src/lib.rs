@@ -120,6 +120,6 @@ mod tables;
 
 pub use analysis::Analysis;
 pub use bounds::DelayBoundKind;
-pub use evaluator::DelayEvaluator;
+pub use evaluator::{DelayEvaluator, EvaluatorState};
 pub use mask::{JobMask, JobMaskIter};
 pub use tables::PairTables;

@@ -102,6 +102,31 @@ impl JobMask {
         self.tail.fill(0);
     }
 
+    /// Overwrites the set with `a ∩ b`, one word at a time.
+    pub fn assign_intersection(&mut self, a: &JobMask, b: &JobMask) {
+        self.assign_with(a, b, |x, y| x & y);
+    }
+
+    /// Overwrites the set with `a ∖ b`, one word at a time.
+    pub fn assign_difference(&mut self, a: &JobMask, b: &JobMask) {
+        self.assign_with(a, b, |x, y| x & !y);
+    }
+
+    /// `self = op(a, b)` word by word, for an `op` with `op(0, y) = 0`:
+    /// the result fits in `a`'s words, and the tail only ever grows.
+    fn assign_with(&mut self, a: &JobMask, b: &JobMask, op: impl Fn(u64, u64) -> u64) {
+        for w in 0..INLINE_WORDS {
+            self.head[w] = op(a.head[w], b.head[w]);
+        }
+        if self.tail.len() < a.tail.len() {
+            self.tail.resize(a.tail.len(), 0);
+        }
+        for (w, slot) in self.tail.iter_mut().enumerate() {
+            let x = a.tail.get(w).copied().unwrap_or(0);
+            *slot = op(x, b.tail.get(w).copied().unwrap_or(0));
+        }
+    }
+
     /// Number of ids in the set.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -253,6 +278,25 @@ mod tests {
         assert_eq!(mask.len(), 3);
         let ids: Vec<JobId> = (&mask).into_iter().collect();
         assert_eq!(ids, vec![jid(2), jid(5), jid(90)]);
+    }
+
+    #[test]
+    fn word_operations_match_the_set_algebra() {
+        let a: JobMask = [0usize, 3, 64, 130, 250].into_iter().map(jid).collect();
+        let b: JobMask = [3usize, 130, 131].into_iter().map(jid).collect();
+        // A longer stale tail must come back zeroed.
+        let mut out = JobMask::with_capacity(512);
+        out.insert(jid(400));
+        out.assign_intersection(&a, &b);
+        assert_eq!(out.iter().map(JobId::index).collect::<Vec<_>>(), [3, 130]);
+        out.assign_difference(&a, &b);
+        assert_eq!(
+            out.iter().map(JobId::index).collect::<Vec<_>>(),
+            [0, 64, 250]
+        );
+        let mut small = JobMask::new();
+        small.assign_difference(&a, &JobMask::new());
+        assert_eq!(small, a);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Struct-of-arrays pair tables backing the incremental delay evaluator.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use msmr_model::{JobId, JobSet, StageId, Time};
@@ -45,10 +46,26 @@ use crate::{DelayBoundKind, JobMask};
 /// [`PairTables::reserve`] pre-sizes a session once and removes even that.
 /// [`PairTables::remove_last_job`] undoes the most recent extension (the
 /// rollback path of a rejected admission).
+///
+/// # Generations
+///
+/// Every table content carries a process-unique
+/// [`PairTables::generation`] stamp, so state derived from the tables (a
+/// [`DelayEvaluator`](crate::DelayEvaluator)'s aggregates moved out with
+/// [`DelayEvaluator::into_state`](crate::DelayEvaluator::into_state)) can
+/// be tied to the exact tables it was computed from. Building, extending
+/// and swap-removing mint a fresh stamp; a clone keeps it (same
+/// contents); [`PairTables::remove_last_job`] right after an extension
+/// rolls the stamp back, because it restores the previous contents.
 #[derive(Debug)]
 pub struct PairTables {
     // NOTE: `Clone` is implemented manually because of the lazy
     // `opa_block` cell.
+    /// Stamp of the current contents (see "Generations").
+    generation: u64,
+    /// Stamp before the latest [`PairTables::extend_with_job`], while
+    /// that extension is the latest mutation.
+    parent_generation: Option<u64>,
     /// Number of live jobs `n`.
     pub(crate) n: usize,
     /// Allocated stride of the pair-indexed arrays (`cap ≥ n`); entries
@@ -92,6 +109,12 @@ pub struct PairTables {
     /// Per-target competitor mask: bit `k` ⇔ `k ≠ target` and the pair
     /// shares at least one resource (`M_i` of the paper).
     pub(crate) competes: Vec<JobMask>,
+}
+
+/// A process-unique [`PairTables::generation`] stamp.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The lazily-built Eq. 5 blocking constants together with the per-stage
@@ -251,6 +274,8 @@ impl Clone for PairTables {
             let _ = opa_block.set(values.clone());
         }
         PairTables {
+            generation: self.generation,
+            parent_generation: self.parent_generation,
             n: self.n,
             cap: self.cap,
             stages: self.stages,
@@ -283,6 +308,8 @@ impl PairTables {
         let n = jobs.len();
         let stages = jobs.stage_count();
         let mut tables = PairTables {
+            generation: fresh_generation(),
+            parent_generation: None,
             n,
             cap: n,
             stages,
@@ -409,6 +436,8 @@ impl PairTables {
             self.stages,
             "extend_with_job: pipeline stage count changed"
         );
+        self.parent_generation = Some(self.generation);
+        self.generation = fresh_generation();
         if new + 1 > self.cap {
             // Geometric growth keeps the re-stride cost amortized O(n·N)
             // per arrival.
@@ -530,6 +559,8 @@ impl PairTables {
     pub fn remove_job(&mut self, removed: JobId) {
         let r = removed.index();
         assert!(r < self.n, "remove_job: job id out of range");
+        self.generation = fresh_generation();
+        self.parent_generation = None;
         let last = self.n - 1;
         if r != last {
             let (cap, stages) = (self.cap, self.stages);
@@ -605,7 +636,8 @@ impl PairTables {
     /// Removes the job with the highest id — the rollback path of a
     /// rejected admission, undoing the matching
     /// [`PairTables::extend_with_job`]. `O(n)`; the dead row and column
-    /// stay allocated for the next arrival.
+    /// stay allocated for the next arrival. Right after that extension
+    /// the [`PairTables::generation`] rolls back with the contents.
     ///
     /// The lazily-built Eq. 5 blocking cache is discarded (a removal can
     /// lower a per-stage maximum, which cannot be undone incrementally);
@@ -616,7 +648,26 @@ impl PairTables {
     /// Panics if the tables are empty.
     pub fn remove_last_job(&mut self) {
         assert!(self.n > 0, "remove_last_job on empty tables");
+        let parent = self.parent_generation;
         self.remove_job(JobId::new(self.n - 1));
+        if let Some(parent) = parent {
+            self.generation = parent;
+        }
+    }
+
+    /// The stamp of the current contents: two tables with equal
+    /// generations in one process hold identical values.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The [`PairTables::generation`] the tables had before the latest
+    /// [`PairTables::extend_with_job`], while that extension is their
+    /// latest mutation; `None` otherwise.
+    #[must_use]
+    pub fn parent_generation(&self) -> Option<u64> {
+        self.parent_generation
     }
 
     /// The Eq. 5 blocking constants, `Σ_j max_{k ∈ J∖J_i, interfering}

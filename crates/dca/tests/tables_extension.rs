@@ -235,3 +235,47 @@ proptest! {
         assert_tables_equivalent(&tables, rebuilt.tables(), &order);
     }
 }
+
+/// Generation stamps follow the contents: an extension mints a fresh
+/// stamp and remembers the old one, its rollback restores it, a clone
+/// shares it, and a swap-removal or an independent build never repeats
+/// one.
+#[test]
+fn generations_identify_contents() {
+    let mut b = msmr_model::JobSetBuilder::new();
+    b.stage("cpu", 1, PreemptionPolicy::Preemptive);
+    for deadline in [30, 40, 50] {
+        b.job()
+            .deadline(Time::new(deadline))
+            .stage_time(Time::new(3), 0)
+            .add()
+            .unwrap();
+    }
+    let jobs = b.build().unwrap();
+    let ids: Vec<JobId> = jobs.job_ids().collect();
+    let (prefix, _) = jobs.restrict_to(&ids[..2]).unwrap();
+
+    let mut tables = Analysis::new(&prefix).into_tables();
+    let built = tables.generation();
+    assert_eq!(tables.parent_generation(), None);
+    assert_ne!(Analysis::new(&prefix).tables().generation(), built);
+
+    tables.extend_with_job(&jobs);
+    let extended = tables.generation();
+    assert_ne!(extended, built);
+    assert_eq!(tables.parent_generation(), Some(built));
+    let copy = tables.clone();
+    assert_eq!(copy.generation(), extended);
+
+    tables.remove_last_job();
+    assert_eq!(tables.generation(), built, "a rollback restores the stamp");
+    assert_eq!(tables.parent_generation(), None);
+
+    tables.extend_with_job(&jobs);
+    tables.remove_job(JobId::new(0));
+    let removed = tables.generation();
+    assert!(![built, extended].contains(&removed));
+    assert_eq!(tables.parent_generation(), None);
+    tables.reserve(64);
+    assert_eq!(tables.generation(), removed, "capacity is not content");
+}

@@ -272,8 +272,9 @@ struct SessionState {
 /// persisted Audsley trace instead of re-running the whole loop, solvers
 /// without an online seam are re-solved by the cold adapter (marked with
 /// the `cold_fallback` stat), and a rejected admission rolls the state
-/// back together with the tables. The state is part of
-/// [`SessionImage`], so snapshot restores come back warm end to end.
+/// back together with the tables. The durable part of the state (the
+/// traces) is in [`SessionImage`]; OPDCA's in-memory bound cache is not,
+/// so a restored session's first admit decides cold and rebuilds it.
 pub struct AdmissionSession {
     config: SessionConfig,
     registry: SolverRegistry,
@@ -912,7 +913,8 @@ impl AdmissionSession {
     /// [`SessionError::InvalidJob`] when the image's job set violates the
     /// model invariants (e.g. a hand-edited snapshot file), its handle
     /// list does not match the job count or repeats a handle, or its
-    /// decision log holds a seq past the image's decision counter.
+    /// decision log holds a seq past the image's decision counter or seqs
+    /// that are not strictly increasing.
     pub fn from_image(
         config: SessionConfig,
         image: SessionImage,
@@ -937,6 +939,17 @@ impl AdmissionSession {
             return Err(SessionError::InvalidJob(format!(
                 "snapshot logs decision seq {} past its counter {decisions}",
                 record.seq
+            )));
+        }
+        // A repeated seq would shadow its later record: a replay of it
+        // would be acked with the first one's outcome.
+        if let Some(pair) = decision_log
+            .windows(2)
+            .find(|pair| pair[1].seq <= pair[0].seq)
+        {
+            return Err(SessionError::InvalidJob(format!(
+                "snapshot logs decision seq {} after seq {}",
+                pair[1].seq, pair[0].seq
             )));
         }
         let min_next = image
@@ -982,8 +995,11 @@ impl AdmissionSession {
 
 /// The durable state of an [`AdmissionSession`], as persisted by the
 /// cluster snapshot subsystem: everything needed to resume admission
-/// control after a daemon restart *except* the warm caches, which
-/// [`AdmissionSession::from_image`] replays through [`Analysis::new`].
+/// control after a daemon restart *except* the warm caches. The pair
+/// tables are replayed by [`AdmissionSession::from_image`] through
+/// [`Analysis::new`]; the decider states keep their traces but not
+/// OPDCA's bound cache (`#[serde(skip)]`), which the first admit after a
+/// restore rebuilds cold — so the image's bytes do not depend on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionImage {
     /// The admitted job set (pipeline included).
@@ -996,8 +1012,9 @@ pub struct SessionImage {
     pub admits: u64,
     /// Lifetime reject count.
     pub rejects: u64,
-    /// The warm per-solver decider states of the online seam, so a
-    /// restore fast-forwards instead of deciding cold. `None` in
+    /// The per-solver decider states of the online seam, so a restore
+    /// keeps the traces (without OPDCA's in-memory bound cache, which its
+    /// first admit after the restore rebuilds cold). `None` in
     /// snapshots written before the online seam existed (they restore
     /// with a blank state).
     pub online: Option<OnlineSuiteState>,
@@ -1234,6 +1251,50 @@ mod tests {
     }
 
     #[test]
+    fn image_bytes_do_not_depend_on_the_bound_cache() {
+        let mut session = AdmissionSession::new(SessionConfig::default());
+        session.submit(pipeline_only(), false, |_| {});
+        for i in 0..5u64 {
+            session
+                .admit(&spec([2 + i, 3, 4], i % 2, 120), false, |_| {})
+                .unwrap();
+        }
+        session
+            .admit(&spec([90, 90, 90], 0, 10), false, |_| {})
+            .unwrap();
+        let h = session.status().admitted[2];
+        session.withdraw(h, false, |_| {}).unwrap();
+        session
+            .admit(&spec([4, 4, 4], 1, 200), false, |_| {})
+            .unwrap();
+
+        let image = session.image().unwrap();
+        let Some(msmr_sched::DeciderState::Audsley(trace)) =
+            image.online.as_ref().unwrap().states.get("OPDCA")
+        else {
+            panic!("the decider left its trace behind");
+        };
+        assert!(trace.cache.is_some(), "a warm session holds the cache");
+        let mut stripped = image.clone();
+        for state in stripped.online.as_mut().unwrap().states.values_mut() {
+            if let msmr_sched::DeciderState::Audsley(trace) = state {
+                trace.cache = None;
+            }
+        }
+        assert_eq!(
+            serde_json::to_string(&image).unwrap(),
+            serde_json::to_string(&stripped).unwrap()
+        );
+        // A restore comes back without the cache, and its image is the
+        // same bytes again.
+        let restored = AdmissionSession::from_image(SessionConfig::default(), image.clone());
+        assert_eq!(
+            serde_json::to_string(&restored.unwrap().image().unwrap()).unwrap(),
+            serde_json::to_string(&image).unwrap()
+        );
+    }
+
+    #[test]
     fn image_carries_the_warm_decider_state_through_restore() {
         let mut session = AdmissionSession::new(SessionConfig::default());
         session.submit(pipeline_only(), false, |_| {});
@@ -1255,8 +1316,9 @@ mod tests {
         let mut restored = AdmissionSession::from_image(SessionConfig::default(), parsed).unwrap();
         assert_eq!(restored.online_state(), session.online_state());
 
-        // The restored session fast-forwards from the persisted state and
-        // still produces byte-identical verdicts on the next ops.
+        // The restored session decides from the persisted state (OPDCA
+        // rebuilds its unpersisted bound cache cold) and still produces
+        // byte-identical verdicts on the next ops.
         let next = spec([3, 3, 3], 1, 250);
         let mut warm = Vec::new();
         let mut cold = Vec::new();
@@ -1369,6 +1431,14 @@ mod tests {
         corrupt(
             |image| image.decision_log.as_mut().unwrap()[0].seq = 3,
             "a logged seq past the decision counter",
+        );
+        corrupt(
+            |image| image.decision_log.as_mut().unwrap()[1].seq = 1,
+            "a logged seq repeated",
+        );
+        corrupt(
+            |image| image.decision_log.as_mut().unwrap().swap(0, 1),
+            "logged seqs going backwards",
         );
     }
 
