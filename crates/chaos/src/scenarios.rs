@@ -191,7 +191,7 @@ pub fn kill_restart(seed: u64) -> Result<Vec<String>, String> {
     ));
 
     let history = surviving_history(client.drain_observed(), jobs)?;
-    replay_warm(&trace, &history, &SessionConfig::default())?;
+    replay_warm(&trace, &history, &SessionConfig::default(), true)?;
     let admitted = admitted(&history);
     log.push(format!(
         "kill-restart: history of {jobs} seq(s) replays byte-identically ({admitted} admitted)"
@@ -744,7 +744,7 @@ pub fn frame_chaos(seed: u64) -> Result<Vec<String>, String> {
     ));
 
     let history: Vec<Decision> = applied.into_values().collect();
-    replay_warm(&trace, &history, &SessionConfig::default())?;
+    replay_warm(&trace, &history, &SessionConfig::default(), true)?;
     log.push("frame-chaos: surviving history replays byte-identically".into());
 
     // Post-failure accounting: exactly one decision and one histogram
@@ -872,7 +872,7 @@ pub fn router_failover(seed: u64) -> Result<Vec<String>, String> {
     // The surviving history: contiguous seqs, warm decider, offline
     // byte-identity.
     let history = surviving_history(client.drain_observed(), jobs)?;
-    replay_warm(&trace, &history, &SessionConfig::default())?;
+    replay_warm(&trace, &history, &SessionConfig::default(), true)?;
     let admitted = admitted(&history);
     log.push(format!(
         "router-failover: history of {jobs} seq(s) replays byte-identically \

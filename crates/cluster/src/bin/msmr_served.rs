@@ -22,9 +22,11 @@
 //! nameless, solved on the connection's thread, gone with the
 //! connection — so `submit`/`admit`/`withdraw` work from the first
 //! line. Sending `attach` rebinds it to a *named shared* session:
-//! any number of connections attach to the same name, solve work on it
-//! runs on a fixed worker pool behind a bounded queue (saturation is
-//! answered with the typed overload frame), and `--snapshot-dir`
+//! any number of connections attach to the same name. A decider-only
+//! `admit`/`withdraw` on it runs on the connection's thread when the
+//! session is free and no work is queued; any other solve work runs on
+//! a fixed worker pool behind a bounded queue (saturation is answered
+//! with the typed overload frame). `--snapshot-dir`
 //! enables snapshot/restore persistence — sessions found there are
 //! restored, warm tables included, at startup. `--session-ttl SECS`
 //! evicts (snapshot-then-drop) named sessions that have no attached
@@ -61,7 +63,7 @@ use msmr_serve::{parse_bound, Listen};
 use msmr_stats::{serve_stats, FlightProvider, StatsRegistry, StatsSnapshot, TraceWriter};
 
 fn usage() -> &'static str {
-    "usage: msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]\n                   [--opt-nodes N] [--cluster] [--shards N] [--workers N] [--queue N]\n                   [--snapshot-dir DIR] [--session-ttl SECS] [--stats-addr ADDR]\n                   [--trace-out PATH] [--flight-out PATH] [--pidfile PATH]\n\n  --tcp ADDR         listen on a TCP address (e.g. 127.0.0.1:7471)\n  --uds PATH         listen on a unix-domain socket path\n  --bound NAME       delay bound (eq1..eq6, eq10; default eq10)\n  --decider NAME     solver deciding admissions (default OPDCA)\n  --opt-nodes N      node budget of the exact engines (default 200000)\n\nsessions (a connection starts on a private session; `attach` binds a named shared one):\n  --cluster          start connections unbound instead: no private session,\n                     session ops need an `attach` first\n  --shards N         session-store shards (default 8)\n  --workers N        solve worker threads for named sessions (default 0 = all cores)\n  --queue N          bounded solve queue; full => typed overload response (default 64)\n  --snapshot-dir DIR enable snapshot/restore persistence of named sessions in DIR\n  --session-ttl SECS evict detached named sessions idle past SECS (snapshot first)\n\nobservability:\n  --stats-addr ADDR  serve one-line JSON stats snapshots on a TCP side channel\n                     (plus the `flight` dump command)\n  --trace-out PATH   write one Chrome trace-event span per solver verdict to PATH\n  --flight-out PATH  write the flight-recorder event dump to PATH on shutdown,\n                     SIGTERM and panic\n\nlifecycle:\n  --pidfile PATH     write the daemon pid to PATH once bound; SIGTERM shuts the\n                     daemon down gracefully (named sessions are snapshotted\n                     first) and removes the file"
+    "usage: msmr-served [--tcp ADDR] [--uds PATH] [--bound NAME] [--decider SOLVER]\n                   [--opt-nodes N] [--cluster] [--shards N] [--workers N] [--queue N]\n                   [--snapshot-dir DIR] [--session-ttl SECS] [--stats-addr ADDR]\n                   [--trace-out PATH] [--flight-out PATH] [--pidfile PATH]\n\n  --tcp ADDR         listen on a TCP address (e.g. 127.0.0.1:7471)\n  --uds PATH         listen on a unix-domain socket path\n  --bound NAME       delay bound (eq1..eq6, eq10; default eq10)\n  --decider NAME     solver deciding admissions (default OPDCA)\n  --opt-nodes N      node budget of the exact engines (default 200000)\n\nsessions (a connection starts on a private session; `attach` binds a named shared one):\n  --cluster          start connections unbound instead: no private session,\n                     session ops need an `attach` first\n  --shards N         session-store shards (default 8)\n  --workers N        worker threads for named-session solves that would wait\n                     (default 0 = all cores)\n  --queue N          bounded queue of those solves; full => typed overload\n                     response (default 64)\n  --snapshot-dir DIR enable snapshot/restore persistence of named sessions in DIR\n  --session-ttl SECS evict detached named sessions idle past SECS (snapshot first)\n\nobservability:\n  --stats-addr ADDR  serve one-line JSON stats snapshots on a TCP side channel\n                     (plus the `flight` dump command)\n  --trace-out PATH   write one Chrome trace-event span per solver verdict to PATH\n  --flight-out PATH  write the flight-recorder event dump to PATH on shutdown,\n                     SIGTERM and panic\n\nlifecycle:\n  --pidfile PATH     write the daemon pid to PATH once bound; SIGTERM shuts the\n                     daemon down gracefully (named sessions are snapshotted\n                     first) and removes the file"
 }
 
 struct Options {

@@ -5,16 +5,20 @@
 //! A connection addresses the session it is bound to: a **private** one
 //! of its own from the first byte (the daemon's default), or a *named
 //! shared* one after `attach` (where a `--cluster` daemon's connections
-//! start: unbound). The binding also picks the executor. Nobody else can
-//! hold a private session's lock, so its solve requests (`submit`,
-//! `admit`, `withdraw`) run on the connection thread. A solve request on
-//! a named session becomes one task on the bounded [`WorkerPool`]; the
-//! worker streams frames back over an in-process channel and the
-//! connection thread forwards them to the socket in order, so verdict
-//! streaming survives the hop. When the pool's queue is full the
-//! connection answers immediately with the typed
-//! [`Frame::Overload`] backpressure frame — the request has no effect
-//! and the client retries.
+//! start: unbound). A solve request (`submit`, `admit`, `withdraw`) runs
+//! on one of two executors. It runs to completion on the connection
+//! thread when nothing would wait for it: always on a private session
+//! (nobody else can hold its lock), and for a decider-only admit or
+//! withdraw on a named session whose lock is free while the worker
+//! pool's queue is empty. A decider-only op that runs there keeps its
+//! frames in the connection's buffer and writes them, `Done` included,
+//! in one call once the session's lock is released. Every other solve
+//! becomes one task on the bounded [`WorkerPool`]; the worker streams
+//! frames back over an in-process channel and the connection thread
+//! forwards them to the socket in order, so verdict streaming survives
+//! the hop. When the pool's queue is full the connection answers
+//! immediately with the typed [`Frame::Overload`] backpressure frame —
+//! the request has no effect and the client retries.
 
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
@@ -35,7 +39,7 @@ use msmr_serve::{
 use msmr_stats::{SessionRow, StatsRegistry, StatsSnapshot};
 
 use crate::snapshot::{SessionSnapshot, SnapshotStore};
-use crate::store::{SessionStore, SharedSession};
+use crate::store::{Claim, SessionStore, SharedSession};
 
 /// Configuration of a [`ClusterEngine`].
 #[derive(Debug, Clone)]
@@ -595,9 +599,9 @@ impl ClusterEngine {
         shutdown: &AtomicBool,
     ) -> io::Result<()> {
         let mut conn = self.connect();
-        let mut buffer = Vec::new();
-        while let Some(request) = read_request(&mut reader, &mut buffer, &mut writer)? {
-            let mut sink = FrameSink::new(&mut writer, request.id);
+        let (mut line, mut out) = (Vec::new(), Vec::new());
+        while let Some(request) = read_request(&mut reader, &mut line, &mut writer)? {
+            let mut sink = FrameSink::new(&mut writer, &mut out, request.id);
             if self.execute(&mut conn, request, &mut sink) == Flow::Shutdown {
                 shutdown.store(true, Ordering::SeqCst);
                 return sink.finish();
@@ -658,7 +662,7 @@ impl ClusterEngine {
                 })),
                 None => sink.send(error_frame("not attached to a session")),
             },
-            Op::Submit(op) => self.solve(conn, sink, move |session, emit| {
+            Op::Submit(op) => self.solve(conn, sink, false, move |session, emit| {
                 // serde bypasses the JobSet builder invariants, so wire
                 // payloads are re-validated (and their ids re-numbered)
                 // before any analysis touches them.
@@ -672,8 +676,8 @@ impl ClusterEngine {
             }),
             Op::Admit(op) => {
                 let decider = self.store.template().decider.clone();
-                self.solve(conn, sink, move |session, emit| {
-                    let evaluate = op.evaluate.unwrap_or(true);
+                let evaluate = op.evaluate.unwrap_or(true);
+                self.solve(conn, sink, !evaluate, move |session, emit| {
                     let outcome = session.admit(&op.job, evaluate, op.seq, |verdict| {
                         emit(verdict_frame(verdict));
                     });
@@ -685,21 +689,23 @@ impl ClusterEngine {
                     });
                 });
             }
-            Op::Withdraw(op) => self.solve(conn, sink, move |session, emit| {
+            Op::Withdraw(op) => {
                 let evaluate = op.evaluate.unwrap_or(false);
-                let outcome = session.withdraw(op.job, evaluate, op.seq, |verdict| {
-                    emit(verdict_frame(verdict));
+                self.solve(conn, sink, !evaluate, move |session, emit| {
+                    let outcome = session.withdraw(op.job, evaluate, op.seq, |verdict| {
+                        emit(verdict_frame(verdict));
+                    });
+                    emit(match outcome {
+                        Ok((outcome, seq, deduped)) => Frame::Withdraw(WithdrawFrame {
+                            job: op.job,
+                            jobs: outcome.jobs as u64,
+                            seq: Some(seq),
+                            deduped: deduped.then_some(true),
+                        }),
+                        Err(e) => error_frame(&e.to_string()),
+                    });
                 });
-                emit(match outcome {
-                    Ok((outcome, seq, deduped)) => Frame::Withdraw(WithdrawFrame {
-                        job: op.job,
-                        jobs: outcome.jobs as u64,
-                        seq: Some(seq),
-                        deduped: deduped.then_some(true),
-                    }),
-                    Err(e) => error_frame(&e.to_string()),
-                });
-            }),
+            }
             Op::Status(_) => sink.send(match conn.session() {
                 Ok(session) => Frame::Status(session.status().to_frame()),
                 Err(message) => error_frame(message),
@@ -752,25 +758,43 @@ impl ClusterEngine {
     }
 
     /// Runs one solve op (`submit`, `admit`, `withdraw`) against the
-    /// connection's bound session, on the executor the binding implies:
-    /// a private session's lock has no other taker, so its op runs right
-    /// here on the connection thread; a named session is shared, so its
-    /// op queues on the worker pool (`pooled`).
+    /// connection's bound session, on one of two executors. The op runs
+    /// right here on the connection thread when nothing would wait for
+    /// it: the session is private, or the op is `decider_only`, the
+    /// pool's queue is empty and the session's lock is free. A
+    /// decider-only op run here holds its frames until the caller's
+    /// `finish` writes them in one call, after the claim has dropped, so
+    /// no socket I/O ever happens under a shared session's lock. Any
+    /// other op queues on the worker pool (`pooled`), which keeps
+    /// overload, FIFO order among queued tasks and the lock's `seq`
+    /// order for all work that waits.
     fn solve<W: Write + Send>(
         &self,
         conn: &Connection,
         sink: &mut FrameSink<'_, W>,
-        task: impl FnOnce(&SharedSession, &mut (dyn FnMut(Frame) + Send)) + Send + 'static,
+        decider_only: bool,
+        task: impl FnOnce(&mut Claim<'_>, &mut (dyn FnMut(Frame) + Send)) + Send + 'static,
     ) {
-        match conn.session() {
-            Err(message) => sink.send(error_frame(message)),
-            Ok(session) if session.is_private() => task(session, &mut |frame| sink.send(frame)),
-            Ok(session) => {
+        let session = match conn.session() {
+            Ok(session) => session,
+            Err(message) => return sink.send(error_frame(message)),
+        };
+        let here = session.is_private() || (decider_only && self.pool.queued() == 0);
+        match here.then(|| session.try_claim()).flatten() {
+            Some(mut claim) => {
+                if decider_only {
+                    sink.hold();
+                }
+                // The claim moves into the task, so a panic poisons the
+                // session's lock on this arm as on the pool's.
+                contained(move |emit| task(&mut claim, emit), &mut |frame| {
+                    sink.send(frame)
+                });
+            }
+            None => {
                 let shared = Arc::clone(session);
-                self.pooled(session.name(), sink, move |tx| {
-                    task(&shared, &mut |frame| {
-                        let _ = tx.send(frame);
-                    });
+                self.pooled(session.name(), sink, move |emit| {
+                    task(&mut shared.claim(), emit);
                 });
             }
         }
@@ -778,23 +802,20 @@ impl ClusterEngine {
 
     /// Runs `task` on the worker pool, relaying its streamed frames into
     /// `sink` in order; answers with the typed overload frame when the
-    /// pool's bounded queue refuses the task, and with an error frame
-    /// when the task panics mid-solve (the pool contains the panic, its
-    /// worker survives, and the request must still terminate cleanly).
+    /// pool's bounded queue refuses the task.
     fn pooled<W: Write>(
         &self,
         session: &str,
         sink: &mut FrameSink<'_, W>,
-        task: impl FnOnce(mpsc::Sender<Frame>) + Send + 'static,
+        task: impl FnOnce(&mut (dyn FnMut(Frame) + Send)) + Send + 'static,
     ) {
         let (tx, rx) = mpsc::channel::<Frame>();
-        let guarded = move || {
-            let failure_tx = tx.clone();
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || task(tx))).is_err() {
-                let _ = failure_tx.send(error_frame("internal error: the solve task panicked"));
-            }
+        let relay = move || {
+            contained(task, &mut |frame| {
+                let _ = tx.send(frame);
+            });
         };
-        match self.pool.try_submit(guarded) {
+        match self.pool.try_submit(relay) {
             Ok(()) => {
                 for frame in rx {
                     sink.send(frame);
@@ -811,6 +832,19 @@ impl ClusterEngine {
                 sink.send(error_frame("daemon is shutting down"));
             }
         }
+    }
+}
+
+/// Runs a solve task on either executor, answering a panic mid-solve
+/// with an error frame: the request still terminates cleanly, and the
+/// pool's worker or the connection survives.
+fn contained(
+    task: impl FnOnce(&mut (dyn FnMut(Frame) + Send)),
+    emit: &mut (dyn FnMut(Frame) + Send),
+) {
+    let run = std::panic::AssertUnwindSafe(|| task(&mut *emit));
+    if std::panic::catch_unwind(run).is_err() {
+        emit(error_frame("internal error: the solve task panicked"));
     }
 }
 
@@ -1937,9 +1971,8 @@ mod tests {
             if self.lines_left == 0 {
                 return Err(io::ErrorKind::BrokenPipe.into());
             }
-            if buf == b"\n" {
-                self.lines_left -= 1;
-            }
+            let lines = buf.iter().filter(|&&b| b == b'\n').count();
+            self.lines_left = self.lines_left.saturating_sub(lines);
             Ok(buf.len())
         }
 
@@ -1991,5 +2024,283 @@ mod tests {
         let (evicted, error) = engine.evict_idle();
         assert!(error.is_none());
         assert_eq!(evicted, vec!["pipe", "reset"]);
+    }
+
+    /// An engine with one worker and a named session `s` opened on the
+    /// two-stage pipeline, detached.
+    fn one_worker_with_session() -> Arc<ClusterEngine> {
+        let engine = ClusterEngine::new(ClusterConfig {
+            workers: 1,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let session = engine.store().attach("s", true).unwrap().session;
+        session.submit(pipeline_only(), false, |_| {});
+        session.client_detached();
+        engine
+    }
+
+    /// Parks the engine's one worker until the returned gate opens.
+    fn park_worker(engine: &ClusterEngine) -> mpsc::Sender<()> {
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        engine
+            .pool()
+            .try_submit(move || {
+                started_tx.send(()).unwrap();
+                let _ = gate_rx.recv();
+            })
+            .unwrap();
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        gate_tx
+    }
+
+    /// Serves `requests` on a connection thread of its own; the receiver
+    /// yields the loop's result and the raw response bytes once the
+    /// connection is done.
+    fn spawn_connection(
+        engine: &Arc<ClusterEngine>,
+        requests: &[Request],
+    ) -> mpsc::Receiver<io::Result<Vec<u8>>> {
+        let (engine, input) = (Arc::clone(engine), lines(requests));
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut output = Vec::new();
+            let shutdown = AtomicBool::new(false);
+            let served = engine.serve_connection(input.as_slice(), &mut output, &shutdown);
+            let _ = done_tx.send(served.map(|()| output));
+        });
+        done_rx
+    }
+
+    /// Waits until the pool's queue holds `depth` tasks.
+    fn await_queue(engine: &ClusterEngine, depth: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while engine.pool().queued() < depth {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "queue never reached {depth}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn attach_s(id: u64) -> Request {
+        Request {
+            id,
+            op: Op::Attach(AttachOp {
+                session: "s".to_string(),
+                create: Some(false),
+            }),
+        }
+    }
+
+    fn withdraw(id: u64, job: u64) -> Request {
+        Request {
+            id,
+            op: Op::Withdraw(msmr_serve::protocol::WithdrawOp {
+                job,
+                evaluate: Some(false),
+                seq: None,
+            }),
+        }
+    }
+
+    /// Responses with each verdict's provenance fields zeroed, as text.
+    fn normalized(output: &[u8]) -> Vec<String> {
+        responses(output)
+            .iter()
+            .map(|r| match &r.frame {
+                Frame::Verdict(v) => {
+                    let verdict = msmr_serve::normalized_verdict_json(&v.verdict);
+                    format!("{} {verdict}", r.id)
+                }
+                _ => serde_json::to_string(r).unwrap(),
+            })
+            .collect()
+    }
+
+    fn decider_only_churn() -> Vec<Request> {
+        vec![
+            attach_s(1),
+            admit(2, spec(3, 100), false, None),
+            withdraw(3, 1),
+        ]
+    }
+
+    #[test]
+    fn uncontended_decider_only_ops_run_on_the_connection_thread() {
+        let engine = one_worker_with_session();
+        let gate = park_worker(&engine);
+        let done = spawn_connection(&engine, &decider_only_churn());
+        let output = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the admit and withdraw completed while the worker was parked")
+            .unwrap();
+        gate.send(()).unwrap();
+        let frames = normalized(&output);
+        // Attach + Done; verdict, admit + Done; an emptied set streams
+        // no verdict, so withdraw + Done.
+        assert_eq!(frames.len(), 2 + 3 + 2, "{frames:#?}");
+        assert!(frames[3].contains("\"admitted\":true"), "{}", frames[3]);
+        assert!(frames[5].contains("\"jobs\":0"), "{}", frames[5]);
+    }
+
+    #[test]
+    fn queued_work_sends_decider_only_ops_through_the_pool_unchanged() {
+        let inline = spawn_connection(&one_worker_with_session(), &decider_only_churn())
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap()
+            .unwrap();
+
+        let engine = one_worker_with_session();
+        let gate = park_worker(&engine);
+        engine.pool().try_submit(|| {}).unwrap();
+        let done = spawn_connection(&engine, &decider_only_churn());
+        await_queue(&engine, 2);
+        assert!(done.try_recv().is_err(), "the admit waits behind the queue");
+        gate.send(()).unwrap();
+        let pooled = done.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+        assert_eq!(normalized(&pooled), normalized(&inline));
+    }
+
+    #[test]
+    fn evaluate_admits_always_queue_on_the_pool() {
+        let engine = one_worker_with_session();
+        let gate = park_worker(&engine);
+        let done = spawn_connection(&engine, &[attach_s(1), admit(2, spec(3, 100), true, None)]);
+        await_queue(&engine, 1);
+        assert!(
+            done.try_recv().is_err(),
+            "the evaluate admit waits for the worker"
+        );
+        gate.send(()).unwrap();
+        let output = done.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+        let admit = responses(&output).into_iter().filter(|r| r.id == 2).count();
+        assert_eq!(admit, 5 + 2, "five verdicts, the admit frame, Done");
+    }
+
+    /// A transport that takes `lines_left` response lines, then stalls
+    /// its next write until the gate opens, like a peer that stopped
+    /// reading.
+    struct Stalled {
+        lines_left: usize,
+        stalled: Option<mpsc::Sender<()>>,
+        gate: mpsc::Receiver<()>,
+    }
+
+    impl Write for Stalled {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.lines_left == 0 {
+                if let Some(stalled) = self.stalled.take() {
+                    stalled.send(()).unwrap();
+                    let _ = self.gate.recv();
+                }
+            }
+            let lines = buf.iter().filter(|&&b| b == b'\n').count();
+            self.lines_left = self.lines_left.saturating_sub(lines);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_reader_never_blocks_its_session() {
+        let engine = one_worker_with_session();
+        let (stalled_tx, stalled_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let slow = {
+            let engine = Arc::clone(&engine);
+            let input = lines(&[attach_s(1), admit(2, spec(3, 100), false, None)]);
+            std::thread::spawn(move || {
+                let writer = Stalled {
+                    lines_left: 2,
+                    stalled: Some(stalled_tx),
+                    gate: gate_rx,
+                };
+                let shutdown = AtomicBool::new(false);
+                engine.serve_connection(input.as_slice(), writer, &shutdown)
+            })
+        };
+        stalled_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the slow connection's admit response stalled");
+        let output = spawn_connection(&engine, &[attach_s(1), admit(2, spec(3, 100), false, None)])
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a second client of the session is served while the first one stalls")
+            .unwrap();
+        let Some(Frame::Admit(frame)) = responses(&output).into_iter().map(|r| r.frame).nth(3)
+        else {
+            panic!("expected the admit frame");
+        };
+        assert_eq!(frame.seq, Some(2), "the stalled admit was decided first");
+        gate_tx.send(()).unwrap();
+        slow.join().unwrap().unwrap();
+    }
+
+    /// A transport that records the buffer of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn decider_only_responses_are_one_write_and_streams_one_per_frame() {
+        for start in [Start::Private, Start::Named] {
+            let engine = ClusterEngine::new(ClusterConfig {
+                start_private: start == Start::Private,
+                workers: 1,
+                ..ClusterConfig::default()
+            })
+            .unwrap();
+            let mut requests = vec![
+                submit(2),
+                admit(3, spec(3, 100), false, None),
+                admit(4, spec(3, 100), true, None),
+            ];
+            if start == Start::Named {
+                requests.insert(
+                    0,
+                    Request {
+                        id: 1,
+                        op: Op::Attach(AttachOp {
+                            session: "named".to_string(),
+                            create: None,
+                        }),
+                    },
+                );
+            }
+            let mut writes = Writes::default();
+            let shutdown = AtomicBool::new(false);
+            engine
+                .serve_connection(lines(&requests).as_slice(), &mut writes, &shutdown)
+                .unwrap();
+            // Every write carries whole lines of one request.
+            let of = |id: u64| -> Vec<usize> {
+                let needle = format!("{{\"id\":{id},");
+                let writes = writes.0.iter().filter(|w| w.starts_with(needle.as_bytes()));
+                writes.map(|w| responses(w).len()).collect()
+            };
+            assert_eq!(
+                of(3),
+                [3],
+                "{start:?}: verdict, admit and Done in one write"
+            );
+            assert_eq!(of(4), [1; 7], "{start:?}: evaluate streams frame by frame");
+            let total: usize = writes.0.iter().map(|w| responses(w).len()).sum();
+            assert_eq!(total, responses(&writes.0.concat()).len());
+        }
     }
 }

@@ -22,12 +22,14 @@
 //!   history is always equivalent to a serialized replay — the admit
 //!   frames carry a per-session decision sequence number (`seq`) that
 //!   makes the serialization order observable and verifiable.
-//! * [`msmr_par::WorkerPool`] — every solve (`submit`, `admit`,
-//!   `withdraw`) on a named session runs as one task on a fixed-size
-//!   worker pool behind a **bounded** queue (a private session has one
-//!   client, so its solves skip the hand-off). A full queue is
-//!   answered with the typed
-//!   [`Frame::Overload`](msmr_serve::protocol::Frame::Overload)
+//! * [`msmr_par::WorkerPool`] — a solve (`submit`, `admit`, `withdraw`)
+//!   that would wait runs as one task on a fixed-size worker pool behind
+//!   a **bounded** queue. Only work that would wait queues: a private
+//!   session's ops, and a decider-only admit or withdraw that finds the
+//!   queue empty and its session's lock free
+//!   ([`SharedSession::try_claim`]), run to completion on the connection
+//!   thread and answer in one write. A full queue is answered with the
+//!   typed [`Frame::Overload`](msmr_serve::protocol::Frame::Overload)
 //!   backpressure frame (the request has no effect; `msmr-admit` maps
 //!   it to exit code 75) instead of unbounded buffering or a dropped
 //!   connection.
@@ -99,7 +101,7 @@
 //! or worker count — produces verdicts and decision seqs byte-identical
 //! to a private session's and to offline
 //! [`msmr_sched::SolverRegistry::evaluate`] (wall-clock fields zeroed):
-//! the pool only moves *where* a solve runs, the session mutex fixes the
+//! the executor only moves *where* a solve runs, the session mutex fixes the
 //! order, and the table extension path is the same
 //! `PairTables::extend_with_job` either way. The end-to-end suite pins
 //! all three down, and a multi-client `msmr-admit --replay --verify`
@@ -141,6 +143,6 @@ pub mod testkit;
 pub use engine::{ClusterConfig, ClusterEngine, RestoreIfNewer};
 pub use snapshot::{SessionSnapshot, SnapshotStore};
 pub use store::{
-    session_name_hash, validate_session_name, AttachOutcome, Clock, SessionStore, SharedSession,
-    StoreError, SystemClock, MAX_SESSION_NAME,
+    session_name_hash, validate_session_name, AttachOutcome, Claim, Clock, SessionStore,
+    SharedSession, StoreError, SystemClock, MAX_SESSION_NAME,
 };

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use msmr_model::JobSet;
@@ -224,36 +224,44 @@ impl SharedSession {
         inner.session.jobs().map_or(0, JobSet::len) as u64
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SessionInner> {
+    fn lock(&self) -> MutexGuard<'_, SessionInner> {
         self.inner.lock().expect("session lock poisoned")
     }
 
-    /// Opens (or replaces) the session with a full job set; see
-    /// [`AdmissionSession::submit`]. Bumps the version.
+    /// Claims the session for one operation, waiting for its lock.
+    pub fn claim(&self) -> Claim<'_> {
+        Claim {
+            session: self,
+            inner: self.lock(),
+        }
+    }
+
+    /// Claims the session only if its lock is free right now: `None`
+    /// while another operation holds it (or after a panic poisoned it,
+    /// which the blocking [`SharedSession::claim`] reports).
+    pub fn try_claim(&self) -> Option<Claim<'_>> {
+        let inner = self.inner.try_lock().ok()?;
+        Some(Claim {
+            session: self,
+            inner,
+        })
+    }
+
+    /// [`Claim::submit`] on a blocking [`SharedSession::claim`].
     pub fn submit(
         &self,
         jobs: JobSet,
         parallel: bool,
         sink: impl FnMut(&Verdict) + Send,
     ) -> Vec<Verdict> {
-        self.touch();
-        let mut inner = self.lock();
-        let verdicts = inner.session.submit(jobs, parallel, sink);
-        inner.version += 1;
-        verdicts
+        self.claim().submit(jobs, parallel, sink)
     }
 
-    /// Decides admission of one arriving job; see
-    /// [`AdmissionSession::admit_seq`]. Returns the outcome, the
-    /// decision's sequence number, and whether the op was a deduped
-    /// seq-replay (acked without re-applying — the version does not
-    /// bump). Bumps the version on freshly applied acceptance.
+    /// [`Claim::admit`] on a blocking [`SharedSession::claim`].
     ///
     /// # Errors
     ///
-    /// Propagates [`SessionError`] from the underlying session,
-    /// including the seq-validation errors of the v5 idempotency rule
-    /// (the decision counter only advances for decided admissions).
+    /// As [`Claim::admit`].
     pub fn admit(
         &self,
         spec: &JobSpec,
@@ -261,26 +269,14 @@ impl SharedSession {
         seq: Option<u64>,
         sink: impl FnMut(&Verdict),
     ) -> Result<(AdmitOutcome, u64, bool), SessionError> {
-        self.touch();
-        let mut inner = self.lock();
-        let (outcome, seq, deduped) = inner.session.admit_seq(spec, evaluate, seq, sink)?;
-        if outcome.admitted && !deduped {
-            inner.version += 1;
-        }
-        Ok((outcome, seq, deduped))
+        self.claim().admit(spec, evaluate, seq, sink)
     }
 
-    /// Removes an admitted job by handle and re-decides the reduced set
-    /// through the online seam; see [`AdmissionSession::withdraw_seq`].
-    /// Withdrawals are decider decisions too, so they advance the same
-    /// `seq` counter as admissions (interleaved multi-client histories of
-    /// both op kinds re-order into one serialized replay) and bump the
-    /// version (unless the op was a deduped seq-replay).
+    /// [`Claim::withdraw`] on a blocking [`SharedSession::claim`].
     ///
     /// # Errors
     ///
-    /// Propagates [`SessionError`] (the decision counter only advances
-    /// for applied withdrawals).
+    /// As [`Claim::withdraw`].
     pub fn withdraw(
         &self,
         handle: u64,
@@ -288,13 +284,7 @@ impl SharedSession {
         seq: Option<u64>,
         sink: impl FnMut(&Verdict),
     ) -> Result<(WithdrawOutcome, u64, bool), SessionError> {
-        self.touch();
-        let mut inner = self.lock();
-        let (outcome, seq, deduped) = inner.session.withdraw_seq(handle, evaluate, seq, sink)?;
-        if !deduped {
-            inner.version += 1;
-        }
-        Ok((outcome, seq, deduped))
+        self.claim().withdraw(handle, evaluate, seq, sink)
     }
 
     /// The session's decision counter — the seq horizon a resuming
@@ -340,6 +330,84 @@ impl SharedSession {
         let mut inner = self.lock();
         inner.session = session;
         inner.version = version;
+    }
+}
+
+/// One operation's hold on a [`SharedSession`]: its lock, taken by
+/// [`SharedSession::claim`] or [`SharedSession::try_claim`] and released
+/// when the claim drops. Every solve operation runs on a claim.
+pub struct Claim<'a> {
+    session: &'a SharedSession,
+    inner: MutexGuard<'a, SessionInner>,
+}
+
+impl Claim<'_> {
+    /// Opens (or replaces) the session with a full job set; see
+    /// [`AdmissionSession::submit`]. Bumps the version.
+    pub fn submit(
+        &mut self,
+        jobs: JobSet,
+        parallel: bool,
+        sink: impl FnMut(&Verdict) + Send,
+    ) -> Vec<Verdict> {
+        self.session.touch();
+        let verdicts = self.inner.session.submit(jobs, parallel, sink);
+        self.inner.version += 1;
+        verdicts
+    }
+
+    /// Decides admission of one arriving job; see
+    /// [`AdmissionSession::admit_seq`]. Returns the outcome, the
+    /// decision's sequence number, and whether the op was a deduped
+    /// seq-replay (acked without re-applying — the version does not
+    /// bump). Bumps the version on freshly applied acceptance.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SessionError`] from the underlying session,
+    /// including the seq-validation errors of the v5 idempotency rule
+    /// (the decision counter only advances for decided admissions).
+    pub fn admit(
+        &mut self,
+        spec: &JobSpec,
+        evaluate: bool,
+        seq: Option<u64>,
+        sink: impl FnMut(&Verdict),
+    ) -> Result<(AdmitOutcome, u64, bool), SessionError> {
+        self.session.touch();
+        let inner = &mut *self.inner;
+        let (outcome, seq, deduped) = inner.session.admit_seq(spec, evaluate, seq, sink)?;
+        if outcome.admitted && !deduped {
+            inner.version += 1;
+        }
+        Ok((outcome, seq, deduped))
+    }
+
+    /// Removes an admitted job by handle and re-decides the reduced set
+    /// through the online seam; see [`AdmissionSession::withdraw_seq`].
+    /// Withdrawals are decider decisions too, so they advance the same
+    /// `seq` counter as admissions (interleaved multi-client histories of
+    /// both op kinds re-order into one serialized replay) and bump the
+    /// version (unless the op was a deduped seq-replay).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SessionError`] (the decision counter only advances
+    /// for applied withdrawals).
+    pub fn withdraw(
+        &mut self,
+        handle: u64,
+        evaluate: bool,
+        seq: Option<u64>,
+        sink: impl FnMut(&Verdict),
+    ) -> Result<(WithdrawOutcome, u64, bool), SessionError> {
+        self.session.touch();
+        let inner = &mut *self.inner;
+        let (outcome, seq, deduped) = inner.session.withdraw_seq(handle, evaluate, seq, sink)?;
+        if !deduped {
+            inner.version += 1;
+        }
+        Ok((outcome, seq, deduped))
     }
 }
 

@@ -130,7 +130,7 @@ fn cluster_replay_is_byte_identical_to_classic_serve_and_offline() {
     );
 
     // Offline mirror: SolverRegistry::evaluate on every candidate set.
-    replay_cold(&trace, &cluster.decisions, &session_config()).expect("cold offline oracle");
+    replay_cold(&trace, &cluster.decisions, &session_config(), true).expect("cold offline oracle");
     assert_seqs_count_up(&cluster.decisions);
     assert!(
         cluster.admitted > 0,
@@ -201,7 +201,7 @@ fn mixed_withdraw_replay_matches_cold_replay_on_cluster_and_classic() {
     // Cold oracle: no warm tables, no warm decider state — a fresh
     // offline evaluation of every set the history visits, with the same
     // swap-removal id discipline.
-    replay_cold(&trace, &cluster_events, &session_config()).expect("cold offline oracle");
+    replay_cold(&trace, &cluster_events, &session_config(), true).expect("cold offline oracle");
     assert_seqs_count_up(&cluster_events);
 
     let mut shutdown_client = Client::connect(&Endpoint::Uds(cluster_path)).expect("connect");
@@ -285,7 +285,7 @@ fn interleaved_clients_match_the_serialized_replay() {
     let mut decisions = decisions.into_inner().unwrap();
     decisions.sort_by_key(|d| d.seq);
     assert_eq!(decisions.len(), order.len());
-    replay_warm(&trace, &decisions, &session_config()).expect("serialized replay");
+    replay_warm(&trace, &decisions, &session_config(), true).expect("serialized replay");
     let admitted = decisions
         .iter()
         .filter(|d| matches!(d.op, DecisionOp::Admit { admitted: true, .. }))

@@ -76,7 +76,7 @@ fn replayed_trace_verdicts_are_byte_identical_to_offline_evaluate() {
     let outcome = client
         .replay_trace_mixed(&trace, true, 0.0, 0)
         .expect("replay the trace");
-    replay_cold(&trace, &outcome.decisions, &session_config()).expect("cold offline oracle");
+    replay_cold(&trace, &outcome.decisions, &session_config(), true).expect("cold offline oracle");
     let seqs: Vec<u64> = outcome.decisions.iter().map(|d| d.seq).collect();
     assert_eq!(
         seqs,

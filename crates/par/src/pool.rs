@@ -6,8 +6,10 @@
 //! work one task at a time and **refuses** — rather than buffers without
 //! bound — when the system is saturated. [`WorkerPool`] provides exactly
 //! that on `std::thread` + `Mutex`/`Condvar` (the container cannot fetch
-//! an async runtime), so the admission daemon can keep its connections as
-//! thin framing loops while every solve runs on a worker thread.
+//! an async runtime), so the admission daemon can hand every solve that
+//! would wait — for a busy session, or behind queued work — to a worker
+//! thread, while uncontended decider-only ops run on the connection
+//! thread.
 //!
 //! Backpressure is *typed*: [`WorkerPool::try_submit`] returns
 //! [`SubmitError::Saturated`] with the observed queue depth instead of

@@ -110,7 +110,7 @@ pub fn handle_connection<R: BufRead, W: Write>(
     shutdown: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     let mut conn: Option<BackendConn> = None;
-    let mut buffer = Vec::new();
+    let (mut buffer, mut out) = (Vec::new(), Vec::new());
     let result = loop {
         let Some(request) = read_request(&mut reader, &mut buffer, &mut writer)? else {
             break Ok(());
@@ -129,7 +129,7 @@ pub fn handle_connection<R: BufRead, W: Write>(
             // exact per-field sum of its backends' snapshots.
             Op::Stats(op) if op.session.is_none() => {
                 let stats = stats_agg::aggregate(state);
-                let mut sink = FrameSink::new(&mut writer, request.id);
+                let mut sink = FrameSink::new(&mut writer, &mut out, request.id);
                 sink.send(Frame::Stats(StatsFrame { stats }));
                 sink.finish()?;
             }
@@ -142,7 +142,7 @@ pub fn handle_connection<R: BufRead, W: Write>(
                         let _ = control.control(Op::Shutdown(ShutdownOp {}));
                     }
                 }
-                let sink = FrameSink::new(&mut writer, request.id);
+                let sink = FrameSink::new(&mut writer, &mut out, request.id);
                 sink.finish()?;
                 shutdown.store(true, Ordering::SeqCst);
                 conn = None;

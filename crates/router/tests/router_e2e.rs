@@ -174,7 +174,7 @@ fn routed_mixed_replay_is_byte_identical_to_direct_and_offline() {
     // every set the history visits from scratch, mirroring the
     // sessions' swap-removal id discipline.
     let (trace, events) = &routed_events[0];
-    replay_cold(trace, events, &session_config()).expect("cold offline oracle");
+    replay_cold(trace, events, &session_config(), true).expect("cold offline oracle");
 
     // Placement sanity: with a handful more sessions the tier must
     // actually spread (rendezvous over 3 backends; twelve names all
@@ -280,7 +280,7 @@ fn killed_backend_fails_over_with_seq_continuity() {
         .map(|(_, decision)| decision)
         .collect();
     assert_eq!(history.len(), jobs, "one surviving decision per seq");
-    replay_warm(&trace, &history, &session_config()).expect("serialized replay");
+    replay_warm(&trace, &history, &session_config(), true).expect("serialized replay");
 
     // The session now lives on a survivor with the full seq horizon,
     // and the tier's dedup accounting matches what the client saw.

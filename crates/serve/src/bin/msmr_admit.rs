@@ -34,10 +34,13 @@
 //!
 //! With `--verify` each session's history, sorted by seq, goes through
 //! both oracles of `msmr_serve::history`: `replay_cold` (an offline
-//! `SolverRegistry::evaluate` of every visited job set, each admit
-//! checked against the daemon's decider) and `replay_warm` (a fresh
-//! `AdmissionSession` fed in seq order). Every streamed verdict set —
-//! admits *and* withdrawals — must match byte for byte after zeroing the
+//! solve of every visited job set, each admit checked against the
+//! daemon's decider) and `replay_warm` (a fresh `AdmissionSession` fed
+//! in seq order). With `--evaluate` they check the full suite's
+//! verdicts; without it the decider's one verdict per op — the
+//! decider-only traffic the daemon answers on the connection thread
+//! when uncontended. Every streamed verdict set — admits *and*
+//! withdrawals — must match byte for byte after zeroing the
 //! execution-provenance fields `elapsed_micros` and `cold_fallback`. The
 //! first divergence of a session is printed and makes the process exit
 //! non-zero — this is the CI smoke check. `--check-stats` ends the run
@@ -191,7 +194,7 @@ impl ReplaySummary {
 }
 
 fn usage() -> &'static str {
-    "usage: msmr-admit (--tcp ADDR | --uds PATH) [--session NAME] <command>\n\ncommands:\n  --status        print the session status frame\n  --stats         print the daemon's live stats snapshot as JSON (protocol v4);\n                  with --session NAME, print that session's breakdown instead\n                  (reads without refreshing the session's TTL)\n  --shutdown      stop the daemon\n  --replay        feed a generated workload trace, one admit per arrival\n\noptions:\n  --session NAME  attach to a named shared session first (not with --replay)\n\nreplay options:\n  --jobs N        trace length per session (default 100)\n  --seed S        workload seed (default 2024)\n  --beta F        workload heaviness parameter\n  --evaluate      stream the full solver suite per admit\n  --verify        check streamed verdicts against both offline oracles (implies --evaluate)\n  --bound NAME    delay bound, must match the daemon's (default eq10)\n  --opt-nodes N   exact-engine node budget, must match the daemon's (default 200000)\n  --withdraw-ratio F  withdraw a random admitted job after each admit with probability F\n  --json          print the run summary as one machine-readable JSON line\n  --sessions K    replay on K fresh named sessions loadgen-<seed>-<k> (default: the private session)\n  --clients M     concurrent clients over those sessions (default 1; needs --sessions)\n  --check-stats   assert the daemon's counters equal this run's tallies (fresh daemon)\n\nexit codes: 0 ok, 1 error, 75 daemon overloaded (typed backpressure; retry later)"
+    "usage: msmr-admit (--tcp ADDR | --uds PATH) [--session NAME] <command>\n\ncommands:\n  --status        print the session status frame\n  --stats         print the daemon's live stats snapshot as JSON (protocol v4);\n                  with --session NAME, print that session's breakdown instead\n                  (reads without refreshing the session's TTL)\n  --shutdown      stop the daemon\n  --replay        feed a generated workload trace, one admit per arrival\n\noptions:\n  --session NAME  attach to a named shared session first (not with --replay)\n\nreplay options:\n  --jobs N        trace length per session (default 100)\n  --seed S        workload seed (default 2024)\n  --beta F        workload heaviness parameter\n  --evaluate      stream the full solver suite per admit\n  --verify        check every streamed verdict against both offline oracles\n                  (the full suite's with --evaluate, else the decider's)\n  --bound NAME    delay bound, must match the daemon's (default eq10)\n  --opt-nodes N   exact-engine node budget, must match the daemon's (default 200000)\n  --withdraw-ratio F  withdraw a random admitted job after each admit with probability F\n  --json          print the run summary as one machine-readable JSON line\n  --sessions K    replay on K fresh named sessions loadgen-<seed>-<k> (default: the private session)\n  --clients M     concurrent clients over those sessions (default 1; needs --sessions)\n  --check-stats   assert the daemon's counters equal this run's tallies (fresh daemon)\n\nexit codes: 0 ok, 1 error, 75 daemon overloaded (typed backpressure; retry later)"
 }
 
 /// Parses `raw` as the value of option `name`.
@@ -351,7 +354,7 @@ fn run_client(
     client.replay_arrivals(
         &traces[k],
         &arrivals,
-        options.evaluate || options.verify,
+        options.evaluate,
         options.withdraw_ratio,
         options.seed ^ (m as u64).wrapping_mul(0x9e37),
     )
@@ -368,7 +371,7 @@ fn replay(
     let results: Vec<io::Result<ReplayOutcome>> = match options.sessions {
         None => vec![client.replay_trace_mixed(
             &traces[0],
-            options.evaluate || options.verify,
+            options.evaluate,
             options.withdraw_ratio,
             options.seed,
         )],
@@ -437,9 +440,12 @@ fn replay(
         };
         for (k, (trace, history)) in traces.iter().zip(&mut histories).enumerate() {
             history.sort_by_key(|d| d.seq);
-            let checked = replay_cold(trace, history, &config)
+            let evaluate = options.evaluate;
+            let checked = replay_cold(trace, history, &config, evaluate)
                 .map_err(|e| ("cold", e))
-                .and_then(|()| replay_warm(trace, history, &config).map_err(|e| ("warm", e)));
+                .and_then(|()| {
+                    replay_warm(trace, history, &config, evaluate).map_err(|e| ("warm", e))
+                });
             if let Err((oracle, divergence)) = checked {
                 diverged = true;
                 let session = match options.sessions {
@@ -722,6 +728,15 @@ mod tests {
         assert!(refusal(&["--sessions", "0"]).contains("must be positive"));
         let replay = replay_options(&["--withdraw-ratio", "0.25", "--jobs", "40"]).unwrap();
         assert_eq!((replay.withdraw_ratio, replay.jobs), (0.25, 40));
+    }
+
+    #[test]
+    fn verify_checks_what_the_replay_streams() {
+        let replay = replay_options(&["--verify"]).unwrap();
+        assert_eq!((replay.verify, replay.evaluate), (true, false));
+        let replay = replay_options(&["--verify", "--evaluate"]).unwrap();
+        assert_eq!((replay.verify, replay.evaluate), (true, true));
+        assert!(usage().contains("the full suite's with --evaluate, else the decider's"));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::io;
 
 use msmr_model::{JobId, JobSet};
-use msmr_sched::{Budget, SolverRegistry};
+use msmr_sched::{Budget, SolveCtx, SolverRegistry};
 
 use crate::protocol::{Frame, JobSpec, Op, Response};
 use crate::{normalized_verdict_json, AdmissionSession, ObservedOp, SessionConfig};
@@ -154,7 +154,9 @@ pub fn surviving(observed: Vec<ObservedOp>) -> io::Result<Vec<(ObservedOp, Decis
 /// pipeline, and asserts the byte-identity contract — the same
 /// admit/reject outcome per seq and byte-identical normalized verdicts,
 /// except for a `deduped` ack that streamed none (its byte compare is
-/// skipped). Every op is replayed with full-suite evaluation.
+/// skipped). Every op is replayed as it was recorded: with full-suite
+/// evaluation when `evaluate`, else decider-only, comparing the one
+/// verdict the decider streamed.
 ///
 /// # Errors
 ///
@@ -165,6 +167,7 @@ pub fn replay_warm(
     trace: &JobSet,
     decisions: &[Decision],
     config: &SessionConfig,
+    evaluate: bool,
 ) -> Result<(), String> {
     let mut mirror = AdmissionSession::new(config.clone());
     let (pipeline, _) = trace.restrict_to(&[]).map_err(|e| e.to_string())?;
@@ -181,7 +184,7 @@ pub fn replay_warm(
         match &decision.op {
             DecisionOp::Admit { spec, admitted, .. } => {
                 let outcome = mirror
-                    .admit(spec, true, |v| offline.push(normalized_verdict_json(v)))
+                    .admit(spec, evaluate, |v| offline.push(normalized_verdict_json(v)))
                     .map_err(|e| format!("offline replay failed at seq {seq}: {e}"))?;
                 if outcome.admitted != *admitted {
                     return Err(format!(
@@ -192,7 +195,9 @@ pub fn replay_warm(
             }
             DecisionOp::Withdraw { handle } => {
                 mirror
-                    .withdraw(*handle, true, |v| offline.push(normalized_verdict_json(v)))
+                    .withdraw(*handle, evaluate, |v| {
+                        offline.push(normalized_verdict_json(v));
+                    })
                     .map_err(|e| format!("offline replay failed at seq {seq}: {e}"))?;
             }
         }
@@ -210,8 +215,9 @@ pub fn replay_warm(
 /// decided as `config.decider`'s verdict decides; a withdraw
 /// swap-removes the handle's job exactly as the sessions do and
 /// evaluates the reduced set (nothing when it emptied). The mirror
-/// follows the observed outcomes, so any seq numbering is accepted. The
-/// history must have been recorded with full-suite evaluation.
+/// follows the observed outcomes, so any seq numbering is accepted. With
+/// `evaluate` unset the history is decider-only: each visited set is
+/// solved by the decider alone and its one verdict compared.
 ///
 /// # Errors
 ///
@@ -223,11 +229,22 @@ pub fn replay_cold(
     trace: &JobSet,
     decisions: &[Decision],
     config: &SessionConfig,
+    evaluate: bool,
 ) -> Result<(), String> {
     let registry = SolverRegistry::paper_suite(config.bound);
     let budget = match config.node_limit {
         Some(limit) => Budget::default().with_node_limit(limit),
         None => Budget::default(),
+    };
+    let decider = registry
+        .solver(&config.decider)
+        .ok_or_else(|| format!("decider `{}` is not in the suite", config.decider))?;
+    let solve = |jobs: &JobSet| {
+        if evaluate {
+            registry.evaluate(jobs, budget)
+        } else {
+            vec![decider.solve(&SolveCtx::with_budget(jobs, budget))]
+        }
     };
     let (mut mirror, _) = trace.restrict_to(&[]).map_err(|e| e.to_string())?;
     let mut handles: Vec<u64> = Vec::new();
@@ -242,12 +259,10 @@ pub fn replay_cold(
                 let (candidate, _) = mirror
                     .with_job(spec.to_builder())
                     .map_err(|e| format!("seq {seq} offers an invalid job: {e}"))?;
-                let verdicts = registry.evaluate(&candidate, budget);
+                let verdicts = solve(&candidate);
                 let decided = verdicts
                     .iter()
-                    .find(|v| v.solver == config.decider)
-                    .ok_or_else(|| format!("decider `{}` is not in the suite", config.decider))?
-                    .is_accepted();
+                    .any(|v| v.solver == config.decider && v.is_accepted());
                 if decided != *admitted {
                     return Err(format!(
                         "seq {seq} decided {admitted} online but {decided} offline"
@@ -268,7 +283,7 @@ pub fn replay_cold(
                 if mirror.is_empty() {
                     Vec::new()
                 } else {
-                    registry.evaluate(&mirror, budget)
+                    solve(&mirror)
                 }
             }
         };
@@ -305,8 +320,8 @@ mod tests {
     use msmr_workload::{arrival_order, EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
     /// A 12-job mixed admit/withdraw history recorded in-process from an
-    /// [`AdmissionSession`] with full-suite evaluation.
-    fn recorded() -> (JobSet, Vec<Decision>, SessionConfig) {
+    /// [`AdmissionSession`], with full-suite evaluation when `evaluate`.
+    fn recorded(evaluate: bool) -> (JobSet, Vec<Decision>, SessionConfig) {
         let trace = EdgeWorkloadGenerator::new(EdgeWorkloadConfig::scaled(12).with_beta(0.4))
             .unwrap()
             .generate_seeded(5);
@@ -323,7 +338,9 @@ mod tests {
             let spec = JobSpec::from_job(trace.job(id));
             let mut verdicts = Vec::new();
             let outcome = session
-                .admit(&spec, true, |v| verdicts.push(normalized_verdict_json(v)))
+                .admit(&spec, evaluate, |v| {
+                    verdicts.push(normalized_verdict_json(v))
+                })
                 .unwrap();
             handles.extend(outcome.handle);
             let op = DecisionOp::Admit {
@@ -336,7 +353,9 @@ mod tests {
                 let handle = handles.swap_remove((rng.next_u64() % handles.len() as u64) as usize);
                 let mut verdicts = Vec::new();
                 session
-                    .withdraw(handle, true, |v| verdicts.push(normalized_verdict_json(v)))
+                    .withdraw(handle, evaluate, |v| {
+                        verdicts.push(normalized_verdict_json(v));
+                    })
                     .unwrap();
                 decisions.push((DecisionOp::Withdraw { handle }, verdicts));
             }
@@ -353,7 +372,7 @@ mod tests {
         (trace, decisions, config)
     }
 
-    type Oracle = fn(&JobSet, &[Decision], &SessionConfig) -> Result<(), String>;
+    type Oracle = fn(&JobSet, &[Decision], &SessionConfig, bool) -> Result<(), String>;
     const ORACLES: [(&str, Oracle); 2] = [("warm", replay_warm), ("cold", replay_cold)];
 
     /// The index of the first admit decided `admitted` with the full
@@ -378,7 +397,7 @@ mod tests {
 
     #[test]
     fn both_oracles_accept_the_recorded_history() {
-        let (trace, decisions, config) = recorded();
+        let (trace, decisions, config) = recorded(true);
         let withdraws = decisions
             .iter()
             .filter(|d| matches!(d.op, DecisionOp::Withdraw { .. }))
@@ -387,14 +406,14 @@ mod tests {
         an_admit(&decisions, true);
         an_admit(&decisions, false);
         for (name, oracle) in ORACLES {
-            oracle(&trace, &decisions, &config)
+            oracle(&trace, &decisions, &config, true)
                 .unwrap_or_else(|e| panic!("{name} oracle rejects the recorded history: {e}"));
         }
     }
 
     #[test]
     fn both_oracles_name_the_seq_of_a_tampered_decision() {
-        let (trace, decisions, config) = recorded();
+        let (trace, decisions, config) = recorded(true);
         fn flip_byte(d: &mut Decision) {
             let line = &mut d.verdicts[1];
             let at = line.find(|c: char| c.is_ascii_digit()).expect("a digit");
@@ -421,20 +440,41 @@ mod tests {
             let mut tampered = decisions.clone();
             tamper(&mut tampered[at]);
             for (name, oracle) in ORACLES {
-                let result = oracle(&trace, &tampered, &config);
+                let result = oracle(&trace, &tampered, &config, true);
                 assert_names_seq(result, tampered[at].seq, name, what);
             }
         }
     }
 
     #[test]
+    fn both_oracles_check_a_decider_only_history_against_the_decider() {
+        let (trace, decisions, config) = recorded(false);
+        assert!(decisions.iter().all(|d| d.verdicts.len() <= 1));
+        let at = decisions
+            .iter()
+            .position(|d| matches!(d.op, DecisionOp::Admit { .. }))
+            .unwrap();
+        let mut tampered = decisions.clone();
+        let line = &mut tampered[at].verdicts[0];
+        *line = line.replacen("\"kind\":\"", "\"kind\":\"X", 1);
+        for (name, oracle) in ORACLES {
+            oracle(&trace, &decisions, &config, false)
+                .unwrap_or_else(|e| panic!("{name} oracle rejects the decider-only history: {e}"));
+            let full_suite = oracle(&trace, &decisions, &config, true);
+            assert_names_seq(full_suite, 1, name, "a decider-only history as full-suite");
+            let result = oracle(&trace, &tampered, &config, false);
+            assert_names_seq(result, tampered[at].seq, name, "a tampered decider verdict");
+        }
+    }
+
+    #[test]
     fn warm_oracle_rejects_a_seq_gap() {
-        let (trace, mut decisions, config) = recorded();
+        let (trace, mut decisions, config) = recorded(true);
         let last = decisions.len() - 1;
         decisions[last].seq += 1;
         let seq = decisions[last].seq;
         assert_names_seq(
-            replay_warm(&trace, &decisions, &config),
+            replay_warm(&trace, &decisions, &config, true),
             seq,
             "warm",
             "a seq gap",
@@ -443,7 +483,7 @@ mod tests {
 
     #[test]
     fn cold_oracle_rejects_a_withdraw_of_an_unknown_handle() {
-        let (trace, mut decisions, config) = recorded();
+        let (trace, mut decisions, config) = recorded(true);
         let at = decisions
             .iter()
             .position(|d| matches!(d.op, DecisionOp::Withdraw { .. }))
@@ -451,7 +491,7 @@ mod tests {
         decisions[at].op = DecisionOp::Withdraw { handle: 999 };
         let seq = decisions[at].seq;
         assert_names_seq(
-            replay_cold(&trace, &decisions, &config),
+            replay_cold(&trace, &decisions, &config, true),
             seq,
             "cold",
             "an unknown handle",
@@ -460,18 +500,18 @@ mod tests {
 
     #[test]
     fn only_a_deduped_ack_may_skip_the_warm_byte_compare() {
-        let (trace, mut decisions, config) = recorded();
+        let (trace, mut decisions, config) = recorded(true);
         let at = an_admit(&decisions, true);
         decisions[at].verdicts.clear();
         let seq = decisions[at].seq;
         assert_names_seq(
-            replay_warm(&trace, &decisions, &config),
+            replay_warm(&trace, &decisions, &config, true),
             seq,
             "warm",
             "an applied admit that streamed no verdicts",
         );
         decisions[at].deduped = true;
-        replay_warm(&trace, &decisions, &config)
+        replay_warm(&trace, &decisions, &config, true)
             .unwrap_or_else(|e| panic!("warm oracle rejects a deduped ack: {e}"));
     }
 

@@ -559,6 +559,31 @@ pub struct SessionStatsFrame {
     pub idle_millis: u64,
 }
 
+/// Appends `value` to `out` as one NDJSON line, its `\n` included — the
+/// one encoding of every frame and request on the wire.
+///
+/// # Errors
+///
+/// Propagates serialization errors as `InvalidData`; they cannot occur
+/// for the protocol's types.
+pub(crate) fn encode_line(out: &mut Vec<u8>, value: &impl Serialize) -> io::Result<()> {
+    let line = serde_json::to_string(value)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
+    Ok(())
+}
+
+/// Writes `value` as one NDJSON line in a single `write_all` and
+/// flushes it: under `TCP_NODELAY` a line and its `\n` written apart
+/// would leave as two segments.
+fn write_line(writer: &mut impl Write, value: &impl Serialize) -> io::Result<()> {
+    let mut line = Vec::new();
+    encode_line(&mut line, value)?;
+    writer.write_all(&line)?;
+    writer.flush()
+}
+
 /// Serializes one response as a single NDJSON line and flushes it, so the
 /// peer observes the frame immediately (the streaming property).
 ///
@@ -567,11 +592,7 @@ pub struct SessionStatsFrame {
 /// Propagates I/O errors; serialization itself cannot fail for these
 /// types.
 pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Result<()> {
-    let line = serde_json::to_string(response)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    write_line(writer, response)
 }
 
 /// Serializes one request as a single NDJSON line and flushes it.
@@ -580,11 +601,7 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
 ///
 /// Propagates I/O errors.
 pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<()> {
-    let line = serde_json::to_string(request)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    write_line(writer, request)
 }
 
 /// Reads the next non-empty NDJSON line and parses it as a [`Response`].
@@ -993,6 +1010,41 @@ mod tests {
         assert_eq!(rebuilt.arrival(), job.arrival());
         assert_eq!(rebuilt.processing_times(), job.processing_times());
         assert_eq!(rebuilt.resources(), job.resources());
+    }
+
+    /// A transport that records the buffer of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_and_response_line_is_one_write() {
+        let mut writes = Writes::default();
+        let request = Request {
+            id: 3,
+            op: Op::Status(StatusOp {}),
+        };
+        write_request(&mut writes, &request).unwrap();
+        let response = Response {
+            id: 3,
+            frame: Frame::Done(DoneFrame { frames: 0 }),
+        };
+        write_response(&mut writes, &response).unwrap();
+        assert_eq!(writes.0.len(), 2, "one write per line");
+        for line in &writes.0 {
+            let newlines = line.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!((newlines, line.last()), (1, Some(&b'\n')));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::protocol::{write_response, DoneFrame, ErrorFrame, Frame, Request, Response};
+use crate::protocol::{encode_line, DoneFrame, ErrorFrame, Frame, Request, Response};
 
 /// How long an idle acceptor sleeps between shutdown-flag polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
@@ -222,21 +222,30 @@ fn accept_loop(
 /// Streams responses for one frame sequence, counting frames and trapping
 /// the first I/O error so verdict sinks (plain `FnMut(&Verdict)`) can
 /// write without a fallible signature. Every frame a daemon or the
-/// router authors goes through one of these.
+/// router authors goes through one of these, encoded into a buffer the
+/// connection reuses: each frame leaves in one write as it is sent,
+/// unless the sink is [held](FrameSink::hold).
 pub struct FrameSink<'a, W: Write> {
     writer: &'a mut W,
+    /// Encoded frames not written yet.
+    out: &'a mut Vec<u8>,
     id: u64,
     frames: u64,
+    held: bool,
     error: Option<io::Error>,
 }
 
 impl<'a, W: Write> FrameSink<'a, W> {
-    /// A sink for the frame stream answering request `id`.
-    pub fn new(writer: &'a mut W, id: u64) -> Self {
+    /// A sink for the frame stream answering request `id`, encoding into
+    /// `out` (cleared first).
+    pub fn new(writer: &'a mut W, out: &'a mut Vec<u8>, id: u64) -> Self {
+        out.clear();
         FrameSink {
             writer,
+            out,
             id,
             frames: 0,
+            held: false,
             error: None,
         }
     }
@@ -247,35 +256,54 @@ impl<'a, W: Write> FrameSink<'a, W> {
     /// # Errors
     ///
     /// The first I/O error writing either frame.
-    pub fn reply_error(writer: &'a mut W, id: u64, message: impl Into<String>) -> io::Result<()> {
-        let mut sink = FrameSink::new(writer, id);
+    pub fn reply_error(writer: &mut W, id: u64, message: impl Into<String>) -> io::Result<()> {
+        let mut out = Vec::new();
+        let mut sink = FrameSink::new(writer, &mut out, id);
         sink.send(Frame::Error(ErrorFrame {
             message: message.into(),
         }));
         sink.finish()
     }
 
-    /// Writes one frame; after a write error, further sends are dropped
-    /// and the error surfaces from [`FrameSink::finish`].
+    /// Keeps every further frame in the buffer until
+    /// [`FrameSink::finish`] writes them, `Done` included, in one call.
+    pub fn hold(&mut self) {
+        self.held = true;
+    }
+
+    /// Sends one frame: written at once, or kept while the sink is held.
+    /// After a write error, further sends are dropped and the error
+    /// surfaces from [`FrameSink::finish`].
     pub fn send(&mut self, frame: Frame) {
         if self.error.is_some() {
             return;
         }
         let response = Response { id: self.id, frame };
-        match write_response(self.writer, &response) {
+        match encode_line(self.out, &response).and_then(|()| self.write_out()) {
             Ok(()) => self.frames += 1,
             Err(e) => self.error = Some(e),
         }
     }
 
-    /// Terminates the request's stream with the `Done` frame and
-    /// surfaces any trapped error.
+    /// Writes the buffered frames in one call, unless the sink is held.
+    fn write_out(&mut self) -> io::Result<()> {
+        if self.held {
+            return Ok(());
+        }
+        let written = self.writer.write_all(self.out);
+        self.out.clear();
+        written.and_then(|()| self.writer.flush())
+    }
+
+    /// Terminates the request's stream with the `Done` frame — writing
+    /// it together with anything held — and surfaces any trapped error.
     ///
     /// # Errors
     ///
     /// The first I/O error any [`FrameSink::send`] hit.
     pub fn finish(mut self) -> io::Result<()> {
         let frames = self.frames;
+        self.held = false;
         self.send(Frame::Done(DoneFrame { frames }));
         match self.error {
             Some(e) => Err(e),

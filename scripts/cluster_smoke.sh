@@ -8,8 +8,9 @@
 # and two frames of the live dashboard),
 # exercises the snapshot op through msmr-admit, shuts the daemon down,
 # validates the written trace and replays it offline against the final
-# live snapshot. Fails on any non-zero exit (including verdict
-# mismatches in the burst's verification).
+# live snapshot, then verifies a contended decider-only burst on a
+# second daemon. Fails on any non-zero exit (including verdict
+# mismatches in the bursts' verification).
 #
 # Usage: scripts/cluster_smoke.sh [clients] [sessions] [jobs] [seed]
 set -euo pipefail
@@ -23,6 +24,7 @@ SNAPDIR="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$-snapshots"
 TRACE_OUT="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$.trace"
 FINAL_SNAP="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$-final.json"
 SERVED_LOG="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$-served.log"
+SOCK2="${TMPDIR:-/tmp}/msmr-cluster-smoke-$$-decider.sock"
 SERVED="target/release/msmr-served"
 ADMIT="target/release/msmr-admit"
 TOP="target/release/msmr-top"
@@ -34,7 +36,7 @@ cargo build --release -p msmr-serve -p msmr-cluster -p msmr-stats
 SERVED_PID=$!
 cleanup() {
     kill "$SERVED_PID" 2>/dev/null || true
-    rm -rf "$SOCK" "$SNAPDIR" "$TRACE_OUT" "$SERVED_LOG" "$FINAL_SNAP"
+    rm -rf "$SOCK" "$SOCK2" "$SNAPDIR" "$TRACE_OUT" "$SERVED_LOG" "$FINAL_SNAP"
 }
 trap cleanup EXIT
 
@@ -56,7 +58,7 @@ STATS_ADDR="$(sed -n 's|.*stats on tcp://||p' "$SERVED_LOG" | head -n 1)"
 # it exactly).
 "$ADMIT" --uds "$SOCK" --replay \
     --clients "$CLIENTS" --sessions "$SESSIONS" --jobs "$JOBS" --seed "$SEED" \
-    --withdraw-ratio 0.3 --verify --check-stats &
+    --withdraw-ratio 0.3 --evaluate --verify --check-stats &
 BURST_PID=$!
 
 # Mid-burst, the side channel must serve a valid JSON snapshot with a
@@ -98,7 +100,7 @@ wait "$BURST_PID"
 # that compared nothing would pass here.
 status=0
 out=$("$ADMIT" --uds "$SOCK" --replay --clients 2 --sessions 1 --jobs "$JOBS" \
-    --seed $((SEED + 1)) --verify --bound eq6 2>&1) || status=$?
+    --seed $((SEED + 1)) --evaluate --verify --bound eq6 2>&1) || status=$?
 [ "$status" -eq 1 ] && grep -q '^verdict mismatch: seq ' <<<"$out" || {
     echo "a multi-client verify against the wrong bound exited $status without naming a divergent seq:" >&2
     echo "$out" >&2
@@ -149,6 +151,23 @@ ls "$SNAPDIR"/loadgen-"$SEED"-*.json >/dev/null || {
 # snapshot reported for it.
 "$TOP" --replay "$TRACE_OUT" --against "$FINAL_SNAP"
 
+# A contended decider-only burst on a second, fresh daemon (--check-stats
+# compares daemon-lifetime counters): four clients over two sessions
+# race for each session's lock, so some ops run to completion on their
+# connection thread and the rest queue on the one worker. Both oracles
+# byte-check the decider's verdict of every op, whichever executor ran it.
+"$SERVED" --uds "$SOCK2" --cluster --workers 1 &
+SERVED_PID=$!
+for _ in $(seq 1 100); do
+    [ -S "$SOCK2" ] && break
+    sleep 0.1
+done
+[ -S "$SOCK2" ] || { echo "daemon did not bind $SOCK2" >&2; exit 1; }
+"$ADMIT" --uds "$SOCK2" --replay --clients 4 --sessions 2 --jobs "$JOBS" --seed "$SEED" \
+    --withdraw-ratio 0.3 --verify --check-stats
+"$ADMIT" --uds "$SOCK2" --shutdown
+wait "$SERVED_PID"
+
 trap - EXIT
-rm -rf "$SOCK" "$SNAPDIR" "$TRACE_OUT" "$SERVED_LOG" "$FINAL_SNAP"
+rm -rf "$SOCK" "$SOCK2" "$SNAPDIR" "$TRACE_OUT" "$SERVED_LOG" "$FINAL_SNAP"
 echo "cluster smoke: OK"

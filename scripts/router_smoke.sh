@@ -115,7 +115,7 @@ admin backends | grep -q "ok 3 backends" || {
 # per-backend counters with nothing lost and nothing double-counted.
 "$ADMIT" --tcp "$ROUTER_ADDR" --replay \
     --clients 3 --sessions 3 --jobs 12 --seed "$SEED" \
-    --withdraw-ratio 0.25 --verify --check-stats
+    --withdraw-ratio 0.25 --evaluate --verify --check-stats
 
 # The router's stats side channel serves the same aggregate: its admits
 # counter must equal the sum over the per-backend side channels.
@@ -184,7 +184,7 @@ admin backends | grep -q "^$TARGET dead\$" || {
 # its replays offline.
 "$ADMIT" --tcp "$ROUTER_ADDR" --replay \
     --clients 2 --sessions 2 --jobs 10 --seed $((SEED + 100)) \
-    --withdraw-ratio 0.25 --verify
+    --withdraw-ratio 0.25 --evaluate --verify
 
 # One shutdown op through the router takes the whole tier down: the
 # router broadcasts to the alive backends, then exits itself.

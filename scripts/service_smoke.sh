@@ -38,7 +38,7 @@ done
 # A withdraw mix exercises the general O(n·N) mid-set withdraw of the
 # online seam; --verify byte-checks every admit *and* withdraw verdict
 # stream against offline evaluate.
-"$ADMIT" --uds "$SOCK" --replay --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
+"$ADMIT" --uds "$SOCK" --replay --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --evaluate --verify
 
 # Negative control: verifying an eq10 daemon's verdicts against an eq6
 # mirror must fail with exit code 1 *and* the oracle's divergence
@@ -46,7 +46,7 @@ done
 # alone could be any other failure. Like the run above it uses a private
 # session, so nothing of it reaches the snapshot directory.
 status=0
-out=$("$ADMIT" --uds "$SOCK" --replay --jobs 40 --seed 7 --withdraw-ratio 0.25 --verify --bound eq6 \
+out=$("$ADMIT" --uds "$SOCK" --replay --jobs 40 --seed 7 --withdraw-ratio 0.25 --evaluate --verify --bound eq6 \
     2>&1) || status=$?
 [ "$status" -eq 1 ] && grep -q '^verdict mismatch: seq ' <<<"$out" || {
     echo "a verify against the wrong bound exited $status without naming a divergent seq:" >&2
@@ -58,7 +58,7 @@ out=$("$ADMIT" --uds "$SOCK" --replay --jobs 40 --seed 7 --withdraw-ratio 0.25 -
 # named session loadgen-$SEED-0; a second connection attaching by name
 # sees the jobs the first one left (its private predecessor above left
 # nothing behind).
-"$ADMIT" --uds "$SOCK" --replay --sessions 1 --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --verify
+"$ADMIT" --uds "$SOCK" --replay --sessions 1 --jobs "$JOBS" --seed "$SEED" --withdraw-ratio 0.25 --evaluate --verify
 "$ADMIT" --uds "$SOCK" --session "loadgen-$SEED-0" --status | grep -Eq '"jobs":[1-9]' || {
     echo "a second connection did not see the named session's jobs" >&2
     exit 1
