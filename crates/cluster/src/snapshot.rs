@@ -234,6 +234,31 @@ mod tests {
     }
 
     #[test]
+    fn retired_decider_slots_load_blank_and_keep_the_session() {
+        // Older builds wrote DMR's repair trace into every full-suite
+        // image; decider states are advisory, so that slot loads as
+        // absent (DMR decides cold) and the session itself survives.
+        let store = SnapshotStore::open(temp_dir("retired-slot")).unwrap();
+        let image = image_with_jobs(2);
+        store.save("legacy", 1, &image).unwrap();
+        let text = std::fs::read_to_string(store.path_for("legacy")).unwrap();
+        let stateless = serde_json::to_string(&msmr_sched::DeciderState::Stateless).unwrap();
+        let slot = format!("\"DMR\":{stateless}");
+        assert!(text.contains(&slot), "{text}");
+        let legacy = text.replace(&slot, r#""DMR":{"Repair":{"jobs":2,"flips":[]}}"#);
+        std::fs::write(store.path_for("legacy"), legacy).unwrap();
+
+        let loaded = store.load("legacy").unwrap().image;
+        let mut expected = image.clone();
+        expected.online.as_mut().unwrap().invalidate("DMR");
+        assert_eq!(loaded, expected);
+        assert_eq!(loaded.jobs.len(), 2);
+        let session = AdmissionSession::from_image(SessionConfig::default(), loaded).unwrap();
+        assert_eq!(session.image(), Some(expected));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
     fn quarantine_hides_the_file_from_listing_but_keeps_it_on_disk() {
         let store = SnapshotStore::open(temp_dir("quarantine")).unwrap();
         let image = image_with_jobs(1);

@@ -4,7 +4,6 @@
 use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, JobMask};
 use msmr_model::JobId;
 
-use crate::online::RepairState;
 use crate::{InfeasibleError, PairwiseAssignment};
 
 /// The deadline-monotonic pairwise baseline: every competing pair is
@@ -90,33 +89,13 @@ impl Dmr {
         &self,
         analysis: &Analysis<'_>,
     ) -> Result<(PairwiseAssignment, Vec<msmr_model::Time>), InfeasibleError> {
-        self.assign_traced(analysis).0
-    }
-
-    /// Like [`Dmr::assign_with_delays`] but also returns the recorded
-    /// repair trace — the [`RepairState`] the online seam persists
-    /// between decisions. Recording is free (the flips are collected as
-    /// they are applied), so the cold path simply discards it.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn assign_traced(
-        &self,
-        analysis: &Analysis<'_>,
-    ) -> (
-        Result<(PairwiseAssignment, Vec<msmr_model::Time>), InfeasibleError>,
-        RepairState,
-    ) {
         let active: JobMask = analysis.jobs().job_ids().collect();
-        let (assignment, evaluator, unschedulable, flips) = self.repair_inner(analysis, &active);
-        let trace = RepairState {
-            jobs: analysis.jobs().len() as u64,
-            flips,
-        };
-        let result = if unschedulable.is_empty() {
+        let (assignment, evaluator, unschedulable) = self.repair_inner(analysis, &active);
+        if unschedulable.is_empty() {
             Ok((assignment, evaluator.delays()))
         } else {
             Err(InfeasibleError::new("DMR", unschedulable))
-        };
-        (result, trace)
+        }
     }
 
     /// Runs DMR as an admission controller (§VI-B): when a job remains
@@ -135,21 +114,14 @@ impl Dmr {
     /// probe is `O(1)` instead of a full `O(|H|·N)` re-evaluation of a
     /// cloned assignment. The evaluator is returned so callers (the
     /// admission loop) can read the final delays without recomputing.
-    #[allow(clippy::type_complexity)]
     fn repair_inner<'a>(
         &self,
         analysis: &'a Analysis<'_>,
         active: &JobMask,
-    ) -> (
-        PairwiseAssignment,
-        DelayEvaluator<'a>,
-        Vec<JobId>,
-        Vec<(JobId, JobId)>,
-    ) {
+    ) -> (PairwiseAssignment, DelayEvaluator<'a>, Vec<JobId>) {
         let jobs = analysis.jobs();
         let (mut assignment, mut evaluator) = dm_orientation(analysis, active, self.bound);
         let mut unschedulable = Vec::new();
-        let mut flips: Vec<(JobId, JobId)> = Vec::new();
 
         for job in active {
             // Step 4: only repair jobs that currently miss their deadline.
@@ -182,7 +154,6 @@ impl Dmr {
                 evaluator.add_higher(competitor, job);
                 if evaluator.delay(competitor) <= jobs.job(competitor).deadline() {
                     assignment.set(job, competitor);
-                    flips.push((job, competitor));
                     delta = evaluator.delay(job);
                     if delta <= jobs.job(job).deadline() {
                         break;
@@ -199,7 +170,7 @@ impl Dmr {
                 unschedulable.push(job);
             }
         }
-        (assignment, evaluator, unschedulable, flips)
+        (assignment, evaluator, unschedulable)
     }
 }
 
@@ -297,7 +268,7 @@ fn admission_loop(
     // DMR restarts the repair phase from a fresh DM assignment after every
     // rejection (Algorithm 2's admission semantics), so each round rebuilds.
     loop {
-        let (assignment, evaluator, _, _) = Dmr::new(bound).repair_inner(analysis, &active);
+        let (assignment, evaluator, _) = Dmr::new(bound).repair_inner(analysis, &active);
         match worst_overshoot(&active, &evaluator) {
             Some(job) => {
                 active.remove(job);

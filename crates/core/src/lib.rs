@@ -35,7 +35,8 @@
 //!   ([`Solver::is_exact`], [`Solver::supports_admission`],
 //!   [`Solver::name`]), implemented by [`Dm`], [`Dmr`], [`Opdca`],
 //!   [`OptPairwise`], [`PairwiseIlp`] and [`Dcmp`]; [`OnlineSolver`] is
-//!   the warm path for DM, DMR and OPDCA.
+//!   the warm path for DM, DMR and OPDCA (one `decide` method; only
+//!   OPDCA keeps state, and only an arrival resumes it).
 //! * [`SolveCtx`] — shared, lazily-built [`msmr_dca::Analysis`] (one
 //!   `O(n²·N)` pass per job set, not per approach) and a [`Budget`]
 //!   (node limit, wall-clock deadline) — the only way to limit a solver.
@@ -148,9 +149,7 @@ pub use dcmp::{Dcmp, DcmpOutcome};
 pub use dmr::{Dm, Dmr};
 pub(crate) use error::InfeasibleError;
 pub use ilp_encoding::PairwiseIlp;
-pub use online::{
-    AudsleyState, DeciderState, OnlineEvent, OnlineSolver, OnlineSuiteState, RepairState,
-};
+pub use online::{AudsleyState, DeciderState, OnlineSolver, OnlineSuiteState};
 pub use opdca::Opdca;
 pub use opt::OptPairwise;
 pub use ordering::PriorityOrdering;

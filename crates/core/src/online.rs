@@ -3,10 +3,14 @@
 //! The one-shot [`Solver`](crate::Solver) seam forces every admission
 //! decision to re-run its whole decision procedure from scratch, even when
 //! the serving layer already keeps the interference tables warm and the
-//! job set changed by exactly one arrival or departure. [`OnlineSolver`]
-//! is the *stateful* counterpart: a solver that persists what it decided —
-//! its [`DeciderState`] — and, on the next admit or withdraw, re-decides
-//! only the suffix of that decision the changed job can perturb.
+//! job set changed by exactly one arrival. [`OnlineSolver`] is the
+//! *stateful* counterpart: a solver that persists what it decided — its
+//! [`DeciderState`] — and, when the next job set extends the recorded one
+//! by one arrival, re-decides only the suffix of that decision the
+//! arrival can perturb. Every other change (a departure, a submit, a
+//! restored snapshot) decides cold; the pair tables' lineage
+//! ([`PairTables::parent_generation`](msmr_dca::PairTables::parent_generation))
+//! tells the two apart, so the seam needs no event argument.
 //!
 //! Three rules keep the seam honest:
 //!
@@ -41,26 +45,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::solver::{SolveCtx, Verdict};
 
-/// The event an online decide answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnlineEvent {
-    /// The context's job set extends the previous one by exactly one job
-    /// at the highest id (the arrival primitive,
-    /// [`JobSet::with_job`](msmr_model::JobSet::with_job)).
-    Admit,
-    /// The context's job set lost one job by swap-removal
-    /// ([`JobSet::swap_remove_job`](msmr_model::JobSet::swap_remove_job)):
-    /// the victim's slot id and, when a job moved into it, that job's old
-    /// (highest) id.
-    Withdraw {
-        /// The vacated slot — the withdrawn job's id in the previous set.
-        removed: JobId,
-        /// The old id of the job now answering at `removed`; `None` when
-        /// the victim already held the highest id.
-        moved: Option<JobId>,
-    },
-}
-
 /// The serializable warm state of one online solver, as persisted between
 /// decisions (and across daemon restarts via session snapshots).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -72,16 +56,15 @@ pub enum DeciderState {
     Stateless,
     /// OPDCA's Audsley level trace ([`AudsleyState`]).
     Audsley(AudsleyState),
-    /// DMR's repair trace ([`RepairState`]).
-    Repair(RepairState),
 }
 
 /// The recorded walk of one OPDCA Audsley loop: which job took each
 /// priority level (lowest first) and how many `S_DCA` probes the cold loop
-/// spent at that level. An [`OnlineSolver::admit`] fast-forwards this
-/// trace — a level whose recorded winner still passes is re-used with one
-/// probe instead of `probes[level]`, while the *reported* `sdca_calls`
-/// still charges the cold count, keeping warm verdicts byte-identical.
+/// spent at that level. An [`OnlineSolver::decide`] on the set plus one
+/// arrival fast-forwards this trace — a level whose recorded winner
+/// still passes is re-used with one probe instead of `probes[level]`,
+/// while the *reported* `sdca_calls` still charges the cold count,
+/// keeping warm verdicts byte-identical.
 ///
 /// The fast-forward reads its bounds from [`AudsleyState::cache`], the
 /// recording decide's final evaluator state. The cache is in-memory and
@@ -156,29 +139,13 @@ impl AudsleyState {
     }
 }
 
-/// The recorded walk of one DMR run: the pair flips the repair phase
-/// applied, in application order. DMR's repair decisions are globally
-/// coupled (each flip moves the slack every later step sorts by), so the
-/// warm path re-runs the repair — its probes are `O(1)` on the warm
-/// evaluator and the expensive part, the interference tables, is what the
-/// serving layer keeps warm — and the trace is persisted for
-/// introspection and conformance pinning.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RepairState {
-    /// Number of jobs the trace describes.
-    pub jobs: u64,
-    /// Accepted repair flips `(job, competitor)` — after the flip the
-    /// *job* outranks the competitor — in application order.
-    pub flips: Vec<(JobId, JobId)>,
-}
-
 /// The stateful counterpart of [`Solver`](crate::Solver): decides the
 /// same questions, but persists a [`DeciderState`] between calls so that
-/// an admit or withdraw re-decides only what the changed job can perturb.
+/// an arrival re-decides only what the arriving job can perturb.
 ///
 /// # Contract
 ///
-/// * `admit`/`withdraw` accept **any** state, including
+/// * `decide` accepts **any** state, including
 ///   [`DeciderState::Stateless`] and states of the wrong shape; an
 ///   unusable state simply makes the call decide cold. On return the
 ///   state always describes the context's job set.
@@ -189,41 +156,44 @@ pub struct RepairState {
 ///   restore the previous state themselves — states are cheap `O(n)`
 ///   clones (caches are shared, not copied).
 pub trait OnlineSolver: Send + Sync {
-    /// Cold-starts the decider on the context's job set, returning the
-    /// recorded state subsequent calls fast-forward from. The default
-    /// runs [`OnlineSolver::admit`] on a blank state and discards the
-    /// verdict.
-    fn begin(&self, ctx: &SolveCtx<'_>) -> DeciderState {
-        let mut state = DeciderState::Stateless;
-        let _ = self.admit(&mut state, ctx);
-        state
-    }
-
     /// Decides the context's job set, fast-forwarding from `state` when
     /// it describes the set *without* the highest-id job (the arrival)
     /// and carries what the fast-forward reads (OPDCA: its bound cache,
-    /// over the context's tables before the arrival).
-    fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict;
-
-    /// Decides the context's job set after a swap-removal, fast-forwarding
-    /// from `state` when it describes the set *before* the removal.
-    /// `removed`/`moved` mirror [`OnlineEvent::Withdraw`].
-    fn withdraw(
-        &self,
-        state: &mut DeciderState,
-        ctx: &SolveCtx<'_>,
-        removed: JobId,
-        moved: Option<JobId>,
-    ) -> Verdict;
+    /// over the context's tables before the arrival). Anything else —
+    /// a departure, a fresh submit, a restored state — decides cold and
+    /// records a fresh state.
+    fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict;
 }
 
 /// The warm decider states of a whole registry, keyed by solver name —
 /// what an admission session carries between requests and serializes into
 /// its snapshot image.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct OnlineSuiteState {
     /// Per-solver states. Absent name ⇒ [`DeciderState::Stateless`].
     pub states: std::collections::BTreeMap<String, DeciderState>,
+}
+
+// States are advisory, so parsing keeps every slot that still parses and
+// drops the rest: a slot this build cannot read (a state kind an older
+// build wrote, such as DMR's retired `{"Repair":{..}}` trace) leaves its
+// solver to decide cold, instead of failing the session image around it.
+impl Deserialize for OnlineSuiteState {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let Some(serde::Value::Map(slots)) = value.get("states") else {
+            return Ok(OnlineSuiteState::new());
+        };
+        let states = slots
+            .iter()
+            .filter_map(|(name, state)| {
+                Some((
+                    String::deserialize(name).ok()?,
+                    DeciderState::deserialize(state).ok()?,
+                ))
+            })
+            .collect();
+        Ok(OnlineSuiteState { states })
+    }
 }
 
 impl OnlineSuiteState {
@@ -317,11 +287,12 @@ mod tests {
         let mut suite = OnlineSuiteState::new();
         assert!(suite.is_empty());
         *suite.state_mut("OPDCA") = DeciderState::Audsley(AudsleyState::default());
-        *suite.state_mut("DMR") = DeciderState::Repair(RepairState::default());
+        *suite.state_mut("DMR") = DeciderState::Stateless;
         assert_eq!(suite.len(), 2);
         suite.invalidate("DMR");
         assert!(!suite.states.contains_key("DMR"));
-        *suite.state_mut("DMR") = DeciderState::Repair(RepairState::default());
+        let _ = suite.state_mut("DMR");
+        assert_eq!(suite.states.get("DMR"), Some(&DeciderState::Stateless));
         suite.invalidate_except("OPDCA");
         assert_eq!(suite.len(), 1);
         assert!(matches!(
@@ -339,13 +310,24 @@ mod tests {
             rejected: false,
             ..Default::default()
         });
-        *suite.state_mut("DMR") = DeciderState::Repair(RepairState {
-            jobs: 2,
-            flips: vec![(JobId::new(0), JobId::new(1))],
-        });
+        *suite.state_mut("DMR") = DeciderState::Stateless;
         *suite.state_mut("DM") = DeciderState::Stateless;
         let json = serde_json::to_string(&suite).unwrap();
         let parsed: OnlineSuiteState = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, suite);
+    }
+
+    #[test]
+    fn unreadable_slots_parse_as_absent() {
+        let json = r#"{"states":{"DM":"Stateless","DMR":{"Repair":{"jobs":2,"flips":[]}},"OPDCA":{"Audsley":{"winners":[0],"probes":[1],"rejected":false}}}}"#;
+        let parsed: OnlineSuiteState = serde_json::from_str(json).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert!(!parsed.states.contains_key("DMR"), "{parsed:?}");
+        assert!(matches!(
+            parsed.states.get("OPDCA"),
+            Some(DeciderState::Audsley(state)) if state.describes(1)
+        ));
+        let blank: OnlineSuiteState = serde_json::from_str(r#"{"states":7}"#).unwrap();
+        assert!(blank.is_empty());
     }
 }

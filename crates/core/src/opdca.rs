@@ -60,7 +60,7 @@ impl Opdca {
     /// A cold run seeds every job with all others at higher priority
     /// (`O(n²·N)`).
     ///
-    /// An admit resumes the previous decide's final evaluator state (its
+    /// An arrival resumes the previous decide's final evaluator state (its
     /// [`AudsleyState::cache`]), which holds every job's bounds at its own
     /// decision level. The fast-forward is sound *and counter-exact* by
     /// monotonicity: bounds only grow when the assumed-higher set grows,
@@ -73,12 +73,10 @@ impl Opdca {
     /// the jobs still unassigned there are seeded, and the loop re-decides
     /// from exactly that point.
     ///
-    /// On a (swap-removal) departure bounds shrink instead, so a
-    /// previously failed probe is *not* provably still failing; the
-    /// withdraw re-seeds cold, and only levels whose winner was probed
-    /// first (and is still first in the reduced candidate order) are
-    /// provably stable: the loop re-decides from the first level that is
-    /// not.
+    /// A departure shrinks bounds instead, so a previously failed probe
+    /// is *not* provably still failing and there is no probe to skip: a
+    /// departure, like every change other than one arrival, runs
+    /// [`AudsleyResume::Cold`].
     pub(crate) fn decide_traced<'t>(
         &self,
         analysis: &'t Analysis<'_>,
@@ -158,47 +156,7 @@ impl Opdca {
                     }
                 }
             }
-            AudsleyResume::Withdraw {
-                previous,
-                removed,
-                moved,
-            } if previous.describes(n + 1) => {
-                evaluator = analysis.evaluator(self.bound);
-                evaluator.seed_all_higher();
-                unassigned = jobs.job_ids().collect();
-                for level in 0..previous.winners.len() {
-                    let recorded = previous.winners[level];
-                    if recorded == removed || previous.probes[level] != 1 {
-                        break;
-                    }
-                    let winner = if Some(recorded) == moved {
-                        removed
-                    } else {
-                        recorded
-                    };
-                    if unassigned.first() != Some(&winner) {
-                        break;
-                    }
-                    // Probed first before, still probed first now, and its
-                    // bound can only have shrunk: for an honest trace it
-                    // always wins again. The probe is still performed for
-                    // real (states are advisory — a stale snapshot must
-                    // degrade to the cold loop, not derail it), and on the
-                    // failure only a stale trace can produce, the cold
-                    // loop takes over mid-level with this probe charged —
-                    // exactly what a cold run would have spent.
-                    sdca_calls += 1;
-                    if !evaluator.fits(winner) {
-                        resume_probe = Some((1, 1));
-                        break;
-                    }
-                    assign(&mut evaluator, &mut unassigned, 0);
-                    assigned_lowest_first.push(winner);
-                    probes.push(1);
-                }
-            }
-            // Cold, or a trace that does not describe this job set.
-            _ => {
+            AudsleyResume::Cold => {
                 evaluator = analysis.evaluator(self.bound);
                 evaluator.seed_all_higher();
                 unassigned = jobs.job_ids().collect();
@@ -334,13 +292,6 @@ pub(crate) enum AudsleyResume<'a> {
     Admit {
         previous: &'a AudsleyState,
         cache: EvaluatorState,
-    },
-    /// The trace's set lost `removed` by swap-removal; `moved` is the old
-    /// id of the job now answering at `removed`.
-    Withdraw {
-        previous: &'a AudsleyState,
-        removed: JobId,
-        moved: Option<JobId>,
     },
 }
 

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use msmr_dca::DelayBoundKind;
 use msmr_model::JobSet;
 
-use crate::online::{OnlineEvent, OnlineSuiteState};
+use crate::online::OnlineSuiteState;
 use crate::solver::{Budget, SolveCtx, Solver, SolverStats, Verdict, VerdictKind};
 use crate::solvers::{DMR, OPDCA, OPT, OPT_ILP};
 use crate::{Dcmp, Dm, Dmr, Opdca, OptPairwise, PairwiseIlp};
@@ -266,35 +266,25 @@ impl SolverRegistry {
         })
     }
 
-    /// A blank warm-state container for this registry's online solvers —
-    /// what a long-running admission session carries between requests
-    /// (and serializes into its snapshot image). Every solver starts
-    /// [`Stateless`](crate::DeciderState::Stateless): its first online
-    /// decision runs cold and records the trace the next one
-    /// fast-forwards from.
-    #[must_use]
-    pub fn online_suite(&self) -> OnlineSuiteState {
-        OnlineSuiteState::new()
-    }
-
     /// The stateful counterpart of [`SolverRegistry::evaluate_ctx`]:
     /// identical verdicts in identical order — sequential evaluation,
     /// implication shortcuts applied, every verdict byte-identical to the
     /// cold path once the wall-clock provenance fields are zeroed — but
     /// each solver with an [`OnlineSolver`](crate::OnlineSolver) seam
-    /// fast-forwards from (and updates) its [`OnlineSuiteState`] slot
-    /// instead of re-deciding from scratch. Solvers without the seam are
+    /// decides from (and updates) its [`OnlineSuiteState`] slot, which
+    /// lets it fast-forward across an arrival instead of re-deciding from
+    /// scratch. A blank [`OnlineSuiteState::new`] makes every solver
+    /// decide cold once and record its state. Solvers without the seam are
     /// served by the cold adapter, which re-solves on the (warm) context
     /// and marks the verdict with the `cold_fallback` stat; solvers
     /// skipped by a shortcut get their state invalidated (they did not
-    /// observe the event and must decide cold next time). `sink` observes
+    /// observe the change and must decide cold next time). `sink` observes
     /// each verdict the moment its solver finishes, so a service can push
     /// DM's answer over the wire while OPT is still searching.
     pub fn evaluate_online(
         &self,
         state: &mut OnlineSuiteState,
         ctx: &SolveCtx<'_>,
-        event: OnlineEvent,
         sink: impl FnMut(&Verdict),
     ) -> Vec<Verdict> {
         self.evaluate_each(
@@ -303,7 +293,7 @@ impl SolverRegistry {
                     state.invalidate(solver.name());
                     Self::implied_verdict(solver.name(), source)
                 }
-                None => Self::solve_online(solver, state, ctx, event),
+                None => Self::solve_online(solver, state, ctx),
             },
             sink,
         )
@@ -311,18 +301,17 @@ impl SolverRegistry {
 
     /// Runs a *single* registered solver through the online seam — the
     /// low-latency decider-only path of an admission session. Every other
-    /// solver's state is invalidated (it did not observe the event).
+    /// solver's state is invalidated (it did not observe the change).
     /// Returns `None` for unregistered names.
     pub fn decide_online(
         &self,
         name: &str,
         state: &mut OnlineSuiteState,
         ctx: &SolveCtx<'_>,
-        event: OnlineEvent,
     ) -> Option<Verdict> {
         let solver = self.solver(name)?;
         state.invalidate_except(name);
-        let verdict = Self::solve_online(solver, state, ctx, event);
+        let verdict = Self::solve_online(solver, state, ctx);
         self.fire_hook(&verdict);
         Some(verdict)
     }
@@ -334,18 +323,9 @@ impl SolverRegistry {
         solver: &dyn Solver,
         state: &mut OnlineSuiteState,
         ctx: &SolveCtx<'_>,
-        event: OnlineEvent,
     ) -> Verdict {
         match solver.online() {
-            Some(online) => {
-                let slot = state.state_mut(solver.name());
-                match event {
-                    OnlineEvent::Admit => online.admit(slot, ctx),
-                    OnlineEvent::Withdraw { removed, moved } => {
-                        online.withdraw(slot, ctx, removed, moved)
-                    }
-                }
-            }
+            Some(online) => online.decide(state.state_mut(solver.name()), ctx),
             None => {
                 state.invalidate(solver.name());
                 let mut verdict = solver.solve(ctx);
@@ -594,12 +574,12 @@ mod tests {
 
         // Online paths: full suite and single-decider.
         seen.store(0, Ordering::SeqCst);
-        let mut state = hooked.online_suite();
+        let mut state = OnlineSuiteState::new();
         let ctx = SolveCtx::with_budget(&jobs, Budget::default());
-        let _ = hooked.evaluate_online(&mut state, &ctx, OnlineEvent::Admit, |_| {});
+        let _ = hooked.evaluate_online(&mut state, &ctx, |_| {});
         assert_eq!(seen.load(Ordering::SeqCst), hooked.len());
         seen.store(0, Ordering::SeqCst);
-        let _ = hooked.decide_online(OPDCA, &mut state, &ctx, OnlineEvent::Admit);
+        let _ = hooked.decide_online(OPDCA, &mut state, &ctx);
         assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 }

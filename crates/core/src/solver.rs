@@ -205,9 +205,11 @@ pub struct SolverStats {
     /// instead of running the solver, the name of the solver whose
     /// acceptance implied it.
     pub implied_by: Option<String>,
-    /// `Some(true)` when an *online* evaluation could not use a warm
-    /// [`OnlineSolver`](crate::OnlineSolver) path and the registry's cold
-    /// adapter re-solved from scratch instead. Like `elapsed_micros` this
+    /// `Some(true)` when an *online* evaluation served this solver through
+    /// the registry's cold adapter because it has no
+    /// [`OnlineSolver`](crate::OnlineSolver) seam. It marks the path, not
+    /// the work: a seam verdict that decided cold (OPDCA after a departure
+    /// or a snapshot restore) stays unmarked. Like `elapsed_micros` this
     /// is execution provenance, not part of the decision: verification
     /// paths clear it before byte-comparing verdicts. Optional so that
     /// verdict frames from daemons predating the online seam (which never
@@ -369,9 +371,11 @@ pub trait Solver: Send + Sync {
     }
 
     /// The solver's stateful online seam, when it has one (see
-    /// [`OnlineSolver`](crate::OnlineSolver)). Solvers without it are
-    /// served by the registry's cold adapter, which re-solves and marks
-    /// the verdict with [`SolverStats::cold_fallback`].
+    /// [`OnlineSolver`](crate::OnlineSolver)): one `decide` that
+    /// fast-forwards across an arrival where the solver can, and decides
+    /// cold otherwise. Solvers without it are served by the registry's
+    /// cold adapter, which re-solves and marks the verdict with
+    /// [`SolverStats::cold_fallback`].
     fn online(&self) -> Option<&dyn crate::OnlineSolver> {
         None
     }

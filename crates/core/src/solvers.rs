@@ -9,16 +9,15 @@
 use std::sync::Arc;
 
 use msmr_dca::DelayBoundKind;
-use msmr_model::{JobId, Time};
 
 use crate::online::{DeciderState, OnlineSolver};
-use crate::opdca::{AudsleyResume, OrderingResult, TracedOrdering};
+use crate::opdca::{AudsleyResume, OrderingResult};
 use crate::opt::PairwiseSearchOutcome;
 use crate::solver::{
     timed, AdmissionVerdict, SolveCtx, Solver, SolverStats, UnsupportedMode, Verdict, VerdictKind,
     Witness,
 };
-use crate::{Dcmp, Dm, Dmr, InfeasibleError, Opdca, OptPairwise, PairwiseAssignment, PairwiseIlp};
+use crate::{Dcmp, Dm, Dmr, InfeasibleError, Opdca, OptPairwise, PairwiseIlp};
 
 /// Canonical registry/CLI name of the deadline-monotonic baseline.
 pub const DM: &str = "DM";
@@ -117,7 +116,24 @@ impl Solver for Dmr {
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
         let analysis = ctx.analysis();
-        let (verdict, elapsed) = timed(|| dmr_verdict(self.assign_with_delays(analysis)));
+        let (verdict, elapsed) = timed(|| match self.assign_with_delays(analysis) {
+            Ok((assignment, delays)) => Verdict {
+                solver: DMR.to_string(),
+                kind: VerdictKind::Accepted,
+                witness: Some(Witness::Pairwise(assignment)),
+                delays: Some(delays),
+                unschedulable: Vec::new(),
+                stats: SolverStats::default(),
+            },
+            Err(err) => Verdict {
+                solver: DMR.to_string(),
+                kind: VerdictKind::Rejected,
+                witness: None,
+                delays: None,
+                unschedulable: err.unschedulable,
+                stats: SolverStats::default(),
+            },
+        });
         with_elapsed(verdict, elapsed)
     }
 
@@ -241,68 +257,36 @@ impl Solver for Dcmp {
     }
 }
 
-/// Warm per-solver paths of the online seam. DM is the trivial stateless
-/// case (its assignment depends only on deadlines, so the warm decide is
-/// the cold decide over the already-warm tables); DMR re-runs its repair
-/// (each step's candidate ranking reads the slack every earlier flip
-/// moved, so the steps are globally coupled — the `O(1)` evaluator probes
-/// on warm tables are the warm win) and persists the flip trace; OPDCA
-/// fast-forwards its persisted Audsley trace and re-decides only the
-/// suffix the arriving or departing job can perturb (see
-/// `Opdca::decide_traced`).
+/// Warm per-solver paths of the online seam. DM and DMR are stateless:
+/// DM's assignment depends only on deadlines, and DMR's repair steps are
+/// globally coupled (each step's candidate ranking reads the slack every
+/// earlier flip moved), so both decide cold over the already-warm tables
+/// — the `O(1)` evaluator probes on those tables are their warm win.
+/// OPDCA fast-forwards its persisted Audsley trace across one arrival and
+/// re-decides only the suffix the arriving job can perturb (see
+/// `Opdca::decide_traced`); every other change decides cold.
 impl OnlineSolver for Dm {
-    fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
-        *state = DeciderState::Stateless;
-        Solver::solve(self, ctx)
-    }
-
-    fn withdraw(
-        &self,
-        state: &mut DeciderState,
-        ctx: &SolveCtx<'_>,
-        _removed: JobId,
-        _moved: Option<JobId>,
-    ) -> Verdict {
+    fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
         *state = DeciderState::Stateless;
         Solver::solve(self, ctx)
     }
 }
 
 impl OnlineSolver for Dmr {
-    fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
-        self.redecide(state, ctx)
-    }
-
-    fn withdraw(
-        &self,
-        state: &mut DeciderState,
-        ctx: &SolveCtx<'_>,
-        _removed: JobId,
-        _moved: Option<JobId>,
-    ) -> Verdict {
-        self.redecide(state, ctx)
-    }
-}
-
-impl Dmr {
-    fn redecide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
-        let analysis = ctx.analysis();
-        let (verdict, elapsed) = timed(|| {
-            let (result, trace) = self.assign_traced(analysis);
-            *state = DeciderState::Repair(trace);
-            dmr_verdict(result)
-        });
-        with_elapsed(verdict, elapsed)
+    fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
+        *state = DeciderState::Stateless;
+        Solver::solve(self, ctx)
     }
 }
 
 impl OnlineSolver for Opdca {
-    fn admit(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
+    fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
         let analysis = ctx.analysis();
         let mut previous = std::mem::replace(state, DeciderState::Stateless);
         let (verdict, elapsed) = timed(|| {
             // The cache is used only on the tables it was computed from,
-            // as they were before this arrival; anything else decides cold.
+            // as they were before this arrival; anything else — including
+            // every departure, whose tables have no parent — decides cold.
             let resume = match &mut previous {
                 DeciderState::Audsley(trace) => match trace.cache.take() {
                     Some(cache)
@@ -317,44 +301,16 @@ impl OnlineSolver for Opdca {
                     }
                     _ => AudsleyResume::Cold,
                 },
-                _ => AudsleyResume::Cold,
+                DeciderState::Stateless => AudsleyResume::Cold,
             };
-            record(state, self.decide_traced(analysis, resume))
+            let outcome = self.decide_traced(analysis, resume);
+            let mut trace = outcome.trace;
+            trace.cache = Some(Arc::new(outcome.evaluator.into_state()));
+            *state = DeciderState::Audsley(trace);
+            opdca_verdict(outcome.result)
         });
         with_elapsed(verdict, elapsed)
     }
-
-    fn withdraw(
-        &self,
-        state: &mut DeciderState,
-        ctx: &SolveCtx<'_>,
-        removed: JobId,
-        moved: Option<JobId>,
-    ) -> Verdict {
-        let analysis = ctx.analysis();
-        let previous = std::mem::replace(state, DeciderState::Stateless);
-        let (verdict, elapsed) = timed(|| {
-            let resume = match &previous {
-                DeciderState::Audsley(trace) => AudsleyResume::Withdraw {
-                    previous: trace,
-                    removed,
-                    moved,
-                },
-                _ => AudsleyResume::Cold,
-            };
-            record(state, self.decide_traced(analysis, resume))
-        });
-        with_elapsed(verdict, elapsed)
-    }
-}
-
-/// Stores a warm decide's trace, with its final evaluator state as the
-/// next admit's cache, and returns its verdict.
-fn record(state: &mut DeciderState, outcome: TracedOrdering<'_>) -> Verdict {
-    let mut trace = outcome.trace;
-    trace.cache = Some(Arc::new(outcome.evaluator.into_state()));
-    *state = DeciderState::Audsley(trace);
-    opdca_verdict(outcome.result)
 }
 
 /// Translates an OPDCA outcome into the unified verdict — the one
@@ -375,29 +331,6 @@ fn opdca_verdict(result: Result<OrderingResult, InfeasibleError>) -> Verdict {
         },
         Err(err) => Verdict {
             solver: OPDCA.to_string(),
-            kind: VerdictKind::Rejected,
-            witness: None,
-            delays: None,
-            unschedulable: err.unschedulable,
-            stats: SolverStats::default(),
-        },
-    }
-}
-
-/// Translates a DMR outcome into the unified verdict (shared by the cold
-/// and warm paths).
-fn dmr_verdict(result: Result<(PairwiseAssignment, Vec<Time>), InfeasibleError>) -> Verdict {
-    match result {
-        Ok((assignment, delays)) => Verdict {
-            solver: DMR.to_string(),
-            kind: VerdictKind::Accepted,
-            witness: Some(Witness::Pairwise(assignment)),
-            delays: Some(delays),
-            unschedulable: Vec::new(),
-            stats: SolverStats::default(),
-        },
-        Err(err) => Verdict {
-            solver: DMR.to_string(),
             kind: VerdictKind::Rejected,
             witness: None,
             delays: None,
@@ -459,7 +392,7 @@ fn with_elapsed(mut verdict: Verdict, elapsed_micros: u64) -> Verdict {
 mod tests {
     use super::*;
     use crate::{Budget, SolveCtx};
-    use msmr_model::{JobSetBuilder, PreemptionPolicy};
+    use msmr_model::{JobSetBuilder, PreemptionPolicy, Time};
 
     fn light_jobs() -> msmr_model::JobSet {
         let mut b = JobSetBuilder::new();

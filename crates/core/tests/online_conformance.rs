@@ -9,12 +9,15 @@
 //! `evaluate_online` over incrementally maintained `PairTables`
 //! (extension + general swap-removal) while a mirror rebuilds everything
 //! from scratch each step, so it covers the Audsley fast-forward, its
-//! divergence and rejection paths, the swap-removal id remap, and the
-//! cold adapter in one sweep.
+//! divergence and rejection paths, the cold decide after a swap-removal,
+//! and the cold adapter in one sweep. The OPDCA histories also pin the
+//! recorded Audsley walk: the state a warm decide leaves behind must
+//! equal the one a decide on a blank state records, because the next
+//! arrival charges its per-level probes to `sdca_calls`.
 
 use msmr_dca::{Analysis, DelayBoundKind, PairTables};
 use msmr_model::{Job, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
-use msmr_sched::{Budget, DeciderState, OnlineEvent, SolveCtx, SolverRegistry, Verdict};
+use msmr_sched::{Budget, DeciderState, OnlineSuiteState, SolveCtx, SolverRegistry, Verdict};
 use proptest::prelude::*;
 
 /// Zeroes the execution-provenance fields every verification path of the
@@ -90,23 +93,17 @@ fn run_history(seed: u64, bound: DelayBoundKind, ops: usize) {
 
     let mut jobs = JobSet::new(pipe.clone(), Vec::new()).unwrap();
     let mut tables: Option<PairTables> = None;
-    let mut state = registry.online_suite();
+    let mut state = OnlineSuiteState::new();
 
     for step in 0..ops {
         let withdraw = jobs.len() > 1 && rng.next().is_multiple_of(3);
         let (candidate, event) = if withdraw {
             let victim = JobId::new((rng.next() % jobs.len() as u64) as usize);
-            let (reduced, moved) = jobs.swap_remove_job(victim);
+            let reduced = jobs.swap_remove_job(victim);
             let mut t = tables.take().unwrap();
             t.remove_job(victim);
             tables = Some(t);
-            (
-                reduced,
-                OnlineEvent::Withdraw {
-                    removed: victim,
-                    moved,
-                },
-            )
+            (reduced, "withdraw")
         } else {
             let job = template(&pipe, &mut rng);
             let extended = with_job(&jobs, &job);
@@ -122,13 +119,13 @@ fn run_history(seed: u64, bound: DelayBoundKind, ops: usize) {
                 let _ = t.opa_like_touch();
             }
             tables = Some(t);
-            (extended, OnlineEvent::Admit)
+            (extended, "admit")
         };
 
         let analysis = Analysis::from_tables(&candidate, tables.take().unwrap());
         let ctx = SolveCtx::with_analysis(analysis, budget);
         let mut streamed = Vec::new();
-        let warm = registry.evaluate_online(&mut state, &ctx, event, |v| streamed.push(v.clone()));
+        let warm = registry.evaluate_online(&mut state, &ctx, |v| streamed.push(v.clone()));
         tables = Some(ctx.into_analysis().unwrap().into_tables());
 
         assert_eq!(normalized_all(&warm), normalized_all(&streamed));
@@ -136,7 +133,7 @@ fn run_history(seed: u64, bound: DelayBoundKind, ops: usize) {
         assert_eq!(
             normalized_all(&warm),
             normalized_all(&cold),
-            "seed {seed}, step {step}, {} jobs, event {event:?}",
+            "seed {seed}, step {step}, {} jobs, {event}",
             candidate.len()
         );
         jobs = candidate;
@@ -195,7 +192,7 @@ fn decider_only_path_invalidates_bystanders() {
 
     let mut jobs = JobSet::new(pipe.clone(), Vec::new()).unwrap();
     let mut tables: Option<PairTables> = None;
-    let mut state = registry.online_suite();
+    let mut state = OnlineSuiteState::new();
 
     for step in 0..10 {
         let job = template(&pipe, &mut rng);
@@ -211,9 +208,7 @@ fn decider_only_path_invalidates_bystanders() {
             // Decider-only admit.
             let analysis = Analysis::from_tables(&candidate, t);
             let ctx = SolveCtx::with_analysis(analysis, budget);
-            let warm = registry
-                .decide_online("OPDCA", &mut state, &ctx, OnlineEvent::Admit)
-                .unwrap();
+            let warm = registry.decide_online("OPDCA", &mut state, &ctx).unwrap();
             t = ctx.into_analysis().unwrap().into_tables();
             let cold = registry
                 .solver("OPDCA")
@@ -228,7 +223,7 @@ fn decider_only_path_invalidates_bystanders() {
             // whole stream still matches offline evaluate.
             let analysis = Analysis::from_tables(&candidate, t);
             let ctx = SolveCtx::with_analysis(analysis, budget);
-            let warm = registry.evaluate_online(&mut state, &ctx, OnlineEvent::Admit, |_| {});
+            let warm = registry.evaluate_online(&mut state, &ctx, |_| {});
             t = ctx.into_analysis().unwrap().into_tables();
             let cold = registry.evaluate(&candidate, budget);
             assert_eq!(normalized_all(&warm), normalized_all(&cold), "step {step}");
@@ -257,23 +252,17 @@ fn adapter_marks_cold_fallback() {
             .unwrap();
         j
     });
-    let mut state = registry.online_suite();
+    let mut state = OnlineSuiteState::new();
     let ctx = SolveCtx::new(&jobs);
-    assert!(registry
-        .decide_online("NOPE", &mut state, &ctx, OnlineEvent::Admit)
-        .is_none());
+    assert!(registry.decide_online("NOPE", &mut state, &ctx).is_none());
 
     // DCMP has no online seam: the adapter runs and flags the verdict.
-    let verdict = registry
-        .decide_online("DCMP", &mut state, &ctx, OnlineEvent::Admit)
-        .unwrap();
+    let verdict = registry.decide_online("DCMP", &mut state, &ctx).unwrap();
     assert_eq!(verdict.stats.cold_fallback, Some(true));
     assert!(state.is_empty(), "the adapter keeps no state");
 
     // OPDCA's warm path never sets the flag.
-    let verdict = registry
-        .decide_online("OPDCA", &mut state, &ctx, OnlineEvent::Admit)
-        .unwrap();
+    let verdict = registry.decide_online("OPDCA", &mut state, &ctx).unwrap();
     assert!(verdict.stats.cold_fallback.is_none());
     assert!(matches!(
         state.states.get("OPDCA"),
@@ -296,7 +285,7 @@ fn malformed_states_degrade_to_cold() {
     }
     let candidate = with_job(&jobs, &template(&pipe, &mut rng));
 
-    let mut state = registry.online_suite();
+    let mut state = OnlineSuiteState::new();
     *state.state_mut("OPDCA") = DeciderState::Audsley(msmr_sched::AudsleyState {
         winners: vec![JobId::new(0), JobId::new(0)],
         probes: vec![1, 1],
@@ -304,7 +293,7 @@ fn malformed_states_degrade_to_cold() {
         ..Default::default()
     });
     let ctx = SolveCtx::with_budget(&candidate, budget);
-    let warm = registry.evaluate_online(&mut state, &ctx, OnlineEvent::Admit, |_| {});
+    let warm = registry.evaluate_online(&mut state, &ctx, |_| {});
     let cold = registry.evaluate(&candidate, budget);
     assert_eq!(normalized_all(&warm), normalized_all(&cold));
 }
@@ -326,7 +315,7 @@ struct WarmCoverage {
     stale: usize,
 }
 
-fn audsley(state: &msmr_sched::OnlineSuiteState) -> &msmr_sched::AudsleyState {
+fn audsley(state: &OnlineSuiteState) -> &msmr_sched::AudsleyState {
     match state.states.get("OPDCA") {
         Some(DeciderState::Audsley(trace)) => trace,
         other => panic!("OPDCA keeps an Audsley state, found {other:?}"),
@@ -334,20 +323,19 @@ fn audsley(state: &msmr_sched::OnlineSuiteState) -> &msmr_sched::AudsleyState {
 }
 
 /// One warm OPDCA decide over `tables` extended or reduced to `jobs`,
-/// checked against a cold `Solver::solve` of the same set; returns the
-/// tables back.
+/// checked against a cold `Solver::solve` of the same set — verdict
+/// bytes, recorded walk and bound cache; returns the tables back.
 fn decide_and_check(
     registry: &SolverRegistry,
-    state: &mut msmr_sched::OnlineSuiteState,
+    state: &mut OnlineSuiteState,
     jobs: &JobSet,
     tables: PairTables,
-    event: OnlineEvent,
     what: &str,
 ) -> (Verdict, PairTables) {
     let budget = Budget::default().with_node_limit(200_000);
     let ctx = SolveCtx::with_analysis(Analysis::from_tables(jobs, tables), budget);
     let warm = registry
-        .decide_online("OPDCA", state, &ctx, event)
+        .decide_online("OPDCA", state, &ctx)
         .expect("OPDCA is registered");
     let tables = ctx.into_analysis().unwrap().into_tables();
     let cold = registry
@@ -355,6 +343,11 @@ fn decide_and_check(
         .unwrap()
         .solve(&SolveCtx::with_budget(jobs, budget));
     assert_eq!(normalized(&warm), normalized(&cold), "{what}");
+    // The walk the next arrival fast-forwards (and charges to
+    // `sdca_calls`) is the one a decide from a blank state records.
+    let mut blank = OnlineSuiteState::new();
+    let _ = registry.decide_online("OPDCA", &mut blank, &SolveCtx::with_budget(jobs, budget));
+    assert_eq!(audsley(state), audsley(&blank), "{what}: recorded walk");
     assert_cache_is_exact(audsley(state), &tables, what);
     (warm, tables)
 }
@@ -414,28 +407,17 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
         jobs = with_job(&jobs, pool.job(JobId::new(i)));
     }
     let mut tables = Analysis::new(&jobs).into_tables();
-    let mut state = registry.online_suite();
-    (_, tables) = decide_and_check(
-        &registry,
-        &mut state,
-        &jobs,
-        tables,
-        OnlineEvent::Admit,
-        "initial cold decide",
-    );
+    let mut state = OnlineSuiteState::new();
+    (_, tables) = decide_and_check(&registry, &mut state, &jobs, tables, "initial cold decide");
 
     for step in 0..ops {
         let what = format!("seed {seed}, step {step}, {} jobs", jobs.len());
         let roll = rng.next();
         if jobs.len() >= 70 || (jobs.len() > 40 && roll.is_multiple_of(4)) {
             let victim = JobId::new((rng.next() % jobs.len() as u64) as usize);
-            let (reduced, moved) = jobs.swap_remove_job(victim);
+            let reduced = jobs.swap_remove_job(victim);
             tables.remove_job(victim);
-            let event = OnlineEvent::Withdraw {
-                removed: victim,
-                moved,
-            };
-            (_, tables) = decide_and_check(&registry, &mut state, &reduced, tables, event, &what);
+            (_, tables) = decide_and_check(&registry, &mut state, &reduced, tables, &what);
             jobs = reduced;
             continue;
         }
@@ -454,14 +436,13 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
                 for _ in 0..jobs.len() {
                     other = with_job(&other, &pick(&other_pool, &mut rng));
                 }
-                let mut other_state = registry.online_suite();
+                let mut other_state = OnlineSuiteState::new();
                 let other_tables = Analysis::new(&other).into_tables();
                 let _ = decide_and_check(
                     &registry,
                     &mut other_state,
                     &other,
                     other_tables,
-                    OnlineEvent::Admit,
                     "stale source",
                 );
                 state = other_state;
@@ -474,14 +455,7 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
         let candidate = with_job(&jobs, &pick(&pool, &mut rng));
         tables.extend_with_job(&candidate);
         let saved = state.clone();
-        let (verdict, back) = decide_and_check(
-            &registry,
-            &mut state,
-            &candidate,
-            tables,
-            OnlineEvent::Admit,
-            &what,
-        );
+        let (verdict, back) = decide_and_check(&registry, &mut state, &candidate, tables, &what);
         tables = back;
 
         let warm = previous

@@ -280,9 +280,7 @@ impl JobSet {
     /// Returns a copy of this job set with the job `removed` deleted by
     /// **swap-removal**: the job holding the highest id moves into the
     /// vacated slot (taking over `removed`'s id) and every other job keeps
-    /// its id. Also returns the *original* id of the moved job (`None`
-    /// when `removed` already held the highest id, in which case nothing
-    /// moves).
+    /// its id (nothing moves when `removed` already held the highest id).
     ///
     /// This is the departure primitive of online admission control: unlike
     /// [`JobSet::without_job`], which renumbers every job after the
@@ -294,15 +292,11 @@ impl JobSet {
     ///
     /// Panics if `removed` is out of range.
     #[must_use]
-    pub fn swap_remove_job(&self, removed: JobId) -> (JobSet, Option<JobId>) {
+    pub fn swap_remove_job(&self, removed: JobId) -> JobSet {
         assert!(removed.index() < self.jobs.len(), "job id out of range");
-        let last = self.jobs.len() - 1;
-        let moved = (removed.index() < last).then(|| JobId::new(last));
         let mut jobs = self.jobs.clone();
         jobs.swap_remove(removed.index());
-        let set =
-            JobSet::new(self.pipeline.clone(), jobs).expect("removing a job preserves validity");
-        (set, moved)
+        JobSet::new(self.pipeline.clone(), jobs).expect("removing a job preserves validity")
     }
 
     /// Returns a copy of this job set with one more job appended at the
@@ -587,8 +581,7 @@ mod tests {
     #[test]
     fn swap_remove_moves_only_the_last_job() {
         let set = three_stage_set();
-        let (reduced, moved) = set.swap_remove_job(JobId::new(0));
-        assert_eq!(moved, Some(JobId::new(2)));
+        let reduced = set.swap_remove_job(JobId::new(0));
         assert_eq!(reduced.len(), 2);
         // J1 keeps its id; the old J2 now answers at id 0.
         assert_eq!(reduced.job(JobId::new(1)), set.job(JobId::new(1)));
@@ -601,8 +594,8 @@ mod tests {
             set.job(JobId::new(2)).processing_times()
         );
         // Removing the highest id moves nothing.
-        let (reduced, moved) = set.swap_remove_job(JobId::new(2));
-        assert_eq!(moved, None);
+        let reduced = set.swap_remove_job(JobId::new(2));
+        assert_eq!(reduced.len(), 2);
         for old in reduced.job_ids() {
             assert_eq!(reduced.job(old), set.job(old));
         }

@@ -279,7 +279,7 @@ pub fn replay_cold(
                     format!("seq {seq} withdraws handle {handle}, which was never admitted")
                 })?;
                 handles.swap_remove(index);
-                mirror = mirror.swap_remove_job(JobId::new(index)).0;
+                mirror = mirror.swap_remove_job(JobId::new(index));
                 if mirror.is_empty() {
                     Vec::new()
                 } else {

@@ -21,11 +21,12 @@
 //! * The session also keeps the **decider state** warm: `admit` and
 //!   `withdraw` route through the stateful
 //!   [`msmr_sched::OnlineSolver`] seam
-//!   ([`msmr_sched::SolverRegistry::evaluate_online`]), so OPDCA
-//!   fast-forwards its persisted Audsley trace and re-decides only the
-//!   suffix the arriving or departing job can perturb; solvers without
-//!   an online seam are re-solved by the cold adapter, whose verdicts
-//!   carry the `cold_fallback` stat. Warm verdicts are byte-identical to
+//!   ([`msmr_sched::SolverRegistry::evaluate_online`]), so on an admit
+//!   OPDCA fast-forwards its persisted Audsley trace and re-decides only
+//!   the suffix the arriving job can perturb; a withdraw decides the
+//!   reduced set cold on the patched tables. Solvers without an online
+//!   seam are re-solved by the cold adapter, whose verdicts carry the
+//!   `cold_fallback` stat. Warm verdicts are byte-identical to
 //!   a cold [`msmr_sched::SolverRegistry::evaluate`] once the
 //!   execution-provenance fields (`elapsed_micros`, `cold_fallback`) are
 //!   zeroed — see [`normalized_verdict_json`].
@@ -108,10 +109,11 @@
 //! (OPDCA fast-forwarded its previous Audsley trace); DCMP has no online
 //! seam, so the cold adapter re-solved it and flagged the verdict with
 //! `"cold_fallback":true` — provenance only, zeroed by every
-//! byte-comparison. A warm `withdraw` (here: decider-only, no
+//! byte-comparison. A `withdraw` (here: decider-only, no
 //! `"evaluate"`; two more jobs were admitted in between) swap-removes
-//! the victim from the cached tables in `O(n·N)` and streams the
-//! decider's verdict for the *reduced* set before its result frame:
+//! the victim from the cached tables in `O(n·N)`, decides the *reduced*
+//! set cold on them and streams the decider's verdict before its result
+//! frame:
 //!
 //! ```text
 //! > {"id":6,"op":{"Withdraw":{"job":1,"evaluate":null}}}

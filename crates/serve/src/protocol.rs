@@ -542,8 +542,10 @@ pub struct SessionStatsFrame {
     /// daemon process (withdrawals are not persisted separately in
     /// snapshots; the count restarts at 0 after a restore).
     pub withdraws: u64,
-    /// Decider verdicts served warm (no cold-fallback provenance)
-    /// since the session was (re)built in this process.
+    /// Decider verdicts produced by the decider's online seam (no
+    /// cold-fallback provenance) since the session was (re)built in this
+    /// process — including seam verdicts that decided cold, such as an
+    /// OPDCA withdraw or the first admit after a restore.
     pub warm_decides: u64,
     /// Decider verdicts that fell back to the cold adapter since the
     /// session was (re)built in this process.

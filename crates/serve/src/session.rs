@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use msmr_dca::{Analysis, DelayBoundKind, PairTables};
 use msmr_model::{JobId, JobSet, ModelError};
-use msmr_sched::{Budget, OnlineEvent, OnlineSuiteState, SolveCtx, SolverRegistry, Verdict};
+use msmr_sched::{Budget, OnlineSuiteState, SolveCtx, SolverRegistry, Verdict};
 use msmr_stats::StatsRegistry;
 use serde::{Deserialize, Serialize};
 
@@ -268,8 +268,9 @@ struct SessionState {
 /// `admit`/`withdraw` routes through the registry's stateful
 /// [`OnlineSolver`](msmr_sched::OnlineSolver) seam
 /// ([`SolverRegistry::evaluate_online`] /
-/// [`SolverRegistry::decide_online`]), so OPDCA fast-forwards its
-/// persisted Audsley trace instead of re-running the whole loop, solvers
+/// [`SolverRegistry::decide_online`]), so an admit lets OPDCA
+/// fast-forward its persisted Audsley trace instead of re-running the
+/// whole loop (a withdraw decides cold on the patched tables), solvers
 /// without an online seam are re-solved by the cold adapter (marked with
 /// the `cold_fallback` stat), and a rejected admission rolls the state
 /// back together with the tables. The durable part of the state (the
@@ -286,12 +287,14 @@ pub struct AdmissionSession {
     /// part of [`SessionImage`] (snapshots predate it), so it counts
     /// since the session was (re)built in this process.
     withdraws: u64,
-    /// Decider verdicts served warm in this process (no cold-fallback
-    /// provenance marker) — the per-session half of the daemon-wide
-    /// warm/cold split.
+    /// Decider verdicts produced by the decider's online seam in this
+    /// process (no cold-fallback provenance marker) — the per-session
+    /// half of the daemon-wide warm/cold split. It counts the path, not
+    /// the work: an OPDCA withdraw, or the first admit after a restore,
+    /// decides cold inside the seam and still counts here.
     warm_decides: u64,
-    /// Decider verdicts that fell back to the cold adapter in this
-    /// process.
+    /// Decider verdicts that fell back to the cold adapter (a decider
+    /// without an online seam) in this process.
     cold_decides: u64,
     next_handle: u64,
     /// Total decisions made (admit accepts + rejects + withdraws): the
@@ -314,12 +317,11 @@ impl AdmissionSession {
     #[must_use]
     pub fn new(config: SessionConfig) -> Self {
         let registry = Self::build_registry(&config);
-        let online = registry.online_suite();
         AdmissionSession {
             config,
             registry,
             state: None,
-            online,
+            online: OnlineSuiteState::new(),
             admits: 0,
             rejects: 0,
             withdraws: 0,
@@ -483,7 +485,7 @@ impl AdmissionSession {
         // re-records), and the decision log's records describe dead
         // state (the counter itself stays monotonic).
         self.decision_log.clear();
-        self.online = self.registry.online_suite();
+        self.online = OnlineSuiteState::new();
         let mut tables = Analysis::new(&jobs).into_tables();
         let verdicts = if jobs.is_empty() {
             Vec::new()
@@ -504,15 +506,14 @@ impl AdmissionSession {
                     },
                 );
                 // The parallel fan-out bypasses the online seam, so the
-                // decider's trace is recorded separately
-                // ([`msmr_sched::OnlineSolver::begin`]) and the very
-                // first admit still fast-forwards.
+                // decider decides once more on its blank slot to record
+                // the trace the very first admit fast-forwards from.
                 if let Some(online) = self
                     .registry
                     .solver(&self.config.decider)
                     .and_then(msmr_sched::Solver::online)
                 {
-                    *self.online.state_mut(&self.config.decider) = online.begin(&ctx);
+                    let _ = online.decide(self.online.state_mut(&self.config.decider), &ctx);
                 }
                 verdicts
             } else {
@@ -523,7 +524,7 @@ impl AdmissionSession {
                 // admit fast-forwards from, with no duplicate decider
                 // run.
                 self.registry
-                    .evaluate_online(&mut self.online, &ctx, OnlineEvent::Admit, &mut sink)
+                    .evaluate_online(&mut self.online, &ctx, &mut sink)
             };
             tables = ctx
                 .into_analysis()
@@ -570,7 +571,7 @@ impl AdmissionSession {
         &mut self,
         spec: &JobSpec,
         evaluate: bool,
-        mut sink: impl FnMut(&Verdict),
+        sink: impl FnMut(&Verdict),
     ) -> Result<AdmitOutcome, SessionError> {
         let started = Instant::now();
         if self.registry.solver(&self.config.decider).is_none() {
@@ -584,39 +585,12 @@ impl AdmissionSession {
         // Decider states describe the *admitted* set; keep a copy so a
         // rejection can roll the warm state back with the tables.
         let saved_online = self.online.clone();
-        let analysis = Analysis::from_tables(&new_jobs, tables);
-        let ctx = SolveCtx::with_analysis(analysis, self.budget());
-        let (verdicts, accepted) = if evaluate {
-            let verdicts = self.registry.evaluate_online(
-                &mut self.online,
-                &ctx,
-                OnlineEvent::Admit,
-                &mut sink,
-            );
-            let accepted = verdicts
-                .iter()
-                .find(|v| v.solver == self.config.decider)
-                .expect("decider is registered")
-                .is_accepted();
-            (verdicts, accepted)
-        } else {
-            let verdict = self
-                .registry
-                .decide_online(
-                    &self.config.decider,
-                    &mut self.online,
-                    &ctx,
-                    OnlineEvent::Admit,
-                )
-                .expect("checked above");
-            sink(&verdict);
-            let accepted = verdict.is_accepted();
-            (vec![verdict], accepted)
-        };
-        let mut tables = ctx
-            .into_analysis()
-            .expect("analysis was injected")
-            .into_tables();
+        let (verdicts, mut tables) = self.decide(&new_jobs, tables, evaluate, sink);
+        let accepted = verdicts
+            .iter()
+            .find(|v| v.solver == self.config.decider)
+            .expect("decider is registered")
+            .is_accepted();
 
         let state = self.state.as_mut().expect("session checked above");
         let handle = if accepted {
@@ -715,9 +689,11 @@ impl AdmissionSession {
     /// [`PairTables::remove_job`]): the most recently admitted job moves
     /// into the victim's internal slot and the cached tables are patched
     /// in `O(n·N)` — no withdrawal pays the `O(n²·N)` rebuild any more.
-    /// External handles are stable throughout (only internal ids move);
-    /// the decider state is remapped across the swap and OPDCA
-    /// fast-forwards the levels the departure provably cannot perturb.
+    /// External handles are stable throughout (only internal ids move).
+    /// A departure can shrink any job's bounds, so no recorded trace
+    /// provably survives it: the decider decides the reduced set cold on
+    /// the patched tables and records the trace the next admit
+    /// fast-forwards from.
     ///
     /// # Errors
     ///
@@ -729,7 +705,7 @@ impl AdmissionSession {
         &mut self,
         handle: u64,
         evaluate: bool,
-        mut sink: impl FnMut(&Verdict),
+        sink: impl FnMut(&Verdict),
     ) -> Result<WithdrawOutcome, SessionError> {
         let started = Instant::now();
         if self.registry.solver(&self.config.decider).is_none() {
@@ -742,35 +718,17 @@ impl AdmissionSession {
             .position(|&h| h == handle)
             .ok_or(SessionError::UnknownHandle(handle))?;
         let removed = JobId::new(index);
-        let (reduced, moved) = state.jobs.swap_remove_job(removed);
+        let reduced = state.jobs.swap_remove_job(removed);
         let mut tables = state.tables.take().expect("tables present");
         tables.remove_job(removed);
 
-        let verdicts = if reduced.is_empty() {
+        let (verdicts, tables) = if reduced.is_empty() {
             // An emptied session streams no verdicts (mirroring the
             // empty-submit case) and has nothing to keep warm.
-            self.online = self.registry.online_suite();
-            Vec::new()
+            self.online = OnlineSuiteState::new();
+            (Vec::new(), tables)
         } else {
-            let event = OnlineEvent::Withdraw { removed, moved };
-            let analysis = Analysis::from_tables(&reduced, tables);
-            let ctx = SolveCtx::with_analysis(analysis, self.budget());
-            let verdicts = if evaluate {
-                self.registry
-                    .evaluate_online(&mut self.online, &ctx, event, &mut sink)
-            } else {
-                let verdict = self
-                    .registry
-                    .decide_online(&self.config.decider, &mut self.online, &ctx, event)
-                    .expect("checked above");
-                sink(&verdict);
-                vec![verdict]
-            };
-            tables = ctx
-                .into_analysis()
-                .expect("analysis was injected")
-                .into_tables();
-            verdicts
+            self.decide(&reduced, tables, evaluate, sink)
         };
 
         let state = self.state.as_mut().expect("session checked above");
@@ -831,6 +789,37 @@ impl AdmissionSession {
         }
         let outcome = self.withdraw(handle, evaluate, sink)?;
         Ok((outcome, self.decisions, false))
+    }
+
+    /// Decides `jobs` over the session's `tables` through the online
+    /// seam — the full suite with `evaluate`, else the decider alone —
+    /// streaming each verdict through `sink` as it is produced, and hands
+    /// the tables back. The caller has checked that the decider is
+    /// registered.
+    fn decide(
+        &mut self,
+        jobs: &JobSet,
+        tables: PairTables,
+        evaluate: bool,
+        mut sink: impl FnMut(&Verdict),
+    ) -> (Vec<Verdict>, PairTables) {
+        let ctx = SolveCtx::with_analysis(Analysis::from_tables(jobs, tables), self.budget());
+        let verdicts = if evaluate {
+            self.registry
+                .evaluate_online(&mut self.online, &ctx, &mut sink)
+        } else {
+            let verdict = self
+                .registry
+                .decide_online(&self.config.decider, &mut self.online, &ctx)
+                .expect("decider is registered");
+            sink(&verdict);
+            vec![verdict]
+        };
+        let tables = ctx
+            .into_analysis()
+            .expect("analysis was injected")
+            .into_tables();
+        (verdicts, tables)
     }
 
     /// The current session snapshot.
@@ -963,7 +952,7 @@ impl AdmissionSession {
         // states (hand-edited snapshots) are rejected lazily by the
         // solvers themselves, which then decide cold. Old snapshots
         // without the field restore with a blank suite state.
-        let online = image.online.unwrap_or_else(|| registry.online_suite());
+        let online = image.online.unwrap_or_default();
         Ok(AdmissionSession {
             config,
             registry,
@@ -1016,7 +1005,8 @@ pub struct SessionImage {
     /// keeps the traces (without OPDCA's in-memory bound cache, which its
     /// first admit after the restore rebuilds cold). `None` in
     /// snapshots written before the online seam existed (they restore
-    /// with a blank state).
+    /// with a blank state); a slot this build cannot parse loads as
+    /// absent, so that solver decides cold.
     pub online: Option<OnlineSuiteState>,
     /// The decision counter at snapshot time, so post-restore seqs
     /// continue the pre-crash sequence (`None` in older snapshots,
@@ -1501,7 +1491,7 @@ mod tests {
         let jobs = b.build().unwrap();
         let mut session = AdmissionSession::new(SessionConfig::default());
         session.submit(jobs.clone(), false, |_| {});
-        // `OnlineSolver::begin` recorded the decider's trace at submit.
+        // The submit's online evaluation recorded the decider's trace.
         assert!(matches!(
             session.online_state().states.get("OPDCA"),
             Some(msmr_sched::DeciderState::Audsley(_))

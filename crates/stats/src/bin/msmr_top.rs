@@ -5,7 +5,9 @@
 //! `--interval-ms` (at least 10 ms) and redraws one compact dashboard
 //! (plain text, cleared and homed per frame, so the output of
 //! `--iterations N` stays in the terminal or log): counters, warm/cold
-//! ratio, per-op p50/p99 (histogram estimates: upper bucket edges) with
+//! ratio (verdicts of a solver's online seam versus the registry's cold
+//! adapter; an OPDCA withdraw or the first admit after a restore decides
+//! cold inside the seam and counts as warm), per-op p50/p99 (histogram estimates: upper bucket edges) with
 //! a log-bucket **distribution sparkline** and its `[lo µs, hi µs)`
 //! range, a worker queue-depth sparkline across polls, and per-solver
 //! (with mean latency) / per-session tables. If the daemon bounces, the

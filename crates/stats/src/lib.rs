@@ -8,7 +8,7 @@
 //! registry every layer feeds, and tooling on top.
 //!
 //! * [`StatsRegistry`] — atomics-only monotonic counters (admits,
-//!   rejects, withdraws, warm vs `cold_fallback` decides, overloads,
+//!   rejects, withdraws, online-seam vs `cold_fallback` decides, overloads,
 //!   evictions, snapshot writes), an attached-clients gauge and one
 //!   log-bucket [`LatencyHisto`] per op — the daemon's only latency
 //!   view: the full-lifetime distribution, from which every served

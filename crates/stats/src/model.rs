@@ -30,9 +30,13 @@ pub struct StatsCounters {
     pub withdraws: u64,
     /// Session (re)submissions.
     pub submits: u64,
-    /// Solver verdicts produced by a warm path (no provenance marker).
+    /// Solver verdicts produced by a solver's online seam (no provenance
+    /// marker). This counts the path, not the work: a seam verdict that
+    /// decided cold — every OPDCA withdraw, the first admit after a
+    /// snapshot restore — counts here too.
     pub warm_decides: u64,
-    /// Solver verdicts produced by the cold `cold_fallback` adapter.
+    /// Solver verdicts produced by the registry's cold adapter for a
+    /// solver without an online seam (`cold_fallback` provenance).
     pub cold_decides: u64,
     /// Solver verdicts synthesized through an implication shortcut.
     pub implied_decides: u64,
@@ -97,7 +101,9 @@ pub struct SolverRow {
     pub verdicts: u64,
     /// Verdicts that accepted the job set.
     pub accepted: u64,
-    /// Warm verdicts (neither cold fallback nor implied).
+    /// Online-seam verdicts (neither cold fallback nor implied),
+    /// including seam verdicts that decided cold inside the seam (see
+    /// [`StatsCounters::warm_decides`]).
     pub warm: u64,
     /// Cold-adapter verdicts (`cold_fallback` provenance).
     pub cold: u64,
@@ -202,7 +208,9 @@ impl OpLatency {
 }
 
 impl StatsSnapshot {
-    /// Warm share of all solver verdicts, `None` before any verdict.
+    /// Online-seam share of all solver verdicts (`warm_decides` over
+    /// warm, cold and implied), `None` before any verdict. A seam
+    /// verdict that decided cold inside the seam counts as warm.
     #[must_use]
     pub fn warm_ratio(&self) -> Option<f64> {
         let c = &self.counters;
