@@ -107,7 +107,8 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
     // --- OPT branch-and-bound, through `Solver::solve` on a context whose
     // analysis is already built: search plus verdict assembly -------------
     let v1 = observation_v1();
-    let v1_ctx = SolveCtx::with_analysis(Analysis::new(&v1), Budget::default());
+    let v1_analysis = Analysis::new(&v1);
+    let v1_ctx = SolveCtx::over(&v1_analysis, Budget::default());
     let v1_solver = OptPairwise::new(DelayBoundKind::RefinedPreemptive);
     report.time_ns(
         "opt_solve/observation_v1",
@@ -120,8 +121,9 @@ pub fn run_kernel_report(fast: bool) -> BenchReport {
         BENCH_SEED,
     );
     let node_limit = if fast { 2_000 } else { 50_000 };
-    let deep_ctx = SolveCtx::with_analysis(
-        Analysis::new(&deep),
+    let deep_analysis = Analysis::new(&deep);
+    let deep_ctx = SolveCtx::over(
+        &deep_analysis,
         Budget::default().with_node_limit(node_limit),
     );
     let deep_solver = OptPairwise::new(DelayBoundKind::EdgeHybrid);

@@ -157,8 +157,8 @@ pub struct ClusterEngine {
 impl ClusterEngine {
     /// Builds the engine and — when a snapshot directory is configured —
     /// restores every session found in it (warm tables included: each
-    /// restore replays the persisted job set through
-    /// `msmr_dca::Analysis::new`).
+    /// restore analyses the persisted job set afresh with
+    /// `msmr_dca::Analysis::owned`).
     ///
     /// # Errors
     ///
@@ -406,8 +406,8 @@ impl ClusterEngine {
         Ok(frames)
     }
 
-    /// Installs a loaded snapshot into the store, replaying the job set
-    /// through `Analysis::new` so the tables arrive warm.
+    /// Installs a loaded snapshot into the store; the session analyses
+    /// the job set afresh (`Analysis::owned`), so the tables arrive warm.
     fn install_snapshot(&self, snapshot: SessionSnapshot) -> io::Result<RestoredSession> {
         let jobs = snapshot.image.jobs.len() as u64;
         let session = AdmissionSession::from_image(self.store.template().clone(), snapshot.image)

@@ -36,8 +36,8 @@
 //! * [`SnapshotStore`] — `snapshot` persists a session's admitted job
 //!   set plus version counter as one JSON file; on restart (or an
 //!   explicit `restore` op) the daemon rebuilds the session and its
-//!   warm `PairTables` by replaying the job set through
-//!   `msmr_dca::Analysis::new`. A graceful `shutdown` snapshots every
+//!   warm pair tables by analysing the job set afresh
+//!   (`msmr_dca::Analysis::owned`). A graceful `shutdown` snapshots every
 //!   session automatically. Boot fails **soft** on corrupt snapshot
 //!   files: a torn `SessionImage` is quarantined (renamed to
 //!   `.corrupt`, counted in `snapshot_quarantined`) and the remaining
@@ -102,8 +102,8 @@
 //! to a private session's and to offline
 //! [`msmr_sched::SolverRegistry::evaluate`] (wall-clock fields zeroed):
 //! the executor only moves *where* a solve runs, the session mutex fixes the
-//! order, and the table extension path is the same
-//! `PairTables::extend_with_job` either way. The end-to-end suite pins
+//! order, and the arrival path is the same in-place
+//! `msmr_dca::Analysis::push` either way. The end-to-end suite pins
 //! all three down, and a multi-client `msmr-admit --replay --verify`
 //! re-checks the serialized-replay equivalence under real concurrency.
 //!

@@ -3,8 +3,8 @@
 //! A snapshot stores the session's durable state — its
 //! [`SessionImage`]: the admitted job set, handle bookkeeping and
 //! lifetime counters — plus the mutation version it captured. The warm
-//! pair tables are *not* persisted: a restore replays the job set
-//! through `msmr_dca::Analysis::new` (one `O(n²·N)` pass), which
+//! pair tables are *not* persisted: a restore analyses the job set
+//! afresh with `msmr_dca::Analysis::owned` (one `O(n²·N)` pass), which
 //! reproduces them bit-for-bit, keeps files small, and survives any
 //! future change to the cache layout. Writes go through a temp file +
 //! rename so a crash mid-snapshot never corrupts the previous one.

@@ -246,8 +246,9 @@ impl SolverRegistry {
     /// task per solver on the `msmr-par` pool, no implication shortcuts —
     /// every solver genuinely runs. The analysis is built only once: it is
     /// forced before the fan-out and shared read-only by the workers (a
-    /// context with an injected analysis reuses it — the cross-request
-    /// caching path of an admission session). `sink` observes each verdict
+    /// context over a lent analysis, [`SolveCtx::over`], reuses it — the
+    /// cross-request caching path of an admission session). `sink`
+    /// observes each verdict
     /// as its solver completes — in **completion** order, from worker
     /// threads; the returned vector is in registration order.
     #[must_use]
@@ -506,13 +507,15 @@ mod tests {
     fn injected_analysis_is_reused_and_reclaimable() {
         let jobs = light_jobs();
         let analysis = msmr_dca::Analysis::new(&jobs);
-        let ctx = SolveCtx::with_analysis(analysis, Budget::default());
+        let ctx = SolveCtx::over(&analysis, Budget::default());
         assert!(ctx.analysis_is_built());
+        assert!(std::ptr::eq(ctx.analysis(), &analysis));
         let registry = SolverRegistry::paper_suite(BOUND);
         let verdicts = registry.evaluate_ctx(&ctx);
         assert_eq!(verdicts.len(), 5);
-        let reclaimed = ctx.into_analysis().expect("analysis was injected");
-        assert_eq!(reclaimed.tables().job_count(), jobs.len());
+        // The context only borrowed it: the lender still holds the tables.
+        drop(ctx);
+        assert_eq!(analysis.tables().job_count(), jobs.len());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! additionally keeps [`Dcmp::evaluate`](crate::Dcmp::evaluate), whose
 //! virtual deadlines and simulation trace no `Verdict` carries.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -59,11 +60,14 @@ impl Budget {
 /// The delay-composition [`Analysis`] is `O(n²·N)` to build and is what
 /// every analytical solver queries, so the context builds it **lazily and
 /// at most once** per job set — evaluating five approaches through a
-/// registry performs one analysis pass instead of five. `SolveCtx` is
-/// `Sync`; a registry can share one context across worker threads.
+/// registry performs one analysis pass instead of five. A caller that
+/// already holds an analysis (an admission session keeps one warm across
+/// requests) lends it with [`SolveCtx::over`] instead, and the context
+/// builds nothing. `SolveCtx` is `Sync`; a registry can share one
+/// context across worker threads.
 pub struct SolveCtx<'a> {
     jobs: &'a JobSet,
-    analysis: OnceLock<Analysis<'a>>,
+    analysis: OnceLock<Cow<'a, Analysis<'a>>>,
     budget: Budget,
 }
 
@@ -72,11 +76,7 @@ impl<'a> SolveCtx<'a> {
     /// default node limit, no time limit).
     #[must_use]
     pub fn new(jobs: &'a JobSet) -> Self {
-        SolveCtx {
-            jobs,
-            analysis: OnceLock::new(),
-            budget: Budget::default(),
-        }
+        SolveCtx::with_budget(jobs, Budget::default())
     }
 
     /// Creates a context with an explicit budget.
@@ -89,29 +89,15 @@ impl<'a> SolveCtx<'a> {
         }
     }
 
-    /// Creates a context around an analysis the caller already owns —
-    /// the cross-request caching entry point: an admission session that
-    /// keeps its [`Analysis`] (and the pair tables inside it) warm across
-    /// queries injects it here instead of letting the context rebuild the
-    /// `O(n²·N)` pass per request.
+    /// Creates a context over an analysis the caller already holds, so
+    /// no solver pays the `O(n²·N)` pass again.
     #[must_use]
-    pub fn with_analysis(analysis: Analysis<'a>, budget: Budget) -> Self {
-        let jobs = analysis.jobs();
-        let lock = OnceLock::new();
-        let _ = lock.set(analysis);
+    pub fn over(analysis: &'a Analysis<'_>, budget: Budget) -> Self {
         SolveCtx {
-            jobs,
-            analysis: lock,
+            jobs: analysis.jobs(),
+            analysis: OnceLock::from(Cow::Borrowed(analysis)),
             budget,
         }
-    }
-
-    /// Consumes the context, handing back an injected or lazily-built
-    /// analysis (`None` when it was never built). Lets a session reclaim
-    /// its cached tables after the solvers ran.
-    #[must_use]
-    pub fn into_analysis(self) -> Option<Analysis<'a>> {
-        self.analysis.into_inner()
     }
 
     /// The job set being solved.
@@ -129,7 +115,8 @@ impl<'a> SolveCtx<'a> {
     /// The shared interference analysis, built on first use.
     #[must_use]
     pub fn analysis(&self) -> &Analysis<'a> {
-        self.analysis.get_or_init(|| Analysis::new(self.jobs))
+        self.analysis
+            .get_or_init(|| Cow::Owned(Analysis::new(self.jobs)))
     }
 
     /// Whether the analysis has been built yet (mainly for tests asserting

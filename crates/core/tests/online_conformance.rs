@@ -6,8 +6,8 @@
 //! counters included.
 //!
 //! The suite drives random admit/withdraw histories through
-//! `evaluate_online` over incrementally maintained `PairTables`
-//! (extension + general swap-removal) while a mirror rebuilds everything
+//! `evaluate_online` over an incrementally maintained `Analysis`
+//! (push, pop and general swap-removal) while a mirror rebuilds everything
 //! from scratch each step, so it covers the Audsley fast-forward, its
 //! divergence and rejection paths, the cold decide after a swap-removal,
 //! and the cold adapter in one sweep. The OPDCA histories also pin the
@@ -16,7 +16,7 @@
 //! arrival charges its per-level probes to `sdca_calls`.
 
 use msmr_dca::{Analysis, DelayBoundKind, PairTables};
-use msmr_model::{Job, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
+use msmr_model::{Job, JobBuilder, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
 use msmr_sched::{Budget, DeciderState, OnlineSuiteState, SolveCtx, SolverRegistry, Verdict};
 use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ fn pipeline(stages: usize, resources: usize) -> Pipeline {
     Pipeline::uniform(&vec![resources; stages], PreemptionPolicy::Preemptive).unwrap()
 }
 
-fn with_job(jobs: &JobSet, job: &Job) -> JobSet {
+fn builder(job: &Job) -> JobBuilder {
     let mut builder = Job::builder()
         .arrival(job.arrival())
         .deadline(job.deadline());
@@ -79,7 +79,11 @@ fn with_job(jobs: &JobSet, job: &Job) -> JobSet {
         let stage = msmr_model::StageId::new(j);
         builder = builder.stage_time(job.processing(stage), job.resource(stage).index());
     }
-    jobs.with_job(builder).unwrap().0
+    builder
+}
+
+fn with_job(jobs: &JobSet, job: &Job) -> JobSet {
+    jobs.with_job(builder(job)).unwrap().0
 }
 
 /// Drives one random admit/withdraw history through the warm online seam
@@ -91,52 +95,38 @@ fn run_history(seed: u64, bound: DelayBoundKind, ops: usize) {
     let mut rng = Rng(seed);
     let pipe = pipeline(2 + (seed as usize % 2), 1 + (seed as usize % 2));
 
-    let mut jobs = JobSet::new(pipe.clone(), Vec::new()).unwrap();
-    let mut tables: Option<PairTables> = None;
+    let mut analysis = Analysis::owned(JobSet::new(pipe.clone(), Vec::new()).unwrap());
     let mut state = OnlineSuiteState::new();
 
     for step in 0..ops {
-        let withdraw = jobs.len() > 1 && rng.next().is_multiple_of(3);
-        let (candidate, event) = if withdraw {
-            let victim = JobId::new((rng.next() % jobs.len() as u64) as usize);
-            let reduced = jobs.swap_remove_job(victim);
-            let mut t = tables.take().unwrap();
-            t.remove_job(victim);
-            tables = Some(t);
-            (reduced, "withdraw")
+        let withdraw = analysis.jobs().len() > 1 && rng.next().is_multiple_of(3);
+        let event = if withdraw {
+            let victim = JobId::new((rng.next() % analysis.jobs().len() as u64) as usize);
+            analysis.swap_remove(victim);
+            "withdraw"
         } else {
             let job = template(&pipe, &mut rng);
-            let extended = with_job(&jobs, &job);
-            let t = match tables.take() {
-                Some(mut t) => {
-                    t.extend_with_job(&extended);
-                    t
-                }
-                None => Analysis::new(&extended).into_tables(),
-            };
+            analysis.push(builder(&job)).unwrap();
             // Exercise the cache-update path now and then.
             if step % 4 == 1 {
-                let _ = t.opa_like_touch();
+                let _ = analysis.tables().opa_like_touch();
             }
-            tables = Some(t);
-            (extended, "admit")
+            "admit"
         };
 
-        let analysis = Analysis::from_tables(&candidate, tables.take().unwrap());
-        let ctx = SolveCtx::with_analysis(analysis, budget);
+        let ctx = SolveCtx::over(&analysis, budget);
         let mut streamed = Vec::new();
         let warm = registry.evaluate_online(&mut state, &ctx, |v| streamed.push(v.clone()));
-        tables = Some(ctx.into_analysis().unwrap().into_tables());
 
         assert_eq!(normalized_all(&warm), normalized_all(&streamed));
-        let cold = registry.evaluate(&candidate, budget);
+        let candidate = analysis.jobs();
+        let cold = registry.evaluate(candidate, budget);
         assert_eq!(
             normalized_all(&warm),
             normalized_all(&cold),
             "seed {seed}, step {step}, {} jobs, {event}",
             candidate.len()
         );
-        jobs = candidate;
     }
 }
 
@@ -190,30 +180,21 @@ fn decider_only_path_invalidates_bystanders() {
     let mut rng = Rng(42);
     let pipe = pipeline(3, 2);
 
-    let mut jobs = JobSet::new(pipe.clone(), Vec::new()).unwrap();
-    let mut tables: Option<PairTables> = None;
+    let mut analysis = Analysis::owned(JobSet::new(pipe.clone(), Vec::new()).unwrap());
     let mut state = OnlineSuiteState::new();
 
     for step in 0..10 {
         let job = template(&pipe, &mut rng);
-        let candidate = with_job(&jobs, &job);
-        let mut t = match tables.take() {
-            Some(mut t) => {
-                t.extend_with_job(&candidate);
-                t
-            }
-            None => Analysis::new(&candidate).into_tables(),
-        };
+        analysis.push(builder(&job)).unwrap();
+        let candidate = analysis.jobs();
+        let ctx = SolveCtx::over(&analysis, budget);
         if step % 2 == 0 {
             // Decider-only admit.
-            let analysis = Analysis::from_tables(&candidate, t);
-            let ctx = SolveCtx::with_analysis(analysis, budget);
             let warm = registry.decide_online("OPDCA", &mut state, &ctx).unwrap();
-            t = ctx.into_analysis().unwrap().into_tables();
             let cold = registry
                 .solver("OPDCA")
                 .unwrap()
-                .solve(&SolveCtx::with_budget(&candidate, budget));
+                .solve(&SolveCtx::with_budget(candidate, budget));
             assert_eq!(normalized(&warm), normalized(&cold), "step {step}");
             // Only the decider keeps state.
             assert!(state.states.keys().eq(["OPDCA"]));
@@ -221,15 +202,10 @@ fn decider_only_path_invalidates_bystanders() {
             // Full-suite admit right after a decider-only one: bystander
             // solvers decide cold (their states were invalidated) and the
             // whole stream still matches offline evaluate.
-            let analysis = Analysis::from_tables(&candidate, t);
-            let ctx = SolveCtx::with_analysis(analysis, budget);
             let warm = registry.evaluate_online(&mut state, &ctx, |_| {});
-            t = ctx.into_analysis().unwrap().into_tables();
-            let cold = registry.evaluate(&candidate, budget);
+            let cold = registry.evaluate(candidate, budget);
             assert_eq!(normalized_all(&warm), normalized_all(&cold), "step {step}");
         }
-        tables = Some(t);
-        jobs = candidate;
     }
 }
 
@@ -322,22 +298,21 @@ fn audsley(state: &OnlineSuiteState) -> &msmr_sched::AudsleyState {
     }
 }
 
-/// One warm OPDCA decide over `tables` extended or reduced to `jobs`,
+/// One warm OPDCA decide over `analysis`, extended or reduced in place,
 /// checked against a cold `Solver::solve` of the same set — verdict
-/// bytes, recorded walk and bound cache; returns the tables back.
+/// bytes, recorded walk and bound cache.
 fn decide_and_check(
     registry: &SolverRegistry,
     state: &mut OnlineSuiteState,
-    jobs: &JobSet,
-    tables: PairTables,
+    analysis: &Analysis<'_>,
     what: &str,
-) -> (Verdict, PairTables) {
+) -> Verdict {
     let budget = Budget::default().with_node_limit(200_000);
-    let ctx = SolveCtx::with_analysis(Analysis::from_tables(jobs, tables), budget);
+    let ctx = SolveCtx::over(analysis, budget);
     let warm = registry
         .decide_online("OPDCA", state, &ctx)
         .expect("OPDCA is registered");
-    let tables = ctx.into_analysis().unwrap().into_tables();
+    let jobs = analysis.jobs();
     let cold = registry
         .solver("OPDCA")
         .unwrap()
@@ -348,8 +323,8 @@ fn decide_and_check(
     let mut blank = OnlineSuiteState::new();
     let _ = registry.decide_online("OPDCA", &mut blank, &SolveCtx::with_budget(jobs, budget));
     assert_eq!(audsley(state), audsley(&blank), "{what}: recorded walk");
-    assert_cache_is_exact(audsley(state), &tables, what);
-    (warm, tables)
+    assert_cache_is_exact(audsley(state), analysis.tables(), what);
+    warm
 }
 
 /// The recorded cache holds every job's bounds at its own decision
@@ -406,19 +381,18 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
     for i in 0..40 {
         jobs = with_job(&jobs, pool.job(JobId::new(i)));
     }
-    let mut tables = Analysis::new(&jobs).into_tables();
+    let mut analysis = Analysis::owned(jobs);
     let mut state = OnlineSuiteState::new();
-    (_, tables) = decide_and_check(&registry, &mut state, &jobs, tables, "initial cold decide");
+    decide_and_check(&registry, &mut state, &analysis, "initial cold decide");
 
     for step in 0..ops {
-        let what = format!("seed {seed}, step {step}, {} jobs", jobs.len());
+        let len = analysis.jobs().len();
+        let what = format!("seed {seed}, step {step}, {len} jobs");
         let roll = rng.next();
-        if jobs.len() >= 70 || (jobs.len() > 40 && roll.is_multiple_of(4)) {
-            let victim = JobId::new((rng.next() % jobs.len() as u64) as usize);
-            let reduced = jobs.swap_remove_job(victim);
-            tables.remove_job(victim);
-            (_, tables) = decide_and_check(&registry, &mut state, &reduced, tables, &what);
-            jobs = reduced;
+        if len >= 70 || (len > 40 && roll.is_multiple_of(4)) {
+            let victim = JobId::new((rng.next() % len as u64) as usize);
+            analysis.swap_remove(victim);
+            decide_and_check(&registry, &mut state, &analysis, &what);
             continue;
         }
 
@@ -433,16 +407,14 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
             // A state recorded over a different set of the same size.
             7 => {
                 let (mut other, _) = other_pool.restrict_to(&[]).unwrap();
-                for _ in 0..jobs.len() {
+                for _ in 0..len {
                     other = with_job(&other, &pick(&other_pool, &mut rng));
                 }
                 let mut other_state = OnlineSuiteState::new();
-                let other_tables = Analysis::new(&other).into_tables();
                 let _ = decide_and_check(
                     &registry,
                     &mut other_state,
-                    &other,
-                    other_tables,
+                    &Analysis::new(&other),
                     "stale source",
                 );
                 state = other_state;
@@ -452,16 +424,14 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
         }
 
         let previous = audsley(&state).clone();
-        let candidate = with_job(&jobs, &pick(&pool, &mut rng));
-        tables.extend_with_job(&candidate);
+        analysis.push(builder(&pick(&pool, &mut rng))).unwrap();
         let saved = state.clone();
-        let (verdict, back) = decide_and_check(&registry, &mut state, &candidate, tables, &what);
-        tables = back;
+        let verdict = decide_and_check(&registry, &mut state, &analysis, &what);
 
         let warm = previous
             .cache
             .as_ref()
-            .is_some_and(|cache| Some(cache.generation()) == tables.parent_generation());
+            .is_some_and(|cache| Some(cache.generation()) == analysis.tables().parent_generation());
         assert!(
             !warm || !matches!(step % 9, 4 | 7),
             "{what}: no usable cache"
@@ -485,10 +455,8 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
         }
 
         // Keep a rejected arrival now and then instead of rolling back.
-        if verdict.is_accepted() || roll % 5 == 1 {
-            jobs = candidate;
-        } else {
-            tables.remove_last_job();
+        if !verdict.is_accepted() && roll % 5 != 1 {
+            analysis.pop();
             state = saved;
         }
     }

@@ -1,21 +1,33 @@
 //! The pair tables of one job set, the input of every delay evaluation.
 
-use msmr_model::JobSet;
+use std::borrow::Cow;
+
+use msmr_model::{Job, JobBuilder, JobId, JobSet, ModelError};
 
 use crate::PairTables;
 
-/// Precomputed delay composition analysis of one [`JobSet`]: its
-/// [`PairTables`], from which every [`DelayEvaluator`](crate::DelayEvaluator)
-/// reads.
+/// Precomputed delay composition analysis of one [`JobSet`]: the jobs
+/// together with their [`PairTables`], from which every
+/// [`DelayEvaluator`](crate::DelayEvaluator) reads.
 ///
 /// Construction is `O(n²·N)`: for every ordered pair of jobs the segment
 /// structure and shared-stage processing times are computed once. Every
 /// evaluator update afterwards is `O(N)` and every delay read `O(1)`,
 /// which keeps the `O(n²)` schedulability-test invocations of OPA and the
 /// many evaluations of the pairwise branch-and-bound search cheap.
+///
+/// An analysis either borrows its jobs ([`Analysis::new`], the cold path)
+/// or owns them ([`Analysis::owned`], a long-running admission session).
+/// [`Analysis::push`], [`Analysis::pop`] and [`Analysis::swap_remove`]
+/// change the jobs and the tables together in place, computing only the
+/// pairs an arrival adds (`O(n·N)`) and moving, never recomputing, the
+/// pairs a departure leaves; the result is bit-identical to
+/// `Analysis::new` on the changed set (property-tested in
+/// `tests/tables_extension.rs`). A borrowed analysis clones its jobs on
+/// its first change.
 #[derive(Debug, Clone)]
 pub struct Analysis<'a> {
-    jobs: &'a JobSet,
+    jobs: Cow<'a, JobSet>,
     tables: PairTables,
 }
 
@@ -25,66 +37,55 @@ impl<'a> Analysis<'a> {
     #[must_use]
     pub fn new(jobs: &'a JobSet) -> Self {
         let tables = PairTables::build(jobs);
-        Analysis { jobs, tables }
+        Analysis {
+            jobs: Cow::Borrowed(jobs),
+            tables,
+        }
     }
 
-    /// Re-assembles an analysis from already-built [`PairTables`] —
-    /// the cross-request caching entry point: a long-running admission
-    /// session keeps the tables alive (extending them per arrival via
-    /// [`PairTables::extend_with_job`]) and wraps them in a fresh
-    /// `Analysis` per query instead of paying [`Analysis::new`]'s
-    /// `O(n²·N)` pass again.
+    /// Appends one arriving job at the next dense id (which is
+    /// returned) and computes only its row and column of the pair
+    /// tables. Only the new job is validated.
+    ///
+    /// # Errors
+    ///
+    /// The [`ModelError`]s of [`JobSet::push`]; the jobs and the tables
+    /// (their [`PairTables::generation`] included) are then unchanged.
+    pub fn push(&mut self, job: JobBuilder) -> Result<JobId, ModelError> {
+        let id = self.jobs.to_mut().push(job)?;
+        self.tables.extend_with_job(&self.jobs);
+        Ok(id)
+    }
+
+    /// Removes the job with the highest id, or returns `None` when there
+    /// is none. Right after the [`Analysis::push`] that added it, this
+    /// rolls the arrival back completely: the tables get their previous
+    /// [`PairTables::generation`] back, so state derived from them stays
+    /// valid (the rejected-admission path).
+    pub fn pop(&mut self) -> Option<Job> {
+        let job = self.jobs.to_mut().pop()?;
+        self.tables.remove_last_job();
+        Some(job)
+    }
+
+    /// Removes `removed` by swap-removal ([`JobSet::swap_remove`]
+    /// mirrored by [`PairTables::remove_job`]): the highest-id job takes
+    /// over `removed`'s id and every other job keeps its own. `O(n·N)`
+    /// data movement and no pair recomputation.
     ///
     /// # Panics
     ///
-    /// Panics if the tables do not describe `jobs` (job or stage count
-    /// mismatch). The per-pair *values* are trusted; callers must pass the
-    /// job set the tables were built from (and extended with).
-    #[must_use]
-    pub fn from_tables(jobs: &'a JobSet, tables: PairTables) -> Self {
-        assert_eq!(
-            tables.job_count(),
-            jobs.len(),
-            "tables were built for a different number of jobs"
-        );
-        assert_eq!(
-            tables.stage_count(),
-            jobs.stage_count(),
-            "tables were built for a different pipeline"
-        );
-        Analysis { jobs, tables }
+    /// Panics if the id is out of range.
+    pub fn swap_remove(&mut self, removed: JobId) -> Job {
+        let job = self.jobs.to_mut().swap_remove(removed);
+        self.tables.remove_job(removed);
+        job
     }
 
-    /// Releases the precomputed tables for reuse (the counterpart of
-    /// [`Analysis::from_tables`]).
+    /// The job set being analysed.
     #[must_use]
-    pub fn into_tables(self) -> PairTables {
-        self.tables
-    }
-
-    /// Extends the analysis with the one job that `jobs` appends to the
-    /// analysed set, reusing every already-computed pair: only the new
-    /// job's row and column of the pair tables are computed (`O(n·N)`
-    /// instead of the `O(n²·N)` rebuild of [`Analysis::new`]). The
-    /// returned analysis borrows the extended job set and is bit-identical
-    /// to `Analysis::new(jobs)` for every bound (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` does not extend the analysed set by exactly one
-    /// job or changes the pipeline.
-    #[must_use]
-    pub fn extend_with_job(self, jobs: &JobSet) -> Analysis<'_> {
-        let mut tables = self.tables;
-        tables.extend_with_job(jobs);
-        Analysis { jobs, tables }
-    }
-
-    /// The job set being analysed (with the full borrow lifetime, so the
-    /// reference can outlive the analysis value itself).
-    #[must_use]
-    pub fn jobs(&self) -> &'a JobSet {
-        self.jobs
+    pub fn jobs(&self) -> &JobSet {
+        &self.jobs
     }
 
     /// The flat struct-of-arrays pair tables read by
@@ -92,6 +93,20 @@ impl<'a> Analysis<'a> {
     #[must_use]
     pub fn tables(&self) -> &PairTables {
         &self.tables
+    }
+}
+
+impl Analysis<'static> {
+    /// [`Analysis::new`] over a job set the analysis keeps: the
+    /// constructor of an analysis that outlives any one borrow, such as
+    /// the one an admission session changes in place across requests.
+    #[must_use]
+    pub fn owned(jobs: JobSet) -> Self {
+        let tables = PairTables::build(&jobs);
+        Analysis {
+            jobs: Cow::Owned(jobs),
+            tables,
+        }
     }
 }
 

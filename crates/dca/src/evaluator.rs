@@ -720,7 +720,7 @@ mod tests {
         let ids: Vec<JobId> = jobs.job_ids().collect();
         let (prefix, _) = jobs.restrict_to(&ids[..3]).unwrap();
         for kind in DelayBoundKind::all() {
-            let mut tables = Analysis::new(&prefix).into_tables();
+            let mut tables = Analysis::new(&prefix).tables().clone();
             let mut eval = DelayEvaluator::new(&tables, kind);
             eval.seed_all_higher();
             eval.demote(jid(0), jid(2));

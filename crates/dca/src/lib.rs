@@ -51,14 +51,15 @@
 //! apply the inverse operations on backtrack instead of cloning any
 //! state.
 //!
-//! The tables also support **online extension** for admission-control
-//! services: [`PairTables::extend_with_job`] /
-//! [`Analysis::extend_with_job`] append one arriving job by computing
+//! An analysis also changes **in place** for admission-control
+//! services: [`Analysis::push`] appends one arriving job by computing
 //! only its new row and column (`O(n·N)` pairs, bit-identical to a full
-//! rebuild — property-tested in `tests/tables_extension.rs`), and
-//! [`PairTables::remove_last_job`] rolls a rejected arrival back. The
-//! `msmr-serve` sessions keep one set of tables warm across requests
-//! this way instead of re-running the `O(n²·N)` pass per arrival.
+//! rebuild — property-tested in `tests/tables_extension.rs`),
+//! [`Analysis::pop`] rolls a rejected arrival back and
+//! [`Analysis::swap_remove`] lets any job depart with no pair
+//! recomputed. The `msmr-serve` sessions keep one owned
+//! ([`Analysis::owned`]) analysis warm across requests this way instead
+//! of re-running the `O(n²·N)` pass per arrival.
 //!
 //! The [`reference`](mod@reference) module is the test oracle: the same
 //! bounds written out from scratch over one

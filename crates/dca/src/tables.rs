@@ -537,7 +537,7 @@ impl PairTables {
     }
 
     /// Removes *any* job by swap-removal, mirroring
-    /// [`JobSet::swap_remove_job`](msmr_model::JobSet::swap_remove_job):
+    /// [`JobSet::swap_remove`](msmr_model::JobSet::swap_remove):
     /// the highest-id job's row, column, masks and per-target scalars move
     /// into the victim's slot, every other job keeps its id, and the freed
     /// last slot stays allocated as dead storage for the next arrival.

@@ -1,11 +1,11 @@
-//! Property suite for incremental pair-table extension: growing an
-//! [`Analysis`]/[`PairTables`] one job at a time must be bit-identical to
-//! a full rebuild on the extended set — the primitive the `msmr-serve`
-//! admission-session cache rides on.
+//! Property suite for incremental pair-table changes: growing, shrinking
+//! or swap-removing from an [`Analysis`]/[`PairTables`] one job at a time
+//! must be bit-identical to a full rebuild on the changed set — the
+//! primitive the `msmr-serve` admission session rides on.
 
 use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
 use msmr_dca::{Analysis, DelayBoundKind, DelayEvaluator, PairTables};
-use msmr_model::{Job, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
+use msmr_model::{Job, JobBuilder, JobId, JobSet, Pipeline, PreemptionPolicy, Time};
 use proptest::prelude::*;
 
 /// Random MSMR job sets: 2–4 stages, up to 3 resources per stage, 3–8
@@ -51,6 +51,16 @@ fn prefixes(jobs: &JobSet) -> Vec<JobSet> {
     (1..=ids.len())
         .map(|m| jobs.restrict_to(&ids[..m]).unwrap().0)
         .collect()
+}
+
+/// A builder describing `job` (arrival, deadline and every stage).
+fn builder(job: &Job) -> JobBuilder {
+    job.processing_times().iter().zip(job.resources()).fold(
+        Job::builder()
+            .arrival(job.arrival())
+            .deadline(job.deadline()),
+        |b, (&p, &r)| b.stage_time(p, r),
+    )
 }
 
 /// A total priority order of `n` jobs derived from sort keys.
@@ -114,7 +124,9 @@ proptest! {
         let sets = prefixes(&jobs);
         let mut analysis = Analysis::new(&sets[0]);
         for m in 1..sets.len() {
-            analysis = analysis.extend_with_job(&sets[m]);
+            let id = analysis.push(builder(jobs.job(JobId::new(m)))).unwrap();
+            prop_assert_eq!(id, JobId::new(m));
+            prop_assert_eq!(analysis.jobs(), &sets[m]);
             let rebuilt = Analysis::new(&sets[m]);
             let order = order_from_keys(m + 1, &keys);
             assert_tables_equivalent(analysis.tables(), rebuilt.tables(), &order);
@@ -146,13 +158,13 @@ proptest! {
     fn extension_updates_a_built_opa_cache(jobs in arbitrary_jobset(), keys in prop::collection::vec(0u64..1_000, 8)) {
         let sets = prefixes(&jobs);
         let n = sets.len();
-        let analysis = Analysis::new(&sets[n - 2]);
+        let mut analysis = Analysis::new(&sets[n - 2]);
         // Force the Eq. 5 blocking cache *before* the extension.
         let _ = analysis.evaluator(DelayBoundKind::NonPreemptiveOpa);
-        let extended = analysis.extend_with_job(&sets[n - 1]);
+        analysis.push(builder(jobs.job(JobId::new(n - 1)))).unwrap();
         let rebuilt = Analysis::new(&sets[n - 1]);
         let order = order_from_keys(n, &keys);
-        assert_tables_equivalent(extended.tables(), rebuilt.tables(), &order);
+        assert_tables_equivalent(analysis.tables(), rebuilt.tables(), &order);
     }
 
     /// `remove_last_job` rolls an extension back to the original tables
@@ -161,7 +173,7 @@ proptest! {
     fn remove_last_job_rolls_back_an_extension(jobs in arbitrary_jobset(), keys in prop::collection::vec(0u64..1_000, 8)) {
         let sets = prefixes(&jobs);
         let n = sets.len();
-        let mut tables = Analysis::new(&sets[n - 2]).into_tables();
+        let mut tables = Analysis::new(&sets[n - 2]).tables().clone();
         tables.extend_with_job(&sets[n - 1]);
         tables.remove_last_job();
         let original = Analysis::new(&sets[n - 2]);
@@ -180,9 +192,10 @@ proptest! {
     ) {
         let n = jobs.len();
         let victim = JobId::new(victim_key % n);
-        let mut tables = Analysis::new(&jobs).into_tables();
+        let mut tables = Analysis::new(&jobs).tables().clone();
         tables.remove_job(victim);
-        let reduced = jobs.swap_remove_job(victim);
+        let mut reduced = jobs.clone();
+        reduced.swap_remove(victim);
         if victim.index() + 1 < n {
             // The highest-id job took over the victim's id.
             prop_assert_eq!(
@@ -197,15 +210,76 @@ proptest! {
 
     /// Repeated removals down to a single job stay rebuild-identical at
     /// every step, with a built Eq. 5 cache discarded and rebuilt along
-    /// the way.
+    /// the way; so does a random walk of in-place pushes, pops,
+    /// swap-removals and invalid pushes on an owned [`Analysis`], whose
+    /// jobs follow a `Vec<Job>` mirror re-validated by [`JobSet::new`].
     #[test]
     fn repeated_removals_stay_rebuild_identical(
         jobs in arbitrary_jobset(),
         victims in prop::collection::vec(0usize..64, 4),
         keys in prop::collection::vec(0u64..1_000, 8),
+        walk in prop::collection::vec((0u8..4, 0usize..64), 10),
     ) {
+        let mut analysis = Analysis::owned(jobs.clone());
+        let mut mirror: Vec<Job> = jobs.jobs().cloned().collect();
+        // The generation before the latest op, when that op was a push.
+        let mut pushed_over = None;
+        for &(op, pick) in &walk {
+            let before = analysis.tables().generation();
+            let n = mirror.len();
+            match op {
+                0 => {
+                    let arrival = builder(jobs.job(JobId::new(pick % jobs.len())));
+                    let id = analysis.push(arrival.clone()).unwrap();
+                    prop_assert_eq!(id, JobId::new(n));
+                    mirror.push(arrival.build(id).unwrap());
+                }
+                1 => {
+                    let popped = analysis.pop();
+                    prop_assert_eq!(popped, mirror.pop());
+                    if let Some(generation) = pushed_over {
+                        prop_assert_eq!(analysis.tables().generation(), generation);
+                    }
+                }
+                2 if n > 0 => {
+                    let victim = JobId::new(pick % n);
+                    let removed = analysis.swap_remove(victim);
+                    prop_assert_eq!(removed, mirror.swap_remove(victim.index()));
+                }
+                2 => {}
+                _ => {
+                    // One stage too few, a zero deadline, or a resource
+                    // the pipeline lacks.
+                    let valid = jobs.job(JobId::new(pick % jobs.len()));
+                    let invalid = match pick % 3 {
+                        0 => Job::builder()
+                            .deadline(valid.deadline())
+                            .stage_time(Time::new(1), 0),
+                        1 => builder(valid).deadline(Time::ZERO),
+                        _ => Job::builder().deadline(valid.deadline()).stages(
+                            (0..jobs.stage_count()).map(|_| (Time::new(1), 9usize)),
+                        ),
+                    };
+                    let expected = analysis.jobs().with_job(invalid.clone()).unwrap_err();
+                    prop_assert_eq!(analysis.push(invalid).unwrap_err(), expected);
+                    prop_assert_eq!(analysis.tables().generation(), before);
+                }
+            }
+            pushed_over = (op == 0).then_some(before);
+            let expected = JobSet::new(jobs.pipeline().clone(), mirror).unwrap();
+            prop_assert_eq!(analysis.jobs(), &expected);
+            mirror = expected.jobs().cloned().collect();
+            if pick % 2 == 0 {
+                // Exercise the Eq. 5 cache's update and discard paths.
+                let _ = analysis.evaluator(DelayBoundKind::NonPreemptiveOpa);
+            }
+            let rebuilt = Analysis::new(&expected);
+            let order = order_from_keys(expected.len(), &keys);
+            assert_tables_equivalent(analysis.tables(), rebuilt.tables(), &order);
+        }
+
         let mut current = jobs;
-        let mut tables = Analysis::new(&current).into_tables();
+        let mut tables = Analysis::new(&current).tables().clone();
         for &pick in &victims {
             if current.len() <= 1 {
                 break;
@@ -214,7 +288,7 @@ proptest! {
             let _ = DelayEvaluator::new(&tables, DelayBoundKind::NonPreemptiveOpa);
             let victim = JobId::new(pick % current.len());
             tables.remove_job(victim);
-            current = current.swap_remove_job(victim);
+            current.swap_remove(victim);
             let rebuilt = Analysis::new(&current);
             let order = order_from_keys(current.len(), &keys);
             assert_tables_equivalent(&tables, rebuilt.tables(), &order);
@@ -227,7 +301,7 @@ proptest! {
     fn reserve_is_value_neutral(jobs in arbitrary_jobset(), keys in prop::collection::vec(0u64..1_000, 8)) {
         let sets = prefixes(&jobs);
         let n = sets.len();
-        let mut tables = Analysis::new(&sets[0]).into_tables();
+        let mut tables = Analysis::new(&sets[0]).tables().clone();
         tables.reserve(64);
         prop_assert_eq!(tables.capacity(), 64);
         for set in &sets[1..] {
@@ -259,7 +333,7 @@ fn generations_identify_contents() {
     let ids: Vec<JobId> = jobs.job_ids().collect();
     let (prefix, _) = jobs.restrict_to(&ids[..2]).unwrap();
 
-    let mut tables = Analysis::new(&prefix).into_tables();
+    let mut tables = Analysis::new(&prefix).tables().clone();
     let built = tables.generation();
     assert_eq!(tables.parent_generation(), None);
     assert_ne!(Analysis::new(&prefix).tables().generation(), built);

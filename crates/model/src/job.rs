@@ -35,7 +35,7 @@ use crate::{JobId, ModelError, ResourceId, StageId, Time};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Job {
-    id: JobId,
+    pub(crate) id: JobId,
     arrival: Time,
     deadline: Time,
     processing: Vec<Time>,

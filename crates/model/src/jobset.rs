@@ -84,44 +84,9 @@ impl JobSet {
     }
 
     fn validate(&self) -> Result<(), ModelError> {
-        let n_stages = self.pipeline.stage_count();
-        for job in &self.jobs {
-            if job.deadline().is_zero() {
-                return Err(ModelError::ZeroDeadline { job: job.id() });
-            }
-            if job.processing_times().iter().all(|p| p.is_zero()) {
-                return Err(ModelError::ZeroProcessing { job: job.id() });
-            }
-            if job.stage_count() != n_stages {
-                return Err(ModelError::StageCountMismatch {
-                    job: job.id(),
-                    expected: n_stages,
-                    actual: job.stage_count(),
-                });
-            }
-            // The builder always produces paired arrays, but a job set
-            // assembled another way (e.g. deserialized) can disagree.
-            if job.resources().len() != n_stages {
-                return Err(ModelError::StageCountMismatch {
-                    job: job.id(),
-                    expected: n_stages,
-                    actual: job.resources().len(),
-                });
-            }
-            for (j, &resource) in job.resources().iter().enumerate() {
-                let stage = StageId::new(j);
-                let available = self.pipeline.try_stage(stage)?.resource_count();
-                if resource.index() >= available {
-                    return Err(ModelError::UnknownResource {
-                        job: job.id(),
-                        stage,
-                        resource: resource.index(),
-                        available,
-                    });
-                }
-            }
-        }
-        Ok(())
+        self.jobs
+            .iter()
+            .try_for_each(|job| validate_job(&self.pipeline, job))
     }
 
     /// The pipeline the jobs execute on.
@@ -250,72 +215,61 @@ impl JobSet {
             .unwrap_or(Time::ZERO)
     }
 
-    /// Returns a copy of this job set with the job `removed` deleted and the
-    /// remaining jobs re-numbered densely (preserving relative order).
-    ///
-    /// Also returns the mapping from new [`JobId`]s to the original ids, so
-    /// results computed on the reduced set can be reported in terms of the
-    /// original jobs. Used by the admission-controller variants of the
-    /// algorithms (§VI-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `removed` is out of range.
-    #[must_use]
-    pub fn without_job(&self, removed: JobId) -> (JobSet, Vec<JobId>) {
-        assert!(removed.index() < self.jobs.len(), "job id out of range");
-        let mut kept = Vec::with_capacity(self.jobs.len() - 1);
-        let mut original = Vec::with_capacity(self.jobs.len() - 1);
-        for job in &self.jobs {
-            if job.id() != removed {
-                original.push(job.id());
-                kept.push(job.clone());
-            }
-        }
-        let set =
-            JobSet::new(self.pipeline.clone(), kept).expect("removing a job preserves validity");
-        (set, original)
-    }
-
-    /// Returns a copy of this job set with the job `removed` deleted by
-    /// **swap-removal**: the job holding the highest id moves into the
-    /// vacated slot (taking over `removed`'s id) and every other job keeps
-    /// its id (nothing moves when `removed` already held the highest id).
-    ///
-    /// This is the departure primitive of online admission control: unlike
-    /// [`JobSet::without_job`], which renumbers every job after the
-    /// victim, swap-removal disturbs exactly one id, so pair-level caches
-    /// built for this set (e.g. `msmr_dca::PairTables::remove_job`) can be
-    /// patched in `O(n·N)` instead of rebuilt in `O(n²·N)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `removed` is out of range.
-    #[must_use]
-    pub fn swap_remove_job(&self, removed: JobId) -> JobSet {
-        assert!(removed.index() < self.jobs.len(), "job id out of range");
-        let mut jobs = self.jobs.clone();
-        jobs.swap_remove(removed.index());
-        JobSet::new(self.pipeline.clone(), jobs).expect("removing a job preserves validity")
-    }
-
-    /// Returns a copy of this job set with one more job appended at the
-    /// next dense id (which is also returned).
-    ///
-    /// This is the arrival primitive of online admission control: the
-    /// existing jobs keep their ids and parameters, so pair-level caches
-    /// built for this set (e.g. `msmr_dca::PairTables`) can be extended
-    /// instead of rebuilt.
+    /// Appends one job at the next dense id (which is returned),
+    /// validating only that job: the existing jobs keep their ids and
+    /// parameters, so pair-level caches built for this set (e.g.
+    /// `msmr_dca::PairTables`) can be extended instead of rebuilt. This
+    /// is the arrival primitive of online admission control.
     ///
     /// # Errors
     ///
     /// Returns the usual per-job and pipeline-consistency
-    /// [`ModelError`]s if the new job is invalid for this pipeline.
-    pub fn with_job(&self, job: JobBuilder) -> Result<(JobSet, JobId), ModelError> {
+    /// [`ModelError`]s if the new job is invalid for this pipeline; the
+    /// set is then unchanged.
+    pub fn push(&mut self, job: JobBuilder) -> Result<JobId, ModelError> {
         let id = JobId::new(self.jobs.len());
-        let mut jobs = self.jobs.clone();
-        jobs.push(job.build(id)?);
-        let set = JobSet::new(self.pipeline.clone(), jobs)?;
+        let job = job.build(id)?;
+        validate_job(&self.pipeline, &job)?;
+        self.jobs.push(job);
+        Ok(id)
+    }
+
+    /// Removes the job with the highest id (the rollback of a
+    /// [`JobSet::push`]), or returns `None` when the set is empty.
+    pub fn pop(&mut self) -> Option<Job> {
+        self.jobs.pop()
+    }
+
+    /// Removes the job `removed` by **swap-removal**: the job holding the
+    /// highest id moves into the vacated slot (taking over `removed`'s
+    /// id) and every other job keeps its id (nothing moves when `removed`
+    /// already held the highest id). This is the departure primitive of
+    /// online admission control: it disturbs exactly one id, so pair-level
+    /// caches built for this set (e.g. `msmr_dca::PairTables::remove_job`)
+    /// can be patched in `O(n·N)` instead of rebuilt in `O(n²·N)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `removed` is out of range.
+    pub fn swap_remove(&mut self, removed: JobId) -> Job {
+        assert!(removed.index() < self.jobs.len(), "job id out of range");
+        let job = self.jobs.swap_remove(removed.index());
+        if let Some(moved) = self.jobs.get_mut(removed.index()) {
+            moved.id = removed;
+        }
+        job
+    }
+
+    /// Returns a copy of this job set with one more job appended at the
+    /// next dense id (which is also returned) — [`JobSet::push`] on a
+    /// clone.
+    ///
+    /// # Errors
+    ///
+    /// The [`ModelError`]s of [`JobSet::push`].
+    pub fn with_job(&self, job: JobBuilder) -> Result<(JobSet, JobId), ModelError> {
+        let mut set = self.clone();
+        let id = set.push(job)?;
         Ok((set, id))
     }
 
@@ -333,6 +287,47 @@ impl JobSet {
         let set = JobSet::new(self.pipeline.clone(), kept)?;
         Ok((set, keep.to_vec()))
     }
+}
+
+/// The per-job invariants [`JobSet::new`] checks, for one job against
+/// the pipeline it is to run on.
+fn validate_job(pipeline: &Pipeline, job: &Job) -> Result<(), ModelError> {
+    let n_stages = pipeline.stage_count();
+    if job.deadline().is_zero() {
+        return Err(ModelError::ZeroDeadline { job: job.id() });
+    }
+    if job.processing_times().iter().all(|p| p.is_zero()) {
+        return Err(ModelError::ZeroProcessing { job: job.id() });
+    }
+    if job.stage_count() != n_stages {
+        return Err(ModelError::StageCountMismatch {
+            job: job.id(),
+            expected: n_stages,
+            actual: job.stage_count(),
+        });
+    }
+    // The builder always produces paired arrays, but a job set
+    // assembled another way (e.g. deserialized) can disagree.
+    if job.resources().len() != n_stages {
+        return Err(ModelError::StageCountMismatch {
+            job: job.id(),
+            expected: n_stages,
+            actual: job.resources().len(),
+        });
+    }
+    for (j, &resource) in job.resources().iter().enumerate() {
+        let stage = StageId::new(j);
+        let available = pipeline.try_stage(stage)?.resource_count();
+        if resource.index() >= available {
+            return Err(ModelError::UnknownResource {
+                job: job.id(),
+                stage,
+                resource: resource.index(),
+                available,
+            });
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for JobSet {
@@ -569,22 +564,14 @@ mod tests {
     }
 
     #[test]
-    fn without_job_renumbers() {
-        let set = three_stage_set();
-        let (reduced, original) = set.without_job(JobId::new(1));
-        assert_eq!(reduced.len(), 2);
-        assert_eq!(original, vec![JobId::new(0), JobId::new(2)]);
-        // The remaining jobs keep their parameters but get dense ids.
-        assert_eq!(reduced.job(JobId::new(1)).deadline(), Time::new(70));
-    }
-
-    #[test]
     fn swap_remove_moves_only_the_last_job() {
         let set = three_stage_set();
-        let reduced = set.swap_remove_job(JobId::new(0));
+        let mut reduced = set.clone();
+        assert_eq!(reduced.swap_remove(JobId::new(0)), *set.job(JobId::new(0)));
         assert_eq!(reduced.len(), 2);
         // J1 keeps its id; the old J2 now answers at id 0.
         assert_eq!(reduced.job(JobId::new(1)), set.job(JobId::new(1)));
+        assert_eq!(reduced.job(JobId::new(0)).id(), JobId::new(0));
         assert_eq!(
             reduced.job(JobId::new(0)).deadline(),
             set.job(JobId::new(2)).deadline()
@@ -594,7 +581,8 @@ mod tests {
             set.job(JobId::new(2)).processing_times()
         );
         // Removing the highest id moves nothing.
-        let reduced = set.swap_remove_job(JobId::new(2));
+        let mut reduced = set.clone();
+        reduced.swap_remove(JobId::new(2));
         assert_eq!(reduced.len(), 2);
         for old in reduced.job_ids() {
             assert_eq!(reduced.job(old), set.job(old));
@@ -650,6 +638,30 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ModelError::UnknownResource { .. }));
+        // In place: a rejected push leaves the set as it was, and `pop`
+        // takes a pushed job back out.
+        let mut grown = set.clone();
+        let err = grown
+            .push(
+                Job::builder()
+                    .deadline(Time::new(40))
+                    .stage_time(Time::new(1), 0),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ModelError::StageCountMismatch { .. }));
+        assert_eq!(grown, set);
+        let id = grown
+            .push(
+                Job::builder()
+                    .deadline(Time::new(40))
+                    .stage_time(Time::new(1), 0)
+                    .stage_time(Time::new(2), 1)
+                    .stage_time(Time::new(3), 0),
+            )
+            .unwrap();
+        assert_eq!((&grown, id), (&extended, JobId::new(3)));
+        assert_eq!(grown.pop().as_ref(), Some(extended.job(id)));
+        assert_eq!(grown, set);
     }
 
     #[test]

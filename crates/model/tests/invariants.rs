@@ -144,26 +144,6 @@ proptest! {
         prop_assert!((profile.system() - max_chi).abs() < 1e-12);
     }
 
-    /// Removing a job keeps every other job's parameters intact and only
-    /// ever lowers per-resource heaviness.
-    #[test]
-    fn without_job_preserves_remaining_parameters(jobs in arbitrary_jobset()) {
-        let victim = JobId::new(0);
-        if jobs.len() < 2 { return Ok(()); }
-        let before = HeavinessProfile::of(&jobs);
-        let (reduced, original_ids) = jobs.without_job(victim);
-        prop_assert_eq!(reduced.len(), jobs.len() - 1);
-        for (new_idx, original) in original_ids.iter().enumerate() {
-            let new_job = reduced.job(JobId::new(new_idx));
-            let old_job = jobs.job(*original);
-            prop_assert_eq!(new_job.deadline(), old_job.deadline());
-            prop_assert_eq!(new_job.processing_times(), old_job.processing_times());
-            prop_assert_eq!(new_job.resources(), old_job.resources());
-        }
-        let after = HeavinessProfile::of(&reduced);
-        prop_assert!(after.system() <= before.system() + 1e-12);
-    }
-
     /// Segments computed directly from jobs agree with the standalone
     /// constructor, and interference windows are symmetric.
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::io;
 
 use msmr_model::{JobId, JobSet};
-use msmr_sched::{Budget, SolveCtx, SolverRegistry};
+use msmr_sched::{SolveCtx, SolverRegistry};
 
 use crate::protocol::{Frame, JobSpec, Op, Response};
 use crate::{normalized_verdict_json, AdmissionSession, ObservedOp, SessionConfig};
@@ -232,10 +232,7 @@ pub fn replay_cold(
     evaluate: bool,
 ) -> Result<(), String> {
     let registry = SolverRegistry::paper_suite(config.bound);
-    let budget = match config.node_limit {
-        Some(limit) => Budget::default().with_node_limit(limit),
-        None => Budget::default(),
-    };
+    let budget = config.budget();
     let decider = registry
         .solver(&config.decider)
         .ok_or_else(|| format!("decider `{}` is not in the suite", config.decider))?;
@@ -256,10 +253,10 @@ pub fn replay_cold(
                 admitted,
                 handle,
             } => {
-                let (candidate, _) = mirror
-                    .with_job(spec.to_builder())
+                mirror
+                    .push(spec.to_builder())
                     .map_err(|e| format!("seq {seq} offers an invalid job: {e}"))?;
-                let verdicts = solve(&candidate);
+                let verdicts = solve(&mirror);
                 let decided = verdicts
                     .iter()
                     .any(|v| v.solver == config.decider && v.is_accepted());
@@ -270,7 +267,8 @@ pub fn replay_cold(
                 }
                 if decided {
                     handles.push(handle.ok_or_else(|| format!("seq {seq} admitted no handle"))?);
-                    mirror = candidate;
+                } else {
+                    mirror.pop();
                 }
                 verdicts
             }
@@ -279,7 +277,7 @@ pub fn replay_cold(
                     format!("seq {seq} withdraws handle {handle}, which was never admitted")
                 })?;
                 handles.swap_remove(index);
-                mirror = mirror.swap_remove_job(JobId::new(index));
+                mirror.swap_remove(JobId::new(index));
                 if mirror.is_empty() {
                     Vec::new()
                 } else {

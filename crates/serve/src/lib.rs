@@ -9,13 +9,13 @@
 //! [`msmr_sched::SolverRegistry::evaluate`] — answers that question for
 //! one snapshot; this crate turns it into a long-running service:
 //!
-//! * [`AdmissionSession`] owns the admitted job set and keeps the
-//!   [`msmr_dca::Analysis`] pair tables **warm across requests**: an
-//!   `admit` extends them for the single arriving job
-//!   ([`msmr_dca::PairTables::extend_with_job`], `O(n·N)` new pairs)
-//!   instead of rebuilding all `O(n²)` pairs, and rolls back on
-//!   rejection; a `withdraw` swap-removes *any* victim's row and column
-//!   ([`msmr_dca::PairTables::remove_job`], also `O(n·N)`) instead of
+//! * [`AdmissionSession`] owns one [`msmr_dca::Analysis`] of the
+//!   admitted job set — the jobs and their pair tables — and keeps it
+//!   **warm across requests**: an `admit` appends the single arriving
+//!   job in place ([`msmr_dca::Analysis::push`], `O(n·N)` new pairs)
+//!   instead of rebuilding all `O(n²)` pairs, and pops it again on
+//!   rejection; a `withdraw` swap-removes *any* victim
+//!   ([`msmr_dca::Analysis::swap_remove`], also `O(n·N)`) instead of
 //!   rebuilding. Admission latency therefore scales with the arrival,
 //!   not with how the session got to its current size.
 //! * The session also keeps the **decider state** warm: `admit` and

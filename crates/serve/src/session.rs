@@ -33,6 +33,17 @@ pub struct SessionConfig {
     pub stats: Option<Arc<StatsRegistry>>,
 }
 
+impl SessionConfig {
+    /// The [`Budget`] every solve of a session with this config runs
+    /// under.
+    pub(crate) fn budget(&self) -> Budget {
+        match self.node_limit {
+            Some(limit) => Budget::default().with_node_limit(limit),
+            None => Budget::default(),
+        }
+    }
+}
+
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
@@ -233,11 +244,9 @@ impl SessionStatus {
 
 /// The admitted job set together with its warm caches.
 struct SessionState {
-    jobs: JobSet,
-    /// The shared pair tables, extended in place per arrival instead of
-    /// rebuilt (`Option` only so evaluation can temporarily take
-    /// ownership; always `Some` between operations).
-    tables: Option<PairTables>,
+    /// The admitted jobs and their pair tables, changed together in
+    /// place per arrival and departure instead of rebuilt.
+    analysis: Analysis<'static>,
     /// External handle of each admitted job, indexed by internal id.
     handles: Vec<u64>,
 }
@@ -245,18 +254,16 @@ struct SessionState {
 /// A stateful online admission-control session (one per connection in the
 /// daemon; also usable directly as a library).
 ///
-/// The session owns the admitted [`JobSet`] and keeps the
-/// [`msmr_dca::Analysis`] pair tables warm across requests: an
-/// [`AdmissionSession::admit`] extends them for the single arriving job
-/// via [`PairTables::extend_with_job`] — `O(n·N)` new pair computations —
-/// instead of rebuilding all `O(n²)` pairs, and rolls the extension back
-/// with [`PairTables::remove_last_job`] when the decider rejects; an
-/// [`AdmissionSession::withdraw`] swap-removes the victim's row and
-/// column with [`PairTables::remove_job`] (`O(n·N)` for *any* victim).
-/// Every evaluation wraps the cached tables in a [`SolveCtx`] through
-/// [`Analysis::from_tables`]/[`SolveCtx::with_analysis`] and reclaims them
-/// afterwards, so no request ever pays the full `O(n²·N)` analysis pass
-/// except the initial `submit`.
+/// The session owns one [`Analysis`] of the admitted [`JobSet`] — the
+/// jobs and their pair tables — and keeps it warm across requests: an
+/// [`AdmissionSession::admit`] appends the arriving job with
+/// [`Analysis::push`] — `O(n·N)` new pair computations instead of all
+/// `O(n²)` pairs — and takes it back out with [`Analysis::pop`] when the
+/// decider rejects; an [`AdmissionSession::withdraw`] swap-removes the
+/// victim with [`Analysis::swap_remove`] (`O(n·N)` for *any* victim).
+/// Every evaluation lends the analysis to a [`SolveCtx`] through
+/// [`SolveCtx::over`], so no request ever pays the full `O(n²·N)`
+/// analysis pass except the initial `submit`.
 ///
 /// Decisions are made by the configured decider solver; with `evaluate`
 /// set, the full suite runs sequentially with implication shortcuts, so
@@ -456,13 +463,6 @@ impl AdmissionSession {
         registry
     }
 
-    fn budget(&self) -> Budget {
-        match self.config.node_limit {
-            Some(limit) => Budget::default().with_node_limit(limit),
-            None => Budget::default(),
-        }
-    }
-
     /// Opens (or replaces) the session with a full job set, evaluates the
     /// suite on it and streams each verdict through `sink` as its solver
     /// finishes. An empty job set (pipeline only) opens a session that
@@ -486,15 +486,14 @@ impl AdmissionSession {
         // state (the counter itself stays monotonic).
         self.decision_log.clear();
         self.online = OnlineSuiteState::new();
-        let mut tables = Analysis::new(&jobs).into_tables();
-        let verdicts = if jobs.is_empty() {
+        let analysis = Analysis::owned(jobs);
+        let verdicts = if analysis.jobs().is_empty() {
             Vec::new()
         } else {
-            // Both paths evaluate over the session's freshly built tables
-            // (no second O(n²·N) pass) and reclaim them afterwards.
-            let analysis = Analysis::from_tables(&jobs, tables);
-            let ctx = SolveCtx::with_analysis(analysis, self.budget());
-            let verdicts = if parallel {
+            // Both paths evaluate over the session's freshly built
+            // analysis (no second O(n²·N) pass).
+            let ctx = SolveCtx::over(&analysis, self.config.budget());
+            if parallel {
                 // Completion-order streaming needs a Sync sink, so funnel
                 // the caller's FnMut through a mutex.
                 let shared = std::sync::Mutex::new(&mut sink);
@@ -525,25 +524,16 @@ impl AdmissionSession {
                 // run.
                 self.registry
                     .evaluate_online(&mut self.online, &ctx, &mut sink)
-            };
-            tables = ctx
-                .into_analysis()
-                .expect("analysis was injected")
-                .into_tables();
-            verdicts
+            }
         };
-        let handles = (0..jobs.len())
+        let handles = (0..analysis.jobs().len())
             .map(|_| {
                 let handle = self.next_handle;
                 self.next_handle += 1;
                 handle
             })
             .collect();
-        self.state = Some(SessionState {
-            jobs,
-            tables: Some(tables),
-            handles,
-        });
+        self.state = Some(SessionState { analysis, handles });
         if let Some(stats) = &self.config.stats {
             stats.record_submit_for(
                 self.stats_label.as_deref(),
@@ -555,11 +545,12 @@ impl AdmissionSession {
 
     /// Decides admission of one arriving job.
     ///
-    /// The cached pair tables are extended with the job's row and column
-    /// (no rebuild); the decider — and, with `evaluate`, the whole suite —
-    /// runs on the extended set, each verdict streaming through `sink` as
-    /// it is produced. A rejection rolls the extension back, leaving the
-    /// admitted set untouched.
+    /// The job joins the session's analysis in place, which computes only
+    /// its row and column of the pair tables (no rebuild); the decider —
+    /// and, with `evaluate`, the whole suite — runs on the extended set,
+    /// each verdict streaming through `sink` as it is produced. A
+    /// rejection takes the job back out, leaving the admitted set as it
+    /// was.
     ///
     /// # Errors
     ///
@@ -578,36 +569,38 @@ impl AdmissionSession {
             return Err(SessionError::UnknownDecider(self.config.decider.clone()));
         }
         let state = self.state.as_mut().ok_or(SessionError::NoSession)?;
-        let (new_jobs, _) = state.jobs.with_job(spec.to_builder())?;
-        let mut tables = state.tables.take().expect("tables present");
-        tables.extend_with_job(&new_jobs);
+        state.analysis.push(spec.to_builder())?;
 
         // Decider states describe the *admitted* set; keep a copy so a
-        // rejection can roll the warm state back with the tables.
+        // rejection can roll the warm state back with the analysis.
         let saved_online = self.online.clone();
-        let (verdicts, mut tables) = self.decide(&new_jobs, tables, evaluate, sink);
+        let verdicts = Self::decide(
+            &self.registry,
+            &self.config,
+            &mut self.online,
+            &state.analysis,
+            evaluate,
+            sink,
+        );
         let accepted = verdicts
             .iter()
             .find(|v| v.solver == self.config.decider)
             .expect("decider is registered")
             .is_accepted();
 
-        let state = self.state.as_mut().expect("session checked above");
         let handle = if accepted {
             self.admits += 1;
             let handle = self.next_handle;
             self.next_handle += 1;
-            state.jobs = new_jobs;
             state.handles.push(handle);
             Some(handle)
         } else {
             self.rejects += 1;
-            tables.remove_last_job();
+            state.analysis.pop();
             self.online = saved_online;
             None
         };
-        let jobs = state.jobs.len();
-        state.tables = Some(tables);
+        let jobs = state.analysis.jobs().len();
         self.observe_decider(&verdicts);
         self.decisions += 1;
         self.record_decision(DecisionRecord {
@@ -684,11 +677,10 @@ impl AdmissionSession {
     /// byte-identical to a cold [`SolverRegistry::evaluate`] of the
     /// reduced set modulo wall-clock provenance fields).
     ///
-    /// The victim leaves by **swap-removal**
-    /// ([`msmr_model::JobSet::swap_remove_job`] mirrored by
-    /// [`PairTables::remove_job`]): the most recently admitted job moves
-    /// into the victim's internal slot and the cached tables are patched
-    /// in `O(n·N)` — no withdrawal pays the `O(n²·N)` rebuild any more.
+    /// The victim leaves by **swap-removal** ([`Analysis::swap_remove`]):
+    /// the most recently admitted job moves into the victim's internal
+    /// slot and the pair tables are patched in `O(n·N)` — no withdrawal
+    /// pays the `O(n²·N)` rebuild.
     /// External handles are stable throughout (only internal ids move).
     /// A departure can shrink any job's bounds, so no recorded trace
     /// provably survives it: the decider decides the reduced set cold on
@@ -717,25 +709,25 @@ impl AdmissionSession {
             .iter()
             .position(|&h| h == handle)
             .ok_or(SessionError::UnknownHandle(handle))?;
-        let removed = JobId::new(index);
-        let reduced = state.jobs.swap_remove_job(removed);
-        let mut tables = state.tables.take().expect("tables present");
-        tables.remove_job(removed);
+        state.analysis.swap_remove(JobId::new(index));
+        state.handles.swap_remove(index);
 
-        let (verdicts, tables) = if reduced.is_empty() {
+        let verdicts = if state.analysis.jobs().is_empty() {
             // An emptied session streams no verdicts (mirroring the
             // empty-submit case) and has nothing to keep warm.
             self.online = OnlineSuiteState::new();
-            (Vec::new(), tables)
+            Vec::new()
         } else {
-            self.decide(&reduced, tables, evaluate, sink)
+            Self::decide(
+                &self.registry,
+                &self.config,
+                &mut self.online,
+                &state.analysis,
+                evaluate,
+                sink,
+            )
         };
-
-        let state = self.state.as_mut().expect("session checked above");
-        state.jobs = reduced;
-        state.handles.swap_remove(index);
-        state.tables = Some(tables);
-        let jobs = state.jobs.len();
+        let jobs = state.analysis.jobs().len();
         self.withdraws += 1;
         self.observe_decider(&verdicts);
         self.decisions += 1;
@@ -791,35 +783,28 @@ impl AdmissionSession {
         Ok((outcome, self.decisions, false))
     }
 
-    /// Decides `jobs` over the session's `tables` through the online
-    /// seam — the full suite with `evaluate`, else the decider alone —
-    /// streaming each verdict through `sink` as it is produced, and hands
-    /// the tables back. The caller has checked that the decider is
-    /// registered.
+    /// Decides the session's `analysis` through the online seam — the
+    /// full suite with `evaluate`, else `config`'s decider alone —
+    /// streaming each verdict through `sink` as it is produced. The
+    /// caller has checked that the decider is registered.
     fn decide(
-        &mut self,
-        jobs: &JobSet,
-        tables: PairTables,
+        registry: &SolverRegistry,
+        config: &SessionConfig,
+        online: &mut OnlineSuiteState,
+        analysis: &Analysis<'_>,
         evaluate: bool,
         mut sink: impl FnMut(&Verdict),
-    ) -> (Vec<Verdict>, PairTables) {
-        let ctx = SolveCtx::with_analysis(Analysis::from_tables(jobs, tables), self.budget());
-        let verdicts = if evaluate {
-            self.registry
-                .evaluate_online(&mut self.online, &ctx, &mut sink)
+    ) -> Vec<Verdict> {
+        let ctx = SolveCtx::over(analysis, config.budget());
+        if evaluate {
+            registry.evaluate_online(online, &ctx, &mut sink)
         } else {
-            let verdict = self
-                .registry
-                .decide_online(&self.config.decider, &mut self.online, &ctx)
+            let verdict = registry
+                .decide_online(&config.decider, online, &ctx)
                 .expect("decider is registered");
             sink(&verdict);
             vec![verdict]
-        };
-        let tables = ctx
-            .into_analysis()
-            .expect("analysis was injected")
-            .into_tables();
-        (verdicts, tables)
+        }
     }
 
     /// The current session snapshot.
@@ -827,8 +812,8 @@ impl AdmissionSession {
     pub fn status(&self) -> SessionStatus {
         let (jobs, stages, admitted) = match &self.state {
             Some(state) => (
-                state.jobs.len(),
-                state.jobs.stage_count(),
+                state.analysis.jobs().len(),
+                state.analysis.jobs().stage_count(),
                 state.handles.clone(),
             ),
             None => (0, 0, Vec::new()),
@@ -853,14 +838,14 @@ impl AdmissionSession {
     /// offline verification).
     #[must_use]
     pub fn jobs(&self) -> Option<&JobSet> {
-        self.state.as_ref().map(|state| &state.jobs)
+        self.state.as_ref().map(|state| state.analysis.jobs())
     }
 
     /// The warm pair tables, if a session is open (tests and cache
-    /// introspection; never `None` between operations).
+    /// introspection).
     #[must_use]
     pub fn tables(&self) -> Option<&PairTables> {
-        self.state.as_ref().and_then(|state| state.tables.as_ref())
+        self.state.as_ref().map(|state| state.analysis.tables())
     }
 
     /// The warm per-solver decider states of the online seam
@@ -874,14 +859,14 @@ impl AdmissionSession {
     /// Captures the session's durable state — the admitted job set, the
     /// handle bookkeeping and the lifetime counters — as a serializable
     /// [`SessionImage`]. The warm tables are deliberately *not* part of
-    /// the image: [`AdmissionSession::from_image`] rebuilds them through
-    /// [`Analysis::new`], which is both smaller on disk and immune to
+    /// the image: [`AdmissionSession::from_image`] rebuilds them with
+    /// [`Analysis::owned`], which is both smaller on disk and immune to
     /// cache-layout drift between daemon versions. Returns `None` before
     /// the first submit.
     #[must_use]
     pub fn image(&self) -> Option<SessionImage> {
         self.state.as_ref().map(|state| SessionImage {
-            jobs: state.jobs.clone(),
+            jobs: state.analysis.jobs().clone(),
             handles: state.handles.clone(),
             next_handle: self.next_handle,
             admits: self.admits,
@@ -893,9 +878,11 @@ impl AdmissionSession {
     }
 
     /// Rebuilds a session from a [`SessionImage`] (snapshot restore):
-    /// the job set is re-validated, the pair tables are replayed through
-    /// [`Analysis::new`] and arrive warm, and handle/counter bookkeeping
-    /// resumes where the image left off.
+    /// the job set is re-validated, its analysis is rebuilt with
+    /// [`Analysis::owned`] and arrives warm, and handle/counter
+    /// bookkeeping resumes where the image left off. The next handle is
+    /// past every handle the image names, its decision log's included, so
+    /// no new job takes a handle a replayed seq re-acks.
     ///
     /// # Errors
     ///
@@ -944,9 +931,13 @@ impl AdmissionSession {
         let min_next = image
             .handles
             .iter()
+            .chain(
+                decision_log
+                    .iter()
+                    .filter_map(|record| record.handle.as_ref()),
+            )
             .max()
             .map_or(1, |&max| max.saturating_add(1));
-        let tables = Analysis::new(&jobs).into_tables();
         let registry = Self::build_registry(&config);
         // The persisted decider states come back warm; shape-invalid
         // states (hand-edited snapshots) are rejected lazily by the
@@ -957,8 +948,7 @@ impl AdmissionSession {
             config,
             registry,
             state: Some(SessionState {
-                jobs,
-                tables: Some(tables),
+                analysis: Analysis::owned(jobs),
                 handles: image.handles,
             }),
             online,
@@ -985,8 +975,8 @@ impl AdmissionSession {
 /// The durable state of an [`AdmissionSession`], as persisted by the
 /// cluster snapshot subsystem: everything needed to resume admission
 /// control after a daemon restart *except* the warm caches. The pair
-/// tables are replayed by [`AdmissionSession::from_image`] through
-/// [`Analysis::new`]; the decider states keep their traces but not
+/// tables are rebuilt by [`AdmissionSession::from_image`] with
+/// [`Analysis::owned`]; the decider states keep their traces but not
 /// OPDCA's bound cache (`#[serde(skip)]`), which the first admit after a
 /// restore rebuilds cold — so the image's bytes do not depend on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1190,8 +1180,8 @@ mod tests {
         // Fast path: the victim is the most recently admitted job.
         let last = *handles.last().unwrap();
         assert_eq!(session.withdraw(last, false, |_| {}).unwrap().jobs, 4);
-        let rebuilt = Analysis::new(session.jobs().unwrap()).into_tables();
-        assert_tables_identical(session.tables().unwrap(), &rebuilt);
+        let rebuilt = Analysis::new(session.jobs().unwrap());
+        assert_tables_identical(session.tables().unwrap(), rebuilt.tables());
 
         // The rolled-back session keeps admitting identically to a
         // freshly rebuilt one.
@@ -1204,8 +1194,8 @@ mod tests {
         // Slow path for comparison: a middle withdrawal renumbers and
         // rebuilds, and still matches the from-scratch analysis.
         assert_eq!(session.withdraw(handles[1], false, |_| {}).unwrap().jobs, 4);
-        let rebuilt = Analysis::new(session.jobs().unwrap()).into_tables();
-        assert_tables_identical(session.tables().unwrap(), &rebuilt);
+        let rebuilt = Analysis::new(session.jobs().unwrap());
+        assert_tables_identical(session.tables().unwrap(), rebuilt.tables());
     }
 
     #[test]
@@ -1379,8 +1369,8 @@ mod tests {
 
         // The warm tables equal a from-scratch rebuild of the swap-removed
         // set.
-        let rebuilt = Analysis::new(session.jobs().unwrap()).into_tables();
-        assert_tables_identical(session.tables().unwrap(), &rebuilt);
+        let rebuilt = Analysis::new(session.jobs().unwrap());
+        assert_tables_identical(session.tables().unwrap(), rebuilt.tables());
 
         // Withdrawing down to empty streams nothing and resets state.
         for &h in handles.iter().filter(|&&h| h != victim) {
@@ -1433,6 +1423,36 @@ mod tests {
     }
 
     #[test]
+    fn from_image_hands_out_no_handle_its_log_names() {
+        let mut session = AdmissionSession::new(SessionConfig::default());
+        session.submit(pipeline_only(), false, |_| {});
+        for i in 0..3u64 {
+            let outcome = session
+                .admit(&spec([2 + i, 2, 2], i % 2, 300), false, |_| {})
+                .unwrap();
+            assert_eq!(outcome.handle, Some(i + 1));
+        }
+        session.withdraw(3, false, |_| {}).unwrap();
+        // An image whose counter lags behind its own log: handle 3 is
+        // named by an admit record and by the withdraw record.
+        let mut image = session.image().unwrap();
+        image.next_handle = 3;
+        let logged: Vec<u64> = image
+            .decision_log
+            .iter()
+            .flatten()
+            .filter_map(|record| record.handle)
+            .collect();
+        assert!(logged.contains(&3));
+        let mut restored = AdmissionSession::from_image(SessionConfig::default(), image).unwrap();
+        let outcome = restored
+            .admit(&spec([2, 2, 2], 1, 300), false, |_| {})
+            .unwrap();
+        let handle = outcome.handle.expect("roomy deadline admits");
+        assert!(!logged.contains(&handle), "handle {handle} is in the log");
+    }
+
+    #[test]
     fn errors_are_typed() {
         let mut session = AdmissionSession::new(SessionConfig::default());
         assert_eq!(
@@ -1446,7 +1466,12 @@ mod tests {
             SessionError::NoSession
         );
         session.submit(pipeline_only(), false, |_| {});
-        // Wrong stage count.
+        session
+            .admit(&spec([2, 2, 2], 0, 200), false, |_| {})
+            .unwrap();
+        let image = session.image();
+        let generation = session.tables().unwrap().generation();
+        // Wrong stage count: refused before anything changes.
         let bad = JobSpec {
             arrival: 0,
             deadline: 50,
@@ -1459,6 +1484,8 @@ mod tests {
             session.admit(&bad, false, |_| {}).unwrap_err(),
             SessionError::InvalidJob(_)
         ));
+        assert_eq!(session.image(), image);
+        assert_eq!(session.tables().unwrap().generation(), generation);
         // Unknown decider.
         let mut session = AdmissionSession::new(SessionConfig {
             decider: "NOPE".to_string(),
