@@ -235,22 +235,26 @@ mod tests {
 
     #[test]
     fn retired_decider_slots_load_blank_and_keep_the_session() {
-        // Older builds wrote DMR's repair trace into every full-suite
-        // image; decider states are advisory, so that slot loads as
-        // absent (DMR decides cold) and the session itself survives.
+        // Older builds wrote DMR's repair trace, and later a `Stateless`
+        // DM and DMR slot, into every full-suite image; decider states
+        // are advisory, so the repair trace loads as absent (DMR decides
+        // cold), the blank slots load as blank and the session survives.
         let store = SnapshotStore::open(temp_dir("retired-slot")).unwrap();
         let image = image_with_jobs(2);
         store.save("legacy", 1, &image).unwrap();
         let text = std::fs::read_to_string(store.path_for("legacy")).unwrap();
-        let stateless = serde_json::to_string(&msmr_sched::DeciderState::Stateless).unwrap();
-        let slot = format!("\"DMR\":{stateless}");
-        assert!(text.contains(&slot), "{text}");
-        let legacy = text.replace(&slot, r#""DMR":{"Repair":{"jobs":2,"flips":[]}}"#);
+        let states = "\"states\":{";
+        assert!(text.contains(states), "{text}");
+        assert!(!text.contains("\"DM"), "only OPDCA keeps a slot: {text}");
+        let legacy = text.replace(
+            states,
+            r#""states":{"DM":"Stateless","DMR":{"Repair":{"jobs":2,"flips":[]}},"#,
+        );
         std::fs::write(store.path_for("legacy"), legacy).unwrap();
 
         let loaded = store.load("legacy").unwrap().image;
         let mut expected = image.clone();
-        expected.online.as_mut().unwrap().invalidate("DMR");
+        let _ = expected.online.as_mut().unwrap().state_mut("DM");
         assert_eq!(loaded, expected);
         assert_eq!(loaded.jobs.len(), 2);
         let session = AdmissionSession::from_image(SessionConfig::default(), loaded).unwrap();

@@ -35,8 +35,8 @@
 //!   ([`Solver::is_exact`], [`Solver::supports_admission`],
 //!   [`Solver::name`]), implemented by [`Dm`], [`Dmr`], [`Opdca`],
 //!   [`OptPairwise`], [`PairwiseIlp`] and [`Dcmp`]; [`OnlineSolver`] is
-//!   the warm path for DM, DMR and OPDCA (one `decide` method; only
-//!   OPDCA keeps state, and only an arrival resumes it).
+//!   OPDCA's warm path (one `decide` method; only an arrival resumes
+//!   it); the registry's cold adapter serves every other solver.
 //! * [`SolveCtx`] — shared, lazily-built [`msmr_dca::Analysis`] (one
 //!   `O(n²·N)` pass per job set, not per approach) and a [`Budget`]
 //!   (node limit, wall-clock deadline) — the only way to limit a solver.

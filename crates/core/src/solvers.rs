@@ -50,10 +50,6 @@ impl Solver for Dm {
         true
     }
 
-    fn online(&self) -> Option<&dyn OnlineSolver> {
-        Some(self)
-    }
-
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
         // Force the shared analysis outside the timed section so
         // `elapsed_micros` reflects only this solver's own work,
@@ -108,10 +104,6 @@ impl Solver for Dmr {
 
     fn supports_admission(&self) -> bool {
         true
-    }
-
-    fn online(&self) -> Option<&dyn OnlineSolver> {
-        Some(self)
     }
 
     fn solve(&self, ctx: &SolveCtx<'_>) -> Verdict {
@@ -257,28 +249,14 @@ impl Solver for Dcmp {
     }
 }
 
-/// Warm per-solver paths of the online seam. DM and DMR are stateless:
+/// OPDCA's warm path, the only online seam: it fast-forwards its
+/// persisted Audsley trace across one arrival and re-decides only the
+/// suffix the arriving job can perturb (see `Opdca::decide_traced`);
+/// every other change decides cold. DM and DMR have no state to carry —
 /// DM's assignment depends only on deadlines, and DMR's repair steps are
 /// globally coupled (each step's candidate ranking reads the slack every
-/// earlier flip moved), so both decide cold over the already-warm tables
-/// — the `O(1)` evaluator probes on those tables are their warm win.
-/// OPDCA fast-forwards its persisted Audsley trace across one arrival and
-/// re-decides only the suffix the arriving job can perturb (see
-/// `Opdca::decide_traced`); every other change decides cold.
-impl OnlineSolver for Dm {
-    fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
-        *state = DeciderState::Stateless;
-        Solver::solve(self, ctx)
-    }
-}
-
-impl OnlineSolver for Dmr {
-    fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
-        *state = DeciderState::Stateless;
-        Solver::solve(self, ctx)
-    }
-}
-
+/// earlier flip moved) — so the registry's cold adapter serves them over
+/// the already-warm tables.
 impl OnlineSolver for Opdca {
     fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict {
         let analysis = ctx.analysis();

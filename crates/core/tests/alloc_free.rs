@@ -1,37 +1,49 @@
 //! Asserts the OPT branch-and-bound performs zero heap allocations per
-//! search node (for job populations of `n ≤ 64`).
+//! search node (for job populations of `n ≤ 64`), and that one arrival
+//! into an analysis allocates the same at every set size.
 //!
 //! Strategy: wrap the system allocator in a counting shim and run the same
 //! search twice through `Solver::solve` with node budgets that differ by
 //! orders of magnitude. The analysis is built before measuring; the setup
 //! (evaluator, pair list) and the verdict allocate a fixed amount, so the
 //! two runs report the same allocation count iff exploring a node
-//! allocates nothing.
+//! allocates nothing. An arrival is measured the same way, as one
+//! `Analysis::push` + `pop` on two set sizes. The shim counts per thread,
+//! so tests running side by side do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use msmr_dca::DelayBoundKind;
+use msmr_dca::{Analysis, DelayBoundKind};
+use msmr_model::{Job, JobBuilder};
 use msmr_sched::{Budget, OptPairwise, SolveCtx, Solver, Verdict, VerdictKind};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialised `Cell` has no destructor, so the allocator can
+    // touch it at any point of a thread's life without allocating.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -44,9 +56,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
 /// A deliberately deep instance: this fixed-seed 20-job edge case needs
@@ -105,5 +117,46 @@ fn opt_search_nodes_do_not_allocate() {
         allocs_small, allocs_large,
         "allocation count grew with the node count: {} allocations at {} nodes vs {} at {}",
         allocs_small, small.stats.nodes_explored, allocs_large, large.stats.nodes_explored
+    );
+}
+
+/// The builder that re-creates `job` (at whatever id it is pushed to).
+fn builder(job: &Job) -> JobBuilder {
+    Job::builder()
+        .arrival(job.arrival())
+        .deadline(job.deadline())
+        .stages(
+            job.processing_times()
+                .iter()
+                .copied()
+                .zip(job.resources().iter().copied()),
+        )
+}
+
+#[test]
+fn an_arrival_allocates_independently_of_the_set_size() {
+    // Both sizes stay at or below 128 jobs, where a `JobMask` is inline.
+    let arrival_allocations = |jobs: usize| {
+        let config = EdgeWorkloadConfig::default()
+            .with_jobs(jobs + 1)
+            .with_infrastructure(4, 3)
+            .with_beta(0.2);
+        let mut set = EdgeWorkloadGenerator::new(config)
+            .expect("valid configuration")
+            .generate_seeded(3);
+        let arrival = set.pop().expect("one job to arrive");
+        let mut analysis = Analysis::owned(set);
+        let mut arrive = || {
+            analysis.push(builder(&arrival)).expect("valid arrival");
+            analysis.pop().expect("the arrival");
+        };
+        // Warm-up: the first arrival grows the tables' capacity.
+        arrive();
+        allocations(arrive).1
+    };
+    let (small, large) = (arrival_allocations(16), arrival_allocations(64));
+    assert_eq!(
+        small, large,
+        "one arrival allocated {small} times at 16 jobs but {large} times at 64"
     );
 }

@@ -232,10 +232,13 @@ fn adapter_marks_cold_fallback() {
     let ctx = SolveCtx::new(&jobs);
     assert!(registry.decide_online("NOPE", &mut state, &ctx).is_none());
 
-    // DCMP has no online seam: the adapter runs and flags the verdict.
-    let verdict = registry.decide_online("DCMP", &mut state, &ctx).unwrap();
-    assert_eq!(verdict.stats.cold_fallback, Some(true));
-    assert!(state.is_empty(), "the adapter keeps no state");
+    // DM, DMR and DCMP have no online seam: the adapter runs and flags
+    // the verdict.
+    for name in ["DCMP", "DM", "DMR"] {
+        let verdict = registry.decide_online(name, &mut state, &ctx).unwrap();
+        assert_eq!(verdict.stats.cold_fallback, Some(true), "{name}");
+        assert!(state.is_empty(), "the adapter keeps no state ({name})");
+    }
 
     // OPDCA's warm path never sets the flag.
     let verdict = registry.decide_online("OPDCA", &mut state, &ctx).unwrap();

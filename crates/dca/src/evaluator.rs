@@ -2,6 +2,7 @@
 
 use msmr_model::{JobId, Time};
 
+use crate::tables::JobAdditive;
 use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 
 /// Incremental evaluator of one delay bound over *all* targets of a job
@@ -73,8 +74,8 @@ use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 #[derive(Debug, Clone)]
 pub struct DelayEvaluator<'a> {
     tables: &'a PairTables,
-    /// Job-additive scalar table of the bound, indexed `target·n + k`.
-    job_additive: &'a [u64],
+    /// The bound's job-additive scalars, each read at its own stride.
+    job_additive: JobAdditive<'a>,
     /// `true` when the stage-additive component reads raw processing
     /// times (Eqs. 1 and 2) instead of shared-stage times.
     raw_stage_values: bool,
@@ -172,26 +173,19 @@ impl std::fmt::Debug for EvaluatorState {
     }
 }
 
-/// Stage-additive value of interferer `k` against `target` at stage `j`.
+/// Stage-additive value of interferer `k` against `target` at stage `j`:
+/// raw processing for Eqs. 1–2 (the `ep` diagonal, as a job shares every
+/// stage with itself), shared-stage times otherwise.
 #[inline]
 fn stage_value(tables: &PairTables, raw: bool, target: usize, k: usize, stage: usize) -> u64 {
-    if raw {
-        tables.proc_at(k, stage)
-    } else {
-        tables.ep_at(target, k, stage)
-    }
+    tables.ep_at(if raw { k } else { target }, k, stage)
 }
 
-/// The per-stage value row of interferer `k` against `target` (raw
-/// processing for Eqs. 1–2, shared-stage times otherwise).
+/// The per-stage value row of interferer `k` against `target`, read as
+/// [`stage_value`] reads one stage.
 #[inline]
 fn stage_row(tables: &PairTables, raw: bool, target: usize, k: usize) -> &[u64] {
-    if raw {
-        &tables.proc[k * tables.stages..(k + 1) * tables.stages]
-    } else {
-        let base = (target * tables.cap + k) * tables.stages;
-        &tables.ep[base..base + tables.stages]
-    }
+    tables.ep_row(if raw { k } else { target }, k)
 }
 
 impl<'a> DelayEvaluator<'a> {
@@ -268,8 +262,12 @@ impl<'a> DelayEvaluator<'a> {
         // The Eq. 5 blocking constant moves when a job arrives, so the
         // per-target constants are always recomputed.
         let opa_block = (kind == DelayBoundKind::NonPreemptiveOpa).then(|| tables.opa_block());
+        let job_additive = tables.job_additive(kind);
         let base = (0..n)
-            .map(|t| tables.self_term(kind, t) + opa_block.map_or(0, |block| block[t]))
+            .map(|t| {
+                (tables.jobs.max_proc[t] << job_additive.shift)
+                    + opa_block.map_or(0, |block| block[t])
+            })
             .collect();
         let missing = n - state.ja_sum.len();
         state.ja_sum.reserve_exact(missing);
@@ -281,7 +279,7 @@ impl<'a> DelayEvaluator<'a> {
         state.lower.reserve_exact(missing);
         for t in n - missing..n {
             state.ja_sum.push(0);
-            let seeds = (0..add_stages).map(|j| tables.proc_at(t, j));
+            let seeds = (0..add_stages).map(|j| tables.ep_at(t, t, j));
             state.stage_max.extend(seeds.clone());
             state.stage_sum.push(seeds.sum());
             state
@@ -294,7 +292,7 @@ impl<'a> DelayEvaluator<'a> {
 
         DelayEvaluator {
             tables,
-            job_additive: tables.job_additive(kind),
+            job_additive,
             raw_stage_values,
             add_stages,
             block_stages,
@@ -335,14 +333,15 @@ impl<'a> DelayEvaluator<'a> {
     /// `true` iff `Δ_target ≤ D_target`.
     #[must_use]
     pub fn fits(&self, target: JobId) -> bool {
-        self.delay(target).as_ticks() <= self.tables.deadline[target.index()]
+        self.delay(target).as_ticks() <= self.tables.jobs.deadline[target.index()]
     }
 
     /// Slack `D_target − Δ_target` (negative when the deadline is
     /// missed).
     #[must_use]
     pub fn slack(&self, target: JobId) -> i128 {
-        i128::from(self.tables.deadline[target.index()]) - i128::from(self.delay(target).as_ticks())
+        i128::from(self.tables.jobs.deadline[target.index()])
+            - i128::from(self.delay(target).as_ticks())
     }
 
     /// Current delay bounds of every job, indexed by id.
@@ -367,7 +366,7 @@ impl<'a> DelayEvaluator<'a> {
         if !self.state.higher[t].insert(k) {
             return;
         }
-        self.state.ja_sum[t] += self.job_additive[t * self.tables.cap + ki];
+        self.state.ja_sum[t] += self.job_additive.pair(t, ki);
         let row = stage_row(self.tables, self.raw_stage_values, t, ki);
         let maxima =
             &mut self.state.stage_max[t * self.add_stages..t * self.add_stages + self.add_stages];
@@ -390,14 +389,14 @@ impl<'a> DelayEvaluator<'a> {
     /// Takes interferer `ki`, just removed from `H_t`'s mask, out of the
     /// target's aggregates.
     fn drop_higher(&mut self, t: usize, ki: usize) {
-        self.state.ja_sum[t] -= self.job_additive[t * self.tables.cap + ki];
+        self.state.ja_sum[t] -= self.job_additive.pair(t, ki);
         let row = stage_row(self.tables, self.raw_stage_values, t, ki);
         for (j, &v) in row.iter().enumerate().take(self.add_stages) {
             let slot = t * self.add_stages + j;
             if v == self.state.stage_max[slot] {
                 // The removed job may have held this stage's maximum:
                 // recompute it exactly over the remaining members.
-                let mut max = self.tables.proc_at(t, j);
+                let mut max = self.tables.ep_at(t, t, j);
                 for kk in self.state.higher[t].iter() {
                     max = max.max(stage_value(
                         self.tables,
@@ -513,12 +512,12 @@ impl<'a> DelayEvaluator<'a> {
 
         let maxima = &mut self.state.stage_max[t * self.add_stages..(t + 1) * self.add_stages];
         for (j, slot) in maxima.iter_mut().enumerate() {
-            *slot = tables.proc_at(t, j);
+            *slot = tables.ep_at(t, t, j);
         }
         let mut ja = 0u64;
         for k in self.state.higher[t].iter() {
             let ki = k.index();
-            ja += self.job_additive[t * tables.cap + ki];
+            ja += self.job_additive.pair(t, ki);
             let row = stage_row(tables, self.raw_stage_values, t, ki);
             for (slot, &v) in maxima.iter_mut().zip(row) {
                 *slot = (*slot).max(v);
@@ -546,7 +545,7 @@ impl<'a> DelayEvaluator<'a> {
             self.state.ja_sum[t] = 0;
             let mut sum = 0u64;
             for j in 0..self.add_stages {
-                let seed = self.tables.proc_at(t, j);
+                let seed = self.tables.ep_at(t, t, j);
                 self.state.stage_max[t * self.add_stages + j] = seed;
                 sum += seed;
             }

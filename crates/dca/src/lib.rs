@@ -35,10 +35,14 @@
 //!   once). Set membership, the window-overlap filter and iteration are
 //!   word operations.
 //! * [`PairTables`] — flat struct-of-arrays pair tables, built once inside
-//!   [`Analysis::new`]: dense `ep_{k,j}` ticks contiguous per (target,
-//!   interferer), one precomputed job-additive scalar per pair and bound
-//!   family, per-target interference masks and per-target constants (self
-//!   terms, deadlines, the Eq. 5 blocking sum).
+//!   [`Analysis::new`], each fact stored once: dense `ep_{k,j}` ticks
+//!   contiguous per (target, interferer), whose diagonal is each job's raw
+//!   processing times; one precomputed job-additive scalar per pair for
+//!   the three bound families whose scalar depends on the pair (Eqs. 1,
+//!   4/5 and 6/10 — Eq. 3 reads Eq. 4/5's doubled, Eq. 2 the interferer's
+//!   own `t_{k,1}`); per-target interference masks; per-job scalars
+//!   computed once when the job joins (deadline, `t_{k,1}`, `t_{k,2}`,
+//!   arrival, absolute deadline); and the lazily built Eq. 5 blocking sum.
 //! * [`DelayEvaluator`] — maintains, per target, the running job-additive
 //!   sum and the per-stage maxima (plus blocking maxima where the bound
 //!   has a lower-priority term) under `add_higher`/`remove_higher`/

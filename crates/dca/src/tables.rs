@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use msmr_model::{JobId, JobSet, StageId, Time};
+use msmr_model::{Job, JobId, JobSet, StageId, Time};
 
 use crate::{DelayBoundKind, JobMask};
 
@@ -14,20 +14,25 @@ use crate::{DelayBoundKind, JobMask};
 /// ordered pair; that layout is convenient for a transcription of the
 /// formulas but costs a pointer chase and a branch per pair in the hot
 /// evaluation loops. `PairTables` holds the same data as dense arrays of
-/// raw ticks:
+/// raw ticks, each fact stored once:
 ///
 /// * `ep[(target·cap + k)·N + j]` — the shared-stage processing time
 ///   `ep_{k,j}` of interferer `k` against `target`, contiguous in the
-///   stage index so one incremental update touches one cache line,
-/// * `job_additive_*[target·cap + k]` — the per-pair job-additive scalar
-///   of each bound family (Eqs. 1–6), folded down to a single addition per
-///   membership change,
+///   stage index so one incremental update touches one cache line. A job
+///   shares every stage with itself, so the diagonal `k = target` holds
+///   its raw processing times `P_{k,j}`,
+/// * `ja_eq1`, `ja_eq45` and `ja_eq6` `[target·cap + k]` — the per-pair
+///   job-additive scalars that depend on the pair, folded down to a
+///   single addition per membership change. Eq. 3's scalar is twice
+///   Eq. 4/5's, and Eq. 2's is the interferer's own `t_{k,1}`, so neither
+///   is stored,
 /// * `interferes[target]` — a [`JobMask`] with bit `k` set iff the pair
 ///   `(target, k)` has overlapping interference windows, turning the
 ///   `effective_higher`/`effective_lower` filters into single AND/test
 ///   instructions,
-/// * per-target constants (self terms, deadlines and the Eq. 5 blocking
-///   data, which does not depend on `H_i`/`L_i` at all).
+/// * per-job scalars (deadline, `t_{k,1}`, `t_{k,2}`, arrival and absolute
+///   deadline), computed once when the job joins, and the Eq. 5 blocking
+///   data, which does not depend on `H_i`/`L_i` at all.
 ///
 /// All values are stored as raw `u64` ticks; every aggregate computed from
 /// them is an exact integer sum, so the incremental evaluator reproduces
@@ -57,10 +62,8 @@ use crate::{DelayBoundKind, JobMask};
 /// and swap-removing mint a fresh stamp; a clone keeps it (same
 /// contents); [`PairTables::remove_last_job`] right after an extension
 /// rolls the stamp back, because it restores the previous contents.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PairTables {
-    // NOTE: `Clone` is implemented manually because of the lazy
-    // `opa_block` cell.
     /// Stamp of the current contents (see "Generations").
     generation: u64,
     /// Stamp before the latest [`PairTables::extend_with_job`], while
@@ -73,31 +76,22 @@ pub struct PairTables {
     pub(crate) cap: usize,
     /// Number of pipeline stages `N`.
     pub(crate) stages: usize,
-    /// Deadline of each job, indexed by id.
-    pub(crate) deadline: Vec<u64>,
-    /// Raw processing times `P_{k,j}`, indexed `k·N + j`.
-    pub(crate) proc: Vec<u64>,
+    /// Per-job scalars, indexed by id.
+    pub(crate) jobs: JobScalars,
     /// Shared-stage times `ep_{k,j}` per ordered pair, indexed
-    /// `(target·cap + k)·N + j`.
+    /// `(target·cap + k)·N + j`; the diagonal holds `P_{k,j}`.
     pub(crate) ep: Vec<u64>,
     /// Eq. 1 job-additive scalar per pair: `t_{k,1}` plus `t_{k,2}` when
-    /// the interferer arrives strictly after the target.
+    /// the interferer arrives strictly after the target. It depends on
+    /// the pair through the arrival order, so it is stored rather than
+    /// derived on every read.
     pub(crate) ja_eq1: Vec<u64>,
-    /// Eq. 2 job-additive scalar per pair: `t_{k,1}`.
-    pub(crate) ja_eq2: Vec<u64>,
-    /// Eq. 3 job-additive scalar per pair: `2·m_{i,k}·et_{k,1}`.
-    pub(crate) ja_eq3: Vec<u64>,
-    /// Eq. 4/5 job-additive scalar per pair: `m_{i,k}·et_{k,1}`.
+    /// Eq. 4/5 job-additive scalar per pair: `m_{i,k}·et_{k,1}` (Eq. 3
+    /// reads it doubled).
     pub(crate) ja_eq45: Vec<u64>,
     /// Eq. 6/10 job-additive scalar per pair:
     /// `Σ_{x=1}^{w_{i,k}} et_{k,x}`.
     pub(crate) ja_eq6: Vec<u64>,
-    /// `t_{i,1}` per target (self term of Eqs. 1, 2, 6 and 10).
-    pub(crate) self_max_proc: Vec<u64>,
-    /// `2·m_{i,i}·et_{i,1}` per target (self term of Eq. 3).
-    pub(crate) self_eq3: Vec<u64>,
-    /// `m_{i,i}·et_{i,1}` per target (self term of Eqs. 4 and 5).
-    pub(crate) self_eq45: Vec<u64>,
     /// Eq. 5 blocking data per target (`Σ_j max_{k ∈ J∖J_i} ep_{k,j}`
     /// over interfering jobs, plus the per-stage maxima needed to update
     /// that sum when a job arrives). Built lazily on the first Eq. 5
@@ -130,38 +124,67 @@ pub(crate) struct OpaBlock {
     pub(crate) sum: Vec<u64>,
 }
 
-/// Per-job quantities hoisted out of the pair loops
-/// (`nth_max_processing` sorts internally).
-struct JobScalars {
-    max_proc: Vec<u64>,
+/// The per-job scalars the pair computations and the evaluator read,
+/// indexed by id. Each job's entries are computed once, when it joins the
+/// tables.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct JobScalars {
+    /// Relative deadline `D_k`.
+    pub(crate) deadline: Vec<u64>,
+    /// `t_{k,1}`: the self term of Eqs. 1, 2, 6 and 10 (doubled for
+    /// Eq. 3) and `k`'s Eq. 2 job-additive scalar against every target.
+    pub(crate) max_proc: Vec<u64>,
+    /// `t_{k,2}`.
     second_proc: Vec<u64>,
+    /// Arrival `A_k`.
     arrival: Vec<u64>,
+    /// Absolute deadline `A_k + D_k`.
     abs_deadline: Vec<u64>,
 }
 
 impl JobScalars {
-    fn hoist(jobs: &JobSet) -> Self {
-        JobScalars {
-            max_proc: jobs.jobs().map(|j| j.max_processing().as_ticks()).collect(),
-            second_proc: jobs
-                .jobs()
-                .map(|j| j.nth_max_processing(2).as_ticks())
-                .collect(),
-            arrival: jobs.jobs().map(|j| j.arrival().as_ticks()).collect(),
-            abs_deadline: jobs
-                .jobs()
-                .map(|j| j.absolute_deadline().as_ticks())
-                .collect(),
-        }
+    /// Appends the scalars of `job`, the next id.
+    fn push(&mut self, job: &Job) {
+        let (first, second) = job
+            .processing_times()
+            .iter()
+            .fold((0, 0), |top, p| fold_top_two(top, p.as_ticks()));
+        self.deadline.push(job.deadline().as_ticks());
+        self.max_proc.push(first);
+        self.second_proc.push(second);
+        self.arrival.push(job.arrival().as_ticks());
+        self.abs_deadline.push(job.absolute_deadline().as_ticks());
+    }
+
+    /// Moves the last job's scalars into slot `r`, as
+    /// [`Vec::swap_remove`] does.
+    fn swap_remove(&mut self, r: usize) {
+        self.deadline.swap_remove(r);
+        self.max_proc.swap_remove(r);
+        self.second_proc.swap_remove(r);
+        self.arrival.swap_remove(r);
+        self.abs_deadline.swap_remove(r);
+    }
+}
+
+/// Folds `v` into the largest and second-largest values seen so far
+/// (duplicates counted, zero when absent): from `(0, 0)` over a
+/// processing-time row this yields `t_{k,1}` and `t_{k,2}`.
+#[inline]
+fn fold_top_two((first, second): (u64, u64), v: u64) -> (u64, u64) {
+    if v > first {
+        (v, first)
+    } else if v > second {
+        (first, v)
+    } else {
+        (first, second)
     }
 }
 
 /// The scalar projection of one ordered pair *(target, k)*; the pair's
-/// `ep` row is written into the caller's scratch buffer.
+/// `ep` row is written into the caller's slice.
 struct PairValues {
     eq1: u64,
-    eq2: u64,
-    eq3: u64,
     eq45: u64,
     eq6: u64,
     /// `k ≠ target` and the interference windows overlap.
@@ -191,7 +214,7 @@ fn compute_pair(
 
     // Shared stages, `ep_{k,j}` and the segment counts `m`/`u`/`v` of the
     // pair, in one stage scan.
-    let (mut et1, mut et2, mut total) = (0u64, 0u64, 0u64);
+    let (mut top, mut total) = ((0u64, 0u64), 0u64);
     let (mut m, mut u, mut v) = (0u64, 0usize, 0usize);
     let mut run = 0usize;
     for j in 0..stages {
@@ -203,12 +226,7 @@ fn compute_pair(
         };
         ep_row[j] = ep;
         total += ep;
-        if ep > et1 {
-            et2 = et1;
-            et1 = ep;
-        } else if ep > et2 {
-            et2 = ep;
-        }
+        top = fold_top_two(top, ep);
         if is_shared {
             run += 1;
         } else if run > 0 {
@@ -229,6 +247,7 @@ fn compute_pair(
             v += 1;
         }
     }
+    let (et1, et2) = top;
 
     let mut eq1 = scalars.max_proc[ki];
     if scalars.arrival[ki] > scalars.arrival[t] {
@@ -256,8 +275,6 @@ fn compute_pair(
 
     PairValues {
         eq1,
-        eq2: scalars.max_proc[ki],
-        eq3: 2 * m * et1,
         eq45: m * et1,
         eq6,
         interferes: k != target
@@ -267,92 +284,46 @@ fn compute_pair(
     }
 }
 
-impl Clone for PairTables {
-    fn clone(&self) -> Self {
-        let opa_block = OnceLock::new();
-        if let Some(values) = self.opa_block.get() {
-            let _ = opa_block.set(values.clone());
-        }
-        PairTables {
-            generation: self.generation,
-            parent_generation: self.parent_generation,
-            n: self.n,
-            cap: self.cap,
-            stages: self.stages,
-            deadline: self.deadline.clone(),
-            proc: self.proc.clone(),
-            ep: self.ep.clone(),
-            ja_eq1: self.ja_eq1.clone(),
-            ja_eq2: self.ja_eq2.clone(),
-            ja_eq3: self.ja_eq3.clone(),
-            ja_eq45: self.ja_eq45.clone(),
-            ja_eq6: self.ja_eq6.clone(),
-            self_max_proc: self.self_max_proc.clone(),
-            self_eq3: self.self_eq3.clone(),
-            self_eq45: self.self_eq45.clone(),
-            opa_block,
-            interferes: self.interferes.clone(),
-            competes: self.competes.clone(),
-        }
-    }
-}
-
 impl PairTables {
     /// Builds the flat tables directly from the job set in one
     /// `O(n²·N log N)` pass, without materialising any per-pair
-    /// intermediate structures (two reusable scratch buffers serve every
+    /// intermediate structures (one reusable scratch buffer serves every
     /// pair). The values are defined to be identical to what the
     /// reference's [`PairInterference`](crate::reference::PairInterference)
     /// objects yield — the property suite cross-checks this bit for bit.
     pub(crate) fn build(jobs: &JobSet) -> Self {
         let n = jobs.len();
         let stages = jobs.stage_count();
+        let mut scalars = JobScalars::default();
+        for job in jobs.jobs() {
+            scalars.push(job);
+        }
         let mut tables = PairTables {
             generation: fresh_generation(),
             parent_generation: None,
             n,
             cap: n,
             stages,
-            deadline: Vec::with_capacity(n),
-            proc: Vec::with_capacity(n * stages),
-            ep: Vec::with_capacity(n * n * stages),
+            jobs: scalars,
+            ep: vec![0; n * n * stages],
             ja_eq1: Vec::with_capacity(n * n),
-            ja_eq2: Vec::with_capacity(n * n),
-            ja_eq3: Vec::with_capacity(n * n),
             ja_eq45: Vec::with_capacity(n * n),
             ja_eq6: Vec::with_capacity(n * n),
-            self_max_proc: Vec::with_capacity(n),
-            self_eq3: Vec::with_capacity(n),
-            self_eq45: Vec::with_capacity(n),
             opa_block: OnceLock::new(),
             interferes: Vec::with_capacity(n),
             competes: Vec::with_capacity(n),
         };
 
-        for job in jobs.jobs() {
-            tables.deadline.push(job.deadline().as_ticks());
-            for j in 0..stages {
-                tables.proc.push(job.processing(StageId::new(j)).as_ticks());
-            }
-        }
-
-        let scalars = JobScalars::hoist(jobs);
-
-        // Scratch buffers reused across all n² pairs (stack-backed for
-        // realistic stage counts).
-        let mut ep_row = vec![0u64; stages];
-        let mut sorted: Vec<u64> = Vec::with_capacity(stages);
-
+        // Scratch for the `3 ≤ w < N` selection, reused across all pairs.
+        let mut sorted = Vec::new();
         for target in jobs.job_ids() {
-            let t = target.index();
             let mut mask = JobMask::with_capacity(n);
             let mut competes = JobMask::with_capacity(n);
             for k in jobs.job_ids() {
-                let values = compute_pair(jobs, &scalars, target, k, &mut ep_row, &mut sorted);
-                tables.ep.extend_from_slice(&ep_row);
+                let idx = target.index() * n + k.index();
+                let ep_row = &mut tables.ep[idx * stages..(idx + 1) * stages];
+                let values = compute_pair(jobs, &tables.jobs, target, k, ep_row, &mut sorted);
                 tables.ja_eq1.push(values.eq1);
-                tables.ja_eq2.push(values.eq2);
-                tables.ja_eq3.push(values.eq3);
                 tables.ja_eq45.push(values.eq45);
                 tables.ja_eq6.push(values.eq6);
                 if values.interferes {
@@ -362,13 +333,6 @@ impl PairTables {
                     competes.insert(k);
                 }
             }
-
-            let self_et1 = scalars.max_proc[t];
-            tables.self_max_proc.push(self_et1);
-            // The self pair shares every stage: one segment (`m = 1`).
-            tables.self_eq3.push(2 * self_et1);
-            tables.self_eq45.push(self_et1);
-
             tables.interferes.push(mask);
             tables.competes.push(competes);
         }
@@ -402,8 +366,6 @@ impl PairTables {
         };
         self.ep = restride(&self.ep, stages);
         self.ja_eq1 = restride(&self.ja_eq1, 1);
-        self.ja_eq2 = restride(&self.ja_eq2, 1);
-        self.ja_eq3 = restride(&self.ja_eq3, 1);
         self.ja_eq45 = restride(&self.ja_eq45, 1);
         self.ja_eq6 = restride(&self.ja_eq6, 1);
         self.cap = new_cap;
@@ -414,8 +376,8 @@ impl PairTables {
     /// (same ids, same parameters, same pipeline) plus exactly one new job
     /// at the highest id.
     ///
-    /// Only the new job's row and column are computed — `O(n·N)` work
-    /// instead of the `O(n²·N)` full rebuild — and the result is
+    /// Only the new job's scalars, row and column are computed — `O(n·N)`
+    /// work instead of the `O(n²·N)` full rebuild — and the result is
     /// bit-identical to `PairTables::build(jobs)` (property-tested). An
     /// already-built Eq. 5 blocking cache is updated incrementally rather
     /// than discarded.
@@ -446,27 +408,16 @@ impl PairTables {
         let cap = self.cap;
         let stages = self.stages;
         let new_id = JobId::new(new);
-        let new_job = jobs.job(new_id);
-
-        self.deadline.push(new_job.deadline().as_ticks());
-        for j in 0..stages {
-            self.proc
-                .push(new_job.processing(StageId::new(j)).as_ticks());
-        }
-
-        let scalars = JobScalars::hoist(jobs);
-        let mut ep_row = vec![0u64; stages];
-        let mut sorted: Vec<u64> = Vec::with_capacity(stages);
+        self.jobs.push(jobs.job(new_id));
+        let mut sorted = Vec::new();
 
         // New column: every existing target against the arriving job.
         for t in 0..new {
             let target = JobId::new(t);
-            let values = compute_pair(jobs, &scalars, target, new_id, &mut ep_row, &mut sorted);
             let idx = t * cap + new;
-            self.ep[idx * stages..idx * stages + stages].copy_from_slice(&ep_row);
+            let ep_row = &mut self.ep[idx * stages..(idx + 1) * stages];
+            let values = compute_pair(jobs, &self.jobs, target, new_id, ep_row, &mut sorted);
             self.ja_eq1[idx] = values.eq1;
-            self.ja_eq2[idx] = values.eq2;
-            self.ja_eq3[idx] = values.eq3;
             self.ja_eq45[idx] = values.eq45;
             self.ja_eq6[idx] = values.eq6;
             if values.interferes {
@@ -482,12 +433,10 @@ impl PairTables {
         let mut mask = JobMask::with_capacity(cap);
         let mut competes = JobMask::with_capacity(cap);
         for k in jobs.job_ids() {
-            let values = compute_pair(jobs, &scalars, new_id, k, &mut ep_row, &mut sorted);
             let idx = new * cap + k.index();
-            self.ep[idx * stages..idx * stages + stages].copy_from_slice(&ep_row);
+            let ep_row = &mut self.ep[idx * stages..(idx + 1) * stages];
+            let values = compute_pair(jobs, &self.jobs, new_id, k, ep_row, &mut sorted);
             self.ja_eq1[idx] = values.eq1;
-            self.ja_eq2[idx] = values.eq2;
-            self.ja_eq3[idx] = values.eq3;
             self.ja_eq45[idx] = values.eq45;
             self.ja_eq6[idx] = values.eq6;
             if values.interferes {
@@ -498,10 +447,6 @@ impl PairTables {
             }
         }
 
-        let self_et1 = scalars.max_proc[new];
-        self.self_max_proc.push(self_et1);
-        self.self_eq3.push(2 * self_et1);
-        self.self_eq45.push(self_et1);
         self.interferes.push(mask);
         self.competes.push(competes);
         self.n = new + 1;
@@ -538,7 +483,7 @@ impl PairTables {
 
     /// Removes *any* job by swap-removal, mirroring
     /// [`JobSet::swap_remove`](msmr_model::JobSet::swap_remove):
-    /// the highest-id job's row, column, masks and per-target scalars move
+    /// the highest-id job's row, column, masks and per-job scalars move
     /// into the victim's slot, every other job keeps its id, and the freed
     /// last slot stays allocated as dead storage for the next arrival.
     /// `O(n·N)` data movement with **zero pair recomputation** — the
@@ -563,16 +508,7 @@ impl PairTables {
         self.parent_generation = None;
         let last = self.n - 1;
         if r != last {
-            let (cap, stages) = (self.cap, self.stages);
-            let last_id = JobId::new(last);
-            // Per-job scalars of the moved job.
-            self.deadline[r] = self.deadline[last];
-            let (head, tail) = self.proc.split_at_mut(last * stages);
-            head[r * stages..(r + 1) * stages].copy_from_slice(&tail[..stages]);
-            self.self_max_proc[r] = self.self_max_proc[last];
-            self.self_eq3[r] = self.self_eq3[last];
-            self.self_eq45[r] = self.self_eq45[last];
-
+            let cap = self.cap;
             // Column r of every surviving target takes column `last` (the
             // moved job as interferer), and row r takes row `last` (the
             // moved job as target) — with the diagonal mapped onto the
@@ -593,41 +529,22 @@ impl PairTables {
                     table.copy_within(src..src + width, dst);
                 }
             };
-            move_pairs(&mut self.ep, stages);
+            move_pairs(&mut self.ep, self.stages);
             move_pairs(&mut self.ja_eq1, 1);
-            move_pairs(&mut self.ja_eq2, 1);
-            move_pairs(&mut self.ja_eq3, 1);
             move_pairs(&mut self.ja_eq45, 1);
             move_pairs(&mut self.ja_eq6, 1);
-
-            // Masks: the moved job's own masks land in slot r (minus the
-            // victim's bit); every other target renames bit `last` → `r`.
-            let rename = |mask: &mut JobMask| {
-                mask.remove(removed);
-                if mask.remove(last_id) {
-                    mask.insert(removed);
-                }
-            };
-            self.interferes.swap(r, last);
-            self.competes.swap(r, last);
-            for t in 0..last {
-                rename(&mut self.interferes[t]);
-                rename(&mut self.competes[t]);
-            }
         }
         self.n = last;
-        self.deadline.pop();
-        self.proc.truncate(last * self.stages);
-        self.self_max_proc.pop();
-        self.self_eq3.pop();
-        self.self_eq45.pop();
-        self.interferes.pop();
-        self.competes.pop();
-        if r == last {
-            let last_id = JobId::new(last);
-            for t in 0..last {
-                self.interferes[t].remove(last_id);
-                self.competes[t].remove(last_id);
+        self.jobs.swap_remove(r);
+        // The moved job's own masks land in slot r; every survivor drops
+        // the victim's bit and renames bit `last` → `r`.
+        self.interferes.swap_remove(r);
+        self.competes.swap_remove(r);
+        let last_id = JobId::new(last);
+        for mask in self.interferes.iter_mut().chain(&mut self.competes) {
+            mask.remove(removed);
+            if mask.remove(last_id) {
+                mask.insert(removed);
             }
         }
         self.opa_block = OnceLock::new();
@@ -768,36 +685,50 @@ impl PairTables {
         self.ep[(target * self.cap + k) * self.stages + stage]
     }
 
-    /// `P_{k,j}` in raw ticks.
+    /// The `ep` row of `k` against `target`, one value per stage;
+    /// `ep_row(k, k)` is `k`'s raw processing times.
     #[inline]
-    pub(crate) fn proc_at(&self, k: usize, stage: usize) -> u64 {
-        self.proc[k * self.stages + stage]
+    pub(crate) fn ep_row(&self, target: usize, k: usize) -> &[u64] {
+        let base = (target * self.cap + k) * self.stages;
+        &self.ep[base..base + self.stages]
     }
 
-    /// The job-additive scalar table of one bound kind (strided by
-    /// [`PairTables::capacity`], not by the job count).
-    pub(crate) fn job_additive(&self, kind: DelayBoundKind) -> &[u64] {
-        match kind {
-            DelayBoundKind::PreemptiveSingleResource => &self.ja_eq1,
-            DelayBoundKind::NonPreemptiveSingleResource => &self.ja_eq2,
-            DelayBoundKind::PreemptiveMsmr => &self.ja_eq3,
-            DelayBoundKind::NonPreemptiveMsmr | DelayBoundKind::NonPreemptiveOpa => &self.ja_eq45,
-            DelayBoundKind::RefinedPreemptive | DelayBoundKind::EdgeHybrid => &self.ja_eq6,
-        }
-    }
-
-    /// The per-target self term of one bound kind (the target's own
-    /// contribution to the job-additive component).
-    pub(crate) fn self_term(&self, kind: DelayBoundKind, target: usize) -> u64 {
-        match kind {
-            DelayBoundKind::PreemptiveSingleResource
-            | DelayBoundKind::NonPreemptiveSingleResource
-            | DelayBoundKind::RefinedPreemptive
-            | DelayBoundKind::EdgeHybrid => self.self_max_proc[target],
-            DelayBoundKind::PreemptiveMsmr => self.self_eq3[target],
+    /// The job-additive scalars of one bound kind.
+    pub(crate) fn job_additive(&self, kind: DelayBoundKind) -> JobAdditive<'_> {
+        let (table, stride, shift) = match kind {
+            DelayBoundKind::PreemptiveSingleResource => (&self.ja_eq1, self.cap, 0),
+            DelayBoundKind::NonPreemptiveSingleResource => (&self.jobs.max_proc, 0, 0),
+            DelayBoundKind::PreemptiveMsmr => (&self.ja_eq45, self.cap, 1),
             DelayBoundKind::NonPreemptiveMsmr | DelayBoundKind::NonPreemptiveOpa => {
-                self.self_eq45[target]
+                (&self.ja_eq45, self.cap, 0)
             }
+            DelayBoundKind::RefinedPreemptive | DelayBoundKind::EdgeHybrid => {
+                (&self.ja_eq6, self.cap, 0)
+            }
+        };
+        JobAdditive {
+            table,
+            stride,
+            shift,
         }
+    }
+}
+
+/// One bound kind's job-additive scalars: interferer `k` adds
+/// `table[target·stride + k] << shift` to `target`'s bound, and the
+/// target's own term is its `t_{i,1} << shift`. Eq. 2 reads the per-job
+/// `t_{k,1}` with stride 0; Eq. 3 reads Eq. 4/5's table doubled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobAdditive<'a> {
+    table: &'a [u64],
+    stride: usize,
+    pub(crate) shift: u32,
+}
+
+impl JobAdditive<'_> {
+    /// The term interferer `k` adds to `target`'s bound, in raw ticks.
+    #[inline]
+    pub(crate) fn pair(self, target: usize, k: usize) -> u64 {
+        self.table[target * self.stride + k] << self.shift
     }
 }

@@ -88,8 +88,8 @@ impl Panel {
 /// Runs every point of `panel` under `options` and returns the text the
 /// `fig4` binary prints for it: a title line, the markdown table and a
 /// blank line. Panels A–C print one acceptance ratio (%) per approach in
-/// legend order plus OPT's undecided count; panel D prints the mean
-/// rejected heaviness (%) of each admission controller.
+/// legend order plus the number of cases OPT left undecided; panel D
+/// prints the mean rejected heaviness (%) of each admission controller.
 ///
 /// # Errors
 ///
@@ -111,7 +111,7 @@ pub fn render(panel: Panel, options: &RunOptions) -> Result<String, WorkloadErro
         "setting"
     } else {
         header.extend(Approach::all().map(Approach::solver_name));
-        header.push("OPT undecided");
+        header.push("OPT undecided (count)");
         let experiment = AcceptanceExperiment::new(options.cases, options.seed)
             .with_opt_node_limit(options.opt_node_limit)
             .with_threads(options.threads);
@@ -119,7 +119,7 @@ pub fn render(panel: Panel, options: &RunOptions) -> Result<String, WorkloadErro
             let row = experiment.run(&config)?;
             let mut cells = vec![Cell::from(label)];
             cells.extend(Approach::all().map(|a| Cell::from(row.acceptance(a))));
-            cells.push(Cell::from(row.opt_undecided as f64));
+            cells.push(Cell::from(row.opt_undecided.to_string()));
             rows.push(cells);
         }
         "point"

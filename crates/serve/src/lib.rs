@@ -90,8 +90,10 @@
 //! > {"id":2,"op":{"Admit":{"job":{"arrival":0,"deadline":60,"stages":[
 //!       {"time":5,"resource":0},{"time":7,"resource":1},{"time":15,"resource":1}]},
 //!       "evaluate":true}}}
-//! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"DM","kind":"Accepted",...}}}}
-//! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"DMR","kind":"Accepted",...}}}}
+//! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"DM","kind":"Accepted",
+//!       "stats":{"cold_fallback":true,...},...}}}}
+//! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"DMR","kind":"Accepted",
+//!       "stats":{"cold_fallback":true,...},...}}}}
 //! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"OPDCA","kind":"Accepted",...}}}}
 //! < {"id":2,"frame":{"Verdict":{"verdict":{"solver":"OPT","kind":"Accepted",
 //!       "stats":{"implied_by":"DMR",...},...}}}}
@@ -105,11 +107,11 @@
 //! < {"id":3,"frame":{"Done":{"frames":1}}}
 //! ```
 //!
-//! The DM/DMR/OPDCA verdicts come from their **warm** online paths
-//! (OPDCA fast-forwarded its previous Audsley trace); DCMP has no online
-//! seam, so the cold adapter re-solved it and flagged the verdict with
-//! `"cold_fallback":true` — provenance only, zeroed by every
-//! byte-comparison. A `withdraw` (here: decider-only, no
+//! The OPDCA verdict comes from its **warm** online path (it
+//! fast-forwarded its previous Audsley trace); DM, DMR and DCMP have no
+//! online seam, so the cold adapter re-solved them over the warm tables
+//! and flagged each verdict with `"cold_fallback":true` — provenance
+//! only, zeroed by every byte-comparison. A `withdraw` (here: decider-only, no
 //! `"evaluate"`; two more jobs were admitted in between) swap-removes
 //! the victim from the cached tables in `O(n·N)`, decides the *reduced*
 //! set cold on them and streams the decider's verdict before its result

@@ -548,7 +548,8 @@ pub struct SessionStatsFrame {
     /// OPDCA withdraw or the first admit after a restore.
     pub warm_decides: u64,
     /// Decider verdicts that fell back to the cold adapter since the
-    /// session was (re)built in this process.
+    /// session was (re)built in this process — every decide of a
+    /// decider without an online seam (DM, DMR, DCMP).
     pub cold_decides: u64,
     /// The session's decision counter — its seq horizon: the seq of the
     /// last admit/withdraw decision (survives snapshot restore).

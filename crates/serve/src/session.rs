@@ -301,7 +301,8 @@ pub struct AdmissionSession {
     /// decides cold inside the seam and still counts here.
     warm_decides: u64,
     /// Decider verdicts that fell back to the cold adapter (a decider
-    /// without an online seam) in this process.
+    /// without an online seam: every decide of a DM, DMR or DCMP
+    /// decider) in this process.
     cold_decides: u64,
     next_handle: u64,
     /// Total decisions made (admit accepts + rejects + withdraws): the

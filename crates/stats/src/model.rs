@@ -31,12 +31,14 @@ pub struct StatsCounters {
     /// Session (re)submissions.
     pub submits: u64,
     /// Solver verdicts produced by a solver's online seam (no provenance
-    /// marker). This counts the path, not the work: a seam verdict that
-    /// decided cold — every OPDCA withdraw, the first admit after a
-    /// snapshot restore — counts here too.
+    /// marker; OPDCA is the only solver with one). This counts the path,
+    /// not the work: a seam verdict that decided cold — every OPDCA
+    /// withdraw, the first admit after a snapshot restore — counts here
+    /// too.
     pub warm_decides: u64,
     /// Solver verdicts produced by the registry's cold adapter for a
-    /// solver without an online seam (`cold_fallback` provenance).
+    /// solver without an online seam — DM, DMR, DCMP and the exact
+    /// engines (`cold_fallback` provenance).
     pub cold_decides: u64,
     /// Solver verdicts synthesized through an implication shortcut.
     pub implied_decides: u64,
@@ -105,7 +107,8 @@ pub struct SolverRow {
     /// including seam verdicts that decided cold inside the seam (see
     /// [`StatsCounters::warm_decides`]).
     pub warm: u64,
-    /// Cold-adapter verdicts (`cold_fallback` provenance).
+    /// Cold-adapter verdicts (`cold_fallback` provenance): every online
+    /// verdict of a solver without a seam (all but OPDCA).
     pub cold: u64,
     /// Verdicts synthesized through an implication shortcut.
     pub implied: u64,
