@@ -18,9 +18,9 @@
 //!   observed verdict matches byte for byte (after
 //!   [`normalized_verdict_json`](msmr_serve::normalized_verdict_json)
 //!   zeroes the timing fields).
-//! * **Warm provenance.** Sessions restored from snapshots keep their
-//!   decider state: no verdict produced after a crash-restart carries
-//!   the cold-fallback marker.
+//! * **Warm provenance.** Sessions restored from snapshots decide
+//!   through the decider's online seam again: no verdict produced after
+//!   a crash-restart carries the cold-fallback marker.
 //!
 //! Every scenario is a pure function of its `seed`, so a failure report
 //! ("chaos: seed was N") reproduces exactly.

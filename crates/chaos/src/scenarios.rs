@@ -29,7 +29,7 @@ use crate::proxy::{ChaosProxy, FaultPlan};
 use crate::{chaos_trace, scratch_dir};
 
 /// Asserts that every decider verdict in `frames` is warm: a session
-/// that restored properly keeps its online decider state, so the
+/// that restored properly decides through its online seam, so the
 /// decider never drops to the cold adapter (`cold_fallback`).
 fn assert_decider_warm(frames: &[Response], decider: &str, context: &str) -> Result<(), String> {
     for response in frames {
@@ -47,9 +47,9 @@ fn assert_decider_warm(frames: &[Response], decider: &str, context: &str) -> Res
 
 /// The surviving history of a [`ResumingClient`] run
 /// ([`history::surviving`]), which must hold `jobs` seqs. Every
-/// decision after the first must have decided warm — a restore keeps
-/// the decider state; the very first decision after a submit may
-/// legitimately decide cold.
+/// decision after the first must have decided warm — a restored session
+/// decides through the online seam; the very first decision after a
+/// submit may legitimately decide cold.
 fn surviving_history(observed: Vec<ObservedOp>, jobs: usize) -> Result<Vec<Decision>, String> {
     let decider = SessionConfig::default().decider;
     let survivors = history::surviving(observed).map_err(|e| e.to_string())?;

@@ -505,10 +505,10 @@ impl ClusterEngine {
     /// Attaches to a named session, **resurrecting evicted state
     /// first**: when the name is unknown to the store but a snapshot
     /// exists (a TTL-evicted or pre-restart session), the snapshot is
-    /// restored — warm tables and decider state included — before the
-    /// attach, so eviction is transparent to returning clients and a
-    /// fresh namesake can never shadow (and later overwrite) persisted
-    /// state. Only a truly unknown name falls through to creation.
+    /// restored — warm tables included — before the attach, so eviction
+    /// is transparent to returning clients and a fresh namesake can
+    /// never shadow (and later overwrite) persisted state. Only a truly
+    /// unknown name falls through to creation.
     ///
     /// # Errors
     ///
@@ -662,14 +662,16 @@ impl ClusterEngine {
                 })),
                 None => sink.send(error_frame("not attached to a session")),
             },
+            Op::Submit(op) if op.parallel == Some(true) => sink.send(error_frame(
+                "parallel submit is not supported: omit `parallel` or send false",
+            )),
             Op::Submit(op) => self.solve(conn, sink, false, move |session, emit| {
                 // serde bypasses the JobSet builder invariants, so wire
                 // payloads are re-validated (and their ids re-numbered)
                 // before any analysis touches them.
                 match op.jobs.sanitized() {
                     Ok(jobs) => {
-                        let parallel = op.parallel.unwrap_or(false);
-                        session.submit(jobs, parallel, |verdict| emit(verdict_frame(verdict)));
+                        session.submit(jobs, false, |verdict| emit(verdict_frame(verdict)));
                     }
                     Err(e) => emit(error_frame(&format!("invalid job set: {e}"))),
                 }

@@ -235,30 +235,33 @@ mod tests {
 
     #[test]
     fn retired_decider_slots_load_blank_and_keep_the_session() {
-        // Older builds wrote DMR's repair trace, and later a `Stateless`
-        // DM and DMR slot, into every full-suite image; decider states
-        // are advisory, so the repair trace loads as absent (DMR decides
-        // cold), the blank slots load as blank and the session survives.
+        // Older builds wrote the decider states into every image under
+        // `online` (a `Stateless` DM slot, DMR's retired repair trace,
+        // OPDCA's Audsley trace). Images carry no decider state now, so
+        // the key is ignored: the image loads equal to the saved one and
+        // the restored session starts blank.
         let store = SnapshotStore::open(temp_dir("retired-slot")).unwrap();
         let image = image_with_jobs(2);
         store.save("legacy", 1, &image).unwrap();
         let text = std::fs::read_to_string(store.path_for("legacy")).unwrap();
-        let states = "\"states\":{";
-        assert!(text.contains(states), "{text}");
-        assert!(!text.contains("\"DM"), "only OPDCA keeps a slot: {text}");
+        assert!(!text.contains("\"online\""), "{text}");
+        let decisions = "\"decisions\":";
+        assert!(text.contains(decisions), "{text}");
         let legacy = text.replace(
-            states,
-            r#""states":{"DM":"Stateless","DMR":{"Repair":{"jobs":2,"flips":[]}},"#,
+            decisions,
+            concat!(
+                r#""online":{"states":{"DM":"Stateless","DMR":{"Repair":{"jobs":2,"flips":[]}},"#,
+                r#""OPDCA":{"Audsley":{"winners":[0,1],"probes":[2,1],"rejected":false}}}},"#,
+                r#""decisions":"#,
+            ),
         );
         std::fs::write(store.path_for("legacy"), legacy).unwrap();
 
         let loaded = store.load("legacy").unwrap().image;
-        let mut expected = image.clone();
-        let _ = expected.online.as_mut().unwrap().state_mut("DM");
-        assert_eq!(loaded, expected);
-        assert_eq!(loaded.jobs.len(), 2);
+        assert_eq!(loaded, image);
         let session = AdmissionSession::from_image(SessionConfig::default(), loaded).unwrap();
-        assert_eq!(session.image(), Some(expected));
+        assert!(session.online_state().is_empty());
+        assert_eq!(session.image(), Some(image));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -248,13 +248,14 @@ impl SharedSession {
     }
 
     /// [`Claim::submit`] on a blocking [`SharedSession::claim`].
+    /// `_parallel` is ignored, as in [`AdmissionSession::submit`].
     pub fn submit(
         &self,
         jobs: JobSet,
-        parallel: bool,
-        sink: impl FnMut(&Verdict) + Send,
+        _parallel: bool,
+        sink: impl FnMut(&Verdict),
     ) -> Vec<Verdict> {
-        self.claim().submit(jobs, parallel, sink)
+        self.claim().submit(jobs, false, sink)
     }
 
     /// [`Claim::admit`] on a blocking [`SharedSession::claim`].
@@ -343,15 +344,16 @@ pub struct Claim<'a> {
 
 impl Claim<'_> {
     /// Opens (or replaces) the session with a full job set; see
-    /// [`AdmissionSession::submit`]. Bumps the version.
+    /// [`AdmissionSession::submit`]; `_parallel` is ignored there too.
+    /// Bumps the version.
     pub fn submit(
         &mut self,
         jobs: JobSet,
-        parallel: bool,
-        sink: impl FnMut(&Verdict) + Send,
+        _parallel: bool,
+        sink: impl FnMut(&Verdict),
     ) -> Vec<Verdict> {
         self.session.touch();
-        let verdicts = self.inner.session.submit(jobs, parallel, sink);
+        let verdicts = self.inner.session.submit(jobs, false, sink);
         self.inner.version += 1;
         verdicts
     }

@@ -16,7 +16,7 @@ use msmr_cluster::{ClusterConfig, ClusterEngine};
 use msmr_dca::DelayBoundKind;
 use msmr_serve::history::replay_cold;
 use msmr_serve::protocol::{
-    AdmitOp, Frame, JobSpec, Op, ShutdownOp, StatusOp, SubmitOp, WithdrawOp,
+    AdmitOp, Frame, JobSpec, Op, Response, ShutdownOp, StatusOp, SubmitOp, WithdrawOp,
 };
 use msmr_serve::{Client, Endpoint, Listen, Server, SessionConfig};
 use msmr_workload::{EdgeWorkloadConfig, EdgeWorkloadGenerator};
@@ -197,28 +197,51 @@ fn withdraw_reopens_capacity_over_the_wire() {
 
 #[test]
 fn parallel_submit_streams_all_solvers_over_the_wire() {
+    // A parallel submit is refused: it streams an error and no verdict,
+    // and the session keeps the set the plain submit before it opened.
     let (server, path) = start_server("parallel");
     let mut client = Client::connect(&Endpoint::Uds(path)).expect("connect");
 
-    let config = EdgeWorkloadConfig::default()
-        .with_jobs(16)
-        .with_infrastructure(4, 3);
-    let jobs = EdgeWorkloadGenerator::new(config)
-        .expect("valid workload config")
-        .generate_seeded(11);
+    let generate = |jobs: usize, seed: u64| {
+        let config = EdgeWorkloadConfig::default()
+            .with_jobs(jobs)
+            .with_infrastructure(4, 3);
+        EdgeWorkloadGenerator::new(config)
+            .expect("valid workload config")
+            .generate_seeded(seed)
+    };
+    let verdicts = |frames: &[Response]| {
+        frames
+            .iter()
+            .filter(|f| matches!(f.frame, Frame::Verdict(_)))
+            .count()
+    };
 
     let frames = client
         .request(Op::Submit(SubmitOp {
-            jobs,
+            jobs: generate(16, 11),
+            parallel: None,
+        }))
+        .expect("submit");
+    assert_eq!(verdicts(&frames), 5, "one streamed verdict per solver");
+
+    let frames = client
+        .request(Op::Submit(SubmitOp {
+            jobs: generate(9, 12),
             parallel: Some(true),
         }))
-        .expect("parallel submit");
-    let verdicts: Vec<&Frame> = frames
-        .iter()
-        .filter(|f| matches!(f.frame, Frame::Verdict(_)))
-        .map(|f| &f.frame)
-        .collect();
-    assert_eq!(verdicts.len(), 5, "one streamed verdict per solver");
+        .expect("parallel submit round-trip");
+    assert_eq!(verdicts(&frames), 0);
+    assert!(
+        frames.iter().any(|f| matches!(f.frame, Frame::Error(_))),
+        "{frames:?}"
+    );
+
+    let frames = client.request(Op::Status(StatusOp {})).expect("status");
+    let Some(Frame::Status(status)) = frames.first().map(|f| &f.frame) else {
+        panic!("expected a status frame, got {frames:?}");
+    };
+    assert_eq!(status.jobs, 16, "the first submit's set is still open");
 
     client
         .request(Op::Shutdown(ShutdownOp {}))

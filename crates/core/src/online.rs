@@ -24,14 +24,15 @@
 //!    have spent, and may only skip a probe whose outcome is provable
 //!    (the delay bounds are monotone in the assumed-higher set, so adding
 //!    an arrival can never turn a failed Audsley probe into a pass).
-//! 2. **States are advisory.** Every state is serializable (sessions
-//!    snapshot it) and shape-validated before use; a state that does not
-//!    describe the current job set is ignored and the solver decides
-//!    cold. Semantically-wrong-but-well-shaped states are trusted, like
-//!    the pair-table values themselves. In-memory caches riding on a
-//!    state (OPDCA's [`AudsleyState::cache`]) are never serialized and
-//!    are used only on the exact tables they were computed from, so a
-//!    restored or mismatched state loses its warmth, never its bytes.
+//! 2. **States are advisory.** A state lives only in memory (a session
+//!    snapshot does not carry it, so a restored session starts blank) and
+//!    is shape-validated before use; a state that does not describe the
+//!    current job set is ignored and the solver decides cold.
+//!    Semantically-wrong-but-well-shaped states are trusted, like the
+//!    pair-table values themselves. The cache riding on a state (OPDCA's
+//!    [`AudsleyState::cache`]) is used only on the exact tables it was
+//!    computed from, so a mismatched state loses its warmth, never its
+//!    bytes.
 //! 3. **Capability, not obligation.** [`Solver::online`](crate::Solver)
 //!    is an optional hook; solvers without it keep working through the
 //!    registry's cold adapter, which marks its verdicts with the
@@ -41,13 +42,12 @@ use std::sync::Arc;
 
 use msmr_dca::EvaluatorState;
 use msmr_model::JobId;
-use serde::{Deserialize, Serialize};
 
 use crate::solver::{SolveCtx, Verdict};
 
-/// The serializable warm state of one online solver, as persisted between
-/// decisions (and across daemon restarts via session snapshots).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The warm state of one online solver, kept in memory between
+/// decisions.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum DeciderState {
     /// No usable history: the next decide runs cold (and records a fresh
     /// state). This is both the blank-start state and the invalidation
@@ -67,13 +67,13 @@ pub enum DeciderState {
 /// keeping warm verdicts byte-identical.
 ///
 /// The fast-forward reads its bounds from [`AudsleyState::cache`], the
-/// recording decide's final evaluator state. The cache is in-memory and
-/// advisory: it is never serialized, never compared, and used only on the
-/// exact pair tables it was computed from (their
+/// recording decide's final evaluator state. The cache is advisory: it is
+/// never compared, and used only on the exact pair tables it was computed
+/// from (their
 /// [`PairTables::generation`](msmr_dca::PairTables::generation) before the
-/// arrival). Without it — after a snapshot restore, or on tables it does
-/// not match — an admit decides cold, with the same bytes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// arrival). Without it — on tables it does not match — an admit decides
+/// cold, with the same bytes.
+#[derive(Debug, Clone, Default)]
 pub struct AudsleyState {
     /// The job assigned at each level, in assignment order (lowest
     /// priority first).
@@ -85,7 +85,6 @@ pub struct AudsleyState {
     pub rejected: bool,
     /// Every job's bound state at its own decision level, as the
     /// recording decide left it (shared, so cloning a state is `O(1)`).
-    #[serde(skip)]
     pub cache: Option<Arc<EvaluatorState>>,
 }
 
@@ -102,8 +101,9 @@ impl AudsleyState {
     /// `true` when the trace is shape-consistent with a job set of `jobs`
     /// jobs: winners are unique in-range ids, the probe list matches the
     /// level count, every probe count is achievable, and an accepted
-    /// trace covers the whole set. Malformed traces (e.g. a hand-edited
-    /// snapshot) fail this and the decider falls back to a cold run.
+    /// trace covers the whole set. A trace paired with a job set it was
+    /// not recorded on (a caller-built state, or a slot handed to the
+    /// wrong set) fails this and the decider falls back to a cold run.
     #[must_use]
     pub fn describes(&self, jobs: usize) -> bool {
         let levels = self.winners.len();
@@ -160,40 +160,17 @@ pub trait OnlineSolver: Send + Sync {
     /// it describes the set *without* the highest-id job (the arrival)
     /// and carries what the fast-forward reads (OPDCA: its bound cache,
     /// over the context's tables before the arrival). Anything else —
-    /// a departure, a fresh submit, a restored state — decides cold and
+    /// a departure, a fresh submit, a blank state — decides cold and
     /// records a fresh state.
     fn decide(&self, state: &mut DeciderState, ctx: &SolveCtx<'_>) -> Verdict;
 }
 
 /// The warm decider states of a whole registry, keyed by solver name —
-/// what an admission session carries between requests and serializes into
-/// its snapshot image.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// what an admission session carries in memory between requests.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineSuiteState {
     /// Per-solver states. Absent name ⇒ [`DeciderState::Stateless`].
     pub states: std::collections::BTreeMap<String, DeciderState>,
-}
-
-// States are advisory, so parsing keeps every slot that still parses and
-// drops the rest: a slot this build cannot read (a state kind an older
-// build wrote, such as DMR's retired `{"Repair":{..}}` trace) leaves its
-// solver to decide cold, instead of failing the session image around it.
-impl Deserialize for OnlineSuiteState {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let Some(serde::Value::Map(slots)) = value.get("states") else {
-            return Ok(OnlineSuiteState::new());
-        };
-        let states = slots
-            .iter()
-            .filter_map(|(name, state)| {
-                Some((
-                    String::deserialize(name).ok()?,
-                    DeciderState::deserialize(state).ok()?,
-                ))
-            })
-            .collect();
-        Ok(OnlineSuiteState { states })
-    }
 }
 
 impl OnlineSuiteState {
@@ -299,35 +276,5 @@ mod tests {
             suite.states.get("OPDCA"),
             Some(DeciderState::Audsley(_))
         ));
-    }
-
-    #[test]
-    fn states_round_trip_through_json() {
-        let mut suite = OnlineSuiteState::new();
-        *suite.state_mut("OPDCA") = DeciderState::Audsley(AudsleyState {
-            winners: vec![JobId::new(1), JobId::new(0)],
-            probes: vec![2, 1],
-            rejected: false,
-            ..Default::default()
-        });
-        *suite.state_mut("DMR") = DeciderState::Stateless;
-        *suite.state_mut("DM") = DeciderState::Stateless;
-        let json = serde_json::to_string(&suite).unwrap();
-        let parsed: OnlineSuiteState = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, suite);
-    }
-
-    #[test]
-    fn unreadable_slots_parse_as_absent() {
-        let json = r#"{"states":{"DM":"Stateless","DMR":{"Repair":{"jobs":2,"flips":[]}},"OPDCA":{"Audsley":{"winners":[0],"probes":[1],"rejected":false}}}}"#;
-        let parsed: OnlineSuiteState = serde_json::from_str(json).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert!(!parsed.states.contains_key("DMR"), "{parsed:?}");
-        assert!(matches!(
-            parsed.states.get("OPDCA"),
-            Some(DeciderState::Audsley(state)) if state.describes(1)
-        ));
-        let blank: OnlineSuiteState = serde_json::from_str(r#"{"states":7}"#).unwrap();
-        assert!(blank.is_empty());
     }
 }

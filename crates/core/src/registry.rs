@@ -131,8 +131,8 @@ impl SolverRegistry {
     }
 
     /// Installs an observability hook called with **every** verdict this
-    /// registry produces — sequential, parallel (from worker threads,
-    /// hence the `Sync` bound) and online paths alike, implied verdicts
+    /// registry produces — sequential, batch (from worker threads, hence
+    /// the `Sync` bound) and online paths alike, implied verdicts
     /// included. The hook observes verdicts by reference and cannot
     /// mutate them, so instrumentation can never perturb the
     /// byte-identity contract between warm and cold evaluation. One hook
@@ -240,31 +240,6 @@ impl SolverRegistry {
             },
             ..Verdict::new(solver, VerdictKind::Accepted)
         }
-    }
-
-    /// Evaluates every registered solver on one context concurrently: one
-    /// task per solver on the `msmr-par` pool, no implication shortcuts —
-    /// every solver genuinely runs. The analysis is built only once: it is
-    /// forced before the fan-out and shared read-only by the workers (a
-    /// context over a lent analysis, [`SolveCtx::over`], reuses it — the
-    /// cross-request caching path of an admission session). `sink`
-    /// observes each verdict
-    /// as its solver completes — in **completion** order, from worker
-    /// threads; the returned vector is in registration order.
-    #[must_use]
-    pub fn evaluate_parallel_ctx(
-        &self,
-        ctx: &SolveCtx<'_>,
-        threads: usize,
-        sink: impl Fn(&Verdict) + Sync,
-    ) -> Vec<Verdict> {
-        let _ = ctx.analysis();
-        msmr_par::parallel_map(&self.entries, threads, |_, entry| {
-            let verdict = entry.solver.solve(ctx);
-            self.fire_hook(&verdict);
-            sink(&verdict);
-            verdict
-        })
     }
 
     /// The stateful counterpart of [`SolverRegistry::evaluate_ctx`]:
@@ -471,39 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_parallel_runs_every_solver_for_real() {
-        let registry = SolverRegistry::paper_suite(BOUND);
-        let jobs = light_jobs();
-        let verdicts = registry.evaluate_parallel_ctx(&SolveCtx::new(&jobs), 4, |_| {});
-        assert_eq!(verdicts.len(), 5);
-        // No shortcuts in the parallel-per-solver path: OPT carries a real
-        // witness.
-        let opt = verdicts.iter().find(|v| v.solver == "OPT").unwrap();
-        assert!(opt.stats.implied_by.is_none());
-        assert!(opt.witness.is_some());
-    }
-
-    #[test]
-    fn parallel_streamed_sees_every_solver_once() {
-        use std::sync::Mutex;
-        let registry = SolverRegistry::paper_suite(BOUND);
-        let jobs = light_jobs();
-        let seen = Mutex::new(Vec::new());
-        let verdicts = registry.evaluate_parallel_ctx(&SolveCtx::new(&jobs), 4, |v| {
-            seen.lock().unwrap().push(v.solver.clone());
-        });
-        assert_eq!(verdicts.len(), 5);
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort();
-        let mut names: Vec<String> = registry.names().iter().map(ToString::to_string).collect();
-        names.sort();
-        assert_eq!(seen, names);
-        // No shortcuts on the parallel path.
-        let opt = verdicts.iter().find(|v| v.solver == "OPT").unwrap();
-        assert!(opt.stats.implied_by.is_none());
-    }
-
-    #[test]
     fn injected_analysis_is_reused_and_reclaimable() {
         let jobs = light_jobs();
         let analysis = msmr_dca::Analysis::new(&jobs);
@@ -570,10 +512,10 @@ mod tests {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
 
-        // Parallel path (hook fires from worker threads).
+        // Batch path (hook fires from worker threads).
         seen.store(0, Ordering::SeqCst);
-        let _ = hooked.evaluate_parallel_ctx(&SolveCtx::new(&jobs), 2, |_| {});
-        assert_eq!(seen.load(Ordering::SeqCst), hooked.len());
+        let _ = hooked.evaluate_batch(&[jobs.clone(), jobs.clone()], Budget::default(), 2);
+        assert_eq!(seen.load(Ordering::SeqCst), 2 * hooked.len());
 
         // Online paths: full suite and single-decider.
         seen.store(0, Ordering::SeqCst);

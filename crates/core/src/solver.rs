@@ -63,8 +63,7 @@ impl Budget {
 /// registry performs one analysis pass instead of five. A caller that
 /// already holds an analysis (an admission session keeps one warm across
 /// requests) lends it with [`SolveCtx::over`] instead, and the context
-/// builds nothing. `SolveCtx` is `Sync`; a registry can share one
-/// context across worker threads.
+/// builds nothing.
 pub struct SolveCtx<'a> {
     jobs: &'a JobSet,
     analysis: OnceLock<Cow<'a, Analysis<'a>>>,

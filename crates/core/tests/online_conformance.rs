@@ -288,7 +288,7 @@ struct WarmCoverage {
     last: usize,
     /// Warm admits whose previous trace was a rejection.
     on_rejected: usize,
-    /// Admits after the cache was dropped (as a snapshot restore does).
+    /// Admits from a blank state (what a snapshot restore gives).
     without_cache: usize,
     /// Admits on a cache computed from another job set of the same size.
     stale: usize,
@@ -400,11 +400,9 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
         }
 
         match step % 9 {
-            // Drop the cache the way a snapshot restore does.
+            // A blank state, which is what a snapshot restore gives.
             4 => {
-                let json = serde_json::to_string(&state).unwrap();
-                state = serde_json::from_str(&json).unwrap();
-                assert!(audsley(&state).cache.is_none());
+                state = OnlineSuiteState::new();
                 coverage.without_cache += 1;
             }
             // A state recorded over a different set of the same size.
@@ -426,7 +424,11 @@ fn run_heavy_history(seed: u64, ops: usize, coverage: &mut WarmCoverage) {
             _ => {}
         }
 
-        let previous = audsley(&state).clone();
+        // The trace the arrival may fast-forward (none on a blank state).
+        let previous = match state.states.get("OPDCA") {
+            Some(DeciderState::Audsley(trace)) => trace.clone(),
+            _ => msmr_sched::AudsleyState::default(),
+        };
         analysis.push(builder(&pick(&pool, &mut rng))).unwrap();
         let saved = state.clone();
         let verdict = decide_and_check(&registry, &mut state, &analysis, &what);

@@ -1,8 +1,8 @@
 //! Trait-conformance suite: every solver registered in the full suite must
 //! return, through `Solver::solve`, a verdict whose witness and delays
 //! certify its acceptance, and the exact engines must agree with each
-//! other and dominate the heuristics, on a corpus of random job sets from
-//! `msmr-workload`.
+//! other and dominate the heuristics (and DMR dominate DM), on a corpus of
+//! random job sets from `msmr-workload`.
 
 use msmr_dca::reference::{InterferenceSets, ReferenceBounds};
 use msmr_dca::DelayBoundKind;
@@ -86,9 +86,14 @@ fn exact_engines_agree_through_the_registry() {
     let registry = SolverRegistry::full_suite(BOUND);
     let budget = Budget::default().with_node_limit(NODE_LIMIT);
     for (case, jobs) in corpus().iter().enumerate() {
-        // The parallel path runs every solver for real (no shortcuts).
-        let verdicts =
-            registry.evaluate_parallel_ctx(&SolveCtx::with_budget(jobs, budget), 2, |_| {});
+        // Every solver runs for real: `evaluate_ctx`'s shortcuts would
+        // synthesize OPT's verdict and make the checks below vacuous.
+        let ctx = SolveCtx::with_budget(jobs, budget);
+        let verdicts: Vec<_> = registry
+            .names()
+            .into_iter()
+            .map(|name| registry.solver(name).expect("registered").solve(&ctx))
+            .collect();
         let kind = |name: &str| {
             verdicts
                 .iter()
@@ -105,6 +110,11 @@ fn exact_engines_agree_through_the_registry() {
             if kind(weaker) == VerdictKind::Accepted {
                 assert_eq!(kind("OPT"), VerdictKind::Accepted, "case {case}: {weaker}");
             }
+        }
+        // Algorithm 2 starts from DM's assignment and only repairs a
+        // failure, so DMR accepts whatever DM accepts.
+        if kind("DM") == VerdictKind::Accepted {
+            assert_eq!(kind("DMR"), VerdictKind::Accepted, "case {case}: DM");
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   `withdraw` route through the stateful
 //!   [`msmr_sched::OnlineSolver`] seam
 //!   ([`msmr_sched::SolverRegistry::evaluate_online`]), so on an admit
-//!   OPDCA fast-forwards its persisted Audsley trace and re-decides only
+//!   OPDCA fast-forwards its in-memory Audsley trace and re-decides only
 //!   the suffix the arriving job can perturb; a withdraw decides the
 //!   reduced set cold on the patched tables. Solvers without an online
 //!   seam are re-solved by the cold adapter, whose verdicts carry the
@@ -132,9 +132,8 @@
 //! end-to-end suite asserts byte-identity of the serialized verdicts,
 //! with the wall-clock `elapsed_micros` field zeroed on both sides —
 //! everything else, including node counts and `S_DCA` call counters, must
-//! match exactly). A `submit` with `"parallel":true` instead fans the
-//! solvers over the `msmr-par` pool and streams in completion order (no
-//! shortcuts — every solver genuinely runs).
+//! match exactly). A `submit` streams the same way; one with
+//! `"parallel":true` is refused with an `Error` frame.
 //!
 //! # Library example
 //!

@@ -78,6 +78,9 @@
 //!   byte-unchanged.
 //! * **v5 (one latency view)**: stats payload: `ops.*` lose
 //!   `p50_us`/`p99_us`, no wire-shape change elsewhere, no version bump.
+//! * **v5 (one way to submit, no version bump)**: a [`SubmitOp`] with
+//!   `"parallel":true` is refused with an [`Frame::Error`] and leaves the
+//!   session as it was; `false` or absent is byte-unchanged.
 //!
 //! # The seq-idempotency rule (v5)
 //!
@@ -161,11 +164,10 @@ pub enum Op {
 pub struct SubmitOp {
     /// The pipeline and initial admitted jobs.
     pub jobs: JobSet,
-    /// `true` fans the solvers out over the `msmr-par` pool and streams
-    /// verdicts in **completion** order (no implication shortcuts);
-    /// `false`/absent evaluates sequentially with shortcuts, streaming
-    /// each verdict as its solver finishes — byte-identical to
-    /// `SolverRegistry::evaluate`.
+    /// Must be `false` or absent: the suite evaluates sequentially with
+    /// implication shortcuts, streaming each verdict as its solver
+    /// finishes — byte-identical to `SolverRegistry::evaluate`. `true`
+    /// is refused with an error frame.
     pub parallel: Option<bool>,
 }
 

@@ -280,9 +280,9 @@ struct SessionState {
 /// whole loop (a withdraw decides cold on the patched tables), solvers
 /// without an online seam are re-solved by the cold adapter (marked with
 /// the `cold_fallback` stat), and a rejected admission rolls the state
-/// back together with the tables. The durable part of the state (the
-/// traces) is in [`SessionImage`]; OPDCA's in-memory bound cache is not,
-/// so a restored session's first admit decides cold and rebuilds it.
+/// back together with the tables. The decider state lives only in
+/// memory: [`SessionImage`] does not carry it, so a restored session's
+/// first admit decides cold and records it afresh.
 pub struct AdmissionSession {
     config: SessionConfig,
     registry: SolverRegistry,
@@ -470,15 +470,14 @@ impl AdmissionSession {
     /// grows purely through [`AdmissionSession::admit`] and streams no
     /// verdicts.
     ///
-    /// With `parallel`, the solvers fan out over the `msmr-par` pool and
-    /// verdicts stream in completion order without implication shortcuts;
-    /// sequential evaluation streams in registration order and is
-    /// verdict-identical to [`SolverRegistry::evaluate`].
+    /// Verdicts stream in registration order and are verdict-identical to
+    /// [`SolverRegistry::evaluate`]. `_parallel` is ignored: the suite
+    /// always runs sequentially (the parameter stays for existing callers).
     pub fn submit(
         &mut self,
         jobs: JobSet,
-        parallel: bool,
-        mut sink: impl FnMut(&Verdict) + Send,
+        _parallel: bool,
+        mut sink: impl FnMut(&Verdict),
     ) -> Vec<Verdict> {
         let started = Instant::now();
         // A submit replaces the job set wholesale: no decider trace can
@@ -491,41 +490,15 @@ impl AdmissionSession {
         let verdicts = if analysis.jobs().is_empty() {
             Vec::new()
         } else {
-            // Both paths evaluate over the session's freshly built
-            // analysis (no second O(n²·N) pass).
+            // The suite evaluates over the session's freshly built
+            // analysis (no second O(n²·N) pass), through the online seam
+            // on the just-reset (blank) states: every solver decides cold
+            // exactly once — verdict-identical to `evaluate_ctx` — and
+            // records the trace the first admit fast-forwards from, with
+            // no duplicate decider run.
             let ctx = SolveCtx::over(&analysis, self.config.budget());
-            if parallel {
-                // Completion-order streaming needs a Sync sink, so funnel
-                // the caller's FnMut through a mutex.
-                let shared = std::sync::Mutex::new(&mut sink);
-                let verdicts = self.registry.evaluate_parallel_ctx(
-                    &ctx,
-                    msmr_par::default_threads(),
-                    |verdict| {
-                        (shared.lock().expect("sink poisoned"))(verdict);
-                    },
-                );
-                // The parallel fan-out bypasses the online seam, so the
-                // decider decides once more on its blank slot to record
-                // the trace the very first admit fast-forwards from.
-                if let Some(online) = self
-                    .registry
-                    .solver(&self.config.decider)
-                    .and_then(msmr_sched::Solver::online)
-                {
-                    let _ = online.decide(self.online.state_mut(&self.config.decider), &ctx);
-                }
-                verdicts
-            } else {
-                // Sequential submits evaluate through the online seam on
-                // the just-reset (blank) states: every solver decides
-                // cold exactly once — verdict-identical to
-                // `evaluate_ctx` — and records the trace the first
-                // admit fast-forwards from, with no duplicate decider
-                // run.
-                self.registry
-                    .evaluate_online(&mut self.online, &ctx, &mut sink)
-            }
+            self.registry
+                .evaluate_online(&mut self.online, &ctx, &mut sink)
         };
         let handles = (0..analysis.jobs().len())
             .map(|_| {
@@ -872,7 +845,6 @@ impl AdmissionSession {
             next_handle: self.next_handle,
             admits: self.admits,
             rejects: self.rejects,
-            online: Some(self.online.clone()),
             decisions: Some(self.decisions),
             decision_log: Some(self.decision_log.clone()),
         })
@@ -940,11 +912,6 @@ impl AdmissionSession {
             .max()
             .map_or(1, |&max| max.saturating_add(1));
         let registry = Self::build_registry(&config);
-        // The persisted decider states come back warm; shape-invalid
-        // states (hand-edited snapshots) are rejected lazily by the
-        // solvers themselves, which then decide cold. Old snapshots
-        // without the field restore with a blank suite state.
-        let online = image.online.unwrap_or_default();
         Ok(AdmissionSession {
             config,
             registry,
@@ -952,7 +919,7 @@ impl AdmissionSession {
                 analysis: Analysis::owned(jobs),
                 handles: image.handles,
             }),
-            online,
+            online: OnlineSuiteState::new(),
             admits: image.admits,
             rejects: image.rejects,
             // Withdrawals and the warm/cold split are process-local
@@ -975,11 +942,12 @@ impl AdmissionSession {
 
 /// The durable state of an [`AdmissionSession`], as persisted by the
 /// cluster snapshot subsystem: everything needed to resume admission
-/// control after a daemon restart *except* the warm caches. The pair
+/// control after a daemon restart *except* the warm state. The pair
 /// tables are rebuilt by [`AdmissionSession::from_image`] with
-/// [`Analysis::owned`]; the decider states keep their traces but not
-/// OPDCA's bound cache (`#[serde(skip)]`), which the first admit after a
-/// restore rebuilds cold — so the image's bytes do not depend on it.
+/// [`Analysis::owned`]; the decider states are not kept at all, so the
+/// first admit after a restore decides cold and records them afresh. An
+/// image written by an older build may still carry an `online` key with
+/// those states; parsing ignores it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionImage {
     /// The admitted job set (pipeline included).
@@ -992,13 +960,6 @@ pub struct SessionImage {
     pub admits: u64,
     /// Lifetime reject count.
     pub rejects: u64,
-    /// The per-solver decider states of the online seam, so a restore
-    /// keeps the traces (without OPDCA's in-memory bound cache, which its
-    /// first admit after the restore rebuilds cold). `None` in
-    /// snapshots written before the online seam existed (they restore
-    /// with a blank state); a slot this build cannot parse loads as
-    /// absent, so that solver decides cold.
-    pub online: Option<OnlineSuiteState>,
     /// The decision counter at snapshot time, so post-restore seqs
     /// continue the pre-crash sequence (`None` in older snapshots,
     /// which restart at 0 as they always did).
@@ -1249,29 +1210,23 @@ mod tests {
             .admit(&spec([4, 4, 4], 1, 200), false, |_| {})
             .unwrap();
 
-        let image = session.image().unwrap();
         let Some(msmr_sched::DeciderState::Audsley(trace)) =
-            image.online.as_ref().unwrap().states.get("OPDCA")
+            session.online_state().states.get("OPDCA")
         else {
             panic!("the decider left its trace behind");
         };
         assert!(trace.cache.is_some(), "a warm session holds the cache");
-        let mut stripped = image.clone();
-        for state in stripped.online.as_mut().unwrap().states.values_mut() {
-            if let msmr_sched::DeciderState::Audsley(trace) = state {
-                trace.cache = None;
-            }
-        }
+        // The image holds no decider state at all ...
+        let json = serde_json::to_string(&session.image().unwrap()).unwrap();
+        assert!(!json.contains("\"online\""), "{json}");
+        // ... so a restore starts blank, and its image is the same bytes
+        // again.
+        let parsed: SessionImage = serde_json::from_str(&json).unwrap();
+        let restored = AdmissionSession::from_image(SessionConfig::default(), parsed).unwrap();
+        assert!(restored.online_state().is_empty());
         assert_eq!(
-            serde_json::to_string(&image).unwrap(),
-            serde_json::to_string(&stripped).unwrap()
-        );
-        // A restore comes back without the cache, and its image is the
-        // same bytes again.
-        let restored = AdmissionSession::from_image(SessionConfig::default(), image.clone());
-        assert_eq!(
-            serde_json::to_string(&restored.unwrap().image().unwrap()).unwrap(),
-            serde_json::to_string(&image).unwrap()
+            serde_json::to_string(&restored.image().unwrap()).unwrap(),
+            json
         );
     }
 
@@ -1291,25 +1246,25 @@ mod tests {
             "online ops must leave decider state behind"
         );
 
-        let image = session.image().unwrap();
-        let json = serde_json::to_string(&image).unwrap();
+        // The image carries no decider state: the restored session starts
+        // blank ...
+        let json = serde_json::to_string(&session.image().unwrap()).unwrap();
         let parsed: SessionImage = serde_json::from_str(&json).unwrap();
         let mut restored = AdmissionSession::from_image(SessionConfig::default(), parsed).unwrap();
-        assert_eq!(restored.online_state(), session.online_state());
+        assert!(restored.online_state().is_empty());
 
-        // The restored session decides from the persisted state (OPDCA
-        // rebuilds its unpersisted bound cache cold) and still produces
-        // byte-identical verdicts on the next ops.
+        // ... decides the next op cold, byte-identical to the uninterrupted
+        // session's warm decide, and records the same trace.
         let next = spec([3, 3, 3], 1, 250);
-        let mut warm = Vec::new();
         let mut cold = Vec::new();
+        let mut warm = Vec::new();
         let a = restored
-            .admit(&next, true, |v| warm.push(v.clone()))
-            .unwrap();
-        let b = session
             .admit(&next, true, |v| cold.push(v.clone()))
             .unwrap();
-        assert_eq!(a.admitted, b.admitted);
+        let b = session
+            .admit(&next, true, |v| warm.push(v.clone()))
+            .unwrap();
+        assert!(a.admitted && b.admitted);
         let normalize = |v: &Verdict| {
             let mut v = v.clone();
             v.stats.elapsed_micros = 0;
@@ -1317,19 +1272,10 @@ mod tests {
             v
         };
         assert_eq!(
-            warm.iter().map(normalize).collect::<Vec<_>>(),
-            cold.iter().map(normalize).collect::<Vec<_>>()
+            cold.iter().map(normalize).collect::<Vec<_>>(),
+            warm.iter().map(normalize).collect::<Vec<_>>()
         );
-
-        // Pre-online snapshots (no `online` field) restore with a blank
-        // state and still work.
-        let mut legacy = session.image().unwrap();
-        legacy.online = None;
-        let mut restored = AdmissionSession::from_image(SessionConfig::default(), legacy).unwrap();
-        assert!(restored.online_state().is_empty());
-        assert!(restored
-            .admit(&spec([2, 2, 2], 0, 300), false, |_| {})
-            .is_ok());
+        assert_eq!(restored.online_state(), session.online_state());
     }
 
     #[test]
@@ -1545,45 +1491,6 @@ mod tests {
             streamed.iter().map(normalize).collect::<Vec<_>>(),
             offline.iter().map(normalize).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn parallel_submit_runs_every_solver() {
-        let mut b = JobSetBuilder::new();
-        b.stage("a", 2, PreemptionPolicy::Preemptive)
-            .stage("b", 2, PreemptionPolicy::Preemptive);
-        for i in 0..4u64 {
-            b.job()
-                .deadline(Time::new(200))
-                .stage_time(Time::new(5), (i % 2) as usize)
-                .stage_time(Time::new(10), (i % 2) as usize)
-                .add()
-                .unwrap();
-        }
-        let jobs = b.build().unwrap();
-        let mut session = AdmissionSession::new(SessionConfig::default());
-        let mut streamed = 0usize;
-        let verdicts = session.submit(jobs, true, |_| streamed += 1);
-        assert_eq!(verdicts.len(), 5);
-        assert_eq!(streamed, 5);
-        // No shortcuts on the parallel path.
-        assert!(verdicts.iter().all(|v| v.stats.implied_by.is_none()));
-        // The session is usable afterwards (tables cached).
-        let two_stage = JobSpec {
-            arrival: 0,
-            deadline: 100,
-            stages: vec![
-                StageDemand {
-                    time: 1,
-                    resource: 0,
-                },
-                StageDemand {
-                    time: 1,
-                    resource: 0,
-                },
-            ],
-        };
-        assert!(session.admit(&two_stage, false, |_| {}).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Evaluate every registered solver — all six engines, including the
-//! verbatim ILP formulation of OPT — on one edge workload in parallel and
-//! print a unified verdict table.
+//! verbatim ILP formulation of OPT — on one edge workload and print a
+//! unified verdict table.
 //!
 //! DM, DMR, OPDCA and OPT are all driven by the allocation-free
 //! incremental `DelayEvaluator` of `msmr-dca` (solver verdicts are
@@ -28,12 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The full suite registers DM, DMR, OPDCA, OPT, DCMP and OPT-ILP.
-    // `evaluate_parallel_ctx` runs one task per solver over the context's
-    // shared analysis; no implication shortcuts, so every engine genuinely
-    // executes.
+    // Each solver runs on the context's shared analysis; no implication
+    // shortcuts (`evaluate_ctx` would take them), so every engine
+    // genuinely executes.
     let registry = SolverRegistry::full_suite(EVALUATION_BOUND);
     let ctx = SolveCtx::with_budget(&jobs, Budget::default().with_node_limit(500_000));
-    let verdicts = registry.evaluate_parallel_ctx(&ctx, msmr_par::default_threads(), |_| {});
+    let verdicts: Vec<_> = registry
+        .names()
+        .into_iter()
+        .map(|name| registry.solver(name).expect("registered").solve(&ctx))
+        .collect();
 
     println!(
         "{:<8} {:<10} {:<6} {:<10} {:<12} {:<12} time",

@@ -8,8 +8,9 @@
 # and two frames of the live dashboard),
 # exercises the snapshot op through msmr-admit, shuts the daemon down,
 # validates the written trace and replays it offline against the final
-# live snapshot, then verifies a contended decider-only burst on a
-# second daemon. Fails on any non-zero exit (including verdict
+# live snapshot, restores the shutdown snapshots (one given an older
+# build's decider slot) on a fresh daemon, then verifies a contended
+# decider-only burst on another daemon. Fails on any non-zero exit (including verdict
 # mismatches in the bursts' verification).
 #
 # Usage: scripts/cluster_smoke.sh [clients] [sessions] [jobs] [seed]
@@ -150,6 +151,37 @@ ls "$SNAPDIR"/loadgen-"$SEED"-*.json >/dev/null || {
 # assert every solver's span count equals the decision counter the live
 # snapshot reported for it.
 "$TOP" --replay "$TRACE_OUT" --against "$FINAL_SNAP"
+
+# The snapshot upgrade path with real processes: older builds wrote the
+# decider states into every image under `online`. Add such a slot to one
+# shutdown snapshot and boot a daemon on the same directory: every
+# snapshot must restore (none quarantined) and the session must answer.
+SNAPS=("$SNAPDIR"/*.json)
+sed -i 's|"decisions":|"online":{"states":{"DM":"Stateless","DMR":{"Repair":{"jobs":1,"flips":[]}},"OPDCA":{"Audsley":{"winners":[0],"probes":[1],"rejected":false}}}},"decisions":|' \
+    "$SNAPDIR/loadgen-$SEED-0.json"
+grep -q '"online":{' "$SNAPDIR/loadgen-$SEED-0.json" || {
+    echo "could not add a decider slot to loadgen-$SEED-0.json" >&2
+    exit 1
+}
+rm -f "$SOCK"
+"$SERVED" --uds "$SOCK" --cluster --snapshot-dir "$SNAPDIR" >"$SERVED_LOG" &
+SERVED_PID=$!
+for _ in $(seq 1 100); do
+    grep -q "listening on unix://" "$SERVED_LOG" && break
+    sleep 0.1
+done
+grep -q "restored ${#SNAPS[@]} session(s)" "$SERVED_LOG" || {
+    echo "expected ${#SNAPS[@]} restored sessions:" >&2
+    cat "$SERVED_LOG" >&2
+    exit 1
+}
+if ls "$SNAPDIR"/*.corrupt >/dev/null 2>&1; then
+    echo "a snapshot with a decider slot was quarantined" >&2
+    exit 1
+fi
+"$ADMIT" --uds "$SOCK" --session "loadgen-$SEED-0" --status
+"$ADMIT" --uds "$SOCK" --shutdown
+wait "$SERVED_PID"
 
 # A contended decider-only burst on a second, fresh daemon (--check-stats
 # compares daemon-lifetime counters): four clients over two sessions
