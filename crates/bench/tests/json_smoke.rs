@@ -13,7 +13,7 @@ fn fast_kernel_report_is_complete_and_parseable() {
     assert!(report.fast);
 
     for name in [
-        "analysis_precompute",
+        "analysis_build",
         "delay_bound_naive/eq6",
         "delay_bound_incremental/eq6",
         "delay_bound_naive/eq10",
@@ -21,6 +21,7 @@ fn fast_kernel_report_is_complete_and_parseable() {
         "sim/run_ns",
         "sim/completions_ns",
         "dcmp/solve_ns",
+        "opdca_solve/edge100",
         "opt_solve/observation_v1",
         "online_admit_warm",
         "online_admit_cold",

@@ -56,9 +56,12 @@ impl Opdca {
     ///
     /// Probes are answered by an incremental [`DelayEvaluator`]: each
     /// `S_DCA` invocation is an `O(1)` read, and assigning one priority
-    /// level demotes the winner for every remaining candidate in `O(n·N)`.
-    /// A cold run seeds every job with all others at higher priority
-    /// (`O(n²·N)`).
+    /// level demotes the winner for every remaining candidate. Under a
+    /// shared-stage bound (Eqs. 3–6 and 10) only competitors of a job can
+    /// move its bound, so with `c` competitors per job a demote costs
+    /// `O(c·N)` amortised over the candidates and a cold run, which seeds
+    /// every job with all others at higher priority, costs `O(n·c·N)`
+    /// rather than `O(n²·N)`.
     ///
     /// An arrival resumes the previous decide's final evaluator state (its
     /// [`AudsleyState::cache`]), which holds every job's bounds at its own

@@ -36,9 +36,15 @@ use crate::{Analysis, DelayBoundKind, JobMask, PairTables};
 /// the OPT branch-and-bound allocation-free per search node.
 ///
 /// Membership is tracked in *effective* terms: jobs whose interference
-/// windows do not overlap the target are ignored by every operation. The
-/// aggregates are exact integer arithmetic over the same precomputed ticks
-/// the reference reads, so for every reachable state `evaluator.delay(i)`
+/// windows do not overlap the target are ignored by every operation, and
+/// [`DelayEvaluator::higher`]/[`DelayEvaluator::lower`] hold every member
+/// that does. The aggregates fold every member too, except in Audsley's
+/// two ops: for the five bounds over shared-stage times (Eqs. 3–6 and 10), [`DelayEvaluator::seed_target`] and
+/// [`DelayEvaluator::demote`] fold only the members that share a resource
+/// with the target (the paper's `M_i`), since any other member adds
+/// exactly 0; Eqs. 1–2 read raw processing times and fold every member.
+/// The aggregates are exact integer arithmetic over the same precomputed
+/// ticks the reference reads, so for every reachable state `evaluator.delay(i)`
 /// is bit-identical to
 /// [`ReferenceBounds::delay_bound`](crate::reference::ReferenceBounds::delay_bound)
 /// with the corresponding
@@ -85,6 +91,14 @@ pub struct DelayEvaluator<'a> {
     block_stages: Vec<usize>,
     /// `true` when the blocking term reads raw processing times (Eq. 2).
     raw_block_values: bool,
+    /// Per-target masks of the `H_i` members whose values
+    /// [`DelayEvaluator::seed_target`] and [`DelayEvaluator::demote`]
+    /// fold: every interferer when the stage values are raw, the
+    /// competitors otherwise (see `fold_masks`).
+    stage_fold: &'a [JobMask],
+    /// The same for `L_i` and the blocking term, keyed on
+    /// `raw_block_values`.
+    block_fold: &'a [JobMask],
     /// Per-target constant: self term plus, for Eq. 5, the
     /// content-independent blocking sum.
     base: Vec<u64>,
@@ -186,6 +200,27 @@ fn stage_value(tables: &PairTables, raw: bool, target: usize, k: usize, stage: u
 #[inline]
 fn stage_row(tables: &PairTables, raw: bool, target: usize, k: usize) -> &[u64] {
     tables.ep_row(if raw { k } else { target }, k)
+}
+
+/// The per-target masks of the interferers whose values can be non-zero:
+/// all of them when the values are raw processing times (Eqs. 1–2), the
+/// competitors otherwise.
+///
+/// Skipping the rest is exact. A pair that interferes but does not
+/// compete shares no stage (`m = 0` in the tables' pair scan), so its
+/// `ep` row is all zeros: its stage-additive and blocking values are 0,
+/// `ja_eq45 = m·et₁ = 0`, and `ja_eq6 = 0` because its `w` is 0. Every
+/// sum it would join is unchanged and every maximum it would join is
+/// already `≥ 0`, so each aggregate is bit-identical with or without it.
+/// Raw values (the interferer's own `P_{k,j}`, `t_{k,1}`, Eq. 1's
+/// arrival-ordered scalar) do not vanish, so those kinds walk every
+/// interferer.
+fn fold_masks(tables: &PairTables, raw: bool) -> &[JobMask] {
+    if raw {
+        &tables.interferes
+    } else {
+        &tables.competes
+    }
 }
 
 impl<'a> DelayEvaluator<'a> {
@@ -297,6 +332,8 @@ impl<'a> DelayEvaluator<'a> {
             add_stages,
             block_stages,
             raw_block_values,
+            stage_fold: fold_masks(tables, raw_stage_values),
+            block_fold: fold_masks(tables, raw_block_values),
             base,
             state,
         }
@@ -431,16 +468,19 @@ impl<'a> DelayEvaluator<'a> {
     /// Moves `k` from `H_target` to `L_target` — Audsley's step of `k`
     /// taking the level below `target` — as one call, equivalent to
     /// [`DelayEvaluator::remove_higher`] followed by
-    /// [`DelayEvaluator::add_lower`]. No-op for non-interfering jobs.
+    /// [`DelayEvaluator::add_lower`]. No-op for non-interfering jobs. For
+    /// an interferer that shares no resource with the target under a
+    /// shared-stage bound (Eqs. 3–6 and 10) only the mask bits move: its
+    /// values are all 0, so the aggregates stay.
     pub fn demote(&mut self, target: JobId, k: JobId) {
         let (t, ki) = (target.index(), k.index());
         if !self.tables.interferes[t].contains(k) {
             return;
         }
-        if self.state.higher[t].remove(k) {
+        if self.state.higher[t].remove(k) && self.stage_fold[t].contains(k) {
             self.drop_higher(t, ki);
         }
-        if self.state.lower[t].insert(k) {
+        if self.state.lower[t].insert(k) && self.block_fold[t].contains(k) {
             self.raise_block(t, ki);
         }
     }
@@ -489,7 +529,10 @@ impl<'a> DelayEvaluator<'a> {
     /// the canonical start state of Audsley's algorithm (every other job
     /// assumed higher): [`DelayEvaluator::seed_target`] with an empty
     /// `lower` for every target, equivalent to but cheaper than `n·(n−1)`
-    /// individual [`DelayEvaluator::add_higher`] calls.
+    /// individual [`DelayEvaluator::add_higher`] calls. Under a
+    /// shared-stage bound it folds only each target's competitors, so it
+    /// costs `O(n·c·N)` for `c` competitors per target rather than
+    /// `O(n²·N)`.
     pub fn seed_all_higher(&mut self) {
         let none = JobMask::new();
         for t in 0..self.tables.job_count() {
@@ -502,7 +545,10 @@ impl<'a> DelayEvaluator<'a> {
     /// job awaiting an Audsley level once `lower` holds the levels below
     /// it — in word operations plus one pass over each set, equivalent
     /// to emptying both sets and calling [`DelayEvaluator::add_higher`]
-    /// and [`DelayEvaluator::add_lower`] member by member.
+    /// and [`DelayEvaluator::add_lower`] member by member. The masks get
+    /// every interferer; under a shared-stage bound (Eqs. 3–6 and 10) the
+    /// passes fold only the members that share a resource with the target,
+    /// as every other member's values are 0.
     pub fn seed_target(&mut self, target: JobId, lower: &JobMask) {
         let tables = self.tables;
         let t = target.index();
@@ -515,7 +561,7 @@ impl<'a> DelayEvaluator<'a> {
             *slot = tables.ep_at(t, t, j);
         }
         let mut ja = 0u64;
-        for k in self.state.higher[t].iter() {
+        for k in self.state.higher[t].iter_and(&self.stage_fold[t]) {
             let ki = k.index();
             ja += self.job_additive.pair(t, ki);
             let row = stage_row(tables, self.raw_stage_values, t, ki);
@@ -529,7 +575,7 @@ impl<'a> DelayEvaluator<'a> {
         let width = self.block_stages.len();
         let blocks = &mut self.state.block_max[t * width..(t + 1) * width];
         blocks.fill(0);
-        for k in self.state.lower[t].iter() {
+        for k in self.state.lower[t].iter_and(&self.block_fold[t]) {
             for (slot, &j) in blocks.iter_mut().zip(&self.block_stages) {
                 *slot = (*slot).max(stage_value(tables, self.raw_block_values, t, k.index(), j));
             }

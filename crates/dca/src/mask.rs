@@ -145,9 +145,15 @@ impl JobMask {
 
     /// Iterates over the ids in ascending order.
     pub fn iter(&self) -> JobMaskIter<'_> {
+        self.iter_and(self)
+    }
+
+    /// Iterates over the ids of `self ∩ other` in ascending order, one
+    /// word at a time and without materialising the intersection.
+    pub fn iter_and<'a>(&'a self, other: &'a JobMask) -> JobMaskIter<'a> {
         JobMaskIter {
-            mask: self,
-            word: self.head[0],
+            masks: [self, other],
+            word: self.head[0] & other.head[0],
             next_word: 1,
         }
     }
@@ -185,10 +191,13 @@ impl<'a> IntoIterator for &'a JobMask {
     }
 }
 
-/// Ascending iterator over the ids of a [`JobMask`].
+/// Ascending iterator over the ids of a [`JobMask`], or of the
+/// intersection of two ([`JobMask::iter_and`]).
 #[derive(Debug, Clone)]
 pub struct JobMaskIter<'a> {
-    mask: &'a JobMask,
+    /// The two masks whose intersection is drained (the same mask twice
+    /// for [`JobMask::iter`]).
+    masks: [&'a JobMask; 2],
     /// Remaining bits of the word currently being drained.
     word: u64,
     /// Index of the next word to drain (`< INLINE_WORDS`: head word,
@@ -206,10 +215,15 @@ impl Iterator for JobMaskIter<'_> {
                 self.word &= self.word - 1;
                 return Some(JobId::new((self.next_word - 1) * 64 + bit));
             }
+            let [a, b] = self.masks;
             self.word = if self.next_word < INLINE_WORDS {
-                self.mask.head[self.next_word]
-            } else if let Some(&word) = self.mask.tail.get(self.next_word - INLINE_WORDS) {
-                word
+                a.head[self.next_word] & b.head[self.next_word]
+            } else if let Some(&word) = a.tail.get(self.next_word - INLINE_WORDS) {
+                word & b
+                    .tail
+                    .get(self.next_word - INLINE_WORDS)
+                    .copied()
+                    .unwrap_or(0)
             } else {
                 return None;
             };
@@ -297,6 +311,20 @@ mod tests {
         let mut small = JobMask::new();
         small.assign_difference(&a, &JobMask::new());
         assert_eq!(small, a);
+    }
+
+    #[test]
+    fn iter_and_yields_the_intersection() {
+        let a: JobMask = [0usize, 3, 64, 130, 250].into_iter().map(jid).collect();
+        let b: JobMask = [3usize, 64, 130, 131].into_iter().map(jid).collect();
+        let ids = |iter: JobMaskIter<'_>| iter.map(JobId::index).collect::<Vec<_>>();
+        assert_eq!(ids(a.iter_and(&b)), [3, 64, 130]);
+        assert_eq!(ids(b.iter_and(&a)), [3, 64, 130]);
+        // A shorter tail on either side reads as zeros.
+        assert_eq!(ids(a.iter_and(&JobMask::new())), Vec::<usize>::new());
+        let head_only: JobMask = [0usize, 3].into_iter().map(jid).collect();
+        assert_eq!(ids(head_only.iter_and(&a)), [0, 3]);
+        assert_eq!(ids(a.iter_and(&head_only)), [0, 3]);
     }
 
     #[test]

@@ -732,3 +732,96 @@ impl JobAdditive<'_> {
         self.table[target * self.stride + k] << self.shift
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use msmr_model::{JobSetBuilder, PreemptionPolicy};
+
+    use super::*;
+    use crate::Analysis;
+
+    /// Twenty-four jobs over three stages of three resources each, with
+    /// resources drawn by a fixed LCG: about a third of the pairs share no
+    /// resource, and staggered arrivals keep some windows apart.
+    fn sparse_case() -> JobSet {
+        let mut b = JobSetBuilder::new();
+        for name in ["ap", "link", "server"] {
+            b.stage(name, 3, PreemptionPolicy::Preemptive);
+        }
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..24 {
+            let mut job = b
+                .job()
+                .arrival(Time::new(next(200)))
+                .deadline(Time::new(100 + next(200)));
+            for _ in 0..3 {
+                job = job.stage_time(Time::new(1 + next(20)), next(3) as usize);
+            }
+            job.add().unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The fact `DelayEvaluator::seed_target` and `DelayEvaluator::demote`
+    /// rest on: under every bound over shared-stage times (Eqs. 3–6 and
+    /// 10) an interferer that shares no resource with the target adds
+    /// exactly 0 — an all-zero `ep` row (its stage-additive and blocking
+    /// values), a zero job-additive scalar — while Eqs. 1–2, which read
+    /// raw processing times, do charge it. A bound that starts reading raw
+    /// times fails here instead of turning Audsley's skip unsound.
+    #[test]
+    fn interferers_that_do_not_compete_add_nothing_to_shared_stage_bounds() {
+        let jobs = sparse_case();
+        let analysis = Analysis::new(&jobs);
+        let tables = analysis.tables();
+        let n = tables.job_count();
+        let mut pairs = Vec::new();
+        for t in 0..n {
+            let mut others = JobMask::new();
+            others.assign_difference(&tables.interferes[t], &tables.competes[t]);
+            pairs.extend(others.iter().map(|k| (t, k.index())));
+        }
+        assert!(
+            pairs.len() >= n,
+            "only {} non-competing interferers",
+            pairs.len()
+        );
+
+        for kind in DelayBoundKind::all() {
+            let raw = kind.equation() <= 2;
+            let job_additive = tables.job_additive(kind);
+            let mut charged = 0;
+            for &(t, k) in &pairs {
+                let (target, other) = (JobId::new(t), JobId::new(k));
+                // Each of the evaluator's per-node ops folds the pair's
+                // values whatever they are.
+                let mut eval = analysis.evaluator(kind);
+                let isolated = eval.delay(target);
+                eval.add_higher(target, other);
+                let above = eval.delay(target);
+                eval.add_lower(target, other);
+                let below = eval.delay(target);
+                if raw {
+                    charged += usize::from(above > isolated || below > isolated);
+                    continue;
+                }
+                assert!(
+                    tables.ep_row(t, k).iter().all(|&v| v == 0),
+                    "{kind}: ep row of ({t}, {k})"
+                );
+                assert_eq!(job_additive.pair(t, k), 0, "{kind}: ({t}, {k})");
+                assert_eq!(above, isolated, "{kind}: {k} above {t}");
+                assert_eq!(below, isolated, "{kind}: {k} below {t}");
+            }
+            if raw {
+                assert_eq!(charged, pairs.len(), "{kind} charges every interferer");
+            }
+        }
+    }
+}
