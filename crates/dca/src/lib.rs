@@ -126,5 +126,5 @@ mod tables;
 pub use analysis::Analysis;
 pub use bounds::DelayBoundKind;
 pub use evaluator::{DelayEvaluator, EvaluatorState};
-pub use mask::{JobMask, JobMaskIter};
+pub use mask::{JobMask, JobMaskAndIter, JobMaskIter};
 pub use tables::PairTables;

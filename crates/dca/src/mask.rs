@@ -145,13 +145,17 @@ impl JobMask {
 
     /// Iterates over the ids in ascending order.
     pub fn iter(&self) -> JobMaskIter<'_> {
-        self.iter_and(self)
+        JobMaskIter {
+            mask: self,
+            word: self.head[0],
+            next_word: 1,
+        }
     }
 
     /// Iterates over the ids of `self ∩ other` in ascending order, one
     /// word at a time and without materialising the intersection.
-    pub fn iter_and<'a>(&'a self, other: &'a JobMask) -> JobMaskIter<'a> {
-        JobMaskIter {
+    pub fn iter_and<'a>(&'a self, other: &'a JobMask) -> JobMaskAndIter<'a> {
+        JobMaskAndIter {
             masks: [self, other],
             word: self.head[0] & other.head[0],
             next_word: 1,
@@ -191,13 +195,10 @@ impl<'a> IntoIterator for &'a JobMask {
     }
 }
 
-/// Ascending iterator over the ids of a [`JobMask`], or of the
-/// intersection of two ([`JobMask::iter_and`]).
+/// Ascending iterator over the ids of a [`JobMask`].
 #[derive(Debug, Clone)]
 pub struct JobMaskIter<'a> {
-    /// The two masks whose intersection is drained (the same mask twice
-    /// for [`JobMask::iter`]).
-    masks: [&'a JobMask; 2],
+    mask: &'a JobMask,
     /// Remaining bits of the word currently being drained.
     word: u64,
     /// Index of the next word to drain (`< INLINE_WORDS`: head word,
@@ -206,6 +207,41 @@ pub struct JobMaskIter<'a> {
 }
 
 impl Iterator for JobMaskIter<'_> {
+    type Item = JobId;
+
+    fn next(&mut self) -> Option<JobId> {
+        loop {
+            if self.word != 0 {
+                let bit = self.word.trailing_zeros() as usize;
+                self.word &= self.word - 1;
+                return Some(JobId::new((self.next_word - 1) * 64 + bit));
+            }
+            self.word = if self.next_word < INLINE_WORDS {
+                self.mask.head[self.next_word]
+            } else if let Some(&word) = self.mask.tail.get(self.next_word - INLINE_WORDS) {
+                word
+            } else {
+                return None;
+            };
+            self.next_word += 1;
+        }
+    }
+}
+
+/// Ascending iterator over the ids of the intersection of two
+/// [`JobMask`]s ([`JobMask::iter_and`]). A type of its own, so the plain
+/// [`JobMaskIter`] walk in the search engines' per-node loops keeps one
+/// load per word.
+#[derive(Debug, Clone)]
+pub struct JobMaskAndIter<'a> {
+    masks: [&'a JobMask; 2],
+    /// Remaining bits of the intersected word currently being drained.
+    word: u64,
+    /// Index of the next word to drain, as in [`JobMaskIter`].
+    next_word: usize,
+}
+
+impl Iterator for JobMaskAndIter<'_> {
     type Item = JobId;
 
     fn next(&mut self) -> Option<JobId> {
@@ -317,7 +353,7 @@ mod tests {
     fn iter_and_yields_the_intersection() {
         let a: JobMask = [0usize, 3, 64, 130, 250].into_iter().map(jid).collect();
         let b: JobMask = [3usize, 64, 130, 131].into_iter().map(jid).collect();
-        let ids = |iter: JobMaskIter<'_>| iter.map(JobId::index).collect::<Vec<_>>();
+        let ids = |iter: JobMaskAndIter<'_>| iter.map(JobId::index).collect::<Vec<_>>();
         assert_eq!(ids(a.iter_and(&b)), [3, 64, 130]);
         assert_eq!(ids(b.iter_and(&a)), [3, 64, 130]);
         // A shorter tail on either side reads as zeros.
